@@ -17,7 +17,10 @@
 # (fails if the libyanc submission ring's bulk flow push drops below
 # 5x the file-I/O path at the quick sizes, or if a fanned-out
 # packet-out stages more than one copy of the frame; skipped below 4
-# cores, where wall-clock ratios are hypervisor-steal noise).
+# cores, where wall-clock ratios are hypervisor-steal noise), and a
+# two-second churn_scan run of the repository benchmark, whose verifier
+# (conservation, sink table = file system, every scanned flow parses
+# back) sets the exit code; no number it prints is compared.
 # Run before every push.
 set -eu
 cd "$(dirname "$0")"
@@ -81,5 +84,8 @@ else
     echo "==> E17 smoke: skipped (<4 cores)"
     echo "==> E18 smoke: skipped (<4 cores)"
 fi
+
+echo "==> yancperf smoke (churn_scan, 2 s: the verifier's exit code is the gate)"
+go run ./bench -workload churn_scan -seconds 2 -seed 3
 
 echo "==> ok"

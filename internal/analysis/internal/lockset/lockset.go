@@ -26,7 +26,7 @@ const (
 	OpRLockTree
 	OpUnlockTree
 	OpRUnlockTree
-	OpLockShard   // lockNode / rlockNode
+	OpLockShard   // lockNode / rlockNode / rlockContent
 	OpUnlockShard // <stripe>.mu.Unlock / <stripe>.mu.RUnlock
 )
 
@@ -78,6 +78,8 @@ func Find(pass *analysis.Pass) *Info {
 		"runlockTree": OpRUnlockTree,
 		"lockNode":    OpLockShard,
 		"rlockNode":   OpLockShard,
+		// rlockNode, after waiting out a transaction that wrote the node.
+		"rlockContent": OpLockShard,
 	} {
 		if m := methodNamed(fs, name); m != nil {
 			info.Primitives[m] = op

@@ -6,7 +6,8 @@
 // The snapshot vocabulary is detected by shape, like lockset does for
 // the lock primitives: the "snapshot type" is any named type declaring
 // both a `kids` and a `setKids` method, in a package that also defines
-// the lock vocabulary. Three rules follow:
+// the lock vocabulary; the "node type" is what `kids` returns a pointer
+// to (the persistent children trie's node). Three rules follow:
 //
 //  1. The publishers (setKids and the copy-on-write helpers cowInsert /
 //     cowDelete) may only be called from a write-locked context: a Tx
@@ -15,17 +16,24 @@
 //     in-package static call graph). A publisher reachable from an
 //     unlocked or read-locked entry point races every other writer's
 //     copy-on-write cycle.
-//  2. The `children` atomic pointer may only be Stored inside setKids
-//     (or setSnap, the low-level publisher in the overlay-bearing real
-//     package): a direct Store skips the generation bump that lock-free
-//     readers use to detect concurrent change, so a reader could
-//     validate a new snapshot against a stale generation and assemble a
-//     path that never existed.
-//  3. A map obtained from `kids()` (or by dereferencing a children
-//     Load) must never be written through — no index assignment, no
-//     delete. Published maps are read concurrently with no lock; Go
-//     maps fatally throw on concurrent read/write, and even a benign
-//     edit would change history under a reader mid-walk.
+//  2. The `children` atomic pointer may only be Stored inside setKids:
+//     a direct Store skips the generation bump that lock-free readers
+//     use to detect concurrent change, so a reader could validate a new
+//     snapshot against a stale generation and assemble a path that
+//     never existed.
+//  3. A published node must never be written through. Published means
+//     obtained from `kids()`, or the receiver of a method declared on
+//     the node type, or anything reached from either by field, index,
+//     slice or dereference without leaving the trie through a pointer
+//     to some other type (the inodes that entries point at are mutable
+//     under their own rules). Writing means assignment, ++/--, and the
+//     builtins that write into their first argument's memory: append
+//     (the classic persistent-structure bug — an in-place append onto a
+//     shared backing array), copy, delete and clear. Published nodes
+//     are read concurrently with no lock, and a path copy that edits
+//     the original instead changes history under a reader mid-walk.
+//     Freshly built nodes (composite literals, make, call results) are
+//     private until setKids swaps them in and may be filled freely.
 //
 // The context check is an approximation in the safe direction: a
 // function "holds the write lock" if its body contains a lockTree call
@@ -58,11 +66,10 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // publisherNames are the methods on the snapshot type that publish a new
-// children snapshot. setSnap is the low-level publisher the others sit
-// on (present only in the overlay-bearing real package, optional in
-// fixtures). bumpGen is deliberately absent: a spurious generation bump
-// only costs lock-free readers a retry, it cannot corrupt a walk.
-var publisherNames = []string{"setKids", "setSnap", "cowInsert", "cowDelete"}
+// children snapshot. bumpGen is deliberately absent: a spurious
+// generation bump only costs lock-free readers a retry, it cannot
+// corrupt a walk.
+var publisherNames = []string{"setKids", "cowInsert", "cowDelete"}
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	info := lockset.Find(pass)
@@ -106,7 +113,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				continue
 			}
 			c.checkPublishes(obj, fd.Body)
-			c.checkMutations(fd.Body)
+			c.checkMutations(fd)
 		}
 	}
 	return nil, nil
@@ -115,10 +122,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 // vocab is the snapshot vocabulary detected in the package.
 type vocab struct {
 	snap       *types.Named         // the snapshot (inode) type
-	publishers map[*types.Func]bool // setKids / setSnap / cowInsert / cowDelete
+	publishers map[*types.Func]bool // setKids / cowInsert / cowDelete
 	kids       *types.Func          // the kids() accessor
-	setKids    *types.Func          // legal Store site (map-shaped packages)
-	setSnap    *types.Func          // legal Store site when the package has the low-level publisher
+	setKids    *types.Func          // the one legal Store site
+	node       *types.Named         // the trie node type kids() points at, if any
 	children   *types.Var           // the atomic snapshot field, if named "children"
 }
 
@@ -139,20 +146,44 @@ func findVocab(pass *analysis.Pass) *vocab {
 			continue
 		}
 		v := &vocab{snap: named, publishers: map[*types.Func]bool{}, kids: kids, setKids: set,
-			setSnap: methodNamed(named, "setSnap")}
+			children: childrenField(named)}
 		for _, pn := range publisherNames {
 			if m := methodNamed(named, pn); m != nil {
 				v.publishers[m] = true
 			}
 		}
-		if st, ok := named.Underlying().(*types.Struct); ok {
-			for i := 0; i < st.NumFields(); i++ {
-				if st.Field(i).Name() == "children" {
-					v.children = st.Field(i)
-				}
+		if res := kids.Type().(*types.Signature).Results(); res.Len() == 1 {
+			if ptr, ok := res.At(0).Type().(*types.Pointer); ok {
+				v.node, _ = ptr.Elem().(*types.Named)
 			}
 		}
 		return v
+	}
+	return nil
+}
+
+// childrenField finds the field named "children" in the snapshot type's
+// struct, or in a struct one of its fields points to (the real package
+// keeps directory-only state behind a pointer).
+func childrenField(named *types.Named) *types.Var {
+	st, ok := named.Underlying().(*types.Struct)
+	if !ok {
+		return nil
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if f.Name() == "children" {
+			return f
+		}
+		if ptr, ok := f.Type().(*types.Pointer); ok {
+			if inner, ok := ptr.Elem().Underlying().(*types.Struct); ok {
+				for j := 0; j < inner.NumFields(); j++ {
+					if inner.Field(j).Name() == "children" {
+						return inner.Field(j)
+					}
+				}
+			}
+		}
 	}
 	return nil
 }
@@ -253,8 +284,7 @@ func (c *checker) checkPublishes(owner *types.Func, body ast.Node) {
 				c.report(call.Pos(), "children snapshot published outside the tree write lock: %s may only be called from a Tx method, a lockTree holder, or their helpers", callee.Name())
 			}
 		}
-		legalStore := owner == c.v.setKids || (c.v.setSnap != nil && owner == c.v.setSnap)
-		if c.isChildrenStore(call) && !legalStore {
+		if c.isChildrenStore(call) && owner != c.v.setKids {
 			c.report(call.Pos(), "children snapshot replaced by a direct Store: use setKids so the generation is bumped before the swap")
 		}
 		return true
@@ -281,48 +311,101 @@ func (c *checker) isChildrenStore(call *ast.CallExpr) bool {
 	return selection.Obj() == c.v.children
 }
 
-// checkMutations flags writes through a published snapshot: index
-// assignment to, or delete from, a map obtained via kids() (directly or
-// through local variables, with simple ident-to-ident propagation).
-func (c *checker) checkMutations(body ast.Node) {
+// checkMutations flags writes through a published node (rule 3) in one
+// declared function. Taint starts at kids() results and at the receiver
+// of a node-type method, and follows plain assignments and range
+// clauses in source order.
+func (c *checker) checkMutations(fd *ast.FuncDecl) {
+	info := c.pass.TypesInfo
 	tainted := make(map[types.Object]bool)
-	isTainted := func(e ast.Expr) bool {
+	if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 && c.v.node != nil {
+		recv := fd.Recv.List[0].Names[0]
+		if obj := info.ObjectOf(recv); obj != nil && namedOf(obj.Type()) == c.v.node {
+			tainted[obj] = true
+		}
+	}
+	// published reports whether e denotes memory inside a published
+	// node: a tainted root reached by field, index, slice or dereference
+	// steps that never cross a pointer to a non-node type. A tainted
+	// variable holding a struct copy (a range value, `nd := *d`) is its
+	// own memory until a step follows one of its references, so shared
+	// says whether some step between e and the root did: a pointer
+	// dereference, or an index or slice of a slice or map.
+	var published func(e ast.Expr, shared bool) bool
+	published = func(e ast.Expr, shared bool) bool {
+		var inner ast.Expr
 		switch e := e.(type) {
 		case *ast.Ident:
-			return tainted[c.pass.TypesInfo.ObjectOf(e)]
+			return shared && tainted[info.ObjectOf(e)]
 		case *ast.CallExpr:
-			if callee := typeutil.StaticCallee(c.pass.TypesInfo, e); callee != nil {
-				return callee == c.v.kids
+			return shared && typeutil.StaticCallee(info, e) == c.v.kids
+		case *ast.ParenExpr:
+			return published(e.X, shared)
+		case *ast.SelectorExpr:
+			if sel, ok := info.Selections[e]; !ok || sel.Kind() != types.FieldVal {
+				return false
 			}
+			inner = e.X
+		case *ast.IndexExpr:
+			inner = e.X
+		case *ast.SliceExpr:
+			inner = e.X
+		case *ast.StarExpr:
+			inner = e.X
+		default:
+			return false
 		}
-		return false
+		switch t := info.TypeOf(inner).Underlying().(type) {
+		case *types.Pointer:
+			if namedOf(t) != c.v.node {
+				return false // leaves the trie: what an entry points at is not the node's memory
+			}
+			shared = true
+		case *types.Slice, *types.Map:
+			shared = true
+		}
+		return published(inner, shared)
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
+	mutated := func(pos token.Pos) {
+		c.report(pos, "children snapshot mutated after publish: build a copy and publish it with setKids")
+	}
+	written := func(lhs ast.Expr) {
+		if published(lhs, false) {
+			mutated(lhs.Pos())
+		}
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			// Propagate taint through ident = ident/kids() assignments,
-			// then flag writes through tainted index expressions.
 			for i, rhs := range n.Rhs {
 				if i >= len(n.Lhs) {
 					break
 				}
-				lhs, ok := n.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if isTainted(rhs) {
-					tainted[c.pass.TypesInfo.ObjectOf(lhs)] = true
+				if lhs, ok := n.Lhs[i].(*ast.Ident); ok && published(rhs, true) {
+					tainted[info.ObjectOf(lhs)] = true
 				}
 			}
 			for _, lhs := range n.Lhs {
-				if ix, ok := lhs.(*ast.IndexExpr); ok && isTainted(ix.X) {
-					c.report(lhs.Pos(), "children snapshot mutated after publish: copy-on-write a new map and publish it with setKids")
-				}
+				written(lhs)
 			}
+		case *ast.RangeStmt:
+			if v, ok := n.Value.(*ast.Ident); ok && published(n.X, true) {
+				tainted[info.ObjectOf(v)] = true
+			}
+		case *ast.IncDecStmt:
+			written(n.X)
 		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" && len(n.Args) == 2 && isTainted(n.Args[0]) {
-				if _, isBuiltin := c.pass.TypesInfo.ObjectOf(id).(*types.Builtin); isBuiltin {
-					c.report(n.Pos(), "children snapshot mutated after publish: copy-on-write a new map and publish it with setKids")
+			id, ok := n.Fun.(*ast.Ident)
+			if !ok || len(n.Args) == 0 {
+				break
+			}
+			if _, isBuiltin := info.ObjectOf(id).(*types.Builtin); !isBuiltin {
+				break
+			}
+			switch id.Name {
+			case "append", "copy", "delete", "clear":
+				if published(n.Args[0], true) {
+					mutated(n.Pos())
 				}
 			}
 		}

@@ -12,7 +12,7 @@ func (fs *FS) CreateUnlocked(name string) {
 func (fs *FS) CreateUnderReadLock(name string) {
 	fs.rlockTree()
 	defer fs.runlockTree()
-	fs.root.setKids(map[string]*inode{name: {}}) // want "published outside the tree write lock"
+	fs.root.setKids(&dirNode{n: 1, ents: []dirEnt{{name, &inode{}}}}) // want "published outside the tree write lock"
 }
 
 // A helper is only as locked as its callers: reachable from an unlocked
@@ -28,8 +28,8 @@ func (fs *FS) CreateViaHelper(name string) {
 // Recursion does not launder an unlocked entry point: the cycle is
 // reachable from RemoveUnlocked, so the publish inside it is a bug.
 func (fs *FS) removeRecUnlocked(n *inode, name string) {
-	for cname, c := range n.kids() {
-		fs.removeRecUnlocked(c, cname)
+	for _, e := range n.kids().ents {
+		fs.removeRecUnlocked(e.c, e.name)
 	}
 	n.cowDelete(name) // want "published outside the tree write lock"
 }
@@ -39,29 +39,51 @@ func (fs *FS) RemoveUnlocked(name string) {
 }
 
 // Storing the pointer directly skips the generation bump, so a lock-free
-// reader can validate the new map against the old generation and see a
+// reader can validate the new node against the old generation and see a
 // path that never existed.
-func (fs *FS) StoreWithoutGenBump(m map[string]*inode) {
+func (fs *FS) StoreWithoutGenBump(root *dirNode) {
 	fs.lockTree()
 	defer fs.unlockTree()
-	fs.root.children.Store(&m) // want "use setKids"
+	fs.root.children.Store(root) // want "use setKids"
 }
 
-// Editing a loaded snapshot in place — even under the write lock — races
-// every lock-free reader currently ranging over it.
-func (tx *Tx) MutateLoaded(name string, c *inode) {
-	m := tx.fs.root.kids()
-	m[name] = c // want "mutated after publish"
+// Editing a loaded node in place — even under the write lock — races
+// every lock-free reader currently searching it.
+func (tx *Tx) MutateLoaded(c *inode) {
+	root := tx.fs.root.kids()
+	root.ents[0].c = c // want "mutated after publish"
+	root.n++           // want "mutated after publish"
 }
 
-// delete through an alias of the snapshot is the same bug.
-func (tx *Tx) DeleteLoaded(name string) {
-	m := tx.fs.root.kids()
-	alias := m
-	delete(alias, name) // want "mutated after publish"
+// A write through an alias of the node's entry slice is the same bug.
+func (tx *Tx) MutateAlias(c *inode) {
+	root := tx.fs.root.kids()
+	alias := root.ents
+	alias[0] = dirEnt{"x", c} // want "mutated after publish"
 }
 
 // Writing through the accessor call directly, without even a variable.
-func (tx *Tx) MutateInline(name string, c *inode) {
-	tx.fs.root.kids()[name] = c // want "mutated after publish"
+func (tx *Tx) MutateInline() {
+	tx.fs.root.kids().n = 0 // want "mutated after publish"
+}
+
+// The persistent-structure classic: "inserting" with an in-place append
+// lands the new entry in the published backing array whenever it has
+// spare capacity, under every reader still holding the old node.
+func (d *dirNode) putInPlace(name string, c *inode) *dirNode {
+	return &dirNode{n: d.n + 1, ents: append(d.ents, dirEnt{name, c})} // want "mutated after publish"
+}
+
+// So is compacting the receiver's entries instead of a copy's.
+func (d *dirNode) delInPlace(i int) *dirNode {
+	copy(d.ents[i:], d.ents[i+1:])  // want "mutated after publish"
+	d.ents = d.ents[:len(d.ents)-1] // want "mutated after publish"
+	return d
+}
+
+// A struct copy of a node still shares the original's entry array.
+func (tx *Tx) MutateThroughCopy(c *inode) {
+	nd := *tx.fs.root.kids()
+	nd.n = 7         // the copy's own field: fine
+	nd.ents[0].c = c // want "mutated after publish"
 }

@@ -26,29 +26,39 @@ func (fs *FS) CreateTwo(a, b string) {
 	fs.insertBoth(a, b)
 }
 
-// Reading a snapshot is always legal, lock or no lock: lookups range and
-// index, they never write.
+// Reading a snapshot is always legal, lock or no lock: lookups search
+// and range, they never write.
 func (fs *FS) Lookup(name string) *inode {
-	return fs.root.kids()[name]
+	return fs.root.kids().get(name)
 }
 
-// Copying into a fresh map and publishing the copy is the whole point of
-// copy-on-write — the new map is private until setKids swaps it in.
+// Building a fresh node from the published one and publishing the copy
+// is the whole point of copy-on-write — the new node is private until
+// setKids swaps it in.
 func (tx *Tx) Replace(name string, c *inode) {
 	old := tx.fs.root.kids()
-	m := make(map[string]*inode, len(old)+1)
-	for k, v := range old {
-		m[k] = v
+	nd := &dirNode{ents: make([]dirEnt, len(old.ents))}
+	copy(nd.ents, old.ents)
+	nd.ents[0] = dirEnt{name, c}
+	nd.n = len(nd.ents)
+	tx.fs.root.setKids(nd)
+}
+
+// What an entry points at is not the node's memory: inodes reached
+// through a published node stay mutable under their own rules, and a
+// range value is the loop's own copy of the entry.
+func (tx *Tx) HideAll() {
+	for _, e := range tx.fs.root.kids().ents {
+		e.c.hidden = true
+		e.name = ""
 	}
-	m[name] = c
-	tx.fs.root.setKids(m)
 }
 
 // A recursive helper (the shape of a subtree teardown) is as locked as
 // the entry points that reach it: the self-edge must not condemn it.
 func (fs *FS) removeRec(n *inode, name string) {
-	for cname, c := range n.kids() {
-		fs.removeRec(c, cname)
+	for _, e := range n.kids().ents {
+		fs.removeRec(e.c, e.name)
 	}
 	n.cowDelete(name)
 }

@@ -1,8 +1,8 @@
 // Package snappkg is a miniature replica of internal/vfs's snapshot
 // publication shape used to exercise the snapshotpub analyzer: a tree
-// RWMutex with the lockTree vocabulary, an inode whose children map is
-// an atomic snapshot with a generation counter, and the copy-on-write
-// publisher helpers.
+// RWMutex with the lockTree vocabulary, an inode whose children node is
+// an atomic snapshot with a generation counter, a one-node stand-in for
+// the persistent children trie, and the copy-on-write publisher helpers.
 package snappkg
 
 import (
@@ -24,43 +24,82 @@ func (fs *FS) runlockTree() { fs.tree.RUnlock() }
 type Tx struct{ fs *FS }
 
 type inode struct {
-	children atomic.Pointer[map[string]*inode]
+	children atomic.Pointer[dirNode]
 	gen      atomic.Uint64
+	hidden   bool
 }
 
-// kids returns the published children snapshot; callers may only read.
-func (n *inode) kids() map[string]*inode {
-	if m := n.children.Load(); m != nil {
-		return *m
+// dirNode is the published children node: entries sorted by name,
+// immutable once a setKids made it reachable.
+type dirNode struct {
+	n    int
+	ents []dirEnt
+}
+
+type dirEnt struct {
+	name string
+	c    *inode
+}
+
+// kids returns the published children node; callers may only read.
+func (n *inode) kids() *dirNode { return n.children.Load() }
+
+// setKids publishes root: generation bump, then swap. Tree write lock held.
+func (n *inode) setKids(root *dirNode) {
+	n.gen.Add(1)
+	n.children.Store(root)
+}
+
+// get finds one name (nil-safe).
+func (d *dirNode) get(name string) *inode {
+	if d == nil {
+		return nil
+	}
+	for _, e := range d.ents {
+		if e.name == name {
+			return e.c
+		}
 	}
 	return nil
 }
 
-// setKids publishes m: generation bump, then swap. Tree write lock held.
-func (n *inode) setKids(m map[string]*inode) {
-	n.gen.Add(1)
-	n.children.Store(&m)
-}
-
-// cowInsert copy-on-writes name into n's children. Tree write lock held.
-func (n *inode) cowInsert(name string, c *inode) {
-	old := n.kids()
-	m := make(map[string]*inode, len(old)+1)
-	for k, v := range old {
-		m[k] = v
-	}
-	m[name] = c
-	n.setKids(m)
-}
-
-// cowDelete copy-on-writes name out of n's children. Tree write lock held.
-func (n *inode) cowDelete(name string) {
-	old := n.kids()
-	m := make(map[string]*inode, len(old))
-	for k, v := range old {
-		if k != name {
-			m[k] = v
+// put returns a copy of d that also maps name to c: the receiver is
+// published and only read; the copy is private and filled freely.
+func (d *dirNode) put(name string, c *inode) *dirNode {
+	nd := &dirNode{}
+	if d != nil {
+		nd.ents = make([]dirEnt, 0, len(d.ents)+1)
+		for _, e := range d.ents {
+			if e.name != name {
+				nd.ents = append(nd.ents, e)
+			}
 		}
 	}
-	n.setKids(m)
+	nd.ents = append(nd.ents, dirEnt{name, c})
+	nd.n = len(nd.ents)
+	return nd
+}
+
+// del returns a copy of d without name.
+func (d *dirNode) del(name string) *dirNode {
+	nd := &dirNode{}
+	if d != nil {
+		for _, e := range d.ents {
+			if e.name != name {
+				nd.ents = append(nd.ents, e)
+			}
+		}
+	}
+	nd.n = len(nd.ents)
+	return nd
+}
+
+// cowInsert path-copies name into n's children. Tree write lock held.
+func (n *inode) cowInsert(name string, c *inode) {
+	n.setKids(n.kids().put(name, c))
+}
+
+// cowDelete path-copies name out of n's children. Tree write lock held.
+func (n *inode) cowDelete(name string) {
+	n.setKids(n.kids().del(name))
 }

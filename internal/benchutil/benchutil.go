@@ -66,9 +66,7 @@ func NewFSOnlyRig(k int) (*yancfs.FS, error) {
 			return nil, err
 		}
 	}
-	// Sanity-check the build with one listing. This also folds the
-	// /switches directory snapshot, so the measured workload starts
-	// from a settled tree instead of paying the construction overlay.
+	// Sanity-check the build with one listing.
 	ents, err := p.ReadDir("/switches")
 	if err != nil {
 		return nil, err

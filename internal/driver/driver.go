@@ -652,11 +652,10 @@ func (sc *SwitchConn) handlePortStatus(ps *openflow.PortStatus) {
 // handleFlowRemoved deletes the corresponding flow directory when the
 // hardware expires an entry, keeping the file system truthful.
 func (sc *SwitchConn) handleFlowRemoved(fr *openflow.FlowRemoved) {
-	key := fr.Match.Key()
 	sc.mu.Lock()
 	var name string
 	for n, st := range sc.flows {
-		if st.priority == fr.Priority && st.match.Key() == key {
+		if st.priority == fr.Priority && st.match.Equal(fr.Match) {
 			name = n
 			break
 		}

@@ -227,3 +227,55 @@ func TestLaunchWithoutProcTreeIsFine(t *testing.T) {
 		t.Fatal("proc file appeared without an installed tree")
 	}
 }
+
+// TestGroupBilledBytesReturned pins what a read costs an app's cgroup:
+// the bytes it got back, not the buffer the read was handed. Reading a
+// 2-byte priority file used to bill 8,192 bytes and 3 ops (a 4 KB
+// staging buffer charged in full, twice, the second time for the EOF
+// round), so a 64-byte MaxBytes budget refused the first read. Both
+// whole-file read paths are covered: the handle-free one an unconfined
+// app takes, and the open-handle one behind a chroot.
+func TestGroupBilledBytesReturned(t *testing.T) {
+	y, err := yancfs.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := y.Root().Mkdir("/hosts/h1", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := y.Root().WriteString("/hosts/h1/priority", "7\n"); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(y.VFS())
+	for _, tc := range []struct {
+		name, root, path string
+		opsPerRead       uint64 // open + read, + the EOF round on a handle
+	}{
+		{"unconfined", "", "/hosts/h1/priority", 2},
+		{"chroot", "/hosts", "/h1/priority", 3},
+	} {
+		g := m.CreateGroup(tc.name, Limits{MaxBytes: 64})
+		p, err := m.Launch(Namespace{Name: tc.name, Cred: vfs.Root, Root: tc.root, Group: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const reads = 10
+		for i := 0; i < reads; i++ {
+			if s, err := p.ReadString(tc.path); err != nil || s != "7" {
+				t.Fatalf("%s: read %d = %q, %v", tc.name, i, s, err)
+			}
+		}
+		u := g.Usage()
+		if u.Bytes != 2*reads || u.Ops != tc.opsPerRead*reads || u.PerOp["open"] != reads || u.Denied != 0 {
+			t.Errorf("%s: usage after %d reads of a 2-byte file = %+v", tc.name, reads, u)
+		}
+		// The budget is real: 64 bytes admit 32 such reads, not 33.
+		var lastErr error
+		for i := reads; i < 33 && lastErr == nil; i++ {
+			_, lastErr = p.ReadFile(tc.path)
+		}
+		if !errors.Is(lastErr, vfs.ErrQuota) || g.Usage().Bytes != 64 {
+			t.Errorf("%s: 33rd read = %v with %d bytes billed, want a quota error at 64", tc.name, lastErr, g.Usage().Bytes)
+		}
+	}
+}

@@ -258,8 +258,30 @@ func (m Match) String() string {
 // match exactly the same packets. Used for strict flow-mod matching.
 func (m Match) Key() string { return m.String() }
 
-// Equal reports whether two matches are identical.
-func (m Match) Equal(o Match) bool { return m.Key() == o.Key() }
+// knownFields masks the bits of Set that name a field.
+const knownFields = FieldTPDst<<1 - 1
+
+// Equal reports whether two matches are identical: the same fields set,
+// to the same values — exactly when their Keys are equal, without
+// rendering either. Values of fields that are not set do not count.
+//
+//yancvet:hotalloc
+func (m Match) Equal(o Match) bool {
+	set := m.Set & knownFields
+	return set == o.Set&knownFields &&
+		(set&FieldInPort == 0 || m.InPort == o.InPort) &&
+		(set&FieldDLSrc == 0 || m.DLSrc == o.DLSrc) &&
+		(set&FieldDLDst == 0 || m.DLDst == o.DLDst) &&
+		(set&FieldDLType == 0 || m.DLType == o.DLType) &&
+		(set&FieldDLVLAN == 0 || m.VLANID == o.VLANID) &&
+		(set&FieldDLVLANPCP == 0 || m.VLANPCP == o.VLANPCP) &&
+		(set&FieldNWTos == 0 || m.NWTos == o.NWTos) &&
+		(set&FieldNWProto == 0 || m.NWProto == o.NWProto) &&
+		(set&FieldNWSrc == 0 || m.NWSrc == o.NWSrc) &&
+		(set&FieldNWDst == 0 || m.NWDst == o.NWDst) &&
+		(set&FieldTPSrc == 0 || m.TPSrc == o.TPSrc) &&
+		(set&FieldTPDst == 0 || m.TPDst == o.TPDst)
+}
 
 // Covers reports whether every packet matched by o is matched by m
 // (m is equal to or strictly more general than o). Used by non-strict

@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"math/rand"
 	"net"
 	"reflect"
 	"testing"
@@ -665,5 +666,75 @@ func TestPrefixMaskHelpers(t *testing.T) {
 	}
 	if maskToBits(0xffffffff) != 32 || maskToBits(0) != 0 {
 		t.Error("mask edge cases")
+	}
+}
+
+// randMatch draws a match whose every field holds a value from a small
+// alphabet, set or not, so that two draws agree on a field about half
+// the time and differences hide in unset fields as often as in set ones.
+func randMatch(rng *rand.Rand) Match {
+	b := func() byte { return byte(rng.Intn(2)) }
+	return Match{
+		Set:     Field(rng.Intn(1 << 13)), // the twelve fields and one bit that names none
+		InPort:  uint32(b()),
+		DLSrc:   ethernet.MAC{b()},
+		DLDst:   ethernet.MAC{5: b()},
+		DLType:  uint16(b()),
+		VLANID:  uint16(b()),
+		VLANPCP: b(),
+		NWTos:   b(),
+		NWProto: b(),
+		NWSrc:   ethernet.Prefix{Addr: ethernet.IP4{10, b()}, Bits: 8 * int(b())},
+		NWDst:   ethernet.Prefix{Addr: ethernet.IP4{3: b()}, Bits: 32 - int(b())},
+		TPSrc:   uint16(b()),
+		TPDst:   uint16(b()),
+	}
+}
+
+// TestMatchEqualAgreesWithKey is the property Equal's field-by-field
+// comparison must keep: Equal(a, b) exactly when Key(a) == Key(b).
+func TestMatchEqualAgreesWithKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	equal := 0
+	for i := 0; i < 200_000; i++ {
+		a, b := randMatch(rng), randMatch(rng)
+		switch rng.Intn(3) {
+		case 0: // same fields set, values drawn apart
+			b.Set = a.Set
+		case 1: // a copy, maybe with one field toggled, maybe one value changed
+			b = a
+			if rng.Intn(2) == 0 {
+				b.Set ^= AllFields[rng.Intn(len(AllFields))]
+			}
+			b.TPDst ^= uint16(rng.Intn(2))
+		}
+		want := a.Key() == b.Key()
+		if got := a.Equal(b); got != want || b.Equal(a) != want {
+			t.Fatalf("Equal = %v, Key equality = %v\n a = %+v\n b = %+v", got, want, a, b)
+		}
+		if want {
+			equal++
+		}
+	}
+	if equal < 10_000 || equal > 190_000 {
+		t.Fatalf("%d of 200000 pairs were equal: the generator no longer exercises both outcomes", equal)
+	}
+}
+
+// TestAllocMatchEqual pins Equal at zero allocations: pushFlow pays it
+// on every modify and handleFlowRemoved once per table entry, and it
+// used to render both matches to strings.
+func TestAllocMatchEqual(t *testing.T) {
+	a := Match{}
+	for _, f := range AllFields {
+		a.Set |= f
+	}
+	b := a
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !a.Equal(b) {
+			t.Fatal("equal matches compare unequal")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Match.Equal allocates %.0f objects, want 0", allocs)
 	}
 }

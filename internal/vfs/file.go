@@ -3,6 +3,7 @@ package vfs
 import (
 	"errors"
 	"io"
+	"math"
 	"sync"
 )
 
@@ -235,8 +236,8 @@ func (p *Proc) openSlow(path string, flags int, mode FileMode) (*File, []Event, 
 			s.mu.Unlock()
 			tx.queue(Event{Op: OpWrite, Path: f.path})
 		}
-		if created && parent.sem != nil && parent.sem.OnCreate != nil {
-			if herr := parent.sem.OnCreate(tx, pathOf(parent), name); herr != nil {
+		if created && parent.dir.sem != nil && parent.dir.sem.OnCreate != nil {
+			if herr := parent.dir.sem.OnCreate(tx, pathOf(parent), name); herr != nil {
 				parent.cowDelete(name)
 				tx.events = tx.events[:0]
 				return nil, pathErr("open", path, herr)
@@ -262,32 +263,56 @@ func (f *File) Read(b []byte) (int, error) {
 	if f.flags&O_WRONLY != 0 {
 		return 0, pathErr("read", f.path, ErrBadHandle)
 	}
-	f.proc.fs.stats.reads.Add(1)
-	defer f.proc.fs.observe(LatRead, latStart())
-	if err := f.proc.charge("read", len(b)); err != nil {
-		return 0, err
-	}
+	fs := f.proc.fs
+	fs.stats.reads.Add(1)
+	defer fs.observe(LatRead, latStart())
 	if f.synthMode {
-		if f.pos >= int64(len(f.synthBuf)) {
+		src := f.synthBuf[min(f.pos, int64(len(f.synthBuf))):]
+		if err := f.proc.charge("read", min(len(b), len(src))); err != nil {
+			return 0, err
+		}
+		if len(src) == 0 {
 			return 0, io.EOF
 		}
-		n := copy(b, f.synthBuf[f.pos:])
+		n := copy(b, src)
 		f.pos += int64(n)
 		return n, nil
 	}
+	// The limiter is billed what the read can return, not the buffer it
+	// was handed, and admits the read before anything is copied. It is
+	// caller-supplied code, so it runs between two stripe holds rather
+	// than under one; the copy is clamped to what was admitted.
+	admitted, err := f.proc.admitRead(f.node, f.pos, len(b))
+	if err != nil {
+		return 0, err
+	}
 	// Stripe-only: content I/O on an open handle needs no tree lock at
 	// any level (the node was pinned at open time).
-	fs := f.proc.fs
-	s := fs.rlockNode(f.node)
+	s := fs.rlockContent(f.node)
 	src := f.node.data
 	if f.pos < int64(len(src)) {
-		n := copy(b, src[f.pos:])
+		n := copy(b[:admitted], src[f.pos:])
 		f.pos += int64(n)
 		s.mu.RUnlock()
 		return n, nil
 	}
 	s.mu.RUnlock()
 	return 0, io.EOF
+}
+
+// admitRead charges the limiter for a read of at most want bytes of n's
+// content from offset off and returns the byte count it admitted: what
+// such a read can return right now. Without a limiter every byte is
+// admitted and the size peek is skipped.
+func (p *Proc) admitRead(n *inode, off int64, want int) (int, error) {
+	if p.limiter == nil {
+		return want, nil
+	}
+	s := p.fs.rlockNode(n)
+	avail := int64(len(n.data)) - off
+	s.mu.RUnlock()
+	want = int(max(0, min(int64(want), avail)))
+	return want, p.charge("read", want)
 }
 
 // Write writes at the current offset (or the end, with O_APPEND).
@@ -469,8 +494,74 @@ func (f *File) Close() error {
 	return nil
 }
 
+// readWhole is the handle-free whole-file read: it resolves path
+// lock-free, does an open's accounting (limiter charge, op counter,
+// latency) and, when the path lands on a regular file the caller may
+// read, one read of the whole content (readNode). There is no File, no
+// staging buffer and no EOF round: to the limiter and to /.proc/vfs a
+// whole-file read is one open plus one read of the file's size, and a
+// failed one is one failed open — the errors are Open's, the path is
+// resolved once.
+//
+// ok=false sends the caller to the handle path before anything was
+// counted: chroots and unclean paths (the handle records the real path)
+// and synthetic files (content comes from the provider).
+func (p *Proc) readWhole(path string, share bool) (data []byte, ok bool, err error) {
+	fs := p.fs
+	if p.root != fs.root || !isClean(path) {
+		return nil, false, nil
+	}
+	start := latStart()
+	n, err := fs.lookupRO(p.cred, path, p.opts(true))
+	if err == nil && n != nil && n.loadSynth() != nil {
+		return nil, false, nil
+	}
+	if err := p.charge("open", 0); err != nil {
+		return nil, true, err
+	}
+	fs.stats.opens.Add(1)
+	fs.observe(LatOpen, start)
+	switch {
+	case err != nil:
+	case n == nil:
+		err = ErrNotExist
+	case n.isDir():
+		err = ErrIsDir
+	case !allows(n, p.cred, wantRead):
+		err = ErrAccess
+	}
+	if err != nil {
+		return nil, true, pathErr("open", path, err)
+	}
+	data, err = p.readNode(n, share)
+	return data, true, err
+}
+
+// readNode is one read of n's whole content, copied under the stripe —
+// or, with share set, aliased (see ReadFileShared). The limiter admits
+// the read, at the size the file has now, before the copy; a write
+// racing in between changes what is returned, never what was billed.
+func (p *Proc) readNode(n *inode, share bool) ([]byte, error) {
+	fs := p.fs
+	fs.stats.reads.Add(1)
+	defer fs.observe(LatRead, latStart())
+	if _, err := p.admitRead(n, 0, math.MaxInt); err != nil {
+		return nil, err
+	}
+	s := fs.rlockContent(n)
+	data := n.data
+	if !share {
+		data = append([]byte(nil), data...)
+	}
+	s.mu.RUnlock()
+	return data, nil
+}
+
 // ReadFile returns the content of the file at path.
 func (p *Proc) ReadFile(path string) ([]byte, error) {
+	if data, ok, err := p.readWhole(path, false); ok {
+		return data, err
+	}
 	f, err := p.Open(path)
 	if err != nil {
 		return nil, err
@@ -503,6 +594,9 @@ func (p *Proc) ReadFile(path string) ([]byte, error) {
 // Synthetic files return the provider's snapshot, which is already
 // caller-owned.
 func (p *Proc) ReadFileShared(path string) ([]byte, error) {
+	if data, ok, err := p.readWhole(path, true); ok {
+		return data, err
+	}
 	f, err := p.Open(path)
 	if err != nil {
 		return nil, err
@@ -511,21 +605,13 @@ func (p *Proc) ReadFileShared(path string) ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.synthMode {
-		if err := f.proc.charge("read", len(f.synthBuf)); err != nil {
+		if err := p.charge("read", len(f.synthBuf)); err != nil {
 			return nil, err
 		}
-		f.proc.fs.stats.reads.Add(1)
+		p.fs.stats.reads.Add(1)
 		return f.synthBuf, nil
 	}
-	fs := f.proc.fs
-	s := fs.rlockNode(f.node)
-	data := f.node.data
-	s.mu.RUnlock()
-	if err := f.proc.charge("read", len(data)); err != nil {
-		return nil, err
-	}
-	fs.stats.reads.Add(1)
-	return data, nil
+	return p.readNode(f.node, true)
 }
 
 // ReadString returns the file content as a whitespace-trimmed string,

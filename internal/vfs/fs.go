@@ -11,7 +11,7 @@
 // performance argument is about the number of such calls.
 //
 // Concurrency: the tree scales on multicore through three levels — lock-
-// free path resolution over immutable children-map snapshots (see
+// free path resolution over immutable children snapshots (see
 // resolve_rcu.go), a structural tree lock for writers, and ino-sharded
 // inode-state stripes (see lock.go and DESIGN.md §8). The read-mostly
 // hot paths (stat, readdir, open-existing, xattr reads) take no tree
@@ -20,7 +20,8 @@ package vfs
 
 import (
 	"errors"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,32 +65,43 @@ type DirSemantics struct {
 	Protected map[string]bool
 }
 
-// inode field locking:
+// inode field locking. An inode carries only what every node uses; what
+// only directories use lives in dirState, and the rare per-node extras
+// (synthetic provider, symlink target, xattrs) in inodeExt, so the 14
+// leaf files of a flow directory do not each pay for them.
 //
-//   - ino, kind, target: immutable after creation.
-//   - mode, uid, gid, nlink, synth: atomics, read lock-free (resolution
-//     and stat touch them with no locks held); stored under the tree
-//     write lock.
-//   - children, gen: the published children-map snapshot and its
-//     generation. Replaced (never mutated) via setKids under the tree
-//     write lock; read lock-free by the RCU walker (resolve_rcu.go).
-//   - parent, name, sem: structural — mutated only under the tree write
-//     lock, readable under either tree mode. The lock-free walker never
-//     touches them (it bails on "..").
-//   - data, dataShared, atime, mtime, ctime, version, xattrs:
+//   - ino, kind, dir: immutable after creation. dir is non-nil exactly
+//     for directories.
+//   - mode, uid, gid, nlink: atomics, read lock-free (resolution and
+//     stat touch them with no locks held); stored under the tree write
+//     lock (chmod/chown: the tree read lock).
+//   - ext: set-once. Nil until the node first needs an extra, then
+//     published by compare-and-swap (extend) and never replaced, so a
+//     loaded pointer stays valid without any lock. Its fields keep their
+//     own rules — see inodeExt.
+//   - data, dataShared, txMark, atime, mtime, ctime, version:
 //     inode-local — every access, read or write, requires the inode's
-//     shard stripe. The tree write lock is NOT enough on its own:
-//     lock-free resolution means stripe-only readers (File.Read/Write,
+//     shard stripe.
+//     The tree write lock is NOT enough on its own: lock-free resolution
+//     means stripe-only readers (File.Read/Write, whole-file reads,
 //     lock-free Stat) can run concurrently with structural operations.
 //     dataShared marks data as an interned slice shared across inodes
 //     (see intern.go): writers must replace it, never mutate in place.
+//     txMark names the transaction that created the node or last wrote
+//     data (0: none did); content readers outside the tree lock compare
+//     it with FS.txLive and wait that transaction out (rlockContent).
 type inode struct {
-	ino   uint64
-	kind  NodeKind
-	mode  atomic.Uint32 // FileMode bits
-	uid   atomic.Int32
-	gid   atomic.Int32
-	nlink atomic.Int64
+	ino  uint64
+	mode atomic.Uint32 // FileMode bits
+	uid  atomic.Int32
+	gid  atomic.Int32
+	kind NodeKind
+	// dataShared marks data as an interned copy-on-write slice
+	// (stripe-guarded like data itself). It sits beside kind so the two
+	// share one word with txMark.
+	dataShared bool
+	txMark     uint16
+	nlink      atomic.Int64
 
 	// Timestamps are kept as Unix nanoseconds, not time.Time: a
 	// time.Time is 24 bytes and carries a monotonic-clock word and a
@@ -100,25 +112,68 @@ type inode struct {
 	mtime   int64
 	ctime   int64
 	version uint64
-	xattrs  map[string][]byte
+	data    []byte
 
-	// Directory state. parent/name give directories a unique path;
-	// regular files may have multiple names via hard links. children is
-	// the immutable snapshot + generation pair — access via kids/setKids.
-	children atomic.Pointer[kidsSnap]
+	dir *dirState
+	ext atomic.Pointer[inodeExt]
+}
+
+// dirState is what only a directory needs.
+//
+//   - children, gen: the published children trie and its generation.
+//     Replaced (never mutated) via setKids under the tree write lock;
+//     read lock-free by the RCU walker (resolve_rcu.go).
+//   - parent, name, sem: structural — mutated only under the tree write
+//     lock, readable under either tree mode. parent/name give a
+//     directory its unique path (regular files may have many names via
+//     hard links and record none). The lock-free walker never touches
+//     them (it bails on "..").
+type dirState struct {
+	children atomic.Pointer[dirNode]
 	gen      atomic.Uint64
 	parent   *inode
 	name     string
 	sem      *DirSemantics
+}
 
-	// File state. dataShared marks data as an interned copy-on-write
-	// slice (stripe-guarded like data itself).
-	data       []byte
-	dataShared bool
-	synth      atomic.Pointer[Synthetic]
-
-	// Symlink state.
+// inodeExt holds the fields few nodes ever use.
+//
+//   - synth: atomic, read lock-free by the open path; stored under the
+//     tree write lock.
+//   - target: a symlink's target, immutable after creation.
+//   - xattrs: inode-local — requires the inode's shard stripe like data.
+type inodeExt struct {
+	synth  atomic.Pointer[Synthetic]
 	target string
+	xattrs map[string][]byte
+}
+
+// extend returns n's extension, publishing an empty one first if n has
+// none. Racing callers converge on one struct: the compare-and-swap
+// admits a single winner and everyone loads it.
+func (n *inode) extend() *inodeExt {
+	if e := n.ext.Load(); e != nil {
+		return e
+	}
+	n.ext.CompareAndSwap(nil, &inodeExt{})
+	return n.ext.Load()
+}
+
+// target returns a symlink's target ("" for anything else).
+func (n *inode) target() string {
+	if e := n.ext.Load(); e != nil {
+		return e.target
+	}
+	return ""
+}
+
+// xattrs returns the node's attribute map (nil when it has none). The
+// caller must hold the inode's stripe.
+func (n *inode) xattrs() map[string][]byte {
+	if e := n.ext.Load(); e != nil {
+		return e.xattrs
+	}
+	return nil
 }
 
 func (n *inode) isDir() bool { return n.kind == KindDir }
@@ -226,6 +281,11 @@ type FS struct {
 
 	root    *inode
 	nextIno atomic.Uint64
+	// txLive is the mark of the WithTx in flight (0 when there is none)
+	// and txN the number of transactions begun, which the next mark is
+	// cut from; txN is guarded by the tree write lock. See rlockContent.
+	txLive  atomic.Uint32
+	txN     uint64
 	clock   atomic.Pointer[func() time.Time]
 	watches watchSet
 	stats   statCounters
@@ -239,7 +299,7 @@ func New() *FS {
 	clk := time.Now
 	fs.clock.Store(&clk)
 	fs.root = fs.newInode(KindDir, 0o755, 0, 0)
-	fs.root.name = "/"
+	fs.root.dir.name = "/"
 	return fs
 }
 
@@ -262,20 +322,32 @@ func (fs *FS) Now() time.Time { return fs.now() }
 // Stats returns a snapshot of the operation counters.
 func (fs *FS) Stats() OpStats { return fs.stats.snapshot() }
 
-// bareInode creates an inode without a children map, for batch callers
-// that supply their own (pre-sized or bulk-cloned) map and timestamp.
+// bareInode creates an unpublished inode stamped with the caller's
+// timestamp. A directory and its dirState come from one allocation and
+// start with no children (the empty trie is nil).
 func (fs *FS) bareInode(kind NodeKind, mode FileMode, uid, gid int, now time.Time) *inode {
-	ns := now.UnixNano()
-	//yancvet:alloc the inode is the operation's product, adopted by the tree
-	n := &inode{
-		ino:   fs.nextIno.Add(1),
-		kind:  kind,
-		atime: ns,
-		mtime: ns,
-		ctime: ns,
-	}
-	links := int64(1)
 	if kind == KindDir {
+		//yancvet:alloc the inode is the operation's product, adopted by the tree
+		d := &struct {
+			node inode
+			dir  dirState
+		}{}
+		return fs.initInode(&d.node, &d.dir, kind, mode, uid, gid, now.UnixNano())
+	}
+	//yancvet:alloc the inode is the operation's product, adopted by the tree
+	return fs.initInode(&inode{}, nil, kind, mode, uid, gid, now.UnixNano())
+}
+
+// initInode fills a zeroed inode in place; dir is its directory state,
+// non-nil exactly when kind is KindDir.
+func (fs *FS) initInode(n *inode, dir *dirState, kind NodeKind, mode FileMode, uid, gid int, ns int64) *inode {
+	n.ino = fs.nextIno.Add(1)
+	n.kind = kind
+	n.txMark = uint16(fs.txLive.Load())
+	n.atime, n.mtime, n.ctime = ns, ns, ns
+	n.dir = dir
+	links := int64(1)
+	if dir != nil {
 		links = 2
 	}
 	n.nlink.Store(links)
@@ -284,9 +356,7 @@ func (fs *FS) bareInode(kind NodeKind, mode FileMode, uid, gid int, now time.Tim
 	return n
 }
 
-// newInode creates an unpublished inode. Directories start with no
-// children snapshot (kids is nil-safe); the first cowInsert publishes
-// one.
+// newInode creates an unpublished inode stamped with the current time.
 func (fs *FS) newInode(kind NodeKind, mode FileMode, uid, gid int) *inode {
 	return fs.bareInode(kind, mode, uid, gid, fs.now())
 }
@@ -408,12 +478,12 @@ func Join(elem ...string) string {
 // pathOf reconstructs the absolute path of a directory (directories have
 // unique parents). Must be called with the tree lock held in either mode.
 func pathOf(n *inode) string {
-	if n.parent == nil {
+	if n.dir.parent == nil {
 		return "/"
 	}
 	var parts []string
-	for cur := n; cur.parent != nil; cur = cur.parent {
-		parts = append(parts, cur.name)
+	for cur := n; cur.dir.parent != nil; cur = cur.dir.parent {
+		parts = append(parts, cur.dir.name)
 	}
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
 		parts[i], parts[j] = parts[j], parts[i]
@@ -428,15 +498,15 @@ func pathTo(dir *inode, name string) string {
 	var anc [16]*inode
 	stack := anc[:0]
 	size := 1 + len(name)
-	for cur := dir; cur.parent != nil; cur = cur.parent {
-		size += len(cur.name) + 1
+	for cur := dir; cur.dir.parent != nil; cur = cur.dir.parent {
+		size += len(cur.dir.name) + 1
 		stack = append(stack, cur)
 	}
 	var b strings.Builder
 	b.Grow(size) //yancvet:alloc one owned event-path string per mutation, by the Event contract
 	for i := len(stack) - 1; i >= 0; i-- {
 		b.WriteByte('/')
-		b.WriteString(stack[i].name)
+		b.WriteString(stack[i].dir.name)
 	}
 	b.WriteByte('/')
 	b.WriteString(name)
@@ -491,7 +561,7 @@ func (fs *FS) walkFrom(cur *inode, path string, cred Cred, opt resolveOpts, root
 	p, off, ok := nextComp(path, 0)
 	if !ok {
 		// Empty path: the node is the starting directory itself.
-		return cur.parent, cur.name, cur, nil
+		return cur.dir.parent, cur.dir.name, cur, nil
 	}
 	for {
 		if !cur.isDir() {
@@ -503,11 +573,11 @@ func (fs *FS) walkFrom(cur *inode, path string, cred Cred, opt resolveOpts, root
 		np, noff, more := nextComp(path, off)
 		last := !more
 		if p == ".." {
-			if cur != root && cur.parent != nil {
-				cur = cur.parent
+			if cur != root && cur.dir.parent != nil {
+				cur = cur.dir.parent
 			}
 			if last {
-				return cur.parent, cur.name, cur, nil
+				return cur.dir.parent, cur.dir.name, cur, nil
 			}
 			p, off = np, noff
 			continue
@@ -526,10 +596,10 @@ func (fs *FS) walkFrom(cur *inode, path string, cred Cred, opt resolveOpts, root
 				return nil, "", nil, ErrTooManyLinks
 			}
 			start := cur
-			if strings.HasPrefix(child.target, "/") {
+			if strings.HasPrefix(child.target(), "/") {
 				start = root
 			}
-			par, nm, nd, werr := fs.walkFrom(start, child.target, cred, opt, root, hops)
+			par, nm, nd, werr := fs.walkFrom(start, child.target(), cred, opt, root, hops)
 			if werr != nil {
 				return nil, "", nil, werr
 			}
@@ -584,12 +654,21 @@ func (tx *Tx) Creator() Cred {
 // the events fn queued. This is the primitive libyanc's batch fastpath
 // builds on. Note that a transaction serializes against every other
 // file-system operation — it is the whole-tree critical section; the
-// syscall-shaped entry points are the scalable path.
+// syscall-shaped entry points are the scalable path. Lock-free walks can
+// watch its structural steps land one by one, but the content of a file
+// it creates or rewrites is kept from Proc readers until fn returns (see
+// rlockContent).
 func (fs *FS) WithTx(fn func(tx *Tx) error) error {
 	fs.lockTree()
+	// Marks are 16 bits and never 0, so they repeat every 65,535
+	// transactions: a reader can mistake a long-committed write for the
+	// live transaction's, which costs it a wait, never a wrong answer.
+	fs.txN++
+	fs.txLive.Store(uint32(fs.txN%math.MaxUint16) + 1)
 	tx := &Tx{fs: fs, events: fs.watches.getBuf()}
 	err := fn(tx)
 	events := tx.events
+	fs.txLive.Store(0)
 	fs.unlockTree()
 	fs.watches.dispatch(events)
 	return err
@@ -655,8 +734,8 @@ func (tx *Tx) Mkdir(path string, mode FileMode, uid, gid int) error {
 	}
 	name = internName(name)
 	d := tx.fs.newInode(KindDir, mode, uid, gid)
-	d.parent = parent
-	d.name = name
+	d.dir.parent = parent
+	d.dir.name = name
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
 	tx.fs.touchMS(parent, tx.fs.now())
@@ -714,6 +793,7 @@ func (tx *Tx) WriteFile(path string, data []byte, mode FileMode, uid, gid int) e
 	} else {
 		node.data = append(node.data[:0], data...)
 	}
+	node.txMark = uint16(tx.fs.txLive.Load())
 	node.touchM(now)
 	s.mu.Unlock()
 	tx.queue(Event{Op: OpWrite, Path: pathTo(parent, name)})
@@ -752,7 +832,7 @@ func (tx *Tx) Symlink(target, linkPath string, uid, gid int) error {
 		return pathErr("symlink", linkPath, ErrExist)
 	}
 	l := tx.fs.newInode(KindSymlink, 0o777, uid, gid)
-	l.target = target
+	l.extend().target = target
 	parent.cowInsert(name, l)
 	tx.fs.touchMS(parent, tx.fs.now())
 	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
@@ -796,11 +876,11 @@ func (tx *Tx) Link(oldPath, newPath string) error {
 // LinkDir creates dstDir as a new directory and hard-links every
 // regular-file child of srcDir into it, resolving both paths once. It is
 // the batched form of Link for fanning a staged message directory out to
-// N subscribers: one directory inode and N map inserts per subscriber,
-// zero payload copies. Symlink and directory children are skipped. A
-// single Create event is queued for dstDir — watchers of its parent see
-// the message appear atomically; the linked children share inodes with
-// srcDir's files and announce nothing of their own.
+// N subscribers: one directory inode per subscriber sharing the source's
+// children trie, zero payload copies. Symlink and directory children are
+// skipped. A single Create event is queued for dstDir — watchers of its
+// parent see the message appear atomically; the linked children share
+// inodes with srcDir's files and announce nothing of their own.
 func (tx *Tx) LinkDir(srcDir, dstDir string, mode FileMode, uid, gid int) error {
 	_, _, src, err := tx.fs.resolve(Root, srcDir, resolveOpts{followLast: true})
 	if err != nil {
@@ -820,20 +900,12 @@ func (tx *Tx) LinkDir(srcDir, dstDir string, mode FileMode, uid, gid int) error 
 		return &LinkError{Op: "linkdir", Old: srcDir, New: dstDir, Err: ErrExist}
 	}
 	d := tx.fs.newInode(KindDir, mode, uid, gid)
-	d.parent = parent
-	d.name = name
-	srcKids := src.kids()
-	m := make(map[string]*inode, len(srcKids))
+	d.dir.parent = parent
+	d.dir.name = name
+	tmpl := fileKids(src)
 	now := tx.fs.now()
-	for cname, c := range srcKids {
-		if c.kind != KindFile {
-			continue
-		}
-		m[cname] = c
-		c.nlink.Add(1)
-		tx.fs.touchCS(c, now)
-	}
-	d.setKids(m)
+	tx.fs.addLinks(tmpl, 1, now)
+	d.setKids(tmpl)
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
 	tx.fs.touchMS(parent, now)
@@ -843,7 +915,7 @@ func (tx *Tx) LinkDir(srcDir, dstDir string, mode FileMode, uid, gid int) error 
 
 // LinkDirFanout is LinkDir amortized over many destinations: srcDir is
 // resolved once, its linkable children are collected once, and every
-// destination directory receives a bulk-cloned child map instead of
+// destination directory shares one children trie instead of taking
 // per-entry inserts. linked(i) is called (under the tree lock — it must
 // not call back into the fs) for each dsts[i] that was created; a
 // destination whose parent is gone or whose name is taken is skipped, so
@@ -867,8 +939,8 @@ func (tx *Tx) LinkDirFanout(srcDir string, dsts []string, mode FileMode, uid, gi
 			continue
 		}
 		d := tx.fs.bareInode(KindDir, mode, uid, gid, now)
-		d.parent = parent
-		d.name = name
+		d.dir.parent = parent
+		d.dir.name = name
 		d.setKids(tmpl)
 		parent.cowInsert(name, d)
 		parent.nlink.Add(1)
@@ -885,24 +957,13 @@ func (tx *Tx) LinkDirFanout(srcDir string, dsts []string, mode FileMode, uid, gi
 			linked(i)
 		}
 	}
-	if links > 0 {
-		for _, c := range tmpl {
-			c.nlink.Add(int64(links))
-			tx.fs.touchCS(c, now)
-		}
-	}
+	tx.fs.addLinks(tmpl, links, now)
 	return nil
 }
 
-// fanoutSrc resolves a fan-out source directory and prepares the child
-// template every destination will receive. When every child is a regular
-// file — always true for packet-in spool entries — all destinations share
-// the source's published snapshot instead of each cloning it. Snapshots
-// are immutable after publish (copy-on-write replaces them), so sharing
-// one map across N directories is always safe: a later insert into or
-// unlink from any one of them publishes a fresh map for that directory
-// alone, giving ordinary hard-link semantics with zero aliasing quirks.
-func (tx *Tx) fanoutSrc(srcDir string) (map[string]*inode, error) {
+// fanoutSrc resolves a fan-out source directory and returns the child
+// trie every destination will share (see fileKids).
+func (tx *Tx) fanoutSrc(srcDir string) (*dirNode, error) {
 	_, _, src, err := tx.fs.resolve(Root, srcDir, resolveOpts{followLast: true})
 	if err != nil {
 		return nil, &LinkError{Op: "linkdir", Old: srcDir, New: "", Err: err} //yancvet:alloc error path
@@ -913,20 +974,48 @@ func (tx *Tx) fanoutSrc(srcDir string) (map[string]*inode, error) {
 	if !src.isDir() {
 		return nil, &LinkError{Op: "linkdir", Old: srcDir, New: "", Err: ErrNotDir} //yancvet:alloc error path
 	}
-	srcKids := src.kids()
-	for _, c := range srcKids {
-		if c.kind != KindFile {
-			//yancvet:alloc mixed-kind source clones the template once per fan-out, shared by every destination
-			tmpl := make(map[string]*inode, len(srcKids))
-			for cname, cc := range srcKids {
-				if cc.kind == KindFile {
-					tmpl[cname] = cc
-				}
-			}
-			return tmpl, nil
+	return fileKids(src), nil
+}
+
+// fileKids returns the regular-file children of src as a trie that any
+// number of directories may publish as their own. When every child is a
+// regular file — always true for packet-in spool entries — that is
+// src's published trie itself: tries are immutable after publish, so
+// sharing one root across N directories is always safe, and a later
+// insert into or unlink from any one of them path-copies a fresh root
+// for that directory alone, giving ordinary hard-link semantics with
+// zero aliasing quirks. A mixed-kind source is filtered into a new trie
+// once, shared the same way.
+func fileKids(src *inode) *dirNode {
+	all := src.kids()
+	for it := all.iter(); ; {
+		e, ok := it.next()
+		if !ok {
+			return all
+		}
+		if e.c.kind != KindFile {
+			break
 		}
 	}
-	return srcKids, nil
+	//yancvet:alloc mixed-kind source: one filtered trie per fan-out, shared by every destination
+	files := slices.DeleteFunc(all.appendEnts(make([]dirEnt, 0, all.count())), func(e dirEnt) bool { return e.c.kind != KindFile })
+	return newDir(files)
+}
+
+// addLinks accounts links new names for every file in tmpl: one nlink
+// bump and one ctime stamp per file, however many directories linked it.
+func (fs *FS) addLinks(tmpl *dirNode, links int, now time.Time) {
+	if links == 0 {
+		return
+	}
+	for it := tmpl.iter(); ; {
+		e, ok := it.next()
+		if !ok {
+			return
+		}
+		e.c.nlink.Add(int64(links))
+		fs.touchCS(e.c, now)
+	}
 }
 
 // DirRef is an opaque handle to a resolved directory, letting hot paths
@@ -976,15 +1065,15 @@ func (tx *Tx) LinkDirFanoutRefs(srcDir string, parents []DirRef, name string, mo
 	for i, r := range parents {
 		parent := r.ino
 		if parent == nil || !parent.isDir() ||
-			(parent.parent == nil && parent != tx.fs.root) {
+			(parent.dir.parent == nil && parent != tx.fs.root) {
 			continue
 		}
 		if _, exists := parent.lookupChild(name); exists {
 			continue
 		}
 		d := tx.fs.bareInode(KindDir, mode, uid, gid, now)
-		d.parent = parent
-		d.name = name
+		d.dir.parent = parent
+		d.dir.name = name
 		d.setKids(tmpl)
 		parent.cowInsert(name, d)
 		parent.nlink.Add(1)
@@ -995,12 +1084,7 @@ func (tx *Tx) LinkDirFanoutRefs(srcDir string, parents []DirRef, name string, mo
 			linked(i)
 		}
 	}
-	if links > 0 {
-		for _, c := range tmpl {
-			c.nlink.Add(int64(links))
-			tx.fs.touchCS(c, now)
-		}
-	}
+	tx.fs.addLinks(tmpl, links, now)
 	return nil
 }
 
@@ -1021,26 +1105,29 @@ type FileData struct {
 	Owned    bool
 }
 
-// countTree returns the number of inodes a FileData forest needs.
-func countTree(files []FileData) int {
-	n := len(files)
+// countTree returns the number of inodes a FileData forest needs, and
+// how many of them are directories.
+func countTree(files []FileData) (nodes, dirs int) {
+	nodes = len(files)
 	for i := range files {
 		if files[i].Children != nil {
-			n += countTree(files[i].Children)
+			n, d := countTree(files[i].Children)
+			nodes += n
+			dirs += d + 1
 		}
 	}
-	return n
+	return nodes, dirs
 }
 
 // WriteTree creates dir as a new directory populated with the given
 // subtree — regular files, synthetic files, nested directories — in one
 // pass: one path resolution, one slab allocation for every inode, and
-// one inode-map fill per directory, where the call-per-file path pays a
-// full root walk and a heap allocation each. Per-entry Create/Write
-// events are queued only when some watch could actually observe them —
-// the packet-in spool stages messages in a dot-directory nobody
-// watches, and event-path construction would otherwise dominate staging
-// cost.
+// one bulk-built children trie per directory, where the call-per-file
+// path pays a full root walk, a heap allocation and a path copy each.
+// Per-entry Create/Write events are queued only when some watch could
+// actually observe them — the packet-in spool stages messages in a
+// dot-directory nobody watches, and event-path construction would
+// otherwise dominate staging cost.
 func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode, uid, gid int) error {
 	parent, name, node, err := tx.fs.resolve(Root, dir, resolveOpts{})
 	if err != nil {
@@ -1052,29 +1139,25 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 	now := tx.fs.now()
 	ns := now.UnixNano()
 	name = internName(name)
-	// All inodes for the subtree come from one slab: a 1k-flow ring
-	// drain would otherwise malloc ~15 inodes per flow, and the GC cost
-	// of those little objects dominates the commit.
-	slab := make([]inode, 1+countTree(files))
-	next := 0
+	// All inodes for the subtree come from one slab (and the directory
+	// states from a second): a 1k-flow ring drain would otherwise malloc
+	// ~15 inodes per flow, and the GC cost of those little objects
+	// dominates the commit.
+	nodes, dirs := countTree(files)
+	slab := make([]inode, 0, 1+nodes)
+	dirSlab := make([]dirState, 0, 1+dirs)
 	alloc := func(kind NodeKind, mode FileMode) *inode {
-		n := &slab[next]
-		next++
-		n.ino = tx.fs.nextIno.Add(1)
-		n.kind = kind
-		n.atime, n.mtime, n.ctime = ns, ns, ns
-		links := int64(1)
+		slab = slab[:len(slab)+1]
+		var dir *dirState
 		if kind == KindDir {
-			links = 2
+			dirSlab = dirSlab[:len(dirSlab)+1]
+			dir = &dirSlab[len(dirSlab)-1]
 		}
-		n.nlink.Store(links)
-		n.storeMode(mode)
-		n.storeOwner(uid, gid)
-		return n
+		return tx.fs.initInode(&slab[len(slab)-1], dir, kind, mode, uid, gid, ns)
 	}
 	var build func(d *inode, files []FileData) error
 	build = func(d *inode, files []FileData) error {
-		m := make(map[string]*inode, len(files))
+		ents := make([]dirEnt, 0, len(files))
 		for i := range files {
 			f := &files[i]
 			if !isCleanName(f.Name) {
@@ -1088,13 +1171,13 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 					mode = f.Mode
 				}
 				sub := alloc(KindDir, mode)
-				sub.parent = d
-				sub.name = entryName
+				sub.dir.parent = d
+				sub.dir.name = entryName
 				if err := build(sub, f.Children); err != nil {
 					return err
 				}
 				d.nlink.Add(1)
-				m[entryName] = sub
+				ents = append(ents, dirEnt{entryName, sub})
 			default:
 				mode := fileMode
 				if f.Mode != 0 {
@@ -1103,7 +1186,7 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 				fi := alloc(KindFile, mode)
 				switch {
 				case f.Synth != nil:
-					fi.synth.Store(f.Synth)
+					fi.extend().synth.Store(f.Synth)
 				case f.Owned:
 					// Owned slices are adopted without the intern probe:
 					// callers pack a whole subtree's values into one arena,
@@ -1118,15 +1201,15 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 						fi.data = append([]byte(nil), f.Data...)
 					}
 				}
-				m[entryName] = fi
+				ents = append(ents, dirEnt{entryName, fi})
 			}
 		}
-		d.setKids(m)
+		d.setKids(newDir(ents))
 		return nil
 	}
 	d := alloc(KindDir, dirMode)
-	d.parent = parent
-	d.name = name
+	d.dir.parent = parent
+	d.dir.name = name
 	if err := build(d, files); err != nil {
 		return err
 	}
@@ -1191,7 +1274,7 @@ func (fs *FS) renameLocked(tx *Tx, oldParent *inode, oldName string, node *inode
 	}
 	// A directory may not be moved into its own subtree.
 	if node.isDir() {
-		for d := newParent; d != nil; d = d.parent {
+		for d := newParent; d != nil; d = d.dir.parent {
 			if d == node {
 				return ErrInvalid
 			}
@@ -1207,8 +1290,8 @@ func (fs *FS) renameLocked(tx *Tx, oldParent *inode, oldName string, node *inode
 	if node.isDir() {
 		oldParent.nlink.Add(-1)
 		newParent.nlink.Add(1)
-		node.parent = newParent
-		node.name = newName
+		node.dir.parent = newParent
+		node.dir.name = newName
 	}
 	// Invalidate in-flight lock-free walkers that resolved node through
 	// the old parent's snapshot: their next validated hop below it must
@@ -1308,10 +1391,13 @@ func (tx *Tx) DirNames(path string, buf []string) ([]string, error) {
 	if !n.isDir() {
 		return buf, pathErr("readdir", path, ErrNotDir)
 	}
-	for name := range n.kids() {
-		buf = append(buf, name)
+	for it := n.kids().iter(); ; {
+		e, ok := it.next()
+		if !ok {
+			return buf, nil
+		}
+		buf = append(buf, e.name)
 	}
-	return buf, nil
 }
 
 // SetSemantics attaches (or clears) directory semantics.
@@ -1323,7 +1409,7 @@ func (tx *Tx) SetSemantics(path string, sem *DirSemantics) error {
 	if !n.isDir() {
 		return pathErr("semantics", path, ErrNotDir)
 	}
-	n.sem = sem
+	n.dir.sem = sem
 	return nil
 }
 
@@ -1335,7 +1421,7 @@ func (tx *Tx) SetSynthetic(path string, synth *Synthetic, mode FileMode, uid, gi
 	}
 	if node == nil {
 		f := tx.fs.newInode(KindFile, mode, uid, gid)
-		f.synth.Store(synth)
+		f.extend().synth.Store(synth)
 		parent.cowInsert(name, f)
 		tx.fs.touchMS(parent, tx.fs.now())
 		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
@@ -1344,7 +1430,7 @@ func (tx *Tx) SetSynthetic(path string, synth *Synthetic, mode FileMode, uid, gi
 	if node.isDir() {
 		return pathErr("synthetic", path, ErrIsDir)
 	}
-	node.synth.Store(synth)
+	node.extend().synth.Store(synth)
 	return nil
 }
 
@@ -1356,10 +1442,7 @@ func (tx *Tx) SetXattr(path, attr string, value []byte) error {
 	}
 	s := tx.fs.lockNode(n)
 	defer s.mu.Unlock()
-	if n.xattrs == nil {
-		n.xattrs = make(map[string][]byte)
-	}
-	n.xattrs[attr] = append([]byte(nil), value...)
+	setXattr(n, attr, value)
 	n.touchC(tx.fs.now())
 	return nil
 }
@@ -1372,7 +1455,7 @@ func (tx *Tx) GetXattr(path, attr string) ([]byte, error) {
 	}
 	s := tx.fs.rlockNode(n)
 	defer s.mu.RUnlock()
-	v, ok := n.xattrs[attr]
+	v, ok := n.xattrs()[attr]
 	if !ok {
 		return nil, pathErr("getxattr", path, ErrNoAttr)
 	}
@@ -1426,28 +1509,36 @@ func (tx *Tx) Stat(path string) (Stat, error) {
 	return statOf(n, Base(path)), nil
 }
 
-// listDir materializes a directory listing from the published children
-// snapshot. Lock-free: the snapshot is immutable. The sorted listing is
-// memoized on the snapshot, so repeated readdir of an unchanged
-// directory — a monitor polling a 10⁵-entry flow directory — costs one
-// atomic load instead of an O(n log n) rebuild. Callers receive the
-// shared cached slice and must treat it as immutable.
+// listDir materializes a directory listing, sorted by name, from the
+// published children trie. Lock-free: the trie is immutable. The slice
+// belongs to the caller. A single-leaf directory (anything up to
+// dirLeafMax entries) is already in name order and is listed afresh each
+// time. A larger one needs a walk and an O(n log n) sort — tens of
+// milliseconds at 10⁵ entries — so its root keeps the sorted listing and
+// every call copies it out: polling an unchanged big directory costs a
+// memcpy, and the memo dies with the root at the next insert or delete.
 func listDir(n *inode) []DirEntry {
-	s := n.snap()
-	if s == nil {
+	root := n.kids()
+	if root == nil {
 		return nil
 	}
-	if p := s.listing.Load(); p != nil {
-		return *p
+	if l := root.listing.Load(); l != nil {
+		return slices.Clone(*l)
 	}
-	kids := s.fold()
-	out := make([]DirEntry, 0, len(kids))
-	for name, c := range kids {
-		out = append(out, DirEntry{Name: name, Kind: c.kind, Ino: c.ino})
+	out := make([]DirEntry, 0, root.count())
+	for it := root.iter(); ; {
+		e, ok := it.next()
+		if !ok {
+			break
+		}
+		out = append(out, DirEntry{Name: e.name, Kind: e.c.kind, Ino: e.c.ino})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	s.listing.Store(&out)
-	return out
+	if root.bitmap == 0 {
+		return out
+	}
+	slices.SortFunc(out, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
+	root.listing.Store(&out)
+	return slices.Clone(out)
 }
 
 // statOf snapshots an inode. The caller must hold the inode's stripe
@@ -1471,7 +1562,7 @@ func statOf(n *inode, name string) Stat {
 		Mtime:   time.Unix(0, n.mtime),
 		Ctime:   time.Unix(0, n.ctime),
 		Name:    name,
-		Target:  n.target,
+		Target:  n.target(),
 		Version: n.version,
 	}
 }
@@ -1507,18 +1598,22 @@ func (fs *FS) removeNode(parent *inode, name string, node *inode, tx *Tx, now ti
 	if node.isDir() {
 		kids := node.kids()
 		childEvents := queueEvents
-		if childEvents && len(kids) > 0 {
+		if childEvents && kids != nil {
 			if interest == interestNone {
 				childEvents = false
 			} else {
 				childEvents = fs.watches.interestedInChildren(full)
 			}
 		}
-		// Dying subtrees keep their published snapshots: an in-flight
+		// Dying subtrees keep their published children: an in-flight
 		// lock-free walker below this node still resolves the (stale but
 		// once-valid) structure instead of fabricating ENOENTs.
-		for cname, c := range kids {
-			fs.removeNode(node, cname, c, tx, now, childEvents, false, interestUnknown)
+		for it := kids.iter(); ; {
+			e, ok := it.next()
+			if !ok {
+				break
+			}
+			fs.removeNode(node, e.name, e.c, tx, now, childEvents, false, interestUnknown)
 		}
 		parent.nlink.Add(-1)
 	}
@@ -1530,11 +1625,13 @@ func (fs *FS) removeNode(parent *inode, name string, node *inode, tx *Tx, now ti
 		node.bumpGen()
 	}
 	node.nlink.Add(-1)
-	node.parent = nil
+	if node.dir != nil {
+		node.dir.parent = nil
+	}
 	if queueEvents {
 		tx.queue(Event{Op: OpRemove, Path: full, IsDir: node.isDir()})
 	}
-	if parent.sem != nil && parent.sem.OnRemove != nil {
+	if parent.dir.sem != nil && parent.dir.sem.OnRemove != nil {
 		dirPath := ""
 		if full != "" {
 			dirPath = full[:len(full)-len(name)-1]
@@ -1544,7 +1641,7 @@ func (fs *FS) removeNode(parent *inode, name string, node *inode, tx *Tx, now ti
 		} else {
 			dirPath = pathOf(parent)
 		}
-		parent.sem.OnRemove(tx, dirPath, name, node.kind)
+		parent.dir.sem.OnRemove(tx, dirPath, name, node.kind)
 	}
 }
 

@@ -168,7 +168,7 @@ func TestResolveLoopHitsELOOPBound(t *testing.T) {
 	rcuLookupHook = func(dir *inode, name string) {
 		if name == "link" {
 			conflicts++
-			dir.gen.Add(1) // what a concurrent rename of /r/link's home does
+			dir.bumpGen() // what a concurrent rename of /r/link's home does
 		}
 	}
 	defer func() { rcuLookupHook = nil }()

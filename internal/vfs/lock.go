@@ -8,8 +8,9 @@ import (
 // The VFS concurrency model (DESIGN.md §8) has three levels:
 //
 //   - Atomic snapshots (no lock at all): each directory inode publishes
-//     its children map as an immutable snapshot behind an atomic pointer,
-//     paired with a generation counter (resolve_rcu.go). Read-only path
+//     its children as an immutable snapshot (the root of a persistent
+//     trie, dirtrie.go) behind an atomic pointer, paired with a
+//     generation counter (resolve_rcu.go). Read-only path
 //     resolution walks these snapshots lock-free, validating each hop
 //     against the generation counter and retrying (then falling back to
 //     the read-locked slow path) on concurrent structural change.
@@ -18,14 +19,14 @@ import (
 //     open fast path touch no lock.
 //
 //   - The tree lock (FS.tree) serializes *structural mutation*: the
-//     copy-on-write replacement of children snapshots, parent/name
+//     path-copying replacement of children snapshots, parent/name
 //     back-links, and DirSemantics hooks. Structural operations (mkdir,
 //     create, remove, rename, link, symlink, WithTx) hold it in write
 //     mode; locked readers (ReadTx, the resolve fallback path, watch-path
 //     reconstruction) hold it in read mode. Snapshots are replaced only
-//     via setKids/cowInsert/cowDelete under the write lock — never
-//     mutated in place after publish (the snapshotpub vet rule enforces
-//     this).
+//     via setKids/cowInsert/cowDelete under the write lock — no trie
+//     node is ever mutated after publish (the snapshotpub vet rule
+//     enforces this).
 //
 //   - Inode-state locks, sharded by inode number over LockShards stripes
 //     (FS.shards), protect the *content* of one inode: data, mtime/ctime/
@@ -35,11 +36,13 @@ import (
 //     published inode's content fields must take its stripe. Only inodes
 //     not yet published (no snapshot anywhere references them) may be
 //     initialized stripe-free; the atomic snapshot swap that publishes
-//     them provides the happens-before edge.
+//     them provides the happens-before edge. Content readers that hold
+//     no tree lock take the stripe through rlockContent, which keeps a
+//     WithTx's writes from them until the transaction has committed.
 //
 // The lock-free resolve protocol (resolve_rcu.go): writers bump the
 // directory generation before swapping in the new snapshot, so a reader
-// that loads a new map is guaranteed to see a new generation and retry
+// that loads a new root is guaranteed to see a new generation and retry
 // its hop; a reader that validated the old generation used a consistent
 // pre-change snapshot. The walker retries a hop at most maxRCURetries
 // times, charging each retry one symlink hop (so rename storms surface as
@@ -65,11 +68,10 @@ import (
 //     self-deadlocks (sync.RWMutex is not reentrant).
 //  4. Synthetic.Read/Write providers run *outside* all tree locks (from
 //     the open/close path) and may perform arbitrary Proc I/O.
-//  5. children snapshots are immutable after publish; replace them only
-//     via setKids (or the cow helpers) under the tree write lock. The
-//     single exception is a snapshot's memoization fields (folded,
-//     listing): atomic pointers caching derived views that are pure
-//     functions of the immutable state, fillable by any reader.
+//  5. children snapshots are immutable after publish, every node of
+//     them (bar the root's atomic listing memo, see listDir); replace
+//     them only via setKids (or the cow helpers) under the tree write
+//     lock.
 //  6. interned payload slices (intern.go) are shared across inodes and
 //     immutable: a writer that finds dataShared set must replace the
 //     slice (copy-on-write under the stripe), never write into it.
@@ -151,6 +153,28 @@ func (fs *FS) rlockNode(n *inode) *shardLock {
 	fs.lockCtr.shardRead.Add(1)
 	s.acq.Add(1)
 	return s
+}
+
+// rlockContent read-locks n's stripe for a content read made outside the
+// tree lock, once n holds nothing a transaction still in flight created
+// or wrote. Lock-free resolution lets such a reader reach n in the middle
+// of a WithTx; returning the transaction's bytes before it commits would
+// break the version-file seqlock (DESIGN.md §8): a reader could see new
+// fields between two reads of the old version. So the reader steps behind
+// the tree lock until the writer has committed and looks again. The
+// caller must hold no lock. Only content is ordered this way: names a
+// transaction adds or removes show up to lock-free walks one by one
+// (resolve_rcu.go).
+func (fs *FS) rlockContent(n *inode) *shardLock {
+	for {
+		s := fs.rlockNode(n)
+		if n.txMark == 0 || uint32(n.txMark) != fs.txLive.Load() {
+			return s
+		}
+		s.mu.RUnlock()
+		fs.rlockTree()
+		fs.runlockTree()
+	}
 }
 
 // LockStats is a point-in-time snapshot of lock telemetry, the data

@@ -123,16 +123,16 @@ func (p *Proc) mkdirLocked(tx *Tx, path string, mode FileMode) error {
 	}
 	name = internName(name)
 	d := p.fs.newInode(KindDir, mode.Perm(), p.cred.UID, p.cred.GID)
-	d.parent = parent
-	d.name = name
+	d.dir.parent = parent
+	d.dir.name = name
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
 	p.fs.touchMS(parent, p.fs.now())
 	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name), IsDir: true})
-	if parent.sem != nil && parent.sem.OnMkdir != nil {
+	if parent.dir.sem != nil && parent.dir.sem.OnMkdir != nil {
 		tx.creator = p.cred
 		tx.hasCred = true
-		if err := parent.sem.OnMkdir(tx, pathOf(parent), name); err != nil {
+		if err := parent.dir.sem.OnMkdir(tx, pathOf(parent), name); err != nil {
 			// Semantic veto: roll the directory back out.
 			parent.cowDelete(name)
 			parent.nlink.Add(-1)
@@ -179,13 +179,13 @@ func (p *Proc) Symlink(target, linkPath string) error {
 		if !allows(parent, p.cred, wantWrite) {
 			return pathErr("symlink", linkPath, ErrAccess)
 		}
-		if parent.sem != nil && parent.sem.ValidateSymlink != nil {
-			if verr := parent.sem.ValidateSymlink(tx, pathOf(parent), name, target); verr != nil {
+		if parent.dir.sem != nil && parent.dir.sem.ValidateSymlink != nil {
+			if verr := parent.dir.sem.ValidateSymlink(tx, pathOf(parent), name, target); verr != nil {
 				return pathErr("symlink", linkPath, verr)
 			}
 		}
 		l := fs.newInode(KindSymlink, 0o777, p.cred.UID, p.cred.GID)
-		l.target = target
+		l.extend().target = target
 		parent.cowInsert(name, l)
 		fs.touchMS(parent, fs.now())
 		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
@@ -211,7 +211,7 @@ func (p *Proc) Readlink(path string) (string, error) {
 	if n.kind != KindSymlink {
 		return "", pathErr("readlink", path, ErrInvalid)
 	}
-	return n.target, nil
+	return n.target(), nil
 }
 
 // Link creates a hard link to a regular file.
@@ -284,11 +284,11 @@ func (p *Proc) Remove(path string) error {
 		if !allows(parent, p.cred, wantWrite) {
 			return pathErr("remove", path, ErrAccess)
 		}
-		if parent.sem != nil && parent.sem.Protected[name] && p.cred.UID != 0 {
+		if parent.dir.sem != nil && parent.dir.sem.Protected[name] && p.cred.UID != 0 {
 			return pathErr("remove", path, ErrPerm)
 		}
 		if node.isDir() && node.childCount() > 0 {
-			recursive := parent.sem != nil && parent.sem.RecursiveRmdir
+			recursive := parent.dir.sem != nil && parent.dir.sem.RecursiveRmdir
 			if !recursive {
 				return pathErr("remove", path, ErrNotEmpty)
 			}
@@ -369,7 +369,7 @@ func (p *Proc) Rename(oldPath, newPath string) error {
 		if !allows(oldParent, p.cred, wantWrite) || !allows(newParent, p.cred, wantWrite) {
 			return lerr(ErrAccess)
 		}
-		if oldParent.sem != nil && oldParent.sem.Protected[oldName] && p.cred.UID != 0 {
+		if oldParent.dir.sem != nil && oldParent.dir.sem.Protected[oldName] && p.cred.UID != 0 {
 			return lerr(ErrPerm)
 		}
 		if target == node {

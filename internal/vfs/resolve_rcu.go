@@ -1,19 +1,16 @@
 package vfs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Lock-free (RCU-style) path resolution.
 //
 // Every directory inode publishes its children as an immutable snapshot
-// (a folded map plus a bounded insert overlay — see kidsSnap) behind an
-// atomic pointer (inode.children) paired with a generation counter
-// (inode.gen). Writers never mutate a published snapshot: they build a
-// replacement, bump the generation, and atomically swap it in — all
-// under the tree write lock, which serializes writers against each
-// other (see setSnap). Readers walk
+// (the root of a persistent hash trie — see dirtrie.go) behind an atomic
+// pointer (dirState.children) paired with a generation counter
+// (dirState.gen). Writers never mutate a published trie: they path-copy
+// a replacement, bump the generation, and atomically swap the root in —
+// all under the tree write lock, which serializes writers against each
+// other (see setKids). Readers walk
 // snapshots with no locks at all, validating each hop against the
 // generation counter the way Linux's rcu-walk validates dentry seqcounts:
 // if a directory's generation moved between loading its snapshot and
@@ -31,6 +28,8 @@ import (
 // steps. What it can never observe is a "frankenstein" path mixing a
 // stale parent snapshot with a child state the tree only reached after
 // the parent entry was gone — the generation protocol rejects those.
+// File content is stricter: a reader that reaches a file a transaction
+// in flight has written waits for the commit (rlockContent, lock.go).
 
 // maxRCURetries bounds lock-free retry attempts before a resolution gives
 // up and takes the locked slow path. Each retry also charges one hop
@@ -45,243 +44,73 @@ const maxRCURetries = 4
 // normal locked entry points.
 var rcuLookupHook func(dir *inode, name string)
 
-// maxKidOverlay bounds the insert overlay chain on one snapshot. Larger
-// means cheaper inserts (the O(len) map fold amortizes over more of
-// them) but longer lock-free lookup scans. 64 keeps the E15 fan-out
-// gate comfortably flat — the fold is the dominant marginal cost of a
-// link into a near-full buffer — while an overlay scan stays a few
-// hundred nanoseconds of pointer chasing, and only insert-hot
-// directories ever carry a deep overlay.
-const maxKidOverlay = 64
+// kids returns the root of the directory's published children trie (nil
+// while the directory has no child). The trie is immutable: callers may
+// look up and iterate, never write through it.
+func (n *inode) kids() *dirNode { return n.dir.children.Load() }
 
-// kidsSnap is one published children snapshot: a folded immutable map
-// plus a bounded persistent overlay of mutations since the last fold.
-// Folding every map copy-on-write made hot-path mutations O(dir size) —
-// fan-out delivery into a near-full event buffer paid the whole buffer
-// per message, and churn deleting from a 10⁵-entry flow directory paid
-// the whole directory per unlink — so inserts AND deletes instead cons
-// an overlay cell (O(1), a delete is a tombstone cell with c == nil)
-// and the map is re-folded only every maxKidOverlay mutations,
-// amortizing to O(size/maxKidOverlay) per op. The map and every overlay
-// cell are immutable after publish.
-//
-// Invariant: the overlay may carry multiple cells for one name and
-// names that shadow m; the NEWEST cell (nearest the chain head) is
-// authoritative. Lookups therefore take the first match scanning from
-// the head, and folds must apply cells oldest-first.
-//
-// folded and listing are per-snapshot memoizations, the only mutable
-// words in a published snapshot: they cache derived views (the merged
-// map; the sorted listing) that are pure functions of the immutable
-// state, so racing fillers compute identical values and a torn
-// publish is impossible (atomic pointer). They make repeated
-// readdir/DirNames on an unchanged giant directory O(1).
-type kidsSnap struct {
-	m    map[string]*inode // folded entries; immutable after publish
-	over *kidOver          // mutations since the last fold, newest first
-	n    int               // entry count of the merged view
+// lookupChild finds one name in n's children.
+func (n *inode) lookupChild(name string) (*inode, bool) { return n.kids().get(name) }
 
-	folded  atomic.Pointer[map[string]*inode] // memoized fold() result
-	listing atomic.Pointer[[]DirEntry]        // memoized sorted listing
+// childCount returns the number of children.
+func (n *inode) childCount() int { return n.kids().count() }
+
+// loadGen returns the generation a lock-free walker validates n's
+// children against. Only directories have children to validate, so a
+// leaf reads as generation 0.
+func (n *inode) loadGen() uint64 {
+	if n.dir == nil {
+		return 0
+	}
+	return n.dir.gen.Load()
 }
 
-// kidOver is one immutable overlay cell (a persistent cons list). A nil
-// c is a tombstone: the name was deleted after the last fold.
-type kidOver struct {
-	name  string
-	c     *inode // nil = tombstone
-	prev  *kidOver
-	depth int // chain length up to and including this cell
-}
-
-// snap returns the directory's current published snapshot (nil when the
-// directory never had a child).
-func (n *inode) snap() *kidsSnap { return n.children.Load() }
-
-// lookup finds one name in the snapshot: overlay first (newest cell
-// wins), then the folded map. A tombstone cell is an authoritative
-// miss. Nil-safe — a nil snapshot has no entries.
-//
-// When some earlier reader already folded this snapshot (a ReadDir,
-// say), the memoized map answers directly instead of re-walking the
-// overlay chain — a bulk push resolving 1k paths through a directory
-// with a dozens-deep overlay pays one map probe per hop. lookup never
-// folds on its own: folding here would charge O(dir) to the next probe
-// after every mutation, which is exactly the cost the overlay exists
-// to amortize.
-func (s *kidsSnap) lookup(name string) (*inode, bool) {
-	if s == nil {
-		return nil, false
-	}
-	if s.over != nil {
-		if p := s.folded.Load(); p != nil {
-			c, ok := (*p)[name]
-			return c, ok
-		}
-	}
-	for o := s.over; o != nil; o = o.prev {
-		if o.name == name {
-			if o.c == nil {
-				return nil, false
-			}
-			return o.c, true
-		}
-	}
-	c, ok := s.m[name]
-	return c, ok
-}
-
-// fold materializes the merged view as a map, memoized per snapshot.
-// When the overlay is empty the folded map itself is returned —
-// zero-copy, and callers rely on that for fan-out aliasing — so the
-// result is immutable either way: callers may read and range, never
-// mutate. Overlay cells apply oldest-first so that a newer cell
-// (re-insert or tombstone) overrides an older one for the same name.
-func (s *kidsSnap) fold() map[string]*inode {
-	if s == nil {
-		return nil
-	}
-	if s.over == nil {
-		return s.m
-	}
-	if p := s.folded.Load(); p != nil {
-		return *p
-	}
-	m := make(map[string]*inode, s.n) //yancvet:alloc amortized re-fold: one map copy per maxKidOverlay mutations, memoized
-	for k, v := range s.m {
-		m[k] = v
-	}
-	cells := make([]*kidOver, 0, s.over.depth) //yancvet:alloc bounded by maxKidOverlay, only on the memoized fold
-	for o := s.over; o != nil; o = o.prev {
-		cells = append(cells, o)
-	}
-	for i := len(cells) - 1; i >= 0; i-- {
-		o := cells[i]
-		if o.c == nil {
-			delete(m, o.name)
-		} else {
-			m[o.name] = o.c
-		}
-	}
-	s.folded.Store(&m)
-	return m
-}
-
-// kids returns the directory's current children as an immutable map
-// (nil-safe: a directory that never had a child has no snapshot).
-// Callers may read and range, never mutate. Single-name probes should
-// prefer lookupChild, which never pays a fold.
-func (n *inode) kids() map[string]*inode { return n.snap().fold() }
-
-// lookupChild finds one name in n's children without folding.
-func (n *inode) lookupChild(name string) (*inode, bool) {
-	return n.snap().lookup(name)
-}
-
-// childCount returns the number of children without folding.
-func (n *inode) childCount() int {
-	if s := n.snap(); s != nil {
-		return s.n
-	}
-	return 0
-}
-
-// setSnap publishes s as n's children snapshot. The caller must hold the
-// tree write lock and must never mutate s (or anything it references)
-// afterwards. The generation is bumped BEFORE the snapshot is swapped: a
-// lock-free reader that observes the new snapshot is then guaranteed to
+// setKids publishes root as n's children. The caller must hold the tree
+// write lock and must never mutate root (or anything it references)
+// afterwards. The generation is bumped BEFORE the root is swapped: a
+// lock-free reader that observes the new trie is then guaranteed to
 // observe the new generation too and retry its hop, while a reader that
-// captured the old generation and still loads the old snapshot sees a
-// valid pre-change state. (The opposite order would let a reader
-// validate new contents against the stale generation and assemble a
-// path that never existed.)
-func (n *inode) setSnap(s *kidsSnap) {
-	n.gen.Add(1)
-	n.children.Store(s)
-}
-
-// setKids publishes m as n's new (fully folded) children snapshot. Tree
-// write lock required; m must never be mutated afterwards.
-func (n *inode) setKids(m map[string]*inode) {
-	n.setSnap(&kidsSnap{m: m, n: len(m)})
+// captured the old generation and still loads the old root sees a valid
+// pre-change state. (The opposite order would let a reader validate new
+// contents against the stale generation and assemble a path that never
+// existed.)
+func (n *inode) setKids(root *dirNode) {
+	n.dir.gen.Add(1)
+	n.dir.children.Store(root)
 }
 
 // bumpGen invalidates in-flight lock-free walkers holding n without
-// changing its snapshot: rename and detach use it so a walker that
+// changing its children: rename and detach use it so a walker that
 // resolved n through a now-stale parent entry retries instead of
-// continuing below a moved/removed directory. Tree write lock required.
-func (n *inode) bumpGen() { n.gen.Add(1) }
+// continuing below a moved/removed directory. A leaf has nothing below
+// it to walk, so there it is a no-op. Tree write lock required.
+func (n *inode) bumpGen() {
+	if n.dir != nil {
+		n.dir.gen.Add(1)
+	}
+}
 
-// cowInsert adds name→c to n's children. Tree write lock required. The
-// fast path conses one overlay cell onto the current snapshot (newest
-// wins, so an insert over an existing or tombstoned name needs no
-// fold); the map is re-folded only when the overlay is full.
+// cowInsert adds (or replaces) name→c in n's children by path-copying
+// the trie. Tree write lock required.
 func (n *inode) cowInsert(name string, c *inode) {
-	old := n.snap()
-	if old == nil {
-		n.setSnap(&kidsSnap{m: map[string]*inode{name: c}, n: 1})
-		return
-	}
-	_, existed := old.lookup(name)
-	nn := old.n
-	if !existed {
-		nn++
-	}
-	depth := 1
-	if old.over != nil {
-		depth = old.over.depth + 1
-	}
-	if depth > maxKidOverlay {
-		m := old.fold()
-		cp := make(map[string]*inode, len(m)+1) //yancvet:alloc amortized: one map copy per maxKidOverlay inserts
-		for k, v := range m {
-			cp[k] = v
-		}
-		cp[name] = c
-		n.setSnap(&kidsSnap{m: cp, n: len(cp)})
-		return
-	}
-	n.setSnap(&kidsSnap{
-		m:    old.m,
-		over: &kidOver{name: name, c: c, prev: old.over, depth: depth},
-		n:    nn,
-	})
+	n.setKids(n.kids().put(name, c))
 }
 
 // cowDelete removes name from n's children. Tree write lock required.
-// The fast path conses a tombstone cell (O(1)) — churn deleting from a
-// 10⁵-entry flow directory must not pay the whole directory per unlink
-// — and the map is re-folded only when the overlay is full, exactly
-// like cowInsert.
 func (n *inode) cowDelete(name string) {
-	old := n.snap()
-	if _, ok := old.lookup(name); !ok {
-		return
+	old := n.kids()
+	if root := old.del(name); root != old {
+		n.setKids(root)
 	}
-	depth := 1
-	if old.over != nil {
-		depth = old.over.depth + 1
-	}
-	if depth > maxKidOverlay {
-		m := old.fold()
-		cp := make(map[string]*inode, len(m)-1)
-		for k, v := range m {
-			if k != name {
-				cp[k] = v
-			}
-		}
-		n.setSnap(&kidsSnap{m: cp, n: len(cp)})
-		return
-	}
-	n.setSnap(&kidsSnap{
-		m:    old.m,
-		over: &kidOver{name: name, prev: old.over, depth: depth},
-		n:    old.n - 1,
-	})
 }
 
 // loadSynth returns the node's synthetic provider, lock-free.
-func (n *inode) loadSynth() *Synthetic { return n.synth.Load() }
+func (n *inode) loadSynth() *Synthetic {
+	if e := n.ext.Load(); e != nil {
+		return e.synth.Load()
+	}
+	return nil
+}
 
 // touchMS stamps a content change on a published inode under its stripe.
 // With lock-free readers in play, the tree write lock alone no longer
@@ -326,7 +155,7 @@ func (fs *FS) walkRCU(cred Cred, path string, opt resolveOpts) (*inode, rcuStatu
 		root = fs.root
 	}
 	cur := root
-	curGen := cur.gen.Load()
+	curGen := cur.loadGen()
 	p, off, ok := nextComp(path, 0)
 	if !ok {
 		return cur, rcuOK, nil
@@ -344,15 +173,15 @@ func (fs *FS) walkRCU(cred Cred, path string, opt resolveOpts) (*inode, rcuStatu
 			return nil, rcuBail, nil
 		}
 		fs.stats.lookups.Add(1)
-		s := cur.snap()
+		s := cur.kids()
 		if h := rcuLookupHook; h != nil {
 			h(cur, p)
 		}
-		child, okc := s.lookup(p)
+		child, okc := s.get(p)
 		if !okc {
 			// A miss is only believable if cur's snapshot is still current:
 			// the entry may live in a newer snapshot.
-			if cur.gen.Load() != curGen {
+			if cur.loadGen() != curGen {
 				return nil, rcuRetry, nil
 			}
 			if last {
@@ -363,8 +192,8 @@ func (fs *FS) walkRCU(cred Cred, path string, opt resolveOpts) (*inode, rcuStatu
 		// Capture the child's generation before revalidating cur: this
 		// hand-over-hand order proves the parent entry and the child state
 		// we proceed with coexisted.
-		childGen := child.gen.Load()
-		if cur.gen.Load() != curGen {
+		childGen := child.loadGen()
+		if cur.loadGen() != curGen {
 			return nil, rcuRetry, nil
 		}
 		if child.kind == KindSymlink && (!last || opt.followLast) {

@@ -2,7 +2,9 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -488,6 +490,88 @@ func TestReadDirOrderAndPerm(t *testing.T) {
 	alice := fs.Proc(Cred{UID: 5})
 	if _, err := alice.ReadDir("/alpha"); !errors.Is(err, ErrAccess) {
 		t.Errorf("readdir without r = %v", err)
+	}
+}
+
+// TestReadDirResultIsCallerOwned pins that a listing belongs to whoever
+// asked for it: an app that filters or re-sorts its result in place must
+// not change what the next reader of the same unchanged directory gets
+// (listings used to be one memoized slice shared by every caller). Both
+// a single-leaf directory and one big enough to be a multi-node trie.
+func TestReadDirResultIsCallerOwned(t *testing.T) {
+	for _, n := range []int{3, 4 * dirLeafMax} {
+		fs := New()
+		p := fs.RootProc()
+		files := make([]FileData, n)
+		for i := range files {
+			files[i] = FileData{Name: fmt.Sprintf("f%03d", i), Data: []byte("x")}
+		}
+		if err := fs.WithTx(func(tx *Tx) error { return tx.WriteTree("/d", files, 0o755, 0o644, 0, 0) }); err != nil {
+			t.Fatal(err)
+		}
+		listers := map[string]func() ([]DirEntry, error){
+			"Proc.ReadDir": func() ([]DirEntry, error) { return p.ReadDir("/d") },
+			"Tx.ReadDir": func() (out []DirEntry, err error) {
+				err = fs.ReadTx(func(tx *Tx) error { out, err = tx.ReadDir("/d"); return err })
+				return out, err
+			},
+		}
+		for name, list := range listers {
+			first, err := list()
+			if err != nil || len(first) != n {
+				t.Fatalf("%s: %d entries, %v", name, len(first), err)
+			}
+			want := append([]DirEntry(nil), first...)
+			for i := range first { // what an in-place filter or sort would do
+				first[i] = DirEntry{Name: "scribbled"}
+			}
+			again, err := list()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(again, want) {
+				t.Fatalf("%s of a %d-entry dir: a caller's edit to its own result leaked into the next listing: %v", name, n, again[:3])
+			}
+		}
+	}
+}
+
+// TestReadFileFailsLikeOpen: the handle-free read owns its failures. A
+// ReadFile that cannot open its file returns Open's error and costs what
+// one failed Open costs — one resolution, one open, no read.
+func TestReadFileFailsLikeOpen(t *testing.T) {
+	fs := New()
+	root := fs.RootProc()
+	if err := root.MkdirAll("/d/sub", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.WriteFile("/d/secret", []byte("x"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	user := fs.Proc(Cred{UID: 1000, GID: 1000})
+	for _, tc := range []struct {
+		p    *Proc
+		path string
+		want error
+	}{
+		{root, "/d/missing", ErrNotExist},
+		{root, "/nodir/f", ErrNotExist},
+		{root, "/d/secret/f", ErrNotDir},
+		{root, "/d/sub", ErrIsDir},
+		{user, "/d/secret", ErrAccess},
+	} {
+		before := fs.Stats()
+		_, openErr := tc.p.Open(tc.path)
+		open := fs.Stats().Sub(before)
+		before = fs.Stats()
+		_, readErr := tc.p.ReadFile(tc.path)
+		read := fs.Stats().Sub(before)
+		if !errors.Is(readErr, tc.want) || readErr.Error() != openErr.Error() {
+			t.Errorf("ReadFile(%s) = %v, Open = %v, want %v from both", tc.path, readErr, openErr, tc.want)
+		}
+		if read != open {
+			t.Errorf("ReadFile(%s) counted %+v, a failed Open counts %+v", tc.path, read, open)
+		}
 	}
 }
 

@@ -27,10 +27,7 @@ func (p *Proc) SetXattr(path, attr string, value []byte) error {
 	}
 	s := fs.lockNode(n)
 	defer s.mu.Unlock()
-	if n.xattrs == nil {
-		n.xattrs = make(map[string][]byte)
-	}
-	n.xattrs[attr] = append([]byte(nil), value...)
+	setXattr(n, attr, value)
 	n.touchC(fs.now())
 	return nil
 }
@@ -54,7 +51,7 @@ func (p *Proc) GetXattr(path, attr string) ([]byte, error) {
 	}
 	s := fs.rlockNode(n)
 	defer s.mu.RUnlock()
-	v, ok := n.xattrs[attr]
+	v, ok := n.xattrs()[attr]
 	if !ok {
 		return nil, pathErr("getxattr", path, ErrNoAttr)
 	}
@@ -77,8 +74,9 @@ func (p *Proc) ListXattr(path string) ([]string, error) {
 	}
 	s := fs.rlockNode(n)
 	defer s.mu.RUnlock()
-	names := make([]string, 0, len(n.xattrs))
-	for k := range n.xattrs {
+	xattrs := n.xattrs()
+	names := make([]string, 0, len(xattrs))
+	for k := range xattrs {
 		names = append(names, k)
 	}
 	sort.Strings(names)
@@ -104,10 +102,11 @@ func (p *Proc) RemoveXattr(path, attr string) error {
 	}
 	s := fs.lockNode(n)
 	defer s.mu.Unlock()
-	if _, ok := n.xattrs[attr]; !ok {
+	xattrs := n.xattrs()
+	if _, ok := xattrs[attr]; !ok {
 		return pathErr("removexattr", path, ErrNoAttr)
 	}
-	delete(n.xattrs, attr)
+	delete(xattrs, attr)
 	n.touchC(fs.now())
 	return nil
 }
@@ -119,4 +118,14 @@ func (p *Proc) GetXattrString(path, attr string) (string, error) {
 		return "", err
 	}
 	return string(v), nil
+}
+
+// setXattr stores a private copy of value under attr. The caller must
+// hold n's stripe in write mode.
+func setXattr(n *inode, attr string, value []byte) {
+	e := n.extend()
+	if e.xattrs == nil {
+		e.xattrs = make(map[string][]byte)
+	}
+	e.xattrs[attr] = append([]byte(nil), value...)
 }

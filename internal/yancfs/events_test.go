@@ -202,9 +202,9 @@ func TestPacketInDeliveryAllocs(t *testing.T) {
 	// One payload copy (the spool write) plus per-subscriber link state is
 	// fine; sixteen payload copies is the regression this guards against
 	// (16x32KiB = 512KiB per message). Link state under lock-free
-	// resolution (DESIGN.md §8) is an overlay cell plus a snapshot cell
-	// per link, with a map re-fold amortized across maxKidOverlay
-	// inserts — ~0.5KiB per link here, well under one payload.
+	// resolution (DESIGN.md §8) is a directory inode plus the path copy
+	// that inserts it into the buffer's children trie — ~0.5KiB per
+	// link here, well under one payload.
 	limit := one + 16<<10
 	if sixteen > limit {
 		t.Fatalf("per-message bytes grew with subscribers: 1 sub = %d, 16 subs = %d (limit %d)",
@@ -212,9 +212,9 @@ func TestPacketInDeliveryAllocs(t *testing.T) {
 	}
 
 	// Allocation-count pin: linking a message into an extra buffer costs a
-	// constant handful of small allocations — inode link, event, snapshot
-	// and overlay cells (the amortized re-fold adds a fraction of a map
-	// copy) — never a fresh set of payload files. Eight per extra
+	// constant handful of small allocations — the directory inode, the
+	// event, and the trie nodes on the copied path — never a fresh set
+	// of payload files. Eight per extra
 	// subscriber is headroom over the ~7 measured; a copying fan-out
 	// needs ~20+ (six file inodes with data copies plus directory and
 	// snapshot plumbing). This is the dynamic half of the contract:

@@ -2,6 +2,9 @@ package yancfs
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -599,5 +602,185 @@ func TestFigure3Representations(t *testing.T) {
 		if !p.Exists(vfs.Join(swPath, name)) {
 			t.Errorf("switch entry %s missing", name)
 		}
+	}
+}
+
+// footprintSpec is the benchmark's resident flow shape (six match
+// fields, two actions, a priority and an idle timeout): a directory of
+// 12 files and a counters directory with 2 — 16 inodes.
+func footprintSpec(i int) FlowSpec {
+	var m openflow.Match
+	for f, v := range map[openflow.Field]string{
+		openflow.FieldDLType:  "0x0800",
+		openflow.FieldNWProto: "6",
+		openflow.FieldNWSrc:   fmt.Sprintf("10.%d.%d.%d", i>>16&0xff, i>>8&0xff, i&0xff),
+		openflow.FieldNWDst:   "192.168.0.1",
+		openflow.FieldTPSrc:   strconv.Itoa(1024 + i%60000),
+		openflow.FieldTPDst:   "80",
+	} {
+		if err := m.SetField(f, v); err != nil {
+			panic(err)
+		}
+	}
+	return FlowSpec{
+		Match:       m,
+		Priority:    uint16(100 + i%1000),
+		IdleTimeout: 60,
+		Actions:     []openflow.Action{{Type: openflow.ActSetNWTos, TOS: 16}, openflow.Output(uint32(1 + i%3))},
+	}
+}
+
+// TestFlowFootprint pins what a resident flow costs in live heap, file
+// system only (no driver, no sockets): a flow IS its directory of files,
+// so this is what an inode and a directory cost. 4,096 flows land once
+// through PutFlowTx (one WriteTree each, the ring's commit path) and
+// once through WriteFlow (one file-I/O call per field) followed by a
+// ReadFlow of every flow — reading must leave nothing pinned behind.
+// The bound is the tier-1 guard for the benchmark's heap_bytes_per_flow:
+// the 16-inode slab in the 1,792-byte size class, one ~400-byte trie
+// leaf for the flow directory, a small one for counters/, the value
+// arena and the side structs come to about 2.8 KB.
+func TestFlowFootprint(t *testing.T) {
+	const flows, limit = 4096, 3200
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	paths := make([]string, flows)
+	specs := make([]FlowSpec, flows)
+	for i := range paths {
+		paths[i] = FlowPath("sw1", fmt.Sprintf("f%06d", i))
+		specs[i] = footprintSpec(i)
+	}
+	fills := []struct {
+		name string
+		fill func(y *FS) error
+	}{
+		{"PutFlowTx", func(y *FS) error {
+			return y.VFS().WithTx(func(tx *vfs.Tx) error {
+				for i, path := range paths {
+					if _, err := y.PutFlowTx(tx, path, specs[i]); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}},
+		{"WriteFlow+ReadFlow", func(y *FS) error {
+			for i, path := range paths {
+				if _, err := WriteFlow(y.Root(), path, specs[i]); err != nil {
+					return err
+				}
+			}
+			for i, path := range paths {
+				got, err := ReadFlow(y.Root(), path)
+				if err != nil {
+					return err
+				}
+				if !got.Match.Equal(specs[i].Match) {
+					return fmt.Errorf("%s read back as %v", path, got.Match)
+				}
+			}
+			return nil
+		}},
+	}
+	// The vfs intern pools are process-wide and bounded: while they have
+	// room, a flow's name and values are billed to whichever fill came
+	// first. Fill them to their caps with other flows' names and values
+	// on a file system that is then dropped, so both measurements see
+	// the steady state: a flow pays for its own strings.
+	warm := newFS(t)
+	if _, err := CreateSwitch(warm.Root(), "/", "sw1"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4200; i++ {
+		if _, err := WriteFlow(warm.Root(), FlowPath("sw1", fmt.Sprintf("warm%06d", i)), footprintSpec(1<<20+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range fills {
+		name := f.name
+		y := newFS(t)
+		if _, err := CreateSwitch(y.Root(), "/", "sw1"); err != nil {
+			t.Fatal(err)
+		}
+		before := liveHeap()
+		if err := f.fill(y); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		perFlow := (int64(liveHeap()) - int64(before)) / flows
+		t.Logf("%s: %d B of live heap per flow", name, perFlow)
+		if perFlow > limit {
+			t.Errorf("%s: a resident flow costs %d B of live heap, want <= %d", name, perFlow, limit)
+		}
+		nodes := 0
+		if err := y.Root().Walk(paths[0], func(string, vfs.Stat) error { nodes++; return nil }); err != nil || nodes != 16 {
+			t.Errorf("%s: a flow is %d nodes (%v), want 16", name, nodes, err)
+		}
+		runtime.KeepAlive(y)
+	}
+}
+
+// TestStressReadFlowNeverTornByTx pins what ReadFlow's seqlock rests on:
+// a Proc read never returns bytes a transaction wrote before that
+// transaction commits. Transactions rewrite three field files and then
+// the version in place; whatever ReadFlow returns must be one commit's
+// fields, even when both version reads around them saw the old version.
+func TestStressReadFlowNeverTornByTx(t *testing.T) {
+	y := newFS(t)
+	p := y.Root()
+	if _, err := CreateSwitch(p, "/", "sw1"); err != nil {
+		t.Fatal(err)
+	}
+	flow := FlowPath("sw1", "f1")
+	spec := func(g uint64) FlowSpec {
+		s := FlowSpec{Priority: uint16(g), Cookie: g}
+		s.Match.SetField(openflow.FieldTPDst, strconv.FormatUint(g, 10))
+		return s
+	}
+	if _, err := WriteFlow(p, flow, spec(1)); err != nil {
+		t.Fatal(err)
+	}
+	field := func(g uint64) []byte { return strconv.AppendUint(nil, g, 10) }
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for g := uint64(2); err == nil; g++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			err = y.VFS().WithTx(func(tx *vfs.Tx) error {
+				for _, name := range []string{MatchPrefix + openflow.FieldTPDst.Name(), FilePriority, FileCookie, FileVersion} {
+					if err := tx.WriteFile(vfs.Join(flow, name), field(g%60000), 0o644, 0, 0); err != nil {
+						return err
+					}
+					runtime.Gosched() // widen the window a reader can land in
+				}
+				return nil
+			})
+			time.Sleep(2 * time.Millisecond) // leave ReadFlow's eight attempts room to succeed
+		}
+		done <- err
+	}()
+	for commits := uint64(0); commits < 150; {
+		got, err := ReadFlow(p, flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commits = got.Cookie
+		if want := spec(got.Cookie); got.Priority != want.Priority || !got.Match.Equal(want.Match) {
+			t.Fatalf("torn flow: cookie %d priority %d match %v", got.Cookie, got.Priority, got.Match)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
