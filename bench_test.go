@@ -14,7 +14,6 @@ import (
 	"yanc/internal/apps"
 	"yanc/internal/benchutil"
 	"yanc/internal/dfs"
-	"yanc/internal/libyanc"
 	"yanc/internal/openflow"
 	"yanc/internal/vfs"
 	"yanc/internal/yancfs"
@@ -361,79 +360,6 @@ func BenchmarkE12FlowPushScale(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkE13LibyancFlow is the same workload through the libyanc batch
-// fastpath — near-zero counted syscalls (§8.1).
-func BenchmarkE13LibyancFlow(b *testing.B) {
-	for _, k := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("switches-%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				y, err := benchutil.NewFSOnlyRig(k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				before := y.VFS().Stats().Total()
-				batch := libyanc.New(y).NewBatch()
-				for s := 1; s <= k; s++ {
-					batch.Put(fmt.Sprintf("/switches/sw%d/flows/f", s), benchutil.SampleFlowSpec(s))
-				}
-				b.StartTimer()
-				if err := batch.Commit(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				ops := y.VFS().Stats().Total() - before
-				b.ReportMetric(float64(ops)/float64(k), "syscalls/switch")
-				b.StartTimer()
-			}
-		})
-	}
-}
-
-// BenchmarkE13ZeroCopyPacketIn measures the fastpath packet-in ring
-// against the event-directory copy path it replaces (§8.1).
-func BenchmarkE13ZeroCopyPacketIn(b *testing.B) {
-	data := make([]byte, 1500)
-	b.Run("ring", func(b *testing.B) {
-		ring := libyanc.NewRing(4096)
-		cur := ring.NewCursor()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ring.Publish(libyanc.PacketInMsg{Switch: "sw1", PI: &openflow.PacketIn{Data: data}})
-			if _, ok := cur.Next(false); !ok {
-				b.Fatal("ring empty")
-			}
-		}
-	})
-	b.Run("event-dirs", func(b *testing.B) {
-		y, err := yancfs.New()
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := y.Root()
-		buf, _, err := yancfs.Subscribe(p, "/", "app")
-		if err != nil {
-			b.Fatal(err)
-		}
-		pi := &openflow.PacketIn{Data: data}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := y.DeliverPacketIn("/", "sw1", pi); err != nil {
-				b.Fatal(err)
-			}
-			msgs, err := yancfs.PendingEvents(p, buf)
-			if err != nil || len(msgs) != 1 {
-				b.Fatal("no event")
-			}
-			if _, err := yancfs.ConsumePacketIn(p, msgs[0]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkE14ConcurrentApps measures aggregate multicore throughput of

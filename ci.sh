@@ -1,27 +1,31 @@
 #!/bin/sh
-# ci.sh - the repo's verification gate: formatting, static analysis
-# (go vet plus the yancvet lock/clock/error invariant suite), the
-# full test suite under the race detector, a doubled run of the
-# concurrency stress/chaos battery, a benchmark smoke pass (every
-# benchmark runs one iteration, so a broken rig fails CI even when no
-# one is measuring), the E14 multicore scaling gate (fails the build
-# if 4 workers are slower than 1 on a 4+-core machine), the E15
-# zero-copy fan-out gate (fails if delivering to 8 subscribers costs
-# more than 2x delivering to 1), and the E16 replication gate (fails
-# if a partitioned or killed leader loses or duplicates an
-# acknowledged write, or if failover convergence exceeds its budget),
-# and the E17 churn gate (64 TCP switches under flow-dir churn: fails
-# if any tracked create/modify never reaches its switch or the
-# create→installed p99 collapses; skipped below 4 cores, where the
-# unthrottled burst is all scheduler queueing), and the E18 ring gate
-# (fails if the libyanc submission ring's bulk flow push drops below
-# 5x the file-I/O path at the quick sizes, or if a fanned-out
-# packet-out stages more than one copy of the frame; skipped below 4
-# cores, where wall-clock ratios are hypervisor-steal noise), and a
-# two-second churn_scan run of the repository benchmark, whose verifier
-# (conservation, sink table = file system, every scanned flow parses
-# back) sets the exit code; no number it prints is compared.
-# Run before every push.
+# ci.sh - the repo's verification gate. Run before every push. Legs, in
+# order; the first failure stops the run:
+#
+#   gofmt      every non-vendored .go file is formatted
+#   go vet     the standard analyzers
+#   yancvet    the lock/clock/error/alloc invariant suite, then its -json
+#              findings diffed against vet_baseline.json (empty today)
+#   cross      the product builds for darwin/arm64: it has no OS-specific
+#              file and must not grow one (./bench is left out: it uses
+#              syscall.Nanosleep and RUSAGE_THREAD by design)
+#   race       the full test suite under the race detector
+#   battery    the Stress|Chaos|Alloc tests again, -race -count=2
+#   bench      every go-test benchmark for one iteration, so a broken rig
+#              fails CI even when no one is measuring
+#   E14        4 workers must not be slower than 1 (needs 4+ cores)
+#   E15        delivering to 8 subscribers costs at most 2x delivering to 1
+#   E16        a partitioned or killed leader loses or duplicates no
+#              acknowledged write, and failover converges within budget
+#   E17        64 TCP switches under flow-dir churn: every tracked install
+#              reaches its switch, p99 within budget (skipped below 4
+#              cores, where the burst is all scheduler queueing)
+#   E18        the ring's bulk flow push is at least 5x file I/O and a
+#              fanned-out packet-out stages one copy of the frame (skipped
+#              below 4 cores, where wall-clock ratios are steal noise)
+#   yancperf   two seconds of churn_scan; its verifier (conservation, sink
+#              table = file system, every scanned flow parses back) sets
+#              the exit code, no number it prints is compared
 set -eu
 cd "$(dirname "$0")"
 
@@ -56,6 +60,9 @@ if ! diff -u vet_baseline.json "$vet_posns"; then
     exit 1
 fi
 rm -f "$vet_raw" "$vet_posns"
+
+echo "==> cross-build (darwin/arm64: the product has no OS-specific file)"
+GOOS=darwin GOARCH=arm64 go build . ./cmd/... ./internal/... ./examples/...
 
 echo "==> go test -race"
 go test -race ./...

@@ -1,12 +1,12 @@
 // Command yancbench is the experiment harness: it regenerates every
 // series recorded in EXPERIMENTS.md — one experiment per section,
-// matching the experiment ids in DESIGN.md (E1..E16). Figures 2 and 3
+// matching the experiment ids in DESIGN.md (E1..E18). Figures 2 and 3
 // are regenerated by the yanctop command.
 //
 // Usage:
 //
 //	yancbench              # run every experiment
-//	yancbench -run E12,E13 # run a subset
+//	yancbench -run E12,E18 # run a subset
 //	yancbench -quick       # smaller parameter sweeps
 package main
 
@@ -60,12 +60,11 @@ func main() {
 		{"E10", "distributed control over the dfs (§6)", runE10},
 		{"E11", "reactive path setup, table miss to delivery (§8)", runE11},
 		{"E12", "file-I/O flow push to N switches (§8.1)", runE12},
-		{"E13", "libyanc fastpath vs file I/O (§8.1)", runE13},
 		{"E14", "concurrent apps: VFS multicore scaling", runE14},
 		{"E15", "zero-copy packet-in fan-out: subscribers x batch size", runE15},
 		{"E16", "replicated control plane: partition, failover, exactly-once", runE16},
 		{"E17", "city-scale churn: create→installed latency under flow-dir churn", runE17},
-		{"E18", "libyanc v2 rings: bulk flow push and zero-copy packet-out fan-out", runE18},
+		{"E18", "libyanc rings: bulk flow push and zero-copy packet-out fan-out", runE18},
 	}
 	want := map[string]bool{}
 	if *runList != "" {
@@ -187,7 +186,7 @@ func runE2() error {
 
 func waitSettle() { time.Sleep(20 * time.Millisecond) }
 
-// E3 — packet-in fan-out: event directories vs the zero-copy ring.
+// E3 — packet-in fan-out through the event directories.
 func runE3() error {
 	msgs := scale(2000, 200)
 	for _, subs := range []int{1, 2, 4, 8, 16} {
@@ -208,14 +207,7 @@ func runE3() error {
 				panic(err)
 			}
 		})
-		ring := libyanc.NewRing(4096)
-		for i := 0; i < subs; i++ {
-			ring.NewCursor()
-		}
-		perRing := timeIt(msgs, func(i int) {
-			ring.Publish(libyanc.PacketInMsg{Switch: "sw1", PI: pi})
-		})
-		row("subscribers=%2d  event-dirs: %10v/msg   ring: %10v/msg", subs, per, perRing)
+		row("subscribers=%2d  event-dirs: %10v/msg", subs, per)
 		if subs == 16 {
 			procLine(col)
 		}
@@ -499,16 +491,8 @@ func remoteRoute(c *dfs.Client, job int) error {
 	return c.WriteString(fmt.Sprintf("/hosts/route-%d", job), strings.Join(path, ","))
 }
 
-// E11 — reactive setup: table miss -> router -> flows -> delivery,
-// with the file-I/O router and the libyanc-fastpath router side by side.
+// E11 — reactive setup: table miss -> router -> flows -> delivery.
 func runE11() error {
-	if err := runE11Variant("file I/O ", false); err != nil {
-		return err
-	}
-	return runE11Variant("libyanc  ", true)
-}
-
-func runE11Variant(label string, fast bool) error {
 	r, err := benchutil.NewLinearRig(3, openflow.Version10)
 	if err != nil {
 		return err
@@ -520,9 +504,6 @@ func runE11Variant(label string, fast bool) error {
 	}
 	td.Stop()
 	rt := apps.NewRouter(r.Y.Root(), "/")
-	if fast {
-		rt.Fast = libyanc.New(r.Y)
-	}
 	if err := rt.Start(); err != nil {
 		return err
 	}
@@ -539,7 +520,7 @@ func runE11Variant(label string, fast bool) error {
 		}
 	})
 	installs, floods := rt.Stats()
-	row("%s miss -> install -> delivery: %10v/flow (installed %d, floods %d)", label, per, installs, floods)
+	row("miss -> install -> delivery: %10v/flow (installed %d, floods %d)", per, installs, floods)
 
 	// cbench-shape sustained throughput: distinct flows arriving
 	// back-to-back, the router keeping up through file I/O alone.
@@ -553,8 +534,8 @@ func runE11Variant(label string, fast bool) error {
 		time.Sleep(time.Millisecond)
 	}
 	elapsed := time.Since(start)
-	row("%s sustained: %d distinct flows in %v (%.0f flows/sec)",
-		label, burst, elapsed.Round(time.Millisecond), float64(burst)/elapsed.Seconds())
+	row("sustained: %d distinct flows in %v (%.0f flows/sec)",
+		burst, elapsed.Round(time.Millisecond), float64(burst)/elapsed.Seconds())
 	return nil
 }
 
@@ -583,46 +564,6 @@ func runE12() error {
 		row("switches=%4d  file I/O: %8d syscalls (%5.1f/switch)  %10v total", k, ops, float64(ops)/float64(k), elapsed)
 		procLine(col)
 	}
-	return nil
-}
-
-// E13 — the libyanc fastpath against the same workloads.
-func runE13() error {
-	for _, k := range []int{10, 100, 1000} {
-		if quick && k > 100 {
-			break
-		}
-		y, err := benchutil.NewFSOnlyRig(k)
-		if err != nil {
-			return err
-		}
-		col := benchutil.NewCollector(y.VFS())
-		before := y.VFS().Stats().Total()
-		start := time.Now()
-		b := libyanc.New(y).NewBatch()
-		for i := 1; i <= k; i++ {
-			b.Put(fmt.Sprintf("/switches/sw%d/flows/f", i), benchutil.SampleFlowSpec(i))
-		}
-		if err := b.Commit(); err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		ops := y.VFS().Stats().Total() - before
-		row("switches=%4d  libyanc:  %8d syscalls               %10v total", k, ops, elapsed)
-		procLine(col)
-	}
-	// Zero-copy packet-in passing.
-	ring := libyanc.NewRing(4096)
-	cur := ring.NewCursor()
-	data := make([]byte, 1500)
-	n := scale(1000000, 100000)
-	per := timeIt(n, func(i int) {
-		ring.Publish(libyanc.PacketInMsg{Switch: "sw1", PI: &openflow.PacketIn{Data: data}})
-		if _, ok := cur.Next(false); !ok {
-			panic("ring empty")
-		}
-	})
-	row("zero-copy packet-in publish+consume: %10v/msg (1500-byte frames, no copy)", per)
 	return nil
 }
 
@@ -1104,7 +1045,7 @@ type e18Pout struct {
 	SharedBacking bool    `json:"one_staged_copy"`
 }
 
-// E18 — libyanc v2 rings. Part one: the E12 workload (push one flow to
+// E18 — libyanc rings. Part one: the E12 workload (push one flow to
 // each of k switches) through the submission/completion ring vs the
 // per-field file-I/O path, wall clock and counted VFS calls, best of
 // three trials. Part two: zero-copy packet-out — one 1500-byte frame

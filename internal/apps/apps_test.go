@@ -10,7 +10,6 @@ import (
 
 	"yanc/internal/driver"
 	"yanc/internal/ethernet"
-	"yanc/internal/libyanc"
 	"yanc/internal/openflow"
 	"yanc/internal/switchsim"
 	"yanc/internal/yancfs"
@@ -171,47 +170,6 @@ func TestRouterReactivePathSetup(t *testing.T) {
 	installs2, _ := rt.Stats()
 	if installs2 != installsBefore {
 		t.Errorf("second packet caused %d new installs", installs2-installsBefore)
-	}
-}
-
-func TestRouterFastpathEquivalence(t *testing.T) {
-	// The libyanc-backed router must produce the same outcome as the
-	// file-I/O router: same delivery, same flow directories.
-	r := newLinearRig(t, 3)
-	td := NewTopod(r.y.Root(), "/")
-	if err := td.DiscoverOnce(); err != nil {
-		t.Fatal(err)
-	}
-	td.Stop()
-	rt := NewRouter(r.y.Root(), "/")
-	rt.Fast = libyanc.New(r.y)
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Stop()
-	h1, h3 := r.hosts[0], r.hosts[2]
-	h3.ClearReceived()
-	h1.Ping(h3, 1)
-	if !h3.WaitFor(func([][]byte) bool { return h3.ReceivedPing(1) }, 2*time.Second) {
-		t.Fatal("fast router did not deliver")
-	}
-	// The path flows are ordinary committed flow directories.
-	p := r.y.Root()
-	found := 0
-	for _, sw := range []string{"sw1", "sw2", "sw3"} {
-		names, _ := yancfs.ListFlows(p, "/switches/"+sw)
-		for _, n := range names {
-			if strings.HasPrefix(n, "router-") {
-				v, err := yancfs.FlowVersion(p, "/switches/"+sw+"/flows/"+n)
-				if err != nil || v == 0 {
-					t.Errorf("%s/%s not committed: %d %v", sw, n, v, err)
-				}
-				found++
-			}
-		}
-	}
-	if found < 3 {
-		t.Errorf("path flows = %d", found)
 	}
 }
 

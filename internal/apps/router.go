@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"yanc/internal/ethernet"
-	"yanc/internal/libyanc"
 	"yanc/internal/openflow"
 	"yanc/internal/vfs"
 	"yanc/internal/yancfs"
@@ -26,11 +25,6 @@ type Router struct {
 	IdleTimeout uint16
 	// Priority of installed flows (default 100).
 	Priority uint16
-	// Fast, when set, installs path flows through the libyanc batch
-	// fastpath: one atomic commit for the whole path instead of ~47 file
-	// operations per switch (§8.1). The resulting file-system state is
-	// identical; only the cost changes.
-	Fast *libyanc.Client
 
 	mu       sync.Mutex
 	buf      string
@@ -210,10 +204,6 @@ func (r *Router) installPath(src, dst PortRef, ev yancfs.PacketInEvent) error {
 	seq := r.flowSeq
 	r.installs++
 	r.mu.Unlock()
-	var batch *libyanc.Batch
-	if r.Fast != nil {
-		batch = r.Fast.NewBatch()
-	}
 	for _, s := range steps {
 		match := openflow.ExactMatch(pf)
 		match.Set |= openflow.FieldInPort
@@ -226,16 +216,7 @@ func (r *Router) installPath(src, dst PortRef, ev yancfs.PacketInEvent) error {
 			IdleTimeout: r.IdleTimeout,
 			Actions:     []openflow.Action{openflow.Output(s.outPort)},
 		}
-		if batch != nil {
-			batch.Put(flowPath, spec)
-			continue
-		}
 		if _, err := yancfs.WriteFlow(r.P, flowPath, spec); err != nil {
-			return err
-		}
-	}
-	if batch != nil {
-		if err := batch.Commit(); err != nil {
 			return err
 		}
 	}

@@ -19,7 +19,6 @@
 package driver
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -29,7 +28,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"yanc/internal/openflow"
@@ -54,10 +52,6 @@ type Driver struct {
 	MaxVersion uint8  // highest protocol version to offer
 	NameFor    func(dpid uint64) string
 	Logf       func(format string, args ...any)
-	// PacketInHook, when set, receives every packet-in before file-system
-	// delivery (the libyanc zero-copy fastpath plugs in here). Returning
-	// true consumes the message and skips the event-directory copies.
-	PacketInHook func(switchName string, pi *openflow.PacketIn) bool
 
 	// FlowInstalledHook, when set, is called after a flow-mod has been
 	// written to a switch's control channel: the libyanc completion ring
@@ -141,14 +135,6 @@ type SwitchConn struct {
 	box       []func()
 	boxActive bool
 
-	// Multiplexed read path (poll_linux.go). rawConn is non-nil only for
-	// OS-socket transports; readBuf/scratch are touched solely by the
-	// mailbox-serialized pollRead.
-	rawConn syscall.RawConn
-	pollFd  int32
-	readBuf []byte
-	scratch []byte
-
 	// Packet-in coalescing: the read path enqueues and schedules a drain
 	// task that batches into DeliverPacketInBatch, so a flood of
 	// packet-ins costs one file system transaction per batch instead of
@@ -228,20 +214,30 @@ func (d *Driver) Serve(l net.Listener) error {
 	}
 }
 
-// ensureMux returns the driver's mux, creating it on first use (the
-// switches directory must exist, so callers run it after populate).
-func (d *Driver) ensureMux() (*mux, error) {
+// register adds sc to the live connections, on the driver's mux — created
+// here on first use (the switches directory must exist, so Attach calls
+// this after populate) — and counts sc's reader into the mux's
+// WaitGroup. One critical section for all three: a concurrent Close
+// either sees the connection and joins its reader, or runs first and
+// leaves this Attach a fresh mux. Returns the connection replaced, if any.
+func (d *Driver) register(sc *SwitchConn) (*SwitchConn, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.mux != nil {
-		return d.mux, nil
+	if d.mux == nil {
+		m, err := newMux(d)
+		if err != nil {
+			return nil, err
+		}
+		d.mux = m
 	}
-	m, err := newMux(d)
-	if err != nil {
-		return nil, err
+	sc.mux = d.mux
+	sc.mux.wg.Add(1)
+	if d.conns == nil {
+		d.conns = make(map[string]*SwitchConn)
 	}
-	d.mux = m
-	return m, nil
+	old := d.conns[sc.Name]
+	d.conns[sc.Name] = sc
+	return old, nil
 }
 
 // snapshotConns returns the live connections.
@@ -258,6 +254,8 @@ func (d *Driver) snapshotConns() []*SwitchConn {
 // Attach handshakes a switch control channel and wires it into the file
 // system. It returns once the switch directory is fully populated; the
 // translation loops run until the connection dies or Close is called.
+// Close stops a connection's reader by closing rw, so rw must be an
+// io.Closer (every net.Conn is) or Close waits for the peer to hang up.
 func (d *Driver) Attach(rw io.ReadWriter) (*SwitchConn, error) {
 	conn := openflow.NewConn(rw)
 	features, err := conn.HandshakeController(d.MaxVersion)
@@ -292,18 +290,10 @@ func (d *Driver) Attach(rw io.ReadWriter) (*SwitchConn, error) {
 	// before the connection is, so no commit after this point can be
 	// missed: events raced against registration are covered by the
 	// syncAllFlows below, everything later reaches the mailbox.
-	m, err := d.ensureMux()
+	old, err := d.register(sc)
 	if err != nil {
 		return nil, err
 	}
-	sc.mux = m
-	d.mu.Lock()
-	if d.conns == nil {
-		d.conns = make(map[string]*SwitchConn)
-	}
-	old := d.conns[name]
-	d.conns[name] = sc
-	d.mu.Unlock()
 	if old != nil {
 		old.stop()
 	}
@@ -321,27 +311,7 @@ func (d *Driver) Attach(rw io.ReadWriter) (*SwitchConn, error) {
 	sc.syncAllFlows()
 	sc.drainPacketOut()
 
-	// Read path: OS-socket transports are multiplexed over the shared
-	// poller; anything else (net.Pipe rigs, fault-injection wrappers that
-	// hide the fd) keeps a dedicated reader goroutine.
-	started := false
-	if m.poller != nil {
-		if scc, ok := rw.(syscall.Conn); ok {
-			if raw, rerr := scc.SyscallConn(); rerr == nil {
-				sc.rawConn = raw
-				sc.readBuf = conn.TakeBuffered()
-				if m.poller.add(sc) {
-					// Decode handshake leftovers (and arm the first drain)
-					// through the mailbox, serialized with poller wakeups.
-					sc.enqueue(sc.pollRead)
-					started = true
-				}
-			}
-		}
-	}
-	if !started {
-		go sc.readLoop()
-	}
+	go sc.readLoop()
 	d.Logf("driver: %s attached (dpid %016x, %s, %d ports)",
 		name, features.DatapathID, sc.Protocol, len(features.Ports))
 	return sc, nil
@@ -354,8 +324,10 @@ func (d *Driver) Lookup(name string) *SwitchConn {
 	return d.conns[name]
 }
 
-// Close stops all switch connections and the mux behind them. The
-// driver is reusable: a later Attach lazily builds a fresh mux.
+// Close stops all switch connections and the mux behind them, and
+// returns once every reader and mux goroutine has exited: nothing the
+// driver started touches the file system afterwards. The driver is
+// reusable: a later Attach lazily builds a fresh mux.
 func (d *Driver) Close() {
 	d.mu.Lock()
 	conns := make([]*SwitchConn, 0, len(d.conns))
@@ -419,9 +391,8 @@ func (sc *SwitchConn) populate() error {
 	return nil
 }
 
-// stop tears the connection down: deregister from the poller, close the
-// transport (which ends a fallback reader goroutine), and run the
-// disconnect bookkeeping exactly once.
+// stop tears the connection down: close the transport (which ends the
+// reader goroutine) and run the disconnect bookkeeping exactly once.
 func (sc *SwitchConn) stop() {
 	sc.mu.Lock()
 	if sc.closed {
@@ -431,9 +402,6 @@ func (sc *SwitchConn) stop() {
 	sc.closed = true
 	close(sc.done)
 	sc.mu.Unlock()
-	if sc.rawConn != nil && sc.mux != nil && sc.mux.poller != nil {
-		sc.mux.poller.del(sc)
-	}
 	sc.conn.Close()
 	sc.discOnce.Do(sc.onDisconnect)
 }
@@ -492,10 +460,11 @@ func (sc *SwitchConn) echoProbe(misses int) {
 	_ = sc.write(&openflow.EchoRequest{})
 }
 
-// readLoop is the fallback read path for transports without an OS file
-// descriptor: a dedicated goroutine blocked in Conn.Read. TCP-backed
-// connections use the shared poller instead (poll_linux.go).
+// readLoop is the connection's read path: one goroutine blocked in
+// Conn.Read, parked on the runtime's network poller while the switch is
+// quiet. A read error or a malformed frame tears the connection down.
 func (sc *SwitchConn) readLoop() {
+	defer sc.mux.wg.Done()
 	defer sc.stop()
 	for {
 		msg, err := sc.conn.Read()
@@ -506,52 +475,13 @@ func (sc *SwitchConn) readLoop() {
 	}
 }
 
-// decodeFrames extracts every complete frame from readBuf, dispatching
-// each through handleMessage. Returns false after tearing the connection
-// down on a malformed frame. Only the mailbox-serialized read task calls
-// this.
-func (sc *SwitchConn) decodeFrames() bool {
-	buf := sc.readBuf
-	off := 0
-	for {
-		if len(buf)-off < 8 {
-			break
-		}
-		length := int(binary.BigEndian.Uint16(buf[off+2 : off+4]))
-		if length < 8 {
-			sc.stop()
-			return false
-		}
-		if len(buf)-off < length {
-			break
-		}
-		raw := make([]byte, length)
-		copy(raw, buf[off:off+length])
-		off += length
-		msg, err := sc.conn.Decode(raw)
-		if err != nil {
-			sc.stop()
-			return false
-		}
-		sc.handleMessage(msg)
-	}
-	if off > 0 {
-		sc.readBuf = append(sc.readBuf[:0], buf[off:]...)
-	}
-	return true
-}
-
-// handleMessage dispatches one message arriving from the switch. It is
-// called by exactly one reader at a time per connection (the fallback
-// goroutine or the mailbox-serialized poller task).
+// handleMessage dispatches one message arriving from the switch. Only
+// the connection's readLoop calls it.
 func (sc *SwitchConn) handleMessage(msg openflow.Message) {
 	sc.rxMsgs.Add(1)
 	switch m := msg.(type) {
 	case *openflow.PacketIn:
 		sc.pktinSeen.Add(1)
-		if hook := sc.driver.PacketInHook; hook != nil && hook(sc.Name, m) {
-			return
-		}
 		// Hand off to the coalescing drain task; shedding here (full
 		// queue = the file system cannot keep up) keeps the control
 		// channel reader responsive to echoes and barriers.

@@ -18,9 +18,9 @@ import (
 // all end up attached and "connected" — no spurious handshake timeouts,
 // no accept-queue overflow, no dialer left stuck in backoff. This is
 // what forced the bounded handshake backlog in Serve, the staggered
-// DialRetry in switchsim, and the multiplexed read path (goroutine-per-
-// switch read loops would be 4000 goroutines here; the mux runs the
-// same population on a worker pool).
+// DialRetry in switchsim, and the mux (four goroutines per switch would
+// be 4000 here; the mux runs the same population on O(workers) + one
+// parked reader per switch).
 func TestMassConnectHandshakeBacklog(t *testing.T) {
 	const nSwitches = 1000
 	y, err := yancfs.New()

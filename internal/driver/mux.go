@@ -10,30 +10,23 @@ import (
 	"yanc/internal/yancfs"
 )
 
-// The driver's connection handling is multiplexed: instead of four
-// goroutines per switch (reader, watch dispatcher, packet-in deliverer,
-// echo prober), one mux per driver runs
+// The driver's connection handling is multiplexed: a switch owns one
+// goroutine, its reader, blocked in Conn.Read and parked on the runtime's
+// network poller; everything else runs on one mux per driver:
 //
 //   - a small worker pool executing per-switch tasks,
 //   - one recursive watch on <region>/switches demultiplexed to the
-//     owning connection by path,
-//   - one echo scheduler ticking for every connection, and
-//   - (on Linux) one epoll poller owning the read side of every
-//     TCP-backed control channel (poll_linux.go).
+//     owning connection by path, and
+//   - one echo scheduler ticking for every connection.
 //
 // Each SwitchConn serializes its own work through a mailbox — an
 // unbounded FIFO of closures of which at most one is in a worker at a
-// time — so per-switch handling keeps the ordering the dedicated
-// goroutines provided while the goroutine count stays O(workers), not
-// O(switches). A city-scale controller holding thousands of switch
-// connections runs on a handful of goroutines.
-//
-// Transports that are not OS sockets (net.Pipe rigs, fault-injection
-// wrappers) keep a dedicated reader goroutine but share everything else.
+// time — so per-switch handling keeps the ordering dedicated goroutines
+// would provide while the goroutine count stays O(workers) + one parked
+// reader per switch.
 type mux struct {
-	d      *Driver
-	watch  *vfs.Watch
-	poller *poller // nil when epoll is unavailable
+	d     *Driver
+	watch *vfs.Watch
 
 	qmu   sync.Mutex
 	cond  *sync.Cond
@@ -41,7 +34,9 @@ type mux struct {
 	quit  bool
 
 	quitCh chan struct{}
-	wg     sync.WaitGroup
+	// wg counts the mux's own goroutines and every connection's reader
+	// (added under Driver.mu at registration, so no Add races stop's Wait).
+	wg sync.WaitGroup
 }
 
 // muxWatchBuffer sizes the shared switches/ watch. Overflow is survivable
@@ -57,7 +52,6 @@ func newMux(d *Driver) (*mux, error) {
 	}
 	m := &mux{d: d, watch: w, quitCh: make(chan struct{})}
 	m.cond = sync.NewCond(&m.qmu)
-	m.poller = newPoller()
 	workers := runtime.NumCPU()
 	if workers < 2 {
 		workers = 2
@@ -68,10 +62,6 @@ func newMux(d *Driver) (*mux, error) {
 	}
 	m.wg.Add(1)
 	go m.demux()
-	if m.poller != nil {
-		m.wg.Add(1)
-		go m.poller.loop(m)
-	}
 	if d.EchoInterval > 0 {
 		misses := d.EchoMisses
 		if misses <= 0 {
@@ -83,8 +73,9 @@ func newMux(d *Driver) (*mux, error) {
 	return m, nil
 }
 
-// stop shuts every mux goroutine down and waits for them; called from
-// Driver.Close after the connections are stopped.
+// stop shuts every mux goroutine down and waits for them and for the
+// connections' readers; called from Driver.Close after the connections
+// are stopped, which is what makes each reader return.
 func (m *mux) stop() {
 	close(m.quitCh)
 	m.qmu.Lock()
@@ -92,9 +83,6 @@ func (m *mux) stop() {
 	m.qmu.Unlock()
 	m.cond.Broadcast()
 	m.watch.Close()
-	if m.poller != nil {
-		m.poller.close()
-	}
 	m.wg.Wait()
 }
 
@@ -200,7 +188,7 @@ func switchNameFromPath(root, p string) string {
 // enqueue appends a task to the connection's mailbox, scheduling a
 // drain on the worker pool if one is not already running. The mailbox
 // serializes a connection's work — watch events, echo probes, packet-in
-// deliveries, poller reads — without pinning a goroutine per switch.
+// deliveries — without pinning a goroutine per task source.
 // The drain task submitted is the method value bound once at attach
 // (drainBoxFn), not sc.drainBox, which would allocate a closure per
 // wakeup.

@@ -1,8 +1,6 @@
 package libyanc
 
 import (
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,8 +19,9 @@ func newY(t *testing.T) *yancfs.FS {
 }
 
 func TestPutFlowMatchesFileIOLayout(t *testing.T) {
-	// The fastpath — both the one-shot PutFlow and the submission ring —
-	// must produce exactly the layout WriteFlow produces.
+	// The fastpath — both PutFlowTx under a caller's own transaction and
+	// the submission ring over it — must produce exactly the layout
+	// WriteFlow produces.
 	yFast, ySlow, yRing := newY(t), newY(t), newY(t)
 	for _, y := range []*yancfs.FS{yFast, ySlow, yRing} {
 		if _, err := yancfs.CreateSwitch(y.Root(), "/", "sw1"); err != nil {
@@ -33,10 +32,13 @@ func TestPutFlowMatchesFileIOLayout(t *testing.T) {
 	actions, _ := openflow.ParseActions("set_nw_tos=8,out=3")
 	spec := yancfs.FlowSpec{Match: m, Priority: 77, IdleTimeout: 5, HardTimeout: 50, Cookie: 9, Actions: actions}
 
-	c := New(yFast)
-	v, err := c.PutFlow("/switches/sw1/flows/ssh", spec)
+	var v uint64
+	err := yFast.VFS().WithTx(func(tx *vfs.Tx) (err error) {
+		v, err = yFast.PutFlowTx(tx, "/switches/sw1/flows/ssh", spec)
+		return err
+	})
 	if err != nil || v != 1 {
-		t.Fatalf("PutFlow = %d %v", v, err)
+		t.Fatalf("PutFlowTx = %d %v", v, err)
 	}
 	if _, err := yancfs.WriteFlow(ySlow.Root(), "/switches/sw1/flows/ssh", spec); err != nil {
 		t.Fatal(err)
@@ -89,13 +91,22 @@ func TestPutFlowRewriteClearsStaleFields(t *testing.T) {
 	if _, err := yancfs.CreateSwitch(y.Root(), "/", "sw1"); err != nil {
 		t.Fatal(err)
 	}
-	c := New(y)
+	r := New(y).NewFlowRing(RingConfig{})
+	defer r.Close()
+	// put pushes one flow through the ring and returns its commit CQE.
+	put := func(spec yancfs.FlowSpec) (uint64, error) {
+		if err := r.Submit(SQE{Op: OpPut, Path: "/switches/sw1/flows/f", Spec: spec}); err != nil {
+			return 0, err
+		}
+		e, _ := r.Reap(true)
+		return e.Version, e.Err
+	}
 	m1, _ := openflow.ParseMatch("tp_dst=22,dl_type=0x0800,nw_proto=6")
-	if _, err := c.PutFlow("/switches/sw1/flows/f", yancfs.FlowSpec{Match: m1, Priority: 1, Actions: []openflow.Action{openflow.Output(1)}}); err != nil {
+	if _, err := put(yancfs.FlowSpec{Match: m1, Priority: 1, Actions: []openflow.Action{openflow.Output(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	m2, _ := openflow.ParseMatch("in_port=4")
-	v, err := c.PutFlow("/switches/sw1/flows/f", yancfs.FlowSpec{Match: m2, Priority: 2, Actions: []openflow.Action{openflow.Output(2)}})
+	v, err := put(yancfs.FlowSpec{Match: m2, Priority: 2, Actions: []openflow.Action{openflow.Output(2)}})
 	if err != nil || v != 2 {
 		t.Fatalf("rewrite = %d %v", v, err)
 	}
@@ -124,20 +135,27 @@ func TestBatchCommitAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	c := New(y)
-	b := c.NewBatch()
+	// The drainer starts only once all 15 entries are queued, so they
+	// are one batch: one transaction, one flush.
+	r := newStalledRing(y, 16)
 	m, _ := openflow.ParseMatch("dl_type=0x0800")
 	for _, sw := range []string{"sw1", "sw2", "sw3"} {
 		for i := 0; i < 5; i++ {
-			b.Put("/switches/"+sw+"/flows/f"+string(rune('0'+i)),
-				yancfs.FlowSpec{Match: m, Priority: uint16(i), Actions: []openflow.Action{openflow.Output(1)}})
+			if err := r.Submit(SQE{Op: OpPut, Path: "/switches/" + sw + "/flows/f" + string(rune('0'+i)),
+				Spec: yancfs.FlowSpec{Match: m, Priority: uint16(i), Actions: []openflow.Action{openflow.Output(1)}}}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if b.Len() != 15 {
-		t.Fatalf("batch len = %d", b.Len())
+	if n := r.Stats().SQLen; n != 15 {
+		t.Fatalf("batch len = %d", n)
 	}
-	if err := b.Commit(); err != nil {
+	go r.drainer(16)
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if d := r.Stats().Drains; d != 1 {
+		t.Fatalf("15 queued entries took %d transactions, want 1", d)
 	}
 	for _, sw := range []string{"sw1", "sw2", "sw3"} {
 		names, err := yancfs.ListFlows(p, "/switches/"+sw)
@@ -161,8 +179,8 @@ func TestBatchCommitAtomicity(t *testing.T) {
 }
 
 func TestBatchOpCountAdvantage(t *testing.T) {
-	// The whole point of libyanc: the batch path must cost dramatically
-	// fewer counted VFS calls than per-field file I/O (§8.1).
+	// The whole point of libyanc: the ring's batched commits must cost
+	// dramatically fewer counted VFS calls than per-field file I/O (§8.1).
 	yFast, ySlow := newY(t), newY(t)
 	m, _ := openflow.ParseMatch("dl_type=0x0800,nw_proto=6,tp_dst=22")
 	spec := yancfs.FlowSpec{Match: m, Priority: 1, Actions: []openflow.Action{openflow.Output(1)}}
@@ -182,63 +200,19 @@ func TestBatchOpCountAdvantage(t *testing.T) {
 	slowOps := ySlow.VFS().Stats().Total() - slowBase
 
 	fastBase := yFast.VFS().Stats().Total()
-	b := New(yFast).NewBatch()
+	r := New(yFast).NewFlowRing(RingConfig{})
 	for i := 0; i < flows; i++ {
-		b.Put("/switches/sw1/flows/f"+itoa(i), spec)
+		if err := r.Submit(SQE{Op: OpPut, Path: "/switches/sw1/flows/f" + itoa(i), Spec: spec}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := b.Commit(); err != nil {
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	fastOps := yFast.VFS().Stats().Total() - fastBase
 
 	if fastOps*10 > slowOps {
 		t.Errorf("fastpath not ≥10x cheaper: fast=%d slow=%d counted ops", fastOps, slowOps)
-	}
-}
-
-// TestBatchReuseAfterCommit is the regression for the Batch retry
-// contract: a successful Commit resets the batch, so committing again
-// is a no-op rather than a silent double-apply; a failed Commit retains
-// the entries for a retry; Reset abandons them.
-func TestBatchReuseAfterCommit(t *testing.T) {
-	y := newY(t)
-	p := y.Root()
-	if _, err := yancfs.CreateSwitch(p, "/", "sw1"); err != nil {
-		t.Fatal(err)
-	}
-	m, _ := openflow.ParseMatch("dl_type=0x0800")
-	spec := yancfs.FlowSpec{Match: m, Priority: 1, Actions: []openflow.Action{openflow.Output(1)}}
-	b := New(y).NewBatch()
-	b.Put("/switches/sw1/flows/f", spec)
-	if err := b.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 0 {
-		t.Fatalf("successful commit left %d entries queued", b.Len())
-	}
-	// Historically this re-applied the whole batch and bumped every
-	// version; now it must be a no-op.
-	if err := b.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if s, err := p.ReadString("/switches/sw1/flows/f/version"); err != nil || strings.TrimSpace(s) != "1" {
-		t.Fatalf("version after double commit = %q, %v (double-apply regression)", s, err)
-	}
-
-	// A failed commit retains the entries so the caller can retry.
-	b.Put("/switches/ghost/flows/f", spec)
-	if err := b.Commit(); err == nil {
-		t.Fatal("commit into a missing switch succeeded")
-	}
-	if b.Len() != 1 {
-		t.Fatalf("failed commit kept %d entries, want 1", b.Len())
-	}
-	b.Reset()
-	if b.Len() != 0 {
-		t.Fatalf("reset left %d entries", b.Len())
-	}
-	if err := b.Commit(); err != nil {
-		t.Fatalf("empty batch commit = %v", err)
 	}
 }
 
@@ -254,161 +228,4 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(b[i:])
-}
-
-func TestRingBasicDelivery(t *testing.T) {
-	r := NewRing(8)
-	c1 := r.NewCursor()
-	c2 := r.NewCursor()
-	data := []byte{1, 2, 3}
-	r.Publish(PacketInMsg{Switch: "sw1", PI: &openflow.PacketIn{Data: data}})
-	for i, c := range []*Cursor{c1, c2} {
-		m, ok := c.Next(false)
-		if !ok || m.Switch != "sw1" {
-			t.Fatalf("cursor %d: %+v %v", i, m, ok)
-		}
-		// Zero copy: both cursors share the same backing array.
-		if &m.PI.Data[0] != &data[0] {
-			t.Errorf("cursor %d copied the data", i)
-		}
-	}
-	if _, ok := c1.Next(false); ok {
-		t.Error("drained cursor returned a message")
-	}
-}
-
-func TestRingLappingCountsDrops(t *testing.T) {
-	r := NewRing(4)
-	c := r.NewCursor()
-	for i := 0; i < 10; i++ {
-		r.Publish(PacketInMsg{PI: &openflow.PacketIn{TotalLen: uint16(i)}})
-	}
-	var got []uint16
-	for {
-		m, ok := c.Next(false)
-		if !ok {
-			break
-		}
-		got = append(got, m.PI.TotalLen)
-	}
-	if c.Dropped != 6 {
-		t.Errorf("dropped = %d", c.Dropped)
-	}
-	if len(got) != 4 || got[0] != 6 || got[3] != 9 {
-		t.Errorf("got = %v", got)
-	}
-}
-
-func TestRingBlockingAndClose(t *testing.T) {
-	r := NewRing(4)
-	c := r.NewCursor()
-	done := make(chan PacketInMsg, 1)
-	go func() {
-		m, ok := c.Next(true)
-		if ok {
-			done <- m
-		}
-		close(done)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	r.Publish(PacketInMsg{Switch: "late"})
-	select {
-	case m := <-done:
-		if m.Switch != "late" {
-			t.Errorf("got %+v", m)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("blocked cursor never woke")
-	}
-	// Close wakes blocked consumers.
-	c2 := r.NewCursor()
-	woke := make(chan bool, 1)
-	go func() {
-		_, ok := c2.Next(true)
-		woke <- ok
-	}()
-	time.Sleep(10 * time.Millisecond)
-	r.Close()
-	select {
-	case ok := <-woke:
-		if ok {
-			t.Error("closed ring returned a message")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("close did not wake consumer")
-	}
-}
-
-func TestRingConcurrentConsumers(t *testing.T) {
-	r := NewRing(1024)
-	const n = 500
-	var wg sync.WaitGroup
-	totals := make([]int, 4)
-	for i := 0; i < 4; i++ {
-		cur := r.NewCursor()
-		wg.Add(1)
-		go func(i int, cur *Cursor) {
-			defer wg.Done()
-			for {
-				_, ok := cur.Next(true)
-				if !ok {
-					return
-				}
-				totals[i]++
-			}
-		}(i, cur)
-	}
-	for i := 0; i < n; i++ {
-		r.Publish(PacketInMsg{PI: &openflow.PacketIn{}})
-	}
-	time.Sleep(50 * time.Millisecond)
-	r.Close()
-	wg.Wait()
-	for i, tot := range totals {
-		if tot != n {
-			t.Errorf("consumer %d got %d/%d", i, tot, n)
-		}
-	}
-}
-
-// TestAllocRingPublishConsumeAllocFree is the dynamic half of the
-// zero-copy ring's allocation contract. The static half is yancvet's
-// hotalloc analyzer (DESIGN.md §11), which proves the driver's
-// publish-side hot path can't allocate; this pin covers the steady-state
-// Publish/Next cycle on the current toolchain, where messages move by
-// slot assignment only. Keep both checks: the analyzer catches shapes,
-// this catches codegen. (The FlowRing drainer is deliberately amortized
-// — one claim buffer per ring — so only the packet-in ring pins to 0.)
-func TestAllocRingPublishConsumeAllocFree(t *testing.T) {
-	r := NewRing(8)
-	c := r.NewCursor()
-	msg := PacketInMsg{Switch: "sw1", PI: &openflow.PacketIn{}}
-	allocs := testing.AllocsPerRun(100, func() {
-		r.Publish(msg)
-		if _, ok := c.Next(false); !ok {
-			t.Fatal("published message not delivered")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Publish/Next allocated %v times per run; want 0", allocs)
-	}
-}
-
-func TestRingPending(t *testing.T) {
-	r := NewRing(4)
-	c := r.NewCursor()
-	if c.Pending() != 0 {
-		t.Error("fresh cursor pending != 0")
-	}
-	r.Publish(PacketInMsg{})
-	r.Publish(PacketInMsg{})
-	if c.Pending() != 2 {
-		t.Errorf("pending = %d", c.Pending())
-	}
-	for i := 0; i < 10; i++ {
-		r.Publish(PacketInMsg{})
-	}
-	if c.Pending() != 4 {
-		t.Errorf("lapped pending = %d", c.Pending())
-	}
 }

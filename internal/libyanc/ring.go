@@ -9,8 +9,8 @@ import (
 	"yanc/internal/yancfs"
 )
 
-// The flow-mod submission/completion ring is the write-direction half of
-// libyanc v2: the same move io_uring made against syscall-per-op I/O,
+// The flow-mod submission/completion ring is libyanc's write path for
+// flows: the same move io_uring made against syscall-per-op I/O,
 // applied to the E12 cost model (one counted VFS call per flow field,
 // tens of thousands for a 1k-switch push). Callers submit flow-mod
 // entries — put/modify/delete, any switch — into a bounded submission

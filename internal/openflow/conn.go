@@ -81,9 +81,8 @@ func (c *Conn) Read() (Message, error) {
 
 // Decode decodes one already-framed message with the negotiated codec,
 // falling back to the frame's own version byte exactly as Read does.
-// Callers that take over framing (the driver's multiplexed poller reads
-// raw frames off the socket) decode through this so version-mismatch
-// handling stays in one place.
+// Callers that frame with ReadRaw decode through this so
+// version-mismatch handling stays in one place.
 func (c *Conn) Decode(raw []byte) (Message, error) {
 	if len(raw) < 8 {
 		return nil, fmt.Errorf("%w: short frame", ErrBadMessage)
@@ -96,23 +95,6 @@ func (c *Conn) Decode(raw []byte) (Message, error) {
 		return codec.Decode(raw)
 	}
 	return c.codec.Decode(raw)
-}
-
-// TakeBuffered drains and returns whatever bytes are sitting unread in
-// the connection's read buffer. A caller that switches from Conn.Read to
-// reading the underlying file descriptor directly (after the handshake)
-// must consume these first: the handshake's buffered reader may have
-// slurped the start of the next message.
-func (c *Conn) TakeBuffered() []byte {
-	n := c.br.Buffered()
-	if n == 0 {
-		return nil
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(c.br, b); err != nil {
-		return nil
-	}
-	return b
 }
 
 // Write encodes and sends a message, assigning an xid if none is set.

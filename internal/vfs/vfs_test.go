@@ -705,7 +705,8 @@ func TestWatchCloseWrite(t *testing.T) {
 }
 
 func TestWatchOverflow(t *testing.T) {
-	p := New().RootProc()
+	fs := New()
+	p := fs.RootProc()
 	if err := p.Mkdir("/d", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -716,6 +717,10 @@ func TestWatchOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// All 100 events are dispatched into the 4-slot channel before anyone
+	// reads it; collecting while the dispatcher still drains can keep pace
+	// with it, and then the queue never fills.
+	fs.SyncWatches()
 	sawOverflow := false
 	for _, ev := range collectEvents(w, 10, 200*time.Millisecond) {
 		if ev.Op == OpOverflow {

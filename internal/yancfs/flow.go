@@ -178,12 +178,20 @@ func (y *FS) SnapshotFlows(switchPath string) ([]FlowSnap, error) {
 	return out, err
 }
 
+// ErrFlowUnstable is returned by ReadFlow when the flow's version moved
+// under every one of its read attempts, so no attempt could be validated
+// against a single commit. The commit that moved the version raises its
+// own watch event, so a reader driven by events loses nothing by giving
+// up.
+var ErrFlowUnstable = errors.New("yancfs: flow kept changing while it was read")
+
 // ReadFlow parses a flow directory back into a FlowSpec. Unknown files
 // are ignored; a missing match file is a wildcard.
 //
 // The version file doubles as a seqlock, which is how the paper gets
 // atomic multi-file updates (§3.4): the read is retried whenever the
-// version changed underneath it or a field was caught mid-rewrite.
+// version changed underneath it or a field was caught mid-rewrite, and
+// only a read with the same version on both sides is returned.
 func ReadFlow(p *vfs.Proc, flowPath string) (FlowSpec, error) {
 	var (
 		spec FlowSpec
@@ -201,7 +209,10 @@ func ReadFlow(p *vfs.Proc, flowPath string) (FlowSpec, error) {
 		}
 		time.Sleep(time.Duration(attempt+1) * 100 * time.Microsecond)
 	}
-	return spec, err
+	if err == nil {
+		err = ErrFlowUnstable
+	}
+	return FlowSpec{}, err
 }
 
 func errIsNotExist(err error) bool {

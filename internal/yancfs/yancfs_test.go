@@ -784,3 +784,69 @@ func TestStressReadFlowNeverTornByTx(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStressReadFlowUnstableIsAnError covers the other end of the seqlock:
+// a writer that commits in a tight loop, so ReadFlow's eight attempts can
+// all see the version move. Whatever ReadFlow then returns must still be
+// one commit's fields, or ErrFlowUnstable — never its last, unvalidated
+// attempt with a nil error.
+func TestStressReadFlowUnstableIsAnError(t *testing.T) {
+	y := newFS(t)
+	p := y.Root()
+	if _, err := CreateSwitch(p, "/", "sw1"); err != nil {
+		t.Fatal(err)
+	}
+	flow := FlowPath("sw1", "f1")
+	var first FlowSpec
+	first.Match.SetField(openflow.FieldTPDst, "1")
+	first.Priority, first.Cookie = 1, 1
+	if _, err := WriteFlow(p, flow, first); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for g := uint64(2); err == nil; g = g%60000 + 1 {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			field := strconv.AppendUint(nil, g, 10)
+			err = y.VFS().WithTx(func(tx *vfs.Tx) error {
+				for _, name := range []string{MatchPrefix + openflow.FieldTPDst.Name(), FilePriority, FileCookie, FileVersion} {
+					if err := tx.WriteFile(vfs.Join(flow, name), field, 0o644, 0, 0); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+		done <- err
+	}()
+	const reads = 2000
+	unstable := 0
+	for i := 0; i < reads; i++ {
+		got, err := ReadFlow(p, flow)
+		if errors.Is(err, ErrFlowUnstable) {
+			unstable++
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want openflow.Match
+		want.SetField(openflow.FieldTPDst, strconv.FormatUint(got.Cookie, 10))
+		if got.Priority != uint16(got.Cookie) || !got.Match.Equal(want) {
+			t.Fatalf("read %d: unvalidated flow returned with a nil error: cookie %d priority %d match %v",
+				i, got.Cookie, got.Priority, got.Match)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of %d reads gave up with ErrFlowUnstable", unstable, reads)
+}

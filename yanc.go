@@ -172,8 +172,8 @@ func (c *Controller) AttachSwitch(rw io.ReadWriter) error {
 	return err
 }
 
-// Driver exposes the driver layer (protocol version policy, fastpath
-// hook).
+// Driver exposes the driver layer (protocol version policy, liveness
+// probing, the flow-installed hook).
 func (c *Controller) Driver() *driver.Driver { return c.d }
 
 // Namespaces returns the namespace manager (view isolation, cgroups).
@@ -192,24 +192,10 @@ func (c *Controller) Shell(out io.Writer) *shell.Env {
 	return shell.NewEnv(c.Root(), out)
 }
 
-// Fastpath returns a libyanc client: batched atomic flow writes without
-// per-field file I/O (§8.1).
+// Fastpath returns a libyanc client: flow writes batched through a
+// submission ring and one-copy packet-out fan-out, without per-field
+// file I/O (§8.1).
 func (c *Controller) Fastpath() *libyanc.Client { return libyanc.New(c.y) }
-
-// NewPacketRing installs a zero-copy packet-in ring as the fastpath event
-// channel: packet-ins are published to the ring instead of being copied
-// into event directories. Pass capacity 0 for the 4096 default.
-func (c *Controller) NewPacketRing(capacity int) *libyanc.Ring {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	ring := libyanc.NewRing(capacity)
-	c.d.PacketInHook = func(sw string, pi *openflow.PacketIn) bool {
-		ring.Publish(libyanc.PacketInMsg{Switch: sw, PI: pi})
-		return true
-	}
-	return ring
-}
 
 // ExportDFS starts serving the controller's file system over TCP so
 // other machines can mount it (§6). It returns the bound address.

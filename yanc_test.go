@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"yanc/internal/libyanc"
 	"yanc/internal/openflow"
 	"yanc/internal/switchsim"
 )
@@ -158,7 +159,11 @@ func TestPublicAPIFlowHelpers(t *testing.T) {
 		t.Fatalf("ReadFlow = %+v %v", spec, err)
 	}
 	// The fastpath produces the same result.
-	if _, err := ctrl.Fastpath().PutFlow("/switches/sw1/flows/fast", spec); err != nil {
+	ring := ctrl.Fastpath().NewFlowRing(libyanc.RingConfig{})
+	if err := ring.Submit(libyanc.SQE{Op: libyanc.OpPut, Path: "/switches/sw1/flows/fast", Spec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ring.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFlow(p, "/switches/sw1/flows/fast")
@@ -194,43 +199,6 @@ func TestNamespaceLaunchIsolation(t *testing.T) {
 	_ = p.Exists("/switches")
 	if g.Usage().Ops == 0 {
 		t.Error("control group not metering")
-	}
-}
-
-func TestPacketRingFastpath(t *testing.T) {
-	ctrl, err := NewController()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	ring := ctrl.NewPacketRing(0)
-	cur := ring.NewCursor()
-	_, hosts := startNetwork(t, ctrl, 1)
-	// Subscribe a slow-path app too: it must NOT receive anything while
-	// the ring consumes events.
-	_, w, err := Subscribe(ctrl.Root(), "/", "slowpath")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	hosts[0].Ping(hosts[0], 1) // self-ping still misses and packet-ins
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if m, ok := cur.Next(false); ok {
-			if m.Switch != "sw1" {
-				t.Errorf("ring msg = %+v", m)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("ring never received the packet-in")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	select {
-	case ev := <-w.C:
-		t.Errorf("slow path received %+v despite fastpath", ev)
-	case <-time.After(50 * time.Millisecond):
 	}
 }
 
