@@ -7,8 +7,12 @@
 //     network can run mixed versions and be upgraded live;
 //   - materializes the switch as a directory under switches/ and keeps
 //     port files in sync with port-status messages;
-//   - watches the switch's flows/ subtree and pushes committed flows
-//     (version-file increments, §3.4) to the hardware as flow-mods;
+//   - reconciles the switch's flow table with its flows/ subtree: a
+//     committed flow (a version-file increment, §3.4) marks its
+//     directory dirty, and a pass reads each dirty flow once inside a
+//     read transaction, compares it with what was last pushed and sends
+//     delete-strict, add or nothing, in one socket write per pass with
+//     the deletes ahead of the adds (reconcile.go);
 //   - feeds packet-in messages into every subscriber's event buffer
 //     (§3.5) and serves live counters for the counters/ files;
 //   - exposes a packet_out control file for injecting packets.
@@ -53,11 +57,15 @@ type Driver struct {
 	NameFor    func(dpid uint64) string
 	Logf       func(format string, args ...any)
 
-	// FlowInstalledHook, when set, is called after a flow-mod has been
-	// written to a switch's control channel: the libyanc completion ring
-	// plugs in here (FlowRing.InstallHook) to report end-to-end
-	// installed completions. It runs on driver mux workers — keep it
-	// cheap and never call back into the file system.
+	// FlowInstalledHook, when set, is called once per flow-add, after
+	// the socket write that carried it (one per pass, reconcile.go) has
+	// returned without error, with the flow directory's path and the
+	// version that add installed; commits of one flow that a single pass
+	// resolved together produce one call. The libyanc completion ring
+	// plugs in here (FlowRing.InstallHook) to report end-to-end installed
+	// completions. It runs on driver mux workers — keep it cheap and
+	// never call back into the file system. Set it before the first
+	// Attach.
 	FlowInstalledHook func(flowPath string, version uint64)
 
 	// EchoInterval is how often the driver probes each switch with an
@@ -77,7 +85,7 @@ type Driver struct {
 
 	// ProcDir, when non-empty, names a directory (usually
 	// /.proc/driver) where the driver publishes per-switch telemetry
-	// files: <ProcDir>/<name>/{rtt,echo,tx_rx}.
+	// files: <ProcDir>/<name>/{rtt,echo,tx_rx,pktin,flows}.
 	ProcDir string
 
 	mu    sync.Mutex
@@ -101,14 +109,6 @@ func New(y *yancfs.FS) *Driver {
 // VerboseLog routes driver logging to the standard logger.
 func (d *Driver) VerboseLog() { d.Logf = log.Printf }
 
-// flowState remembers what was last pushed to hardware for one flow
-// directory, so renames/edits can delete the superseded entry.
-type flowState struct {
-	match    openflow.Match
-	priority uint16
-	version  uint64
-}
-
 // SwitchConn is one connected switch.
 type SwitchConn struct {
 	Name     string
@@ -122,32 +122,43 @@ type SwitchConn struct {
 	mux    *mux
 
 	mu         sync.Mutex
-	flows      map[string]flowState // flow dir name -> pushed state
-	portConfig map[uint32]uint32    // hardware port config as last seen
+	portConfig map[uint32]uint32 // hardware port config as last seen
 	pending    map[uint32]chan *openflow.StatsReply
 	echoMiss   int // consecutive unanswered liveness probes
 	closed     bool
 	done       chan struct{}
 	discOnce   sync.Once // onDisconnect runs exactly once
 
-	// Mailbox (mux.go): the connection's serialized task queue.
-	boxMu     sync.Mutex
-	box       []func()
-	boxActive bool
+	// What the switch holds and what may have drifted from it
+	// (reconcile.go), all under mu. flows is keyed by the flow
+	// directory's own name string, never by a piece of an event path.
+	flows      map[string]flowState // flow dir name -> pushed state
+	dirty      map[string]bool      // flow dir path -> put there by a sweep
+	dirtyBig   bool                 // a pass found dirty holding more than passMax
+	dirtyAll   bool                 // reconcile every name, not only dirty's
+	gone       []flowIdent          // removed flows whose delete-strict is owed
+	dirtyPorts []uint32             // ports whose config.port_down was written
 
-	// Packet-in coalescing: the read path enqueues and schedules a drain
-	// task that batches into DeliverPacketInBatch, so a flood of
-	// packet-ins costs one file system transaction per batch instead of
-	// one per message. pktinBatch is the drain's claim buffer, allocated
-	// once per connection and reused every drain (it is touched only by
-	// the mailbox-serialized drainPktin). drainBoxFn/drainPktinFn are the
-	// bound method values, hoisted here so scheduling a drain does not
-	// allocate a closure per wakeup.
-	pktin          chan *openflow.PacketIn
-	pktinScheduled atomic.Bool
-	pktinBatch     []*openflow.PacketIn
-	drainBoxFn     func()
-	drainPktinFn   func()
+	// pend is the word of pending bits that puts the connection on the
+	// mux's run queue (mux.go). Everything below it down to the telemetry
+	// belongs to the worker serving the connection.
+	pend     atomic.Uint32
+	flowsDir string              // <Path>/flows
+	passFn   func(*vfs.Tx) error // sc.pass, bound once
+	take     []dirtyFlow         // the pass's share of dirty
+	reader   yancfs.FlowReader
+	fm       openflow.FlowMod // the one FlowMod every flow-mod is encoded from
+	wdel     []byte           // the pass's delete-stricts, encoded
+	wadd     []byte           // the pass's flow-adds, encoded; sent behind wdel
+	pushed   []pushedFlow     // flow-adds encoded since the last flush
+
+	// Packet-in coalescing: the read path enqueues and sets the pktin
+	// bit, and drainPktin batches into DeliverPacketInBatch, so a flood
+	// of packet-ins costs one file system transaction per batch instead
+	// of one per message. pktinBatch is the drain's claim buffer,
+	// allocated once per connection and reused every drain.
+	pktin      chan *openflow.PacketIn
+	pktinBatch []*openflow.PacketIn
 
 	// Control-channel telemetry, published as <ProcDir>/<name> files.
 	txMsgs       atomic.Uint64
@@ -159,13 +170,19 @@ type SwitchConn struct {
 	pktinSeen    atomic.Uint64 // packet-ins read off the wire
 	pktinDropped atomic.Uint64 // shed because the coalescing queue was full
 	pktinBatches atomic.Uint64 // DeliverPacketInBatch calls issued
+	passes       atomic.Uint64 // reconcile passes run
+	reconciled   atomic.Uint64 // flow directories a pass looked at
+	pushedN      atomic.Uint64 // flow-adds encoded
+	coalesced    atomic.Uint64 // marks that found their version already installed
+	flushes      atomic.Uint64 // socket writes that carried flow-mods
+	flowmods     atomic.Uint64 // flow-mods encoded, adds and strict deletes
 }
 
 // maxPktInBatch bounds how many queued packet-ins one delivery
 // transaction will coalesce.
 const maxPktInBatch = 64
 
-// pktInQueueLen is the readLoop->deliverLoop queue depth; beyond it the
+// pktInQueueLen is the readLoop->drainPktin queue depth; beyond it the
 // driver sheds packet-ins rather than stall the control channel reader.
 const pktInQueueLen = 1024
 
@@ -244,7 +261,7 @@ func (d *Driver) register(sc *SwitchConn) (*SwitchConn, error) {
 func (d *Driver) snapshotConns() []*SwitchConn {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]*SwitchConn, 0, len(d.conns))
+	out := make([]*SwitchConn, 0, len(d.conns)) //yancvet:alloc echo ticks and watch overflows only
 	for _, sc := range d.conns {
 		out = append(out, sc)
 	}
@@ -278,8 +295,8 @@ func (d *Driver) Attach(rw io.ReadWriter) (*SwitchConn, error) {
 		pktinBatch: make([]*openflow.PacketIn, 0, maxPktInBatch),
 		done:       make(chan struct{}),
 	}
-	sc.drainBoxFn = sc.drainBox
-	sc.drainPktinFn = sc.drainPktin
+	sc.flowsDir = vfs.Join(sc.Path, "flows")
+	sc.passFn = sc.pass
 	for _, p := range features.Ports {
 		sc.portConfig[p.No] = p.Config
 	}
@@ -289,7 +306,7 @@ func (d *Driver) Attach(rw io.ReadWriter) (*SwitchConn, error) {
 	// The shared switches/ watch (created with the mux) is registered
 	// before the connection is, so no commit after this point can be
 	// missed: events raced against registration are covered by the
-	// syncAllFlows below, everything later reaches the mailbox.
+	// markAll below, everything later marks this connection.
 	old, err := d.register(sc)
 	if err != nil {
 		return nil, err
@@ -308,8 +325,7 @@ func (d *Driver) Attach(rw io.ReadWriter) (*SwitchConn, error) {
 	// Push any flows already committed in the file system (controller
 	// restart / live protocol upgrade: the network state outlives the
 	// connection), and any packet-outs staged while disconnected.
-	sc.syncAllFlows()
-	sc.drainPacketOut()
+	sc.markAll()
 
 	go sc.readLoop()
 	d.Logf("driver: %s attached (dpid %016x, %s, %d ports)",
@@ -437,7 +453,7 @@ func (sc *SwitchConn) touchLastSeen() {
 }
 
 // echoProbe is one liveness tick for this connection, scheduled by the
-// mux's echo loop through the mailbox. When `misses` consecutive probes
+// mux's echo loop through the echo bit. When `misses` consecutive probes
 // go unanswered the connection is torn down, which flips status to
 // "disconnected" even though TCP never reported an error — the
 // hung-switch case a production controller must detect.
@@ -482,18 +498,16 @@ func (sc *SwitchConn) handleMessage(msg openflow.Message) {
 	switch m := msg.(type) {
 	case *openflow.PacketIn:
 		sc.pktinSeen.Add(1)
-		// Hand off to the coalescing drain task; shedding here (full
-		// queue = the file system cannot keep up) keeps the control
-		// channel reader responsive to echoes and barriers.
+		// Hand off to the coalescing drain; shedding here (full queue =
+		// the file system cannot keep up) keeps the control channel
+		// reader responsive to echoes and barriers.
 		select {
 		case sc.pktin <- m:
 		default:
 			sc.pktinDropped.Add(1)
 			return
 		}
-		if sc.pktinScheduled.CompareAndSwap(false, true) {
-			sc.enqueue(sc.drainPktinFn)
-		}
+		sc.schedule(pendPktin)
 	case *openflow.PortStatus:
 		sc.handlePortStatus(m)
 	case *openflow.FlowRemoved:
@@ -523,12 +537,12 @@ func (sc *SwitchConn) handleMessage(msg openflow.Message) {
 }
 
 // drainPktin coalesces queued packet-ins into batched file-system
-// deliveries (up to maxPktInBatch per transaction). It runs in the
-// mailbox; the scheduled flag guarantees at most one drain is queued,
-// and the re-check after clearing it closes the race against a producer
-// that enqueued while the flag was still set. The claim buffer lives on
-// the connection so a drain costs zero allocations of its own; the
-// per-batch cost is the delivery transaction.
+// deliveries (up to maxPktInBatch per transaction) until the queue is
+// empty. A producer sets the pktin bit after it has enqueued, so a
+// message that arrives behind the last look at the queue brings the
+// drain back. The claim buffer lives on the connection so a drain costs
+// zero allocations of its own; the per-batch cost is the delivery
+// transaction.
 //
 //yancvet:hotalloc
 func (sc *SwitchConn) drainPktin() {
@@ -543,24 +557,20 @@ func (sc *SwitchConn) drainPktin() {
 				break collect
 			}
 		}
-		if len(batch) > 0 {
-			sc.pktinBatches.Add(1)
-			//yancvet:alloc one delivery transaction per batch is the coalescing contract
-			if err := sc.driver.Y.DeliverPacketInBatch(sc.driver.Region, sc.Name, batch); err != nil {
-				sc.driver.Logf("driver: %s: deliver packet-in batch (%d): %v", sc.Name, len(batch), err) //yancvet:alloc error path
-			}
-			// Drop the packet refs so delivered messages are collectable
-			// while the buffer idles between bursts.
-			for i := range batch {
-				batch[i] = nil
-			}
-			batch = batch[:0]
-			continue
-		}
-		sc.pktinScheduled.Store(false)
-		if len(sc.pktin) == 0 || !sc.pktinScheduled.CompareAndSwap(false, true) {
+		if len(batch) == 0 {
 			return
 		}
+		sc.pktinBatches.Add(1)
+		//yancvet:alloc one delivery transaction per batch is the coalescing contract
+		if err := sc.driver.Y.DeliverPacketInBatch(sc.driver.Region, sc.Name, batch); err != nil {
+			sc.driver.Logf("driver: %s: deliver packet-in batch (%d): %v", sc.Name, len(batch), err) //yancvet:alloc error path
+		}
+		// Drop the packet refs so delivered messages are collectable
+		// while the buffer idles between bursts.
+		for i := range batch {
+			batch[i] = nil
+		}
+		batch = batch[:0]
 	}
 }
 
@@ -580,8 +590,16 @@ func (sc *SwitchConn) handlePortStatus(ps *openflow.PortStatus) {
 }
 
 // handleFlowRemoved deletes the corresponding flow directory when the
-// hardware expires an entry, keeping the file system truthful.
+// hardware expires an entry, keeping the file system truthful. A removal
+// by delete is the echo of the driver's own delete-strict: the directory
+// it was sent for is gone or holds another identity by now, and the
+// identity may already belong to another flow directory whose add followed
+// the delete onto the wire, so acting on the echo would remove the new
+// owner's directory and strand its entry.
 func (sc *SwitchConn) handleFlowRemoved(fr *openflow.FlowRemoved) {
+	if fr.Reason == openflow.RemovedDelete {
+		return
+	}
 	sc.mu.Lock()
 	var name string
 	for n, st := range sc.flows {
@@ -597,56 +615,6 @@ func (sc *SwitchConn) handleFlowRemoved(fr *openflow.FlowRemoved) {
 	if name != "" {
 		_ = sc.proc.RemoveAll(vfs.Join(sc.Path, "flows", name))
 	}
-}
-
-// handleWatchEvent reacts to one file-system change under the switch
-// directory, demultiplexed from the driver's shared watch (mux.go) and
-// serialized through the mailbox.
-func (sc *SwitchConn) handleWatchEvent(ev vfs.Event) {
-	switch {
-	case ev.Op == vfs.OpWrite && vfs.Base(ev.Path) == yancfs.FileVersion:
-		sc.syncFlow(flowNameFromPath(sc.Path, ev.Path))
-	case ev.Op == vfs.OpRemove && ev.IsDir && isFlowDir(sc.Path, ev.Path):
-		sc.removeFlow(vfs.Base(ev.Path))
-	case ev.Op == vfs.OpRename && isFlowDir(sc.Path, ev.Path):
-		// Renamed flows keep their hardware entry under the new name.
-		sc.renameFlow(vfs.Base(ev.Path), vfs.Base(ev.NewPath))
-	case ev.Op == vfs.OpWrite && vfs.Base(ev.Path) == yancfs.FileDoorbell && isPoutFile(sc.Path, ev.Path):
-		sc.drainPacketOut()
-	case ev.Op == vfs.OpWrite && vfs.Base(ev.Path) == "config.port_down" && isPortFile(sc.Path, ev.Path):
-		sc.syncPortConfig(ev.Path)
-	}
-}
-
-// flowNameFromPath extracts <flow> from <switch>/flows/<flow>/version.
-func flowNameFromPath(switchPath, p string) string {
-	rel := strings.TrimPrefix(p, switchPath+"/")
-	parts := strings.Split(rel, "/")
-	if len(parts) >= 2 && parts[0] == "flows" {
-		return parts[1]
-	}
-	return ""
-}
-
-// isFlowDir reports whether p is <switch>/flows/<flow>.
-func isFlowDir(switchPath, p string) bool {
-	rel := strings.TrimPrefix(p, switchPath+"/")
-	parts := strings.Split(rel, "/")
-	return len(parts) == 2 && parts[0] == "flows"
-}
-
-// isPortFile reports whether p is <switch>/ports/<n>/<file>.
-func isPortFile(switchPath, p string) bool {
-	rel := strings.TrimPrefix(p, switchPath+"/")
-	parts := strings.Split(rel, "/")
-	return len(parts) == 3 && parts[0] == "ports"
-}
-
-// isPoutFile reports whether p is <switch>/pout/<file>.
-func isPoutFile(switchPath, p string) bool {
-	rel := strings.TrimPrefix(p, switchPath+"/")
-	parts := strings.Split(rel, "/")
-	return len(parts) == 2 && parts[0] == yancfs.DirPacketOut
 }
 
 // drainPacketOut consumes the switch's pout/ queue: each staged message
@@ -685,123 +653,11 @@ func (sc *SwitchConn) drainPacketOut() {
 	}
 }
 
-// syncAllFlows pushes every committed flow directory to hardware. The
-// whole table is captured in one read-transaction snapshot — O(1) lock
-// acquisitions and a mutually consistent view, instead of a separate
-// locked read per flow file — and the flow-mods are pushed to the switch
-// after the snapshot, outside any file system lock.
-func (sc *SwitchConn) syncAllFlows() {
-	snaps, err := sc.driver.Y.SnapshotFlows(sc.Path)
-	if err != nil {
-		sc.driver.Logf("driver: %s: snapshot flows: %v", sc.Name, err)
-		return
-	}
-	for _, fs := range snaps {
-		sc.pushFlow(fs.Name, fs.Version, fs.Spec)
-	}
-}
-
-// syncFlow pushes one flow directory if its committed version is newer
-// than what hardware has ("changes are only sent to hardware by the
-// drivers once the version has been incremented", §3.4).
-func (sc *SwitchConn) syncFlow(name string) {
-	if name == "" {
-		return
-	}
-	flowPath := vfs.Join(sc.Path, "flows", name)
-	version, err := yancfs.FlowVersion(sc.proc, flowPath)
-	if err != nil || version == 0 {
-		return // uncommitted or gone
-	}
-	spec, err := yancfs.ReadFlow(sc.proc, flowPath)
-	if err != nil {
-		sc.driver.Logf("driver: %s: read flow %s: %v", sc.Name, name, err)
-		return
-	}
-	sc.pushFlow(name, version, spec)
-}
-
-// pushFlow sends one already-read flow to hardware if its committed
-// version is newer than what hardware has.
-func (sc *SwitchConn) pushFlow(name string, version uint64, spec yancfs.FlowSpec) {
-	sc.mu.Lock()
-	prev, known := sc.flows[name]
-	if known && prev.version >= version {
-		sc.mu.Unlock()
-		return
-	}
-	sc.flows[name] = flowState{match: spec.Match, priority: spec.Priority, version: version}
-	sc.mu.Unlock()
-
-	// Identity change: remove the superseded hardware entry first.
-	if known && (prev.priority != spec.Priority || !prev.match.Equal(spec.Match)) {
-		_ = sc.write(&openflow.FlowMod{
-			Command:  openflow.FlowDeleteStrict,
-			Match:    prev.match,
-			Priority: prev.priority,
-			BufferID: openflow.NoBuffer,
-			OutPort:  openflow.PortAny,
-		})
-	}
-	fm := &openflow.FlowMod{
-		Command:     openflow.FlowAdd,
-		Match:       spec.Match,
-		Priority:    spec.Priority,
-		IdleTimeout: spec.IdleTimeout,
-		HardTimeout: spec.HardTimeout,
-		Cookie:      spec.Cookie,
-		BufferID:    openflow.NoBuffer,
-		OutPort:     openflow.PortAny,
-		Flags:       openflow.FlagSendFlowRem,
-		Actions:     spec.Actions,
-	}
-	if err := sc.write(fm); err != nil {
-		sc.driver.Logf("driver: %s: flow-mod: %v", sc.Name, err)
-		return
-	}
-	if hook := sc.driver.FlowInstalledHook; hook != nil {
-		hook(vfs.Join(sc.Path, "flows", name), version)
-	}
-}
-
-// removeFlow deletes the hardware entry backing a removed flow directory.
-func (sc *SwitchConn) removeFlow(name string) {
-	sc.mu.Lock()
-	st, ok := sc.flows[name]
-	delete(sc.flows, name)
-	sc.mu.Unlock()
-	if !ok {
-		return
-	}
-	_ = sc.write(&openflow.FlowMod{
-		Command:  openflow.FlowDeleteStrict,
-		Match:    st.match,
-		Priority: st.priority,
-		BufferID: openflow.NoBuffer,
-		OutPort:  openflow.PortAny,
-	})
-}
-
-// renameFlow transfers pushed state to the new directory name.
-func (sc *SwitchConn) renameFlow(oldName, newName string) {
-	sc.mu.Lock()
-	if st, ok := sc.flows[oldName]; ok {
-		delete(sc.flows, oldName)
-		sc.flows[newName] = st
-	}
-	sc.mu.Unlock()
-}
-
 // syncPortConfig pushes an administrator's config.port_down write to the
 // switch — but only when it differs from the hardware state, breaking the
 // reflection loop with handlePortStatus.
-func (sc *SwitchConn) syncPortConfig(path string) {
-	portDir := vfs.Dir(path)
-	no64, err := strconv.ParseUint(vfs.Base(portDir), 10, 32)
-	if err != nil {
-		return
-	}
-	no := uint32(no64)
+func (sc *SwitchConn) syncPortConfig(no uint32) {
+	portDir := vfs.Join(sc.Path, "ports", strconv.FormatUint(uint64(no), 10))
 	down, err := yancfs.PortDown(sc.proc, portDir)
 	if err != nil {
 		return

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,24 +15,35 @@ import (
 // goroutine, its reader, blocked in Conn.Read and parked on the runtime's
 // network poller; everything else runs on one mux per driver:
 //
-//   - a small worker pool executing per-switch tasks,
-//   - one recursive watch on <region>/switches demultiplexed to the
-//     owning connection by path, and
+//   - a small worker pool serving connections off a run queue,
+//   - one recursive watch on <region>/switches, whose events demux only
+//     classifies — switch, kind, name — and turns into marks, and
 //   - one echo scheduler ticking for every connection.
 //
-// Each SwitchConn serializes its own work through a mailbox — an
-// unbounded FIFO of closures of which at most one is in a worker at a
-// time — so per-switch handling keeps the ordering dedicated goroutines
-// would provide while the goroutine count stays O(workers) + one parked
-// reader per switch.
+// A SwitchConn carries one word of pending bits (ports, flows, pout,
+// pktin, echo) and the dirty set behind the flows bit (reconcile.go).
+// Whoever has work for a connection sets a bit; the first bit set on an
+// idle connection puts it on the run queue, and the worker that picks it
+// up snapshots-and-clears the bits and serves them in that fixed order.
+// At most one worker holds a connection at a time, so per-switch handling
+// keeps the ordering a dedicated goroutine would provide while the
+// goroutine count stays O(workers) + one parked reader per switch. There
+// is no timer and no batching delay: a connection is served as soon as a
+// worker is free, and how much one pass covers is however much was marked
+// while the connection waited.
 type mux struct {
-	d     *Driver
-	watch *vfs.Watch
+	d          *Driver
+	watch      *vfs.Watch
+	echoMisses int
 
 	qmu   sync.Mutex
 	cond  *sync.Cond
-	queue []func()
+	queue []*SwitchConn
 	quit  bool
+	// hold, when set, is called with each connection a worker is about
+	// to serve. Tests park a connection on it to let marks pile up
+	// between two passes; it is read and written under qmu.
+	hold func(*SwitchConn)
 
 	quitCh chan struct{}
 	// wg counts the mux's own goroutines and every connection's reader
@@ -40,8 +52,9 @@ type mux struct {
 }
 
 // muxWatchBuffer sizes the shared switches/ watch. Overflow is survivable
-// (every connection resyncs) but at city scale a resync storm is exactly
-// what we are trying to avoid, so the buffer is generous.
+// (every connection reconciles its whole table) but at city scale a
+// resync storm is exactly what we are trying to avoid, so the buffer is
+// generous.
 const muxWatchBuffer = 1 << 16
 
 func newMux(d *Driver) (*mux, error) {
@@ -50,7 +63,10 @@ func newMux(d *Driver) (*mux, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &mux{d: d, watch: w, quitCh: make(chan struct{})}
+	m := &mux{d: d, watch: w, quitCh: make(chan struct{}), echoMisses: d.EchoMisses}
+	if m.echoMisses <= 0 {
+		m.echoMisses = DefaultEchoMisses
+	}
 	m.cond = sync.NewCond(&m.qmu)
 	workers := runtime.NumCPU()
 	if workers < 2 {
@@ -63,12 +79,8 @@ func newMux(d *Driver) (*mux, error) {
 	m.wg.Add(1)
 	go m.demux()
 	if d.EchoInterval > 0 {
-		misses := d.EchoMisses
-		if misses <= 0 {
-			misses = DefaultEchoMisses
-		}
 		m.wg.Add(1)
-		go m.echoLoop(d.EchoInterval, misses)
+		go m.echoLoop(d.EchoInterval)
 	}
 	return m, nil
 }
@@ -86,23 +98,21 @@ func (m *mux) stop() {
 	m.wg.Wait()
 }
 
-// submit queues one task for the worker pool.
+// submit puts a connection on the run queue.
 //
 //yancvet:hotalloc
-func (m *mux) submit(f func()) {
+func (m *mux) submit(sc *SwitchConn) {
 	m.qmu.Lock()
 	if m.quit {
 		m.qmu.Unlock()
 		return
 	}
-	m.queue = append(m.queue, f)
+	m.queue = append(m.queue, sc)
 	m.qmu.Unlock()
 	m.cond.Signal()
 }
 
-// worker drains the task queue until the mux stops.
-//
-//yancvet:hotalloc
+// worker serves connections off the run queue until the mux stops.
 func (m *mux) worker() {
 	defer m.wg.Done()
 	for {
@@ -114,45 +124,245 @@ func (m *mux) worker() {
 			m.qmu.Unlock()
 			return
 		}
-		f := m.queue[0]
+		sc := m.queue[0]
 		m.queue[0] = nil
 		m.queue = m.queue[1:]
+		hold := m.hold
 		m.qmu.Unlock()
-		f()
+		if hold != nil {
+			hold(sc)
+		}
+		sc.serve()
 	}
 }
 
-// demux routes shared-watch events to the owning connection's mailbox.
+// Pending bits, in the order serve works through them. Ports go first so
+// an administrator's port change is not queued behind a table's worth of
+// flows; a packet-out staged after a flow commit follows that flow's
+// flow-mod onto the wire because pout comes after flows.
+const (
+	pendPorts uint32 = 1 << iota
+	pendFlows
+	pendPout
+	pendPktin
+	pendEcho
+	// pendServing is set while a worker holds the connection. The word
+	// is non-zero exactly while the connection is queued or held, which
+	// is what lets schedule decide with one compare-and-swap whether it
+	// is the one that must queue it.
+	pendServing
+)
+
+// schedule marks bits pending and queues the connection if it was idle.
+//
+//yancvet:hotalloc
+func (sc *SwitchConn) schedule(bits uint32) {
+	for {
+		old := sc.pend.Load()
+		if old&bits == bits {
+			return
+		}
+		if sc.pend.CompareAndSwap(old, old|bits) {
+			if old == 0 {
+				sc.mux.submit(sc)
+			}
+			return
+		}
+	}
+}
+
+// serve is one turn of a connection on a worker: take what is pending,
+// do it in the fixed order, and either go idle or — when more was marked
+// meanwhile — go to the back of the run queue, so a busy switch cannot
+// keep a worker from the others.
+func (sc *SwitchConn) serve() {
+	bits := sc.pend.Swap(pendServing)
+	if bits&pendPorts != 0 {
+		sc.reconcilePorts()
+	}
+	if bits&pendFlows != 0 {
+		sc.reconcileFlows()
+	}
+	if bits&pendPout != 0 {
+		sc.drainPacketOut()
+	}
+	if bits&pendPktin != 0 {
+		sc.drainPktin()
+	}
+	if bits&pendEcho != 0 {
+		sc.echoProbe(sc.mux.echoMisses)
+	}
+	for {
+		old := sc.pend.Load()
+		if sc.pend.CompareAndSwap(old, old&^pendServing) {
+			if old != pendServing {
+				sc.mux.submit(sc)
+			}
+			return
+		}
+	}
+}
+
+// demux turns shared-watch events into marks on the owning connection.
 // Events for switches with no live connection are dropped: a later
-// attach resyncs from the file system, which is also how events raced
-// against registration are covered.
+// attach reconciles the whole table from the file system, which is also
+// how events raced against registration are covered.
 func (m *mux) demux() {
 	defer m.wg.Done()
-	root := vfs.Join(m.d.Region, yancfs.DirSwitches)
+	root := strings.TrimSuffix(vfs.Join(m.d.Region, yancfs.DirSwitches), "/") + "/"
 	for ev := range m.watch.C {
-		if ev.Op == vfs.OpOverflow {
-			// Lost events: every connection resyncs.
-			for _, sc := range m.d.snapshotConns() {
-				sc.enqueue(sc.syncAllFlows)
-			}
-			continue
-		}
-		name := switchNameFromPath(root, ev.Path)
-		if name == "" {
-			continue
-		}
-		sc := m.d.Lookup(name)
-		if sc == nil {
-			continue
-		}
-		ev := ev
-		sc.enqueue(func() { sc.handleWatchEvent(ev) })
+		m.route(root, &ev)
 	}
 }
 
-// echoLoop is the single liveness scheduler: one ticker fans a probe
-// task out to every connection's mailbox.
-func (m *mux) echoLoop(interval time.Duration, misses int) {
+// eventKind is what an event under switches/ means to the driver.
+type eventKind uint8
+
+const (
+	evNone       eventKind = iota
+	evFlowCommit           // flows/<name>/version was written
+	evFlowGone             // flows/<name> itself was removed
+	evDoorbell             // pout/doorbell was written
+	evPortDown             // ports/<n>/config.port_down was written
+)
+
+// underSwitch cuts a path below root (which ends in a slash) into the
+// switch name and the rest; ok is false for root, a switch directory
+// itself, or anything outside root.
+//
+//yancvet:hotalloc
+func underSwitch(root, p string) (sw, rest string, ok bool) {
+	if !strings.HasPrefix(p, root) {
+		return "", "", false
+	}
+	rel := p[len(root):]
+	i := strings.IndexByte(rel, '/')
+	if i <= 0 {
+		return "", "", false
+	}
+	return rel[:i], rel[i+1:], true
+}
+
+// flowDirUnder is underSwitch for a path that must be a flow directory,
+// <root><switch>/flows/<name>.
+//
+//yancvet:hotalloc
+func flowDirUnder(root, p string) (sw string, ok bool) {
+	const flows = "flows/"
+	sw, rest, ok := underSwitch(root, p)
+	ok = ok && len(rest) > len(flows) && strings.HasPrefix(rest, flows) &&
+		strings.IndexByte(rest[len(flows):], '/') < 0
+	return sw, ok
+}
+
+// classify names the switch a write or remove event belongs to and what
+// it means. For a flow event flowPath is the flow directory's path, a
+// substring of the event's; for a port event port is the port number. It
+// allocates nothing, and an event that is none of the four kinds — a
+// create+delete raises about 29 under switches/, two of which matter —
+// ends here.
+//
+//yancvet:hotalloc
+func classify(root string, ev *vfs.Event) (sw string, kind eventKind, flowPath string, port uint32) {
+	const (
+		version  = "/" + yancfs.FileVersion
+		doorbell = yancfs.DirPacketOut + "/" + yancfs.FileDoorbell
+		ports    = "ports/"
+		portDown = "/config.port_down"
+	)
+	switch {
+	case ev.Op == vfs.OpWrite && strings.HasSuffix(ev.Path, version):
+		flowPath = ev.Path[:len(ev.Path)-len(version)]
+		if sw, ok := flowDirUnder(root, flowPath); ok {
+			return sw, evFlowCommit, flowPath, 0
+		}
+	case ev.Op == vfs.OpRemove && ev.IsDir:
+		if sw, ok := flowDirUnder(root, ev.Path); ok {
+			return sw, evFlowGone, ev.Path, 0
+		}
+	case ev.Op == vfs.OpWrite:
+		sw, rest, ok := underSwitch(root, ev.Path)
+		switch {
+		case !ok:
+		case rest == doorbell:
+			return sw, evDoorbell, "", 0
+		case strings.HasPrefix(rest, ports) && strings.HasSuffix(rest, portDown):
+			if no, ok := portNumber(rest[len(ports) : len(rest)-len(portDown)]); ok {
+				return sw, evPortDown, "", no
+			}
+		}
+	}
+	return "", evNone, "", 0
+}
+
+// portNumber parses the <n> of a ports/<n> path element.
+//
+//yancvet:hotalloc
+func portNumber(digits string) (uint32, bool) {
+	if digits == "" || len(digits) > 10 {
+		return 0, false
+	}
+	var no uint64
+	for i := 0; i < len(digits); i++ {
+		d := digits[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		no = no*10 + uint64(d)
+	}
+	return uint32(no), no <= math.MaxUint32
+}
+
+// route classifies one event and marks the connection it concerns.
+//
+//yancvet:hotalloc
+func (m *mux) route(root string, ev *vfs.Event) {
+	switch ev.Op {
+	case vfs.OpOverflow:
+		// Events were lost, so no set of marks can be trusted to be
+		// complete: every connection reconciles its whole table. The
+		// sentinel is queued behind the last event that fit, so it
+		// trails every commit it stands for, and the pass it triggers
+		// reads state at least as new as those commits.
+		for _, sc := range m.d.snapshotConns() {
+			sc.markAll()
+		}
+		return
+	case vfs.OpRename:
+		// Renamed within one table: the hardware entry stays and the
+		// installed state follows the name.
+		oldSw, wasFlow := flowDirUnder(root, ev.Path)
+		newSw, isFlow := flowDirUnder(root, ev.NewPath)
+		if wasFlow && isFlow && oldSw == newSw {
+			if sc := m.d.Lookup(oldSw); sc != nil {
+				sc.markMoved(ev.Path, ev.NewPath)
+			}
+		}
+		return
+	}
+	sw, kind, flowPath, port := classify(root, ev)
+	if kind == evNone {
+		return
+	}
+	sc := m.d.Lookup(sw)
+	if sc == nil {
+		return
+	}
+	switch kind {
+	case evFlowCommit:
+		sc.markFlow(flowPath)
+	case evFlowGone:
+		sc.markGone(flowPath)
+	case evDoorbell:
+		sc.schedule(pendPout)
+	case evPortDown:
+		sc.markPort(port)
+	}
+}
+
+// echoLoop is the single liveness scheduler: one ticker sets the echo
+// bit on every connection.
+func (m *mux) echoLoop(interval time.Duration) {
 	defer m.wg.Done()
 	t := time.NewTicker(interval) //yancvet:wallclock echo pacing is real I/O cadence; tests tune EchoInterval instead
 	defer t.Stop()
@@ -163,65 +373,7 @@ func (m *mux) echoLoop(interval time.Duration, misses int) {
 		case <-t.C:
 		}
 		for _, sc := range m.d.snapshotConns() {
-			sc := sc
-			sc.enqueue(func() { sc.echoProbe(misses) })
+			sc.schedule(pendEcho)
 		}
-	}
-}
-
-// switchNameFromPath extracts the switch name from a path under the
-// shared watch root (<root>/<switch>[/...]).
-func switchNameFromPath(root, p string) string {
-	if !strings.HasPrefix(p, root) {
-		return ""
-	}
-	rel := strings.TrimPrefix(strings.TrimPrefix(p, root), "/")
-	if rel == "" {
-		return ""
-	}
-	if i := strings.IndexByte(rel, '/'); i >= 0 {
-		return rel[:i]
-	}
-	return rel
-}
-
-// enqueue appends a task to the connection's mailbox, scheduling a
-// drain on the worker pool if one is not already running. The mailbox
-// serializes a connection's work — watch events, echo probes, packet-in
-// deliveries — without pinning a goroutine per task source.
-// The drain task submitted is the method value bound once at attach
-// (drainBoxFn), not sc.drainBox, which would allocate a closure per
-// wakeup.
-//
-//yancvet:hotalloc
-func (sc *SwitchConn) enqueue(f func()) {
-	sc.boxMu.Lock()
-	sc.box = append(sc.box, f)
-	start := !sc.boxActive
-	if start {
-		sc.boxActive = true
-	}
-	sc.boxMu.Unlock()
-	if start {
-		sc.mux.submit(sc.drainBoxFn)
-	}
-}
-
-// drainBox runs mailbox tasks in FIFO order until the mailbox is empty.
-//
-//yancvet:hotalloc
-func (sc *SwitchConn) drainBox() {
-	for {
-		sc.boxMu.Lock()
-		if len(sc.box) == 0 {
-			sc.boxActive = false
-			sc.boxMu.Unlock()
-			return
-		}
-		f := sc.box[0]
-		sc.box[0] = nil
-		sc.box = sc.box[1:]
-		sc.boxMu.Unlock()
-		f()
 	}
 }

@@ -32,6 +32,7 @@ func (d *Driver) installProcFiles(name string) {
 			"echo":  renderEcho,
 			"tx_rx": renderTxRx,
 			"pktin": renderPktIn,
+			"flows": renderFlows,
 		} {
 			if err := tx.SetSynthetic(vfs.Join(dir, fname), file(render), 0o444, 0, 0); err != nil {
 				return err
@@ -75,4 +76,17 @@ func renderTxRx(sc *SwitchConn) string {
 func renderPktIn(sc *SwitchConn) string {
 	return fmt.Sprintf("seen %d\nshed %d\nbatches %d\n",
 		sc.pktinSeen.Load(), sc.pktinDropped.Load(), sc.pktinBatches.Load())
+}
+
+// renderFlows reports the reconcile loop: flow paths waiting for a pass,
+// passes run, flow directories they looked at, flow-adds they queued,
+// marks that found their version already on the switch, socket writes
+// that carried flow-mods, and flow-mods queued (adds and strict deletes).
+func renderFlows(sc *SwitchConn) string {
+	sc.mu.Lock()
+	dirty := len(sc.dirty)
+	sc.mu.Unlock()
+	return fmt.Sprintf("dirty %d\npasses %d\nreconciled %d\npushed %d\ncoalesced %d\nflushes %d\nflowmods %d\n",
+		dirty, sc.passes.Load(), sc.reconciled.Load(), sc.pushedN.Load(),
+		sc.coalesced.Load(), sc.flushes.Load(), sc.flowmods.Load())
 }

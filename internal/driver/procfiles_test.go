@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestProcFilesPublishTelemetry(t *testing.T) {
 	sc := r.attach(t, 1)
 	p := r.y.Root()
 
-	for _, f := range []string{"rtt", "echo", "tx_rx"} {
+	for _, f := range []string{"rtt", "echo", "tx_rx", "pktin", "flows"} {
 		if !p.Exists("/.proc/driver/sw1/" + f) {
 			t.Fatalf("missing /.proc/driver/sw1/%s", f)
 		}
@@ -32,6 +33,19 @@ func TestProcFilesPublishTelemetry(t *testing.T) {
 		s, _ := p.ReadString("/.proc/driver/sw1/tx_rx")
 		return strings.HasPrefix(s, "tx ") && !strings.HasPrefix(s, "tx 0\n")
 	})
+
+	// One file-I/O commit: at least one pass, one flow looked at, one
+	// flow-add in one flush, and nothing left dirty.
+	eventually(t, "reconcile counters", func() bool {
+		s, _ := p.ReadString("/.proc/driver/sw1/flows")
+		var dirty, passes, reconciled, pushed, coalesced, flushes, flowmods uint64
+		n, _ := fmt.Sscanf(s, "dirty %d\npasses %d\nreconciled %d\npushed %d\ncoalesced %d\nflushes %d\nflowmods %d",
+			&dirty, &passes, &reconciled, &pushed, &coalesced, &flushes, &flowmods)
+		return n == 7 && dirty == 0 && passes >= 1 && reconciled >= 1 && pushed == 1 && flushes == 1 && flowmods == 1
+	})
+	if s, _ := p.ReadString("/.proc/driver/sw1/pktin"); s != "seen 0\nshed 0\nbatches 0" {
+		t.Fatalf("pktin file = %q", s)
+	}
 
 	echo, err := p.ReadString("/.proc/driver/sw1/echo")
 	if err != nil {

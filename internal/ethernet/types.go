@@ -57,19 +57,33 @@ func (m MAC) IsMulticast() bool { return m[0]&1 == 1 }
 // ParseMAC parses aa:bb:cc:dd:ee:ff (also accepts '-' separators).
 func ParseMAC(s string) (MAC, error) {
 	var m MAC
-	s = strings.ReplaceAll(s, "-", ":")
-	parts := strings.Split(s, ":")
-	if len(parts) != 6 {
+	if !parseOctets(m[:], s, 16, ":-") {
 		return m, fmt.Errorf("%w: mac %q", ErrBadFormat, s)
 	}
-	for i, p := range parts {
-		v, err := strconv.ParseUint(p, 16, 8)
-		if err != nil {
-			return m, fmt.Errorf("%w: mac %q", ErrBadFormat, s)
-		}
-		m[i] = byte(v)
-	}
 	return m, nil
+}
+
+// parseOctets fills dst from s, which must hold exactly len(dst) numbers
+// in the given base, each fitting a byte, separated by single characters
+// from seps. It scans in place: flow read-back parses an address per
+// match file and must not pay a split per address.
+func parseOctets(dst []byte, s string, base int, seps string) bool {
+	for i := range dst {
+		part := s
+		if i < len(dst)-1 {
+			j := strings.IndexAny(s, seps)
+			if j < 0 {
+				return false
+			}
+			part, s = s[:j], s[j+1:]
+		}
+		v, err := strconv.ParseUint(part, base, 8)
+		if err != nil {
+			return false
+		}
+		dst[i] = byte(v)
+	}
+	return true
 }
 
 // MACFromUint64 builds a MAC from the low 48 bits of v; handy for
@@ -126,16 +140,8 @@ func IP4FromUint32(v uint32) IP4 {
 // ParseIP4 parses dotted-quad notation.
 func ParseIP4(s string) (IP4, error) {
 	var ip IP4
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
+	if !parseOctets(ip[:], s, 10, ".") {
 		return ip, fmt.Errorf("%w: ip %q", ErrBadFormat, s)
-	}
-	for i, p := range parts {
-		v, err := strconv.ParseUint(p, 10, 8)
-		if err != nil {
-			return ip, fmt.Errorf("%w: ip %q", ErrBadFormat, s)
-		}
-		ip[i] = byte(v)
 	}
 	return ip, nil
 }
@@ -144,7 +150,7 @@ func ParseIP4(s string) (IP4, error) {
 // "take the CIDR notation" (§3.4).
 type Prefix struct {
 	Addr IP4
-	Bits int // 0..32
+	Bits uint8 // 0..32
 }
 
 // ParsePrefix parses "a.b.c.d/len"; a bare address means /32.
@@ -161,7 +167,7 @@ func ParsePrefix(s string) (Prefix, error) {
 			return Prefix{}, fmt.Errorf("%w: prefix %q", ErrBadFormat, s)
 		}
 	}
-	return Prefix{Addr: ip, Bits: n}, nil
+	return Prefix{Addr: ip, Bits: uint8(n)}, nil
 }
 
 // String formats the prefix in CIDR notation.
@@ -181,7 +187,7 @@ func (p Prefix) AppendString(dst []byte) []byte {
 
 // Mask returns the prefix netmask as an integer.
 func (p Prefix) Mask() uint32 {
-	if p.Bits <= 0 {
+	if p.Bits == 0 {
 		return 0
 	}
 	return ^uint32(0) << (32 - p.Bits)

@@ -38,6 +38,8 @@ func NewConn(rw io.ReadWriter) *Conn {
 func (c *Conn) SetCodec(codec Codec) { c.codec = codec }
 
 // Codec returns the negotiated codec (nil before handshake).
+//
+//yancvet:hotalloc
 func (c *Conn) Codec() Codec { return c.codec }
 
 // Version returns the negotiated wire version (0 before handshake).
@@ -49,6 +51,8 @@ func (c *Conn) Version() uint8 {
 }
 
 // NewXID allocates a fresh transaction id.
+//
+//yancvet:hotalloc
 func (c *Conn) NewXID() uint32 { return c.nextXID.Add(1) }
 
 // ReadRaw reads one whole framed message (header + body) without
@@ -109,9 +113,20 @@ func (c *Conn) Write(m Message) error {
 	if err != nil {
 		return err
 	}
+	return c.WriteRaw(b)
+}
+
+// WriteRaw sends whole messages the caller has already encoded (with
+// Codec.AppendEncode, xids assigned) in one write. A sender with several
+// messages for one peer builds them in a buffer of its own, holding no
+// lock of this connection while it does, and pays one write for the lot;
+// the bytes go out between other writers' messages, never inside one.
+//
+//yancvet:hotalloc
+func (c *Conn) WriteRaw(b []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	_, err = c.rw.Write(b)
+	_, err := c.rw.Write(b)
 	return err
 }
 

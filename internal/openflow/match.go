@@ -55,6 +55,8 @@ var AllFields = []Field{
 func (f Field) Name() string { return fieldNames[f] }
 
 // FieldByName resolves a yanc match file name to its Field.
+//
+//yancvet:hotalloc
 func FieldByName(name string) (Field, bool) {
 	for f, n := range fieldNames {
 		if n == name {

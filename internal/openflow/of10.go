@@ -20,6 +20,9 @@ var ErrBadMessage = fmt.Errorf("openflow: bad message")
 type Codec interface {
 	Version() uint8
 	Encode(m Message) ([]byte, error)
+	// AppendEncode appends m's wire form to dst and returns the extended
+	// slice: what a sender that batches messages into one buffer uses.
+	AppendEncode(dst []byte, m Message) ([]byte, error)
 	Decode(b []byte) (Message, error)
 }
 
@@ -83,8 +86,10 @@ func putHeader(dst []byte, version, typ uint8, xid uint32) []byte {
 	return binary.BigEndian.AppendUint32(dst, xid)
 }
 
-func patchLength(b []byte) []byte {
-	binary.BigEndian.PutUint16(b[2:4], uint16(len(b)))
+// patchLength writes the length of the message that begins at b[start]
+// and runs to the end of b into its header.
+func patchLength(start int, b []byte) []byte {
+	binary.BigEndian.PutUint16(b[start+2:start+4], uint16(len(b)-start))
 	return b
 }
 
@@ -136,13 +141,13 @@ func appendMatch10(dst []byte, m *Match) []byte {
 	wc &^= uint32(0x3f) << fw10NWSrcShift
 	srcIgnore := 32
 	if m.Has(FieldNWSrc) {
-		srcIgnore = 32 - m.NWSrc.Bits
+		srcIgnore = 32 - int(m.NWSrc.Bits)
 	}
 	wc |= uint32(srcIgnore&0x3f) << fw10NWSrcShift
 	wc &^= uint32(0x3f) << fw10NWDstShift
 	dstIgnore := 32
 	if m.Has(FieldNWDst) {
-		dstIgnore = 32 - m.NWDst.Bits
+		dstIgnore = 32 - int(m.NWDst.Bits)
 	}
 	wc |= uint32(dstIgnore&0x3f) << fw10NWDstShift
 
@@ -194,13 +199,13 @@ func decodeMatch10(b []byte) (Match, error) {
 	if srcIgnore < 32 {
 		m.Set |= FieldNWSrc
 		copy(m.NWSrc.Addr[:], b[28:32])
-		m.NWSrc.Bits = 32 - srcIgnore
+		m.NWSrc.Bits = uint8(32 - srcIgnore)
 	}
 	dstIgnore := int(wc >> fw10NWDstShift & 0x3f)
 	if dstIgnore < 32 {
 		m.Set |= FieldNWDst
 		copy(m.NWDst.Addr[:], b[32:36])
-		m.NWDst.Bits = 32 - dstIgnore
+		m.NWDst.Bits = uint8(32 - dstIgnore)
 	}
 	m.TPSrc = binary.BigEndian.Uint16(b[36:38])
 	m.TPDst = binary.BigEndian.Uint16(b[38:40])
@@ -369,23 +374,33 @@ func cString(b []byte) string {
 
 // Encode implements Codec.
 func (c Codec10) Encode(m Message) ([]byte, error) {
+	b, err := c.AppendEncode(make([]byte, 0, 64), m)
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// AppendEncode implements Codec.
+func (c Codec10) AppendEncode(dst []byte, m Message) ([]byte, error) {
 	xid := m.XID()
-	hdr := func(typ uint8) []byte { return putHeader(make([]byte, 0, 64), Version10, typ, xid) }
+	start := len(dst)
+	hdr := func(typ uint8) []byte { return putHeader(dst, Version10, typ, xid) }
 	switch msg := m.(type) {
 	case *Hello:
-		return patchLength(hdr(of10Hello)), nil
+		return patchLength(start, hdr(of10Hello)), nil
 	case *Error:
 		b := hdr(of10Error)
 		b = binary.BigEndian.AppendUint16(b, uint16(msg.Code>>16))
 		b = binary.BigEndian.AppendUint16(b, uint16(msg.Code))
 		b = append(b, msg.Data...)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *EchoRequest:
-		return patchLength(append(hdr(of10EchoRequest), msg.Data...)), nil
+		return patchLength(start, append(hdr(of10EchoRequest), msg.Data...)), nil
 	case *EchoReply:
-		return patchLength(append(hdr(of10EchoReply), msg.Data...)), nil
+		return patchLength(start, append(hdr(of10EchoReply), msg.Data...)), nil
 	case *FeaturesRequest:
-		return patchLength(hdr(of10FeaturesReq)), nil
+		return patchLength(start, hdr(of10FeaturesReq)), nil
 	case *FeaturesReply:
 		b := hdr(of10FeaturesRep)
 		b = binary.BigEndian.AppendUint64(b, msg.DatapathID)
@@ -396,7 +411,7 @@ func (c Codec10) Encode(m Message) ([]byte, error) {
 		for _, p := range msg.Ports {
 			b = appendPhyPort10(b, p)
 		}
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *PacketIn:
 		b := hdr(of10PacketIn)
 		b = binary.BigEndian.AppendUint32(b, msg.BufferID)
@@ -404,7 +419,7 @@ func (c Codec10) Encode(m Message) ([]byte, error) {
 		b = binary.BigEndian.AppendUint16(b, port10(msg.InPort))
 		b = append(b, msg.Reason, 0)
 		b = append(b, msg.Data...)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *FlowRemoved:
 		b := hdr(of10FlowRemoved)
 		b = appendMatch10(b, &msg.Match)
@@ -416,21 +431,22 @@ func (c Codec10) Encode(m Message) ([]byte, error) {
 		b = append(b, 0, 0, 0, 0)               // idle_timeout + pad
 		b = binary.BigEndian.AppendUint64(b, msg.PacketCount)
 		b = binary.BigEndian.AppendUint64(b, msg.ByteCount)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *PortStatus:
 		b := hdr(of10PortStatus)
 		b = append(b, msg.Reason, 0, 0, 0, 0, 0, 0, 0)
 		b = appendPhyPort10(b, msg.Port)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *PacketOut:
 		b := hdr(of10PacketOut)
 		b = binary.BigEndian.AppendUint32(b, msg.BufferID)
 		b = binary.BigEndian.AppendUint16(b, port10(msg.InPort))
-		actions := appendActions10(nil, msg.Actions)
-		b = binary.BigEndian.AppendUint16(b, uint16(len(actions)))
-		b = append(b, actions...)
+		b = append(b, 0, 0) // actions_len, patched below
+		at := len(b)
+		b = appendActions10(b, msg.Actions)
+		binary.BigEndian.PutUint16(b[at-2:at], uint16(len(b)-at))
 		b = append(b, msg.Data...)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *FlowMod:
 		b := hdr(of10FlowMod)
 		b = appendMatch10(b, &msg.Match)
@@ -443,7 +459,7 @@ func (c Codec10) Encode(m Message) ([]byte, error) {
 		b = binary.BigEndian.AppendUint16(b, port10(msg.OutPort))
 		b = binary.BigEndian.AppendUint16(b, msg.Flags)
 		b = appendActions10(b, msg.Actions)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *PortMod:
 		b := hdr(of10PortMod)
 		b = binary.BigEndian.AppendUint16(b, port10(msg.PortNo))
@@ -452,11 +468,11 @@ func (c Codec10) Encode(m Message) ([]byte, error) {
 		b = binary.BigEndian.AppendUint32(b, msg.Mask)
 		b = binary.BigEndian.AppendUint32(b, 0) // advertise
 		b = append(b, 0, 0, 0, 0)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *BarrierRequest:
-		return patchLength(hdr(of10BarrierRequest)), nil
+		return patchLength(start, hdr(of10BarrierRequest)), nil
 	case *BarrierReply:
-		return patchLength(hdr(of10BarrierReply)), nil
+		return patchLength(start, hdr(of10BarrierReply)), nil
 	case *StatsRequest:
 		b := hdr(of10StatsRequest)
 		b = binary.BigEndian.AppendUint16(b, msg.Kind)
@@ -470,7 +486,7 @@ func (c Codec10) Encode(m Message) ([]byte, error) {
 			b = binary.BigEndian.AppendUint16(b, port10(msg.Port))
 			b = append(b, 0, 0, 0, 0, 0, 0)
 		}
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *StatsReply:
 		b := hdr(of10StatsReply)
 		b = binary.BigEndian.AppendUint16(b, msg.Kind)
@@ -505,9 +521,9 @@ func (c Codec10) Encode(m Message) ([]byte, error) {
 				b = append(b, make([]byte, 48)...) // error counters unused
 			}
 		}
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	}
-	return nil, fmt.Errorf("%w: cannot encode %T for OF1.0", ErrBadMessage, m)
+	return dst, fmt.Errorf("%w: cannot encode %T for OF1.0", ErrBadMessage, m)
 }
 
 // Decode implements Codec.

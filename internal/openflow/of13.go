@@ -143,19 +143,19 @@ func appendOXMsForMatch(dst []byte, m *Match) []byte {
 
 // appendMatch13 serializes a full ofp_match (type OXM) with padding.
 func appendMatch13(dst []byte, m *Match) []byte {
-	oxms := appendOXMsForMatch(nil, m)
-	length := 4 + len(oxms)
-	dst = binary.BigEndian.AppendUint16(dst, 1) // OFPMT_OXM
-	dst = binary.BigEndian.AppendUint16(dst, uint16(length))
-	dst = append(dst, oxms...)
+	at := len(dst)
+	dst = append(dst, 0, 1, 0, 0) // OFPMT_OXM, then the length, patched below
+	dst = appendOXMsForMatch(dst, m)
+	length := len(dst) - at
+	binary.BigEndian.PutUint16(dst[at+2:at+4], uint16(length))
 	for pad := (8 - length%8) % 8; pad > 0; pad-- {
 		dst = append(dst, 0)
 	}
 	return dst
 }
 
-func maskToBits(mask uint32) int {
-	bits := 0
+func maskToBits(mask uint32) uint8 {
+	bits := uint8(0)
 	for mask&0x80000000 != 0 {
 		bits++
 		mask <<= 1
@@ -278,12 +278,11 @@ func decodeMatch13(b []byte) (Match, int, error) {
 // appendActions13 serializes the neutral action list as OF 1.3 actions.
 func appendActions13(dst []byte, actions []Action) []byte {
 	appendSetField := func(dst []byte, field uint8, value []byte) []byte {
-		oxm := appendOXM(nil, field, value)
-		length := 4 + len(oxm)
+		length := 4 + 4 + len(value) // action header, OXM header, value
 		padded := length + (8-length%8)%8
 		dst = binary.BigEndian.AppendUint16(dst, act13SetField)
 		dst = binary.BigEndian.AppendUint16(dst, uint16(padded))
-		dst = append(dst, oxm...)
+		dst = appendOXM(dst, field, value)
 		for i := length; i < padded; i++ {
 			dst = append(dst, 0)
 		}
@@ -423,23 +422,33 @@ func decodePort13(b []byte) (PortInfo, error) {
 
 // Encode implements Codec.
 func (c Codec13) Encode(m Message) ([]byte, error) {
+	b, err := c.AppendEncode(make([]byte, 0, 64), m)
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// AppendEncode implements Codec.
+func (c Codec13) AppendEncode(dst []byte, m Message) ([]byte, error) {
 	xid := m.XID()
-	hdr := func(typ uint8) []byte { return putHeader(make([]byte, 0, 64), Version13, typ, xid) }
+	start := len(dst)
+	hdr := func(typ uint8) []byte { return putHeader(dst, Version13, typ, xid) }
 	switch msg := m.(type) {
 	case *Hello:
-		return patchLength(hdr(of13Hello)), nil
+		return patchLength(start, hdr(of13Hello)), nil
 	case *Error:
 		b := hdr(of13Error)
 		b = binary.BigEndian.AppendUint16(b, uint16(msg.Code>>16))
 		b = binary.BigEndian.AppendUint16(b, uint16(msg.Code))
 		b = append(b, msg.Data...)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *EchoRequest:
-		return patchLength(append(hdr(of13EchoRequest), msg.Data...)), nil
+		return patchLength(start, append(hdr(of13EchoRequest), msg.Data...)), nil
 	case *EchoReply:
-		return patchLength(append(hdr(of13EchoReply), msg.Data...)), nil
+		return patchLength(start, append(hdr(of13EchoReply), msg.Data...)), nil
 	case *FeaturesRequest:
-		return patchLength(hdr(of13FeaturesReq)), nil
+		return patchLength(start, hdr(of13FeaturesReq)), nil
 	case *FeaturesReply:
 		b := hdr(of13FeaturesRep)
 		b = binary.BigEndian.AppendUint64(b, msg.DatapathID)
@@ -447,7 +456,7 @@ func (c Codec13) Encode(m Message) ([]byte, error) {
 		b = append(b, msg.NTables, 0, 0, 0)
 		b = binary.BigEndian.AppendUint32(b, msg.Capabilities)
 		b = binary.BigEndian.AppendUint32(b, 0)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *PacketIn:
 		b := hdr(of13PacketIn)
 		b = binary.BigEndian.AppendUint32(b, msg.BufferID)
@@ -458,7 +467,7 @@ func (c Codec13) Encode(m Message) ([]byte, error) {
 		b = appendMatch13(b, &inMatch)
 		b = append(b, 0, 0)
 		b = append(b, msg.Data...)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *FlowRemoved:
 		b := hdr(of13FlowRemoved)
 		b = binary.BigEndian.AppendUint64(b, msg.Cookie)
@@ -470,22 +479,22 @@ func (c Codec13) Encode(m Message) ([]byte, error) {
 		b = binary.BigEndian.AppendUint64(b, msg.PacketCount)
 		b = binary.BigEndian.AppendUint64(b, msg.ByteCount)
 		b = appendMatch13(b, &msg.Match)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *PortStatus:
 		b := hdr(of13PortStatus)
 		b = append(b, msg.Reason, 0, 0, 0, 0, 0, 0, 0)
 		b = appendPort13(b, msg.Port)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *PacketOut:
 		b := hdr(of13PacketOut)
 		b = binary.BigEndian.AppendUint32(b, msg.BufferID)
 		b = binary.BigEndian.AppendUint32(b, msg.InPort)
-		actions := appendActions13(nil, msg.Actions)
-		b = binary.BigEndian.AppendUint16(b, uint16(len(actions)))
-		b = append(b, 0, 0, 0, 0, 0, 0)
-		b = append(b, actions...)
+		b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // actions_len (patched below), pad
+		at := len(b)
+		b = appendActions13(b, msg.Actions)
+		binary.BigEndian.PutUint16(b[at-8:at-6], uint16(len(b)-at))
 		b = append(b, msg.Data...)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *FlowMod:
 		b := hdr(of13FlowMod)
 		b = binary.BigEndian.AppendUint64(b, msg.Cookie)
@@ -500,12 +509,12 @@ func (c Codec13) Encode(m Message) ([]byte, error) {
 		b = binary.BigEndian.AppendUint16(b, msg.Flags)
 		b = append(b, 0, 0)
 		b = appendMatch13(b, &msg.Match)
-		actions := appendActions13(nil, msg.Actions)
+		at := len(b)
 		b = binary.BigEndian.AppendUint16(b, instrApplyActions)
-		b = binary.BigEndian.AppendUint16(b, uint16(8+len(actions)))
-		b = append(b, 0, 0, 0, 0)
-		b = append(b, actions...)
-		return patchLength(b), nil
+		b = append(b, 0, 0, 0, 0, 0, 0) // instruction length (patched below), pad
+		b = appendActions13(b, msg.Actions)
+		binary.BigEndian.PutUint16(b[at+2:at+4], uint16(len(b)-at))
+		return patchLength(start, b), nil
 	case *PortMod:
 		b := hdr(of13PortMod)
 		b = binary.BigEndian.AppendUint32(b, msg.PortNo)
@@ -516,11 +525,11 @@ func (c Codec13) Encode(m Message) ([]byte, error) {
 		b = binary.BigEndian.AppendUint32(b, msg.Mask)
 		b = binary.BigEndian.AppendUint32(b, 0) // advertise
 		b = append(b, 0, 0, 0, 0)
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *BarrierRequest:
-		return patchLength(hdr(of13BarrierRequest)), nil
+		return patchLength(start, hdr(of13BarrierRequest)), nil
 	case *BarrierReply:
-		return patchLength(hdr(of13BarrierReply)), nil
+		return patchLength(start, hdr(of13BarrierReply)), nil
 	case *StatsRequest:
 		b := hdr(of13MultipartReq)
 		b = binary.BigEndian.AppendUint16(b, msg.Kind)
@@ -541,7 +550,7 @@ func (c Codec13) Encode(m Message) ([]byte, error) {
 		case StatsPortDesc:
 			// empty body
 		}
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	case *StatsReply:
 		b := hdr(of13MultipartRep)
 		b = binary.BigEndian.AppendUint16(b, msg.Kind)
@@ -586,9 +595,9 @@ func (c Codec13) Encode(m Message) ([]byte, error) {
 				b = appendPort13(b, p)
 			}
 		}
-		return patchLength(b), nil
+		return patchLength(start, b), nil
 	}
-	return nil, fmt.Errorf("%w: cannot encode %T for OF1.3", ErrBadMessage, m)
+	return dst, fmt.Errorf("%w: cannot encode %T for OF1.3", ErrBadMessage, m)
 }
 
 // Decode implements Codec.

@@ -584,14 +584,14 @@ func TestMatchQuickRoundTripBothCodecs(t *testing.T) {
 			}
 			if useFields&8 != 0 {
 				m.Set |= FieldNWSrc
-				bits := int(srcBits%32) + 1
+				bits := srcBits%32 + 1
 				p := ethernet.Prefix{Addr: ethernet.IP4FromUint32(srcIP), Bits: bits}
 				p.Addr = ethernet.IP4FromUint32(srcIP & p.Mask()) // canonical
 				m.NWSrc = p
 			}
 			if useFields&16 != 0 {
 				m.Set |= FieldNWDst
-				bits := int(dstBits%32) + 1
+				bits := dstBits%32 + 1
 				p := ethernet.Prefix{Addr: ethernet.IP4FromUint32(dstIP), Bits: bits}
 				p.Addr = ethernet.IP4FromUint32(dstIP & p.Mask())
 				m.NWDst = p
@@ -684,8 +684,8 @@ func randMatch(rng *rand.Rand) Match {
 		VLANPCP: b(),
 		NWTos:   b(),
 		NWProto: b(),
-		NWSrc:   ethernet.Prefix{Addr: ethernet.IP4{10, b()}, Bits: 8 * int(b())},
-		NWDst:   ethernet.Prefix{Addr: ethernet.IP4{3: b()}, Bits: 32 - int(b())},
+		NWSrc:   ethernet.Prefix{Addr: ethernet.IP4{10, b()}, Bits: 8 * b()},
+		NWDst:   ethernet.Prefix{Addr: ethernet.IP4{3: b()}, Bits: 32 - b()},
 		TPSrc:   uint16(b()),
 		TPDst:   uint16(b()),
 	}

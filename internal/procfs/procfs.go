@@ -21,7 +21,7 @@
 //	                             the read-locked walk (symlink, "..",
 //	                             chroot, or generation-conflict retries)
 //	/.proc/watch/queues   per-watch queue depth, capacity, drops, overflows
-//	/.proc/driver/<name>  per-switch rtt/echo/tx_rx (installed by the driver)
+//	/.proc/driver/<name>  per-switch rtt/echo/tx_rx/pktin/flows (installed by the driver)
 //	/.proc/dfs/rpc        dfs server request counters
 //	/.proc/dfs/queue      per-mount eventual-write queue state
 //	/.proc/dfs/reconnects per-mount reconnect counts and connection state

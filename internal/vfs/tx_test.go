@@ -334,3 +334,161 @@ func TestStressTxTortureVersionCommit(t *testing.T) {
 		t.Fatal("staging file leaked out of transactions")
 	}
 }
+
+// readTree runs one ReadTree under a read transaction.
+func readTree(t *testing.T, fs *FS, dir, first string, unless []byte, buf *TreeBuf) (name string, err error) {
+	t.Helper()
+	if rerr := fs.ReadTx(func(tx *Tx) error {
+		name, err = tx.ReadTree(dir, first, unless, buf)
+		return nil
+	}); rerr != nil {
+		t.Fatal(rerr)
+	}
+	return name, err
+}
+
+// TestReadTree pins the contract of WriteTree's mirror: the gate file
+// first and the rest in ReadDir order, regular files only, nothing walked
+// when the gate is missing, empty or unchanged, and the counts it adds to
+// OpStats.
+func TestReadTree(t *testing.T) {
+	fs := New()
+	p := fs.RootProc()
+	synth := &Synthetic{Read: func() ([]byte, error) { return []byte("live"), nil }}
+	err := fs.WithTx(func(tx *Tx) error {
+		if err := tx.MkdirAll("/sw/flows", 0o755, 0, 0); err != nil {
+			return err
+		}
+		if err := tx.Symlink("/sw", "/sw/flows/link", 0, 0); err != nil {
+			return err
+		}
+		return tx.WriteTree("/sw/flows/f", []FileData{
+			{Name: "priority", Data: []byte("7\n")},
+			{Name: "action.out", Data: []byte("2\n")},
+			{Name: "counters", Children: []FileData{{Name: "packets", Synth: synth}}},
+			{Name: "live", Synth: synth},
+			{Name: "match.tp_dst", Data: []byte("80\n")},
+			{Name: "version", Data: []byte("3\n")},
+		}, 0o755, 0o644, 0, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Symlink("/sw/flows/f/priority", "/sw/flows/f/alias"); err != nil {
+		t.Fatal(err)
+	}
+	var buf TreeBuf
+	before := fs.Stats()
+	name, err := readTree(t, fs, "/sw/flows/f", "version", nil, &buf)
+	if err != nil || name != "f" {
+		t.Fatalf("ReadTree = %q %v", name, err)
+	}
+	var got []string
+	for _, f := range buf.Files {
+		got = append(got, f.Name+"="+f.Data)
+	}
+	want := []string{"version=3\n", "action.out=2\n", "match.tp_dst=80\n", "priority=7\n"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("files = %q, want %q", got, want)
+	}
+	if d := fs.Stats().Sub(before); d.Reads != 4 || d.ReadDirs != 1 || d.Total() != 5 {
+		t.Errorf("a 4-file tree counted as %+v, want 4 reads and 1 readdir", d)
+	}
+
+	// Unchanged gate: nothing but the gate is touched.
+	before = fs.Stats()
+	if _, err := readTree(t, fs, "/sw/flows/f", "version", []byte("3\n"), &buf); err != nil || len(buf.Files) != 0 {
+		t.Fatalf("unchanged gate: %d files, %v", len(buf.Files), err)
+	}
+	if d := fs.Stats().Sub(before); d.Total() != 1 || d.Reads != 1 {
+		t.Errorf("an unchanged gate counted as %+v, want 1 read", d)
+	}
+	// A different expectation walks.
+	if _, err := readTree(t, fs, "/sw/flows/f", "version", []byte("2\n"), &buf); err != nil || len(buf.Files) != 4 {
+		t.Fatalf("stale expectation: %d files, %v", len(buf.Files), err)
+	}
+	// Empty gate (the truncate half of a file-I/O rewrite) and missing gate.
+	if err := p.WriteFile("/sw/flows/f/version", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readTree(t, fs, "/sw/flows/f", "version", nil, &buf); err != nil || len(buf.Files) != 0 {
+		t.Fatalf("empty gate: %d files, %v", len(buf.Files), err)
+	}
+	if _, err := readTree(t, fs, "/sw/flows/f", "nope", nil, &buf); err != nil || len(buf.Files) != 0 {
+		t.Fatalf("missing gate: %d files, %v", len(buf.Files), err)
+	}
+	// A synthetic or directory gate is no gate.
+	for _, gate := range []string{"live", "counters"} {
+		if _, err := readTree(t, fs, "/sw/flows/f", gate, nil, &buf); err != nil || len(buf.Files) != 0 {
+			t.Fatalf("gate %s: %d files, %v", gate, len(buf.Files), err)
+		}
+	}
+	// Errors: missing directory, not a directory. A symlink to a
+	// directory is followed and reports the directory's own name.
+	if _, err := readTree(t, fs, "/sw/flows/gone", "version", nil, &buf); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("missing dir: %v", err)
+	}
+	if _, err := readTree(t, fs, "/sw/flows/f/priority", "version", nil, &buf); !errors.Is(err, ErrNotDir) {
+		t.Fatalf("file as dir: %v", err)
+	}
+	if name, err := readTree(t, fs, "/sw/flows/link", "x", nil, &buf); err != nil || name != "sw" {
+		t.Fatalf("through a symlink: %q %v", name, err)
+	}
+}
+
+// TestReadTreeBigDirSorted: a directory too big for one trie leaf is
+// still returned in name order, and nothing of it stays referenced by the
+// buffer's scratch.
+func TestReadTreeBigDirSorted(t *testing.T) {
+	fs := New()
+	files := []FileData{{Name: "version", Data: []byte("1\n")}}
+	for i := 0; i < 3*dirLeafMax; i++ {
+		files = append(files, FileData{Name: fmt.Sprintf("k%03d", (i*37)%(3*dirLeafMax)), Data: []byte{byte(i)}})
+	}
+	if err := fs.WithTx(func(tx *Tx) error { return tx.WriteTree("/d", files, 0o755, 0o644, 0, 0) }); err != nil {
+		t.Fatal(err)
+	}
+	var buf TreeBuf
+	if _, err := readTree(t, fs, "/d", "version", nil, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if len(buf.Files) != len(files) || buf.Files[0].Name != "version" {
+		t.Fatalf("%d files, first %q", len(buf.Files), buf.Files[0].Name)
+	}
+	for i := 2; i < len(buf.Files); i++ {
+		if buf.Files[i-1].Name >= buf.Files[i].Name {
+			t.Fatalf("files out of name order at %d: %q then %q", i, buf.Files[i-1].Name, buf.Files[i].Name)
+		}
+	}
+	for _, e := range buf.ents[:cap(buf.ents)] {
+		if e.c != nil {
+			t.Fatal("ReadTree left an inode referenced by its scratch")
+		}
+	}
+}
+
+// TestReadTreeAllocs: a gate that has not moved costs nothing, a tree
+// that passed it costs the one string its files are copied into.
+func TestReadTreeAllocs(t *testing.T) {
+	fs := New()
+	err := fs.WithTx(func(tx *Tx) error {
+		return tx.WriteTree("/f", []FileData{
+			{Name: "a", Data: []byte("1\n")}, {Name: "b", Data: []byte("2\n")}, {Name: "version", Data: []byte("9\n")},
+		}, 0o755, 0o644, 0, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf TreeBuf
+	unless := []byte("9\n")
+	read := func(unless []byte) func(tx *Tx) error {
+		return func(tx *Tx) error { _, err := tx.ReadTree("/f", "version", unless, &buf); return err }
+	}
+	same, moved := read(unless), read(nil)
+	if n := testing.AllocsPerRun(100, func() { _ = fs.ReadTx(same) }); n != 0 {
+		t.Errorf("unchanged gate: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = fs.ReadTx(moved) }); n > 1 {
+		t.Errorf("changed tree: %v allocs, want 1", n)
+	}
+}

@@ -3,6 +3,7 @@ package yancfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -101,32 +102,10 @@ func CommitFlow(p *vfs.Proc, flowPath string) (uint64, error) {
 	return v, nil
 }
 
-// flowReader abstracts where flow files are read from: a Proc (one lock
-// acquisition per call) or a read transaction (one lock for a whole
-// multi-flow snapshot).
-type flowReader interface {
-	ReadDir(path string) ([]vfs.DirEntry, error)
-	ReadString(path string) (string, error)
-}
-
-// txReader adapts a read transaction to flowReader.
-type txReader struct{ tx *vfs.Tx }
-
-func (r txReader) ReadDir(path string) ([]vfs.DirEntry, error) { return r.tx.ReadDir(path) }
-
-func (r txReader) ReadString(path string) (string, error) {
-	b, err := r.tx.ReadFile(path)
-	return string(b), err
-}
-
 // FlowVersion reads a flow's committed version (0 = staged, never
 // committed).
 func FlowVersion(p *vfs.Proc, flowPath string) (uint64, error) {
-	return flowVersion(p, flowPath)
-}
-
-func flowVersion(r flowReader, flowPath string) (uint64, error) {
-	s, err := r.ReadString(vfs.Join(flowPath, FileVersion))
+	s, err := p.ReadString(vfs.Join(flowPath, FileVersion))
 	if err != nil {
 		return 0, err
 	}
@@ -143,9 +122,8 @@ type FlowSnap struct {
 // SnapshotFlows reads every committed flow under switchPath in a single
 // read transaction: one lock acquisition for the whole table, and a
 // mutually consistent view — no per-flow seqlock retries, because nothing
-// can commit mid-snapshot. This is what driver resync-on-reattach wants:
-// the hardware receives the flow table as it existed at one instant,
-// instead of a stitched-together sequence of per-file reads.
+// can commit mid-snapshot. It is the oracle convergence checks fold a
+// switch's table against.
 func (y *FS) SnapshotFlows(switchPath string) ([]FlowSnap, error) {
 	dir := vfs.Join(switchPath, "flows")
 	var out []FlowSnap
@@ -157,25 +135,93 @@ func (y *FS) SnapshotFlows(switchPath string) ([]FlowSnap, error) {
 			}
 			return err
 		}
-		r := txReader{tx}
+		var r FlowReader
 		for _, e := range entries {
 			if !e.IsDir() || strings.HasPrefix(e.Name, ".") {
 				continue
 			}
-			fp := vfs.Join(dir, e.Name)
-			ver, err := flowVersion(r, fp)
+			ver, err := ReadFlowTx(tx, vfs.Join(dir, e.Name), 0, &r)
 			if err != nil || ver == 0 {
-				continue // staged or mid-creation: the commit watch will sync it
+				continue // staged, mid-creation or corrupt: the driver's pass skips the same ones
 			}
-			spec, err := readFlowOnce(r, fp)
-			if err != nil {
-				continue // corrupt entry: skip, same policy as ReadFlow tolerance
-			}
+			spec := r.Spec
+			spec.Actions = slices.Clone(spec.Actions)
 			out = append(out, FlowSnap{Name: e.Name, Version: ver, Spec: spec})
 		}
 		return nil
 	})
 	return out, err
+}
+
+// FlowReader is the storage one flow read-back needs. A reader that keeps
+// one (the driver keeps one per connection) parses every flow into the
+// same Spec, so reading a flow costs the one string its files are copied
+// into; what the reader retains is bounded by flowFilesKeep whatever the
+// flows it has seen.
+type FlowReader struct {
+	// Spec is the flow the last ReadFlowTx parsed. Its Actions share one
+	// backing array from call to call: copy them to keep them.
+	Spec FlowSpec
+	// Name is that flow directory's own name string, the one ReadDir
+	// hands out — safe to keep without pinning a path.
+	Name string
+
+	tree vfs.TreeBuf
+}
+
+// flowFilesKeep bounds the file-list capacity a FlowReader keeps between
+// reads. The schema has 12 match files, 11 action kinds and 5 others; a
+// directory someone filled with thousands of stray files must not leave
+// its listing behind in every reader that walked it.
+const flowFilesKeep = 64
+
+// ReadFlowTx reads the flow directory at flowPath inside tx — the mirror
+// of PutFlowTx — and returns its committed version, or installed when
+// there is nothing newer to act on. The version file is looked at first:
+// missing, empty, unparsable or zero means the flow is not committed,
+// and equal to installed means the caller already has this commit; in
+// both cases the result is installed and nothing else is touched (this
+// is all that the truncate+write event pair of a file-I/O commit, or a
+// second mark of one commit, costs). Only otherwise is the directory
+// walked, once, and parsed into r.Spec.
+//
+// Names are not ordered against a transaction: a reader outside one can
+// list a flow in the middle of PutFlowTx's rewrite branch, after the old
+// match and action files went and before the new ones came, and find its
+// version unchanged on both sides. Inside a transaction that cannot
+// happen, which is why the driver reads here and not through ReadFlow.
+//
+//yancvet:hotalloc
+func ReadFlowTx(tx *vfs.Tx, flowPath string, installed uint64, r *FlowReader) (uint64, error) {
+	var have [24]byte
+	unless := have[:0]
+	if installed != 0 {
+		unless = append(strconv.AppendUint(unless, installed, 10), '\n')
+	}
+	name, err := tx.ReadTree(flowPath, FileVersion, unless, &r.tree)
+	if err != nil {
+		return 0, err
+	}
+	files := r.tree.Files
+	if cap(files) > flowFilesKeep {
+		r.tree = vfs.TreeBuf{}
+	}
+	if len(files) == 0 {
+		return installed, nil
+	}
+	version, err := strconv.ParseUint(strings.TrimSpace(files[0].Data), 10, 64)
+	if err != nil || version == 0 || version == installed {
+		return installed, nil
+	}
+	r.Name = name
+	r.Spec = FlowSpec{Actions: r.Spec.Actions[:0]}
+	for _, f := range files[1:] {
+		if err := r.Spec.applyFile(f.Name, f.Data); err != nil {
+			return 0, err
+		}
+	}
+	orderActions(r.Spec.Actions)
+	return version, nil
 }
 
 // ErrFlowUnstable is returned by ReadFlow when the flow's version moved
@@ -219,77 +265,93 @@ func errIsNotExist(err error) bool {
 	return errors.Is(err, vfs.ErrNotExist) || errors.Is(err, vfs.ErrAccess)
 }
 
-func readFlowOnce(p flowReader, flowPath string) (FlowSpec, error) {
+func readFlowOnce(p *vfs.Proc, flowPath string) (FlowSpec, error) {
 	var spec FlowSpec
 	entries, err := p.ReadDir(flowPath)
 	if err != nil {
 		return spec, err
 	}
 	for _, e := range entries {
-		switch {
-		case strings.HasPrefix(e.Name, MatchPrefix):
-			fieldName := strings.TrimPrefix(e.Name, MatchPrefix)
-			f, ok := openflow.FieldByName(fieldName)
-			if !ok {
-				continue
-			}
-			val, err := p.ReadString(vfs.Join(flowPath, e.Name))
-			if err != nil {
+		field := strings.HasPrefix(e.Name, MatchPrefix) || strings.HasPrefix(e.Name, ActionPrefix)
+		if !field && !isFlowMeta(e.Name) {
+			continue
+		}
+		val, err := p.ReadString(vfs.Join(flowPath, e.Name))
+		if err != nil {
+			if field {
 				return spec, err
 			}
-			if err := spec.Match.SetField(f, val); err != nil {
-				return spec, fmt.Errorf("yancfs: %s: %w", e.Name, err)
-			}
-		case strings.HasPrefix(e.Name, ActionPrefix):
-			actName := strings.TrimPrefix(e.Name, ActionPrefix)
-			val, err := p.ReadString(vfs.Join(flowPath, e.Name))
-			if err != nil {
-				return spec, err
-			}
-			a, err := openflow.ParseAction(actName, val)
-			if err != nil {
-				return spec, fmt.Errorf("yancfs: %s: %w", e.Name, err)
-			}
-			spec.Actions = append(spec.Actions, a)
-		case e.Name == FilePriority:
-			spec.Priority = readUint16(p, vfs.Join(flowPath, e.Name))
-		case e.Name == FileIdleTimeout || e.Name == "timeout":
-			spec.IdleTimeout = readUint16(p, vfs.Join(flowPath, e.Name))
-		case e.Name == FileHardTimeout:
-			spec.HardTimeout = readUint16(p, vfs.Join(flowPath, e.Name))
-		case e.Name == FileCookie:
-			s, _ := p.ReadString(vfs.Join(flowPath, e.Name))
-			spec.Cookie, _ = strconv.ParseUint(strings.TrimSpace(s), 10, 64)
+			continue
+		}
+		if err := spec.applyFile(e.Name, val); err != nil {
+			return spec, err
 		}
 	}
-	// Deterministic action order: outputs last, preserving relative order
-	// otherwise, so rewrites happen before forwarding.
-	spec.Actions = orderActions(spec.Actions)
+	orderActions(spec.Actions)
 	return spec, nil
 }
 
-func readUint16(p flowReader, path string) uint16 {
-	s, err := p.ReadString(path)
-	if err != nil {
-		return 0
+func isFlowMeta(name string) bool {
+	switch name {
+	case FilePriority, FileIdleTimeout, "timeout", FileHardTimeout, FileCookie:
+		return true
 	}
+	return false
+}
+
+// applyFile folds one file of a flow directory into spec: a match.* file
+// sets its field, an action.* file appends its action, and the metadata
+// files set theirs (a malformed number reads as 0). Any other file is
+// ignored; a missing match file is a wildcard.
+func (spec *FlowSpec) applyFile(name, val string) error {
+	switch {
+	case strings.HasPrefix(name, MatchPrefix):
+		f, ok := openflow.FieldByName(name[len(MatchPrefix):])
+		if !ok {
+			return nil
+		}
+		//yancvet:alloc the field parsers allocate only to report a malformed value (TestReconcileAllocs pins the rest)
+		if err := spec.Match.SetField(f, val); err != nil {
+			return fmt.Errorf("yancfs: %s: %w", name, err) //yancvet:alloc error path
+		}
+	case strings.HasPrefix(name, ActionPrefix):
+		//yancvet:alloc as above
+		a, err := openflow.ParseAction(name[len(ActionPrefix):], val)
+		if err != nil {
+			return fmt.Errorf("yancfs: %s: %w", name, err) //yancvet:alloc error path
+		}
+		spec.Actions = append(spec.Actions, a)
+	case name == FilePriority:
+		spec.Priority = parseUint16(val)
+	case name == FileIdleTimeout || name == "timeout":
+		spec.IdleTimeout = parseUint16(val)
+	case name == FileHardTimeout:
+		spec.HardTimeout = parseUint16(val)
+	case name == FileCookie:
+		spec.Cookie, _ = strconv.ParseUint(strings.TrimSpace(val), 10, 64)
+	}
+	return nil
+}
+
+func parseUint16(s string) uint16 {
 	v, _ := strconv.ParseUint(strings.TrimSpace(s), 10, 16)
 	return uint16(v)
 }
 
-// orderActions moves output actions after set-field actions; a flow
-// directory is an unordered set of files, so the schema fixes the only
-// sensible order (transform, then forward).
-func orderActions(actions []openflow.Action) []openflow.Action {
-	var sets, outs []openflow.Action
-	for _, a := range actions {
+// orderActions moves output actions after set-field actions, in place and
+// keeping the relative order within each kind; a flow directory is an
+// unordered set of files, so the schema fixes the only sensible order
+// (transform, then forward).
+func orderActions(actions []openflow.Action) {
+	sets := 0 // actions[:sets] are the set-field actions placed so far
+	for i, a := range actions {
 		if a.Type == openflow.ActOutput {
-			outs = append(outs, a)
-		} else {
-			sets = append(sets, a)
+			continue
 		}
+		copy(actions[sets+1:i+1], actions[sets:i])
+		actions[sets] = a
+		sets++
 	}
-	return append(sets, outs...)
 }
 
 // ListFlows returns the flow directory names under a switch path.

@@ -87,6 +87,8 @@ func New() (*FS, error) {
 }
 
 // VFS returns the underlying virtual file system.
+//
+//yancvet:hotalloc
 func (y *FS) VFS() *vfs.FS { return y.vfs }
 
 // Root returns a superuser process context on the file system.
