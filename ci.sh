@@ -23,10 +23,10 @@
 #   E18        the ring's bulk flow push is at least 5x file I/O and a
 #              fanned-out packet-out stages one copy of the frame (skipped
 #              below 4 cores, where wall-clock ratios are steal noise)
-#   yancperf   two seconds of churn_scan, then two of install_ring; each
-#              run's verifier (conservation, sink table = file system,
-#              every scanned flow parses back) sets the exit code, no
-#              number it prints is compared
+#   yancperf   two seconds each of churn_scan, install_ring and
+#              install_file; each run's verifier (conservation, sink
+#              table = file system, every scanned flow parses back) sets
+#              the exit code, no number it prints is compared
 set -eu
 cd "$(dirname "$0")"
 
@@ -98,5 +98,8 @@ go run ./bench -workload churn_scan -seconds 2 -seed 3
 
 echo "==> yancperf smoke (install_ring, 2 s: the verifier's exit code is the gate)"
 go run ./bench -workload install_ring -seconds 2 -seed 3
+
+echo "==> yancperf smoke (install_file, 2 s: the verifier's exit code is the gate)"
+go run ./bench -workload install_file -seconds 2 -seed 3
 
 echo "==> ok"

@@ -811,7 +811,7 @@ func allowedExternal(fn *types.Func) bool {
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 			return true
 		}
-		return fn.Name() == "Now" || fn.Name() == "Since"
+		return fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Unix"
 	case "strconv":
 		if strings.HasPrefix(fn.Name(), "Append") {
 			return true

@@ -618,9 +618,10 @@ func (sc *SwitchConn) handleFlowRemoved(fr *openflow.FlowRemoved) {
 }
 
 // drainPacketOut consumes the switch's pout/ queue: each staged message
-// is read by reference — the head line is a few bytes, the frame aliases
-// the spooled payload block (vfs.ReadFileShared, no copy) — written to
-// the control channel, and removed. Removal drops this switch's link on
+// is read by reference off one resolution of its directory — the head
+// line is a few bytes, the frame aliases the spooled payload block
+// (vfs.ReadFileSharedAt, no copy) — written to the control channel, and
+// removed. Removal drops this switch's link on
 // the block; the last switch to send reclaims it. Runs in the mailbox,
 // keyed by the doorbell write event, so drains never race each other.
 func (sc *SwitchConn) drainPacketOut() {
@@ -635,10 +636,14 @@ func (sc *SwitchConn) drainPacketOut() {
 			continue
 		}
 		msg := vfs.Join(pout, e.Name)
-		head, herr := p.ReadString(vfs.Join(msg, yancfs.PacketOutHead))
-		frame, ferr := p.ReadFileShared(vfs.Join(msg, yancfs.PacketOutFrame))
+		ref, rerr := p.DirRef(msg)
+		if rerr != nil {
+			continue
+		}
+		head, herr := p.ReadFileAt(ref, yancfs.PacketOutHead)
+		frame, ferr := p.ReadFileSharedAt(ref, yancfs.PacketOutFrame)
 		if herr == nil && ferr == nil {
-			po, perr := openflow.ParsePacketOutSpec(head)
+			po, perr := openflow.ParsePacketOutSpec(strings.TrimSpace(string(head)))
 			if perr != nil {
 				sc.driver.Logf("driver: %s: pout %s: %v", sc.Name, e.Name, perr)
 			} else {

@@ -309,6 +309,49 @@ func TestLiveCountersThroughFS(t *testing.T) {
 	})
 }
 
+// TestRenamedFlowKeepsLiveCounters: mv flows/f flows/g moves the driver's
+// installed-state entry to the new name, and the counter files under the
+// new name must ask for that name. They work it out from the path they
+// are opened through; a name captured when the directory was made would
+// read 0 for ever while the hardware entry counts on.
+func TestRenamedFlowKeepsLiveCounters(t *testing.T) {
+	r := newRig(t, openflow.Version10, 1)
+	h1 := switchsim.NewHost("h1", switchsim.HostAddr(1))
+	h2 := switchsim.NewHost("h2", switchsim.HostAddr(2))
+	_ = r.net.AttachHost(h1, 1, 1)
+	_ = r.net.AttachHost(h2, 1, 2)
+	sc := r.attach(t, 1)
+	p := r.y.Root()
+	m, _ := openflow.ParseMatch("in_port=1")
+	if _, err := yancfs.WriteFlow(p, "/switches/sw1/flows/f", yancfs.FlowSpec{
+		Match: m, Priority: 5, Actions: []openflow.Action{openflow.Output(2)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "install", func() bool { return r.net.Switch(1).FlowCount() == 1 })
+	for i := 0; i < 3; i++ {
+		h1.Ping(h2, uint16(i))
+	}
+	eventually(t, "flow counters", func() bool {
+		s, err := p.ReadString("/switches/sw1/flows/f/counters/packets")
+		return err == nil && s == "3"
+	})
+	if err := p.Rename("/switches/sw1/flows/f", "/switches/sw1/flows/g"); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the installed-state entry to follow the rename", func() bool {
+		_, _, old := sc.FlowCounters("f")
+		_, _, moved := sc.FlowCounters("g")
+		return moved && !old
+	})
+	if s, err := p.ReadString("/switches/sw1/flows/g/counters/packets"); err != nil || s != "3" {
+		t.Fatalf("packets under the new name = %q, %v; want 3", s, err)
+	}
+	if s, err := p.ReadString("/switches/sw1/flows/g/counters/bytes"); err != nil || s == "0" {
+		t.Fatalf("bytes under the new name = %q, %v", s, err)
+	}
+}
+
 func TestLiveProtocolUpgrade(t *testing.T) {
 	// §4.1: "Nodes in such a system can therefore be gradually upgraded,
 	// live, to newer protocols." The switch reconnects speaking OF 1.3;

@@ -2,6 +2,7 @@ package namespace
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -276,6 +277,91 @@ func TestGroupBilledBytesReturned(t *testing.T) {
 		}
 		if !errors.Is(lastErr, vfs.ErrQuota) || g.Usage().Bytes != 64 {
 			t.Errorf("%s: 33rd read = %v with %d bytes billed, want a quota error at 64", tc.name, lastErr, g.Usage().Bytes)
+		}
+	}
+}
+
+// TestGroupBilledSameByReference pins what resolving a directory once
+// costs an app's cgroup: nothing. One flow's worth of file I/O — probe
+// the directory, write three fields, probe and remove a stale one, list,
+// read the version back — is billed the same ops, the same bytes and the
+// same per-op split whether every call walks from the root or names its
+// file relative to one vfs.DirRef, unconfined and behind a chroot; and a
+// budget runs out at the same call either way.
+func TestGroupBilledSameByReference(t *testing.T) {
+	for _, root := range []string{"", "/switches"} {
+		var usages [2]Usage
+		var denied [2]int
+		for way := range usages {
+			y, err := yancfs.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := yancfs.CreateSwitch(y.Root(), "/", "sw1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := y.Root().Mkdir("/switches/sw1/flows/f", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := y.Root().WriteString("/switches/sw1/flows/f/match.tp_src", "99\n"); err != nil {
+				t.Fatal(err)
+			}
+			m := NewManager(y.VFS())
+			g := m.CreateGroup("tenant", Limits{MaxOps: 13})
+			p, err := m.Launch(Namespace{Name: "app", Cred: vfs.Root, Root: root, Group: g})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := strings.TrimPrefix("/switches/sw1/flows/f", root)
+			fields := [][2]string{{"match.dl_type", "0x0800\n"}, {"priority", "5\n"}, {"version", "1\n"}}
+			var calls []func() error
+			if way == 0 {
+				calls = append(calls, func() error { _, err := p.Stat(dir); return err })
+				for _, f := range fields {
+					calls = append(calls, func() error { return p.WriteString(dir+"/"+f[0], f[1]) })
+				}
+				calls = append(calls,
+					func() error { _, err := p.Stat(dir + "/match.tp_src"); return err },
+					func() error { return p.Remove(dir + "/match.tp_src") },
+					func() error { _, err := p.ReadDir(dir); return err },
+					func() error { _, err := p.ReadFile(dir + "/version"); return err },
+					func() error { _, err := p.ReadFile(dir + "/priority"); return err })
+			} else {
+				var ref vfs.DirRef
+				calls = append(calls, func() (err error) { ref, err = p.DirRef(dir); return err })
+				for _, f := range fields {
+					calls = append(calls, func() error { return p.WriteFileAt(ref, f[0], []byte(f[1]), 0o644) })
+				}
+				calls = append(calls,
+					func() error {
+						if !p.ExistsAt(ref, "match.tp_src") {
+							return vfs.ErrNotExist
+						}
+						return nil
+					},
+					func() error { return p.RemoveAt(ref, "match.tp_src") },
+					func() error { _, err := p.ReadDirAt(ref, "."); return err },
+					func() error { _, err := p.ReadFileAt(ref, "version"); return err },
+					func() error { _, err := p.ReadFileAt(ref, "priority"); return err })
+			}
+			denied[way] = -1
+			for i, call := range calls {
+				if err := call(); err != nil {
+					if !errors.Is(err, vfs.ErrQuota) {
+						t.Fatalf("root %q, way %d, call %d: %v", root, way, i, err)
+					}
+					denied[way] = i
+					break
+				}
+			}
+			usages[way] = g.Usage()
+		}
+		byPath, byRef := usages[0], usages[1]
+		if byPath.Ops != byRef.Ops || byPath.Bytes != byRef.Bytes || byPath.Denied != byRef.Denied || !reflect.DeepEqual(byPath.PerOp, byRef.PerOp) {
+			t.Errorf("root %q: billed by path %+v, by reference %+v", root, byPath, byRef)
+		}
+		if denied[0] != denied[1] || denied[0] < 0 {
+			t.Errorf("root %q: the 13-op budget ran out at call %d by path, %d by reference; want the same call", root, denied[0], denied[1])
 		}
 	}
 }

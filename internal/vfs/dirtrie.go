@@ -204,6 +204,7 @@ func (d *dirNode) without(h uint32, shift uint, name string) *dirNode {
 		if len(d.ents) == 1 {
 			return nil
 		}
+		//yancvet:alloc the path copy that publishes the directory without the entry
 		return &dirNode{n: d.n - 1, ents: slices.Concat(d.ents[:i], d.ents[i+1:])}
 	}
 	bit := slot(h, shift)
@@ -215,12 +216,12 @@ func (d *dirNode) without(h uint32, shift uint, name string) *dirNode {
 	if kid == d.kids[pos] {
 		return d
 	}
-	nd := &dirNode{bitmap: d.bitmap, n: d.n - 1}
+	nd := &dirNode{bitmap: d.bitmap, n: d.n - 1} //yancvet:alloc path copy, as above
 	if kid == nil {
 		nd.bitmap &^= bit
-		nd.kids = slices.Concat(d.kids[:pos], d.kids[pos+1:])
+		nd.kids = slices.Concat(d.kids[:pos], d.kids[pos+1:]) //yancvet:alloc path copy
 	} else {
-		nd.kids = slices.Clone(d.kids)
+		nd.kids = slices.Clone(d.kids) //yancvet:alloc path copy
 		nd.kids[pos] = kid
 	}
 	if nd.n > dirLeafMax/2 {
@@ -228,9 +229,9 @@ func (d *dirNode) without(h uint32, shift uint, name string) *dirNode {
 	}
 	// Few enough entries to be one leaf again. A branch always holds
 	// more than dirLeafMax/2 entries, so this is never the empty trie.
-	ents := nd.appendEnts(make([]dirEnt, 0, nd.n))
+	ents := nd.appendEnts(make([]dirEnt, 0, nd.n)) //yancvet:alloc the collapsed leaf, once per shrink past the threshold
 	sortEnts(ents)
-	return &dirNode{n: nd.n, ents: ents}
+	return &dirNode{n: nd.n, ents: ents} //yancvet:alloc as above
 }
 
 // appendEnts appends every entry of d to dst, in iteration order.

@@ -8,14 +8,18 @@
 //
 // The API is deliberately syscall-shaped (Mkdir, Create, Open, Rename,
 // Symlink, Stat, ...) and every call is counted, because the paper's §8.1
-// performance argument is about the number of such calls.
+// performance argument is about the number of such calls. The openat(2)
+// family is there too (at.go): DirRef or MkdirRef resolves a directory
+// once, and ExistsAt, ReadFileAt, ReadFileSharedAt, WriteFileAt, RemoveAt
+// and ReadDirAt name an entry relative to it — counted and charged as
+// the path-based calls they replace, minus the walk from the root.
 //
 // Concurrency: the tree scales on multicore through three levels — lock-
 // free path resolution over immutable children snapshots (see
 // resolve_rcu.go), a structural tree lock for writers, and ino-sharded
 // inode-state stripes (see lock.go and DESIGN.md §8). The read-mostly
-// hot paths (stat, readdir, open-existing, xattr reads) take no tree
-// lock at all.
+// hot paths (stat, readdir, open-existing, xattr reads, whole-file reads
+// and whole-file writes of existing files) take no tree lock at all.
 package vfs
 
 import (
@@ -33,13 +37,29 @@ import (
 const maxSymlinkHops = 40
 
 // Synthetic makes a file behave like a procfs entry: content is produced
-// on open-for-read and consumed on close-after-write. Either func may be
-// nil, making the file write-only or read-only respectively. Providers run
+// on open-for-read and consumed on close-after-write. With no read func
+// the file is write-only, with no Write read-only. Providers run
 // outside all tree locks (from the open/close path) and may perform
 // arbitrary file I/O of their own.
 type Synthetic struct {
-	Read  func() ([]byte, error)
-	Write func(data []byte) error
+	Read func() ([]byte, error)
+	// ReadPath, when set, is called in place of Read and is handed the
+	// real path the file was opened through, so one provider can serve
+	// the same file under many directories (a flow's counters) and answers
+	// for where the file is now, not where it was when it was planted.
+	ReadPath func(path string) ([]byte, error)
+	Write    func(data []byte) error
+}
+
+// readable reports whether the file can produce content on open.
+func (s *Synthetic) readable() bool { return s.Read != nil || s.ReadPath != nil }
+
+// read produces the content for an open through path.
+func (s *Synthetic) read(path string) ([]byte, error) {
+	if s.ReadPath != nil {
+		return s.ReadPath(path)
+	}
+	return s.Read()
 }
 
 // DirSemantics attaches yanc object behaviour to a directory. Hooks run
@@ -123,7 +143,8 @@ type inode struct {
 //
 //   - children, gen: the published children trie and its generation.
 //     Replaced (never mutated) via setKids under the tree write lock;
-//     read lock-free by the RCU walker (resolve_rcu.go).
+//     read lock-free by the RCU walker (resolve_rcu.go). gen's top bit
+//     (genDead, at.go) is set once, when the directory is removed.
 //   - parent, name, sem: structural — mutated only under the tree write
 //     lock, readable under either tree mode. parent/name give a
 //     directory its unique path (regular files may have many names via
@@ -370,7 +391,7 @@ func (fs *FS) newInode(kind NodeKind, mode FileMode, uid, gid int) *inode {
 // splitPath cleans a slash-separated path into components, dropping empty
 // and "." segments. ".." is kept and handled during resolution.
 func splitPath(path string) []string {
-	parts := strings.Split(path, "/")
+	parts := strings.Split(path, "/") //yancvet:alloc only paths not already clean are split
 	out := parts[:0]
 	for _, p := range parts {
 		if p == "" || p == "." {
@@ -489,25 +510,36 @@ func pathOf(n *inode) string {
 	}
 	var parts []string
 	for cur := n; cur.dir.parent != nil; cur = cur.dir.parent {
-		parts = append(parts, cur.dir.name)
+		parts = append(parts, cur.dir.name) //yancvet:alloc a semantic hook's directory path; hot callers build event paths with pathTo
 	}
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
 		parts[i], parts[j] = parts[j], parts[i]
 	}
-	return "/" + strings.Join(parts, "/")
+	return "/" + strings.Join(parts, "/") //yancvet:alloc as above
 }
 
 // pathTo returns Join(pathOf(dir), name) in one allocation: the write path
 // builds an event path per mutation, so this is hot. Must be called with
 // the tree lock held in either mode.
 func pathTo(dir *inode, name string) string {
+	path, _ := pathBelow(nil, dir, name)
+	return path
+}
+
+// pathBelow is pathTo as a Proc rooted at root (nil: the file system
+// root) spells it. ok is false when dir does not lie below root — or
+// anywhere: a removed directory has no parent — and the path is then the
+// part that could be walked.
+func pathBelow(root, dir *inode, name string) (path string, ok bool) {
 	var anc [16]*inode
 	stack := anc[:0]
 	size := 1 + len(name)
-	for cur := dir; cur.dir.parent != nil; cur = cur.dir.parent {
+	cur := dir
+	for ; cur != root && cur.dir.parent != nil; cur = cur.dir.parent {
 		size += len(cur.dir.name) + 1
 		stack = append(stack, cur)
 	}
+	ok = cur == root || (root == nil && cur.dir.parent == nil)
 	var b strings.Builder
 	b.Grow(size) //yancvet:alloc one owned event-path string per mutation, by the Event contract
 	for i := len(stack) - 1; i >= 0; i-- {
@@ -516,7 +548,7 @@ func pathTo(dir *inode, name string) string {
 	}
 	b.WriteByte('/')
 	b.WriteString(name)
-	return b.String()
+	return b.String(), ok
 }
 
 // resolveOpts controls path resolution.
@@ -639,7 +671,7 @@ func (fs *FS) walkFrom(cur *inode, path string, cred Cred, opt resolveOpts, root
 // tree lock held and bypass permission checks (they are "kernel code").
 type Tx struct {
 	fs      *FS
-	events  []Event
+	events  *[]Event // pooled buffer (watchSet.getBuf); nil on a read-only Tx
 	creator Cred
 	hasCred bool
 	ro      bool // opened by ReadTx: tree lock held in read mode
@@ -671,14 +703,31 @@ func (fs *FS) WithTx(fn func(tx *Tx) error) error {
 	// live transaction's, which costs it a wait, never a wrong answer.
 	fs.txN++
 	fs.txLive.Store(uint32(fs.txN%math.MaxUint16) + 1)
-	tx := &Tx{fs: fs, events: fs.watches.getBuf()}
+	tx := fs.newTx()
 	err := fn(tx)
-	events := tx.events
 	fs.txLive.Store(0)
 	fs.unlockTree()
-	fs.watches.dispatch(events)
+	tx.flush()
 	return err
 }
+
+// newTx opens the transaction behind one mutating call. The caller holds
+// (or is about to take) the tree write lock and ends with flush.
+func (fs *FS) newTx() *Tx {
+	return &Tx{fs: fs, events: fs.watches.getBuf()} //yancvet:alloc the Tx is handed to semantic hooks, which may keep it for the call
+}
+
+// flush hands the queued events to the dispatcher. It runs after the tree
+// lock is released: subscribers must find the tree as the events describe
+// it (see watchSet.dispatch).
+func (tx *Tx) flush() {
+	tx.fs.watches.dispatch(tx.events)
+	tx.events = nil
+}
+
+// discard drops the events queued so far: the operation that raised them
+// was vetoed and rolled back.
+func (tx *Tx) discard() { *tx.events = (*tx.events)[:0] }
 
 // ReadTx runs fn while holding the tree lock in read mode. fn must not
 // mutate the tree: only the read-only Tx methods are safe.
@@ -691,17 +740,17 @@ func (fs *FS) ReadTx(fn func(tx *Tx) error) error {
 	return err
 }
 
-func (tx *Tx) queue(ev Event) { tx.events = append(tx.events, ev) }
+func (tx *Tx) queue(ev Event) { *tx.events = append(*tx.events, ev) }
 
 // ReserveEvents pre-sizes the transaction's event queue. Batch writers
 // that know roughly how many events they will generate (the packet-in
 // fan-out queues ~20 per message) call this once to avoid repeated
 // slice growth inside the tree-lock critical section.
 func (tx *Tx) ReserveEvents(n int) {
-	if n > cap(tx.events)-len(tx.events) {
-		grown := make([]Event, len(tx.events), len(tx.events)+n)
-		copy(grown, tx.events)
-		tx.events = grown
+	if evs := *tx.events; n > cap(evs)-len(evs) {
+		grown := make([]Event, len(evs), len(evs)+n)
+		copy(grown, evs)
+		*tx.events = grown
 	}
 }
 
@@ -775,11 +824,7 @@ func (tx *Tx) WriteFile(path string, data []byte, mode FileMode, uid, gid int) e
 	now := tx.fs.now()
 	if node == nil {
 		f := tx.fs.newInode(KindFile, mode, uid, gid)
-		if d, ok := internBytes(data); ok {
-			f.data, f.dataShared = d, true
-		} else {
-			f.data = append([]byte(nil), data...)
-		}
+		f.setData(data)
 		name = internName(name)
 		parent.cowInsert(name, f)
 		tx.fs.touchMS(parent, now)
@@ -792,14 +837,7 @@ func (tx *Tx) WriteFile(path string, data []byte, mode FileMode, uid, gid int) e
 		return pathErr("write", path, ErrIsDir)
 	}
 	s := tx.fs.lockNode(node)
-	if d, ok := internBytes(data); ok {
-		node.data, node.dataShared = d, true
-	} else if node.dataShared {
-		node.data = append([]byte(nil), data...)
-		node.dataShared = false
-	} else {
-		node.data = append(node.data[:0], data...)
-	}
+	node.setData(data)
 	node.txMark = uint16(tx.fs.txLive.Load())
 	node.touchM(now)
 	s.mu.Unlock()
@@ -1025,38 +1063,12 @@ func (fs *FS) addLinks(tmpl *dirNode, links int, now time.Time) {
 	}
 }
 
-// DirRef is an opaque handle to a resolved directory, letting hot paths
-// that repeatedly target the same directories (packet-in fan-out into
-// cached subscriber buffers) skip per-message path resolution. A ref pins
-// nothing: every use re-validates under the calling transaction's lock,
-// and a ref whose directory has since been removed simply stops matching.
-type DirRef struct{ ino *inode }
-
-// Valid reports whether the referenced directory was still attached to the
-// tree when the ref was last used. Zero refs are invalid.
-func (r DirRef) Valid() bool { return r.ino != nil }
-
-// DirRef resolves path to a directory handle for later fan-out use.
-func (p *Proc) DirRef(path string) (DirRef, error) {
-	n, err := p.fs.lookupRO(p.cred, path, p.opts(true))
-	if err != nil {
-		return DirRef{}, pathErr("dirref", path, err)
-	}
-	if n == nil {
-		return DirRef{}, pathErr("dirref", path, ErrNotExist)
-	}
-	if !n.isDir() {
-		return DirRef{}, pathErr("dirref", path, ErrNotDir)
-	}
-	return DirRef{ino: n}, nil
-}
-
 // LinkDirFanoutRefs is LinkDirFanout over pre-resolved destinations: each
 // parents[i] receives a child directory named name linking the source's
 // files. A ref whose directory has been detached (subscriber unsubscribed
 // since the caller's cache was built) or already holds name is skipped.
-// Every node of a removed subtree has its parent pointer cleared, so
-// detachment is one pointer test instead of a path walk.
+// Every directory of a removed subtree carries the removed mark, so
+// detachment is one load instead of a path walk.
 //
 //yancvet:hotalloc
 func (tx *Tx) LinkDirFanoutRefs(srcDir string, parents []DirRef, name string, mode FileMode, uid, gid int, linked func(i int)) error {
@@ -1071,8 +1083,7 @@ func (tx *Tx) LinkDirFanoutRefs(srcDir string, parents []DirRef, name string, mo
 	links := 0
 	for i, r := range parents {
 		parent := r.ino
-		if parent == nil || !parent.isDir() ||
-			(parent.dir.parent == nil && parent != tx.fs.root) {
+		if parent == nil || parent.dead() {
 			continue
 		}
 		if _, exists := parent.lookupChild(name); exists {
@@ -1630,9 +1641,9 @@ func listDir(n *inode) []DirEntry {
 		return nil
 	}
 	if l := root.listing.Load(); l != nil {
-		return slices.Clone(*l)
+		return slices.Clone(*l) //yancvet:alloc the caller's listing
 	}
-	out := make([]DirEntry, 0, root.count())
+	out := make([]DirEntry, 0, root.count()) //yancvet:alloc the caller's listing
 	for it := root.iter(); ; {
 		e, ok := it.next()
 		if !ok {
@@ -1643,9 +1654,10 @@ func listDir(n *inode) []DirEntry {
 	if root.bitmap == 0 {
 		return out
 	}
+	//yancvet:alloc a directory past one leaf: sorted once per change, memoized on the root
 	slices.SortFunc(out, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
 	root.listing.Store(&out)
-	return slices.Clone(out)
+	return slices.Clone(out) //yancvet:alloc the caller's listing
 }
 
 // statOf snapshots an inode. The caller must hold the inode's stripe
@@ -1734,6 +1746,7 @@ func (fs *FS) removeNode(parent *inode, name string, node *inode, tx *Tx, now ti
 	node.nlink.Add(-1)
 	if node.dir != nil {
 		node.dir.parent = nil
+		node.markDead()
 	}
 	if queueEvents {
 		tx.queue(Event{Op: OpRemove, Path: full, IsDir: node.isDir()})

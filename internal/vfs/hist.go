@@ -185,9 +185,15 @@ func latStart() time.Time {
 }
 
 // observe records the latency of op measured from start (obtained from
-// latStart). time.Since reads the monotonic clock.
-func (fs *FS) observe(op LatencyOp, start time.Time) {
-	fs.lat.hist[op].Observe(time.Since(start)) //yancvet:wallclock monotonic elapsed since latStart
+// latStart).
+func (fs *FS) observe(op LatencyOp, start time.Time) { fs.lap(op, start) }
+
+// lap is observe for a call made of two counted operations: it returns
+// the clock reading it took, which the second one starts from.
+func (fs *FS) lap(op LatencyOp, start time.Time) time.Time {
+	now := latStart()
+	fs.lat.hist[op].Observe(now.Sub(start)) // monotonic: both readings carry it
+	return now
 }
 
 // LatencySnapshot is a point-in-time copy of every op histogram.

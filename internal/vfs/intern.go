@@ -48,7 +48,7 @@ func internName(name string) string {
 	if ok {
 		return c
 	}
-	c = strings.Clone(name)
+	c = strings.Clone(name) //yancvet:alloc first sight of a name: it is pooled from here on
 	names.mu.Lock()
 	if have, ok := names.m[c]; ok {
 		c = have
@@ -75,21 +75,21 @@ func internBytes(b []byte) (data []byte, ok bool) {
 		return nil, false
 	}
 	payloads.mu.RLock()
-	c, ok := payloads.m[string(b)] // no alloc: map lookup special case
+	c, ok := payloads.m[string(b)] //yancvet:alloc none: the compiler looks a map up by converted bytes without copying them
 	payloads.mu.RUnlock()
 	if ok {
 		return c, true
 	}
 	payloads.mu.Lock()
 	defer payloads.mu.Unlock()
-	if c, ok := payloads.m[string(b)]; ok {
+	if c, ok := payloads.m[string(b)]; ok { //yancvet:alloc none, as above
 		return c, true
 	}
 	if len(payloads.m) >= internDataCap {
 		return nil, false
 	}
-	c = make([]byte, len(b))
+	c = make([]byte, len(b)) //yancvet:alloc first sight of a payload: it is pooled from here on
 	copy(c, b)
-	payloads.m[string(c)] = c
+	payloads.m[string(c)] = c //yancvet:alloc the pool's key, once per distinct payload
 	return c, true
 }

@@ -95,52 +95,65 @@ func (p *Proc) opts(followLast bool) resolveOpts {
 // creating a yanc object directory automatically populates its typed
 // children (§3.1).
 func (p *Proc) Mkdir(path string, mode FileMode) error {
+	_, err := p.MkdirRef(path, mode)
+	return err
+}
+
+// MkdirRef is Mkdir handing back a reference to the directory it made, for
+// a caller that goes on to fill it: mkdir and the lookup that would follow
+// it, in the one call. Charged and counted as Mkdir.
+//
+//yancvet:hotalloc
+func (p *Proc) MkdirRef(path string, mode FileMode) (DirRef, error) {
 	if err := p.charge("mkdir", 0); err != nil {
-		return err
+		return DirRef{}, err
 	}
 	p.fs.stats.creates.Add(1)
 	defer p.fs.observe(LatMkdir, latStart())
 	fs := p.fs
+	tx := fs.newTx()
 	fs.lockTree()
-	tx := &Tx{fs: fs}
-	err := p.mkdirLocked(tx, path, mode)
-	events := tx.events
+	d, err := p.mkdirLocked(tx, path, mode)
 	fs.unlockTree()
-	fs.watches.dispatch(events)
-	return err
+	tx.flush()
+	return DirRef{ino: d, root: p.root}, err
 }
 
-func (p *Proc) mkdirLocked(tx *Tx, path string, mode FileMode) error {
+func (p *Proc) mkdirLocked(tx *Tx, path string, mode FileMode) (*inode, error) {
 	parent, name, node, err := p.fs.resolve(p.cred, path, p.opts(false))
 	if err != nil {
-		return pathErr("mkdir", path, err)
+		return nil, pathErr("mkdir", path, err)
 	}
 	if node != nil {
-		return pathErr("mkdir", path, ErrExist)
+		return nil, pathErr("mkdir", path, ErrExist)
 	}
 	if !allows(parent, p.cred, wantWrite) {
-		return pathErr("mkdir", path, ErrAccess)
+		return nil, pathErr("mkdir", path, ErrAccess)
 	}
 	name = internName(name)
-	d := p.fs.newInode(KindDir, mode.Perm(), p.cred.UID, p.cred.GID)
+	now := p.fs.now()
+	d := p.fs.bareInode(KindDir, mode.Perm(), p.cred.UID, p.cred.GID, now)
 	d.dir.parent = parent
 	d.dir.name = name
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
-	p.fs.touchMS(parent, p.fs.now())
+	p.fs.touchMS(parent, now)
 	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name), IsDir: true})
 	if parent.dir.sem != nil && parent.dir.sem.OnMkdir != nil {
 		tx.creator = p.cred
 		tx.hasCred = true
+		//yancvet:alloc the hook's directory path; only a directory that has the hook pays for it
 		if err := parent.dir.sem.OnMkdir(tx, pathOf(parent), name); err != nil {
 			// Semantic veto: roll the directory back out.
 			parent.cowDelete(name)
 			parent.nlink.Add(-1)
-			tx.events = tx.events[:0]
-			return pathErr("mkdir", path, err)
+			d.dir.parent = nil
+			d.markDead()
+			tx.discard()
+			return nil, pathErr("mkdir", path, err)
 		}
 	}
-	return nil
+	return d, nil
 }
 
 // MkdirAll creates path and any missing parents (like mkdir -p).
@@ -167,7 +180,7 @@ func (p *Proc) Symlink(target, linkPath string) error {
 	p.fs.stats.links.Add(1)
 	fs := p.fs
 	fs.lockTree()
-	tx := &Tx{fs: fs}
+	tx := fs.newTx()
 	err := func() error {
 		parent, name, node, err := fs.resolve(p.cred, linkPath, p.opts(false))
 		if err != nil {
@@ -191,9 +204,8 @@ func (p *Proc) Symlink(target, linkPath string) error {
 		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
 		return nil
 	}()
-	events := tx.events
 	fs.unlockTree()
-	fs.watches.dispatch(events)
+	tx.flush()
 	return err
 }
 
@@ -222,7 +234,7 @@ func (p *Proc) Link(oldPath, newPath string) error {
 	p.fs.stats.links.Add(1)
 	fs := p.fs
 	fs.lockTree()
-	tx := &Tx{fs: fs}
+	tx := fs.newTx()
 	err := func() error {
 		_, _, src, err := fs.resolve(p.cred, oldPath, p.opts(true))
 		if err != nil {
@@ -252,9 +264,8 @@ func (p *Proc) Link(oldPath, newPath string) error {
 		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
 		return nil
 	}()
-	events := tx.events
 	fs.unlockTree()
-	fs.watches.dispatch(events)
+	tx.flush()
 	return err
 }
 
@@ -269,37 +280,43 @@ func (p *Proc) Remove(path string) error {
 	defer p.fs.observe(LatRemove, latStart())
 	fs := p.fs
 	fs.lockTree()
-	tx := &Tx{fs: fs}
+	tx := fs.newTx()
 	err := func() error {
 		parent, name, node, err := fs.resolve(p.cred, path, p.opts(false))
 		if err != nil {
 			return pathErr("remove", path, err)
 		}
-		if node == nil {
-			return pathErr("remove", path, ErrNotExist)
+		if err := p.removeLocked(tx, parent, name, node); err != nil {
+			return pathErr("remove", path, err)
 		}
-		if parent == nil {
-			return pathErr("remove", path, ErrBusy) // the root itself
-		}
-		if !allows(parent, p.cred, wantWrite) {
-			return pathErr("remove", path, ErrAccess)
-		}
-		if parent.dir.sem != nil && parent.dir.sem.Protected[name] && p.cred.UID != 0 {
-			return pathErr("remove", path, ErrPerm)
-		}
-		if node.isDir() && node.childCount() > 0 {
-			recursive := parent.dir.sem != nil && parent.dir.sem.RecursiveRmdir
-			if !recursive {
-				return pathErr("remove", path, ErrNotEmpty)
-			}
-		}
-		fs.unlinkLocked(parent, name, node, tx)
 		return nil
 	}()
-	events := tx.events
 	fs.unlockTree()
-	fs.watches.dispatch(events)
+	tx.flush()
 	return err
+}
+
+// removeLocked unlinks node, which resolution found at (parent, name),
+// under Remove's rules: the entry must exist and not be the root, the
+// caller needs write permission on the directory, a protected entry
+// stays, and a directory goes only when empty or when the parent's
+// semantics make rmdir recursive. Tree write lock required; errors are
+// bare errnos.
+func (p *Proc) removeLocked(tx *Tx, parent *inode, name string, node *inode) error {
+	switch {
+	case node == nil:
+		return ErrNotExist
+	case parent == nil:
+		return ErrBusy // the root itself
+	case !allows(parent, p.cred, wantWrite):
+		return ErrAccess
+	case parent.dir.sem != nil && parent.dir.sem.Protected[name] && p.cred.UID != 0:
+		return ErrPerm
+	case node.isDir() && node.childCount() > 0 && !(parent.dir.sem != nil && parent.dir.sem.RecursiveRmdir):
+		return ErrNotEmpty
+	}
+	p.fs.unlinkLocked(parent, name, node, tx)
+	return nil
 }
 
 // RemoveAll removes path and any children it contains, succeeding
@@ -312,7 +329,7 @@ func (p *Proc) RemoveAll(path string) error {
 	defer p.fs.observe(LatRemove, latStart())
 	fs := p.fs
 	fs.lockTree()
-	tx := &Tx{fs: fs}
+	tx := fs.newTx()
 	err := func() error {
 		parent, name, node, err := fs.resolve(p.cred, path, p.opts(false))
 		if err != nil {
@@ -330,9 +347,8 @@ func (p *Proc) RemoveAll(path string) error {
 		fs.unlinkLocked(parent, name, node, tx)
 		return nil
 	}()
-	events := tx.events
 	fs.unlockTree()
-	fs.watches.dispatch(events)
+	tx.flush()
 	return err
 }
 
@@ -347,7 +363,7 @@ func (p *Proc) Rename(oldPath, newPath string) error {
 	defer p.fs.observe(LatRename, latStart())
 	fs := p.fs
 	fs.lockTree()
-	tx := &Tx{fs: fs}
+	tx := fs.newTx()
 	err := func() error {
 		lerr := func(err error) error {
 			return &LinkError{Op: "rename", Old: oldPath, New: newPath, Err: err}
@@ -380,9 +396,8 @@ func (p *Proc) Rename(oldPath, newPath string) error {
 		}
 		return nil
 	}()
-	events := tx.events
 	fs.unlockTree()
-	fs.watches.dispatch(events)
+	tx.flush()
 	return err
 }
 
@@ -472,7 +487,7 @@ func (p *Proc) Chmod(path string, mode FileMode) error {
 	// Metadata-only change: the tree read lock suffices (mode is atomic,
 	// ctime/version go under the inode's stripe).
 	fs := p.fs
-	var events []Event
+	var ev Event
 	err := func() error {
 		fs.rlockTree()
 		defer fs.runlockTree()
@@ -490,10 +505,12 @@ func (p *Proc) Chmod(path string, mode FileMode) error {
 		s := fs.lockNode(n)
 		n.touchC(fs.now())
 		s.mu.Unlock()
-		events = append(events, Event{Op: OpChmod, Path: realPath(parent, name), IsDir: n.isDir()})
+		ev = Event{Op: OpChmod, Path: realPath(parent, name), IsDir: n.isDir()}
 		return nil
 	}()
-	fs.watches.dispatch(events)
+	if err == nil {
+		fs.watches.post(ev)
+	}
 	return err
 }
 
@@ -504,7 +521,7 @@ func (p *Proc) Chown(path string, uid, gid int) error {
 	}
 	p.fs.stats.attrs.Add(1)
 	fs := p.fs
-	var events []Event
+	var ev Event
 	err := func() error {
 		fs.rlockTree()
 		defer fs.runlockTree()
@@ -522,10 +539,12 @@ func (p *Proc) Chown(path string, uid, gid int) error {
 		s := fs.lockNode(n)
 		n.touchC(fs.now())
 		s.mu.Unlock()
-		events = append(events, Event{Op: OpChmod, Path: realPath(parent, name), IsDir: n.isDir()})
+		ev = Event{Op: OpChmod, Path: realPath(parent, name), IsDir: n.isDir()}
 		return nil
 	}()
-	fs.watches.dispatch(events)
+	if err == nil {
+		fs.watches.post(ev)
+	}
 	return err
 }
 

@@ -143,13 +143,15 @@ const (
 // walkRCU is the lock-free walker: it resolves path from opt.root (or the
 // fs root) touching only immutable snapshots, generation counters, and
 // permission atomics. On rcuOK it returns the resolved node, or nil if
-// the final component does not exist in its (validated) parent. It bails
+// the final component does not exist in its (validated) parent, and that
+// parent: the directory the final component was looked up in (nil when
+// the path names the walk's root itself). It bails
 // to the locked path on ".." (needs parent back-links) and on any symlink
 // it would have to follow (hop accounting and dangling-link create
 // semantics live in walkFrom).
 //
 //yancvet:hotalloc
-func (fs *FS) walkRCU(cred Cred, path string, opt resolveOpts) (*inode, rcuStatus, error) {
+func (fs *FS) walkRCU(cred Cred, path string, opt resolveOpts) (node, parent *inode, st rcuStatus, err error) {
 	root := opt.root
 	if root == nil {
 		root = fs.root
@@ -158,19 +160,19 @@ func (fs *FS) walkRCU(cred Cred, path string, opt resolveOpts) (*inode, rcuStatu
 	curGen := cur.loadGen()
 	p, off, ok := nextComp(path, 0)
 	if !ok {
-		return cur, rcuOK, nil
+		return cur, nil, rcuOK, nil
 	}
 	for {
 		if !cur.isDir() {
-			return nil, rcuFail, ErrNotDir
+			return nil, nil, rcuFail, ErrNotDir
 		}
 		if !allows(cur, cred, wantExec) {
-			return nil, rcuFail, ErrAccess
+			return nil, nil, rcuFail, ErrAccess
 		}
 		np, noff, more := nextComp(path, off)
 		last := !more
 		if p == ".." {
-			return nil, rcuBail, nil
+			return nil, nil, rcuBail, nil
 		}
 		fs.stats.lookups.Add(1)
 		s := cur.kids()
@@ -182,25 +184,25 @@ func (fs *FS) walkRCU(cred Cred, path string, opt resolveOpts) (*inode, rcuStatu
 			// A miss is only believable if cur's snapshot is still current:
 			// the entry may live in a newer snapshot.
 			if cur.loadGen() != curGen {
-				return nil, rcuRetry, nil
+				return nil, nil, rcuRetry, nil
 			}
 			if last {
-				return nil, rcuOK, nil
+				return nil, cur, rcuOK, nil
 			}
-			return nil, rcuFail, ErrNotExist
+			return nil, nil, rcuFail, ErrNotExist
 		}
 		// Capture the child's generation before revalidating cur: this
 		// hand-over-hand order proves the parent entry and the child state
 		// we proceed with coexisted.
 		childGen := child.loadGen()
 		if cur.loadGen() != curGen {
-			return nil, rcuRetry, nil
+			return nil, nil, rcuRetry, nil
 		}
 		if child.kind == KindSymlink && (!last || opt.followLast) {
-			return nil, rcuBail, nil
+			return nil, nil, rcuBail, nil
 		}
 		if last {
-			return child, rcuOK, nil
+			return child, cur, rcuOK, nil
 		}
 		cur, curGen = child, childGen
 		p, off = np, noff
@@ -222,7 +224,7 @@ func (fs *FS) lookupRO(cred Cred, path string, opt resolveOpts) (*inode, error) 
 	attempt := 0
 walk:
 	for {
-		n, st, err := fs.walkRCU(cred, path, opt)
+		n, _, st, err := fs.walkRCU(cred, path, opt)
 		switch st {
 		case rcuOK:
 			fs.lockCtr.resolveLockfree.Add(1)

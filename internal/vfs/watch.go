@@ -45,6 +45,13 @@ func (op EventOp) String() string {
 }
 
 // Event describes one file-system change.
+//
+// Path and NewPath are canonical by construction — absolute, in Clean's
+// form, naming the object where it really is, whatever spelling, symlink
+// or chroot the caller reached it through: the file system builds them
+// from the tree (pathTo) or reuses a caller's string only after checking
+// it is clean and crossed no link. Consumers may therefore split one at
+// its last "/" without re-scanning it, and the fan-out does.
 type Event struct {
 	Op      EventOp
 	Path    string // absolute path of the affected object
@@ -61,6 +68,7 @@ type Watch struct {
 
 	id        uint64
 	path      string // watched path, cleaned; "" never matches
+	prefix    string // path + "/": what every path strictly below it starts with
 	mask      EventOp
 	recursive bool
 	ch        chan Event
@@ -116,36 +124,55 @@ type watchSet struct {
 	// lazily-started worker goroutine drains the queue in FIFO order and
 	// exits when it is empty. drained signals queue-empty to SyncWatches.
 	// The queue holds whole per-transaction batches: dispatch takes
-	// ownership of the caller's slice, so enqueueing never copies events.
+	// ownership of the caller's buffer, so enqueueing never copies events.
 	qmu     sync.Mutex
-	queue   [][]Event
+	queue   []*[]Event
 	running bool
 	drained *sync.Cond
 	batches atomic.Uint64 // worker drain batches, for .proc
 	queued  atomic.Uint64 // events ever enqueued, for .proc
 
-	// bufPool recycles transaction event buffers: WithTx borrows a slice,
+	// bufPool recycles event buffers: every mutating call borrows one,
 	// dispatch takes ownership, and the drain worker returns it after
-	// fanout. The write path then allocates no event storage at steady
-	// state.
+	// fanout. The pool holds *[]Event — the pointer travels with the batch
+	// from getBuf to putBuf, so recycling boxes no slice header — and the
+	// write path allocates no event storage at steady state.
 	bufPool sync.Pool
 }
 
-// getBuf returns a recycled event buffer (or nil, letting append size it).
-func (s *watchSet) getBuf() []Event {
+// getBuf returns an empty event buffer, recycled when the pool has one.
+//
+//yancvet:hotalloc
+func (s *watchSet) getBuf() *[]Event {
 	if v := s.bufPool.Get(); v != nil {
-		return v.([]Event)[:0]
+		return v.(*[]Event)
 	}
-	return nil
+	return new([]Event) //yancvet:alloc pool miss: the buffer is recycled from here on
 }
 
 // putBuf returns an event buffer to the pool. Oversized buffers are
 // dropped so one huge transaction doesn't pin memory forever.
-func (s *watchSet) putBuf(b []Event) {
-	if cap(b) == 0 || cap(b) > 8192 {
+//
+//yancvet:hotalloc
+func (s *watchSet) putBuf(b *[]Event) {
+	if cap(*b) > 8192 {
 		return
 	}
-	s.bufPool.Put(b[:0]) //nolint:staticcheck // slice header boxing is fine here
+	*b = (*b)[:0]
+	s.bufPool.Put(b)
+}
+
+// post queues the one event of a call that has no transaction around it
+// (a content write on an open handle, a chmod).
+//
+//yancvet:hotalloc
+func (s *watchSet) post(ev Event) {
+	if s.live.Load() == 0 {
+		return
+	}
+	b := s.getBuf()
+	*b = append(*b, ev)
+	s.dispatch(b)
 }
 
 // AddWatch subscribes to events under path. The path need not exist yet —
@@ -165,6 +192,10 @@ func (p *Proc) AddWatch(path string, mask EventOp, opts ...WatchOption) (*Watch,
 	}
 	for _, o := range opts {
 		o(w)
+	}
+	w.prefix = w.path + "/"
+	if w.path == "/" {
+		w.prefix = "/"
 	}
 	w.C = w.ch
 	set := &p.fs.watches
@@ -216,24 +247,30 @@ func (s *watchSet) remove(w *Watch) {
 // watch on a dir reports its children and the dir itself), or anywhere
 // beneath it when recursive.
 func (w *Watch) matches(path string) bool {
-	return w.matchesDir(path, Dir(path))
+	return w.matchesDir(path, eventDir(path))
 }
 
 // matchesDir is matches with the event path's parent precomputed: fanout
-// checks one event against every watch, so Dir is hoisted out of the
-// per-watch loop.
+// checks one event against every watch, so the split is hoisted out of
+// the per-watch loop.
+//
+//yancvet:hotalloc
 func (w *Watch) matchesDir(path, dir string) bool {
 	if path == w.path || dir == w.path {
 		return true
 	}
-	if w.recursive {
-		prefix := w.path
-		if prefix != "/" {
-			prefix += "/"
-		}
-		return strings.HasPrefix(path, prefix)
+	return w.recursive && strings.HasPrefix(path, w.prefix)
+}
+
+// eventDir returns the parent of an event path: Dir without the clean
+// scan, which an event path never needs (see Event).
+//
+//yancvet:hotalloc
+func eventDir(path string) string {
+	if i := strings.LastIndexByte(path, '/'); i > 0 {
+		return path[:i]
 	}
-	return false
+	return "/"
 }
 
 // interestedInChildren reports whether any live watch could observe an
@@ -247,14 +284,23 @@ func (s *watchSet) interestedInChildren(dir string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, w := range s.watches {
-		if w.path == dir || strings.HasPrefix(w.path, dir+"/") {
+		if w.path == dir || below(w.path, dir) {
 			return true
 		}
-		if w.recursive && (w.path == "/" || strings.HasPrefix(dir, w.path+"/")) {
+		if w.recursive && strings.HasPrefix(dir, w.prefix) {
 			return true
 		}
 	}
 	return false
+}
+
+// below reports whether the clean path lies strictly inside the clean
+// directory dir.
+func below(path, dir string) bool {
+	if dir == "/" {
+		return len(path) > 1
+	}
+	return len(path) > len(dir) && path[len(dir)] == '/' && strings.HasPrefix(path, dir)
 }
 
 // interestedInGrandchildren reports whether any watch could observe an
@@ -266,14 +312,13 @@ func (s *watchSet) interestedInGrandchildren(dir string) bool {
 	if s.live.Load() == 0 {
 		return false
 	}
-	prefix := dir + "/"
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, w := range s.watches {
-		if strings.HasPrefix(w.path, prefix) {
+		if below(w.path, dir) {
 			return true
 		}
-		if w.recursive && (w.path == "/" || w.path == dir || strings.HasPrefix(dir, w.path+"/")) {
+		if w.recursive && (w.path == dir || strings.HasPrefix(dir, w.prefix)) {
 			return true
 		}
 	}
@@ -297,28 +342,24 @@ func (s *watchSet) condLocked() *sync.Cond {
 // resolving the event's path (lock-free or not) always observes the
 // post-swap tree (pinned by TestStressWatchPostSwapVisibility).
 // Ordering is preserved — a single worker drains the queue FIFO.
-// dispatch takes ownership of events; the caller must not reuse the slice.
-func (s *watchSet) dispatch(events []Event) {
-	if len(events) == 0 {
-		s.putBuf(events)
-		return
-	}
-	s.mu.RLock()
-	empty := len(s.watches) == 0
-	s.mu.RUnlock()
-	if empty {
-		// No subscribers: drop without queueing. A watch added after this
-		// point could not have seen these events under the synchronous
-		// scheme either.
+// dispatch takes ownership of events (a buffer from getBuf); the caller
+// must not touch it again.
+//
+//yancvet:hotalloc
+func (s *watchSet) dispatch(events *[]Event) {
+	if len(*events) == 0 || s.live.Load() == 0 {
+		// Nothing to say, or no subscribers: drop without queueing. A
+		// watch added after this point could not have seen these events
+		// under the synchronous scheme either.
 		s.putBuf(events)
 		return
 	}
 	s.qmu.Lock()
 	s.queue = append(s.queue, events)
-	s.queued.Add(uint64(len(events)))
+	s.queued.Add(uint64(len(*events)))
 	if !s.running {
 		s.running = true
-		go s.drain()
+		go s.drain() //yancvet:alloc one worker per burst of batches, not per batch
 	}
 	s.qmu.Unlock()
 }
@@ -341,13 +382,15 @@ func (s *watchSet) drain() {
 		s.batches.Add(1)
 		s.qmu.Unlock()
 		for _, batch := range batches {
-			s.fanout(batch)
+			s.fanout(*batch)
 			s.putBuf(batch)
 		}
 	}
 }
 
 // fanout synchronously delivers a batch to all matching watches.
+//
+//yancvet:hotalloc
 func (s *watchSet) fanout(events []Event) {
 	s.mu.RLock()
 	watches := s.snap
@@ -356,10 +399,10 @@ func (s *watchSet) fanout(events []Event) {
 		return
 	}
 	for _, ev := range events {
-		dir := Dir(ev.Path)
+		dir := eventDir(ev.Path)
 		newDir := ""
 		if ev.Op == OpRename {
-			newDir = Dir(ev.NewPath)
+			newDir = eventDir(ev.NewPath)
 		}
 		for _, w := range watches {
 			if ev.Op&w.mask == 0 {
@@ -400,7 +443,7 @@ func (fs *FS) DispatchStats() (queued, batches uint64, backlog int) {
 	s := &fs.watches
 	s.qmu.Lock()
 	for _, b := range s.queue {
-		backlog += len(b)
+		backlog += len(*b)
 	}
 	s.qmu.Unlock()
 	return s.queued.Load(), s.batches.Load(), backlog

@@ -137,20 +137,10 @@ func (y *FS) PutFlowTx(tx *vfs.Tx, flowPath string, spec FlowSpec) (uint64, erro
 	// probe, counters Mkdir, two SetSynthetic binds) per flow. An
 	// existing flow surfaces as ErrExist and takes the rewrite branch.
 	{
-		switchPath := vfs.Dir(vfs.Dir(flowPath))
-		flowName := vfs.Base(flowPath)
 		files, sc := flowFiles(spec, 1)
-		packets, bytes := y.flowCounterSynths(switchPath, flowName)
-		counters := vfs.FileData{
-			Name: "counters",
-			Children: []vfs.FileData{
-				{Name: "packets", Synth: packets, Mode: 0o444},
-				{Name: "bytes", Synth: bytes, Mode: 0o444},
-			},
-		}
 		// Keep version last so its commit event trails everything else.
 		version := files[len(files)-1]
-		files[len(files)-1] = counters
+		files[len(files)-1] = y.flowCounters
 		files = append(files, version)
 		err := tx.WriteTree(flowPath, files, 0o755, 0o644, 0, 0)
 		sc.release()

@@ -1,6 +1,7 @@
 package yancfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -29,74 +30,99 @@ type FlowSpec struct {
 // per-access cost §8.1 talks about — and then commits it by incrementing
 // the version file. The directory is created if missing (its skeleton
 // comes from the flows/ mkdir semantics). Returns the committed version.
+//
+// The directory is resolved once: every call after the first names its
+// file relative to one vfs.DirRef. The calls are the same calls, counted
+// the same; each costs a lookup in the flow directory instead of a walk
+// from the root.
+//
+//yancvet:hotalloc
 func WriteFlow(p *vfs.Proc, flowPath string, spec FlowSpec) (uint64, error) {
-	if !p.Exists(flowPath) {
-		if err := p.Mkdir(flowPath, 0o755); err != nil {
+	ref, err := p.DirRef(flowPath)
+	if err != nil {
+		if ref, err = p.MkdirRef(flowPath, 0o755); err != nil {
 			return 0, err
 		}
 	}
-	for _, f := range openflow.AllFields {
-		path := vfs.Join(flowPath, MatchPrefix+f.Name())
+	var buf [32]byte // the longest value is a CIDR address, 18 bytes
+	for i, f := range openflow.AllFields {
+		name := matchFileNames[i]
 		if spec.Match.Has(f) {
-			if err := p.WriteString(path, spec.Match.FieldString(f)+"\n"); err != nil {
+			if err := p.WriteFileAt(ref, name, append(spec.Match.AppendField(buf[:0], f), '\n'), 0o644); err != nil {
 				return 0, err
 			}
-		} else if p.Exists(path) {
-			if err := p.Remove(path); err != nil {
+		} else if p.ExistsAt(ref, name) {
+			if err := p.RemoveAt(ref, name); err != nil {
 				return 0, err
 			}
 		}
 	}
 	// Remove stale action files, then write the current ones.
-	entries, err := p.ReadDir(flowPath)
+	entries, err := p.ReadDirAt(ref, ".")
 	if err != nil {
 		return 0, err
 	}
-	current := make(map[string]bool, len(spec.Actions))
-	for _, a := range spec.Actions {
-		current[ActionPrefix+a.ActionFileName()] = true
-	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name, ActionPrefix) && !current[e.Name] {
-			if err := p.Remove(vfs.Join(flowPath, e.Name)); err != nil {
+		if strings.HasPrefix(e.Name, ActionPrefix) && !hasActionFile(spec.Actions, e.Name) {
+			if err := p.RemoveAt(ref, e.Name); err != nil {
 				return 0, err
 			}
 		}
 	}
 	for _, a := range spec.Actions {
-		if err := p.WriteString(vfs.Join(flowPath, ActionPrefix+a.ActionFileName()), a.ActionFileValue()+"\n"); err != nil {
+		if err := p.WriteFileAt(ref, actionFileName(a), append(a.AppendFileValue(buf[:0]), '\n'), 0o644); err != nil {
 			return 0, err
 		}
 	}
-	if err := p.WriteString(vfs.Join(flowPath, FilePriority), strconv.FormatUint(uint64(spec.Priority), 10)+"\n"); err != nil {
+	if err := writeUintAt(p, ref, FilePriority, uint64(spec.Priority)); err != nil {
 		return 0, err
 	}
-	if err := p.WriteString(vfs.Join(flowPath, FileIdleTimeout), strconv.FormatUint(uint64(spec.IdleTimeout), 10)+"\n"); err != nil {
+	if err := writeUintAt(p, ref, FileIdleTimeout, uint64(spec.IdleTimeout)); err != nil {
 		return 0, err
 	}
-	if err := p.WriteString(vfs.Join(flowPath, FileHardTimeout), strconv.FormatUint(uint64(spec.HardTimeout), 10)+"\n"); err != nil {
+	if err := writeUintAt(p, ref, FileHardTimeout, uint64(spec.HardTimeout)); err != nil {
 		return 0, err
 	}
 	if spec.Cookie != 0 {
-		if err := p.WriteString(vfs.Join(flowPath, FileCookie), strconv.FormatUint(spec.Cookie, 10)+"\n"); err != nil {
+		if err := writeUintAt(p, ref, FileCookie, spec.Cookie); err != nil {
 			return 0, err
 		}
 	}
-	return CommitFlow(p, flowPath)
+	return commitFlow(p, ref)
+}
+
+// hasActionFile reports whether one of actions is stored under name.
+func hasActionFile(actions []openflow.Action, name string) bool {
+	for _, a := range actions {
+		if actionFileName(a) == name {
+			return true
+		}
+	}
+	return false
+}
+
+// writeUintAt writes v, in decimal and newline-terminated, to the file
+// name of the flow directory ref.
+func writeUintAt(p *vfs.Proc, ref vfs.DirRef, name string, v uint64) error {
+	var buf [24]byte
+	return p.WriteFileAt(ref, name, append(strconv.AppendUint(buf[:0], v, 10), '\n'), 0o644)
 }
 
 // CommitFlow atomically publishes the staged flow fields by incrementing
 // the version file. Drivers watch this file; "changes are only sent to
 // hardware once the version has been incremented" (§3.4).
 func CommitFlow(p *vfs.Proc, flowPath string) (uint64, error) {
-	versionPath := vfs.Join(flowPath, FileVersion)
-	cur, err := p.ReadString(versionPath)
+	ref, err := p.DirRef(flowPath)
 	if err != nil {
-		cur = "0"
+		return 0, err
 	}
-	v, _ := strconv.ParseUint(strings.TrimSpace(cur), 10, 64)
+	return commitFlow(p, ref)
+}
+
+func commitFlow(p *vfs.Proc, ref vfs.DirRef) (uint64, error) {
+	v, _ := flowVersion(p, ref) // unreadable or unparsable counts from 0
 	v++
-	if err := p.WriteString(versionPath, strconv.FormatUint(v, 10)+"\n"); err != nil {
+	if err := writeUintAt(p, ref, FileVersion, v); err != nil {
 		return 0, err
 	}
 	return v, nil
@@ -105,11 +131,19 @@ func CommitFlow(p *vfs.Proc, flowPath string) (uint64, error) {
 // FlowVersion reads a flow's committed version (0 = staged, never
 // committed).
 func FlowVersion(p *vfs.Proc, flowPath string) (uint64, error) {
-	s, err := p.ReadString(vfs.Join(flowPath, FileVersion))
+	ref, err := p.DirRef(flowPath)
 	if err != nil {
 		return 0, err
 	}
-	return strconv.ParseUint(strings.TrimSpace(s), 10, 64)
+	return flowVersion(p, ref)
+}
+
+func flowVersion(p *vfs.Proc, ref vfs.DirRef) (uint64, error) {
+	b, err := p.ReadFileAt(ref, FileVersion)
+	if err != nil {
+		return 0, err
+	}
+	return strconv.ParseUint(string(bytes.TrimSpace(b)), 10, 64) //yancvet:alloc none: the conversion does not outlive the call
 }
 
 // FlowSnap is one committed flow as captured by SnapshotFlows.
@@ -244,9 +278,16 @@ func ReadFlow(p *vfs.Proc, flowPath string) (FlowSpec, error) {
 		err  error
 	)
 	for attempt := 0; attempt < 8; attempt++ {
-		before, _ := FlowVersion(p, flowPath)
-		spec, err = readFlowOnce(p, flowPath)
-		after, _ := FlowVersion(p, flowPath)
+		// One reference per attempt: a flow removed and made again between
+		// two attempts is a new directory, which an old reference would
+		// keep reporting as gone.
+		var ref vfs.DirRef
+		if ref, err = p.DirRef(flowPath); err != nil {
+			return spec, err
+		}
+		before, _ := flowVersion(p, ref)
+		spec, err = readFlowOnce(p, ref)
+		after, _ := flowVersion(p, ref)
 		if err == nil && before == after {
 			return spec, nil
 		}
@@ -265,9 +306,9 @@ func errIsNotExist(err error) bool {
 	return errors.Is(err, vfs.ErrNotExist) || errors.Is(err, vfs.ErrAccess)
 }
 
-func readFlowOnce(p *vfs.Proc, flowPath string) (FlowSpec, error) {
+func readFlowOnce(p *vfs.Proc, ref vfs.DirRef) (FlowSpec, error) {
 	var spec FlowSpec
-	entries, err := p.ReadDir(flowPath)
+	entries, err := p.ReadDirAt(ref, ".")
 	if err != nil {
 		return spec, err
 	}
@@ -276,14 +317,14 @@ func readFlowOnce(p *vfs.Proc, flowPath string) (FlowSpec, error) {
 		if !field && !isFlowMeta(e.Name) {
 			continue
 		}
-		val, err := p.ReadString(vfs.Join(flowPath, e.Name))
+		val, err := p.ReadFileAt(ref, e.Name)
 		if err != nil {
 			if field {
 				return spec, err
 			}
 			continue
 		}
-		if err := spec.applyFile(e.Name, val); err != nil {
+		if err := spec.applyFile(e.Name, strings.TrimSpace(string(val))); err != nil {
 			return spec, err
 		}
 	}

@@ -64,6 +64,13 @@ type FS struct {
 	mu       sync.RWMutex
 	counters map[string]CounterSource // switch path -> source
 
+	// flowCounters is the counters/ subtree every flow directory carries:
+	// two read-only synthetic files that pull live hardware counters. One
+	// literal serves all flows — the readers work out whose counters they
+	// are from the path they were opened through — and both ways of making
+	// a flow plant it: the flows/ mkdir hook and PutFlowTx.
+	flowCounters vfs.FileData
+
 	// ev holds the packet-in delivery state: cached subscriber lists,
 	// payload-block refcounts, and the /.proc/events counters (events.go).
 	ev eventState
@@ -77,6 +84,14 @@ func New() (*FS, error) {
 		counters: make(map[string]CounterSource),
 	}
 	y.root = y.vfs.RootProc()
+	y.flowCounters = vfs.FileData{Name: "counters", Children: []vfs.FileData{
+		{Name: "packets", Mode: 0o444, Synth: &vfs.Synthetic{
+			ReadPath: func(path string) ([]byte, error) { return y.readFlowCounter(path, false) },
+		}},
+		{Name: "bytes", Mode: 0o444, Synth: &vfs.Synthetic{
+			ReadPath: func(path string) ([]byte, error) { return y.readFlowCounter(path, true) },
+		}},
+	}}
 	err := y.vfs.WithTx(func(tx *vfs.Tx) error {
 		return y.installRegion(tx, "/")
 	})
@@ -188,16 +203,10 @@ func (y *FS) onFlowMkdir(tx *vfs.Tx, dir, name string) error {
 	// The skeleton belongs to whoever created the flow, so an application
 	// that may mkdir in flows/ can also stage fields and commit.
 	cred := tx.Creator()
-	if err := tx.Mkdir(vfs.Join(base, "counters"), 0o755, cred.UID, cred.GID); err != nil {
+	if err := tx.WriteTree(base+"/"+y.flowCounters.Name, y.flowCounters.Children, 0o755, 0o644, cred.UID, cred.GID); err != nil {
 		return err
 	}
-	if err := tx.WriteFile(vfs.Join(base, FileVersion), []byte("0\n"), 0o644, cred.UID, cred.GID); err != nil {
-		return err
-	}
-	switchPath := vfs.Dir(vfs.Dir(base)) // .../<switch>/flows/<flow>
-	flowName := name
-	y.bindFlowCounters(tx, switchPath, base, flowName)
-	return nil
+	return tx.WriteFile(base+"/"+FileVersion, []byte("0\n"), 0o644, cred.UID, cred.GID)
 }
 
 // onPortMkdir populates a new port directory. The port number is the
@@ -298,32 +307,18 @@ func (y *FS) bindSwitchCounters(tx *vfs.Tx, switchPath string) {
 	}
 }
 
-func (y *FS) bindFlowCounters(tx *vfs.Tx, switchPath, flowPath, flowName string) {
-	packets, bytes := y.flowCounterSynths(switchPath, flowName)
-	for _, bind := range []struct {
-		name  string
-		synth *vfs.Synthetic
-	}{{"packets", packets}, {"bytes", bytes}} {
-		//yancvet:allow errdrop counters dir was created earlier in this same Tx, so the bind cannot miss
-		_ = tx.SetSynthetic(vfs.Join(flowPath, "counters", bind.name), bind.synth, 0o444, 0, 0)
-	}
-}
-
-// flowCounterBind is the shared capture behind one flow's pair of live
-// counter files: both synthetics point into a single allocation, which
-// matters when a ring drain creates a thousand flows per transaction.
-type flowCounterBind struct {
-	y                    *FS
-	switchPath, flowName string
-	packets, bytes       vfs.Synthetic
-}
-
-func (b *flowCounterBind) read(wantBytes bool) ([]byte, error) {
-	src := b.y.counterSource(b.switchPath)
+// readFlowCounter serves a flow's counters/packets or counters/bytes,
+// opened through path: .../<switch>/flows/<flow>/counters/<file>. The
+// switch and the flow are read off the path at every open, so a renamed
+// flow directory asks the counter source for its present name; the value
+// is zero while no source is bound or the source does not know the flow.
+func (y *FS) readFlowCounter(path string, wantBytes bool) ([]byte, error) {
+	flowPath := vfs.Dir(vfs.Dir(path))
+	src := y.counterSource(vfs.Dir(vfs.Dir(flowPath)))
 	if src == nil {
 		return []byte("0\n"), nil
 	}
-	packets, bytes, ok := src.FlowCounters(b.flowName)
+	packets, bytes, ok := src.FlowCounters(vfs.Base(flowPath))
 	if !ok {
 		return []byte("0\n"), nil
 	}
@@ -331,18 +326,7 @@ func (b *flowCounterBind) read(wantBytes bool) ([]byte, error) {
 	if wantBytes {
 		v = bytes
 	}
-	return []byte(strconv.FormatUint(v, 10) + "\n"), nil
-}
-
-// flowCounterSynths builds both live counter files for one flow —
-// packets and bytes, read through the switch's attached counter source,
-// zero while disconnected. Shared by bindFlowCounters and the PutFlowTx
-// fastpath (which plants the synthetics directly via WriteTree).
-func (y *FS) flowCounterSynths(switchPath, flowName string) (packets, bytes *vfs.Synthetic) {
-	b := &flowCounterBind{y: y, switchPath: switchPath, flowName: flowName}
-	b.packets.Read = func() ([]byte, error) { return b.read(false) }
-	b.bytes.Read = func() ([]byte, error) { return b.read(true) }
-	return &b.packets, &b.bytes
+	return append(strconv.AppendUint(nil, v, 10), '\n'), nil
 }
 
 func (y *FS) bindPortCounters(tx *vfs.Tx, switchPath, portPath, portName string) {
