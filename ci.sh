@@ -10,25 +10,21 @@
 #              file and must not grow one (./bench is left out: it uses
 #              syscall.Nanosleep and RUSAGE_THREAD by design)
 #   race       the full test suite under the race detector
-#   battery    the Stress|Chaos|Alloc tests again, -race -count=2
-#   bench      every go-test benchmark for one iteration, so a broken rig
-#              fails CI even when no one is measuring
-#   E14        4 workers must not be slower than 1 (needs 4+ cores)
-#   E15        delivering to 8 subscribers costs at most 2x delivering to 1
-#   E16        a partitioned or killed leader loses or duplicates no
-#              acknowledged write, and failover converges within budget
-#   E17        64 TCP switches under flow-dir churn: every tracked install
-#              reaches its switch, p99 within budget (skipped below 4
-#              cores, where the burst is all scheduler queueing)
-#   E18        the ring's bulk flow push is at least 5x file I/O and a
-#              fanned-out packet-out stages one copy of the frame (skipped
-#              below 4 cores, where wall-clock ratios are steal noise)
+#   battery    the Stress|Chaos|Alloc tests again, -race -count=2 (the
+#              E14, E15 and E16 properties are among them)
+#   bench      every go-test benchmark for one iteration: the smoke test
+#              of the experiment harness, so a broken series fails CI
+#              even when no one is measuring
 #   yancperf   two seconds each of churn_scan, install_ring and
-#              install_file; each run's verifier (conservation, sink
-#              table = file system, every scanned flow parses back) sets
-#              the exit code, no number it prints is compared
+#              install_file, then install_ring traced; each run's
+#              verifier (conservation, sink table = file system, every
+#              scanned flow parses back) sets the exit code, no number
+#              it prints is compared
+#   clean      no leg wrote into the checkout: `git status` reads as it
+#              did when ci.sh started (empty on a committed tree)
 set -eu
 cd "$(dirname "$0")"
+tree_before=$(git status --porcelain 2>/dev/null || true)
 
 echo "==> gofmt"
 unformatted=$(find . -name '*.go' -not -path './vendor/*' -print0 | xargs -0 gofmt -l)
@@ -74,25 +70,6 @@ go test -race -run 'Stress|Chaos|Alloc' -count=2 ./...
 echo "==> go test -bench (smoke, 1 iteration)"
 go test -bench=. -benchtime=1x -run='^$' ./...
 
-echo "==> E14 smoke (multicore scaling sanity gate)"
-go run ./cmd/yancbench -run E14 -quick -gate
-
-echo "==> E15 smoke (zero-copy fan-out gate: 8 subscribers <= 2x 1)"
-go run ./cmd/yancbench -run E15 -quick -gate
-
-echo "==> E16 smoke (replication gate: failover loses nothing, applies once)"
-go run ./cmd/yancbench -run E16 -quick -gate
-
-if [ "$(nproc 2>/dev/null || echo 1)" -ge 4 ]; then
-    echo "==> E17 smoke (churn gate: zero lost installs, p99 within budget)"
-    go run ./cmd/yancbench -run E17 -quick -gate
-    echo "==> E18 smoke (ring gate: bulk push >= 5x file I/O, one staged packet-out copy)"
-    go run ./cmd/yancbench -run E18 -quick -gate
-else
-    echo "==> E17 smoke: skipped (<4 cores)"
-    echo "==> E18 smoke: skipped (<4 cores)"
-fi
-
 echo "==> yancperf smoke (churn_scan, 2 s: the verifier's exit code is the gate)"
 go run ./bench -workload churn_scan -seconds 2 -seed 3
 
@@ -101,5 +78,15 @@ go run ./bench -workload install_ring -seconds 2 -seed 3
 
 echo "==> yancperf smoke (install_file, 2 s: the verifier's exit code is the gate)"
 go run ./bench -workload install_file -seconds 2 -seed 3
+
+echo "==> yancperf smoke (install_ring traced, 2 s: the stage table must build)"
+go run ./bench -workload install_ring -seconds 2 -seed 3 -trace 1
+
+echo "==> clean tree (no leg wrote into the checkout)"
+if [ "$(git status --porcelain 2>/dev/null || true)" != "$tree_before" ]; then
+    echo "FAIL: a leg changed the checkout; git status now reads:" >&2
+    git status --porcelain >&2
+    exit 1
+fi
 
 echo "==> ok"

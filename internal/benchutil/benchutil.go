@@ -1,6 +1,7 @@
-// Package benchutil builds the standard measurement rigs shared by the
-// yancbench experiment harness and the root benchmark suite, so both
-// measure exactly the same code paths.
+// Package benchutil holds what the measuring code shares: the rigs and
+// sample flows of the root package's experiment benchmarks (yancperf in
+// bench/ takes SampleFlowSpec), and the churn engine with its tracking
+// histogram behind cmd/yancload.
 package benchutil
 
 import (

@@ -153,6 +153,7 @@ type Client struct {
 	queue     []request
 	queueCond *sync.Cond
 	flushing  bool
+	resuming  bool // remount is replaying overrides and watches
 	flushErr  error
 	stopFlush chan struct{}
 	flushDone chan struct{}
@@ -355,7 +356,9 @@ func (c *Client) connLost(gen uint64, err error) {
 	for _, w := range dead {
 		w.close()
 	}
+	c.queueMu.Lock() // a strict call parked in mcall must not miss the state change
 	c.queueCond.Broadcast()
+	c.queueMu.Unlock()
 	if c.opts.Reconnect {
 		go c.reconnectLoop(gen)
 	}
@@ -455,6 +458,9 @@ func (c *Client) remount(gen uint64) bool {
 	c.gen++
 	newGen := c.gen
 	c.connErr = nil
+	c.queueMu.Lock()
+	c.resuming = true // queued writes flush after the session below is restored
+	c.queueMu.Unlock()
 	c.state.Store(stateUp)
 	c.counters.reconnects.Add(1)
 	watches := make(map[uint64]*RemoteWatch, len(c.watches))
@@ -475,7 +481,7 @@ func (c *Client) remount(gen uint64) bool {
 	c.overrideMu.RUnlock()
 	for path, mode := range overrides {
 		//yancvet:allow errdrop best-effort reapply on reconnect; a failure falls back to server defaults
-		_ = c.SetXattr(path, ConsistencyXattr, []byte(mode.String()))
+		_, _ = c.mcallNow(request{Op: opSetXattr, Path: path, Path2: ConsistencyXattr, Data: []byte(mode.String())})
 	}
 
 	// Re-register watches under their original IDs. Events emitted while
@@ -487,7 +493,10 @@ func (c *Client) remount(gen uint64) bool {
 			w.deliver(vfs.Event{Op: vfs.OpOverflow, Path: w.path})
 		}
 	}
+	c.queueMu.Lock()
+	c.resuming = false
 	c.queueCond.Broadcast()
+	c.queueMu.Unlock()
 	return true
 }
 
@@ -621,11 +630,25 @@ func (c *Client) stamp(req *request) {
 	}
 }
 
-// mcall performs one strict mutating RPC. On a failover mount the
+// mcall performs one strict mutating RPC once the eventual writes this
+// mount queued before it have been applied (Flush's condition, leaving
+// flushErr for Flush), so a mount's writes land in the order it made
+// them; a mount that is down or closed does not wait but fails fast.
+func (c *Client) mcall(req request) (*response, error) {
+	c.queueMu.Lock()
+	for (len(c.queue) > 0 || c.flushing) && !c.stopped() && c.state.Load() == stateUp {
+		c.queueCond.Wait()
+	}
+	c.queueMu.Unlock()
+	return c.mcallNow(req)
+}
+
+// mcallNow is mcall without the queue barrier; remount replays session
+// state with it ahead of the queued writes. On a failover mount the
 // request is stamped and retried across leader redirects and remounts:
 // at-least-once delivery, which the replicas' dedup windows turn into
 // exactly-once apply.
-func (c *Client) mcall(req request) (*response, error) {
+func (c *Client) mcallNow(req request) (*response, error) {
 	if !c.failover {
 		return c.call(req)
 	}
@@ -752,7 +775,7 @@ func (c *Client) flushLoop() {
 	bo := backoff.New(c.opts.retryPolicy())
 	for {
 		c.queueMu.Lock()
-		for len(c.queue) == 0 {
+		for len(c.queue) == 0 || c.resuming {
 			select {
 			case <-c.stopFlush:
 				c.queueMu.Unlock()

@@ -226,6 +226,26 @@ func TestConsistencyOverridePerSubtree(t *testing.T) {
 	}
 }
 
+// TestStrictWriteOrderedAfterOwnEventualWrites pins a mount's program
+// order across modes: a strict call must not overtake eventual writes
+// the same mount queued before it (the SetXattr would find no directory).
+func TestStrictWriteOrderedAfterOwnEventualWrites(t *testing.T) {
+	addr, y := startServer(t)
+	c := mount(t, addr, Eventual)
+	for i := 0; i < 100; i++ {
+		d := fmt.Sprintf("/hosts/d%d", i)
+		if err := c.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetXattr(d, "user.tag", []byte("x")); err != nil {
+			t.Fatalf("strict SetXattr after eventual Mkdir %s: %v", d, err)
+		}
+	}
+	if v, err := y.Root().GetXattrString("/hosts/d99", "user.tag"); err != nil || v != "x" {
+		t.Fatalf("xattr = %q %v", v, err)
+	}
+}
+
 func TestParseConsistency(t *testing.T) {
 	if m, err := ParseConsistency("eventual"); err != nil || m != Eventual {
 		t.Errorf("eventual = %v %v", m, err)

@@ -218,51 +218,81 @@ func TestReplicaStrictUnavailableWithoutMajority(t *testing.T) {
 	}
 }
 
-// TestChaosReplicaFailoverExactlyOnce drives a failover mount through a
-// leader kill mid write stream: every acknowledged strict write must
-// appear exactly once on the surviving replicas.
+// TestChaosReplicaFailoverExactlyOnce is E16: a failover mount pushes a
+// 24-entry log while, at the halfway write, the leader is killed, fully
+// partitioned, or partitioned inbound-only (it still heartbeats but hears
+// nothing — the split-brain shape only its lease can end). Partitions
+// heal after the writes. Every live replica must end with identical log
+// bytes holding each acknowledged entry exactly once, within 5 s of the
+// fault. Run with -v for the E16 table.
 func TestChaosReplicaFailoverExactlyOnce(t *testing.T) {
-	tc := newCluster(t, 3)
-	lead := tc.waitLeader()
-
-	opts := fastOpts(true)
-	opts.FailoverMaxElapsed = 20 * time.Second
-	c, err := MountReplicas(tc.addrs, vfs.Root, Strict, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.MkdirAll("/flows", 0o755); err != nil {
-		t.Fatal(err)
-	}
-
-	var acked []string
-	for i := 0; i < 20; i++ {
-		if i == 8 {
-			tc.reps[lead].Close() // leader dies mid-stream
-		}
-		line := fmt.Sprintf("entry-%d\n", i)
-		if err := c.AppendFile("/flows/log", []byte(line), 0o644); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-		acked = append(acked, fmt.Sprintf("entry-%d", i))
-	}
-
-	newLead := tc.waitLeader(lead)
-	eventually(t, "survivors converged", func() bool {
-		got, ok := tc.readOn(newLead, "/flows/log")
-		if !ok {
-			return false
-		}
-		for _, want := range acked {
-			if strings.Count(got, want+"\n") != 1 {
-				return false
+	const writes = 24
+	for _, sc := range []struct {
+		name  string
+		fault func(tc *testCluster, lead int)
+	}{
+		{"leader-kill", func(tc *testCluster, lead int) { tc.reps[lead].Close() }},
+		{"leader-partition", func(tc *testCluster, lead int) { tc.injs[lead].Partition() }},
+		{"inbound-partition", func(tc *testCluster, lead int) { tc.injs[lead].PartitionDir(faultnet.Inbound) }},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			tc := newCluster(t, 3)
+			tc.waitLeader()
+			// CallTimeout is the client's partition detector: a deaf leader
+			// is abandoned after one silent RPC (DESIGN.md §12).
+			opts := fastOpts(true)
+			opts.CallTimeout = 500 * time.Millisecond
+			opts.FailoverMaxElapsed = 20 * time.Second
+			c, err := MountReplicas(tc.addrs, vfs.Root, Strict, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return true
-	})
-	if c.Stats().Failovers == 0 {
-		t.Fatal("failover not counted")
+			defer c.Close()
+			if err := c.MkdirAll("/flows", 0o755); err != nil {
+				t.Fatal(err)
+			}
+
+			lead := -1
+			var faultAt time.Time
+			for i := 0; i < writes; i++ {
+				if i == writes/2 {
+					lead = tc.waitLeader()
+					faultAt = time.Now()
+					sc.fault(tc, lead)
+				}
+				if err := c.AppendFile("/flows/log", []byte(fmt.Sprintf("entry-%d\n", i)), 0o644); err != nil {
+					t.Fatalf("append %d: %v", i, err)
+				}
+			}
+			tc.injs[lead].Heal()
+
+			converged := func() bool {
+				ref, _ := tc.readOn((lead+1)%3, "/flows/log")
+				for i := range tc.reps {
+					if got, _ := tc.readOn(i, "/flows/log"); got != ref && !(sc.name == "leader-kill" && i == lead) {
+						return false
+					}
+				}
+				for i := 0; i < writes; i++ {
+					if strings.Count(ref, fmt.Sprintf("entry-%d\n", i)) != 1 {
+						return false
+					}
+				}
+				return true
+			}
+			for !converged() {
+				if time.Since(faultAt) > 5*time.Second {
+					t.Fatalf("live replicas not identical with every acked entry exactly once %v after the fault", time.Since(faultAt))
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			st := c.Stats()
+			t.Logf("acked %d/%d  failovers %d  replayed %d  lost 0  dup 0  converged in %v",
+				writes, writes, st.Failovers, st.ReplayedWrites, time.Since(faultAt).Round(time.Millisecond))
+			if st.Failovers == 0 {
+				t.Fatal("failover not counted")
+			}
+		})
 	}
 }
 

@@ -247,4 +247,34 @@ func TestPacketInDeliveryAllocs(t *testing.T) {
 		t.Fatalf("allocs per message: 1 sub = %.0f, 16 subs = %.0f (want <= %.0f)",
 			a1, a16, a1+15*8)
 	}
+
+	// E15's property, counted: subscribers cost links, not copies. The same
+	// 960-message run (below the 1024-message bound, so nothing is dropped)
+	// copies the same bytes at 1, 8 and 16 subscribers and links
+	// subscribers × those bytes.
+	var copied uint64
+	for _, subs := range []int{1, 8, 16} {
+		y := newFS(t)
+		for i := 0; i < subs; i++ {
+			_, w, err := Subscribe(y.Root(), "/", fmt.Sprintf("app%d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+		}
+		pi := testPacketIn(128)
+		for i := 0; i < 960; i++ {
+			if err := y.DeliverPacketIn("/", "sw1", pi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := y.EventStats()
+		if copied == 0 {
+			copied = s.CopiedBytes
+		}
+		if copied < 960*128 || s.CopiedBytes != copied || s.LinkedBytes != uint64(subs)*copied {
+			t.Fatalf("%d subscribers: copied %d B, linked %d B; want copied %d (≥ 960 payloads) and linked %d×copied",
+				subs, s.CopiedBytes, s.LinkedBytes, copied, subs)
+		}
+	}
 }
