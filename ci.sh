@@ -15,11 +15,12 @@
 #   bench      every go-test benchmark for one iteration: the smoke test
 #              of the experiment harness, so a broken series fails CI
 #              even when no one is measuring
-#   yancperf   two seconds each of churn_scan, install_ring and
-#              install_file, then install_ring traced; each run's
-#              verifier (conservation, sink table = file system, every
-#              scanned flow parses back) sets the exit code, no number
-#              it prints is compared
+#   yancperf   two seconds each of churn_scan, install_ring,
+#              install_file and reactive_miss, then install_ring traced;
+#              each run's verifier (conservation, sink table = file
+#              system, every scanned flow parses back, two FlowAdds and
+#              one PacketOut per miss with no flood) sets the exit code,
+#              no number it prints is compared
 #   clean      no leg wrote into the checkout: `git status` reads as it
 #              did when ci.sh started (empty on a committed tree)
 set -eu
@@ -78,6 +79,9 @@ go run ./bench -workload install_ring -seconds 2 -seed 3
 
 echo "==> yancperf smoke (install_file, 2 s: the verifier's exit code is the gate)"
 go run ./bench -workload install_file -seconds 2 -seed 3
+
+echo "==> yancperf smoke (reactive_miss, 2 s: the verifier's exit code is the gate)"
+go run ./bench -workload reactive_miss -seconds 2 -seed 3
 
 echo "==> yancperf smoke (install_ring traced, 2 s: the stage table must build)"
 go run ./bench -workload install_ring -seconds 2 -seed 3 -trace 1

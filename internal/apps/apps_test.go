@@ -197,6 +197,50 @@ func TestRouterFloodsUnknownDestination(t *testing.T) {
 	}
 }
 
+func TestRouterLearnsOnlyAtEdgePorts(t *testing.T) {
+	r := newLinearRig(t, 2)
+	td := NewTopod(r.y.Root(), "/")
+	if err := td.DiscoverOnce(); err != nil {
+		t.Fatal(err)
+	}
+	td.Stop()
+	// h1's location must come from its own packets, not hosts/.
+	if err := r.y.Root().RemoveAll("/hosts/h1"); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(r.y.Root(), "/")
+	if err := rt.EnsureSubscribed(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	h1, h2 := r.hosts[0], r.hosts[1]
+	// The flood from sw1 re-misses at sw2's link port carrying h1's MAC:
+	// that miss must not move h1 onto the trunk.
+	h2.ClearReceived()
+	ghost := ethernet.MACFromUint64(0xdeadbeef)
+	h1.Send(ethernet.Frame{Dst: ghost, Src: h1.MAC, Type: 0x1234, Payload: []byte("x")}.Serialize())
+	eventually(t, "flood reaches h2", func() bool {
+		rt.Drain()
+		return h2.RxCount() > 0
+	})
+	h2.Send(ethernet.Frame{Dst: h1.MAC, Src: h2.MAC, Type: 0x1234, Payload: []byte("y")}.Serialize())
+	p := r.y.Root()
+	eventually(t, "a router flow on sw1 toward h1's port", func() bool {
+		rt.Drain()
+		names, _ := yancfs.ListFlows(p, "/switches/sw1")
+		for _, n := range names {
+			if !strings.HasPrefix(n, "router-") {
+				continue
+			}
+			spec, err := yancfs.ReadFlow(p, "/switches/sw1/flows/"+n)
+			if err == nil && len(spec.Actions) == 1 && spec.Actions[0] == openflow.Output(1) {
+				return true
+			}
+		}
+		return false
+	})
+}
+
 func TestARPdAnswersFromHostsDir(t *testing.T) {
 	r := newLinearRig(t, 2)
 	ad := NewARPd(r.y.Root(), "/")

@@ -17,6 +17,9 @@ import (
 // peer-symlink topology, installs one exact-match flow per switch on the
 // path (via ordinary flow-directory writes), and releases the triggering
 // packet with a packet-out.
+//
+// The topology and the hosts/ table are held in a watch-invalidated cache
+// (topoCache): a miss on an unchanged network reads neither.
 type Router struct {
 	P      *vfs.Proc
 	Region string
@@ -26,15 +29,19 @@ type Router struct {
 	// Priority of installed flows (default 100).
 	Priority uint16
 
+	// mu serializes misses and guards everything below.
 	mu       sync.Mutex
 	buf      string
 	watch    *vfs.Watch
 	stop     chan struct{}
 	stopped  chan struct{}
+	cache    *topoCache
 	learned  map[ethernet.MAC]PortRef
 	flowSeq  uint64
 	installs uint64
 	floods   uint64
+	name     []byte // flow path being rendered
+	pout     []byte // packet-out head and payload being rendered
 }
 
 // NewRouter creates the daemon over a region.
@@ -42,6 +49,7 @@ func NewRouter(p *vfs.Proc, region string) *Router {
 	return &Router{
 		P: p, Region: region, App: "router",
 		IdleTimeout: 60, Priority: 100,
+		cache:   newTopoCache(p, region),
 		learned: make(map[ethernet.MAC]PortRef),
 	}
 }
@@ -60,14 +68,20 @@ func (r *Router) Start() error {
 	return nil
 }
 
-// Stop shuts the daemon down.
+// Stop shuts the daemon down and removes every watch it placed.
 func (r *Router) Stop() {
-	if r.stop == nil {
-		return
+	if r.stop != nil {
+		close(r.stop)
+		r.watch.Close()
+		<-r.stopped
+		r.stop = nil
+	} else if r.watch != nil {
+		r.watch.Close()
 	}
-	close(r.stop)
-	r.watch.Close()
-	<-r.stopped
+	r.watch, r.buf = nil, ""
+	r.mu.Lock()
+	r.cache.close()
+	r.mu.Unlock()
 }
 
 // Stats reports how many paths were installed and packets flooded.
@@ -131,114 +145,95 @@ func (r *Router) HandleMiss(ev yancfs.PacketInEvent) {
 	if f.Type == ethernet.TypeLLDP {
 		return // topod's business
 	}
-	// Learn the source location.
-	src := PortRef{Switch: ev.Switch, Port: ev.InPort}
 	r.mu.Lock()
-	r.learned[f.Src] = src
+	defer r.mu.Unlock()
+	r.cache.refresh()
+	// Learn the source location, but only at an edge port: a packet that
+	// re-misses after crossing a link says nothing about where its source
+	// is attached.
+	src := PortRef{Switch: ev.Switch, Port: ev.InPort}
+	if !r.cache.linked(src) {
+		r.learned[f.Src] = src
+	}
 	dst, known := r.learned[f.Dst]
-	r.mu.Unlock()
 	if !known {
-		if loc, ok := r.hostLocation(f.Dst); ok {
-			dst = loc
-			known = true
-		}
+		dst, known = r.cache.host(f.Dst)
 	}
-	if f.Dst.IsBroadcast() || f.Dst.IsMulticast() || !known {
-		// Unknown destination: flood from the ingress switch.
+	if f.Dst.IsBroadcast() || f.Dst.IsMulticast() || !known || r.installPath(src, dst, ev) != nil {
+		// Unknown destination, or no way there: flood from the ingress
+		// switch.
 		r.packetOut(ev.Switch, openflow.PortFlood, ev)
-		r.mu.Lock()
 		r.floods++
-		r.mu.Unlock()
-		return
 	}
-	if err := r.installPath(src, dst, ev); err != nil {
-		r.packetOut(ev.Switch, openflow.PortFlood, ev)
-		r.mu.Lock()
-		r.floods++
-		r.mu.Unlock()
-	}
-}
-
-// hostLocation consults the hosts/ directory for a static attachment.
-func (r *Router) hostLocation(mac ethernet.MAC) (PortRef, bool) {
-	locs, _, err := HostLocations(r.P, r.Region)
-	if err != nil {
-		return PortRef{}, false
-	}
-	loc, ok := locs[mac]
-	return loc, ok
 }
 
 // installPath installs exact-match flows from src's switch to dst and
-// releases the packet at the ingress switch.
+// releases the packet at the ingress switch. r.mu held.
 func (r *Router) installPath(src, dst PortRef, ev yancfs.PacketInEvent) error {
-	topo, err := LoadTopology(r.P, r.Region)
-	if err != nil {
-		return err
-	}
 	pf, err := openflow.ExtractFields(ev.Data, ev.InPort)
 	if err != nil {
 		return err
 	}
-	hops, ok := topo.Path(src.Switch, dst.Switch)
-	if !ok {
+	rt := r.cache.routeTo(src.Switch, dst.Switch)
+	if !rt.ok {
 		return fmt.Errorf("apps: no path %s -> %s", src.Switch, dst.Switch)
 	}
-	// Egress ports along the path; the final hop exits at dst.Port.
-	type step struct {
-		sw      string
-		inPort  uint32
-		outPort uint32
-	}
-	var steps []step
-	inPort := src.Port
-	for _, h := range hops {
-		steps = append(steps, step{sw: h.sw, inPort: inPort, outPort: h.outPort})
-		peer := topo.Links[PortRef{h.sw, h.outPort}]
-		inPort = peer.Port
-	}
-	steps = append(steps, step{sw: dst.Switch, inPort: inPort, outPort: dst.Port})
-
-	r.mu.Lock()
 	r.flowSeq++
-	seq := r.flowSeq
 	r.installs++
-	r.mu.Unlock()
-	for _, s := range steps {
-		match := openflow.ExactMatch(pf)
-		match.Set |= openflow.FieldInPort
-		match.InPort = s.inPort
-		flowName := fmt.Sprintf("router-%d-%s", seq, s.sw)
-		flowPath := vfs.Join(r.Region, yancfs.DirSwitches, s.sw, "flows", flowName)
-		spec := yancfs.FlowSpec{
-			Match:       match,
-			Priority:    r.Priority,
-			IdleTimeout: r.IdleTimeout,
-			Actions:     []openflow.Action{openflow.Output(s.outPort)},
-		}
-		if _, err := yancfs.WriteFlow(r.P, flowPath, spec); err != nil {
+	seq := r.flowSeq
+	// Each switch on the path forwards out its hop's port; the last one
+	// exits at dst.Port.
+	inPort := src.Port
+	for i, h := range rt.hops {
+		if err := r.writeFlow(seq, h.sw, pf, inPort, h.outPort); err != nil {
 			return err
 		}
+		inPort = rt.ins[i]
+	}
+	if err := r.writeFlow(seq, dst.Switch, pf, inPort, dst.Port); err != nil {
+		return err
 	}
 	// Release the triggering packet along the fresh path.
-	r.packetOut(src.Switch, steps[0].outPort, ev)
+	first := dst.Port
+	if len(rt.hops) > 0 {
+		first = rt.hops[0].outPort
+	}
+	r.packetOut(src.Switch, first, ev)
 	return nil
 }
 
-// packetOut releases a buffered packet (or resends its bytes) on a port.
-func (r *Router) packetOut(sw string, port uint32, ev yancfs.PacketInEvent) {
-	spec := "out=" + portToken(port)
-	if ev.BufferID != openflow.NoBuffer {
-		spec += " buffer_id=" + strconv.FormatUint(uint64(ev.BufferID), 10)
-	}
-	spec += " in_port=" + strconv.FormatUint(uint64(ev.InPort), 10) + "\n"
-	payload := append([]byte(spec), ev.Data...)
-	_ = r.P.WriteFile(vfs.Join(r.Region, yancfs.DirSwitches, sw, "packet_out"), payload, 0o644)
+// writeFlow installs the path flow router-<seq>-<sw> on one switch.
+func (r *Router) writeFlow(seq uint64, sw string, pf openflow.PacketFields, inPort, outPort uint32) error {
+	match := openflow.ExactMatch(pf)
+	match.Set |= openflow.FieldInPort
+	match.InPort = inPort
+	b := append(r.name[:0], r.cache.switchPaths(sw).flowPrefix...)
+	b = strconv.AppendUint(b, seq, 10)
+	b = append(append(b, '-'), sw...)
+	r.name = b
+	_, err := yancfs.WriteFlow(r.P, string(b), yancfs.FlowSpec{
+		Match:       match,
+		Priority:    r.Priority,
+		IdleTimeout: r.IdleTimeout,
+		Actions:     []openflow.Action{openflow.Output(outPort)},
+	})
+	return err
 }
 
-func portToken(port uint32) string {
+// packetOut releases a buffered packet (or resends its bytes) on a port.
+// r.mu held.
+func (r *Router) packetOut(sw string, port uint32, ev yancfs.PacketInEvent) {
+	b := append(r.pout[:0], "out="...)
 	if port == openflow.PortFlood {
-		return "flood"
+		b = append(b, "flood"...)
+	} else {
+		b = strconv.AppendUint(b, uint64(port), 10)
 	}
-	return strconv.FormatUint(uint64(port), 10)
+	if ev.BufferID != openflow.NoBuffer {
+		b = strconv.AppendUint(append(b, " buffer_id="...), uint64(ev.BufferID), 10)
+	}
+	b = strconv.AppendUint(append(b, " in_port="...), uint64(ev.InPort), 10)
+	b = append(append(b, '\n'), ev.Data...)
+	r.pout = b
+	_ = r.P.WriteFile(r.cache.switchPaths(sw).packetOut, b, 0o644)
 }

@@ -9,6 +9,7 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,10 +34,27 @@ type Topology struct {
 	Links map[PortRef]PortRef
 	// Ports lists each switch's ports.
 	Ports map[string][]uint32
+
+	// adj lists each switch's linked ports in port order: Path's BFS
+	// walks it instead of scanning Links. Built once, on first use.
+	adj map[string][]edge
+}
+
+// edge is one outgoing link: leave the switch by port, arrive at to.
+type edge struct {
+	port uint32
+	to   PortRef
 }
 
 // LoadTopology builds the graph from a region's switches directory.
 func LoadTopology(p *vfs.Proc, region string) (*Topology, error) {
+	return loadTopology(p, region, nil)
+}
+
+// loadTopology is LoadTopology with a hook run for each switch before its
+// ports are listed (the router's cache places its watch there, so no
+// change between the watch and the listing is missed).
+func loadTopology(p *vfs.Proc, region string, beforePorts func(sw, swPath string)) (*Topology, error) {
 	topo := &Topology{
 		Links: make(map[PortRef]PortRef),
 		Ports: make(map[string][]uint32),
@@ -47,6 +65,9 @@ func LoadTopology(p *vfs.Proc, region string) (*Topology, error) {
 	}
 	for _, sw := range switches {
 		swPath := vfs.Join(region, yancfs.DirSwitches, sw)
+		if beforePorts != nil {
+			beforePorts(sw, swPath)
+		}
 		ports, err := yancfs.ListPorts(p, swPath)
 		if err != nil {
 			continue
@@ -72,6 +93,21 @@ func (t *Topology) Switches() []string {
 	return names
 }
 
+// adjacency returns the per-switch sorted link lists, building them from
+// Links on first use: O(E log E) once instead of per BFS step.
+func (t *Topology) adjacency() map[string][]edge {
+	if t.adj == nil {
+		t.adj = make(map[string][]edge, len(t.Ports))
+		for from, to := range t.Links {
+			t.adj[from.Switch] = append(t.adj[from.Switch], edge{port: from.Port, to: to})
+		}
+		for _, es := range t.adj {
+			sort.Slice(es, func(i, j int) bool { return es[i].port < es[j].port })
+		}
+	}
+	return t.adj
+}
+
 // hop is one step on a path: leave fromSwitch via outPort.
 type hop struct {
 	sw      string
@@ -80,39 +116,35 @@ type hop struct {
 
 // Path computes the shortest switch path from src to dst switch and
 // returns, for each switch on the path, the egress port toward dst.
-// ok is false when dst is unreachable.
+// ok is false when dst is unreachable. Ties go to the lower port number.
+// BFS over the adjacency lists: O(V+E).
 func (t *Topology) Path(src, dst string) (hops []hop, ok bool) {
 	if src == dst {
 		return nil, true
 	}
-	type queueEntry struct {
-		sw   string
-		path []hop
-	}
-	visited := map[string]bool{src: true}
-	queue := []queueEntry{{sw: src}}
+	adj := t.adjacency()
+	// via records, for each reached switch, the hop that first reached it.
+	via := map[string]hop{src: {}}
+	queue := []string{src}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		// Deterministic iteration: sort the outgoing links.
-		var outs []PortRef
-		for from := range t.Links {
-			if from.Switch == cur.sw {
-				outs = append(outs, from)
-			}
-		}
-		sort.Slice(outs, func(i, j int) bool { return outs[i].Port < outs[j].Port })
-		for _, from := range outs {
-			to := t.Links[from]
-			if visited[to.Switch] {
+		for _, e := range adj[cur] {
+			if _, seen := via[e.to.Switch]; seen {
 				continue
 			}
-			visited[to.Switch] = true
-			next := append(append([]hop(nil), cur.path...), hop{sw: cur.sw, outPort: from.Port})
-			if to.Switch == dst {
-				return next, true
+			via[e.to.Switch] = hop{sw: cur, outPort: e.port}
+			if e.to.Switch != dst {
+				queue = append(queue, e.to.Switch)
+				continue
 			}
-			queue = append(queue, queueEntry{sw: to.Switch, path: next})
+			for sw := dst; sw != src; {
+				h := via[sw]
+				hops = append(hops, h)
+				sw = h.sw
+			}
+			slices.Reverse(hops)
+			return hops, true
 		}
 	}
 	return nil, false

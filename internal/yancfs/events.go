@@ -1,6 +1,8 @@
 package yancfs
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -626,26 +628,34 @@ func parseMsgSeq(name string) (uint64, bool) {
 	return v, err == nil
 }
 
-// ReadPacketIn parses a packet-in message directory.
+// ReadPacketIn parses a packet-in message directory. The directory is
+// resolved once; each of its six files is then read relative to it. The
+// header files are write-once (0444) and parsed in place; Data is the
+// caller's own copy.
 func ReadPacketIn(p *vfs.Proc, msgPath string) (PacketInEvent, error) {
 	var ev PacketInEvent
-	var err error
-	if ev.Switch, err = p.ReadString(vfs.Join(msgPath, "switch")); err != nil {
+	ref, err := p.DirRef(msgPath)
+	if err != nil {
 		return ev, err
 	}
+	sw, err := p.ReadFileSharedAt(ref, "switch")
+	if err != nil {
+		return ev, err
+	}
+	ev.Switch = string(bytes.TrimSpace(sw))
 	read32 := func(name string) uint32 {
-		s, err2 := p.ReadString(vfs.Join(msgPath, name))
-		if err2 != nil {
+		b, err := p.ReadFileSharedAt(ref, name)
+		if err != nil {
 			return 0
 		}
-		v, _ := strconv.ParseUint(s, 10, 32)
+		v, _ := strconv.ParseUint(string(bytes.TrimSpace(b)), 10, 32)
 		return uint32(v)
 	}
 	ev.BufferID = read32("buffer_id")
 	ev.InPort = read32("in_port")
 	ev.Reason = uint8(read32("reason"))
 	ev.TotalLen = uint16(read32("total_len"))
-	if ev.Data, err = p.ReadFile(vfs.Join(msgPath, "data")); err != nil {
+	if ev.Data, err = p.ReadFileAt(ref, "data"); err != nil {
 		return ev, err
 	}
 	return ev, nil
@@ -655,12 +665,18 @@ func ReadPacketIn(p *vfs.Proc, msgPath string) (PacketInEvent, error) {
 // typical handle-then-delete pattern of an event-driven app. Removing the
 // message directory drops the application's links on the shared payload
 // block; the block itself is reclaimed when the last subscriber consumes.
+// A subscriber buffer's rmdir is recursive, so one Remove takes the whole
+// message; RemoveAll is the fallback for a directory outside a buffer.
 func ConsumePacketIn(p *vfs.Proc, msgPath string) (PacketInEvent, error) {
 	ev, err := ReadPacketIn(p, msgPath)
 	if err != nil {
 		return ev, err
 	}
-	return ev, p.RemoveAll(msgPath)
+	err = p.Remove(msgPath)
+	if errors.Is(err, vfs.ErrNotEmpty) {
+		err = p.RemoveAll(msgPath)
+	}
+	return ev, err
 }
 
 // PendingEvents lists message directories in a buffer in delivery order.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"yanc/internal/openflow"
+	"yanc/internal/vfs"
 )
 
 func testPacketIn(n int) *openflow.PacketIn {
@@ -276,5 +277,46 @@ func TestPacketInDeliveryAllocs(t *testing.T) {
 			t.Fatalf("%d subscribers: copied %d B, linked %d B; want copied %d (≥ 960 payloads) and linked %d×copied",
 				subs, s.CopiedBytes, s.LinkedBytes, copied, subs)
 		}
+	}
+}
+
+// TestConsumePacketInCallCount pins what consuming one message costs: the
+// message directory is resolved once (3 lookups), each of its six files is
+// one lookup in it, and one Remove (3 lookups) takes the whole directory.
+func TestConsumePacketInCallCount(t *testing.T) {
+	y := newFS(t)
+	p := y.Root()
+	buf, w, err := Subscribe(p, "/", "app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	pi := testPacketIn(64)
+	if err := y.DeliverPacketIn("/", "sw1", pi); err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := PendingEvents(p, buf)
+	if err != nil || len(msgs) != 1 {
+		t.Fatalf("pending = %v %v", msgs, err)
+	}
+	before := y.VFS().Stats()
+	ev, err := ConsumePacketIn(p, msgs[0])
+	got := y.VFS().Stats().Sub(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Switch != "sw1" || ev.BufferID != pi.BufferID || ev.InPort != pi.InPort ||
+		ev.Reason != pi.Reason || ev.TotalLen != pi.TotalLen || string(ev.Data) != string(pi.Data) {
+		t.Errorf("event = %+v", ev)
+	}
+	want := vfs.OpStats{Lookups: 12, Opens: 6, Reads: 6, Removes: 1, Stats: 1}
+	if got != want {
+		t.Errorf("consume = %+v, want %+v", got, want)
+	}
+	if p.Exists(msgs[0]) {
+		t.Error("message directory survived its consume")
+	}
+	if st := y.EventStats(); st.BlocksLive != 0 || st.BytesLive != 0 {
+		t.Errorf("payload not reclaimed: %+v", st)
 	}
 }
