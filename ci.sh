@@ -11,7 +11,11 @@
 #              syscall.Nanosleep and RUSAGE_THREAD by design)
 #   race       the full test suite under the race detector
 #   battery    the Stress|Chaos|Alloc tests again, -race -count=2 (the
-#              E14, E15 and E16 properties are among them)
+#              E14, E15 and E16 properties and the views' overflow
+#              convergence are among them)
+#   fuzz       10 s each of FuzzPathResolve and FuzzFlowDirRoundTrip,
+#              from the seed corpora committed under testdata/fuzz; what
+#              the fuzzer finds interesting stays in the Go build cache
 #   bench      every go-test benchmark for one iteration: the smoke test
 #              of the experiment harness, so a broken series fails CI
 #              even when no one is measuring
@@ -67,6 +71,10 @@ go test -race ./...
 
 echo "==> go test -race concurrency battery (Stress|Chaos|Alloc, -count=2)"
 go test -race -run 'Stress|Chaos|Alloc' -count=2 ./...
+
+echo "==> go test -fuzz (10 s per target)"
+go test -run '^$' -fuzz '^FuzzPathResolve$' -fuzztime 10s ./internal/vfs
+go test -run '^$' -fuzz '^FuzzFlowDirRoundTrip$' -fuzztime 10s ./internal/yancfs
 
 echo "==> go test -bench (smoke, 1 iteration)"
 go test -bench=. -benchtime=1x -run='^$' ./...

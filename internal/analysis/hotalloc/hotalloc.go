@@ -528,8 +528,9 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 	}
 	if samePathRoot(pkg.Path(), c.pass.Pkg.Path()) {
 		// In-module cross-package call: the callee must carry the
-		// //yancvet:hotalloc contract.
-		if !c.pass.ImportObjectFact(callee, &AllocFree{}) {
+		// //yancvet:hotalloc contract. A method of an instantiated generic
+		// type is a distinct object; the fact sits on its declaration.
+		if !c.pass.ImportObjectFact(callee.Origin(), &AllocFree{}) {
 			c.reportf(call.Pos(), "call to %s on hot path (root %s): callee is not marked //yancvet:hotalloc, so its allocation behavior is unverified", callee.FullName(), c.root)
 		}
 		return

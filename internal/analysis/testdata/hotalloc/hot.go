@@ -11,7 +11,8 @@ import (
 )
 
 type conn struct {
-	buf []byte
+	buf   []byte
+	names render.Names[string]
 }
 
 // drain is an annotated root; helper below is pulled into the hot set as
@@ -21,6 +22,7 @@ type conn struct {
 func (c *conn) drain(names []string) {
 	for _, n := range names {
 		c.buf = render.AppendName(c.buf, n) // AllocFree fact imported: clean
+		c.names.Add(n)                      // the fact of a generic method: clean
 		c.buf = helper(c.buf, n)
 	}
 }

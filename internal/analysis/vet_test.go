@@ -179,8 +179,8 @@ func TestHotallocFactPropagation(t *testing.T) {
 	flaggedUnverified := false
 	for _, msgs := range diags {
 		for _, m := range msgs {
-			if strings.Contains(m, "render.AppendName") {
-				t.Errorf("annotated render.AppendName flagged despite its imported AllocFree fact: %s", m)
+			if strings.Contains(m, "render.AppendName") || strings.Contains(m, "render.Names") {
+				t.Errorf("annotated callee flagged despite its imported AllocFree fact: %s", m)
 			}
 			if strings.Contains(m, "render.Format") && strings.Contains(m, "not marked") {
 				flaggedUnverified = true

@@ -19,11 +19,9 @@ type ARPd struct {
 	Region string
 	App    string
 
-	mu      sync.Mutex
-	buf     string
-	watch   *vfs.Watch
-	stop    chan struct{}
-	stopped chan struct{}
+	sub subscription
+
+	mu sync.Mutex
 	// learned supplements hosts/ records with observed sender mappings.
 	learned map[ethernet.IP4]ethernet.MAC
 	replies uint64
@@ -35,41 +33,10 @@ func NewARPd(p *vfs.Proc, region string) *ARPd {
 }
 
 // Start subscribes and begins answering in the background.
-func (a *ARPd) Start() error {
-	buf, w, err := yancfs.Subscribe(a.P, a.Region, a.App)
-	if err != nil {
-		return err
-	}
-	a.buf = buf
-	a.watch = w
-	a.stop = make(chan struct{})
-	a.stopped = make(chan struct{})
-	go func() {
-		defer close(a.stopped)
-		for {
-			select {
-			case <-a.stop:
-				return
-			case _, ok := <-a.watch.C:
-				if !ok {
-					return
-				}
-				a.Drain()
-			}
-		}
-	}()
-	return nil
-}
+func (a *ARPd) Start() error { return a.sub.start(a.P, a.Region, a.App, a.handle) }
 
-// Stop shuts the daemon down.
-func (a *ARPd) Stop() {
-	if a.stop == nil {
-		return
-	}
-	close(a.stop)
-	a.watch.Close()
-	<-a.stopped
-}
+// Stop shuts the daemon down and removes its watch.
+func (a *ARPd) Stop() { a.sub.close() }
 
 // Replies reports how many ARP replies were sent.
 func (a *ARPd) Replies() uint64 {
@@ -79,33 +46,10 @@ func (a *ARPd) Replies() uint64 {
 }
 
 // EnsureSubscribed subscribes without starting the loop.
-func (a *ARPd) EnsureSubscribed() error {
-	if a.buf != "" {
-		return nil
-	}
-	buf, w, err := yancfs.Subscribe(a.P, a.Region, a.App)
-	if err != nil {
-		return err
-	}
-	a.buf = buf
-	a.watch = w
-	return nil
-}
+func (a *ARPd) EnsureSubscribed() error { return a.sub.open(a.P, a.Region, a.App, a.handle) }
 
 // Drain synchronously answers every pending ARP request.
-func (a *ARPd) Drain() {
-	msgs, err := yancfs.PendingEvents(a.P, a.buf)
-	if err != nil {
-		return
-	}
-	for _, msg := range msgs {
-		ev, err := yancfs.ConsumePacketIn(a.P, msg)
-		if err != nil {
-			continue
-		}
-		a.handle(ev)
-	}
-}
+func (a *ARPd) Drain() { a.sub.drain() }
 
 func (a *ARPd) handle(ev yancfs.PacketInEvent) {
 	f, err := ethernet.DecodeFrame(ev.Data)

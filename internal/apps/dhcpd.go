@@ -32,16 +32,14 @@ type DHCPd struct {
 	Router    ethernet.IP4
 	LeaseSec  uint32
 
-	mu      sync.Mutex
-	buf     string
-	watch   *vfs.Watch
-	stop    chan struct{}
-	stopped chan struct{}
-	leases  map[ethernet.MAC]ethernet.IP4
-	inUse   map[ethernet.IP4]bool
-	now     func() time.Time
-	offers  uint64
-	acks    uint64
+	sub subscription
+
+	mu     sync.Mutex
+	leases map[ethernet.MAC]ethernet.IP4
+	inUse  map[ethernet.IP4]bool
+	now    func() time.Time
+	offers uint64
+	acks   uint64
 }
 
 // NewDHCPd creates a daemon serving a /24-ish pool starting at start.
@@ -72,50 +70,24 @@ func (d *DHCPd) Start() error {
 	if err := d.EnsureSubscribed(); err != nil {
 		return err
 	}
-	d.stop = make(chan struct{})
-	d.stopped = make(chan struct{})
-	go func() {
-		defer close(d.stopped)
-		for {
-			select {
-			case <-d.stop:
-				return
-			case _, ok := <-d.watch.C:
-				if !ok {
-					return
-				}
-				d.Drain()
-			}
-		}
-	}()
-	return nil
+	return d.sub.start(d.P, d.Region, d.App, d.handle)
 }
 
-// Stop shuts the daemon down.
-func (d *DHCPd) Stop() {
-	if d.stop == nil {
-		return
-	}
-	close(d.stop)
-	d.watch.Close()
-	<-d.stopped
-}
+// Stop shuts the daemon down and removes its watch.
+func (d *DHCPd) Stop() { d.sub.close() }
 
 // EnsureSubscribed prepares the buffer, the lease directory, and the
 // intercept flows, without starting the loop.
 func (d *DHCPd) EnsureSubscribed() error {
-	if d.buf != "" {
+	if d.sub.watch != nil {
 		return nil
 	}
 	if err := d.P.MkdirAll(d.leaseDir(), 0o755); err != nil {
 		return err
 	}
-	buf, w, err := yancfs.Subscribe(d.P, d.Region, d.App)
-	if err != nil {
+	if err := d.sub.open(d.P, d.Region, d.App, d.handle); err != nil {
 		return err
 	}
-	d.buf = buf
-	d.watch = w
 	return d.InstallInterceptFlows()
 }
 
@@ -160,20 +132,7 @@ func (d *DHCPd) Stats() (offers, acks uint64) {
 
 // Drain synchronously serves every pending request, returning how many
 // events it consumed.
-func (d *DHCPd) Drain() int {
-	msgs, err := yancfs.PendingEvents(d.P, d.buf)
-	if err != nil {
-		return 0
-	}
-	for _, msg := range msgs {
-		ev, err := yancfs.ConsumePacketIn(d.P, msg)
-		if err != nil {
-			continue
-		}
-		d.handle(ev)
-	}
-	return len(msgs)
-}
+func (d *DHCPd) Drain() int { return d.sub.drain() }
 
 func (d *DHCPd) handle(ev yancfs.PacketInEvent) {
 	f, err := ethernet.DecodeFrame(ev.Data)

@@ -29,12 +29,10 @@ type Router struct {
 	// Priority of installed flows (default 100).
 	Priority uint16
 
+	sub subscription
+
 	// mu serializes misses and guards everything below.
 	mu       sync.Mutex
-	buf      string
-	watch    *vfs.Watch
-	stop     chan struct{}
-	stopped  chan struct{}
 	cache    *topoCache
 	learned  map[ethernet.MAC]PortRef
 	flowSeq  uint64
@@ -55,30 +53,11 @@ func NewRouter(p *vfs.Proc, region string) *Router {
 }
 
 // Start subscribes and begins consuming table misses.
-func (r *Router) Start() error {
-	buf, w, err := yancfs.Subscribe(r.P, r.Region, r.App)
-	if err != nil {
-		return err
-	}
-	r.buf = buf
-	r.watch = w
-	r.stop = make(chan struct{})
-	r.stopped = make(chan struct{})
-	go r.loop()
-	return nil
-}
+func (r *Router) Start() error { return r.sub.start(r.P, r.Region, r.App, r.HandleMiss) }
 
 // Stop shuts the daemon down and removes every watch it placed.
 func (r *Router) Stop() {
-	if r.stop != nil {
-		close(r.stop)
-		r.watch.Close()
-		<-r.stopped
-		r.stop = nil
-	} else if r.watch != nil {
-		r.watch.Close()
-	}
-	r.watch, r.buf = nil, ""
+	r.sub.close()
 	r.mu.Lock()
 	r.cache.close()
 	r.mu.Unlock()
@@ -91,50 +70,12 @@ func (r *Router) Stats() (installs, floods uint64) {
 	return r.installs, r.floods
 }
 
-func (r *Router) loop() {
-	defer close(r.stopped)
-	for {
-		select {
-		case <-r.stop:
-			return
-		case _, ok := <-r.watch.C:
-			if !ok {
-				return
-			}
-			r.Drain()
-		}
-	}
-}
-
 // Drain synchronously consumes every pending table miss.
-func (r *Router) Drain() {
-	msgs, err := yancfs.PendingEvents(r.P, r.buf)
-	if err != nil {
-		return
-	}
-	for _, msg := range msgs {
-		ev, err := yancfs.ConsumePacketIn(r.P, msg)
-		if err != nil {
-			continue
-		}
-		r.HandleMiss(ev)
-	}
-}
+func (r *Router) Drain() { r.sub.drain() }
 
 // EnsureSubscribed subscribes without starting the background loop
 // (for synchronous use in tests and benchmarks).
-func (r *Router) EnsureSubscribed() error {
-	if r.buf != "" {
-		return nil
-	}
-	buf, w, err := yancfs.Subscribe(r.P, r.Region, r.App)
-	if err != nil {
-		return err
-	}
-	r.buf = buf
-	r.watch = w
-	return nil
-}
+func (r *Router) EnsureSubscribed() error { return r.sub.open(r.P, r.Region, r.App, r.HandleMiss) }
 
 // HandleMiss processes one table-miss event.
 func (r *Router) HandleMiss(ev yancfs.PacketInEvent) {

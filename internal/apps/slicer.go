@@ -2,9 +2,8 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
-	"sync"
 
 	"yanc/internal/openflow"
 	"yanc/internal/vfs"
@@ -20,7 +19,8 @@ import (
 //   - flows committed inside the view are intersected with the slice's
 //     header-space filter and written into the master region (prefixed,
 //     so slices cannot collide);
-//   - flow removals propagate;
+//   - flow removals propagate, and so does an edit that takes a flow out
+//     of the slice: its twin goes and its "error" file says why;
 //   - packet-in events that belong to the slice (member switch + filter
 //     match) are re-delivered into the view's event buffers.
 //
@@ -33,19 +33,7 @@ type Slicer struct {
 	Filter   openflow.Match
 	Switches []string
 
-	mu      sync.Mutex
-	p       *vfs.Proc
-	watch   *vfs.Watch
-	evWatch *vfs.Watch
-	stop    chan struct{}
-	stopped chan struct{}
-	// pushed maps view flow path -> its translated master state.
-	pushed map[string]pushedFlow
-}
-
-type pushedFlow struct {
-	master  string
-	version uint64
+	view
 }
 
 // NewSlicer configures a slice of the given switches and header space.
@@ -56,8 +44,6 @@ func NewSlicer(y *yancfs.FS, region, name string, filter openflow.Match, switche
 		Name:     name,
 		Filter:   filter,
 		Switches: switches,
-		p:        y.Root(),
-		pushed:   make(map[string]pushedFlow),
 	}
 }
 
@@ -77,12 +63,10 @@ func (s *Slicer) masterFlowName(viewFlow string) string {
 // for the intra-slice topology. The filter is recorded as an xattr for
 // introspection.
 func (s *Slicer) Create() error {
-	p := s.p
+	p := s.Y.Root()
 	view := s.ViewPath()
-	if !p.Exists(view) {
-		if err := p.Mkdir(view, 0o755); err != nil {
-			return err
-		}
+	if err := mkdirs(p, view); err != nil {
+		return err
 	}
 	if err := p.SetXattr(view, "user.yanc.slice.filter", []byte(s.Filter.String())); err != nil {
 		return err
@@ -97,10 +81,8 @@ func (s *Slicer) Create() error {
 			return fmt.Errorf("apps: slicer: no switch %s in %s", sw, s.Region)
 		}
 		viewSw := vfs.Join(view, yancfs.DirSwitches, sw)
-		if !p.Exists(viewSw) {
-			if err := p.Mkdir(viewSw, 0o755); err != nil {
-				return err
-			}
+		if err := mkdirs(p, viewSw); err != nil {
+			return err
 		}
 		// Mirror identity and ports.
 		for _, file := range []string{"id", "protocol", "capabilities", "actions"} {
@@ -117,10 +99,8 @@ func (s *Slicer) Create() error {
 		for _, port := range ports {
 			portName := strconv.FormatUint(uint64(port), 10)
 			viewPort := vfs.Join(viewSw, "ports", portName)
-			if !p.Exists(viewPort) {
-				if err := p.Mkdir(viewPort, 0o755); err != nil {
-					return err
-				}
+			if err := mkdirs(p, viewPort); err != nil {
+				return err
 			}
 		}
 	}
@@ -153,146 +133,39 @@ func (s *Slicer) Create() error {
 	return nil
 }
 
-// Start begins the two translation loops.
+// Start begins translating the member switches' flows down and the
+// slice's packet-ins up.
 func (s *Slicer) Start() error {
-	view := s.ViewPath()
-	w, err := s.p.AddWatch(vfs.Join(view, yancfs.DirSwitches),
-		vfs.OpWrite|vfs.OpRemove, vfs.Recursive(), vfs.BufferSize(4096))
-	if err != nil {
-		return err
-	}
-	s.watch = w
-	// Subscribe to master packet-ins for event translation.
-	_, evw, err := yancfs.Subscribe(s.p, s.Region, "slicer-"+s.Name)
-	if err != nil {
-		w.Close()
-		return err
-	}
-	s.evWatch = evw
-	s.stop = make(chan struct{})
-	s.stopped = make(chan struct{}, 2)
-	go s.flowLoop()
-	go s.eventLoop()
-	return nil
+	return s.start(s.Y, s.Region, s.ViewPath(), "slicer-"+s.Name, s.Switches, s)
 }
 
-// Stop shuts the translation down.
-func (s *Slicer) Stop() {
-	if s.stop == nil {
-		return
-	}
-	close(s.stop)
-	s.watch.Close()
-	s.evWatch.Close()
-	<-s.stopped
-	<-s.stopped
-}
-
-func (s *Slicer) flowLoop() {
-	defer func() { s.stopped <- struct{}{} }()
-	for ev := range s.watch.C {
-		switch {
-		case ev.Op == vfs.OpWrite && vfs.Base(ev.Path) == yancfs.FileVersion:
-			s.translateFlow(vfs.Dir(ev.Path))
-		case ev.Op == vfs.OpRemove && ev.IsDir && s.isViewFlowDir(ev.Path):
-			s.removeTranslated(ev.Path)
-		}
-	}
-}
-
-// isViewFlowDir reports whether p is <view>/switches/<sw>/flows/<flow>.
-func (s *Slicer) isViewFlowDir(path string) bool {
-	rel := strings.TrimPrefix(path, vfs.Join(s.ViewPath(), yancfs.DirSwitches)+"/")
-	parts := strings.Split(rel, "/")
-	return len(parts) == 3 && parts[1] == "flows"
-}
-
-// translateFlow pushes one committed view flow into the master region.
-func (s *Slicer) translateFlow(viewFlowPath string) {
-	p := s.p
-	version, err := yancfs.FlowVersion(p, viewFlowPath)
-	if err != nil || version == 0 {
-		return
-	}
-	s.mu.Lock()
-	already := s.pushed[viewFlowPath].version >= version
-	s.mu.Unlock()
-	if already {
-		return
-	}
-	spec, err := yancfs.ReadFlow(p, viewFlowPath)
-	if err != nil {
-		return
-	}
-	// Confine to the slice's header space.
+// flow confines a view flow to the slice's header space and names its
+// twin in the master region.
+func (s *Slicer) flow(sw, name string, spec yancfs.FlowSpec) ([]target, error) {
 	confined, err := openflow.Intersect(spec.Match, s.Filter)
 	if err != nil {
-		// The flow escapes the slice: record the rejection in the view.
-		_ = p.WriteString(vfs.Join(viewFlowPath, "error"), err.Error()+"\n")
-		return
+		return nil, err // the flow escapes the slice
 	}
 	spec.Match = confined
-	// Locate the switch this flow belongs to.
-	rel := strings.TrimPrefix(viewFlowPath, vfs.Join(s.ViewPath(), yancfs.DirSwitches)+"/")
-	parts := strings.Split(rel, "/")
-	if len(parts) != 3 {
-		return
-	}
-	sw, flowName := parts[0], parts[2]
-	masterFlow := vfs.Join(s.Region, yancfs.DirSwitches, sw, "flows", s.masterFlowName(flowName))
-	if _, err := yancfs.WriteFlow(p, masterFlow, spec); err != nil {
-		_ = p.WriteString(vfs.Join(viewFlowPath, "error"), err.Error()+"\n")
-		return
-	}
-	s.mu.Lock()
-	s.pushed[viewFlowPath] = pushedFlow{master: masterFlow, version: version}
-	s.mu.Unlock()
+	return []target{{vfs.Join(s.Region, yancfs.DirSwitches, sw, "flows", s.masterFlowName(name)), spec}}, nil
 }
 
-// removeTranslated removes the master twin of a deleted view flow.
-func (s *Slicer) removeTranslated(viewFlowPath string) {
-	s.mu.Lock()
-	pf, ok := s.pushed[viewFlowPath]
-	delete(s.pushed, viewFlowPath)
-	s.mu.Unlock()
-	if ok {
-		_ = s.p.RemoveAll(pf.master)
+// packetIn passes a member switch's packet-in that falls in the slice's
+// header space into the view, unchanged: the slice preserves the original
+// topology, so ports need no renaming.
+func (s *Slicer) packetIn(ev yancfs.PacketInEvent) (string, *openflow.PacketIn, bool) {
+	if !slices.Contains(s.Switches, ev.Switch) {
+		return "", nil, false
 	}
-}
-
-func (s *Slicer) eventLoop() {
-	defer func() { s.stopped <- struct{}{} }()
-	buf := vfs.Join(s.Region, yancfs.DirEvents, "slicer-"+s.Name)
-	member := make(map[string]bool, len(s.Switches))
-	for _, sw := range s.Switches {
-		member[sw] = true
+	pf, err := openflow.ExtractFields(ev.Data, ev.InPort)
+	if err != nil || !s.Filter.MatchesPacket(&pf) {
+		return "", nil, false
 	}
-	for range s.evWatch.C {
-		msgs, err := yancfs.PendingEvents(s.p, buf)
-		if err != nil {
-			continue
-		}
-		for _, msg := range msgs {
-			ev, err := yancfs.ConsumePacketIn(s.p, msg)
-			if err != nil {
-				continue
-			}
-			if !member[ev.Switch] {
-				continue
-			}
-			pf, err := openflow.ExtractFields(ev.Data, ev.InPort)
-			if err != nil || !s.Filter.MatchesPacket(&pf) {
-				continue
-			}
-			// Re-deliver into the view, unchanged: the slice preserves
-			// the original topology, so ports need no renaming.
-			_ = s.Y.DeliverPacketIn(s.ViewPath(), ev.Switch, &openflow.PacketIn{
-				BufferID: ev.BufferID,
-				TotalLen: ev.TotalLen,
-				InPort:   ev.InPort,
-				Reason:   ev.Reason,
-				Data:     ev.Data,
-			})
-		}
-	}
+	return ev.Switch, &openflow.PacketIn{
+		BufferID: ev.BufferID,
+		TotalLen: ev.TotalLen,
+		InPort:   ev.InPort,
+		Reason:   ev.Reason,
+		Data:     ev.Data,
+	}, true
 }

@@ -34,11 +34,9 @@ type Topod struct {
 	// App is the event-buffer name (default "topod").
 	App string
 
-	mu      sync.Mutex
-	buf     string
-	watch   *vfs.Watch
-	stop    chan struct{}
-	stopped chan struct{}
+	sub subscription
+
+	mu sync.Mutex
 	// seen tracks links created by this daemon (for pruning).
 	seen map[PortRef]PortRef
 }
@@ -49,60 +47,10 @@ func NewTopod(p *vfs.Proc, region string) *Topod {
 }
 
 // Start subscribes to events and begins consuming them in the background.
-func (t *Topod) Start() error {
-	buf, w, err := yancfs.Subscribe(t.P, t.Region, t.App)
-	if err != nil {
-		return err
-	}
-	t.buf = buf
-	t.watch = w
-	t.stop = make(chan struct{})
-	t.stopped = make(chan struct{})
-	go t.loop()
-	return nil
-}
+func (t *Topod) Start() error { return t.sub.start(t.P, t.Region, t.App, t.handlePacketIn) }
 
-// Stop shuts the daemon down.
-func (t *Topod) Stop() {
-	if t.stop == nil {
-		return
-	}
-	close(t.stop)
-	t.watch.Close()
-	<-t.stopped
-}
-
-func (t *Topod) loop() {
-	defer close(t.stopped)
-	for {
-		select {
-		case <-t.stop:
-			return
-		case _, ok := <-t.watch.C:
-			if !ok {
-				return
-			}
-			t.drain()
-		}
-	}
-}
-
-// drain consumes all pending events in the buffer, returning how many it
-// processed.
-func (t *Topod) drain() int {
-	msgs, err := yancfs.PendingEvents(t.P, t.buf)
-	if err != nil {
-		return 0
-	}
-	for _, msg := range msgs {
-		ev, err := yancfs.ConsumePacketIn(t.P, msg)
-		if err != nil {
-			continue
-		}
-		t.handlePacketIn(ev)
-	}
-	return len(msgs)
-}
+// Stop shuts the daemon down and removes its watch.
+func (t *Topod) Stop() { t.sub.close() }
 
 // drainUntilQuiet keeps draining until the buffer stays empty for a few
 // consecutive polls. Probes travel asynchronously through the drivers and
@@ -112,7 +60,7 @@ func (t *Topod) drainUntilQuiet() {
 	//yancvet:wallclock probe settling races real goroutines, not simulated time
 	deadline := time.Now().Add(2 * time.Second)
 	for quiet < 3 && time.Now().Before(deadline) { //yancvet:wallclock see deadline above
-		if t.drain() == 0 {
+		if t.sub.drain() == 0 {
 			quiet++
 		} else {
 			quiet = 0
@@ -216,13 +164,8 @@ func (t *Topod) link(a, b PortRef) {
 // DiscoverOnce runs a full synchronous discovery round: install flows,
 // probe, consume everything pending. Tests and cron-style callers use it.
 func (t *Topod) DiscoverOnce() error {
-	if t.buf == "" {
-		buf, w, err := yancfs.Subscribe(t.P, t.Region, t.App)
-		if err != nil {
-			return err
-		}
-		t.buf = buf
-		t.watch = w
+	if err := t.sub.open(t.P, t.Region, t.App, t.handlePacketIn); err != nil {
+		return err
 	}
 	if err := t.InstallDiscoveryFlows(); err != nil {
 		return err

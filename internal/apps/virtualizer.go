@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 
 	"yanc/internal/openflow"
 	"yanc/internal/vfs"
@@ -32,19 +31,7 @@ type BigSwitch struct {
 	// PortMap maps virtual port numbers to physical ports.
 	PortMap map[uint32]PortRef
 
-	mu      sync.Mutex
-	p       *vfs.Proc
-	watch   *vfs.Watch
-	evWatch *vfs.Watch
-	stop    chan struct{}
-	stopped chan struct{}
-	// compiled maps a view flow path to its compilation state.
-	compiled map[string]compiledFlow
-}
-
-type compiledFlow struct {
-	version uint64
-	paths   []string
+	view
 }
 
 // NewBigSwitch configures a single-big-switch view.
@@ -55,8 +42,6 @@ func NewBigSwitch(y *yancfs.FS, region, name string, portMap map[uint32]PortRef)
 		Name:        name,
 		VSwitchName: "big0",
 		PortMap:     portMap,
-		p:           y.Root(),
-		compiled:    make(map[string]compiledFlow),
 	}
 }
 
@@ -65,25 +50,12 @@ func (b *BigSwitch) ViewPath() string {
 	return vfs.Join(b.Region, yancfs.DirViews, b.Name)
 }
 
-// vswitchPath returns the virtual switch's path.
-func (b *BigSwitch) vswitchPath() string {
-	return vfs.Join(b.ViewPath(), yancfs.DirSwitches, b.VSwitchName)
-}
-
 // Create materializes the view and the virtual switch with its ports.
 func (b *BigSwitch) Create() error {
-	p := b.p
-	view := b.ViewPath()
-	if !p.Exists(view) {
-		if err := p.Mkdir(view, 0o755); err != nil {
-			return err
-		}
-	}
-	vsw := b.vswitchPath()
-	if !p.Exists(vsw) {
-		if err := p.Mkdir(vsw, 0o755); err != nil {
-			return err
-		}
+	p := b.Y.Root()
+	vsw := vfs.Join(b.ViewPath(), yancfs.DirSwitches, b.VSwitchName)
+	if err := mkdirs(p, b.ViewPath(), vsw); err != nil {
+		return err
 	}
 	var vports []uint32
 	for vp := range b.PortMap {
@@ -93,10 +65,8 @@ func (b *BigSwitch) Create() error {
 	for _, vp := range vports {
 		phys := b.PortMap[vp]
 		portPath := vfs.Join(vsw, "ports", strconv.FormatUint(uint64(vp), 10))
-		if !p.Exists(portPath) {
-			if err := p.Mkdir(portPath, 0o755); err != nil {
-				return err
-			}
+		if err := mkdirs(p, portPath); err != nil {
+			return err
 		}
 		// Record the mapping as an xattr so administrators can inspect
 		// the virtualization with getfattr.
@@ -108,93 +78,18 @@ func (b *BigSwitch) Create() error {
 }
 
 // Start begins compiling committed virtual flows and translating events.
+// Compilation reads the underlying region's topology from a
+// watch-invalidated cache; when its links change every virtual flow is
+// compiled again.
 func (b *BigSwitch) Start() error {
-	w, err := b.p.AddWatch(vfs.Join(b.vswitchPath(), "flows"),
-		vfs.OpWrite|vfs.OpRemove, vfs.Recursive(), vfs.BufferSize(4096))
-	if err != nil {
-		return err
-	}
-	b.watch = w
-	_, evw, err := yancfs.Subscribe(b.p, b.Region, "vnet-"+b.Name)
-	if err != nil {
-		w.Close()
-		return err
-	}
-	b.evWatch = evw
-	b.stop = make(chan struct{})
-	b.stopped = make(chan struct{}, 2)
-	go b.flowLoop()
-	go b.eventLoop()
-	return nil
+	b.cache = newTopoCache(b.Y.Root(), b.Region)
+	return b.start(b.Y, b.Region, b.ViewPath(), "vnet-"+b.Name, []string{b.VSwitchName}, b)
 }
 
-// Stop shuts the virtualizer down.
-func (b *BigSwitch) Stop() {
-	if b.stop == nil {
-		return
-	}
-	close(b.stop)
-	b.watch.Close()
-	b.evWatch.Close()
-	<-b.stopped
-	<-b.stopped
-}
-
-func (b *BigSwitch) flowLoop() {
-	defer func() { b.stopped <- struct{}{} }()
-	for ev := range b.watch.C {
-		switch {
-		case ev.Op == vfs.OpWrite && vfs.Base(ev.Path) == yancfs.FileVersion:
-			b.compileFlow(vfs.Dir(ev.Path))
-		case ev.Op == vfs.OpRemove && ev.IsDir && vfs.Dir(ev.Path) == vfs.Join(b.vswitchPath(), "flows"):
-			b.removeCompiled(ev.Path)
-		}
-	}
-}
-
-// compileFlow turns one committed virtual flow into physical path flows.
-func (b *BigSwitch) compileFlow(viewFlowPath string) {
-	p := b.p
-	version, err := yancfs.FlowVersion(p, viewFlowPath)
-	if err != nil || version == 0 {
-		return
-	}
-	b.mu.Lock()
-	already := b.compiled[viewFlowPath].version >= version
-	b.mu.Unlock()
-	if already {
-		return
-	}
-	spec, err := yancfs.ReadFlow(p, viewFlowPath)
-	if err != nil {
-		return
-	}
-	paths, err := b.compile(vfs.Base(viewFlowPath), spec)
-	if err != nil {
-		_ = p.WriteString(vfs.Join(viewFlowPath, "error"), err.Error()+"\n")
-		return
-	}
-	b.mu.Lock()
-	stale := b.compiled[viewFlowPath].paths
-	b.compiled[viewFlowPath] = compiledFlow{version: version, paths: paths}
-	b.mu.Unlock()
-	// Physical flows from a superseded compilation that the new one no
-	// longer writes are removed.
-	current := make(map[string]bool, len(paths))
-	for _, fp := range paths {
-		current[fp] = true
-	}
-	for _, fp := range stale {
-		if !current[fp] {
-			_ = p.RemoveAll(fp)
-		}
-	}
-}
-
-// compile computes and writes the physical flows for a virtual flow and
-// returns their paths. The virtual match must pin in_port; each output
-// action must target a mapped virtual port.
-func (b *BigSwitch) compile(flowName string, spec yancfs.FlowSpec) ([]string, error) {
+// flow compiles a virtual flow into physical path flows. The virtual
+// match must pin in_port; each output action must target a mapped
+// virtual port.
+func (b *BigSwitch) flow(_, flowName string, spec yancfs.FlowSpec) ([]target, error) {
 	if !spec.Match.Has(openflow.FieldInPort) {
 		return nil, fmt.Errorf("apps: big switch flow %s: match.in_port is required", flowName)
 	}
@@ -218,38 +113,25 @@ func (b *BigSwitch) compile(flowName string, spec yancfs.FlowSpec) ([]string, er
 	if len(outs) == 0 {
 		return nil, fmt.Errorf("apps: big switch flow %s: no output action", flowName)
 	}
-	topo, err := LoadTopology(b.p, b.Region)
-	if err != nil {
-		return nil, err
-	}
-	var written []string
-	cleanupOnErr := func(err error) ([]string, error) {
-		for _, w := range written {
-			_ = b.p.RemoveAll(w)
-		}
-		return nil, err
-	}
+	var targets []target
 	for _, dst := range outs {
 		type step struct {
 			sw              string
 			inPort, outPort uint32
 		}
 		var steps []step
-		if src.Switch == dst.Switch {
-			steps = []step{{sw: src.Switch, inPort: src.Port, outPort: dst.Port}}
-		} else {
-			hops, ok := topo.Path(src.Switch, dst.Switch)
-			if !ok {
-				return cleanupOnErr(fmt.Errorf("apps: big switch flow %s: no path %s -> %s", flowName, src.Switch, dst.Switch))
+		inPort := src.Port
+		if src.Switch != dst.Switch {
+			rt := b.cache.routeTo(src.Switch, dst.Switch)
+			if !rt.ok {
+				return nil, fmt.Errorf("apps: big switch flow %s: no path %s -> %s", flowName, src.Switch, dst.Switch)
 			}
-			inPort := src.Port
-			for _, h := range hops {
+			for i, h := range rt.hops {
 				steps = append(steps, step{sw: h.sw, inPort: inPort, outPort: h.outPort})
-				peer := topo.Links[PortRef{h.sw, h.outPort}]
-				inPort = peer.Port
+				inPort = rt.ins[i]
 			}
-			steps = append(steps, step{sw: dst.Switch, inPort: inPort, outPort: dst.Port})
 		}
+		steps = append(steps, step{sw: dst.Switch, inPort: inPort, outPort: dst.Port})
 		for i, s := range steps {
 			match := spec.Match
 			match.InPort = s.inPort
@@ -259,66 +141,33 @@ func (b *BigSwitch) compile(flowName string, spec yancfs.FlowSpec) ([]string, er
 				actions = append(append([]openflow.Action(nil), rewrites...), openflow.Output(s.outPort))
 			}
 			name := fmt.Sprintf("vnet-%s-%s-%s-%d", b.Name, flowName, s.sw, i)
-			flowPath := vfs.Join(b.Region, yancfs.DirSwitches, s.sw, "flows", name)
-			if _, err := yancfs.WriteFlow(b.p, flowPath, yancfs.FlowSpec{
+			targets = append(targets, target{vfs.Join(b.Region, yancfs.DirSwitches, s.sw, "flows", name), yancfs.FlowSpec{
 				Match:       match,
 				Priority:    spec.Priority,
 				IdleTimeout: spec.IdleTimeout,
 				HardTimeout: spec.HardTimeout,
 				Cookie:      spec.Cookie,
 				Actions:     actions,
-			}); err != nil {
-				return cleanupOnErr(err)
-			}
-			written = append(written, flowPath)
+			}})
 		}
 	}
-	return written, nil
+	return targets, nil
 }
 
-// removeCompiled deletes the physical flows backing a removed virtual flow.
-func (b *BigSwitch) removeCompiled(viewFlowPath string) {
-	b.mu.Lock()
-	cf := b.compiled[viewFlowPath]
-	delete(b.compiled, viewFlowPath)
-	b.mu.Unlock()
-	for _, fp := range cf.paths {
-		_ = b.p.RemoveAll(fp)
-	}
-}
-
-func (b *BigSwitch) eventLoop() {
-	defer func() { b.stopped <- struct{}{} }()
-	buf := vfs.Join(b.Region, yancfs.DirEvents, "vnet-"+b.Name)
-	// Reverse map: physical port -> virtual port.
-	rev := make(map[PortRef]uint32, len(b.PortMap))
+// packetIn translates a packet-in at a mapped physical port: it appears
+// to come from the big switch's virtual port ("one application needs to
+// alter a packet-in before it is received by another", §3.5).
+func (b *BigSwitch) packetIn(ev yancfs.PacketInEvent) (string, *openflow.PacketIn, bool) {
 	for vp, phys := range b.PortMap {
-		rev[phys] = vp
-	}
-	for range b.evWatch.C {
-		msgs, err := yancfs.PendingEvents(b.p, buf)
-		if err != nil {
-			continue
-		}
-		for _, msg := range msgs {
-			ev, err := yancfs.ConsumePacketIn(b.p, msg)
-			if err != nil {
-				continue
-			}
-			vp, mapped := rev[PortRef{Switch: ev.Switch, Port: ev.InPort}]
-			if !mapped {
-				continue
-			}
-			// Translate: the event appears to come from the big switch's
-			// virtual port ("one application needs to alter a packet-in
-			// before it is received by another", §3.5).
-			_ = b.Y.DeliverPacketIn(b.ViewPath(), b.VSwitchName, &openflow.PacketIn{
+		if phys == (PortRef{Switch: ev.Switch, Port: ev.InPort}) {
+			return b.VSwitchName, &openflow.PacketIn{
 				BufferID: openflow.NoBuffer, // physical buffer ids are meaningless in the view
 				TotalLen: ev.TotalLen,
 				InPort:   vp,
 				Reason:   ev.Reason,
 				Data:     ev.Data,
-			})
+			}, true
 		}
 	}
+	return "", nil, false
 }

@@ -7,12 +7,14 @@
 //     network can run mixed versions and be upgraded live;
 //   - materializes the switch as a directory under switches/ and keeps
 //     port files in sync with port-status messages;
-//   - reconciles the switch's flow table with its flows/ subtree: a
-//     committed flow (a version-file increment, §3.4) marks its
-//     directory dirty, and a pass reads each dirty flow once inside a
-//     read transaction, compares it with what was last pushed and sends
-//     delete-strict, add or nothing, in one socket write per pass with
-//     the deletes ahead of the adds (reconcile.go);
+//   - reconciles the switch's flow table with its flows/ subtree through
+//     a yancfs.Reconciler, the level-triggered core it shares with the
+//     slicer and the big switch: a committed flow (a version-file
+//     increment, §3.4) marks its directory dirty, a pass reads each dirty
+//     flow once inside a read transaction and compares it with what was
+//     last pushed, and the driver's sink sends delete-strict, add or
+//     nothing, in one socket write per pass with the deletes ahead of the
+//     adds (reconcile.go);
 //   - feeds packet-in messages into every subscriber's event buffer
 //     (§3.5) and serves live counters for the counters/ files;
 //   - exposes a packet_out control file for injecting packets.
@@ -128,29 +130,20 @@ type SwitchConn struct {
 	closed     bool
 	done       chan struct{}
 	discOnce   sync.Once // onDisconnect runs exactly once
+	dirtyPorts []uint32  // ports whose config.port_down was written, under mu
 
-	// What the switch holds and what may have drifted from it
-	// (reconcile.go), all under mu. flows is keyed by the flow
-	// directory's own name string, never by a piece of an event path.
-	flows      map[string]flowState // flow dir name -> pushed state
-	dirty      map[string]bool      // flow dir path -> put there by a sweep
-	dirtyBig   bool                 // a pass found dirty holding more than passMax
-	dirtyAll   bool                 // reconcile every name, not only dirty's
-	gone       []flowIdent          // removed flows whose delete-strict is owed
-	dirtyPorts []uint32             // ports whose config.port_down was written
+	// flows is what the switch's table holds and what may have drifted
+	// from it (reconcile.go).
+	flows *yancfs.Reconciler[flowIdent]
 
 	// pend is the word of pending bits that puts the connection on the
 	// mux's run queue (mux.go). Everything below it down to the telemetry
 	// belongs to the worker serving the connection.
-	pend     atomic.Uint32
-	flowsDir string              // <Path>/flows
-	passFn   func(*vfs.Tx) error // sc.pass, bound once
-	take     []dirtyFlow         // the pass's share of dirty
-	reader   yancfs.FlowReader
-	fm       openflow.FlowMod // the one FlowMod every flow-mod is encoded from
-	wdel     []byte           // the pass's delete-stricts, encoded
-	wadd     []byte           // the pass's flow-adds, encoded; sent behind wdel
-	pushed   []pushedFlow     // flow-adds encoded since the last flush
+	pend   atomic.Uint32
+	fm     openflow.FlowMod // the one FlowMod every flow-mod is encoded from
+	wdel   []byte           // the pass's delete-stricts, encoded
+	wadd   []byte           // the pass's flow-adds, encoded; sent behind wdel
+	pushed []hookCall       // flow-adds encoded since the last flush
 
 	// Packet-in coalescing: the read path enqueues and sets the pktin
 	// bit, and drainPktin batches into DeliverPacketInBatch, so a flood
@@ -170,10 +163,7 @@ type SwitchConn struct {
 	pktinSeen    atomic.Uint64 // packet-ins read off the wire
 	pktinDropped atomic.Uint64 // shed because the coalescing queue was full
 	pktinBatches atomic.Uint64 // DeliverPacketInBatch calls issued
-	passes       atomic.Uint64 // reconcile passes run
-	reconciled   atomic.Uint64 // flow directories a pass looked at
 	pushedN      atomic.Uint64 // flow-adds encoded
-	coalesced    atomic.Uint64 // marks that found their version already installed
 	flushes      atomic.Uint64 // socket writes that carried flow-mods
 	flowmods     atomic.Uint64 // flow-mods encoded, adds and strict deletes
 }
@@ -288,15 +278,13 @@ func (d *Driver) Attach(rw io.ReadWriter) (*SwitchConn, error) {
 		driver:     d,
 		conn:       conn,
 		proc:       d.Y.Root(),
-		flows:      make(map[string]flowState),
 		portConfig: make(map[uint32]uint32),
 		pending:    make(map[uint32]chan *openflow.StatsReply),
 		pktin:      make(chan *openflow.PacketIn, pktInQueueLen),
 		pktinBatch: make([]*openflow.PacketIn, 0, maxPktInBatch),
 		done:       make(chan struct{}),
 	}
-	sc.flowsDir = vfs.Join(sc.Path, "flows")
-	sc.passFn = sc.pass
+	sc.flows = yancfs.NewReconciler[flowIdent](d.Y.VFS(), vfs.Join(sc.Path, "flows"), (*flowSink)(sc))
 	for _, p := range features.Ports {
 		sc.portConfig[p.No] = p.Config
 	}
@@ -305,8 +293,8 @@ func (d *Driver) Attach(rw io.ReadWriter) (*SwitchConn, error) {
 	}
 	// The shared switches/ watch (created with the mux) is registered
 	// before the connection is, so no commit after this point can be
-	// missed: events raced against registration are covered by the
-	// markAll below, everything later marks this connection.
+	// missed: events raced against registration are covered by the first
+	// pass, over every name, everything later marks this connection.
 	old, err := d.register(sc)
 	if err != nil {
 		return nil, err
@@ -324,8 +312,9 @@ func (d *Driver) Attach(rw io.ReadWriter) (*SwitchConn, error) {
 
 	// Push any flows already committed in the file system (controller
 	// restart / live protocol upgrade: the network state outlives the
-	// connection), and any packet-outs staged while disconnected.
-	sc.markAll()
+	// connection), and any packet-outs staged while disconnected. A new
+	// flow table's first pass looks at every name.
+	sc.schedule(pendFlows | pendPout)
 
 	go sc.readLoop()
 	d.Logf("driver: %s attached (dpid %016x, %s, %d ports)",
@@ -600,19 +589,10 @@ func (sc *SwitchConn) handleFlowRemoved(fr *openflow.FlowRemoved) {
 	if fr.Reason == openflow.RemovedDelete {
 		return
 	}
-	sc.mu.Lock()
-	var name string
-	for n, st := range sc.flows {
-		if st.priority == fr.Priority && st.match.Equal(fr.Match) {
-			name = n
-			break
-		}
-	}
-	if name != "" {
-		delete(sc.flows, name)
-	}
-	sc.mu.Unlock()
-	if name != "" {
+	name, ok := sc.flows.Forget(func(id flowIdent) bool {
+		return id.priority == fr.Priority && id.match.Equal(fr.Match)
+	})
+	if ok {
 		_ = sc.proc.RemoveAll(vfs.Join(sc.Path, "flows", name))
 	}
 }
@@ -739,9 +719,7 @@ func (sc *SwitchConn) queryStats(req *openflow.StatsRequest) (*openflow.StatsRep
 
 // FlowCounters implements yancfs.CounterSource by querying the switch.
 func (sc *SwitchConn) FlowCounters(flowName string) (packets, bytes uint64, ok bool) {
-	sc.mu.Lock()
-	st, known := sc.flows[flowName]
-	sc.mu.Unlock()
+	st, known := sc.flows.Installed(flowName)
 	if !known {
 		return 0, 0, false
 	}

@@ -17,20 +17,21 @@ import (
 //
 //   - a small worker pool serving connections off a run queue,
 //   - one recursive watch on <region>/switches, whose events demux only
-//     classifies — switch, kind, name — and turns into marks, and
+//     classifies — switch, kind, name — and turns into marks on the
+//     connection's flow table (a yancfs.Reconciler) or its port list, and
 //   - one echo scheduler ticking for every connection.
 //
 // A SwitchConn carries one word of pending bits (ports, flows, pout,
-// pktin, echo) and the dirty set behind the flows bit (reconcile.go).
-// Whoever has work for a connection sets a bit; the first bit set on an
-// idle connection puts it on the run queue, and the worker that picks it
-// up snapshots-and-clears the bits and serves them in that fixed order.
-// At most one worker holds a connection at a time, so per-switch handling
-// keeps the ordering a dedicated goroutine would provide while the
-// goroutine count stays O(workers) + one parked reader per switch. There
-// is no timer and no batching delay: a connection is served as soon as a
-// worker is free, and how much one pass covers is however much was marked
-// while the connection waited.
+// pktin, echo); the flows bit runs a pass of its flow table
+// (reconcile.go). Whoever has work for a connection sets a bit; the first
+// bit set on an idle connection puts it on the run queue, and the worker
+// that picks it up snapshots-and-clears the bits and serves them in that
+// fixed order. At most one worker holds a connection at a time, so
+// per-switch handling keeps the ordering a dedicated goroutine would
+// provide while the goroutine count stays O(workers) + one parked reader
+// per switch. There is no timer and no batching delay: a connection is
+// served as soon as a worker is free, and how much one pass covers is
+// however much was marked while the connection waited.
 type mux struct {
 	d          *Driver
 	watch      *vfs.Watch
@@ -40,10 +41,6 @@ type mux struct {
 	cond  *sync.Cond
 	queue []*SwitchConn
 	quit  bool
-	// hold, when set, is called with each connection a worker is about
-	// to serve. Tests park a connection on it to let marks pile up
-	// between two passes; it is read and written under qmu.
-	hold func(*SwitchConn)
 
 	quitCh chan struct{}
 	// wg counts the mux's own goroutines and every connection's reader
@@ -127,11 +124,7 @@ func (m *mux) worker() {
 		sc := m.queue[0]
 		m.queue[0] = nil
 		m.queue = m.queue[1:]
-		hold := m.hold
 		m.qmu.Unlock()
-		if hold != nil {
-			hold(sc)
-		}
 		sc.serve()
 	}
 }
@@ -215,84 +208,41 @@ func (m *mux) demux() {
 	}
 }
 
-// eventKind is what an event under switches/ means to the driver.
+// eventKind is what an event under switches/ that is not a flow event
+// means to the driver.
 type eventKind uint8
 
 const (
-	evNone       eventKind = iota
-	evFlowCommit           // flows/<name>/version was written
-	evFlowGone             // flows/<name> itself was removed
-	evDoorbell             // pout/doorbell was written
-	evPortDown             // ports/<n>/config.port_down was written
+	evNone     eventKind = iota
+	evDoorbell           // pout/doorbell was written
+	evPortDown           // ports/<n>/config.port_down was written
 )
 
-// underSwitch cuts a path below root (which ends in a slash) into the
-// switch name and the rest; ok is false for root, a switch directory
-// itself, or anything outside root.
+// classify names the switch a write event belongs to and what it means
+// to the driver besides its flow table (yancfs.ClassifyFlowEvent); for a
+// port event port is the port number. It allocates nothing.
 //
 //yancvet:hotalloc
-func underSwitch(root, p string) (sw, rest string, ok bool) {
-	if !strings.HasPrefix(p, root) {
-		return "", "", false
-	}
-	rel := p[len(root):]
-	i := strings.IndexByte(rel, '/')
-	if i <= 0 {
-		return "", "", false
-	}
-	return rel[:i], rel[i+1:], true
-}
-
-// flowDirUnder is underSwitch for a path that must be a flow directory,
-// <root><switch>/flows/<name>.
-//
-//yancvet:hotalloc
-func flowDirUnder(root, p string) (sw string, ok bool) {
-	const flows = "flows/"
-	sw, rest, ok := underSwitch(root, p)
-	ok = ok && len(rest) > len(flows) && strings.HasPrefix(rest, flows) &&
-		strings.IndexByte(rest[len(flows):], '/') < 0
-	return sw, ok
-}
-
-// classify names the switch a write or remove event belongs to and what
-// it means. For a flow event flowPath is the flow directory's path, a
-// substring of the event's; for a port event port is the port number. It
-// allocates nothing, and an event that is none of the four kinds — a
-// create+delete raises about 29 under switches/, two of which matter —
-// ends here.
-//
-//yancvet:hotalloc
-func classify(root string, ev *vfs.Event) (sw string, kind eventKind, flowPath string, port uint32) {
+func classify(root string, ev *vfs.Event) (sw string, kind eventKind, port uint32) {
 	const (
-		version  = "/" + yancfs.FileVersion
 		doorbell = yancfs.DirPacketOut + "/" + yancfs.FileDoorbell
 		ports    = "ports/"
 		portDown = "/config.port_down"
 	)
+	if ev.Op != vfs.OpWrite {
+		return "", evNone, 0
+	}
+	sw, rest, ok := yancfs.UnderSwitch(root, ev.Path)
 	switch {
-	case ev.Op == vfs.OpWrite && strings.HasSuffix(ev.Path, version):
-		flowPath = ev.Path[:len(ev.Path)-len(version)]
-		if sw, ok := flowDirUnder(root, flowPath); ok {
-			return sw, evFlowCommit, flowPath, 0
-		}
-	case ev.Op == vfs.OpRemove && ev.IsDir:
-		if sw, ok := flowDirUnder(root, ev.Path); ok {
-			return sw, evFlowGone, ev.Path, 0
-		}
-	case ev.Op == vfs.OpWrite:
-		sw, rest, ok := underSwitch(root, ev.Path)
-		switch {
-		case !ok:
-		case rest == doorbell:
-			return sw, evDoorbell, "", 0
-		case strings.HasPrefix(rest, ports) && strings.HasSuffix(rest, portDown):
-			if no, ok := portNumber(rest[len(ports) : len(rest)-len(portDown)]); ok {
-				return sw, evPortDown, "", no
-			}
+	case !ok:
+	case rest == doorbell:
+		return sw, evDoorbell, 0
+	case strings.HasPrefix(rest, ports) && strings.HasSuffix(rest, portDown):
+		if no, ok := portNumber(rest[len(ports) : len(rest)-len(portDown)]); ok {
+			return sw, evPortDown, no
 		}
 	}
-	return "", evNone, "", 0
+	return "", evNone, 0
 }
 
 // portNumber parses the <n> of a ports/<n> path element.
@@ -317,30 +267,26 @@ func portNumber(digits string) (uint32, bool) {
 //
 //yancvet:hotalloc
 func (m *mux) route(root string, ev *vfs.Event) {
-	switch ev.Op {
-	case vfs.OpOverflow:
+	if ev.Op == vfs.OpOverflow {
 		// Events were lost, so no set of marks can be trusted to be
 		// complete: every connection reconciles its whole table. The
 		// sentinel is queued behind the last event that fit, so it
 		// trails every commit it stands for, and the pass it triggers
 		// reads state at least as new as those commits.
 		for _, sc := range m.d.snapshotConns() {
-			sc.markAll()
-		}
-		return
-	case vfs.OpRename:
-		// Renamed within one table: the hardware entry stays and the
-		// installed state follows the name.
-		oldSw, wasFlow := flowDirUnder(root, ev.Path)
-		newSw, isFlow := flowDirUnder(root, ev.NewPath)
-		if wasFlow && isFlow && oldSw == newSw {
-			if sc := m.d.Lookup(oldSw); sc != nil {
-				sc.markMoved(ev.Path, ev.NewPath)
-			}
+			sc.flows.MarkAll()
+			sc.schedule(pendFlows | pendPout)
 		}
 		return
 	}
-	sw, kind, flowPath, port := classify(root, ev)
+	if sw, kind, flowPath := yancfs.ClassifyFlowEvent(root, ev); kind != yancfs.NoFlowEvent {
+		if sc := m.d.Lookup(sw); sc != nil {
+			sc.flows.Apply(kind, flowPath, ev)
+			sc.schedule(pendFlows)
+		}
+		return
+	}
+	sw, kind, port := classify(root, ev)
 	if kind == evNone {
 		return
 	}
@@ -349,10 +295,6 @@ func (m *mux) route(root string, ev *vfs.Event) {
 		return
 	}
 	switch kind {
-	case evFlowCommit:
-		sc.markFlow(flowPath)
-	case evFlowGone:
-		sc.markGone(flowPath)
 	case evDoorbell:
 		sc.schedule(pendPout)
 	case evPortDown:

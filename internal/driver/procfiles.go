@@ -83,10 +83,8 @@ func renderPktIn(sc *SwitchConn) string {
 // marks that found their version already on the switch, socket writes
 // that carried flow-mods, and flow-mods queued (adds and strict deletes).
 func renderFlows(sc *SwitchConn) string {
-	sc.mu.Lock()
-	dirty := len(sc.dirty)
-	sc.mu.Unlock()
+	st := sc.flows.Stats()
 	return fmt.Sprintf("dirty %d\npasses %d\nreconciled %d\npushed %d\ncoalesced %d\nflushes %d\nflowmods %d\n",
-		dirty, sc.passes.Load(), sc.reconciled.Load(), sc.pushedN.Load(),
-		sc.coalesced.Load(), sc.flushes.Load(), sc.flowmods.Load())
+		st.Dirty, st.Passes, st.Reconciled, sc.pushedN.Load(),
+		st.Coalesced, sc.flushes.Load(), sc.flowmods.Load())
 }

@@ -13,10 +13,11 @@ import (
 	"yanc/internal/yancfs"
 )
 
-// holdPasses parks every connection turn on the rig's mux until the
-// returned release is called, so a test can let marks pile up between two
-// passes. It first waits for the connections to go idle: a turn already
-// under way would otherwise slip past the hold.
+// holdPasses parks every flow-table pass of the rig's connections, on the
+// reconciler's own hold, until the returned release is called, so a test
+// can let marks pile up between two passes. It first waits for the
+// connections to go idle: a pass already under way would otherwise slip
+// past the hold.
 func (r *rig) holdPasses(t *testing.T) (release func()) {
 	t.Helper()
 	eventually(t, "connections idle", func() bool {
@@ -27,19 +28,14 @@ func (r *rig) holdPasses(t *testing.T) (release func()) {
 		}
 		return true
 	})
-	gate := make(chan struct{})
-	m := r.d.mux
-	m.qmu.Lock()
-	m.hold = func(*SwitchConn) { <-gate }
-	m.qmu.Unlock()
-	var once sync.Once
+	var releases []func()
+	for _, sc := range r.conns {
+		releases = append(releases, sc.flows.Hold())
+	}
 	release = func() {
-		once.Do(func() {
-			m.qmu.Lock()
-			m.hold = nil
-			m.qmu.Unlock()
-			close(gate)
-		})
+		for _, rel := range releases {
+			rel()
+		}
 	}
 	t.Cleanup(release)
 	return release
@@ -48,9 +44,8 @@ func (r *rig) holdPasses(t *testing.T) (release func()) {
 // idle reports whether the connection has nothing pending and nothing
 // dirty: every mark so far has been through a pass.
 func (sc *SwitchConn) idle() bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.pend.Load() == 0 && len(sc.dirty) == 0 && !sc.dirtyAll && len(sc.gone) == 0
+	st := sc.flows.Stats()
+	return sc.pend.Load() == 0 && st.Dirty == 0 && !st.All && st.Owed == 0
 }
 
 // testSpec is the i-th of a family of flows with distinct identities.
@@ -166,7 +161,7 @@ func TestCommitsBetweenPassesCoalesce(t *testing.T) {
 			t.Fatalf("commit %d: v%d %v", i, v, err)
 		}
 	}
-	reconciled := sc.reconciled.Load()
+	reconciled := sc.flows.Stats().Reconciled
 	release()
 	r.converged(t)
 	adds := 0
@@ -187,7 +182,7 @@ func TestCommitsBetweenPassesCoalesce(t *testing.T) {
 	if len(stats) != 1 || stats[0].Cookie != last.Cookie || openflow.FormatActions(stats[0].Actions) != openflow.FormatActions(last.Actions) {
 		t.Fatalf("switch did not end at the last version: %+v", stats)
 	}
-	if got := sc.reconciled.Load() - reconciled; got < 1 {
+	if got := sc.flows.Stats().Reconciled - reconciled; got < 1 {
 		t.Fatalf("no pass looked at the flow")
 	}
 }
@@ -251,9 +246,8 @@ func TestIdentitiesChangeHandsBetweenPasses(t *testing.T) {
 	marked := func(dirty, gone int) {
 		t.Helper()
 		eventually(t, "events marked", func() bool {
-			sc.mu.Lock()
-			defer sc.mu.Unlock()
-			return len(sc.dirty) == dirty && len(sc.gone) == gone
+			st := sc.flows.Stats()
+			return st.Dirty == dirty && st.Owed == gone
 		})
 	}
 	// as holds spec's identity under the writer's own cookie and actions,
@@ -504,9 +498,11 @@ func TestConvergenceBattery(t *testing.T) {
 	r.converged(t)
 }
 
-// TestBurstLeavesNothingGrown: what a burst grows — the dirty set, the
-// owed-deletes list, the write buffers, the pass's scratch — is given
-// back once the burst has drained.
+// TestBurstLeavesNothingGrown: what a burst grows in the driver — the
+// write buffers and the install hook's scratch — is given back once the
+// burst has drained. The reconciler's own share (the dirty set, the owed
+// retirements, the pass's scratch) is TestReconcilerBurstLeavesNothingGrown
+// in yancfs.
 func TestBurstLeavesNothingGrown(t *testing.T) {
 	r := newRig(t, openflow.Version13, 1)
 	sc := r.attach(t, 1)
@@ -534,24 +530,15 @@ func TestBurstLeavesNothingGrown(t *testing.T) {
 	release := r.holdPasses(t)
 	submit(libyanc.OpPut)
 	eventually(t, "burst marked", func() bool {
-		sc.mu.Lock()
-		defer sc.mu.Unlock()
-		return len(r.d.mux.watch.C) == 0 && len(sc.dirty) > passMax
+		return len(r.d.mux.watch.C) == 0 && sc.flows.Stats().Dirty == burst
 	})
 	release()
 	eventually(t, "burst installed", func() bool { return r.net.Switch(1).FlowCount() == burst && sc.idle() })
-	sc.mu.Lock()
-	if sc.dirty != nil {
-		t.Errorf("dirty set kept its backing store (%d entries) after a %d-flow burst", len(sc.dirty), burst)
-	}
-	sc.mu.Unlock()
 
 	release = r.holdPasses(t)
 	submit(libyanc.OpDelete)
 	eventually(t, "removals marked", func() bool {
-		sc.mu.Lock()
-		defer sc.mu.Unlock()
-		return len(r.d.mux.watch.C) == 0 && len(sc.gone) > passMax
+		return len(r.d.mux.watch.C) == 0 && sc.flows.Stats().Owed == burst
 	})
 	release()
 	eventually(t, "burst deleted", func() bool { return r.net.Switch(1).FlowCount() == 0 && sc.idle() })
@@ -559,25 +546,14 @@ func TestBurstLeavesNothingGrown(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The worker is done with the connection (idle), so its scratch can
-	// be read from here.
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if c := cap(sc.gone); c > passMax {
-		t.Errorf("owed-deletes list kept cap %d > %d", c, passMax)
-	}
-	// The pass's scratch grows by append to hold passMax entries, so it
-	// stops within one growth step of that.
-	if c := cap(sc.take); c > 2*passMax {
-		t.Errorf("pass scratch kept cap %d > %d", c, 2*passMax)
-	}
-	if c := cap(sc.pushed); c > 2*passMax {
-		t.Errorf("install-hook scratch kept cap %d > %d", c, 2*passMax)
+	// be read from here. The install hook's scratch grows by append to
+	// hold a pass's adds, at most 256, so it stops within one growth step
+	// of that.
+	if c := cap(sc.pushed); c > 2*256 {
+		t.Errorf("install-hook scratch kept cap %d > %d", c, 2*256)
 	}
 	if c := max(cap(sc.wdel), cap(sc.wadd)); c > bufKeep {
 		t.Errorf("write buffer kept cap %d > %d", c, bufKeep)
-	}
-	if c := cap(sc.reader.Spec.Actions); c > 16 {
-		t.Errorf("reader kept %d actions", c)
 	}
 }
 
@@ -594,8 +570,9 @@ func discardSwitch(t *testing.T, d *Driver) *SwitchConn {
 }
 
 // TestReconcileAllocs pins the allocation cost of the event path and the
-// pass. The mux workers are parked, so the test goroutine is the only
-// one allocating and may run the connection's pass itself.
+// pass. The connection is kept off the run queue — its word reads
+// "served", so no mark queues it — and the test goroutine, the only one
+// allocating, runs the connection's passes itself.
 func TestReconcileAllocs(t *testing.T) {
 	y, err := yancfs.New()
 	if err != nil {
@@ -605,13 +582,13 @@ func TestReconcileAllocs(t *testing.T) {
 	d.EchoInterval = 0
 	t.Cleanup(d.Close)
 	sc := discardSwitch(t, d)
-	r := &rig{y: y, d: d, conns: map[uint64]*SwitchConn{1: sc}}
 	flowPath := sc.Path + "/flows/f"
 	if _, err := yancfs.WriteFlow(y.Root(), flowPath, testSpec(3)); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, "installed", func() bool { return sc.pushedN.Load() == 1 && sc.idle() })
-	r.holdPasses(t)
+	eventually(t, "installed", func() bool {
+		return sc.pushedN.Load() == 1 && sc.idle() && sc.pend.CompareAndSwap(0, pendServing)
+	})
 
 	root := "/switches/"
 	stray := vfs.Event{Op: vfs.OpWrite, Path: flowPath + "/match.nw_src"}
@@ -619,56 +596,72 @@ func TestReconcileAllocs(t *testing.T) {
 		t.Errorf("classifying a non-flow event: %v allocs, want 0", n)
 	}
 	commit := vfs.Event{Op: vfs.OpWrite, Path: flowPath + "/version"}
-	if sw, kind, fp, _ := classify(root, &commit); sw != sc.Name || kind != evFlowCommit || fp != flowPath {
-		t.Fatalf("classify(%s) = %q %v %q", commit.Path, sw, kind, fp)
+	if sw, kind, fp := yancfs.ClassifyFlowEvent(root, &commit); sw != sc.Name || kind != yancfs.FlowCommit || fp != flowPath {
+		t.Fatalf("ClassifyFlowEvent(%s) = %q %v %q", commit.Path, sw, kind, fp)
 	}
 	if n := testing.AllocsPerRun(200, func() { d.mux.route(root, &commit) }); n != 0 {
 		t.Errorf("marking a flow: %v allocs, want 0 amortised", n)
 	}
-	coalesced := sc.coalesced.Load()
+	coalesced := sc.flows.Stats().Coalesced
 	if n := testing.AllocsPerRun(200, func() {
 		d.mux.route(root, &commit)
 		sc.reconcileFlows()
 	}); n != 0 {
 		t.Errorf("reconciling an unchanged flow: %v allocs, want 0", n)
 	}
-	if sc.coalesced.Load() == coalesced {
+	if sc.flows.Stats().Coalesced == coalesced {
 		t.Fatal("the unchanged flow was not looked at")
 	}
-	pushed := sc.pushedN.Load()
-	if n := testing.AllocsPerRun(200, func() {
-		sc.mu.Lock()
-		st := sc.flows["f"]
-		st.version-- // the switch is one commit behind
-		sc.flows["f"] = st
-		sc.mu.Unlock()
-		d.mux.route(root, &commit)
-		sc.reconcileFlows()
-	}); n > 8 {
-		t.Errorf("reconciling a changed flow: %v allocs, want <= 8", n)
-	} else {
-		t.Logf("reconciling a changed flow: %v allocs", n)
-	}
-	if sc.pushedN.Load() == pushed {
-		t.Fatal("the changed flow was not pushed")
+	gone := vfs.Event{Op: vfs.OpRemove, Path: flowPath, IsDir: true}
+	for _, c := range []struct {
+		name string
+		mark func()
+	}{
+		// The switch is behind the committed version of a known flow:
+		// the pass installs it over its recorded state.
+		{"a known flow one commit behind", func() { sc.flows.Retranslate() }},
+		// A remove and a recreate between two passes: the pass sends the
+		// delete-strict of the old entry and the add of the new flow.
+		{"a removed and recreated flow", func() {
+			d.mux.route(root, &gone)
+			d.mux.route(root, &commit)
+		}},
+	} {
+		pushed := sc.pushedN.Load()
+		if n := testing.AllocsPerRun(200, func() {
+			c.mark()
+			sc.reconcileFlows()
+		}); n > 8 {
+			t.Errorf("reconciling %s: %v allocs, want <= 8", c.name, n)
+		} else {
+			t.Logf("reconciling %s: %v allocs", c.name, n)
+		}
+		if sc.pushedN.Load() == pushed {
+			t.Fatalf("%s was not pushed", c.name)
+		}
 	}
 }
 
-// TestClassify: what each event under switches/ means to the driver.
+// TestClassify: what each event under switches/ means to the driver,
+// to its flow table (yancfs.ClassifyFlowEvent) or to the rest of the
+// connection (classify).
 func TestClassify(t *testing.T) {
 	const root = "/switches/"
 	for _, c := range []struct {
 		ev   vfs.Event
 		sw   string
-		kind eventKind
+		flow yancfs.FlowEvent
 		path string
+		kind eventKind
 		port uint32
 	}{
-		{vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/flows/f/version"}, "sw1", evFlowCommit, "/switches/sw1/flows/f", 0},
-		{vfs.Event{Op: vfs.OpRemove, Path: "/switches/sw1/flows/f", IsDir: true}, "sw1", evFlowGone, "/switches/sw1/flows/f", 0},
-		{vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw2/pout/doorbell"}, "sw2", evDoorbell, "", 0},
-		{vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw2/ports/4294967295/config.port_down"}, "sw2", evPortDown, "", 4294967295},
+		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/flows/f/version"}, sw: "sw1", flow: yancfs.FlowCommit, path: "/switches/sw1/flows/f"},
+		{ev: vfs.Event{Op: vfs.OpRemove, Path: "/switches/sw1/flows/f", IsDir: true}, sw: "sw1", flow: yancfs.FlowGone, path: "/switches/sw1/flows/f"},
+		{ev: vfs.Event{Op: vfs.OpRename, Path: "/switches/sw1/flows/f", NewPath: "/switches/sw1/flows/g", IsDir: true}, sw: "sw1", flow: yancfs.FlowMove, path: "/switches/sw1/flows/g"},
+		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw2/pout/doorbell"}, sw: "sw2", kind: evDoorbell},
+		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw2/ports/4294967295/config.port_down"}, sw: "sw2", kind: evPortDown, port: 4294967295},
 		// Everything else stays in demux.
+		{ev: vfs.Event{Op: vfs.OpRename, Path: "/switches/sw1/flows/f", NewPath: "/switches/sw2/flows/f", IsDir: true}},
 		{ev: vfs.Event{Op: vfs.OpRemove, Path: "/switches/sw1/flows/f/version"}},
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/flows/f/match.tp_dst"}},
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/flows/f/counters/version"}},
@@ -684,9 +677,18 @@ func TestClassify(t *testing.T) {
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/hosts/h1/flows/f/version"}},
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/status"}},
 	} {
-		sw, kind, path, port := classify(root, &c.ev)
-		if sw != c.sw || kind != c.kind || path != c.path || port != c.port {
-			t.Errorf("classify(%v %s) = %q %d %q %d, want %q %d %q %d", c.ev.Op, c.ev.Path, sw, kind, path, port, c.sw, c.kind, c.path, c.port)
+		sw, flow, path := yancfs.ClassifyFlowEvent(root, &c.ev)
+		if flow == yancfs.NoFlowEvent {
+			var kind eventKind
+			var port uint32
+			sw, kind, port = classify(root, &c.ev)
+			if kind != c.kind || port != c.port {
+				t.Errorf("classify(%v %s) = %q %d %d, want %q %d %d", c.ev.Op, c.ev.Path, sw, kind, port, c.sw, c.kind, c.port)
+				continue
+			}
+		}
+		if sw != c.sw || flow != c.flow || path != c.path {
+			t.Errorf("ClassifyFlowEvent(%v %s) = %q %d %q, want %q %d %q", c.ev.Op, c.ev.Path, sw, flow, path, c.sw, c.flow, c.path)
 		}
 	}
 }

@@ -151,14 +151,14 @@ func (y *FS) PutFlowTx(tx *vfs.Tx, flowPath string, spec FlowSpec) (uint64, erro
 			return 0, err
 		}
 	}
-	// Rewrite of an existing flow: clear stale match/action files from a
-	// previous incarnation, then write fields individually.
+	// Rewrite of an existing flow: clear stale match/action files and a
+	// cookie from a previous incarnation, then write fields individually.
 	entries, err := tx.ReadDir(flowPath)
 	if err != nil {
 		return 0, err
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name, MatchPrefix) || strings.HasPrefix(e.Name, ActionPrefix) {
+		if strings.HasPrefix(e.Name, MatchPrefix) || strings.HasPrefix(e.Name, ActionPrefix) || e.Name == FileCookie {
 			if err := tx.Remove(vfs.Join(flowPath, e.Name)); err != nil {
 				return 0, err
 			}

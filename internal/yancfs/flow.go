@@ -57,13 +57,15 @@ func WriteFlow(p *vfs.Proc, flowPath string, spec FlowSpec) (uint64, error) {
 			}
 		}
 	}
-	// Remove stale action files, then write the current ones.
+	// Remove stale action files, and a cookie the spec no longer has (no
+	// cookie is no file, as in a fresh flow), then write the current ones.
 	entries, err := p.ReadDirAt(ref, ".")
 	if err != nil {
 		return 0, err
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name, ActionPrefix) && !hasActionFile(spec.Actions, e.Name) {
+		if strings.HasPrefix(e.Name, ActionPrefix) && !hasActionFile(spec.Actions, e.Name) ||
+			e.Name == FileCookie && spec.Cookie == 0 {
 			if err := p.RemoveAt(ref, e.Name); err != nil {
 				return 0, err
 			}
