@@ -12,7 +12,10 @@
 #   race       the full test suite under the race detector
 #   battery    the Stress|Chaos|Alloc tests again, -race -count=2 (the
 #              E14, E15 and E16 properties and the views' overflow
-#              convergence are among them)
+#              convergence are among them); then the vfs and yancfs
+#              Stress tests -race at -cpu 1,4: file content is published
+#              lock-free, and four Ps give the scheduler interleavings to
+#              try that a machine with fewer cores would not
 #   fuzz       10 s each of FuzzPathResolve and FuzzFlowDirRoundTrip,
 #              from the seed corpora committed under testdata/fuzz; what
 #              the fuzzer finds interesting stays in the Go build cache
@@ -71,6 +74,7 @@ go test -race ./...
 
 echo "==> go test -race concurrency battery (Stress|Chaos|Alloc, -count=2)"
 go test -race -run 'Stress|Chaos|Alloc' -count=2 ./...
+go test -race -run 'Stress' -cpu 1,4 ./internal/vfs ./internal/yancfs
 
 echo "==> go test -fuzz (10 s per target)"
 go test -run '^$' -fuzz '^FuzzPathResolve$' -fuzztime 10s ./internal/vfs

@@ -5,8 +5,8 @@
 // replicate it: it is any package that declares both a lockTree and an
 // rlockTree method on some receiver type. From that anchor the rest of
 // the vocabulary is resolved by name on the same receiver (unlockTree,
-// runlockTree, lockNode, rlockNode), plus the Synthetic provider struct,
-// the DirSemantics hook struct, and the Tx transaction type.
+// runlockTree), plus the Synthetic provider struct, the DirSemantics hook
+// struct, and the Tx transaction type.
 package lockset
 
 import (
@@ -26,8 +26,6 @@ const (
 	OpRLockTree
 	OpUnlockTree
 	OpRUnlockTree
-	OpLockShard   // lockNode / rlockNode / rlockContent
-	OpUnlockShard // <stripe>.mu.Unlock / <stripe>.mu.RUnlock
 )
 
 // Info describes the locking vocabulary found in one package.
@@ -36,9 +34,6 @@ type Info struct {
 	FS *types.Named
 	// Primitives maps the *types.Func of each primitive to its Op.
 	Primitives map[*types.Func]Op
-	// ShardType is the named type returned by lockNode (nil if lockNode
-	// does not exist or returns nothing).
-	ShardType *types.Named
 	// Synthetic is the provider struct type (nil if absent).
 	Synthetic *types.Named
 	// DirSemantics is the hook struct type (nil if absent).
@@ -76,18 +71,9 @@ func Find(pass *analysis.Pass) *Info {
 		"rlockTree":   OpRLockTree,
 		"unlockTree":  OpUnlockTree,
 		"runlockTree": OpRUnlockTree,
-		"lockNode":    OpLockShard,
-		"rlockNode":   OpLockShard,
-		// rlockNode, after waiting out a transaction that wrote the node.
-		"rlockContent": OpLockShard,
 	} {
 		if m := methodNamed(fs, name); m != nil {
 			info.Primitives[m] = op
-			if op == OpLockShard && info.ShardType == nil {
-				if sig, ok := m.Type().(*types.Signature); ok && sig.Results().Len() == 1 {
-					info.ShardType = namedOf(sig.Results().At(0).Type())
-				}
-			}
 		}
 	}
 	if tn, ok := scope.Lookup("Synthetic").(*types.TypeName); ok {
@@ -102,25 +88,12 @@ func Find(pass *analysis.Pass) *Info {
 	return info
 }
 
-// Classify returns the lock Op a call expression performs, resolving both
-// the FS primitives and stripe mu.Unlock/mu.RUnlock releases.
+// Classify returns the lock Op a call expression performs: which FS
+// primitive it calls, if any.
 func (in *Info) Classify(pass *analysis.Pass, call *ast.CallExpr) Op {
 	if callee := typeutil.StaticCallee(pass.TypesInfo, call); callee != nil {
 		if op, ok := in.Primitives[callee]; ok {
 			return op
-		}
-	}
-	// <shardvar>.mu.Unlock() / RUnlock(): a method call on a sync mutex
-	// reached through a field of the stripe type.
-	if in.ShardType != nil {
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if sel.Sel.Name == "Unlock" || sel.Sel.Name == "RUnlock" {
-				if inner, ok := sel.X.(*ast.SelectorExpr); ok {
-					if t := pass.TypesInfo.TypeOf(inner.X); t != nil && namedOf(t) == in.ShardType {
-						return OpUnlockShard
-					}
-				}
-			}
 		}
 	}
 	return OpNone

@@ -1,15 +1,13 @@
-// Package lockorder enforces the VFS lock-ordering discipline documented
-// in internal/vfs/lock.go (DESIGN.md §8) at compile time:
+// Package lockorder enforces two of the VFS locking rules documented in
+// internal/vfs/lock.go (DESIGN.md §8) at compile time — rule 1, the
+// immutability of what is published, is snapshotpub's:
 //
-//  1. tree lock before stripe lock, never the reverse — code holding a
-//     stripe must not acquire the tree lock in any mode;
-//  2. at most one stripe lock at a time;
+//  2. Synthetic providers run outside all tree locks, so invoking a
+//     provider while the tree lock is held is a self-deadlock (the PR 3
+//     Tx.ReadFile/Synthetic.Read bug this analyzer exists to prevent);
 //  3. code running under the tree lock (Tx methods, DirSemantics hooks,
 //     WithTx/ReadTx callbacks) must not call a Proc-level entry point
-//     that re-acquires the tree lock — sync.RWMutex is not reentrant;
-//  4. Synthetic providers run outside all tree locks, so invoking a
-//     provider while the tree lock is held is a self-deadlock (the PR 3
-//     Tx.ReadFile/Synthetic.Read bug this analyzer exists to prevent).
+//     that re-acquires the tree lock — sync.RWMutex is not reentrant.
 //
 // The lock package (internal/vfs) is recognized by shape — any package
 // declaring lockTree and rlockTree methods on one receiver — and is
@@ -60,8 +58,8 @@ func (f *CallsParamUnderTreeLock) String() string {
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "check the VFS lock-ordering rules: no tree-lock acquisition under a stripe or under itself, " +
-		"one stripe at a time, and no Proc-level re-entry or Synthetic provider call under the tree lock",
+	Doc: "check the VFS locking rules: no tree-lock acquisition under itself, " +
+		"and no Proc-level re-entry or Synthetic provider call under the tree lock",
 	Requires:  []*analysis.Analyzer{ctrlflow.Analyzer},
 	FactTypes: []analysis.Fact{(*AcquiresTreeLock)(nil), (*IsLockPackage)(nil), (*CallsParamUnderTreeLock)(nil)},
 	Run:       run,
@@ -77,13 +75,13 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// lockState counts locks held at a program point: the tree lock (any
-// mode) and inode-state stripes. Values merge by element-wise max, so a
-// lock held on any path into a join counts as held.
-type lockState struct{ tree, shard int }
+// lockState counts the tree-lock holds (any mode) at a program point.
+// Values merge by max, so a lock held on any path into a join counts as
+// held.
+type lockState struct{ tree int }
 
 func (s lockState) merge(o lockState) lockState {
-	return lockState{tree: max(s.tree, o.tree), shard: max(s.shard, o.shard)}
+	return lockState{tree: max(s.tree, o.tree)}
 }
 
 // checker walks one function's CFG tracking lockState. Deferred releases
@@ -94,7 +92,6 @@ type checker struct {
 	info     *lockset.Info
 	cfgs     *ctrlflow.CFGs
 	treeAcq  map[*types.Func]bool // functions that transitively acquire the tree lock
-	shardAcq map[*types.Func]bool // functions that transitively acquire a stripe
 	params   map[*types.Var]int   // func-typed params of the current decl
 	lockedPs map[int]bool         // params called while the tree lock was held
 	reported map[token.Pos]bool
@@ -104,13 +101,9 @@ type checker struct {
 func runLockPackage(pass *analysis.Pass, info *lockset.Info) {
 	graph := lockset.BuildGraph(pass)
 	treeTargets := map[*types.Func]bool{}
-	shardTargets := map[*types.Func]bool{}
 	for fn, op := range info.Primitives {
-		switch op {
-		case lockset.OpLockTree, lockset.OpRLockTree:
+		if op == lockset.OpLockTree || op == lockset.OpRLockTree {
 			treeTargets[fn] = true
-		case lockset.OpLockShard:
-			shardTargets[fn] = true
 		}
 	}
 	c := &checker{
@@ -118,7 +111,6 @@ func runLockPackage(pass *analysis.Pass, info *lockset.Info) {
 		info:     info,
 		cfgs:     pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs),
 		treeAcq:  graph.Reaches(treeTargets),
-		shardAcq: graph.Reaches(shardTargets),
 		reported: map[token.Pos]bool{},
 		inlined:  map[*ast.FuncLit]bool{},
 	}
@@ -278,9 +270,6 @@ func (c *checker) visitCall(call *ast.CallExpr, st *lockState, deferred bool) {
 		if st.tree > 0 {
 			c.report(call, "tree lock acquired while the tree lock is already held (sync.RWMutex is not reentrant; lock.go rule 3)")
 		}
-		if st.shard > 0 {
-			c.report(call, "tree lock acquired while holding a stripe lock (lock.go rule 1: tree before shard, never the reverse)")
-		}
 		st.tree++
 		return
 	case lockset.OpUnlockTree, lockset.OpRUnlockTree:
@@ -288,22 +277,11 @@ func (c *checker) visitCall(call *ast.CallExpr, st *lockState, deferred bool) {
 			st.tree--
 		}
 		return
-	case lockset.OpLockShard:
-		if st.shard > 0 {
-			c.report(call, "stripe lock acquired while another stripe is held (lock.go rule 2: at most one stripe at a time)")
-		}
-		st.shard++
-		return
-	case lockset.OpUnlockShard:
-		if !deferred && st.shard > 0 {
-			st.shard--
-		}
-		return
 	}
 
 	if name, ok := c.info.IsSyntheticProviderCall(c.pass, call); ok {
 		if st.tree > 0 {
-			c.report(call, fmt.Sprintf("%s provider invoked under the tree lock: providers may perform Proc I/O and must run outside all tree locks (lock.go rule 4; the PR 3 Tx.ReadFile self-deadlock)", name))
+			c.report(call, fmt.Sprintf("%s provider invoked under the tree lock: providers may perform Proc I/O and must run outside all tree locks (lock.go rule 2; the PR 3 Tx.ReadFile self-deadlock)", name))
 		}
 		return
 	}
@@ -311,13 +289,6 @@ func (c *checker) visitCall(call *ast.CallExpr, st *lockState, deferred bool) {
 	if callee := typeutil.StaticCallee(c.pass.TypesInfo, call); callee != nil && callee.Pkg() == c.pass.Pkg {
 		if st.tree > 0 && c.treeAcq[callee] {
 			c.report(call, fmt.Sprintf("call to %s may acquire the tree lock, but the tree lock is already held (lock.go rule 3: use the Tx)", callee.Name()))
-		}
-		if st.shard > 0 {
-			if c.treeAcq[callee] {
-				c.report(call, fmt.Sprintf("call to %s may acquire the tree lock while a stripe is held (lock.go rule 1)", callee.Name()))
-			} else if c.shardAcq[callee] {
-				c.report(call, fmt.Sprintf("call to %s may acquire a second stripe lock (lock.go rule 2)", callee.Name()))
-			}
 		}
 	}
 

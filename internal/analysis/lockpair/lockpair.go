@@ -1,13 +1,12 @@
-// Package lockpair verifies that every VFS lock acquisition is paired
-// with a release on all paths out of the function that acquired it. A
-// lockTree without a deferred or explicit unlockTree on some return
-// path, or a lockNode whose stripe is not released on an early return,
-// leaks the lock and wedges every later writer.
+// Package lockpair verifies that every VFS tree-lock acquisition is
+// paired with a release on all paths out of the function that acquired
+// it. A lockTree without a deferred or explicit unlockTree on some return
+// path leaks the lock and wedges every later writer.
 //
 // The analysis is a per-function CFG dataflow over the same lock
 // vocabulary lockorder uses (detected by shape in the lock package). In
 // contrast to lockorder, a deferred release discharges the acquisition
-// immediately — `s := fs.lockNode(n); defer s.mu.Unlock()` is the
+// immediately — `fs.rlockTree(); defer fs.runlockTree()` is the
 // canonical correct pairing — because defers run on every exit,
 // including panics.
 //
@@ -32,7 +31,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockpair",
-	Doc: "check that every tree/stripe lock acquisition in the lock package is released on all paths " +
+	Doc: "check that every tree lock acquisition in the lock package is released on all paths " +
 		"(early returns and panics must not leak a lock)",
 	Requires: []*analysis.Analyzer{ctrlflow.Analyzer},
 	Run:      run,
@@ -83,10 +82,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 // Counters never go negative: releases beyond zero are attributed to
 // locks taken by a caller (e.g. a closure releasing in an error path on
 // behalf of its parent) and are ignored rather than reported.
-type state struct{ tree, shard int }
+type state struct{ tree int }
 
 func (s state) merge(o state) state {
-	return state{tree: max(s.tree, o.tree), shard: max(s.shard, o.shard)}
+	return state{tree: max(s.tree, o.tree)}
 }
 
 type checker struct {
@@ -121,8 +120,8 @@ func (c *checker) check(g *cfg.CFG, name string) {
 				c.transfer(node, &st, &last)
 			}
 			if len(b.Succs) == 0 {
-				if b.Live && (st.tree > 0 || st.shard > 0) && last != nil {
-					c.reportLeak(last, st, name, b)
+				if b.Live && st.tree > 0 && last != nil {
+					c.reportLeak(last, name, b)
 					// Report once per function: clear so fixpoint converges
 					// without duplicate diagnostics.
 					return
@@ -192,27 +191,16 @@ func (c *checker) applyCall(call *ast.CallExpr, st *state, last *ast.Node) {
 		if st.tree > 0 {
 			st.tree--
 		}
-	case lockset.OpLockShard:
-		st.shard++
-		*last = call
-	case lockset.OpUnlockShard:
-		if st.shard > 0 {
-			st.shard--
-		}
 	}
 }
 
-func (c *checker) reportLeak(at ast.Node, st state, fn string, exit *cfg.Block) {
+func (c *checker) reportLeak(at ast.Node, fn string, exit *cfg.Block) {
 	pos := at.Pos()
 	if f := directive.FileFor(c.pass, pos); f != nil && directive.Allows(c.pass, f, pos, "lockpair") {
 		return
 	}
-	kind := "tree lock"
-	if st.tree == 0 {
-		kind = "stripe lock"
-	}
 	where := describeExit(exit)
-	c.pass.Reportf(pos, "%s acquired here is not released on all paths out of %s (%s): add a defer or release before the exit", kind, fn, where)
+	c.pass.Reportf(pos, "tree lock acquired here is not released on all paths out of %s (%s): add a defer or release before the exit", fn, where)
 }
 
 func describeExit(b *cfg.Block) string {

@@ -1,7 +1,7 @@
-// Package snapshotpub enforces rule 5 of the VFS locking discipline
-// (internal/vfs/lock.go): directory children snapshots are immutable
-// after publish and may only be replaced — never edited — via an atomic
-// swap performed under the tree write lock.
+// Package snapshotpub enforces rule 1 of the VFS locking discipline
+// (internal/vfs/lock.go) for directories: children snapshots are
+// immutable after publish and may only be replaced — never edited — via
+// an atomic swap performed under the tree write lock.
 //
 // The snapshot vocabulary is detected by shape, like lockset does for
 // the lock primitives: the "snapshot type" is any named type declaring

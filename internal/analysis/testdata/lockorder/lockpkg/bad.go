@@ -8,25 +8,7 @@ func (fs *FS) badReentry() {
 	fs.unlockTree()
 }
 
-// Rule 1: never take the tree lock while holding a stripe. (The same
-// inversion is a wait-graph cycle, but it is single-package — pairwise
-// lockorder territory — so waitgraph stays quiet here.)
-func (fs *FS) badOrder(n *Inode) {
-	s := fs.lockNode(n)
-	fs.lockTree() // want "holding a stripe lock"
-	fs.unlockTree()
-	s.mu.Unlock()
-}
-
-// Rule 2: at most one stripe at a time.
-func (fs *FS) badTwoStripes(a, b *Inode) {
-	s1 := fs.lockNode(a)
-	s2 := fs.lockNode(b) // want "another stripe is held"
-	s2.mu.Unlock()
-	s1.mu.Unlock()
-}
-
-// Rule 4 regression: the PR 3 Tx.ReadFile deadlock — a Synthetic
+// Rule 2 regression: the PR 3 Tx.ReadFile deadlock — a Synthetic
 // provider invoked while the Tx holds the tree write lock.
 func (tx *Tx) BadReadFile(n *Inode) ([]byte, error) {
 	if n.Synth != nil && n.Synth.Read != nil {

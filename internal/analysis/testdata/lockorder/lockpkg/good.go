@@ -10,13 +10,14 @@ func (fs *FS) goodDeferPair() int {
 	return 1
 }
 
-func (fs *FS) goodBranchUnlock(n *Inode, trunc bool) {
+func (fs *FS) goodBranchUnlock(fail bool) int {
 	fs.rlockTree()
-	if trunc {
-		s := fs.lockNode(n)
-		s.mu.Unlock()
+	if fail {
+		fs.runlockTree()
+		return 0
 	}
 	fs.runlockTree()
+	return 1
 }
 
 func (fs *FS) goodIIFE() int {
@@ -26,13 +27,6 @@ func (fs *FS) goodIIFE() int {
 	}()
 	fs.unlockTree()
 	return v
-}
-
-func (fs *FS) goodSequential(n *Inode) {
-	s := fs.lockNode(n)
-	s.mu.Unlock()
-	t := fs.lockNode(n)
-	t.mu.Unlock()
 }
 
 // goodProviderOutside mirrors OpenFile: the provider runs after every

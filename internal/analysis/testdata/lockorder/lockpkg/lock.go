@@ -1,7 +1,7 @@
 // Package lockpkg is a miniature replica of internal/vfs's locking shape
-// used to exercise the lockorder analyzer: a tree RWMutex, striped node
-// locks, Synthetic providers, DirSemantics hooks, and a Tx whose methods
-// run under the tree lock.
+// used to exercise the lockorder analyzer: a tree RWMutex, Synthetic
+// providers, DirSemantics hooks, and a Tx whose methods run under the
+// tree lock.
 package lockpkg
 
 import "sync"
@@ -24,23 +24,14 @@ type DirSemantics struct {
 	OnRemove func(name string)
 }
 
-type shardLock struct{ mu sync.RWMutex }
-
 type FS struct {
-	tree   sync.RWMutex
-	shards [4]shardLock
+	tree sync.RWMutex
 }
 
 func (fs *FS) lockTree()    { fs.tree.Lock() }
 func (fs *FS) unlockTree()  { fs.tree.Unlock() }
 func (fs *FS) rlockTree()   { fs.tree.RLock() }
 func (fs *FS) runlockTree() { fs.tree.RUnlock() }
-
-func (fs *FS) lockNode(n *Inode) *shardLock {
-	s := &fs.shards[0]
-	s.mu.Lock()
-	return s
-}
 
 type Tx struct{ FS *FS }
 

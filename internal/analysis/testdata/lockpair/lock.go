@@ -4,25 +4,14 @@ package lockpair
 
 import "sync"
 
-type Inode struct{}
-
-type shardLock struct{ mu sync.RWMutex }
-
 type FS struct {
-	tree   sync.RWMutex
-	shards [4]shardLock
+	tree sync.RWMutex
 }
 
 func (fs *FS) lockTree()    { fs.tree.Lock() }
 func (fs *FS) unlockTree()  { fs.tree.Unlock() }
 func (fs *FS) rlockTree()   { fs.tree.RLock() }
 func (fs *FS) runlockTree() { fs.tree.RUnlock() }
-
-func (fs *FS) lockNode(n *Inode) *shardLock {
-	s := &fs.shards[0]
-	s.mu.Lock()
-	return s
-}
 
 // An early return that leaks the tree lock.
 func (fs *FS) badEarlyReturn(fail bool) error {
@@ -32,16 +21,6 @@ func (fs *FS) badEarlyReturn(fail bool) error {
 	}
 	fs.unlockTree()
 	return nil
-}
-
-// A stripe leak: the error branch forgets to release.
-func (fs *FS) badStripeLeak(n *Inode, ok bool) int {
-	s := fs.lockNode(n) // want "not released on all paths"
-	if !ok {
-		return 0
-	}
-	s.mu.Unlock()
-	return 1
 }
 
 // Suppressed: a function that deliberately returns holding the lock.
@@ -66,15 +45,10 @@ func (fs *FS) goodBranches(fail bool) error {
 	return nil
 }
 
-func (fs *FS) goodStripeDefer(n *Inode) {
-	s := fs.lockNode(n)
-	defer s.mu.Unlock()
-}
-
-func (fs *FS) goodLoop(n *Inode) {
+func (fs *FS) goodLoop() {
 	for i := 0; i < 3; i++ {
-		s := fs.lockNode(n)
-		s.mu.Unlock()
+		fs.rlockTree()
+		fs.runlockTree()
 	}
 }
 

@@ -1,9 +1,8 @@
 // Replica-shaped code: a lease-holding replication layer sitting on top
 // of the lock package. The apply and campaign paths follow the shapes
 // in internal/dfs/replica.go — acquire, mutate log/lease state, release
-// — and the deliberate bugs are the classic replication mistakes: an
-// early return when the lease is lost, or when a stale term arrives,
-// that leaks the lock it took.
+// — and the deliberate bug is the classic replication mistake: an early
+// return when a stale term arrives that leaks the lock it took.
 package lockpair
 
 type Replica struct {
@@ -23,19 +22,6 @@ func (r *Replica) badStaleTermLeak(reqTerm int) bool {
 	r.applied++
 	r.fs.unlockTree()
 	return true
-}
-
-// A lease-expiry step-down that leaks the stripe lock on the
-// follower branch.
-func (r *Replica) badLeaseStripeLeak(n *Inode, leaseOK bool) int {
-	s := r.fs.lockNode(n) // want "not released on all paths"
-	if !leaseOK {
-		r.leader = false
-		return r.term
-	}
-	r.applied++
-	s.mu.Unlock()
-	return r.term
 }
 
 // The canonical correct shapes from the real replica must stay silent:
@@ -61,10 +47,10 @@ func (r *Replica) goodCampaign(votes, members int) {
 	r.fs.unlockTree()
 }
 
-func (r *Replica) goodApplyLoop(n *Inode, upto int) {
+func (r *Replica) goodApplyLoop(upto int) {
 	for r.applied < upto {
-		s := r.fs.lockNode(n)
+		r.fs.lockTree()
 		r.applied++
-		s.mu.Unlock()
+		r.fs.unlockTree()
 	}
 }

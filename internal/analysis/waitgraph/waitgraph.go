@@ -27,7 +27,7 @@
 // package exports an Edges fact that unions its own edges with every
 // dependency's, so by the time the leaf importer is analyzed the graph
 // is global. A cycle is reported in the package contributing the edge
-// that closes it — e.g. driver mux worker → stripe lock → watch drain →
+// that closes it — e.g. driver mux worker → tree lock → watch drain →
 // mux mailbox — at that edge's position.
 //
 // Reentrant self-edges (A → A) are lockorder/lockpair territory and are
@@ -385,17 +385,13 @@ func (w *walker) scanFunc(fd *ast.FuncDecl) {
 // acquireResource classifies call as a lock acquire (true) or release
 // (false) of a named resource, or neither ("").
 func (w *walker) acquireResource(call *ast.CallExpr) (string, bool) {
-	// VFS tree/shard primitives inside the lock package.
+	// VFS tree-lock primitives inside the lock package.
 	if w.info != nil {
 		switch w.info.Classify(w.pass, call) {
 		case lockset.OpLockTree, lockset.OpRLockTree:
 			return w.pass.Pkg.Path() + ".FS.tree", true
 		case lockset.OpUnlockTree, lockset.OpRUnlockTree:
 			return w.pass.Pkg.Path() + ".FS.tree", false
-		case lockset.OpLockShard:
-			return w.pass.Pkg.Path() + ".stripe.mu", true
-		case lockset.OpUnlockShard:
-			return w.pass.Pkg.Path() + ".stripe.mu", false
 		}
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)

@@ -185,16 +185,19 @@ func (v *view) route(ev *vfs.Event) {
 		}
 		return
 	}
-	sw, kind, flowPath := yancfs.ClassifyFlowEvent(v.root, ev)
-	t := v.tables[sw]
-	if t == nil {
-		return
+	for _, mk := range yancfs.ClassifyFlowEvent(v.root, ev) {
+		t := v.tables[mk.Switch]
+		switch {
+		case mk.Kind == yancfs.NoFlowEvent:
+			return
+		case t == nil:
+		case mk.Kind == yancfs.FlowMove:
+			t.Apply(yancfs.FlowGone, ev.Path, ev)
+			t.Apply(yancfs.FlowCommit, mk.Path, ev)
+		default:
+			t.Apply(mk.Kind, mk.Path, ev)
+		}
 	}
-	if kind == yancfs.FlowMove {
-		t.Apply(yancfs.FlowGone, ev.Path, ev)
-		kind = yancfs.FlowCommit
-	}
-	t.Apply(kind, flowPath, ev)
 }
 
 // retopologize brings the big switch's topology up to date and has every

@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -348,6 +349,45 @@ func TestViewRenameAfterInstallConverges(t *testing.T) {
 		}
 		t.Cleanup(bs.Stop)
 		renames(t, r.y, &bs.view, "big0", bigSpec, compiler(t, bs), "vnet-corp-")
+	})
+}
+
+// TestViewFlowRenamedInIsTranslated: a flow directory made outside a view
+// and renamed into one of its switches' flows/ — the shell's atomic
+// publish — is translated, and renamed back out, its translation goes.
+func TestViewFlowRenamedInIsTranslated(t *testing.T) {
+	r := newLinearRig(t, 2)
+	filter, _ := openflow.ParseMatch("dl_type=0x0800,nw_proto=6,tp_dst=80")
+	sl := NewSlicer(r.y, "/", "http", filter, []string{"sw1"})
+	if err := sl.Create(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sl.Stop)
+	p, dir := r.y.Root(), vfs.Join(sl.view.path, yancfs.DirSwitches, "sw1", "flows")
+	if err := p.Mkdir("/staging", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := yancfs.WriteFlow(p, "/staging/f", sliceSpec(1, false)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Rename("/staging/f", dir+"/f"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a flow renamed into the slice translated", func() (bool, string) {
+		names, _ := yancfs.ListFlows(p, "/switches/sw1")
+		if !slices.ContainsFunc(names, func(n string) bool { return strings.HasPrefix(n, "slice-http-") }) {
+			return false, fmt.Sprintf("the master holds no translation: %q", names)
+		}
+		return translatedAsFolded(r.y, &sl.view, sl.flow, "/", "slice-http-")
+	})
+	if err := p.Rename(dir+"/f", "/staging/f"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a flow renamed out of the slice retired", func() (bool, string) {
+		return translatedAsFolded(r.y, &sl.view, sl.flow, "/", "slice-http-")
 	})
 }
 

@@ -279,10 +279,15 @@ func (m *mux) route(root string, ev *vfs.Event) {
 		}
 		return
 	}
-	if sw, kind, flowPath := yancfs.ClassifyFlowEvent(root, ev); kind != yancfs.NoFlowEvent {
-		if sc := m.d.Lookup(sw); sc != nil {
-			sc.flows.Apply(kind, flowPath, ev)
-			sc.schedule(pendFlows)
+	if marks := yancfs.ClassifyFlowEvent(root, ev); marks[0].Kind != yancfs.NoFlowEvent {
+		for _, mk := range marks {
+			if mk.Kind == yancfs.NoFlowEvent {
+				break
+			}
+			if sc := m.d.Lookup(mk.Switch); sc != nil {
+				sc.flows.Apply(mk.Kind, mk.Path, ev)
+				sc.schedule(pendFlows)
+			}
 		}
 		return
 	}

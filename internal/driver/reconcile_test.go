@@ -596,8 +596,8 @@ func TestReconcileAllocs(t *testing.T) {
 		t.Errorf("classifying a non-flow event: %v allocs, want 0", n)
 	}
 	commit := vfs.Event{Op: vfs.OpWrite, Path: flowPath + "/version"}
-	if sw, kind, fp := yancfs.ClassifyFlowEvent(root, &commit); sw != sc.Name || kind != yancfs.FlowCommit || fp != flowPath {
-		t.Fatalf("ClassifyFlowEvent(%s) = %q %v %q", commit.Path, sw, kind, fp)
+	if marks := yancfs.ClassifyFlowEvent(root, &commit); marks != [2]yancfs.FlowMark{{Switch: sc.Name, Kind: yancfs.FlowCommit, Path: flowPath}} {
+		t.Fatalf("ClassifyFlowEvent(%s) = %v", commit.Path, marks)
 	}
 	if n := testing.AllocsPerRun(200, func() { d.mux.route(root, &commit) }); n != 0 {
 		t.Errorf("marking a flow: %v allocs, want 0 amortised", n)
@@ -647,21 +647,29 @@ func TestReconcileAllocs(t *testing.T) {
 // connection (classify).
 func TestClassify(t *testing.T) {
 	const root = "/switches/"
+	type mark = yancfs.FlowMark
+	fm := func(sw string, kind yancfs.FlowEvent, path string) mark {
+		return mark{Switch: sw, Kind: kind, Path: path}
+	}
 	for _, c := range []struct {
-		ev   vfs.Event
-		sw   string
-		flow yancfs.FlowEvent
-		path string
-		kind eventKind
-		port uint32
+		ev    vfs.Event
+		flows [2]mark
+		sw    string
+		kind  eventKind
+		port  uint32
 	}{
-		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/flows/f/version"}, sw: "sw1", flow: yancfs.FlowCommit, path: "/switches/sw1/flows/f"},
-		{ev: vfs.Event{Op: vfs.OpRemove, Path: "/switches/sw1/flows/f", IsDir: true}, sw: "sw1", flow: yancfs.FlowGone, path: "/switches/sw1/flows/f"},
-		{ev: vfs.Event{Op: vfs.OpRename, Path: "/switches/sw1/flows/f", NewPath: "/switches/sw1/flows/g", IsDir: true}, sw: "sw1", flow: yancfs.FlowMove, path: "/switches/sw1/flows/g"},
+		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/flows/f/version"}, flows: [2]mark{fm("sw1", yancfs.FlowCommit, "/switches/sw1/flows/f")}},
+		{ev: vfs.Event{Op: vfs.OpRemove, Path: "/switches/sw1/flows/f", IsDir: true}, flows: [2]mark{fm("sw1", yancfs.FlowGone, "/switches/sw1/flows/f")}},
+		{ev: vfs.Event{Op: vfs.OpRename, Path: "/switches/sw1/flows/f", NewPath: "/switches/sw1/flows/g", IsDir: true}, flows: [2]mark{fm("sw1", yancfs.FlowMove, "/switches/sw1/flows/g")}},
+		{ev: vfs.Event{Op: vfs.OpRename, Path: "/switches/sw1/flows/f", NewPath: "/switches/sw2/flows/f", IsDir: true},
+			flows: [2]mark{fm("sw1", yancfs.FlowGone, "/switches/sw1/flows/f"), fm("sw2", yancfs.FlowCommit, "/switches/sw2/flows/f")}},
+		{ev: vfs.Event{Op: vfs.OpRename, Path: "/staging/f", NewPath: "/switches/sw2/flows/f", IsDir: true}, flows: [2]mark{fm("sw2", yancfs.FlowCommit, "/switches/sw2/flows/f")}},
+		{ev: vfs.Event{Op: vfs.OpRename, Path: "/switches/sw1/flows/f", NewPath: "/switches/sw1/f", IsDir: true}, flows: [2]mark{fm("sw1", yancfs.FlowGone, "/switches/sw1/flows/f")}},
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw2/pout/doorbell"}, sw: "sw2", kind: evDoorbell},
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw2/ports/4294967295/config.port_down"}, sw: "sw2", kind: evPortDown, port: 4294967295},
 		// Everything else stays in demux.
-		{ev: vfs.Event{Op: vfs.OpRename, Path: "/switches/sw1/flows/f", NewPath: "/switches/sw2/flows/f", IsDir: true}},
+		{ev: vfs.Event{Op: vfs.OpRename, Path: "/switches/sw1/flows/f", NewPath: "/switches/sw2/flows/f"}}, // files, not flow directories
+		{ev: vfs.Event{Op: vfs.OpRename, Path: "/switches/sw1/flows", NewPath: "/switches/sw1/old", IsDir: true}},
 		{ev: vfs.Event{Op: vfs.OpRemove, Path: "/switches/sw1/flows/f/version"}},
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/flows/f/match.tp_dst"}},
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/flows/f/counters/version"}},
@@ -677,18 +685,15 @@ func TestClassify(t *testing.T) {
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/hosts/h1/flows/f/version"}},
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/status"}},
 	} {
-		sw, flow, path := yancfs.ClassifyFlowEvent(root, &c.ev)
-		if flow == yancfs.NoFlowEvent {
-			var kind eventKind
-			var port uint32
-			sw, kind, port = classify(root, &c.ev)
-			if kind != c.kind || port != c.port {
-				t.Errorf("classify(%v %s) = %q %d %d, want %q %d %d", c.ev.Op, c.ev.Path, sw, kind, port, c.sw, c.kind, c.port)
-				continue
-			}
+		if flows := yancfs.ClassifyFlowEvent(root, &c.ev); flows != c.flows {
+			t.Errorf("ClassifyFlowEvent(%v %s → %s) = %v, want %v", c.ev.Op, c.ev.Path, c.ev.NewPath, flows, c.flows)
+			continue
 		}
-		if sw != c.sw || flow != c.flow || path != c.path {
-			t.Errorf("ClassifyFlowEvent(%v %s) = %q %d %q, want %q %d %q", c.ev.Op, c.ev.Path, sw, flow, path, c.sw, c.flow, c.path)
+		if c.flows[0].Kind != yancfs.NoFlowEvent {
+			continue
+		}
+		if sw, kind, port := classify(root, &c.ev); sw != c.sw || kind != c.kind || port != c.port {
+			t.Errorf("classify(%v %s) = %q %d %d, want %q %d %d", c.ev.Op, c.ev.Path, sw, kind, port, c.sw, c.kind, c.port)
 		}
 	}
 }

@@ -85,6 +85,44 @@ func TestFlowDirRenameKeepsHardwareEntry(t *testing.T) {
 	eventually(t, "delete after rename", func() bool { return sw.FlowCount() == 0 })
 }
 
+// TestFlowDirRenamedAcrossSwitches: a flow directory renamed from one
+// switch's flows/ into another's leaves the first switch's table and
+// reaches the second's, and one renamed into flows/ from outside, or out
+// of it, is installed or retired — at the rename, with no overflow or
+// reattach to make it so.
+func TestFlowDirRenamedAcrossSwitches(t *testing.T) {
+	r := newRig(t, openflow.Version10, 2)
+	r.attach(t, 1)
+	r.attach(t, 2)
+	p := r.y.Root()
+	m, _ := openflow.ParseMatch("in_port=1")
+	spec := yancfs.FlowSpec{Match: m, Priority: 5, Actions: []openflow.Action{openflow.Output(2)}}
+	if _, err := yancfs.WriteFlow(p, "/switches/sw1/flows/f", spec); err != nil {
+		t.Fatal(err)
+	}
+	sw1, sw2 := r.net.Switch(1), r.net.Switch(2)
+	eventually(t, "install on sw1", func() bool { return sw1.FlowCount() == 1 })
+	if err := p.Rename("/switches/sw1/flows/f", "/switches/sw2/flows/f"); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the flow moved from sw1 to sw2", func() bool { return sw1.FlowCount() == 0 && sw2.FlowCount() == 1 })
+
+	if err := p.Mkdir("/staging", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := yancfs.WriteFlow(p, "/staging/g", spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Rename("/staging/g", "/switches/sw1/flows/g"); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "a flow renamed into sw1's flows/ installed", func() bool { return sw1.FlowCount() == 1 })
+	if err := p.Rename("/switches/sw2/flows/f", "/staging/f"); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "a flow renamed out of sw2's flows/ retired", func() bool { return sw2.FlowCount() == 0 })
+}
+
 // TestPacketOutSpecEdgeCases covers the control-file parser's error and
 // option paths.
 func TestPacketOutSpecEdgeCases(t *testing.T) {

@@ -11,10 +11,8 @@
 //
 //	/.proc/vfs/ops        VFS entry-point counters (vfs.OpStats)
 //	/.proc/vfs/latency    per-op latency histograms (count/avg/p50/p99/max)
-//	/.proc/vfs/lock_shards  per-stripe acquisition counts for the sharded
-//	                        inode locks (vfs.LockStats.PerShard)
-//	/.proc/vfs/contention   tree/stripe lock acquisition + contention
-//	                        counters and watch-dispatcher gauges
+//	/.proc/vfs/contention   tree lock acquisition + contention counters
+//	                        and watch-dispatcher gauges
 //	/.proc/vfs/resolve_lockfree  read-path resolutions served entirely by
 //	                             the lock-free snapshot walk
 //	/.proc/vfs/resolve_fallback  read-path resolutions that fell back to
@@ -94,7 +92,6 @@ func Install(fs *vfs.FS) (*Tree, error) {
 		files := map[string]func() ([]byte, error){
 			Dir + "/vfs/ops":              t.renderOps,
 			Dir + "/vfs/latency":          t.renderLatency,
-			Dir + "/vfs/lock_shards":      t.renderLockShards,
 			Dir + "/vfs/contention":       t.renderContention,
 			Dir + "/vfs/resolve_lockfree": t.renderResolveLockfree,
 			Dir + "/vfs/resolve_fallback": t.renderResolveFallback,
@@ -320,19 +317,6 @@ func (t *Tree) renderLatency() ([]byte, error) {
 	return []byte(t.fs.Latency().Render()), nil
 }
 
-func (t *Tree) renderLockShards() ([]byte, error) {
-	s := t.fs.LockStats()
-	var b strings.Builder
-	fmt.Fprintf(&b, "shards %d\n", s.Shards)
-	for i, n := range s.PerShard {
-		if n == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "shard %-3d %d\n", i, n)
-	}
-	return []byte(b.String()), nil
-}
-
 func (t *Tree) renderContention() ([]byte, error) {
 	s := t.fs.LockStats()
 	queued, batches, backlog := t.fs.DispatchStats()
@@ -345,9 +329,6 @@ func (t *Tree) renderContention() ([]byte, error) {
 		{"tree_write", s.TreeWrite},
 		{"tree_read_contended", s.TreeReadContended},
 		{"tree_write_contended", s.TreeWriteContended},
-		{"shard_read", s.ShardRead},
-		{"shard_write", s.ShardWrite},
-		{"shard_contended", s.ShardContended},
 		{"contended_total", s.Contended()},
 		{"watch_dispatch_queued", queued},
 		{"watch_dispatch_batches", batches},

@@ -21,7 +21,6 @@ func TestInstallCreatesReadOnlyTree(t *testing.T) {
 	for _, path := range []string{
 		Dir + "/vfs/ops",
 		Dir + "/vfs/latency",
-		Dir + "/vfs/lock_shards",
 		Dir + "/vfs/contention",
 		Dir + "/vfs/resolve_lockfree",
 		Dir + "/vfs/resolve_fallback",
@@ -98,23 +97,22 @@ func TestOpsAndLatencyReflectActivity(t *testing.T) {
 		}
 	}
 
-	// Lock telemetry: the activity above took tree and stripe locks, so
-	// both files must show non-zero counters.
-	shards, err := p.ReadString(Dir + "/vfs/lock_shards")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(shards, "shards") || !strings.Contains(shards, "shard ") {
-		t.Fatalf("lock_shards shows no per-stripe activity:\n%s", shards)
+	// Lock telemetry: the activity above took the tree lock, the only
+	// lock level there is.
+	if p.Exists(Dir + "/vfs/lock_shards") {
+		t.Fatal("lock_shards still reports the inode stripes, which are gone")
 	}
 	cont, err := p.ReadString(Dir + "/vfs/contention")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"tree_read", "tree_write", "shard_read", "contended_total", "watch_dispatch_queued"} {
+	for _, field := range []string{"tree_read", "tree_write", "contended_total", "watch_dispatch_queued"} {
 		if !strings.Contains(cont, field) {
 			t.Fatalf("contention missing %q:\n%s", field, cont)
 		}
+	}
+	if strings.Contains(cont, "shard") {
+		t.Fatalf("contention still has stripe rows:\n%s", cont)
 	}
 	if strings.Contains(cont, "tree_read               0\n") {
 		t.Fatalf("tree_read counter stuck at zero:\n%s", cont)

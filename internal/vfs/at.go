@@ -21,7 +21,7 @@ package vfs
 // one lock-free lookup in the directory's published children, validated
 // against its generation, then the removed mark. WriteFileAt on an
 // existing regular file takes the tree read lock just long enough to read
-// the directory's path for its events, then the file's stripe; creating a
+// the directory's path for its events, then swaps the content; creating a
 // file and RemoveAt take the tree write lock, as their path-based calls
 // do, with the lookup made in the referenced directory.
 //
@@ -177,8 +177,8 @@ func (p *Proc) ReadFileAt(ref DirRef, name string) ([]byte, error) {
 	return p.readAt(ref, name, false)
 }
 
-// ReadFileSharedAt is ReadFileAt without the copy, under ReadFileShared's
-// write-once contract.
+// ReadFileSharedAt is ReadFileAt without the copy, as ReadFileShared is
+// ReadFile without it.
 //
 //yancvet:hotalloc
 func (p *Proc) ReadFileSharedAt(ref DirRef, name string) ([]byte, error) {

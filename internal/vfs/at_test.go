@@ -497,17 +497,18 @@ func TestRefInsideChroot(t *testing.T) {
 }
 
 // TestStressWriteFileNeverReadsEmpty: a whole-file write replaces the
-// content in one stripe hold, so a reader looping ReadFile beside a writer
-// looping WriteFile sees one whole value or the other, never the empty
-// file between a truncate and a write.
+// content in one swap, so a reader beside a writer looping WriteFile sees
+// one whole value or the other, never the empty file between a truncate
+// and a write — whether it reads the whole file, reads through a handle,
+// takes the content shared, or reads the directory under ReadTx.
 func TestStressWriteFileNeverReadsEmpty(t *testing.T) {
 	fs := New()
 	p := fs.RootProc()
 	if err := p.Mkdir("/d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// Longer than the intern pool admits, so the writes copy into the
-	// file's own storage.
+	// Longer than the intern pool admits, so every write publishes new
+	// bytes of its own.
 	a := bytes.Repeat([]byte("a"), 100)
 	b := bytes.Repeat([]byte("b"), 200)
 	if err := p.WriteFile("/d/f", a, 0o644); err != nil {
@@ -539,17 +540,108 @@ func TestStressWriteFileNeverReadsEmpty(t *testing.T) {
 			}
 		}
 	}()
-	for i := 0; i < 20000; i++ {
-		got, err := p.ReadFile("/d/f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, a) && !bytes.Equal(got, b) {
-			t.Fatalf("read %d saw %d bytes %.8q: neither whole value", i, len(got), got)
-		}
+	h, err := p.Open("/d/f")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer h.Close()
+	hbuf := make([]byte, 2*len(b))
+	var tree TreeBuf
+	readers := []struct {
+		name string
+		read func() ([]byte, error)
+	}{
+		{"ReadFile", func() ([]byte, error) { return p.ReadFile("/d/f") }},
+		{"File.Read", func() ([]byte, error) {
+			if _, err := h.Seek(0, 0); err != nil {
+				return nil, err
+			}
+			n, err := h.Read(hbuf)
+			return hbuf[:n], err
+		}},
+		{"ReadFileShared", func() ([]byte, error) { return p.ReadFileShared("/d/f") }},
+		{"Tx.ReadTree", func() ([]byte, error) {
+			var got []byte
+			err := fs.ReadTx(func(tx *Tx) error {
+				_, err := tx.ReadTree("/d", "f", nil, &tree)
+				if len(tree.Files) > 0 {
+					got = []byte(tree.Files[0].Data)
+				}
+				return err
+			})
+			return got, err
+		}},
+	}
+	var rg sync.WaitGroup
+	for _, r := range readers {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for i := 0; i < 5000; i++ {
+				got, err := r.read()
+				if err != nil {
+					t.Errorf("%s: %v", r.name, err)
+					return
+				}
+				if !bytes.Equal(got, a) && !bytes.Equal(got, b) {
+					t.Errorf("%s %d saw %d bytes %.8q: neither whole value", r.name, i, len(got), got)
+					return
+				}
+			}
+		}()
+	}
+	rg.Wait()
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestReadFileSharedNeverChanges: what a shared read returns is the file's
+// content at the read, for good. A later rewrite publishes new bytes and
+// leaves the returned ones alone, by path and by reference, for a payload
+// too long to intern and one the pool holds.
+func TestReadFileSharedNeverChanges(t *testing.T) {
+	fs := New()
+	p := fs.RootProc()
+	if err := p.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := p.DirRef("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := []struct {
+		name string
+		read func() ([]byte, error)
+	}{
+		{"ReadFileShared", func() ([]byte, error) { return p.ReadFileShared("/d/f") }},
+		{"ReadFileSharedAt", func() ([]byte, error) { return p.ReadFileSharedAt(ref, "f") }},
+	}
+	for _, size := range []int{100, 3} {
+		a, b := bytes.Repeat([]byte("a"), size), bytes.Repeat([]byte("b"), size)
+		for _, r := range reads {
+			if err := p.WriteFile("/d/f", a, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.WriteFile("/d/f", b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := p.OpenFile("/d/f", O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte("c")); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			if !bytes.Equal(got, a) {
+				t.Errorf("%s of %d bytes read back as %.8q… after later writes, want %.8q…", r.name, size, got, a)
+			}
+		}
+	}
 }
 
 // TestStressConcurrentCreateOneName: two WriteFileAt racing to create the

@@ -167,8 +167,8 @@ func (p *Proc) accessErr(node *inode, flags int) error {
 
 // openExisting applies the existing-file open rules (flag and permission
 // checks, synthetic capture, O_TRUNC) and builds the handle. It requires
-// no tree lock: permissions are atomics, the synthetic attachment is
-// atomic, and truncation takes the node's stripe.
+// no lock: permissions, the synthetic attachment and the content are
+// atomics.
 func (p *Proc) openExisting(node *inode, realPath string, flags int) (f *File, truncated bool, err error) {
 	if flags&O_CREATE != 0 && flags&O_EXCL != 0 {
 		return nil, false, pathErr("open", realPath, ErrExist)
@@ -198,10 +198,8 @@ func (p *Proc) newFile(node *inode, realPath string, flags int) *File {
 
 // truncate empties a regular file, as O_TRUNC does.
 func (fs *FS) truncate(node *inode) {
-	s := fs.lockNode(node)
-	node.data = node.data[:0]
+	node.data.Store(nil)
 	node.touchM(fs.now())
-	s.mu.Unlock()
 }
 
 // openSlow creates the file under the tree write lock, running the parent
@@ -252,10 +250,10 @@ func (p *Proc) createLocked(tx *Tx, parent *inode, name string, node *inode, fla
 		}
 		now := fs.now()
 		node = fs.bareInode(KindFile, mode.Perm(), p.cred.UID, p.cred.GID, now)
-		node.setData(data)
+		node.data.Store(publish(data))
 		name = internName(name)
 		parent.cowInsert(name, node)
-		fs.touchMS(parent, now)
+		parent.touchM(now)
 		created = true
 		fs.stats.creates.Add(1)
 		full = pathTo(parent, name)
@@ -313,24 +311,20 @@ func (f *File) Read(b []byte) (int, error) {
 		return n, nil
 	}
 	// The limiter is billed what the read can return, not the buffer it
-	// was handed, and admits the read before anything is copied. It is
-	// caller-supplied code, so it runs between two stripe holds rather
-	// than under one; the copy is clamped to what was admitted.
+	// was handed, and admits the read before anything is copied; the copy
+	// is clamped to what was admitted.
 	admitted, err := f.proc.admitRead(f.node, f.pos, len(b))
 	if err != nil {
 		return 0, err
 	}
-	// Stripe-only: content I/O on an open handle needs no tree lock at
-	// any level (the node was pinned at open time).
-	s := fs.rlockContent(f.node)
-	src := f.node.data
+	// Content I/O on an open handle needs no lock at all (the node was
+	// pinned at open time).
+	src := fs.readContent(f.node)
 	if f.pos < int64(len(src)) {
 		n := copy(b[:admitted], src[f.pos:])
 		f.pos += int64(n)
-		s.mu.RUnlock()
 		return n, nil
 	}
-	s.mu.RUnlock()
 	return 0, io.EOF
 }
 
@@ -342,9 +336,7 @@ func (p *Proc) admitRead(n *inode, off int64, want int) (int, error) {
 	if p.limiter == nil {
 		return want, nil
 	}
-	s := p.fs.rlockNode(n)
-	avail := int64(len(n.data)) - off
-	s.mu.RUnlock()
+	avail := int64(len(n.content())) - off
 	want = int(max(0, min(int64(want), avail)))
 	return want, p.charge("read", want)
 }
@@ -369,61 +361,63 @@ func (f *File) Write(b []byte) (int, error) {
 		if f.flags&O_APPEND != 0 {
 			f.pos = int64(len(f.synthBuf))
 		}
-		f.synthBuf = writeAt(f.synthBuf, b, f.pos)
+		f.synthBuf = spliced(f.synthBuf, b, f.pos)
 		f.pos += int64(len(b))
 		return len(b), nil
 	}
 	fs := f.proc.fs
-	s := fs.lockNode(f.node)
 	n := f.node
-	if f.flags&O_APPEND != 0 {
-		f.pos = int64(len(n.data))
-	}
-	if f.pos == 0 && int64(len(b)) >= int64(len(n.data)) {
-		// Whole-content replace — the dominant shape for single-value
-		// attribute files.
-		n.setData(b)
-	} else {
-		if n.dataShared {
-			// Copy-on-write: never scribble on a shared interned slice.
-			n.data = append([]byte(nil), n.data...)
-			n.dataShared = false
+	for {
+		old := n.data.Load()
+		cur := bytesOf(old)
+		if f.flags&O_APPEND != 0 {
+			f.pos = int64(len(cur))
 		}
-		n.data = writeAt(n.data, b, f.pos)
+		var next *[]byte
+		if f.pos == 0 && len(b) >= len(cur) {
+			next = publish(b) // a whole-content replace: the common shape
+		} else {
+			next = own(spliced(cur, b, f.pos))
+		}
+		if n.data.CompareAndSwap(old, next) {
+			break
+		}
 	}
 	f.pos += int64(len(b))
 	n.touchM(fs.now())
-	s.mu.Unlock()
 	fs.watches.post(Event{Op: OpWrite, Path: f.path})
 	return len(b), nil
 }
 
-// setData replaces n's whole content with a copy of data. Small repeated
-// payloads are interned and shared copy-on-write across inodes; anything
-// else is copied into the storage n already owns when it fits. The
-// caller holds n's stripe, or n is not published yet.
+// publish returns content holding a copy of data in the form a file
+// publishes it (inode.data): the pool's own for a payload it holds,
+// which costs no allocation, else new bytes. Nil is empty.
 //
 //yancvet:hotalloc
-func (n *inode) setData(data []byte) {
-	if d, ok := internBytes(data); ok {
-		n.data, n.dataShared = d, true
-		return
+func publish(data []byte) *[]byte {
+	if len(data) == 0 {
+		return nil
 	}
-	if n.dataShared {
-		n.data, n.dataShared = nil, false
+	if p, ok := internBytes(data); ok {
+		return p
 	}
-	n.data = append(n.data[:0], data...) //yancvet:alloc the file's own storage, when what it has is too small
+	return own(append([]byte(nil), data...)) //yancvet:alloc published bytes are never written again: new content is new bytes
 }
 
-func writeAt(dst, b []byte, pos int64) []byte {
-	end := pos + int64(len(b))
-	if int64(len(dst)) < end {
-		grown := make([]byte, end) //yancvet:alloc the file's own storage growing
-		copy(grown, dst)
-		dst = grown
-	}
-	copy(dst[pos:end], b)
-	return dst
+// own returns the published form of data, which the caller hands over.
+//
+//yancvet:hotalloc
+func own(data []byte) *[]byte {
+	return &data //yancvet:alloc the header readers load the content through
+}
+
+// spliced returns new bytes holding cur with b written at pos, zeros
+// filling any gap between cur's end and pos. It writes into neither.
+func spliced(cur, b []byte, pos int64) []byte {
+	out := make([]byte, max(int64(len(cur)), pos+int64(len(b)))) //yancvet:alloc published bytes are never written again: a partial write is new bytes
+	copy(out, cur)
+	copy(out[pos:], b)
+	return out
 }
 
 // WriteString writes a string.
@@ -446,10 +440,7 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 		if f.synthMode {
 			base = int64(len(f.synthBuf))
 		} else {
-			fs := f.proc.fs
-			s := fs.rlockNode(f.node)
-			base = int64(len(f.node.data))
-			s.mu.RUnlock()
+			base = int64(len(f.node.content()))
 		}
 	default:
 		return 0, pathErr("seek", f.path, ErrInvalid)
@@ -482,19 +473,21 @@ func (f *File) Truncate(size int64) error {
 		return nil
 	}
 	fs := f.proc.fs
-	s := fs.lockNode(f.node)
-	if size <= int64(len(f.node.data)) {
-		// A reslice never writes, so a shared slice may stay shared.
-		f.node.data = f.node.data[:size]
-	} else {
-		if f.node.dataShared {
-			f.node.data = append([]byte(nil), f.node.data...)
-			f.node.dataShared = false
+	n := f.node
+	for {
+		old := n.data.Load()
+		cur := bytesOf(old)
+		var next *[]byte
+		if size <= int64(len(cur)) {
+			next = publish(cur[:size])
+		} else {
+			next = own(spliced(cur, nil, size))
 		}
-		f.node.data = append(f.node.data, make([]byte, size-int64(len(f.node.data)))...)
+		if n.data.CompareAndSwap(old, next) {
+			break
+		}
 	}
-	f.node.touchM(fs.now())
-	s.mu.Unlock()
+	n.touchM(fs.now())
 	fs.watches.post(Event{Op: OpWrite, Path: f.path})
 	return nil
 }
@@ -506,9 +499,6 @@ func (f *File) Stat() (Stat, error) {
 	if f.closed {
 		return Stat{}, pathErr("stat", f.path, ErrClosed)
 	}
-	fs := f.proc.fs
-	s := fs.rlockNode(f.node)
-	defer s.mu.RUnlock()
 	return statOf(f.node, Base(f.path)), nil
 }
 
@@ -594,10 +584,10 @@ func (p *Proc) readWhole(dir *inode, path string, share bool) (data []byte, ok b
 	return data, true, err
 }
 
-// readNode is one read of n's whole content, copied under the stripe —
-// or, with share set, aliased (see ReadFileShared). The limiter admits
-// the read, at the size the file has now, before the copy; a write
-// racing in between changes what is returned, never what was billed.
+// readNode is one read of n's whole content, copied — or, with share
+// set, not (see ReadFileShared). The limiter admits the read, at the size
+// the file has now, before the load; a write racing in between changes
+// what is returned, never what was billed.
 //
 //yancvet:hotalloc
 func (p *Proc) readNode(n *inode, share bool) ([]byte, error) {
@@ -607,12 +597,10 @@ func (p *Proc) readNode(n *inode, share bool) ([]byte, error) {
 	if _, err := p.admitRead(n, 0, math.MaxInt); err != nil {
 		return nil, err
 	}
-	s := fs.rlockContent(n)
-	data := n.data
+	data := fs.readContent(n)
 	if !share {
 		data = append([]byte(nil), data...) //yancvet:alloc the caller's copy of the content
 	}
-	s.mu.RUnlock()
 	fs.observe(LatRead, start)
 	return data, nil
 }
@@ -642,15 +630,12 @@ func (p *Proc) ReadFile(path string) ([]byte, error) {
 }
 
 // ReadFileShared returns the content of the file at path WITHOUT
-// copying: the returned slice aliases the inode's backing store. It
-// exists for the libyanc packet-out spool, where frames are staged
-// once, hard-linked per switch, and consumed by reference — copying
-// them again in the driver would defeat the zero-copy path.
-//
-// The no-copy contract is only safe for write-once files: a later
-// whole-content rewrite reuses the backing array in place when the new
-// content fits and would be visible through the returned slice.
-// Callers that cannot guarantee write-once content must use ReadFile.
+// copying: the returned slice is the file's published content, which
+// nothing ever writes into — a later write publishes new bytes — so it
+// stays what the file held at the read. The caller must not write into
+// it either. It exists for the libyanc packet-out spool, where frames are
+// staged once, hard-linked per switch, and consumed by reference —
+// copying them again in the driver would defeat the zero-copy path.
 // Synthetic files return the provider's snapshot, which is already
 // caller-owned.
 func (p *Proc) ReadFileShared(path string) ([]byte, error) {
@@ -706,8 +691,8 @@ const wholeWrite = O_WRONLY | O_CREATE | O_TRUNC
 // charged in that order before anything is touched.
 //
 // An existing regular file is found lock-free and its content replaced in
-// one stripe hold — truncate and write together, so no reader can find it
-// empty in between. A missing one (or a walk that structural change kept
+// one swap — truncate and write together, so no reader can find it empty
+// in between. A missing one (or a walk that structural change kept
 // invalidating) is settled under the tree write lock by createWhole, with
 // one resolve. Either way the call queues what the handle would have —
 // Create or the truncating Write, then Write, then CloseWrite, under the
@@ -814,15 +799,12 @@ func (p *Proc) writeWhole(dir *inode, path string, data []byte, mode FileMode) (
 	return true, nil
 }
 
-// replaceContent is a truncate and a whole-content write in one stripe
-// hold.
+// replaceContent is a truncate and a whole-content write in one swap.
 //
 //yancvet:hotalloc
 func (fs *FS) replaceContent(n *inode, data []byte) {
-	s := fs.lockNode(n)
-	n.setData(data)
+	n.data.Store(publish(data))
 	n.touchM(fs.now())
-	s.mu.Unlock()
 }
 
 // createWhole is writeWhole's turn under the tree write lock: it resolves

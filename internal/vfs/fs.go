@@ -14,18 +14,17 @@
 // and ReadDirAt name an entry relative to it — counted and charged as
 // the path-based calls they replace, minus the walk from the root.
 //
-// Concurrency: the tree scales on multicore through three levels — lock-
-// free path resolution over immutable children snapshots (see
-// resolve_rcu.go), a structural tree lock for writers, and ino-sharded
-// inode-state stripes (see lock.go and DESIGN.md §8). The read-mostly
+// Concurrency: the tree scales on multicore through two levels — atomic
+// publication, of immutable children snapshots (see resolve_rcu.go) and of
+// immutable file contents, which lock-free readers load; and a structural
+// tree lock for writers (see lock.go and DESIGN.md §8). The read-mostly
 // hot paths (stat, readdir, open-existing, xattr reads, whole-file reads
-// and whole-file writes of existing files) take no tree lock at all.
+// and whole-file writes of existing files) take no lock at all.
 package vfs
 
 import (
 	"bytes"
 	"errors"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -96,47 +95,55 @@ type DirSemantics struct {
 //   - mode, uid, gid, nlink: atomics, read lock-free (resolution and
 //     stat touch them with no locks held); stored under the tree write
 //     lock (chmod/chown: the tree read lock).
+//   - mtime, ctime, version: atomics, stored by whoever changes the node
+//     — content writers hold no lock — after the change itself, so a
+//     reader that sees the new version finds the new content.
+//   - data: the content of a regular file, published by atomic swap. The
+//     bytes it points at are immutable — interned ones are shared across
+//     inodes (intern.go) — so a reader may keep what it loaded and a
+//     writer builds new bytes and swaps them in; a write that starts from
+//     the current content (a partial write, an append, a truncate) swaps
+//     by compare-and-swap and retries when another writer got there
+//     first. Nil is the empty file.
+//   - txMark: the transaction that created the node or last wrote its
+//     content (0: none did). A transaction stores it before the content;
+//     readers outside the tree lock compare it with FS.txLive and wait
+//     that transaction out (readContent).
 //   - ext: set-once. Nil until the node first needs an extra, then
 //     published by compare-and-swap (extend) and never replaced, so a
 //     loaded pointer stays valid without any lock. Its fields keep their
 //     own rules — see inodeExt.
-//   - data, dataShared, txMark, atime, mtime, ctime, version:
-//     inode-local — every access, read or write, requires the inode's
-//     shard stripe.
-//     The tree write lock is NOT enough on its own: lock-free resolution
-//     means stripe-only readers (File.Read/Write, whole-file reads,
-//     lock-free Stat) can run concurrently with structural operations.
-//     dataShared marks data as an interned slice shared across inodes
-//     (see intern.go): writers must replace it, never mutate in place.
-//     txMark names the transaction that created the node or last wrote
-//     data (0: none did); content readers outside the tree lock compare
-//     it with FS.txLive and wait that transaction out (rlockContent).
 type inode struct {
-	ino  uint64
-	mode atomic.Uint32 // FileMode bits
-	uid  atomic.Int32
-	gid  atomic.Int32
-	kind NodeKind
-	// dataShared marks data as an interned copy-on-write slice
-	// (stripe-guarded like data itself). It sits beside kind so the two
-	// share one word with txMark.
-	dataShared bool
-	txMark     uint16
-	nlink      atomic.Int64
+	ino    uint64
+	mode   atomic.Uint32 // FileMode bits
+	uid    atomic.Int32
+	gid    atomic.Int32
+	nlink  atomic.Int32
+	txMark atomic.Uint32
+	kind   NodeKind
 
 	// Timestamps are kept as Unix nanoseconds, not time.Time: a
 	// time.Time is 24 bytes and carries a monotonic-clock word and a
-	// location pointer no inode needs, so three of them cost 72 bytes
-	// per inode. At the 10⁶-flow-dir scale yancload drives, the int64
-	// form saves ~48 bytes per inode (statOf converts back on demand).
-	atime   int64 // unix nanoseconds
-	mtime   int64
-	ctime   int64
-	version uint64
-	data    []byte
+	// location pointer no inode needs (statOf converts back on demand).
+	mtime   atomic.Int64
+	ctime   atomic.Int64
+	version atomic.Uint64
+	data    atomic.Pointer[[]byte]
 
 	dir *dirState
 	ext atomic.Pointer[inodeExt]
+}
+
+// content returns the file's published bytes, which nothing writes into:
+// the caller may keep them, and must not write into them either.
+func (n *inode) content() []byte { return bytesOf(n.data.Load()) }
+
+// bytesOf returns the bytes published content p holds.
+func bytesOf(p *[]byte) []byte {
+	if p == nil {
+		return nil
+	}
+	return *p
 }
 
 // dirState is what only a directory needs.
@@ -163,11 +170,13 @@ type dirState struct {
 //   - synth: atomic, read lock-free by the open path; stored under the
 //     tree write lock.
 //   - target: a symlink's target, immutable after creation.
-//   - xattrs: inode-local — requires the inode's shard stripe like data.
+//   - xattrs: the attribute map, published like data: the map and its
+//     values are never written once stored, and an edit swaps in a copy
+//     (editXattrs).
 type inodeExt struct {
 	synth  atomic.Pointer[Synthetic]
 	target string
-	xattrs map[string][]byte
+	xattrs atomic.Pointer[map[string][]byte]
 }
 
 // extend returns n's extension, publishing an empty one first if n has
@@ -189,11 +198,13 @@ func (n *inode) target() string {
 	return ""
 }
 
-// xattrs returns the node's attribute map (nil when it has none). The
-// caller must hold the inode's stripe.
+// xattrs returns the node's attribute map (nil when it has none), which
+// nothing writes into.
 func (n *inode) xattrs() map[string][]byte {
 	if e := n.ext.Load(); e != nil {
-		return e.xattrs
+		if m := e.xattrs.Load(); m != nil {
+			return *m
+		}
 	}
 	return nil
 }
@@ -209,23 +220,19 @@ func (n *inode) storeOwner(uid, gid int) {
 	n.gid.Store(int32(gid))
 }
 
-// touchC updates ctime and version (metadata change). Caller must hold
-// the inode's stripe in write mode (the tree write lock alone is NOT
-// sufficient once the inode is published — see touchCS/touchMS). The
-// only exception is an inode not yet inserted into the tree, which no
-// other goroutine can reach.
+// touchC stamps a metadata change, once it is made: ctime and version.
 func (n *inode) touchC(now time.Time) {
-	n.ctime = now.UnixNano()
-	n.version++
+	n.ctime.Store(now.UnixNano())
+	n.version.Add(1)
 }
 
-// touchM updates mtime+ctime and version (content change). Same locking
-// contract as touchC.
+// touchM stamps a content change, once it is made: mtime, ctime and
+// version.
 func (n *inode) touchM(now time.Time) {
 	ns := now.UnixNano()
-	n.mtime = ns
-	n.ctime = ns
-	n.version++
+	n.mtime.Store(ns)
+	n.ctime.Store(ns)
+	n.version.Add(1)
 }
 
 // OpStats counts VFS entry points, the in-process analog of the system
@@ -298,16 +305,15 @@ func (c *statCounters) snapshot() OpStats {
 // FS is a single in-memory file system instance.
 type FS struct {
 	tree    sync.RWMutex // structural lock; see lock.go
-	shards  [LockShards]shardLock
 	lockCtr lockCounters
 
 	root    *inode
 	nextIno atomic.Uint64
 	// txLive is the mark of the WithTx in flight (0 when there is none)
-	// and txN the number of transactions begun, which the next mark is
-	// cut from; txN is guarded by the tree write lock. See rlockContent.
+	// and txN the mark of the last one begun; txN is guarded by the tree
+	// write lock. See readContent.
 	txLive  atomic.Uint32
-	txN     uint64
+	txN     uint32
 	clock   atomic.Pointer[func() time.Time]
 	watches watchSet
 	stats   statCounters
@@ -331,8 +337,8 @@ func New() *FS {
 }
 
 // now returns the current time from the installed clock. The clock
-// pointer is atomic so stripe-only writers (File.Write) and lock-free
-// readers never need a tree lock to read time.
+// pointer is atomic so lock-free writers (File.Write) and readers never
+// need a tree lock to read time.
 func (fs *FS) now() time.Time { return (*fs.clock.Load())() }
 
 // SetClock replaces the time source (tests use a fake clock).
@@ -370,10 +376,11 @@ func (fs *FS) bareInode(kind NodeKind, mode FileMode, uid, gid int, now time.Tim
 func (fs *FS) initInode(n *inode, dir *dirState, kind NodeKind, mode FileMode, uid, gid int, ns int64) *inode {
 	n.ino = fs.nextIno.Add(1)
 	n.kind = kind
-	n.txMark = uint16(fs.txLive.Load())
-	n.atime, n.mtime, n.ctime = ns, ns, ns
+	n.txMark.Store(fs.txLive.Load())
+	n.mtime.Store(ns)
+	n.ctime.Store(ns)
 	n.dir = dir
-	links := int64(1)
+	links := int32(1)
 	if dir != nil {
 		links = 2
 	}
@@ -562,7 +569,7 @@ type resolveOpts struct {
 // returns the parent directory, the final name, and the node itself (nil
 // if the final component does not exist). The tree lock must be held in
 // either mode; resolution touches only structural state and lock-free
-// permission atomics, so it takes no stripe locks.
+// permission atomics.
 func (fs *FS) resolve(cred Cred, path string, opt resolveOpts) (parent *inode, name string, node *inode, err error) {
 	root := opt.root
 	if root == nil {
@@ -695,14 +702,14 @@ func (tx *Tx) Creator() Cred {
 // syscall-shaped entry points are the scalable path. Lock-free walks can
 // watch its structural steps land one by one, but the content of a file
 // it creates or rewrites is kept from Proc readers until fn returns (see
-// rlockContent).
+// readContent).
 func (fs *FS) WithTx(fn func(tx *Tx) error) error {
 	fs.lockTree()
-	// Marks are 16 bits and never 0, so they repeat every 65,535
-	// transactions: a reader can mistake a long-committed write for the
-	// live transaction's, which costs it a wait, never a wrong answer.
-	fs.txN++
-	fs.txLive.Store(uint32(fs.txN%math.MaxUint16) + 1)
+	// Marks are never 0, so they repeat every 2³²-1 transactions: a
+	// reader can mistake a long-committed write for the live
+	// transaction's, which costs it a wait, never a wrong answer.
+	fs.txN = max(fs.txN+1, 1)
+	fs.txLive.Store(fs.txN)
 	tx := fs.newTx()
 	err := fn(tx)
 	fs.txLive.Store(0)
@@ -794,7 +801,7 @@ func (tx *Tx) Mkdir(path string, mode FileMode, uid, gid int) error {
 	d.dir.name = name
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
-	tx.fs.touchMS(parent, tx.fs.now())
+	parent.touchM(tx.fs.now())
 	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name), IsDir: true})
 	return nil
 }
@@ -824,10 +831,10 @@ func (tx *Tx) WriteFile(path string, data []byte, mode FileMode, uid, gid int) e
 	now := tx.fs.now()
 	if node == nil {
 		f := tx.fs.newInode(KindFile, mode, uid, gid)
-		f.setData(data)
+		f.data.Store(publish(data))
 		name = internName(name)
 		parent.cowInsert(name, f)
-		tx.fs.touchMS(parent, now)
+		parent.touchM(now)
 		full := pathTo(parent, name)
 		tx.queue(Event{Op: OpCreate, Path: full})
 		tx.queue(Event{Op: OpWrite, Path: full})
@@ -836,11 +843,9 @@ func (tx *Tx) WriteFile(path string, data []byte, mode FileMode, uid, gid int) e
 	if node.isDir() {
 		return pathErr("write", path, ErrIsDir)
 	}
-	s := tx.fs.lockNode(node)
-	node.setData(data)
-	node.txMark = uint16(tx.fs.txLive.Load())
+	node.txMark.Store(tx.fs.txLive.Load()) // before the content: see readContent
+	node.data.Store(publish(data))
 	node.touchM(now)
-	s.mu.Unlock()
 	tx.queue(Event{Op: OpWrite, Path: pathTo(parent, name)})
 	return nil
 }
@@ -859,12 +864,7 @@ func (tx *Tx) ReadFile(path string) ([]byte, error) {
 	if n.isDir() {
 		return nil, pathErr("read", path, ErrIsDir)
 	}
-	// The stripe is required in BOTH transaction modes: File.Write runs
-	// stripe-only (no tree lock), so even the tree write lock does not
-	// exclude concurrent content writers.
-	s := tx.fs.rlockNode(n)
-	defer s.mu.RUnlock()
-	return append([]byte(nil), n.data...), nil
+	return append([]byte(nil), n.content()...), nil
 }
 
 // Symlink creates a symbolic link without semantic validation.
@@ -879,7 +879,7 @@ func (tx *Tx) Symlink(target, linkPath string, uid, gid int) error {
 	l := tx.fs.newInode(KindSymlink, 0o777, uid, gid)
 	l.extend().target = target
 	parent.cowInsert(name, l)
-	tx.fs.touchMS(parent, tx.fs.now())
+	parent.touchM(tx.fs.now())
 	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
 	return nil
 }
@@ -912,8 +912,8 @@ func (tx *Tx) Link(oldPath, newPath string) error {
 	now := tx.fs.now()
 	parent.cowInsert(name, src)
 	src.nlink.Add(1)
-	tx.fs.touchCS(src, now)
-	tx.fs.touchMS(parent, now)
+	src.touchC(now)
+	parent.touchM(now)
 	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
 	return nil
 }
@@ -953,7 +953,7 @@ func (tx *Tx) LinkDir(srcDir, dstDir string, mode FileMode, uid, gid int) error 
 	d.setKids(tmpl)
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
-	tx.fs.touchMS(parent, now)
+	parent.touchM(now)
 	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name), IsDir: true})
 	return nil
 }
@@ -989,7 +989,7 @@ func (tx *Tx) LinkDirFanout(srcDir string, dsts []string, mode FileMode, uid, gi
 		d.setKids(tmpl)
 		parent.cowInsert(name, d)
 		parent.nlink.Add(1)
-		tx.fs.touchMS(parent, now)
+		parent.touchM(now)
 		// Event paths must be real paths: reuse the caller's dst string
 		// only when resolution crossed no symlink and dst is canonical.
 		evPath := dst
@@ -1058,8 +1058,8 @@ func (fs *FS) addLinks(tmpl *dirNode, links int, now time.Time) {
 		if !ok {
 			return
 		}
-		e.c.nlink.Add(int64(links))
-		fs.touchCS(e.c, now)
+		e.c.nlink.Add(int32(links))
+		e.c.touchC(now)
 	}
 }
 
@@ -1095,7 +1095,7 @@ func (tx *Tx) LinkDirFanoutRefs(srcDir string, parents []DirRef, name string, mo
 		d.setKids(tmpl)
 		parent.cowInsert(name, d)
 		parent.nlink.Add(1)
-		tx.fs.touchMS(parent, now)
+		parent.touchM(now)
 		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name), IsDir: true})
 		links++
 		if linked != nil {
@@ -1161,9 +1161,17 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 	// states from a second): a 1k-flow ring drain would otherwise malloc
 	// ~15 inodes per flow, and the GC cost of those little objects
 	// dominates the commit.
+	// The headers that publish the files' contents come from a third.
 	nodes, dirs := countTree(files)
 	slab := make([]inode, 0, 1+nodes)
 	dirSlab := make([]dirState, 0, 1+dirs)
+	heads := make([][]byte, 0, nodes-dirs)
+	adopt := func(fi *inode, data []byte) {
+		if len(data) > 0 {
+			heads = append(heads, data)
+			fi.data.Store(&heads[len(heads)-1])
+		}
+	}
 	alloc := func(kind NodeKind, mode FileMode) *inode {
 		slab = slab[:len(slab)+1]
 		var dir *dirState
@@ -1211,12 +1219,12 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 					// so the arena stays pinned by its unique entries no
 					// matter how many common values the pool could share —
 					// the two map lookups per file would buy nothing.
-					fi.data = f.Data
+					adopt(fi, f.Data)
 				default:
 					if shared, ok := internBytes(f.Data); ok {
-						fi.data, fi.dataShared = shared, true
+						fi.data.Store(shared)
 					} else {
-						fi.data = append([]byte(nil), f.Data...)
+						adopt(fi, append([]byte(nil), f.Data...))
 					}
 				}
 				ents = append(ents, dirEnt{entryName, fi})
@@ -1233,7 +1241,7 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 	}
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
-	tx.fs.touchMS(parent, now)
+	parent.touchM(now)
 	full := Clean(dir) // identical to pathTo(parent, name), minus the walk
 	tx.queue(Event{Op: OpCreate, Path: full, IsDir: true})
 	if tx.fs.watches.interestedInChildren(full) {
@@ -1279,9 +1287,8 @@ type TreeBuf struct {
 // dir's own name and, in buf.Files, the regular files directly inside it
 // in ReadDir order, except that the file named first — when there is one
 // — comes first. Subdirectories, symlinks and synthetic files are left
-// out. Each file's bytes are copied under its stripe, so nothing returned
-// aliases file storage: flow files can be rewritten in place by a
-// stripe-only File.Write.
+// out. Each file's bytes are one load of its published content, copied
+// into the one string the Data fields are cut from.
 //
 // first gates the read. When it is missing, empty, or holds exactly
 // unless, ReadTree stops there and buf.Files comes back empty: a reader
@@ -1296,7 +1303,7 @@ type TreeBuf struct {
 // read-back touches, which bench's traced smoke holds a floor on
 // (vfs.ops_per_op); to count the real call instead is a change to make
 // together with that floor. What ReadTree saves over those calls is their
-// path resolutions, permission checks, lock round trips and allocations.
+// path resolutions, permission checks and allocations.
 //
 //yancvet:hotalloc
 func (tx *Tx) ReadTree(dir, first string, unless []byte, buf *TreeBuf) (name string, err error) {
@@ -1315,15 +1322,13 @@ func (tx *Tx) ReadTree(dir, first string, unless []byte, buf *TreeBuf) (name str
 	}
 	var sb strings.Builder
 	tx.fs.stats.reads.Add(1)
-	s := tx.fs.rlockNode(gate)
-	if len(gate.data) == 0 || bytes.Equal(gate.data, unless) {
-		s.mu.RUnlock()
+	g := gate.content()
+	if len(g) == 0 || bytes.Equal(g, unless) {
 		return d.dir.name, nil
 	}
-	//yancvet:alloc the one string of a tree that passed its gate; the files' own bytes must not be aliased outside their stripes
-	sb.Grow(max(buf.hint, len(gate.data)))
-	sb.Write(gate.data)
-	s.mu.RUnlock()
+	//yancvet:alloc the one string of a tree that passed its gate, which the Data fields are cut from
+	sb.Grow(max(buf.hint, len(g)))
+	sb.Write(g)
 	buf.Files = append(buf.Files, TreeFile{Name: first})
 	buf.ends = append(buf.ends[:0], sb.Len())
 
@@ -1337,9 +1342,7 @@ func (tx *Tx) ReadTree(dir, first string, unless []byte, buf *TreeBuf) (name str
 		if e.name == first || e.c.kind != KindFile || e.c.loadSynth() != nil {
 			continue
 		}
-		s := tx.fs.rlockNode(e.c)
-		sb.Write(e.c.data)
-		s.mu.RUnlock()
+		sb.Write(e.c.content())
 		buf.Files = append(buf.Files, TreeFile{Name: e.name})
 		buf.ends = append(buf.ends, sb.Len())
 	}
@@ -1418,9 +1421,9 @@ func (fs *FS) renameLocked(tx *Tx, oldParent *inode, oldName string, node *inode
 	// the moved directory only reached after the move.
 	node.bumpGen()
 	now := fs.now()
-	fs.touchMS(oldParent, now)
-	fs.touchMS(newParent, now)
-	fs.touchCS(node, now)
+	oldParent.touchM(now)
+	newParent.touchM(now)
+	node.touchC(now)
 	newFull := pathTo(newParent, newName)
 	tx.queue(Event{Op: OpRename, Path: oldFull, NewPath: newFull, IsDir: node.isDir()})
 	tx.queue(Event{Op: OpCreate, Path: newFull, IsDir: node.isDir()})
@@ -1541,7 +1544,7 @@ func (tx *Tx) SetSynthetic(path string, synth *Synthetic, mode FileMode, uid, gi
 		f := tx.fs.newInode(KindFile, mode, uid, gid)
 		f.extend().synth.Store(synth)
 		parent.cowInsert(name, f)
-		tx.fs.touchMS(parent, tx.fs.now())
+		parent.touchM(tx.fs.now())
 		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
 		return nil
 	}
@@ -1558,10 +1561,7 @@ func (tx *Tx) SetXattr(path, attr string, value []byte) error {
 	if err != nil {
 		return pathErr("setxattr", path, err)
 	}
-	s := tx.fs.lockNode(n)
-	defer s.mu.Unlock()
-	setXattr(n, attr, value)
-	n.touchC(tx.fs.now())
+	tx.fs.editXattrs(n, attr, value, false)
 	return nil
 }
 
@@ -1571,8 +1571,6 @@ func (tx *Tx) GetXattr(path, attr string) ([]byte, error) {
 	if err != nil {
 		return nil, pathErr("getxattr", path, err)
 	}
-	s := tx.fs.rlockNode(n)
-	defer s.mu.RUnlock()
 	v, ok := n.xattrs()[attr]
 	if !ok {
 		return nil, pathErr("getxattr", path, ErrNoAttr)
@@ -1587,7 +1585,7 @@ func (tx *Tx) Chmod(path string, mode FileMode) error {
 		return pathErr("chmod", path, err)
 	}
 	n.storeMode(mode)
-	tx.fs.touchCS(n, tx.fs.now())
+	n.touchC(tx.fs.now())
 	tx.queue(Event{Op: OpChmod, Path: Clean(path), IsDir: n.isDir()})
 	return nil
 }
@@ -1599,7 +1597,7 @@ func (tx *Tx) Chown(path string, uid, gid int) error {
 		return pathErr("chown", path, err)
 	}
 	n.storeOwner(uid, gid)
-	tx.fs.touchCS(n, tx.fs.now())
+	n.touchC(tx.fs.now())
 	tx.queue(Event{Op: OpChmod, Path: Clean(path), IsDir: n.isDir()})
 	return nil
 }
@@ -1622,8 +1620,6 @@ func (tx *Tx) Stat(path string) (Stat, error) {
 	if err != nil {
 		return Stat{}, pathErr("stat", path, err)
 	}
-	s := tx.fs.rlockNode(n)
-	defer s.mu.RUnlock()
 	return statOf(n, Base(path)), nil
 }
 
@@ -1660,12 +1656,11 @@ func listDir(n *inode) []DirEntry {
 	return slices.Clone(out) //yancvet:alloc the caller's listing
 }
 
-// statOf snapshots an inode. The caller must hold the inode's stripe
-// (read mode is enough) — inode-local times/version/data are read here.
-// Everything else it touches is atomic, immutable, or a published
-// snapshot, so no tree lock is needed in any mode.
+// statOf describes an inode. Everything it touches is atomic, immutable,
+// or a published snapshot, so it needs no lock; each field is one load,
+// and a change landing meanwhile may show in some fields and not others.
 func statOf(n *inode, name string) Stat {
-	size := int64(len(n.data))
+	size := int64(len(n.content()))
 	if n.isDir() {
 		size = int64(n.childCount())
 	}
@@ -1677,12 +1672,11 @@ func statOf(n *inode, name string) Stat {
 		GID:     n.loadGID(),
 		Nlink:   int(n.nlink.Load()),
 		Size:    size,
-		Atime:   time.Unix(0, n.atime),
-		Mtime:   time.Unix(0, n.mtime),
-		Ctime:   time.Unix(0, n.ctime),
+		Mtime:   time.Unix(0, n.mtime.Load()),
+		Ctime:   time.Unix(0, n.ctime.Load()),
 		Name:    name,
 		Target:  n.target(),
-		Version: n.version,
+		Version: n.version.Load(),
 	}
 }
 
@@ -1738,7 +1732,7 @@ func (fs *FS) removeNode(parent *inode, name string, node *inode, tx *Tx, now ti
 	}
 	if detach {
 		parent.cowDelete(name)
-		fs.touchMS(parent, now)
+		parent.touchM(now)
 		// Invalidate walkers that already resolved node through the old
 		// parent snapshot but have not validated the hop yet.
 		node.bumpGen()

@@ -14,10 +14,10 @@ import (
 // they stop admitting new entries and callers fall back to private
 // copies, so adversarial unique-key workloads cannot grow them.
 //
-// Interned values are shared across inodes and are therefore immutable;
-// the data pool's users mark the owning inode dataShared and copy on
-// write (see File.Write). Name strings are immutable in Go already, so
-// sharing them needs no flag.
+// Interned values are shared across inodes and are therefore immutable —
+// as every file's published content is (see inode.data): the data pool
+// holds payloads in that published form, so an inode adopts one with a
+// pointer store. Name strings are immutable in Go already.
 
 const (
 	// internNameCap bounds the name pool. Component-name vocabularies
@@ -61,16 +61,14 @@ func internName(name string) string {
 
 var payloads = struct {
 	mu sync.RWMutex
-	m  map[string][]byte
-}{m: make(map[string][]byte, 256)}
+	m  map[string]*[]byte
+}{m: make(map[string]*[]byte, 256)}
 
-// internBytes returns a canonical shared slice equal to b when b is
-// small enough to pool and the pool admits it. ok=false means the
-// caller must keep its own copy. A returned slice is shared across
-// inodes: the caller must mark the inode dataShared and never write
-// into the slice (canonical slices are allocated with exact capacity,
-// so even an append can never land inside one).
-func internBytes(b []byte) (data []byte, ok bool) {
+// internBytes returns the canonical published content equal to b when b
+// is small enough to pool and the pool admits it. ok=false means the
+// caller must publish its own copy. The returned content is shared
+// across inodes and, like all published content, never written into.
+func internBytes(b []byte) (data *[]byte, ok bool) {
 	if len(b) == 0 || len(b) > internDataMax {
 		return nil, false
 	}
@@ -88,8 +86,7 @@ func internBytes(b []byte) (data []byte, ok bool) {
 	if len(payloads.m) >= internDataCap {
 		return nil, false
 	}
-	c = make([]byte, len(b)) //yancvet:alloc first sight of a payload: it is pooled from here on
-	copy(c, b)
-	payloads.m[string(c)] = c //yancvet:alloc the pool's key, once per distinct payload
+	c = own(append([]byte(nil), b...)) //yancvet:alloc first sight of a payload: it is pooled from here on
+	payloads.m[string(*c)] = c         //yancvet:alloc the pool's key, once per distinct payload
 	return c, true
 }

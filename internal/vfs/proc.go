@@ -137,7 +137,7 @@ func (p *Proc) mkdirLocked(tx *Tx, path string, mode FileMode) (*inode, error) {
 	d.dir.name = name
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
-	p.fs.touchMS(parent, now)
+	parent.touchM(now)
 	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name), IsDir: true})
 	if parent.dir.sem != nil && parent.dir.sem.OnMkdir != nil {
 		tx.creator = p.cred
@@ -200,7 +200,7 @@ func (p *Proc) Symlink(target, linkPath string) error {
 		l := fs.newInode(KindSymlink, 0o777, p.cred.UID, p.cred.GID)
 		l.extend().target = target
 		parent.cowInsert(name, l)
-		fs.touchMS(parent, fs.now())
+		parent.touchM(fs.now())
 		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
 		return nil
 	}()
@@ -259,8 +259,8 @@ func (p *Proc) Link(oldPath, newPath string) error {
 		parent.cowInsert(name, src)
 		src.nlink.Add(1)
 		now := fs.now()
-		fs.touchCS(src, now)
-		fs.touchMS(parent, now)
+		src.touchC(now)
+		parent.touchM(now)
 		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
 		return nil
 	}()
@@ -402,8 +402,8 @@ func (p *Proc) Rename(oldPath, newPath string) error {
 }
 
 // Stat describes the node at path, following symlinks. Lock-free on the
-// common path: resolution walks published snapshots and only the node's
-// own stripe is taken to read its times/size.
+// common path: resolution walks published snapshots and the node's own
+// fields are atomics.
 func (p *Proc) Stat(path string) (Stat, error) {
 	if err := p.charge("stat", 0); err != nil {
 		return Stat{}, err
@@ -417,8 +417,6 @@ func (p *Proc) Stat(path string) (Stat, error) {
 	if n == nil {
 		return Stat{}, pathErr("stat", path, ErrNotExist)
 	}
-	s := p.fs.rlockNode(n)
-	defer s.mu.RUnlock()
 	return statOf(n, Base(path)), nil
 }
 
@@ -436,8 +434,6 @@ func (p *Proc) Lstat(path string) (Stat, error) {
 	if n == nil {
 		return Stat{}, pathErr("lstat", path, ErrNotExist)
 	}
-	s := p.fs.rlockNode(n)
-	defer s.mu.RUnlock()
 	return statOf(n, Base(path)), nil
 }
 
@@ -484,8 +480,8 @@ func (p *Proc) Chmod(path string, mode FileMode) error {
 		return err
 	}
 	p.fs.stats.attrs.Add(1)
-	// Metadata-only change: the tree read lock suffices (mode is atomic,
-	// ctime/version go under the inode's stripe).
+	// Metadata-only change: the tree read lock suffices (mode, ctime and
+	// version are atomics).
 	fs := p.fs
 	var ev Event
 	err := func() error {
@@ -502,9 +498,7 @@ func (p *Proc) Chmod(path string, mode FileMode) error {
 			return pathErr("chmod", path, ErrPerm)
 		}
 		n.storeMode(mode)
-		s := fs.lockNode(n)
 		n.touchC(fs.now())
-		s.mu.Unlock()
 		ev = Event{Op: OpChmod, Path: realPath(parent, name), IsDir: n.isDir()}
 		return nil
 	}()
@@ -536,9 +530,7 @@ func (p *Proc) Chown(path string, uid, gid int) error {
 			return pathErr("chown", path, ErrPerm)
 		}
 		n.storeOwner(uid, gid)
-		s := fs.lockNode(n)
 		n.touchC(fs.now())
-		s.mu.Unlock()
 		ev = Event{Op: OpChmod, Path: realPath(parent, name), IsDir: n.isDir()}
 		return nil
 	}()

@@ -1,7 +1,5 @@
 package vfs
 
-import "time"
-
 // Lock-free (RCU-style) path resolution.
 //
 // Every directory inode publishes its children as an immutable snapshot
@@ -29,7 +27,7 @@ import "time"
 // stale parent snapshot with a child state the tree only reached after
 // the parent entry was gone — the generation protocol rejects those.
 // File content is stricter: a reader that reaches a file a transaction
-// in flight has written waits for the commit (rlockContent, lock.go).
+// in flight has written waits for the commit (readContent, lock.go).
 
 // maxRCURetries bounds lock-free retry attempts before a resolution gives
 // up and takes the locked slow path. Each retry also charges one hop
@@ -110,24 +108,6 @@ func (n *inode) loadSynth() *Synthetic {
 		return e.synth.Load()
 	}
 	return nil
-}
-
-// touchMS stamps a content change on a published inode under its stripe.
-// With lock-free readers in play, the tree write lock alone no longer
-// excludes readers of inode-local state, so every mutation of a published
-// inode's times/version must take the stripe — even from under the tree
-// write lock. Acquire-and-release keeps the one-stripe-at-a-time rule.
-func (fs *FS) touchMS(n *inode, now time.Time) {
-	s := fs.lockNode(n)
-	n.touchM(now)
-	s.mu.Unlock()
-}
-
-// touchCS is touchMS for metadata-only changes (ctime+version).
-func (fs *FS) touchCS(n *inode, now time.Time) {
-	s := fs.lockNode(n)
-	n.touchC(now)
-	s.mu.Unlock()
 }
 
 // rcuStatus classifies the outcome of one lock-free walk attempt.

@@ -50,7 +50,6 @@ type Stat struct {
 	GID     int
 	Nlink   int
 	Size    int64
-	Atime   time.Time
 	Mtime   time.Time
 	Ctime   time.Time
 	Name    string // base name at the path used for the lookup
@@ -128,7 +127,7 @@ const (
 
 // allows implements the classic Unix owner/group/other check. It reads
 // only atomic permission state, so it is safe during path resolution with
-// no stripe lock held.
+// no lock held.
 func allows(st *inode, c Cred, want accessWant) bool {
 	mode := st.loadMode()
 	if c.UID == 0 {

@@ -264,57 +264,68 @@ func TestStressHooksUnderLoad(t *testing.T) {
 }
 
 // TestStressSharedFileHandles hammers one inode through independent
-// handles (stripe-level contention) while another goroutine stats it and
-// a third truncates. Guards the File fast paths that hold the tree read
-// lock plus a stripe.
+// handles — appends racing to swap in their content — while another
+// goroutine stats it and, in the first phase, a third truncates. The
+// second phase runs without the truncater, so no append may be lost: the
+// file ends as the seed plus every appended byte.
 func TestStressSharedFileHandles(t *testing.T) {
 	fs := New()
 	p := fs.RootProc()
-	if err := p.WriteString("/shared", "seed"); err != nil {
-		t.Fatal(err)
-	}
-	runWithDeadline(t, stressDeadline, func() {
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
+	const seed, appenders, appends = "seed", 4, 300
+	for _, truncating := range []bool{true, false} {
+		if err := p.WriteString("/shared", seed); err != nil {
+			t.Fatal(err)
+		}
+		runWithDeadline(t, stressDeadline, func() {
+			var wg sync.WaitGroup
+			for g := 0; g < appenders; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < appends; i++ {
+						if err := p.AppendFile("/shared", []byte("x"), 0o644); err != nil {
+							t.Errorf("append: %v", err)
+							return
+						}
+					}
+				}(g)
+			}
 			wg.Add(1)
-			go func(g int) {
+			go func() {
 				defer wg.Done()
-				for i := 0; i < 300; i++ {
-					if err := p.AppendFile("/shared", []byte("x"), 0o644); err != nil {
-						t.Errorf("append: %v", err)
+				for i := 0; i < 1000; i++ {
+					if _, err := p.Stat("/shared"); err != nil {
+						t.Errorf("stat: %v", err)
 						return
 					}
 				}
-			}(g)
+			}()
+			if truncating {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 100; i++ {
+						f, err := p.OpenFile("/shared", O_WRONLY, 0)
+						if err != nil {
+							t.Errorf("open: %v", err)
+							return
+						}
+						if err := f.Truncate(1); err != nil {
+							t.Errorf("truncate: %v", err)
+						}
+						f.Close()
+					}
+				}()
+			}
+			wg.Wait()
+		})
+		got, err := p.ReadFile("/shared")
+		if err != nil {
+			t.Fatalf("file unreadable after stress: %v", err)
 		}
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				if _, err := p.Stat("/shared"); err != nil {
-					t.Errorf("stat: %v", err)
-					return
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				f, err := p.OpenFile("/shared", O_WRONLY, 0)
-				if err != nil {
-					t.Errorf("open: %v", err)
-					return
-				}
-				if err := f.Truncate(1); err != nil {
-					t.Errorf("truncate: %v", err)
-				}
-				f.Close()
-			}
-		}()
-		wg.Wait()
-	})
-	if _, err := p.ReadFile("/shared"); err != nil {
-		t.Fatalf("file unreadable after stress: %v", err)
+		if want := len(seed) + appenders*appends; !truncating && len(got) != want {
+			t.Fatalf("after %d concurrent appends the file holds %d bytes, want %d: appends were lost", appenders*appends, len(got), want)
+		}
 	}
 }
 
@@ -423,6 +434,10 @@ func TestStressRenameVsLockfreeLookup(t *testing.T) {
 					t.Errorf("move b->a: %v", err)
 					return
 				}
+				// With one P (-cpu 1) the mover would otherwise keep it for
+				// whole time slices, mostly mid-move, and readers could run
+				// out their loops without ever finding x at rest.
+				runtime.Gosched()
 			}
 		}()
 		var wg sync.WaitGroup

@@ -1141,6 +1141,67 @@ func TestTxWriteAndEvents(t *testing.T) {
 	}
 }
 
+// TestContentCallsTreeLockCounts pins how often each content call takes
+// the tree lock, in each mode: content is published by atomic swap, so a
+// read or rewrite of a file's bytes, times or attributes takes the tree
+// lock only where the call needs the tree itself — a chmod resolving under
+// it, a directory-relative write reading the directory's path for its
+// events.
+func TestContentCallsTreeLockCounts(t *testing.T) {
+	fs := New()
+	p := fs.RootProc()
+	if err := p.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteString("/d/f", "seed\n"); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := p.DirRef("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := p.OpenFile("/d/f", O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	r, err := p.Open("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	buf := make([]byte, 8)
+	cases := []struct {
+		name        string
+		call        func() error
+		read, write uint64
+	}{
+		{"WriteFile", func() error { return p.WriteString("/d/f", "one\n") }, 0, 0},
+		{"WriteFileAt", func() error { return p.WriteFileAt(ref, "f", []byte("two\n"), 0o644) }, 1, 0},
+		{"File.Write", func() error { _, err := w.Write([]byte("three\n")); return err }, 0, 0},
+		{"File.Truncate", func() error { return w.Truncate(2) }, 0, 0},
+		{"SetXattr", func() error { return p.SetXattr("/d/f", "user.k", []byte("v")) }, 0, 0},
+		{"Chmod", func() error { return p.Chmod("/d/f", 0o640) }, 1, 0},
+		{"ReadFile", func() error { _, err := p.ReadFile("/d/f"); return err }, 0, 0},
+		{"ReadFileAt", func() error { _, err := p.ReadFileAt(ref, "f"); return err }, 0, 0},
+		{"ReadFileShared", func() error { _, err := p.ReadFileShared("/d/f"); return err }, 0, 0},
+		{"Stat", func() error { _, err := p.Stat("/d/f"); return err }, 0, 0},
+		{"File.Read", func() error { _, err := r.Read(buf); return err }, 0, 0},
+	}
+	for _, c := range cases {
+		before := fs.LockStats()
+		if err := c.call(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		after := fs.LockStats()
+		read, write := after.TreeRead-before.TreeRead, after.TreeWrite-before.TreeWrite
+		if read != c.read || write != c.write {
+			t.Errorf("%s took the tree lock %d times in read mode and %d in write mode, want %d and %d",
+				c.name, read, write, c.read, c.write)
+		}
+	}
+}
+
 func TestStatVersionBumps(t *testing.T) {
 	p := New().RootProc()
 	if err := p.WriteString("/f", "a"); err != nil {

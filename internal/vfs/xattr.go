@@ -1,6 +1,9 @@
 package vfs
 
-import "sort"
+import (
+	"maps"
+	"sort"
+)
 
 // Extended attributes (§5.1): arbitrary metadata developers can attach to
 // network resources. yanc's distributed layer uses them to request
@@ -14,7 +17,6 @@ func (p *Proc) SetXattr(path, attr string, value []byte) error {
 	}
 	p.fs.stats.attrs.Add(1)
 	fs := p.fs
-	// Lock-free resolve: xattr state itself is stripe-protected.
 	n, err := fs.lookupRO(p.cred, path, p.opts(true))
 	if err != nil {
 		return pathErr("setxattr", path, err)
@@ -25,10 +27,7 @@ func (p *Proc) SetXattr(path, attr string, value []byte) error {
 	if !allows(n, p.cred, wantWrite) {
 		return pathErr("setxattr", path, ErrAccess)
 	}
-	s := fs.lockNode(n)
-	defer s.mu.Unlock()
-	setXattr(n, attr, value)
-	n.touchC(fs.now())
+	fs.editXattrs(n, attr, value, false)
 	return nil
 }
 
@@ -49,8 +48,6 @@ func (p *Proc) GetXattr(path, attr string) ([]byte, error) {
 	if !allows(n, p.cred, wantRead) {
 		return nil, pathErr("getxattr", path, ErrAccess)
 	}
-	s := fs.rlockNode(n)
-	defer s.mu.RUnlock()
 	v, ok := n.xattrs()[attr]
 	if !ok {
 		return nil, pathErr("getxattr", path, ErrNoAttr)
@@ -72,8 +69,6 @@ func (p *Proc) ListXattr(path string) ([]string, error) {
 	if n == nil {
 		return nil, pathErr("listxattr", path, ErrNotExist)
 	}
-	s := fs.rlockNode(n)
-	defer s.mu.RUnlock()
 	xattrs := n.xattrs()
 	names := make([]string, 0, len(xattrs))
 	for k := range xattrs {
@@ -100,14 +95,9 @@ func (p *Proc) RemoveXattr(path, attr string) error {
 	if !allows(n, p.cred, wantWrite) {
 		return pathErr("removexattr", path, ErrAccess)
 	}
-	s := fs.lockNode(n)
-	defer s.mu.Unlock()
-	xattrs := n.xattrs()
-	if _, ok := xattrs[attr]; !ok {
+	if !fs.editXattrs(n, attr, nil, true) {
 		return pathErr("removexattr", path, ErrNoAttr)
 	}
-	delete(xattrs, attr)
-	n.touchC(fs.now())
 	return nil
 }
 
@@ -120,12 +110,38 @@ func (p *Proc) GetXattrString(path, attr string) (string, error) {
 	return string(v), nil
 }
 
-// setXattr stores a private copy of value under attr. The caller must
-// hold n's stripe in write mode.
-func setXattr(n *inode, attr string, value []byte) {
+// editXattrs publishes a copy of n's attribute map with a private copy of
+// value stored under attr — or, with remove set, with attr deleted — and
+// stamps the change. A writer that loses the swap to another edit redoes
+// its own on the winner's map, so concurrent edits of different
+// attributes all land. It reports false, changing nothing, when there is
+// no attr to remove.
+func (fs *FS) editXattrs(n *inode, attr string, value []byte, remove bool) bool {
 	e := n.extend()
-	if e.xattrs == nil {
-		e.xattrs = make(map[string][]byte)
+	if !remove {
+		value = append([]byte(nil), value...)
 	}
-	e.xattrs[attr] = append([]byte(nil), value...)
+	for {
+		old := e.xattrs.Load()
+		var cur map[string][]byte
+		if old != nil {
+			cur = *old
+		}
+		if _, ok := cur[attr]; remove && !ok {
+			return false
+		}
+		m := maps.Clone(cur)
+		if m == nil {
+			m = make(map[string][]byte, 1)
+		}
+		if remove {
+			delete(m, attr)
+		} else {
+			m[attr] = value
+		}
+		if e.xattrs.CompareAndSwap(old, &m) {
+			n.touchC(fs.now())
+			return true
+		}
+	}
 }

@@ -630,8 +630,8 @@ func parseMsgSeq(name string) (uint64, bool) {
 
 // ReadPacketIn parses a packet-in message directory. The directory is
 // resolved once; each of its six files is then read relative to it. The
-// header files are write-once (0444) and parsed in place; Data is the
-// caller's own copy.
+// header files are read shared and parsed in place; Data is the caller's
+// own copy.
 func ReadPacketIn(p *vfs.Proc, msgPath string) (PacketInEvent, error) {
 	var ev PacketInEvent
 	ref, err := p.DirRef(msgPath)

@@ -46,9 +46,9 @@ func actionFileName(a openflow.Action) string {
 // One arena backs every file's content: a single growing buffer holds
 // each rendered value, and the FileData slices are cut from it at the
 // end (spans are kept as offsets because append may move the backing
-// array). The slices are capacity-clipped and marked Owned, so the
-// file system adopts them without copying and a later in-place append
-// on one file cannot bleed into the next.
+// array). The slices are marked Owned, so the file system adopts them
+// without copying: published content is never written into, so files
+// may share one backing array.
 // flowScratch recycles the per-flow rendering scratch. The FileData
 // slice and span offsets die as soon as WriteTree returns (only the
 // arena stays live, aliased by the new inodes), and a 1k-flow drain
@@ -103,7 +103,7 @@ func flowFiles(spec FlowSpec, version uint64) ([]vfs.FileData, *flowScratchBuf) 
 	seal(FileVersion)
 	for i := range files {
 		s := spans[i]
-		files[i].Data = arena[s[0]:s[1]:s[1]]
+		files[i].Data = arena[s[0]:s[1]]
 	}
 	sc.files, sc.spans = files, spans
 	return files, sc

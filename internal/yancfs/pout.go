@@ -28,7 +28,7 @@ const (
 	FileDoorbell = "doorbell"
 	// PacketOutHead and PacketOutFrame are the two files of a staged
 	// packet-out message. Head holds a ParsePacketOutSpec line; Frame
-	// holds the raw packet bytes, write-once so they can be read shared.
+	// holds the raw packet bytes, read shared.
 	PacketOutHead  = "head"
 	PacketOutFrame = "frame"
 

@@ -356,35 +356,55 @@ const (
 	FlowMove              // flows/<a> was renamed to flows/<b> on the same switch
 )
 
-// ClassifyFlowEvent names the switch an event under root (a switches/
-// directory, with a trailing slash) belongs to and what it means to that
-// switch's flow table; flowPath, a substring of the event's, is the flow
-// directory. It allocates nothing. An overflow is not classified: it
-// means MarkAll on every table.
+// FlowMark is what an event means to one switch's flow table: the switch,
+// the kind of mark, and the flow directory, a substring of the event's
+// path.
+type FlowMark struct {
+	Switch string
+	Kind   FlowEvent
+	Path   string
+}
+
+// ClassifyFlowEvent returns the marks an event under root (a switches/
+// directory, with a trailing slash) calls for, in order; a mark of kind
+// NoFlowEvent ends them. Only a rename makes two. A flow directory
+// renamed within one switch's flows/ is one FlowMove. One renamed from a
+// switch's flows/ into another's is FlowGone on the first switch's table
+// and FlowCommit on the second's; renamed out of flows/, or into it from
+// anywhere else, it is the one of the two that applies. It allocates
+// nothing. An overflow is not classified: it means MarkAll on every
+// table.
 //
 //yancvet:hotalloc
-func ClassifyFlowEvent(root string, ev *vfs.Event) (sw string, kind FlowEvent, flowPath string) {
+func ClassifyFlowEvent(root string, ev *vfs.Event) (marks [2]FlowMark) {
 	const version = "/" + FileVersion
 	switch {
 	case ev.Op == vfs.OpWrite && strings.HasSuffix(ev.Path, version):
-		flowPath = ev.Path[:len(ev.Path)-len(version)]
+		flowPath := ev.Path[:len(ev.Path)-len(version)]
 		if sw, ok := flowDirUnder(root, flowPath); ok {
-			return sw, FlowCommit, flowPath
+			marks[0] = FlowMark{sw, FlowCommit, flowPath}
 		}
 	case ev.Op == vfs.OpRemove && ev.IsDir:
 		if sw, ok := flowDirUnder(root, ev.Path); ok {
-			return sw, FlowGone, ev.Path
+			marks[0] = FlowMark{sw, FlowGone, ev.Path}
 		}
-	case ev.Op == vfs.OpRename:
-		// A rename out of flows/, or into another switch's, is left to
-		// the next reconcile-all.
+	case ev.Op == vfs.OpRename && ev.IsDir:
 		oldSw, wasFlow := flowDirUnder(root, ev.Path)
 		newSw, isFlow := flowDirUnder(root, ev.NewPath)
 		if wasFlow && isFlow && oldSw == newSw {
-			return oldSw, FlowMove, ev.NewPath
+			marks[0] = FlowMark{oldSw, FlowMove, ev.NewPath}
+			break
+		}
+		n := 0
+		if wasFlow {
+			marks[n] = FlowMark{oldSw, FlowGone, ev.Path}
+			n++
+		}
+		if isFlow {
+			marks[n] = FlowMark{newSw, FlowCommit, ev.NewPath}
 		}
 	}
-	return "", NoFlowEvent, ""
+	return marks
 }
 
 // UnderSwitch cuts a path below root (which ends in a slash) into the

@@ -637,11 +637,13 @@ func footprintSpec(i int) FlowSpec {
 // once through WriteFlow (one file-I/O call per field) followed by a
 // ReadFlow of every flow — reading must leave nothing pinned behind.
 // The bound is the tier-1 guard for the benchmark's heap_bytes_per_flow:
-// the 16-inode slab in the 1,792-byte size class, one ~400-byte trie
-// leaf for the flow directory, a small one for counters/, the value
-// arena and the side structs come to 2,659 B (PutFlowTx) and 2,515 B
-// (WriteFlow); the bound is the larger plus 3 %. Nothing per flow hangs
-// off the counter files: one pair of readers serves every flow.
+// the 16-inode slab in the 1,408-byte size class, the slab of content
+// headers, one ~400-byte trie leaf for the flow directory, a small one
+// for counters/, the value arena and the side structs come to 2,627 B
+// (PutFlowTx) and 2,066 B (WriteFlow: an 80-byte object per inode, and
+// a header only for a value the intern pool does not hold); the bound is
+// the 2,659 B the larger came to with a 104-byte inode, plus 3 %. Nothing per flow hangs off the counter files:
+// one pair of readers serves every flow.
 func TestFlowFootprint(t *testing.T) {
 	const flows, limit = 4096, 2740
 	liveHeap := func() uint64 {
