@@ -550,31 +550,6 @@ func BenchmarkE18RingPush(b *testing.B) {
 	}
 }
 
-// BenchmarkE18PacketOut is E18's zero-copy packet-out: one op fans a
-// 1500-byte frame out to F switches; ns/link is the marginal switch.
-// The queues are rebuilt every 100 calls, since nothing drains them.
-func BenchmarkE18PacketOut(b *testing.B) {
-	for _, fanout := range []int{1, 8, 64, 512} {
-		b.Run(fmt.Sprintf("fanout-%d", fanout), func(b *testing.B) {
-			targets := make([]string, fanout)
-			for i := range targets {
-				targets[i] = fmt.Sprintf("/switches/sw%d", i+1)
-			}
-			frame := make([]byte, 1500)
-			var c *libyanc.Client
-			for i := 0; i < b.N; i++ {
-				if i%100 == 0 {
-					b.StopTimer()
-					c = libyanc.New(must(benchutil.NewFSOnlyRig(fanout)))
-					b.StartTimer()
-				}
-				ok(b, c.PacketOut(targets, "out=2", frame))
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fanout), "ns/link")
-		})
-	}
-}
-
 // BenchmarkVFSPathWalk is the supporting ablation for path resolution
 // cost at increasing depth.
 func BenchmarkVFSPathWalk(b *testing.B) {

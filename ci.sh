@@ -16,9 +16,10 @@
 #              Stress tests -race at -cpu 1,4: file content is published
 #              lock-free, and four Ps give the scheduler interleavings to
 #              try that a machine with fewer cores would not
-#   fuzz       10 s each of FuzzPathResolve and FuzzFlowDirRoundTrip,
-#              from the seed corpora committed under testdata/fuzz; what
-#              the fuzzer finds interesting stays in the Go build cache
+#   fuzz       10 s each of FuzzPathResolve, FuzzFlowDirRoundTrip and
+#              FuzzPacketOutSpec, from the seed corpora committed under
+#              each package's testdata/fuzz; what the fuzzer finds
+#              interesting stays in the Go build cache
 #   bench      every go-test benchmark for one iteration: the smoke test
 #              of the experiment harness, so a broken series fails CI
 #              even when no one is measuring
@@ -79,6 +80,7 @@ go test -race -run 'Stress' -cpu 1,4 ./internal/vfs ./internal/yancfs
 echo "==> go test -fuzz (10 s per target)"
 go test -run '^$' -fuzz '^FuzzPathResolve$' -fuzztime 10s ./internal/vfs
 go test -run '^$' -fuzz '^FuzzFlowDirRoundTrip$' -fuzztime 10s ./internal/yancfs
+go test -run '^$' -fuzz '^FuzzPacketOutSpec$' -fuzztime 10s ./internal/openflow
 
 echo "==> go test -bench (smoke, 1 iteration)"
 go test -bench=. -benchtime=1x -run='^$' ./...

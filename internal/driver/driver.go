@@ -25,13 +25,13 @@
 package driver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -312,9 +312,8 @@ func (d *Driver) Attach(rw io.ReadWriter) (*SwitchConn, error) {
 
 	// Push any flows already committed in the file system (controller
 	// restart / live protocol upgrade: the network state outlives the
-	// connection), and any packet-outs staged while disconnected. A new
-	// flow table's first pass looks at every name.
-	sc.schedule(pendFlows | pendPout)
+	// connection). A new flow table's first pass looks at every name.
+	sc.schedule(pendFlows)
 
 	go sc.readLoop()
 	d.Logf("driver: %s attached (dpid %016x, %s, %d ports)",
@@ -375,16 +374,8 @@ func (sc *SwitchConn) populate() error {
 		return err
 	}
 	// packet_out control file: writing an action spec plus payload sends
-	// a packet-out to the switch. The pout/ directory next to it is the
-	// zero-copy alternative: libyanc hard-links staged frames in and
-	// rings the doorbell; the driver consumes them by reference.
+	// a packet-out to the switch.
 	err := sc.driver.Y.VFS().WithTx(func(tx *vfs.Tx) error {
-		pout := vfs.Join(sc.Path, yancfs.DirPacketOut)
-		if !tx.Exists(pout) {
-			if err := tx.Mkdir(pout, 0o755, 0, 0); err != nil {
-				return err
-			}
-		}
 		return tx.SetSynthetic(vfs.Join(sc.Path, "packet_out"), &vfs.Synthetic{
 			Write: sc.handlePacketOutWrite,
 		}, 0o644, 0, 0)
@@ -597,47 +588,6 @@ func (sc *SwitchConn) handleFlowRemoved(fr *openflow.FlowRemoved) {
 	}
 }
 
-// drainPacketOut consumes the switch's pout/ queue: each staged message
-// is read by reference off one resolution of its directory — the head
-// line is a few bytes, the frame aliases the spooled payload block
-// (vfs.ReadFileSharedAt, no copy) — written to the control channel, and
-// removed. Removal drops this switch's link on
-// the block; the last switch to send reclaims it. Runs in the mailbox,
-// keyed by the doorbell write event, so drains never race each other.
-func (sc *SwitchConn) drainPacketOut() {
-	p := sc.proc
-	pout := vfs.Join(sc.Path, yancfs.DirPacketOut)
-	entries, err := p.ReadDir(pout)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if !e.IsDir() || !yancfs.IsPacketOutName(e.Name) {
-			continue
-		}
-		msg := vfs.Join(pout, e.Name)
-		ref, rerr := p.DirRef(msg)
-		if rerr != nil {
-			continue
-		}
-		head, herr := p.ReadFileAt(ref, yancfs.PacketOutHead)
-		frame, ferr := p.ReadFileSharedAt(ref, yancfs.PacketOutFrame)
-		if herr == nil && ferr == nil {
-			po, perr := openflow.ParsePacketOutSpec(strings.TrimSpace(string(head)))
-			if perr != nil {
-				sc.driver.Logf("driver: %s: pout %s: %v", sc.Name, e.Name, perr)
-			} else {
-				po.Data = frame
-				if werr := sc.write(po); werr != nil {
-					sc.driver.Logf("driver: %s: pout %s: %v", sc.Name, e.Name, werr)
-				}
-			}
-		}
-		//yancvet:allow errdrop consumed message; a failed unlink is retried on the next doorbell
-		_ = p.RemoveAll(msg)
-	}
-}
-
 // syncPortConfig pushes an administrator's config.port_down write to the
 // switch — but only when it differs from the hardware state, breaking the
 // reflection loop with handlePortStatus.
@@ -675,14 +625,17 @@ func (sc *SwitchConn) syncPortConfig(no uint32) {
 
 // handlePacketOutWrite parses the packet_out control file format:
 // first line "out=<port>[,<more actions>] [in_port=<n>] [buffer_id=<id>]",
-// remaining bytes are the raw frame.
+// remaining bytes are the raw frame. The write owns data (a whole-file
+// write hands over a copy, a handle its buffer), so the frame is sent
+// as a slice of it. It runs on the writer's goroutine: the message goes
+// onto the control channel before the write returns.
 func (sc *SwitchConn) handlePacketOutWrite(data []byte) error {
-	head, payload, _ := strings.Cut(string(data), "\n")
-	po, err := openflow.ParsePacketOutSpec(head)
+	head, payload, _ := bytes.Cut(data, []byte{'\n'})
+	po, err := openflow.ParsePacketOutSpec(string(head))
 	if err != nil {
 		return fmt.Errorf("driver: %v: %w", err, vfs.ErrInvalid)
 	}
-	po.Data = []byte(payload)
+	po.Data = payload
 	return sc.write(po)
 }
 

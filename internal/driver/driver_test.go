@@ -249,6 +249,25 @@ func TestPacketOutControlFile(t *testing.T) {
 	if err := p.WriteFile("/switches/sw1/packet_out", []byte("nonsense\nxx"), 0o644); err == nil {
 		t.Error("bad packet_out spec must fail")
 	}
+	// OF 1.0 numbers ports in 16 bits: port 65538 would leave by port 2
+	// if it were truncated, so the write fails and nothing is sent.
+	if err := p.WriteFile("/switches/sw1/packet_out", append([]byte("out=65538\n"), frame...), 0o644); err == nil {
+		t.Error("packet_out to a port OF 1.0 cannot number must fail")
+	}
+	// The comma form of the action list; the frame arrives byte-exact and
+	// is the only one since the first, which is also what shows the
+	// failed write sent nothing ahead of it on the control channel.
+	comma := append([]byte(nil), frame...)
+	comma[len(comma)-1] = 7
+	if err := p.WriteFile("/switches/sw1/packet_out", append([]byte("out=2,strip_vlan\n"), comma...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !h2.WaitFor(func(f [][]byte) bool { return len(f) >= 2 }, time.Second) {
+		t.Fatal("comma-form packet-out not delivered")
+	}
+	if got := h2.Received(); len(got) != 2 || string(got[1]) != string(comma) {
+		t.Errorf("frames after the first = %x, want only %x", got[1:], comma)
+	}
 }
 
 func TestPortDownFileReachesSwitchAndBack(t *testing.T) {

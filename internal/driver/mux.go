@@ -21,8 +21,8 @@ import (
 //     connection's flow table (a yancfs.Reconciler) or its port list, and
 //   - one echo scheduler ticking for every connection.
 //
-// A SwitchConn carries one word of pending bits (ports, flows, pout,
-// pktin, echo); the flows bit runs a pass of its flow table
+// A SwitchConn carries one word of pending bits (ports, flows, pktin,
+// echo); the flows bit runs a pass of its flow table
 // (reconcile.go). Whoever has work for a connection sets a bit; the first
 // bit set on an idle connection puts it on the run queue, and the worker
 // that picks it up snapshots-and-clears the bits and serves them in that
@@ -131,12 +131,10 @@ func (m *mux) worker() {
 
 // Pending bits, in the order serve works through them. Ports go first so
 // an administrator's port change is not queued behind a table's worth of
-// flows; a packet-out staged after a flow commit follows that flow's
-// flow-mod onto the wire because pout comes after flows.
+// flows.
 const (
 	pendPorts uint32 = 1 << iota
 	pendFlows
-	pendPout
 	pendPktin
 	pendEcho
 	// pendServing is set while a worker holds the connection. The word
@@ -176,9 +174,6 @@ func (sc *SwitchConn) serve() {
 	if bits&pendFlows != 0 {
 		sc.reconcileFlows()
 	}
-	if bits&pendPout != 0 {
-		sc.drainPacketOut()
-	}
 	if bits&pendPktin != 0 {
 		sc.drainPktin()
 	}
@@ -208,41 +203,28 @@ func (m *mux) demux() {
 	}
 }
 
-// eventKind is what an event under switches/ that is not a flow event
-// means to the driver.
-type eventKind uint8
-
-const (
-	evNone     eventKind = iota
-	evDoorbell           // pout/doorbell was written
-	evPortDown           // ports/<n>/config.port_down was written
-)
-
-// classify names the switch a write event belongs to and what it means
-// to the driver besides its flow table (yancfs.ClassifyFlowEvent); for a
-// port event port is the port number. It allocates nothing.
+// classify recognises the one write under switches/ besides its flow
+// table (yancfs.ClassifyFlowEvent) that the driver acts on, an
+// administrator's ports/<n>/config.port_down, and names its switch and
+// port. It allocates nothing.
 //
 //yancvet:hotalloc
-func classify(root string, ev *vfs.Event) (sw string, kind eventKind, port uint32) {
+func classify(root string, ev *vfs.Event) (sw string, port uint32, ok bool) {
 	const (
-		doorbell = yancfs.DirPacketOut + "/" + yancfs.FileDoorbell
 		ports    = "ports/"
 		portDown = "/config.port_down"
 	)
 	if ev.Op != vfs.OpWrite {
-		return "", evNone, 0
+		return "", 0, false
 	}
 	sw, rest, ok := yancfs.UnderSwitch(root, ev.Path)
-	switch {
-	case !ok:
-	case rest == doorbell:
-		return sw, evDoorbell, 0
-	case strings.HasPrefix(rest, ports) && strings.HasSuffix(rest, portDown):
-		if no, ok := portNumber(rest[len(ports) : len(rest)-len(portDown)]); ok {
-			return sw, evPortDown, no
-		}
+	if !ok || !strings.HasPrefix(rest, ports) || !strings.HasSuffix(rest, portDown) {
+		return "", 0, false
 	}
-	return "", evNone, 0
+	if port, ok = portNumber(rest[len(ports) : len(rest)-len(portDown)]); !ok {
+		return "", 0, false
+	}
+	return sw, port, true
 }
 
 // portNumber parses the <n> of a ports/<n> path element.
@@ -275,7 +257,7 @@ func (m *mux) route(root string, ev *vfs.Event) {
 		// reads state at least as new as those commits.
 		for _, sc := range m.d.snapshotConns() {
 			sc.flows.MarkAll()
-			sc.schedule(pendFlows | pendPout)
+			sc.schedule(pendFlows)
 		}
 		return
 	}
@@ -291,19 +273,10 @@ func (m *mux) route(root string, ev *vfs.Event) {
 		}
 		return
 	}
-	sw, kind, port := classify(root, ev)
-	if kind == evNone {
-		return
-	}
-	sc := m.d.Lookup(sw)
-	if sc == nil {
-		return
-	}
-	switch kind {
-	case evDoorbell:
-		sc.schedule(pendPout)
-	case evPortDown:
-		sc.markPort(port)
+	if sw, port, ok := classify(root, ev); ok {
+		if sc := m.d.Lookup(sw); sc != nil {
+			sc.markPort(port)
+		}
 	}
 }
 

@@ -655,7 +655,6 @@ func TestClassify(t *testing.T) {
 		ev    vfs.Event
 		flows [2]mark
 		sw    string
-		kind  eventKind
 		port  uint32
 	}{
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/flows/f/version"}, flows: [2]mark{fm("sw1", yancfs.FlowCommit, "/switches/sw1/flows/f")}},
@@ -665,8 +664,7 @@ func TestClassify(t *testing.T) {
 			flows: [2]mark{fm("sw1", yancfs.FlowGone, "/switches/sw1/flows/f"), fm("sw2", yancfs.FlowCommit, "/switches/sw2/flows/f")}},
 		{ev: vfs.Event{Op: vfs.OpRename, Path: "/staging/f", NewPath: "/switches/sw2/flows/f", IsDir: true}, flows: [2]mark{fm("sw2", yancfs.FlowCommit, "/switches/sw2/flows/f")}},
 		{ev: vfs.Event{Op: vfs.OpRename, Path: "/switches/sw1/flows/f", NewPath: "/switches/sw1/f", IsDir: true}, flows: [2]mark{fm("sw1", yancfs.FlowGone, "/switches/sw1/flows/f")}},
-		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw2/pout/doorbell"}, sw: "sw2", kind: evDoorbell},
-		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw2/ports/4294967295/config.port_down"}, sw: "sw2", kind: evPortDown, port: 4294967295},
+		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw2/ports/4294967295/config.port_down"}, sw: "sw2", port: 4294967295},
 		// Everything else stays in demux.
 		{ev: vfs.Event{Op: vfs.OpRename, Path: "/switches/sw1/flows/f", NewPath: "/switches/sw2/flows/f"}}, // files, not flow directories
 		{ev: vfs.Event{Op: vfs.OpRename, Path: "/switches/sw1/flows", NewPath: "/switches/sw1/old", IsDir: true}},
@@ -677,7 +675,6 @@ func TestClassify(t *testing.T) {
 		{ev: vfs.Event{Op: vfs.OpRemove, Path: "/switches/sw1/flows/f"}}, // a file, not a flow directory
 		{ev: vfs.Event{Op: vfs.OpRemove, Path: "/switches/sw1/flows", IsDir: true}},
 		{ev: vfs.Event{Op: vfs.OpRemove, Path: "/switches/sw1", IsDir: true}},
-		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/pout/po-1/head"}},
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/ports/4294967296/config.port_down"}},
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/ports/x1/config.port_down"}},
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/ports//config.port_down"}},
@@ -692,8 +689,8 @@ func TestClassify(t *testing.T) {
 		if c.flows[0].Kind != yancfs.NoFlowEvent {
 			continue
 		}
-		if sw, kind, port := classify(root, &c.ev); sw != c.sw || kind != c.kind || port != c.port {
-			t.Errorf("classify(%v %s) = %q %d %d, want %q %d %d", c.ev.Op, c.ev.Path, sw, kind, port, c.sw, c.kind, c.port)
+		if sw, port, ok := classify(root, &c.ev); sw != c.sw || port != c.port || ok != (c.sw != "") {
+			t.Errorf("classify(%v %s) = %q %d %v, want %q %d", c.ev.Op, c.ev.Path, sw, port, ok, c.sw, c.port)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package openflow
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"yanc/internal/ethernet"
@@ -106,4 +108,35 @@ func TestEthernetDecodersNeverPanic(t *testing.T) {
 		// ExtractFields is the hot dataplane path.
 		_, _ = ExtractFields(b, 1)
 	}
+}
+
+// FuzzPacketOutSpec feeds the packet_out control file's header line and
+// frame through both codecs: what ParsePacketOutSpec accepts either fails
+// to encode or decodes to the same buffer id, in_port, actions and frame,
+// so no packet leaves by a port the writer did not name.
+func FuzzPacketOutSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string, frame []byte) {
+		po, err := ParsePacketOutSpec(spec)
+		if err != nil {
+			return
+		}
+		po.Data = frame
+		po.Xid = 1
+		for _, c := range []Codec{Codec10{}, Codec13{}} {
+			b, err := c.Encode(po)
+			if err != nil {
+				continue
+			}
+			m, err := c.Decode(b)
+			if err != nil {
+				t.Fatalf("v%d %q: decode: %v", c.Version(), spec, err)
+			}
+			got := m.(*PacketOut)
+			if got.BufferID != po.BufferID || got.InPort != po.InPort ||
+				!reflect.DeepEqual(got.Actions, po.Actions) || !bytes.Equal(got.Data, po.Data) {
+				t.Fatalf("v%d %q: decoded buffer_id=%d in_port=%d actions=%v, want buffer_id=%d in_port=%d actions=%v (frame equal: %v)",
+					c.Version(), spec, got.BufferID, got.InPort, got.Actions, po.BufferID, po.InPort, po.Actions, bytes.Equal(got.Data, po.Data))
+			}
+		}
+	})
 }

@@ -222,9 +222,10 @@ type PacketOut struct {
 	Data     []byte
 }
 
-// ParsePacketOutSpec parses the one-line packet-out header shared by the
-// packet_out control file and the libyanc spool path:
-// "out=<port>[,<more actions>] [in_port=<n>] [buffer_id=<id>]".
+// ParsePacketOutSpec parses the packet_out control file's header line:
+// "out=<port>[,<more actions>] [in_port=<n>] [buffer_id=<id>]". Every
+// token that is not in_port or buffer_id is an action list in the comma
+// form the flow files use (ParseActions).
 // The returned message has no payload; callers attach Data themselves.
 func ParsePacketOutSpec(head string) (*PacketOut, error) {
 	po := &PacketOut{
@@ -232,10 +233,7 @@ func ParsePacketOutSpec(head string) (*PacketOut, error) {
 		InPort:   PortController,
 	}
 	for _, tok := range strings.Fields(head) {
-		k, v, ok := strings.Cut(tok, "=")
-		if !ok {
-			return nil, fmt.Errorf("openflow: packet_out: bad token %q", tok)
-		}
+		k, v, _ := strings.Cut(tok, "=")
 		switch k {
 		case "in_port":
 			n, err := strconv.ParseUint(v, 10, 32)
@@ -250,11 +248,11 @@ func ParsePacketOutSpec(head string) (*PacketOut, error) {
 			}
 			po.BufferID = uint32(n)
 		default:
-			a, err := ParseAction(k, v)
+			as, err := ParseActions(tok)
 			if err != nil {
 				return nil, err
 			}
-			po.Actions = append(po.Actions, a)
+			po.Actions = append(po.Actions, as...)
 		}
 	}
 	if len(po.Actions) == 0 {

@@ -95,6 +95,69 @@ func patchLength(start int, b []byte) []byte {
 
 func port10(p uint32) uint16 { return uint16(p & 0xffff) }
 
+// port10Fits reports whether OF 1.0's 16-bit port fields can carry p:
+// a physical port below 0xff00, or a reserved port (0xffffff00 and up)
+// whose low 16 bits are its OF 1.0 number. For every port in between
+// port10Up(port10(p)) != p, so writing it would name another port.
+func port10Fits(p uint32) bool { return p < 0xff00 || p >= 0xffffff00 }
+
+// badPort10 returns the first port field of m that port10Fits rejects.
+func badPort10(m Message) (port uint32, bad bool) {
+	check := func(p uint32) {
+		if !bad && !port10Fits(p) {
+			port, bad = p, true
+		}
+	}
+	actions := func(as []Action) {
+		for i := range as {
+			if as[i].Type == ActOutput {
+				check(as[i].Port)
+			}
+		}
+	}
+	switch msg := m.(type) {
+	case *FeaturesReply:
+		for i := range msg.Ports {
+			check(msg.Ports[i].No)
+		}
+	case *PacketIn:
+		check(msg.InPort)
+	case *FlowRemoved:
+		check(msg.Match.InPort)
+	case *PortStatus:
+		check(msg.Port.No)
+	case *PacketOut:
+		check(msg.InPort)
+		actions(msg.Actions)
+	case *FlowMod:
+		check(msg.Match.InPort)
+		check(msg.OutPort)
+		actions(msg.Actions)
+	case *PortMod:
+		check(msg.PortNo)
+	case *StatsRequest:
+		switch msg.Kind {
+		case StatsFlow:
+			check(msg.Match.InPort)
+		case StatsPort:
+			check(msg.Port)
+		}
+	case *StatsReply:
+		switch msg.Kind {
+		case StatsFlow:
+			for i := range msg.Flows {
+				check(msg.Flows[i].Match.InPort)
+				actions(msg.Flows[i].Actions)
+			}
+		case StatsPort:
+			for i := range msg.Ports {
+				check(msg.Ports[i].PortNo)
+			}
+		}
+	}
+	return port, bad
+}
+
 func port10Up(v uint16) uint32 {
 	if v >= 0xff00 {
 		return uint32(v) | 0xffff0000
@@ -381,8 +444,12 @@ func (c Codec10) Encode(m Message) ([]byte, error) {
 	return b, nil
 }
 
-// AppendEncode implements Codec.
+// AppendEncode implements Codec. A message with a port OF 1.0 cannot
+// number (see port10Fits) is an error, not a message for another port.
 func (c Codec10) AppendEncode(dst []byte, m Message) ([]byte, error) {
+	if p, bad := badPort10(m); bad {
+		return dst, fmt.Errorf("%w: port %d does not fit OF1.0's 16-bit port field", ErrBadMessage, p)
+	}
 	xid := m.XID()
 	start := len(dst)
 	hdr := func(typ uint8) []byte { return putHeader(dst, Version10, typ, xid) }

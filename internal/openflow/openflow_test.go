@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"reflect"
@@ -206,6 +207,56 @@ func TestPacketInOutRoundTrip(t *testing.T) {
 		if gotPO.InPort != PortController || len(gotPO.Actions) != 2 ||
 			gotPO.Actions[1].Port != 5 || string(gotPO.Data) != string(payload) {
 			t.Errorf("v%d packet_out = %+v", c.Version(), gotPO)
+		}
+	}
+}
+
+// TestOF10PortRange: every message that carries a port refuses, under
+// OF 1.0, a port its 16-bit field cannot number (0xff00 ≤ p <
+// 0xffffff00) instead of sending its low 16 bits, which name another
+// port; OF 1.3 carries the same messages. The edges of the range and a
+// reserved port encode under both.
+func TestOF10PortRange(t *testing.T) {
+	in := func(p uint32) Match { return Match{Set: FieldInPort, InPort: p} }
+	msgs := []struct {
+		name string
+		msg  func(p uint32) Message
+	}{
+		{"features_reply", func(p uint32) Message { return &FeaturesReply{Ports: []PortInfo{{No: 1}, {No: p}}} }},
+		{"packet_in", func(p uint32) Message { return &PacketIn{InPort: p} }},
+		{"flow_removed", func(p uint32) Message { return &FlowRemoved{Match: in(p)} }},
+		{"port_status", func(p uint32) Message { return &PortStatus{Port: PortInfo{No: p}} }},
+		{"packet_out in_port", func(p uint32) Message { return &PacketOut{InPort: p, Actions: []Action{Output(1)}} }},
+		{"packet_out action", func(p uint32) Message {
+			return &PacketOut{InPort: PortController, Actions: []Action{Output(1), Output(p)}}
+		}},
+		{"flow_mod match", func(p uint32) Message { return &FlowMod{Match: in(p), OutPort: PortAny} }},
+		{"flow_mod out_port", func(p uint32) Message { return &FlowMod{Command: FlowDelete, OutPort: p} }},
+		{"flow_mod action", func(p uint32) Message { return &FlowMod{OutPort: PortAny, Actions: []Action{Output(p)}} }},
+		{"port_mod", func(p uint32) Message { return &PortMod{PortNo: p} }},
+		{"flow stats request", func(p uint32) Message { return &StatsRequest{Kind: StatsFlow, Match: in(p)} }},
+		{"port stats request", func(p uint32) Message { return &StatsRequest{Kind: StatsPort, Port: p} }},
+		{"flow stats reply match", func(p uint32) Message { return &StatsReply{Kind: StatsFlow, Flows: []FlowStats{{Match: in(p)}}} }},
+		{"flow stats reply action", func(p uint32) Message {
+			return &StatsReply{Kind: StatsFlow, Flows: []FlowStats{{Actions: []Action{Output(p)}}}}
+		}},
+		{"port stats reply", func(p uint32) Message { return &StatsReply{Kind: StatsPort, Ports: []PortStats{{PortNo: p}}} }},
+	}
+	for _, m := range msgs {
+		for _, p := range []uint32{0xff00, 70000, 0x10002, 0xfffffeff} {
+			if _, err := (Codec10{}).Encode(m.msg(p)); !errors.Is(err, ErrBadMessage) {
+				t.Errorf("v1.0 %s with port %d: err = %v, want ErrBadMessage", m.name, p, err)
+			}
+			if _, err := (Codec13{}).Encode(m.msg(p)); err != nil {
+				t.Errorf("v1.3 %s with port %d: %v", m.name, p, err)
+			}
+		}
+		for _, p := range []uint32{2, 0xfeff, 0xffffff00, PortController} {
+			for _, c := range codecs() {
+				if _, err := c.Encode(m.msg(p)); err != nil {
+					t.Errorf("v%d %s with port %d: %v", c.Version(), m.name, p, err)
+				}
+			}
 		}
 	}
 }

@@ -92,71 +92,23 @@ func TestRemoveChildrenAndDirNames(t *testing.T) {
 	}
 }
 
-// TestLinkDirFanout checks the multi-destination form: one source resolve,
-// per-destination linked() callbacks, stale destinations skipped without
-// aborting the rest, and child nlink batched across all links.
-func TestLinkDirFanout(t *testing.T) {
-	fs := New()
-	p := fs.RootProc()
-	err := fs.WithTx(func(tx *Tx) error {
-		if err := tx.MkdirAll("/spool/m", 0o755, 0, 0); err != nil {
-			return err
-		}
-		if err := tx.WriteFile("/spool/m/data", []byte("d"), 0o444, 0, 0); err != nil {
-			return err
-		}
-		for _, d := range []string{"/b1", "/b2"} {
-			if err := tx.Mkdir(d, 0o755, 0, 0); err != nil {
-				return err
-			}
-		}
-		// /b2/m already exists: that destination must be skipped.
-		return tx.Mkdir("/b2/m", 0o755, 0, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []int
-	err = fs.WithTx(func(tx *Tx) error {
-		dsts := []string{"/b1/m", "/b2/m", "/gone/m"}
-		return tx.LinkDirFanout("/spool/m", dsts, 0o755, 0, 0, func(i int) {
-			got = append(got, i)
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, []int{0}) {
-		t.Fatalf("linked callbacks = %v, want [0]", got)
-	}
-	st, err := p.Stat("/b1/m/data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Nlink != 2 { // spool + b1
-		t.Fatalf("nlink = %d, want 2", st.Nlink)
-	}
-	if p.Exists("/b2/m/data") {
-		t.Fatal("existing destination was overwritten")
-	}
-}
-
-// TestLinkDirFanoutRefs checks the pre-resolved-destination form used by
-// the packet-in hot path: refs resolved once keep working across
-// deliveries, a ref whose directory was removed is skipped via the
-// parent-pointer test, and shared child inodes count every link.
+// TestLinkDirFanoutRefs checks the fan-out primitive the packet-in hot
+// path uses: refs resolved once keep working across deliveries, a ref
+// whose directory was removed or already holds the name is skipped
+// without aborting the rest, only the source's regular files are linked,
+// and shared child inodes count every link — down as well as up.
 func TestLinkDirFanoutRefs(t *testing.T) {
 	fs := New()
 	p := fs.RootProc()
 	err := fs.WithTx(func(tx *Tx) error {
-		if err := tx.MkdirAll("/spool/m", 0o755, 0, 0); err != nil {
+		if err := tx.MkdirAll("/spool/m/sub", 0o755, 0, 0); err != nil {
 			return err
 		}
 		if err := tx.WriteFile("/spool/m/data", []byte("d"), 0o444, 0, 0); err != nil {
 			return err
 		}
-		for _, d := range []string{"/b1", "/b2", "/b3"} {
-			if err := tx.Mkdir(d, 0o755, 0, 0); err != nil {
+		for _, d := range []string{"/b1", "/b2", "/b3", "/b4/m"} {
+			if err := tx.MkdirAll(d, 0o755, 0, 0); err != nil {
 				return err
 			}
 		}
@@ -165,8 +117,12 @@ func TestLinkDirFanoutRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := make([]DirRef, 3)
-	for i, d := range []string{"/b1", "/b2", "/b3"} {
+	// A subdirectory and a symlink in the source must not be linked.
+	if err := p.Symlink("data", "/spool/m/alias"); err != nil {
+		t.Fatal(err)
+	}
+	refs := make([]DirRef, 4)
+	for i, d := range []string{"/b1", "/b2", "/b3", "/b4"} {
 		if refs[i], err = p.DirRef(d); err != nil {
 			t.Fatal(err)
 		}
@@ -190,6 +146,14 @@ func TestLinkDirFanoutRefs(t *testing.T) {
 	if !slices.Equal(got, []int{0, 2}) {
 		t.Fatalf("linked callbacks = %v, want [0 2]", got)
 	}
+	if p.Exists("/b4/m/data") {
+		t.Fatal("a destination already holding the name was linked into")
+	}
+	for _, skipped := range []string{"/b1/m/sub", "/b1/m/alias"} {
+		if p.Exists(skipped) {
+			t.Errorf("%s: non-regular child was linked", skipped)
+		}
+	}
 	st1, err := p.Stat("/b1/m/data")
 	if err != nil {
 		t.Fatal(err)
@@ -205,17 +169,26 @@ func TestLinkDirFanoutRefs(t *testing.T) {
 		t.Fatalf("nlink = %d, want 3", st1.Nlink)
 	}
 	// The shared-map alias means every linked dir sees one children set;
-	// consuming one copy must still leave the others readable.
+	// consuming one copy must still leave the others readable, one link
+	// fewer.
 	if err := p.RemoveAll("/b1/m"); err != nil {
 		t.Fatal(err)
 	}
 	if data, err := p.ReadFile("/b3/m/data"); err != nil || string(data) != "d" {
 		t.Fatalf("surviving copy: %q, %v", data, err)
 	}
+	if st3, err = p.Stat("/b3/m/data"); err != nil || st3.Nlink != 2 {
+		t.Fatalf("nlink after b1 teardown = %d (%v), want 2", st3.Nlink, err)
+	}
 	if err := fs.WithTx(func(tx *Tx) error {
 		return tx.LinkDirFanoutRefs("/spool/m", refs, "bad/name", 0o755, 0, 0, nil)
 	}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("slash in link name: got %v, want ErrInvalid", err)
+	}
+	if err := fs.WithTx(func(tx *Tx) error {
+		return tx.LinkDirFanoutRefs("/spool/m/data", refs, "x", 0o755, 0, 0, nil)
+	}); !errors.Is(err, ErrNotDir) {
+		t.Fatalf("fan-out from a file: got %v, want ErrNotDir", err)
 	}
 	if _, err := p.DirRef("/b3/m/data"); !errors.Is(err, ErrNotDir) {
 		t.Fatalf("DirRef on a file: got %v, want ErrNotDir", err)

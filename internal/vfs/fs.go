@@ -867,161 +867,6 @@ func (tx *Tx) ReadFile(path string) ([]byte, error) {
 	return append([]byte(nil), n.content()...), nil
 }
 
-// Symlink creates a symbolic link without semantic validation.
-func (tx *Tx) Symlink(target, linkPath string, uid, gid int) error {
-	parent, name, node, err := tx.fs.resolve(Root, linkPath, resolveOpts{})
-	if err != nil {
-		return pathErr("symlink", linkPath, err)
-	}
-	if node != nil {
-		return pathErr("symlink", linkPath, ErrExist)
-	}
-	l := tx.fs.newInode(KindSymlink, 0o777, uid, gid)
-	l.extend().target = target
-	parent.cowInsert(name, l)
-	parent.touchM(tx.fs.now())
-	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
-	return nil
-}
-
-// Link creates newPath as an additional name (hard link) for the regular
-// file at oldPath, following symlinks on the source. The two names share
-// one inode: the data exists once no matter how many directories link it,
-// and Stat.Nlink counts the names. Directories cannot be hard-linked
-// (ErrPerm, as in link(2)). This is the zero-copy primitive the event
-// fan-out builds on: a payload block is written once and linked into
-// each subscriber buffer.
-func (tx *Tx) Link(oldPath, newPath string) error {
-	_, _, src, err := tx.fs.resolve(Root, oldPath, resolveOpts{followLast: true})
-	if err != nil {
-		return &LinkError{Op: "link", Old: oldPath, New: newPath, Err: err}
-	}
-	if src == nil {
-		return &LinkError{Op: "link", Old: oldPath, New: newPath, Err: ErrNotExist}
-	}
-	if src.isDir() {
-		return &LinkError{Op: "link", Old: oldPath, New: newPath, Err: ErrPerm}
-	}
-	parent, name, node, err := tx.fs.resolve(Root, newPath, resolveOpts{})
-	if err != nil {
-		return &LinkError{Op: "link", Old: oldPath, New: newPath, Err: err}
-	}
-	if node != nil {
-		return &LinkError{Op: "link", Old: oldPath, New: newPath, Err: ErrExist}
-	}
-	now := tx.fs.now()
-	parent.cowInsert(name, src)
-	src.nlink.Add(1)
-	src.touchC(now)
-	parent.touchM(now)
-	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
-	return nil
-}
-
-// LinkDir creates dstDir as a new directory and hard-links every
-// regular-file child of srcDir into it, resolving both paths once. It is
-// the batched form of Link for fanning a staged message directory out to
-// N subscribers: one directory inode per subscriber sharing the source's
-// children trie, zero payload copies. Symlink and directory children are
-// skipped. A single Create event is queued for dstDir — watchers of its
-// parent see the message appear atomically; the linked children share
-// inodes with srcDir's files and announce nothing of their own.
-func (tx *Tx) LinkDir(srcDir, dstDir string, mode FileMode, uid, gid int) error {
-	_, _, src, err := tx.fs.resolve(Root, srcDir, resolveOpts{followLast: true})
-	if err != nil {
-		return &LinkError{Op: "linkdir", Old: srcDir, New: dstDir, Err: err}
-	}
-	if src == nil {
-		return &LinkError{Op: "linkdir", Old: srcDir, New: dstDir, Err: ErrNotExist}
-	}
-	if !src.isDir() {
-		return &LinkError{Op: "linkdir", Old: srcDir, New: dstDir, Err: ErrNotDir}
-	}
-	parent, name, node, err := tx.fs.resolve(Root, dstDir, resolveOpts{})
-	if err != nil {
-		return &LinkError{Op: "linkdir", Old: srcDir, New: dstDir, Err: err}
-	}
-	if node != nil {
-		return &LinkError{Op: "linkdir", Old: srcDir, New: dstDir, Err: ErrExist}
-	}
-	d := tx.fs.newInode(KindDir, mode, uid, gid)
-	d.dir.parent = parent
-	d.dir.name = name
-	tmpl := fileKids(src)
-	now := tx.fs.now()
-	tx.fs.addLinks(tmpl, 1, now)
-	d.setKids(tmpl)
-	parent.cowInsert(name, d)
-	parent.nlink.Add(1)
-	parent.touchM(now)
-	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name), IsDir: true})
-	return nil
-}
-
-// LinkDirFanout is LinkDir amortized over many destinations: srcDir is
-// resolved once, its linkable children are collected once, and every
-// destination directory shares one children trie instead of taking
-// per-entry inserts. linked(i) is called (under the tree lock — it must
-// not call back into the fs) for each dsts[i] that was created; a
-// destination whose parent is gone or whose name is taken is skipped, so
-// one stale subscriber buffer cannot abort delivery to the rest. Child
-// nlink/ctime updates are batched: one increment pass no matter how many
-// destinations were linked.
-//
-//yancvet:hotalloc
-func (tx *Tx) LinkDirFanout(srcDir string, dsts []string, mode FileMode, uid, gid int, linked func(i int)) error {
-	tmpl, err := tx.fanoutSrc(srcDir)
-	if err != nil {
-		return err
-	}
-	now := tx.fs.now()
-	links := 0
-	root := tx.fs.root
-	for i, dst := range dsts {
-		hops := 0
-		parent, name, node, err := tx.fs.walkFrom(root, dst, Root, resolveOpts{}, root, &hops)
-		if err != nil || node != nil {
-			continue
-		}
-		d := tx.fs.bareInode(KindDir, mode, uid, gid, now)
-		d.dir.parent = parent
-		d.dir.name = name
-		d.setKids(tmpl)
-		parent.cowInsert(name, d)
-		parent.nlink.Add(1)
-		parent.touchM(now)
-		// Event paths must be real paths: reuse the caller's dst string
-		// only when resolution crossed no symlink and dst is canonical.
-		evPath := dst
-		if hops != 0 || !isClean(dst) {
-			evPath = pathTo(parent, name)
-		}
-		tx.queue(Event{Op: OpCreate, Path: evPath, IsDir: true})
-		links++
-		if linked != nil {
-			linked(i)
-		}
-	}
-	tx.fs.addLinks(tmpl, links, now)
-	return nil
-}
-
-// fanoutSrc resolves a fan-out source directory and returns the child
-// trie every destination will share (see fileKids).
-func (tx *Tx) fanoutSrc(srcDir string) (*dirNode, error) {
-	_, _, src, err := tx.fs.resolve(Root, srcDir, resolveOpts{followLast: true})
-	if err != nil {
-		return nil, &LinkError{Op: "linkdir", Old: srcDir, New: "", Err: err} //yancvet:alloc error path
-	}
-	if src == nil {
-		return nil, &LinkError{Op: "linkdir", Old: srcDir, New: "", Err: ErrNotExist} //yancvet:alloc error path
-	}
-	if !src.isDir() {
-		return nil, &LinkError{Op: "linkdir", Old: srcDir, New: "", Err: ErrNotDir} //yancvet:alloc error path
-	}
-	return fileKids(src), nil
-}
-
 // fileKids returns the regular-file children of src as a trie that any
 // number of directories may publish as their own. When every child is a
 // regular file — always true for packet-in spool entries — that is
@@ -1063,19 +908,34 @@ func (fs *FS) addLinks(tmpl *dirNode, links int, now time.Time) {
 	}
 }
 
-// LinkDirFanoutRefs is LinkDirFanout over pre-resolved destinations: each
-// parents[i] receives a child directory named name linking the source's
-// files. A ref whose directory has been detached (subscriber unsubscribed
-// since the caller's cache was built) or already holds name is skipped.
-// Every directory of a removed subtree carries the removed mark, so
-// detachment is one load instead of a path walk.
+// LinkDirFanoutRefs fans a staged message directory out to many
+// pre-resolved destinations with zero payload copies: srcDir is resolved
+// once, its regular-file children are collected once (subdirectories and
+// symlinks are not linked), and each parents[i] receives a child
+// directory named name sharing that one children trie. A ref whose
+// directory has been detached (subscriber unsubscribed since the
+// caller's cache was built) or already holds name is skipped, so one
+// stale subscriber buffer cannot abort delivery to the rest; every
+// directory of a removed subtree carries the removed mark, so detachment
+// is one load instead of a path walk. linked(i) is called (under the tree
+// lock — it must not call back into the fs) for each parents[i] that
+// received the directory. Child nlink/ctime updates are batched: one
+// increment pass no matter how many destinations were linked.
 //
 //yancvet:hotalloc
 func (tx *Tx) LinkDirFanoutRefs(srcDir string, parents []DirRef, name string, mode FileMode, uid, gid int, linked func(i int)) error {
-	tmpl, err := tx.fanoutSrc(srcDir)
-	if err != nil {
-		return err
+	_, _, src, err := tx.fs.resolve(Root, srcDir, resolveOpts{followLast: true})
+	switch {
+	case err != nil:
+	case src == nil:
+		err = ErrNotExist
+	case !src.isDir():
+		err = ErrNotDir
 	}
+	if err != nil {
+		return &LinkError{Op: "linkdir", Old: srcDir, New: name, Err: err} //yancvet:alloc error path
+	}
+	tmpl := fileKids(src)
 	if !isCleanName(name) {
 		return pathErr("linkdir", name, ErrInvalid)
 	}
@@ -1555,53 +1415,6 @@ func (tx *Tx) SetSynthetic(path string, synth *Synthetic, mode FileMode, uid, gi
 	return nil
 }
 
-// SetXattr sets an extended attribute.
-func (tx *Tx) SetXattr(path, attr string, value []byte) error {
-	n, err := tx.node(path)
-	if err != nil {
-		return pathErr("setxattr", path, err)
-	}
-	tx.fs.editXattrs(n, attr, value, false)
-	return nil
-}
-
-// GetXattr reads an extended attribute.
-func (tx *Tx) GetXattr(path, attr string) ([]byte, error) {
-	n, err := tx.node(path)
-	if err != nil {
-		return nil, pathErr("getxattr", path, err)
-	}
-	v, ok := n.xattrs()[attr]
-	if !ok {
-		return nil, pathErr("getxattr", path, ErrNoAttr)
-	}
-	return append([]byte(nil), v...), nil
-}
-
-// Chmod changes permission bits.
-func (tx *Tx) Chmod(path string, mode FileMode) error {
-	n, err := tx.node(path)
-	if err != nil {
-		return pathErr("chmod", path, err)
-	}
-	n.storeMode(mode)
-	n.touchC(tx.fs.now())
-	tx.queue(Event{Op: OpChmod, Path: Clean(path), IsDir: n.isDir()})
-	return nil
-}
-
-// Chown changes ownership.
-func (tx *Tx) Chown(path string, uid, gid int) error {
-	n, err := tx.node(path)
-	if err != nil {
-		return pathErr("chown", path, err)
-	}
-	n.storeOwner(uid, gid)
-	n.touchC(tx.fs.now())
-	tx.queue(Event{Op: OpChmod, Path: Clean(path), IsDir: n.isDir()})
-	return nil
-}
-
 // ReadDir lists a directory in name order.
 func (tx *Tx) ReadDir(path string) ([]DirEntry, error) {
 	n, err := tx.node(path)
@@ -1612,15 +1425,6 @@ func (tx *Tx) ReadDir(path string) ([]DirEntry, error) {
 		return nil, pathErr("readdir", path, ErrNotDir)
 	}
 	return listDir(n), nil
-}
-
-// Stat describes the node at path (following symlinks).
-func (tx *Tx) Stat(path string) (Stat, error) {
-	n, err := tx.node(path)
-	if err != nil {
-		return Stat{}, pathErr("stat", path, err)
-	}
-	return statOf(n, Base(path)), nil
 }
 
 // listDir materializes a directory listing, sorted by name, from the

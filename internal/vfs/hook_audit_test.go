@@ -95,13 +95,13 @@ func TestHookTxOnlyContract(t *testing.T) {
 		}
 		return tx.SetSemantics("/sw", &DirSemantics{
 			OnMkdir: func(tx *Tx, dir, name string) error {
-				// Tx-only: reads (raw bytes for the synthetic), stats and
+				// Tx-only: reads (raw bytes for the synthetic), lookups and
 				// writes, all without re-entering an entry point.
 				if _, err := tx.ReadFile(Join(dir, "ctl")); err != nil {
 					return err
 				}
-				if _, err := tx.Stat(dir); err != nil {
-					return err
+				if !tx.IsDir(dir) {
+					return ErrNotDir
 				}
 				return tx.WriteFile(Join(dir, name, "state"), []byte("new"), 0o644, 0, 0)
 			},

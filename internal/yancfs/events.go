@@ -21,7 +21,7 @@ import (
 //   - Each message's files (switch, buffer_id, in_port, reason, total_len,
 //     data) are written ONCE into a staging entry under the region's
 //     hidden <region>/events/.spool directory, then hard-linked into every
-//     subscriber buffer with Tx.LinkDir and unlinked from the spool — all
+//     subscriber buffer with Tx.LinkDirFanoutRefs and unlinked from the spool — all
 //     inside one transaction. The payload block exists once regardless of
 //     subscriber count; the file inode's nlink is its reference count and
 //     the block is reclaimed when the last subscriber removes its message
@@ -41,10 +41,10 @@ import (
 // take it while the tree is locked. Code holding eventState.mu must never
 // call back into the file system.
 
-// SpoolDir is the hidden staging directory under <region>/events where a
+// spoolDir is the hidden staging directory under <region>/events where a
 // message's files are written once before being linked into subscriber
 // buffers. Dot-named so subscriber listings skip it.
-const SpoolDir = ".spool"
+const spoolDir = ".spool"
 
 // OverflowMarker is the file written into a buffer that hit its depth
 // bound; its content is the cumulative number of messages dropped from
@@ -374,7 +374,7 @@ func (y *FS) DeliverPacketInBatch(region, switchName string, pis []*openflow.Pac
 		return nil
 	}
 	maxDepth := y.eventDepth()
-	spool := vfs.Join(region, DirEvents, SpoolDir)
+	spool := vfs.Join(region, DirEvents, spoolDir)
 	swLine := []byte(switchName + "\n")
 	return y.vfs.WithTx(func(tx *vfs.Tx) error {
 		if !tx.Exists(spool) {
@@ -588,23 +588,14 @@ func (y *FS) EventApps() []AppEventInfo {
 	return out
 }
 
-// msgName formats "pktin-<pad12(seq)>" into one allocation; the spool
+// msgName formats "pktin-<seq>", the sequence zero-padded to 12 digits so
+// lexicographic order equals numeric, into one allocation; the spool
 // entry and every subscriber's linked message directory share the name.
 func msgName(seq uint64) string {
 	var b [len(msgPrefix) + 12]byte
 	copy(b[:], msgPrefix)
 	if !encode12(b[len(msgPrefix):], seq) {
 		return msgPrefix + strconv.FormatUint(seq, 10)
-	}
-	return string(b[:])
-}
-
-// pad12 zero-pads to 12 digits so lexicographic order equals numeric,
-// using a fixed-width encode instead of repeated string concatenation.
-func pad12(v uint64) string {
-	var b [12]byte
-	if !encode12(b[:], v) {
-		return strconv.FormatUint(v, 10)
 	}
 	return string(b[:])
 }

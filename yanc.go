@@ -193,8 +193,7 @@ func (c *Controller) Shell(out io.Writer) *shell.Env {
 }
 
 // Fastpath returns a libyanc client: flow writes batched through a
-// submission ring and one-copy packet-out fan-out, without per-field
-// file I/O (§8.1).
+// submission ring, without per-field file I/O (§8.1).
 func (c *Controller) Fastpath() *libyanc.Client { return libyanc.New(c.y) }
 
 // ExportDFS starts serving the controller's file system over TCP so
