@@ -16,6 +16,9 @@
 #              Stress tests -race at -cpu 1,4: file content is published
 #              lock-free, and four Ps give the scheduler interleavings to
 #              try that a machine with fewer cores would not
+#   footprint  TestFlowFootprint three times without the race detector,
+#              the configuration the benchmark measures
+#              heap_bytes_per_flow in, so its heap bound is checked there
 #   fuzz       10 s each of FuzzPathResolve, FuzzFlowDirRoundTrip and
 #              FuzzPacketOutSpec, from the seed corpora committed under
 #              each package's testdata/fuzz; what the fuzzer finds
@@ -76,6 +79,9 @@ go test -race ./...
 echo "==> go test -race concurrency battery (Stress|Chaos|Alloc, -count=2)"
 go test -race -run 'Stress|Chaos|Alloc' -count=2 ./...
 go test -race -run 'Stress' -cpu 1,4 ./internal/vfs ./internal/yancfs
+
+echo "==> go test footprint (no race detector, -count=3)"
+go test -run 'Footprint' -count=3 ./internal/yancfs
 
 echo "==> go test -fuzz (10 s per target)"
 go test -run '^$' -fuzz '^FuzzPathResolve$' -fuzztime 10s ./internal/vfs

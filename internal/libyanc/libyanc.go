@@ -10,8 +10,9 @@
 // The result is bit-for-bit the same file-system state and the same
 // driver behaviour as file I/O — only the cost changes, which is what
 // E18 and yancperf's install_ring workload measure. Packets have no
-// libyanc channel: the events/ spool already fans one packet-in payload
-// copy out by hard link (E15), and a packet-out is one write of the
+// libyanc channel: a packet-in's files are built once and attached to
+// every subscriber's events/ buffer, one payload copy shared by hard
+// link (E15), and a packet-out is one write of the
 // switch's packet_out control file, one message on its control channel.
 package libyanc
 

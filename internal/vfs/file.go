@@ -633,9 +633,9 @@ func (p *Proc) ReadFile(path string) ([]byte, error) {
 // copying: the returned slice is the file's published content, which
 // nothing ever writes into — a later write publishes new bytes — so it
 // stays what the file held at the read. The caller must not write into
-// it either. It exists for the packet-in spool, where a message's files
-// are staged once, hard-linked into every subscriber's buffer, and read
-// by reference — copying them again per subscriber would defeat the
+// it either. It exists for packet-in delivery, where a message's files
+// are built once, attached to every subscriber's buffer, and read by
+// reference — copying them again per subscriber would defeat the
 // zero-copy path.
 // Synthetic files return the provider's snapshot, which is already
 // caller-owned.

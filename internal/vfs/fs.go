@@ -867,77 +867,84 @@ func (tx *Tx) ReadFile(path string) ([]byte, error) {
 	return append([]byte(nil), n.content()...), nil
 }
 
-// fileKids returns the regular-file children of src as a trie that any
-// number of directories may publish as their own. When every child is a
-// regular file — always true for packet-in spool entries — that is
-// src's published trie itself: tries are immutable after publish, so
-// sharing one root across N directories is always safe, and a later
-// insert into or unlink from any one of them path-copies a fresh root
-// for that directory alone, giving ordinary hard-link semantics with
-// zero aliasing quirks. A mixed-kind source is filtered into a new trie
-// once, shared the same way.
-func fileKids(src *inode) *dirNode {
-	all := src.kids()
-	for it := all.iter(); ; {
-		e, ok := it.next()
-		if !ok {
-			return all
-		}
-		if e.c.kind != KindFile {
-			break
-		}
-	}
-	//yancvet:alloc mixed-kind source: one filtered trie per fan-out, shared by every destination
-	files := slices.DeleteFunc(all.appendEnts(make([]dirEnt, 0, all.count())), func(e dirEnt) bool { return e.c.kind != KindFile })
-	return newDir(files)
+// FileSet is a set of regular and synthetic files built once, outside any
+// directory, that any number of directories can then hold as their
+// children: the hard link, for a directory's worth of files at a time.
+// The set is one immutable children trie. Attaching it makes a directory
+// that publishes that trie as its own and adds one to every file's nlink;
+// a later insert into or unlink from any one of those directories
+// path-copies a fresh root for that directory alone, so the others never
+// see it. The files themselves are shared: a chmod, chown or xattr change
+// made through one name shows under all of them, as for any hard link.
+type FileSet struct {
+	kids *dirNode
 }
 
-// addLinks accounts links new names for every file in tmpl: one nlink
-// bump and one ctime stamp per file, however many directories linked it.
-func (fs *FS) addLinks(tmpl *dirNode, links int, now time.Time) {
-	if links == 0 {
+// NewFileSet builds files into a set no directory holds yet. Only regular
+// and synthetic files may be in it — an entry with Children or Set is
+// ErrInvalid, since a directory has one parent. mode is the file mode an
+// entry's own Mode overrides. The files' nlink starts at 0: each attach
+// adds one, and each directory holding the set that is torn down takes
+// its one away.
+func (tx *Tx) NewFileSet(files []FileData, mode FileMode, uid, gid int) (*FileSet, error) {
+	b := tx.fs.newBuilder(len(files), 0, uid, gid, tx.fs.now())
+	ents := make([]dirEnt, 0, len(files))
+	for i := range files {
+		f := &files[i]
+		if !isCleanName(f.Name) || f.Children != nil || f.Set != nil {
+			return nil, pathErr("fileset", f.Name, ErrInvalid)
+		}
+		fi := b.file(f, mode)
+		fi.nlink.Store(0)
+		ents = append(ents, dirEnt{internName(f.Name), fi})
+	}
+	return &FileSet{kids: newDir(ents)}, nil
+}
+
+// link accounts n new directories holding s: one nlink bump and one ctime
+// stamp per file, however many directories there were.
+func (s *FileSet) link(n int, now time.Time) {
+	if n == 0 {
 		return
 	}
-	for it := tmpl.iter(); ; {
+	for it := s.kids.iter(); ; {
 		e, ok := it.next()
 		if !ok {
 			return
 		}
-		e.c.nlink.Add(int32(links))
+		e.c.nlink.Add(int32(n))
 		e.c.touchC(now)
 	}
 }
 
-// LinkDirFanoutRefs fans a staged message directory out to many
-// pre-resolved destinations with zero payload copies: srcDir is resolved
-// once, its regular-file children are collected once (subdirectories and
-// symlinks are not linked), and each parents[i] receives a child
-// directory named name sharing that one children trie. A ref whose
-// directory has been detached (subscriber unsubscribed since the
-// caller's cache was built) or already holds name is skipped, so one
-// stale subscriber buffer cannot abort delivery to the rest; every
-// directory of a removed subtree carries the removed mark, so detachment
-// is one load instead of a path walk. linked(i) is called (under the tree
-// lock — it must not call back into the fs) for each parents[i] that
-// received the directory. Child nlink/ctime updates are batched: one
-// increment pass no matter how many destinations were linked.
-//
-//yancvet:hotalloc
-func (tx *Tx) LinkDirFanoutRefs(srcDir string, parents []DirRef, name string, mode FileMode, uid, gid int, linked func(i int)) error {
-	_, _, src, err := tx.fs.resolve(Root, srcDir, resolveOpts{followLast: true})
-	switch {
-	case err != nil:
-	case src == nil:
-		err = ErrNotExist
-	case !src.isDir():
+// DirRef resolves path, with root credentials, to a reference to the
+// directory there: what a hook hands AttachFileSet.
+func (tx *Tx) DirRef(path string) (DirRef, error) {
+	n, err := tx.node(path)
+	if err == nil && !n.isDir() {
 		err = ErrNotDir
 	}
 	if err != nil {
-		return &LinkError{Op: "linkdir", Old: srcDir, New: name, Err: err} //yancvet:alloc error path
+		return DirRef{}, pathErr("dirref", path, err)
 	}
-	tmpl := fileKids(src)
+	return DirRef{ino: n, root: tx.fs.root}, nil
+}
+
+// AttachFileSet gives each of parents a new directory named name that
+// holds set. Nothing is copied, whatever the number of parents. A parent
+// removed since its reference was taken (an unsubscribed packet-in
+// buffer) or already holding name is skipped, so one stale parent cannot
+// abort the rest; every directory of a removed subtree carries the
+// removed mark, so detachment is one load instead of a path walk.
+// linked(i) is called (under the tree lock — it must not call back into
+// the fs) for each parents[i] that got the directory. Each new directory
+// raises its Create and, when some watch can see inside it, so does each
+// of its files.
+//
+//yancvet:hotalloc
+func (tx *Tx) AttachFileSet(set *FileSet, parents []DirRef, name string, mode FileMode, uid, gid int, linked func(i int)) error {
 	if !isCleanName(name) {
-		return pathErr("linkdir", name, ErrInvalid)
+		return pathErr("attach", name, ErrInvalid) //yancvet:alloc error path
 	}
 	now := tx.fs.now()
 	links := 0
@@ -952,17 +959,21 @@ func (tx *Tx) LinkDirFanoutRefs(srcDir string, parents []DirRef, name string, mo
 		d := tx.fs.bareInode(KindDir, mode, uid, gid, now)
 		d.dir.parent = parent
 		d.dir.name = name
-		d.setKids(tmpl)
+		d.setKids(set.kids)
 		parent.cowInsert(name, d)
 		parent.nlink.Add(1)
 		parent.touchM(now)
-		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name), IsDir: true})
+		full := pathTo(parent, name)
+		tx.queue(Event{Op: OpCreate, Path: full, IsDir: true})
+		if tx.fs.watches.interestedInChildren(full) {
+			tx.announceSet(full, set)
+		}
 		links++
 		if linked != nil {
 			linked(i)
 		}
 	}
-	tx.fs.addLinks(tmpl, links, now)
+	set.link(links, now)
 	return nil
 }
 
@@ -970,15 +981,17 @@ func (tx *Tx) LinkDirFanoutRefs(srcDir string, parents []DirRef, name string, mo
 // Data set it is a regular file. Synth makes it a synthetic file (Data
 // is ignored). A non-nil Children makes it a subdirectory populated
 // recursively (Data and Synth are ignored; an empty non-nil slice is an
-// empty directory). Mode, when non-zero, overrides the tree-wide
-// default file or directory mode for this entry. Owned marks Data as
-// transferred to the file system: WriteTree may alias the slice instead
-// of copying, so the caller must not touch it afterwards.
+// empty directory), and a non-nil Set a subdirectory holding that set
+// (Data, Synth and Children are ignored). Mode, when non-zero, overrides
+// the tree-wide default file or directory mode for this entry. Owned
+// marks Data as transferred to the file system: WriteTree may alias the
+// slice instead of copying, so the caller must not touch it afterwards.
 type FileData struct {
 	Name     string
 	Data     []byte
 	Synth    *Synthetic
 	Children []FileData
+	Set      *FileSet
 	Mode     FileMode
 	Owned    bool
 }
@@ -988,7 +1001,10 @@ type FileData struct {
 func countTree(files []FileData) (nodes, dirs int) {
 	nodes = len(files)
 	for i := range files {
-		if files[i].Children != nil {
+		switch {
+		case files[i].Set != nil:
+			dirs++
+		case files[i].Children != nil:
 			n, d := countTree(files[i].Children)
 			nodes += n
 			dirs += d + 1
@@ -997,15 +1013,99 @@ func countTree(files []FileData) (nodes, dirs int) {
 	return nodes, dirs
 }
 
+// linkSets accounts the one link WriteTree made to each set among files.
+func linkSets(files []FileData, now time.Time) {
+	for i := range files {
+		switch f := &files[i]; {
+		case f.Set != nil:
+			f.Set.link(1, now)
+		case f.Children != nil:
+			linkSets(f.Children, now)
+		}
+	}
+}
+
+// treeBuilder makes the inodes of one WriteTree or NewFileSet call. They
+// come from one slab (and the directory states from a second), and the
+// headers that publish the files' contents from a third: a 1k-flow ring
+// drain would otherwise malloc ~15 inodes per flow, and the GC cost of
+// those little objects dominates the commit.
+type treeBuilder struct {
+	fs       *FS
+	nodes    []inode
+	dirs     []dirState
+	heads    [][]byte
+	uid, gid int
+	ns       int64
+}
+
+// newBuilder sizes a builder for nodes inodes, dirs of them directories.
+func (fs *FS) newBuilder(nodes, dirs, uid, gid int, now time.Time) treeBuilder {
+	return treeBuilder{
+		fs:    fs,
+		nodes: make([]inode, 0, nodes),
+		dirs:  make([]dirState, 0, dirs),
+		heads: make([][]byte, 0, nodes-dirs),
+		uid:   uid,
+		gid:   gid,
+		ns:    now.UnixNano(),
+	}
+}
+
+// alloc takes the next inode from the slab.
+func (b *treeBuilder) alloc(kind NodeKind, mode FileMode) *inode {
+	b.nodes = b.nodes[:len(b.nodes)+1]
+	var dir *dirState
+	if kind == KindDir {
+		b.dirs = b.dirs[:len(b.dirs)+1]
+		dir = &b.dirs[len(b.dirs)-1]
+	}
+	return b.fs.initInode(&b.nodes[len(b.nodes)-1], dir, kind, mode, b.uid, b.gid, b.ns)
+}
+
+// file makes the regular or synthetic file f describes, in mode unless f
+// names its own.
+func (b *treeBuilder) file(f *FileData, mode FileMode) *inode {
+	if f.Mode != 0 {
+		mode = f.Mode
+	}
+	fi := b.alloc(KindFile, mode)
+	switch {
+	case f.Synth != nil:
+		fi.extend().synth.Store(f.Synth)
+	case f.Owned:
+		// Owned slices are adopted without the intern probe: callers pack
+		// a whole subtree's values into one arena, so the arena stays
+		// pinned by its unique entries no matter how many common values
+		// the pool could share — the two map lookups per file would buy
+		// nothing.
+		b.adopt(fi, f.Data)
+	default:
+		if shared, ok := internBytes(f.Data); ok {
+			fi.data.Store(shared)
+		} else {
+			b.adopt(fi, append([]byte(nil), f.Data...))
+		}
+	}
+	return fi
+}
+
+// adopt publishes data as fi's content through a header from the slab.
+func (b *treeBuilder) adopt(fi *inode, data []byte) {
+	if len(data) > 0 {
+		b.heads = append(b.heads, data)
+		fi.data.Store(&b.heads[len(b.heads)-1])
+	}
+}
+
 // WriteTree creates dir as a new directory populated with the given
-// subtree — regular files, synthetic files, nested directories — in one
-// pass: one path resolution, one slab allocation for every inode, and
-// one bulk-built children trie per directory, where the call-per-file
-// path pays a full root walk, a heap allocation and a path copy each.
-// Per-entry Create/Write events are queued only when some watch could
-// actually observe them — the packet-in spool stages messages in a
-// dot-directory nobody watches, and event-path construction would
-// otherwise dominate staging cost.
+// subtree — regular files, synthetic files, nested directories, attached
+// file sets — in one pass: one path resolution, one slab allocation for
+// every inode, and one bulk-built children trie per directory, where the
+// call-per-file path pays a full root walk, a heap allocation and a path
+// copy each. Per-entry Create/Write events are queued only when some
+// watch could actually observe them: building their paths would
+// otherwise dominate the cost of a tree no watch looks inside.
 func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode, uid, gid int) error {
 	parent, name, node, err := tx.fs.resolve(Root, dir, resolveOpts{})
 	if err != nil {
@@ -1015,32 +1115,9 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 		return pathErr("writetree", dir, ErrExist)
 	}
 	now := tx.fs.now()
-	ns := now.UnixNano()
 	name = internName(name)
-	// All inodes for the subtree come from one slab (and the directory
-	// states from a second): a 1k-flow ring drain would otherwise malloc
-	// ~15 inodes per flow, and the GC cost of those little objects
-	// dominates the commit.
-	// The headers that publish the files' contents come from a third.
 	nodes, dirs := countTree(files)
-	slab := make([]inode, 0, 1+nodes)
-	dirSlab := make([]dirState, 0, 1+dirs)
-	heads := make([][]byte, 0, nodes-dirs)
-	adopt := func(fi *inode, data []byte) {
-		if len(data) > 0 {
-			heads = append(heads, data)
-			fi.data.Store(&heads[len(heads)-1])
-		}
-	}
-	alloc := func(kind NodeKind, mode FileMode) *inode {
-		slab = slab[:len(slab)+1]
-		var dir *dirState
-		if kind == KindDir {
-			dirSlab = dirSlab[:len(dirSlab)+1]
-			dir = &dirSlab[len(dirSlab)-1]
-		}
-		return tx.fs.initInode(&slab[len(slab)-1], dir, kind, mode, uid, gid, ns)
-	}
+	b := tx.fs.newBuilder(1+nodes, 1+dirs, uid, gid, now)
 	var build func(d *inode, files []FileData) error
 	build = func(d *inode, files []FileData) error {
 		ents := make([]dirEnt, 0, len(files))
@@ -1050,80 +1127,83 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 				return pathErr("writetree", Join(dir, f.Name), ErrInvalid)
 			}
 			entryName := internName(f.Name)
-			switch {
-			case f.Children != nil:
-				mode := dirMode
-				if f.Mode != 0 {
-					mode = f.Mode
-				}
-				sub := alloc(KindDir, mode)
-				sub.dir.parent = d
-				sub.dir.name = entryName
-				if err := build(sub, f.Children); err != nil {
-					return err
-				}
-				d.nlink.Add(1)
-				ents = append(ents, dirEnt{entryName, sub})
-			default:
-				mode := fileMode
-				if f.Mode != 0 {
-					mode = f.Mode
-				}
-				fi := alloc(KindFile, mode)
-				switch {
-				case f.Synth != nil:
-					fi.extend().synth.Store(f.Synth)
-				case f.Owned:
-					// Owned slices are adopted without the intern probe:
-					// callers pack a whole subtree's values into one arena,
-					// so the arena stays pinned by its unique entries no
-					// matter how many common values the pool could share —
-					// the two map lookups per file would buy nothing.
-					adopt(fi, f.Data)
-				default:
-					if shared, ok := internBytes(f.Data); ok {
-						fi.data.Store(shared)
-					} else {
-						adopt(fi, append([]byte(nil), f.Data...))
-					}
-				}
-				ents = append(ents, dirEnt{entryName, fi})
+			if f.Set == nil && f.Children == nil {
+				ents = append(ents, dirEnt{entryName, b.file(f, fileMode)})
+				continue
 			}
+			mode := dirMode
+			if f.Mode != 0 {
+				mode = f.Mode
+			}
+			sub := b.alloc(KindDir, mode)
+			sub.dir.parent = d
+			sub.dir.name = entryName
+			if f.Set != nil {
+				sub.setKids(f.Set.kids)
+			} else if err := build(sub, f.Children); err != nil {
+				return err
+			}
+			d.nlink.Add(1)
+			ents = append(ents, dirEnt{entryName, sub})
 		}
 		d.setKids(newDir(ents))
 		return nil
 	}
-	d := alloc(KindDir, dirMode)
+	d := b.alloc(KindDir, dirMode)
 	d.dir.parent = parent
 	d.dir.name = name
 	if err := build(d, files); err != nil {
 		return err
 	}
+	linkSets(files, now)
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
 	parent.touchM(now)
 	full := Clean(dir) // identical to pathTo(parent, name), minus the walk
 	tx.queue(Event{Op: OpCreate, Path: full, IsDir: true})
 	if tx.fs.watches.interestedInChildren(full) {
-		var announce func(prefix string, files []FileData)
-		announce = func(prefix string, files []FileData) {
-			for i := range files {
-				f := &files[i]
-				p := prefix + "/" + f.Name
-				if f.Children != nil {
-					tx.queue(Event{Op: OpCreate, Path: p, IsDir: true})
-					announce(p, f.Children)
-					continue
-				}
-				tx.queue(Event{Op: OpCreate, Path: p})
-				if f.Synth == nil {
-					tx.queue(Event{Op: OpWrite, Path: p})
-				}
-			}
-		}
-		announce(full, files)
+		tx.announce(full, files)
 	}
 	return nil
+}
+
+// announce queues the Create (and, for a regular file, Write) events of
+// a subtree WriteTree made under prefix.
+func (tx *Tx) announce(prefix string, files []FileData) {
+	for i := range files {
+		f := &files[i]
+		p := prefix + "/" + f.Name
+		switch {
+		case f.Set != nil:
+			tx.queue(Event{Op: OpCreate, Path: p, IsDir: true})
+			tx.announceSet(p, f.Set)
+		case f.Children != nil:
+			tx.queue(Event{Op: OpCreate, Path: p, IsDir: true})
+			tx.announce(p, f.Children)
+		default:
+			tx.announceFile(p, f.Synth != nil)
+		}
+	}
+}
+
+// announceSet queues the events of set's files, attached at dir.
+func (tx *Tx) announceSet(dir string, set *FileSet) {
+	for it := set.kids.iter(); ; {
+		e, ok := it.next()
+		if !ok {
+			return
+		}
+		tx.announceFile(dir+"/"+e.name, e.c.loadSynth() != nil) //yancvet:alloc one owned event path per file, only when a watch can see it
+	}
+}
+
+// announceFile queues a new file's Create, and its Write unless it is
+// synthetic.
+func (tx *Tx) announceFile(path string, synth bool) {
+	tx.queue(Event{Op: OpCreate, Path: path})
+	if !synth {
+		tx.queue(Event{Op: OpWrite, Path: path})
+	}
 }
 
 // TreeFile is one regular file ReadTree read: the entry's own name and

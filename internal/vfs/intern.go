@@ -3,6 +3,7 @@ package vfs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Interning pools for the strings and small payloads that repeat across
@@ -13,6 +14,11 @@ import (
 // before the inodes themselves do. Both pools are bounded: once full
 // they stop admitting new entries and callers fall back to private
 // copies, so adversarial unique-key workloads cannot grow them.
+//
+// A pool never gives an entry back, so once full it stays full, and its
+// full flag lets a miss skip the write lock: without it every write of a
+// value the pool cannot hold — unique addresses and ports fill it quickly
+// — would serialize all writers on one global lock.
 //
 // Interned values are shared across inodes and are therefore immutable —
 // as every file's published content is (see inode.data): the data pool
@@ -32,8 +38,9 @@ const (
 )
 
 var names = struct {
-	mu sync.RWMutex
-	m  map[string]string
+	mu   sync.RWMutex
+	m    map[string]string
+	full atomic.Bool // len(m) reached internNameCap
 }{m: make(map[string]string, 256)}
 
 // internName returns a canonical string equal to name. Repeated
@@ -49,19 +56,25 @@ func internName(name string) string {
 		return c
 	}
 	c = strings.Clone(name) //yancvet:alloc first sight of a name: it is pooled from here on
+	if names.full.Load() {
+		return c
+	}
 	names.mu.Lock()
 	if have, ok := names.m[c]; ok {
 		c = have
 	} else if len(names.m) < internNameCap {
 		names.m[c] = c
+	} else {
+		names.full.Store(true)
 	}
 	names.mu.Unlock()
 	return c
 }
 
 var payloads = struct {
-	mu sync.RWMutex
-	m  map[string]*[]byte
+	mu   sync.RWMutex
+	m    map[string]*[]byte
+	full atomic.Bool // len(m) reached internDataCap
 }{m: make(map[string]*[]byte, 256)}
 
 // internBytes returns the canonical published content equal to b when b
@@ -75,8 +88,8 @@ func internBytes(b []byte) (data *[]byte, ok bool) {
 	payloads.mu.RLock()
 	c, ok := payloads.m[string(b)] //yancvet:alloc none: the compiler looks a map up by converted bytes without copying them
 	payloads.mu.RUnlock()
-	if ok {
-		return c, true
+	if ok || payloads.full.Load() {
+		return c, ok
 	}
 	payloads.mu.Lock()
 	defer payloads.mu.Unlock()
@@ -84,6 +97,7 @@ func internBytes(b []byte) (data *[]byte, ok bool) {
 		return c, true
 	}
 	if len(payloads.m) >= internDataCap {
+		payloads.full.Store(true)
 		return nil, false
 	}
 	c = own(append([]byte(nil), b...)) //yancvet:alloc first sight of a payload: it is pooled from here on

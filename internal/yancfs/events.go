@@ -19,13 +19,13 @@ import (
 // The packet-in data path (§3.5) is zero-copy and batched:
 //
 //   - Each message's files (switch, buffer_id, in_port, reason, total_len,
-//     data) are written ONCE into a staging entry under the region's
-//     hidden <region>/events/.spool directory, then hard-linked into every
-//     subscriber buffer with Tx.LinkDirFanoutRefs and unlinked from the spool — all
-//     inside one transaction. The payload block exists once regardless of
-//     subscriber count; the file inode's nlink is its reference count and
-//     the block is reclaimed when the last subscriber removes its message
-//     directory.
+//     data) are built ONCE, as a vfs.FileSet no directory holds, and
+//     attached to every subscriber buffer with Tx.AttachFileSet: each
+//     buffer gets its own message directory, and every one of them holds
+//     the same six file inodes. The payload block exists once regardless
+//     of subscriber count; the file inode's nlink is its reference count
+//     and the block is reclaimed when the last subscriber removes its
+//     message directory.
 //   - DeliverPacketInBatch amortizes one tree write lock and one
 //     watch-dispatch drain over a whole burst of packet-ins.
 //   - The subscriber list per region is cached: it is rebuilt only when a
@@ -36,15 +36,10 @@ import (
 //     cumulative drop count, mirroring the watch-overflow semantics, so
 //     one stuck application cannot grow without bound or wedge delivery.
 //
-// Lock order: the spool bookkeeping mutex (eventState.mu) nests strictly
+// Lock order: the delivery bookkeeping mutex (eventState.mu) nests strictly
 // inside the vfs tree lock — semantics hooks and the delivery transaction
 // take it while the tree is locked. Code holding eventState.mu must never
 // call back into the file system.
-
-// spoolDir is the hidden staging directory under <region>/events where a
-// message's files are written once before being linked into subscriber
-// buffers. Dot-named so subscriber listings skip it.
-const spoolDir = ".spool"
 
 // OverflowMarker is the file written into a buffer that hit its depth
 // bound; its content is the cumulative number of messages dropped from
@@ -90,7 +85,7 @@ type regionSubs struct {
 	bufs  []subRef // guarded by eventState.mu
 }
 
-// payloadRef tracks one spooled message's outstanding subscriber links so
+// payloadRef tracks one message's outstanding subscriber links so
 // /.proc/events can prove blocks are reclaimed when the count hits zero.
 type payloadRef struct {
 	links int
@@ -138,8 +133,8 @@ func (y *FS) eventDepth() int {
 // under <region>/events named after the app (§3.5: "each application
 // interested in packet-in events creates a directory in the events/
 // subdirectory"). It returns the buffer path and a watch delivering a
-// Create event per message. Dot-prefixed names are reserved for the
-// delivery spool.
+// Create event per message. Dot-prefixed names are reserved: they are
+// hidden from Subscribers.
 func Subscribe(p *vfs.Proc, region, app string) (string, *vfs.Watch, error) {
 	if app == "" || strings.HasPrefix(app, ".") {
 		return "", nil, fmt.Errorf("yancfs: subscribe %q: %w", app, vfs.ErrInvalid)
@@ -157,8 +152,8 @@ func Subscribe(p *vfs.Proc, region, app string) (string, *vfs.Watch, error) {
 	return buf, w, nil
 }
 
-// Subscribers lists the event buffer paths in a region, skipping the
-// dot-named delivery spool.
+// Subscribers lists the event buffer paths in a region, skipping
+// dot-named entries.
 func Subscribers(p *vfs.Proc, region string) ([]string, error) {
 	dir := vfs.Join(region, DirEvents)
 	entries, err := p.ReadDir(dir)
@@ -354,11 +349,11 @@ func (y *FS) DeliverPacketIn(region, switchName string, pi *openflow.PacketIn) e
 }
 
 // DeliverPacketInBatch delivers a burst of packet-in messages under one
-// transaction and one watch-dispatch drain. Each message is staged once
-// in the region's spool — one directory of immutable 0444 files — and
-// hard-linked into every subscriber buffer, so the payload is copied once
-// no matter how many applications subscribe. The write is transactional:
-// an application never observes a half-written message.
+// transaction and one watch-dispatch drain. Each message is built once —
+// one file set of immutable 0444 files — and attached to every subscriber
+// buffer, so the payload is copied once no matter how many applications
+// subscribe. The write is transactional: an application never observes a
+// half-written message.
 func (y *FS) DeliverPacketInBatch(region, switchName string, pis []*openflow.PacketIn) error {
 	if len(pis) == 0 {
 		return nil
@@ -374,18 +369,11 @@ func (y *FS) DeliverPacketInBatch(region, switchName string, pis []*openflow.Pac
 		return nil
 	}
 	maxDepth := y.eventDepth()
-	spool := vfs.Join(region, DirEvents, spoolDir)
 	swLine := []byte(switchName + "\n")
 	return y.vfs.WithTx(func(tx *vfs.Tx) error {
-		if !tx.Exists(spool) {
-			if err := tx.Mkdir(spool, 0o700, 0, 0); err != nil {
-				return err
-			}
-		}
-		// Each message queues ~20 spool events plus one link per
-		// subscriber; reserving up front keeps the critical section free
-		// of slice growth.
-		tx.ReserveEvents(len(pis) * (20 + len(subs)))
+		// Each message queues one Create per subscriber; reserving up
+		// front keeps the critical section free of slice growth.
+		tx.ReserveEvents(len(pis) * len(subs))
 		// Make room for the whole burst up front: one listing per
 		// overflowing buffer per batch, not one per message.
 		for _, sub := range subs {
@@ -401,8 +389,6 @@ func (y *FS) DeliverPacketInBatch(region, switchName string, pis []*openflow.Pac
 		files := make([]vfs.FileData, 6)
 		for _, pi := range pis {
 			seq := eventSeq.Add(1)
-			name := msgName(seq)
-			stage := vfs.Join(spool, name)
 			num := func(buf *[24]byte, v uint64) []byte {
 				return append(strconv.AppendUint(buf[:0], v, 10), '\n')
 			}
@@ -416,25 +402,19 @@ func (y *FS) DeliverPacketInBatch(region, switchName string, pis []*openflow.Pac
 			for _, f := range files {
 				copied += len(f.Data)
 			}
-			if err := tx.WriteTree(stage, files, 0o755, 0o444, 0, 0); err != nil {
+			set, err := tx.NewFileSet(files, 0o444, 0, 0)
+			if err != nil {
 				return err
 			}
 			links := 0
-			// A detached destination buffer is skipped inside the fan-out
-			// (the subscriber was removed since the cache was read); an
-			// error here means the staged source itself is broken.
-			err := tx.LinkDirFanoutRefs(stage, refs, name, 0o755, 0, 0, func(i int) {
+			// A detached destination buffer is skipped inside the attach:
+			// the subscriber was removed since the cache was read.
+			err = tx.AttachFileSet(set, refs, msgName(seq), 0o755, 0, 0, func(i int) {
 				subs[i].stats.delivered.Add(1)
 				subs[i].stats.depth.Add(1)
 				links++
 			})
 			if err != nil {
-				return err
-			}
-			// Unlink the staging entry: the payload files live on through
-			// the subscriber links, so nothing is ever stranded in the
-			// spool.
-			if err := tx.Remove(stage); err != nil {
 				return err
 			}
 			y.ev.msgs.Add(1)
@@ -514,13 +494,13 @@ func (y *FS) observeBatch(n int) {
 // EventStats is a snapshot of the packet-in delivery counters, published
 // as /.proc/events/stats.
 type EventStats struct {
-	Messages      uint64 // packet-ins spooled
+	Messages      uint64 // packet-ins built
 	Deliveries    uint64 // message x subscriber links created
 	Batches       uint64 // DeliverPacketInBatch calls
 	Drops         uint64 // messages dropped by the depth bound
-	CopiedBytes   uint64 // bytes written once into the spool
+	CopiedBytes   uint64 // bytes written once, into each message's file set
 	LinkedBytes   uint64 // bytes made visible via links, no copy
-	BlocksLive    int64  // spooled messages with outstanding links
+	BlocksLive    int64  // messages with outstanding links
 	BytesLive     int64  // bytes held by live blocks
 	CacheRebuilds uint64 // subscriber-cache invalidation rebuilds
 	BatchSizes    [batchBuckets]uint64
@@ -589,8 +569,8 @@ func (y *FS) EventApps() []AppEventInfo {
 }
 
 // msgName formats "pktin-<seq>", the sequence zero-padded to 12 digits so
-// lexicographic order equals numeric, into one allocation; the spool
-// entry and every subscriber's linked message directory share the name.
+// lexicographic order equals numeric, into one allocation; every
+// subscriber's message directory for one message has the same name.
 func msgName(seq uint64) string {
 	var b [len(msgPrefix) + 12]byte
 	copy(b[:], msgPrefix)

@@ -167,8 +167,9 @@ func TestEventOverflowDropOldest(t *testing.T) {
 
 // TestPacketInDeliveryAllocs pins the zero-copy property: bytes allocated
 // per delivered message must not scale with the subscriber count, because
-// the payload is written once into the spool and hard-linked everywhere
-// else. A copying fan-out would allocate ~subscribers x payload bytes.
+// the payload is written once, into the message's file set, and that set
+// is attached to every buffer. A copying fan-out would allocate
+// ~subscribers x payload bytes.
 func TestPacketInDeliveryAllocs(t *testing.T) {
 	const payload = 32 << 10
 	const msgs = 64
@@ -183,7 +184,7 @@ func TestPacketInDeliveryAllocs(t *testing.T) {
 			defer w.Close()
 		}
 		pi := testPacketIn(payload)
-		// Warm up caches (subscriber list, spool dir) outside the window.
+		// Warm up the subscriber cache outside the window.
 		if err := y.DeliverPacketIn("/", "sw1", pi); err != nil {
 			t.Fatal(err)
 		}
@@ -200,12 +201,12 @@ func TestPacketInDeliveryAllocs(t *testing.T) {
 	}
 	one := perMsgBytes(1)
 	sixteen := perMsgBytes(16)
-	// One payload copy (the spool write) plus per-subscriber link state is
-	// fine; sixteen payload copies is the regression this guards against
-	// (16x32KiB = 512KiB per message). Link state under lock-free
+	// One payload copy (building the file set) plus per-subscriber link
+	// state is fine; sixteen payload copies is the regression this guards
+	// against (16x32KiB = 512KiB per message). Link state under lock-free
 	// resolution (DESIGN.md §8) is a directory inode plus the path copy
-	// that inserts it into the buffer's children trie — ~0.5KiB per
-	// link here, well under one payload.
+	// that inserts it into the buffer's children trie — ~0.5KiB per link
+	// here, well under one payload.
 	limit := one + 16<<10
 	if sixteen > limit {
 		t.Fatalf("per-message bytes grew with subscribers: 1 sub = %d, 16 subs = %d (limit %d)",

@@ -131,18 +131,20 @@ func (sc *flowScratchBuf) release() {
 func (y *FS) PutFlowTx(tx *vfs.Tx, flowPath string, spec FlowSpec) (uint64, error) {
 	flowPath = vfs.Clean(flowPath)
 	// Fresh flow first: the whole flow — field files, the counters
-	// subdir with its two synthetic counter files, and the committed
-	// version — lands in ONE WriteTree: one path resolution and one
-	// inode slab, where the old shape paid five root walks (an Exists
-	// probe, counters Mkdir, two SetSynthetic binds) per flow. An
+	// subdir holding the shared counters set, and the committed version —
+	// lands in ONE WriteTree: one path resolution and one inode slab. An
 	// existing flow surfaces as ErrExist and takes the rewrite branch.
 	{
+		counters, err := y.flowCounters(tx, 0, 0)
+		if err != nil {
+			return 0, err
+		}
 		files, sc := flowFiles(spec, 1)
 		// Keep version last so its commit event trails everything else.
 		version := files[len(files)-1]
-		files[len(files)-1] = y.flowCounters
+		files[len(files)-1] = vfs.FileData{Name: "counters", Set: counters}
 		files = append(files, version)
-		err := tx.WriteTree(flowPath, files, 0o755, 0o644, 0, 0)
+		err = tx.WriteTree(flowPath, files, 0o755, 0o644, 0, 0)
 		sc.release()
 		if err == nil {
 			return 1, nil

@@ -64,12 +64,16 @@ type FS struct {
 	mu       sync.RWMutex
 	counters map[string]CounterSource // switch path -> source
 
-	// flowCounters is the counters/ subtree every flow directory carries:
-	// two read-only synthetic files that pull live hardware counters. One
-	// literal serves all flows — the readers work out whose counters they
-	// are from the path they were opened through — and both ways of making
-	// a flow plant it: the flows/ mkdir hook and PutFlowTx.
-	flowCounters vfs.FileData
+	// counterFiles are the two read-only synthetic files of a flow's
+	// counters/, which pull live hardware counters. The readers work out
+	// whose counters they are from the path they were opened through, so
+	// one file set of them serves every flow: counterSets holds one per
+	// creator credential (stat ownership reads as if each flow had its
+	// own), built on first use. Both ways of making a flow attach it — the
+	// flows/ mkdir hook and PutFlowTx — and both run inside a writing
+	// transaction, whose tree write lock guards the map.
+	counterFiles []vfs.FileData
+	counterSets  map[[2]int]*vfs.FileSet
 
 	// ev holds the packet-in delivery state: cached subscriber lists,
 	// payload-block refcounts, and the /.proc/events counters (events.go).
@@ -80,18 +84,19 @@ type FS struct {
 // and semantics installed.
 func New() (*FS, error) {
 	y := &FS{
-		vfs:      vfs.New(),
-		counters: make(map[string]CounterSource),
+		vfs:         vfs.New(),
+		counters:    make(map[string]CounterSource),
+		counterSets: make(map[[2]int]*vfs.FileSet),
 	}
 	y.root = y.vfs.RootProc()
-	y.flowCounters = vfs.FileData{Name: "counters", Children: []vfs.FileData{
-		{Name: "packets", Mode: 0o444, Synth: &vfs.Synthetic{
+	y.counterFiles = []vfs.FileData{
+		{Name: "packets", Synth: &vfs.Synthetic{
 			ReadPath: func(path string) ([]byte, error) { return y.readFlowCounter(path, false) },
 		}},
-		{Name: "bytes", Mode: 0o444, Synth: &vfs.Synthetic{
+		{Name: "bytes", Synth: &vfs.Synthetic{
 			ReadPath: func(path string) ([]byte, error) { return y.readFlowCounter(path, true) },
 		}},
-	}}
+	}
 	err := y.vfs.WithTx(func(tx *vfs.Tx) error {
 		return y.installRegion(tx, "/")
 	})
@@ -203,10 +208,33 @@ func (y *FS) onFlowMkdir(tx *vfs.Tx, dir, name string) error {
 	// The skeleton belongs to whoever created the flow, so an application
 	// that may mkdir in flows/ can also stage fields and commit.
 	cred := tx.Creator()
-	if err := tx.WriteTree(base+"/"+y.flowCounters.Name, y.flowCounters.Children, 0o755, 0o644, cred.UID, cred.GID); err != nil {
+	set, err := y.flowCounters(tx, cred.UID, cred.GID)
+	if err != nil {
+		return err
+	}
+	ref, err := tx.DirRef(base)
+	if err != nil {
+		return err
+	}
+	if err := tx.AttachFileSet(set, []vfs.DirRef{ref}, "counters", 0o755, cred.UID, cred.GID, nil); err != nil {
 		return err
 	}
 	return tx.WriteFile(base+"/"+FileVersion, []byte("0\n"), 0o644, cred.UID, cred.GID)
+}
+
+// flowCounters returns the counters/ file set of the flows uid:gid
+// makes, building it on first use. tx must be a writing transaction.
+func (y *FS) flowCounters(tx *vfs.Tx, uid, gid int) (*vfs.FileSet, error) {
+	key := [2]int{uid, gid}
+	if set := y.counterSets[key]; set != nil {
+		return set, nil
+	}
+	set, err := tx.NewFileSet(y.counterFiles, 0o444, uid, gid)
+	if err != nil {
+		return nil, err
+	}
+	y.counterSets[key] = set
+	return set, nil
 }
 
 // onPortMkdir populates a new port directory. The port number is the

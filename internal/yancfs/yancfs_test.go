@@ -607,7 +607,7 @@ func TestFigure3Representations(t *testing.T) {
 
 // footprintSpec is the benchmark's resident flow shape (six match
 // fields, two actions, a priority and an idle timeout): a directory of
-// 12 files and a counters directory with 2 — 16 inodes.
+// 12 files and a counters directory with 2 — 16 names.
 func footprintSpec(i int) FlowSpec {
 	var m openflow.Match
 	for f, v := range map[openflow.Field]string{
@@ -636,16 +636,19 @@ func footprintSpec(i int) FlowSpec {
 // through PutFlowTx (one WriteTree each, the ring's commit path) and
 // once through WriteFlow (one file-I/O call per field) followed by a
 // ReadFlow of every flow — reading must leave nothing pinned behind.
-// The bound is the tier-1 guard for the benchmark's heap_bytes_per_flow:
-// the 16-inode slab in the 1,408-byte size class, the slab of content
-// headers, one ~400-byte trie leaf for the flow directory, a small one
-// for counters/, the value arena and the side structs come to 2,627 B
-// (PutFlowTx) and 2,066 B (WriteFlow: an 80-byte object per inode, and
-// a header only for a value the intern pool does not hold); the bound is
-// the 2,659 B the larger came to with a 104-byte inode, plus 3 %. Nothing per flow hangs off the counter files:
-// one pair of readers serves every flow.
+// The bound is the tier-1 guard for the benchmark's heap_bytes_per_flow.
+// A flow's 16 names are 14 inodes: its directory, 12 files and its own
+// counters/ directory. The two counter files are one file set per
+// creator, attached to every flow that creator makes, so nothing per
+// flow hangs off them, and counters/ publishes the set's children trie
+// instead of a leaf of its own. PutFlowTx's flow is the 14-inode slab in
+// the 1,152-byte size class, its two directory states, the slab of
+// content headers, one ~400-byte trie leaf for the flow directory, the
+// value arena and the side structs: 2,131 B. WriteFlow's is an 80-byte
+// object per inode, a header only for a value the intern pool does not
+// hold, and the same leaf: 1,730 B. The bound is the larger plus 3 %.
 func TestFlowFootprint(t *testing.T) {
-	const flows, limit = 4096, 2740
+	const flows, limit = 4096, 2195
 	liveHeap := func() uint64 {
 		var ms runtime.MemStats
 		runtime.GC()
@@ -724,7 +727,79 @@ func TestFlowFootprint(t *testing.T) {
 		if err := y.Root().Walk(paths[0], func(string, vfs.Stat) error { nodes++; return nil }); err != nil || nodes != 16 {
 			t.Errorf("%s: a flow is %d nodes (%v), want 16", name, nodes, err)
 		}
+		// Every flow holds the one counters set of its creator: one
+		// inode, whose nlink counts the flows, down as well as up.
+		counter := func(i int) vfs.Stat {
+			st, err := y.Root().Stat(paths[i] + "/counters/packets")
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return st
+		}
+		if a, b := counter(0), counter(flows-1); a.Ino != b.Ino || a.Nlink != flows {
+			t.Errorf("%s: counters/packets inodes %d and %d, nlink %d; want one inode, nlink %d", name, a.Ino, b.Ino, a.Nlink, flows)
+		}
+		if err := DeleteFlow(y.Root(), paths[1]); err != nil {
+			t.Fatal(err)
+		}
+		if st := counter(0); st.Nlink != flows-1 {
+			t.Errorf("%s: nlink after a flow went = %d, want %d", name, st.Nlink, flows-1)
+		}
 		runtime.KeepAlive(y)
+	}
+}
+
+// TestFlowCountersShared pins what sharing a flow's counter files means.
+// The counters set is per creator: flows made by one credential share
+// counters/packets, flows made by another do not, and stat shows each
+// flow's counter files owned by whoever made the flow. The files are hard
+// links, so a chmod through one flow applies to every flow of that
+// creator — and to no other creator's. Reads still answer for the flow
+// the path names.
+func TestFlowCountersShared(t *testing.T) {
+	y := newFS(t)
+	p := y.Root()
+	if _, err := CreateSwitch(p, "/", "sw1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Chmod(vfs.Join(SwitchPath("sw1"), "flows"), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	user := y.Proc(vfs.Cred{UID: 1000, GID: 1000})
+	spec := FlowSpec{Priority: 1}
+	for _, f := range []struct {
+		p    *vfs.Proc
+		name string
+	}{{p, "r1"}, {p, "r2"}, {user, "u1"}, {user, "u2"}} {
+		if _, err := WriteFlow(f.p, FlowPath("sw1", f.name), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stat := func(flow string) vfs.Stat {
+		st, err := p.Stat(FlowPath("sw1", flow) + "/counters/packets")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	r1, r2, u1, u2 := stat("r1"), stat("r2"), stat("u1"), stat("u2")
+	if r1.Ino != r2.Ino || u1.Ino != u2.Ino || r1.Ino == u1.Ino {
+		t.Fatalf("counters/packets inodes: root %d %d, user %d %d; want one per creator", r1.Ino, r2.Ino, u1.Ino, u2.Ino)
+	}
+	if r1.Nlink != 2 || u1.Nlink != 2 || u1.UID != 1000 || u1.GID != 1000 || r1.UID != 0 || r1.Mode != 0o444 {
+		t.Fatalf("root's counter %+v, user's %+v", r1, u1)
+	}
+	if err := user.Chmod(FlowPath("sw1", "u1")+"/counters/packets", 0o400); err != nil {
+		t.Fatal(err)
+	}
+	if u2, r1 := stat("u2"), stat("r1"); u2.Mode != 0o400 || r1.Mode != 0o444 {
+		t.Fatalf("chmod through u1: u2 at %o, r1 at %o; want 400, 444", u2.Mode, r1.Mode)
+	}
+	y.BindCounters(SwitchPath("sw1"), &fakeCounters{flows: map[string][2]uint64{"r2": {7, 700}}})
+	for flow, want := range map[string]string{"r1": "0", "r2": "7"} {
+		if got, err := p.ReadString(FlowPath("sw1", flow) + "/counters/packets"); err != nil || got != want {
+			t.Errorf("%s counters/packets = %q, %v; want %q", flow, got, err, want)
+		}
 	}
 }
 
