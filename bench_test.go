@@ -245,6 +245,35 @@ func BenchmarkE8Watch(b *testing.B) {
 	}
 }
 
+// TestE8EventCounts gates what one install_ring op — a PutFlowTx and a
+// Remove of the flow, each in its own transaction — costs the watch path
+// under the driver's subscription (driver.newMux): the events the file
+// system builds and queues, and the events the watch is sent. With every
+// name taken it was 44 queued and 28 delivered; the driver takes two
+// names, and the field-file events nobody takes are never built.
+func TestE8EventCounts(t *testing.T) {
+	y := must(yancfs.New())
+	fs, p := y.VFS(), y.Root()
+	ok(t, p.Mkdir("/switches/sw1", 0o755))
+	w := must(p.AddWatch(yancfs.DirSwitches, vfs.OpWrite|vfs.OpRemove|vfs.OpRename, vfs.Recursive(),
+		vfs.Files(append(yancfs.FlowEventFiles(), "config.port_down")...)))
+	defer w.Close()
+	before, _, _ := fs.DispatchStats()
+	const flow = "/switches/sw1/flows/f"
+	ok(t, fs.WithTx(func(tx *vfs.Tx) error {
+		_, err := y.PutFlowTx(tx, flow, benchutil.SampleFlowSpec(1))
+		return err
+	}))
+	ok(t, fs.WithTx(func(tx *vfs.Tx) error { return tx.Remove(flow) }))
+	fs.SyncWatches()
+	after, _, _ := fs.DispatchStats()
+	queued, delivered := after-before, len(w.C)
+	t.Logf("per ring put + delete: %d events queued, %d delivered", queued, delivered)
+	if queued > 5 || delivered > 4 {
+		t.Fatalf("one put + delete queued %d events and delivered %d, want ≤ 5 and ≤ 4", queued, delivered)
+	}
+}
+
 // BenchmarkE10Consistency measures one remote write per consistency mode
 // through the distributed file system (§6).
 func BenchmarkE10Consistency(b *testing.B) {

@@ -19,10 +19,10 @@
 #   footprint  TestFlowFootprint three times without the race detector,
 #              the configuration the benchmark measures
 #              heap_bytes_per_flow in, so its heap bound is checked there
-#   fuzz       10 s each of FuzzPathResolve, FuzzFlowDirRoundTrip and
-#              FuzzPacketOutSpec, from the seed corpora committed under
-#              each package's testdata/fuzz; what the fuzzer finds
-#              interesting stays in the Go build cache
+#   fuzz       10 s each of FuzzPathResolve, FuzzWatchInterest,
+#              FuzzFlowDirRoundTrip and FuzzPacketOutSpec, from the seed
+#              corpora committed under each package's testdata/fuzz; what
+#              the fuzzer finds interesting stays in the Go build cache
 #   bench      every go-test benchmark for one iteration: the smoke test
 #              of the experiment harness, so a broken series fails CI
 #              even when no one is measuring
@@ -85,6 +85,7 @@ go test -run 'Footprint' -count=3 ./internal/yancfs
 
 echo "==> go test -fuzz (10 s per target)"
 go test -run '^$' -fuzz '^FuzzPathResolve$' -fuzztime 10s ./internal/vfs
+go test -run '^$' -fuzz '^FuzzWatchInterest$' -fuzztime 10s ./internal/vfs
 go test -run '^$' -fuzz '^FuzzFlowDirRoundTrip$' -fuzztime 10s ./internal/yancfs
 go test -run '^$' -fuzz '^FuzzPacketOutSpec$' -fuzztime 10s ./internal/openflow
 

@@ -78,8 +78,8 @@ const viewWatchDepth = 4096
 // packet-ins of region up, as app, until stop.
 func (v *view) start(y *yancfs.FS, region, path, app string, switches []string, tr translator) error {
 	v.y, v.p, v.path, v.root, v.tr = y, y.Root(), path, vfs.Join(path, yancfs.DirSwitches)+"/", tr
-	w, err := v.p.AddWatch(vfs.Join(path, yancfs.DirSwitches),
-		vfs.OpWrite|vfs.OpRemove|vfs.OpRename, vfs.Recursive(), vfs.BufferSize(viewWatchDepth))
+	w, err := v.p.AddWatch(vfs.Join(path, yancfs.DirSwitches), vfs.OpWrite|vfs.OpRemove|vfs.OpRename,
+		vfs.Recursive(), vfs.Files(yancfs.FlowEventFiles()...), vfs.BufferSize(viewWatchDepth))
 	if err != nil {
 		return err
 	}

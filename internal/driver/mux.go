@@ -54,9 +54,16 @@ type mux struct {
 // generous.
 const muxWatchBuffer = 1 << 16
 
+// muxWatchMask and muxWatchFiles are the switches/ watch's subscription:
+// the ops and file names yancfs.ClassifyFlowEvent and classify act on.
+// Every other field-file event in the region is never built.
+const muxWatchMask = vfs.OpWrite | vfs.OpRemove | vfs.OpRename
+
+func muxWatchFiles() []string { return append(yancfs.FlowEventFiles(), filePortDown) }
+
 func newMux(d *Driver) (*mux, error) {
-	w, err := d.Y.Root().AddWatch(vfs.Join(d.Region, yancfs.DirSwitches),
-		vfs.OpWrite|vfs.OpRemove|vfs.OpRename, vfs.Recursive(), vfs.BufferSize(muxWatchBuffer))
+	w, err := d.Y.Root().AddWatch(vfs.Join(d.Region, yancfs.DirSwitches), muxWatchMask,
+		vfs.Recursive(), vfs.Files(muxWatchFiles()...), vfs.BufferSize(muxWatchBuffer))
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +219,7 @@ func (m *mux) demux() {
 func classify(root string, ev *vfs.Event) (sw string, port uint32, ok bool) {
 	const (
 		ports    = "ports/"
-		portDown = "/config.port_down"
+		portDown = "/" + filePortDown
 	)
 	if ev.Op != vfs.OpWrite {
 		return "", 0, false
@@ -226,6 +233,10 @@ func classify(root string, ev *vfs.Event) (sw string, port uint32, ok bool) {
 	}
 	return sw, port, true
 }
+
+// filePortDown is the port file an administrator writes to take a port
+// down (§3.1).
+const filePortDown = "config.port_down"
 
 // portNumber parses the <n> of a ports/<n> path element.
 //

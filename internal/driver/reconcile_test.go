@@ -3,6 +3,7 @@ package driver
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
@@ -306,7 +307,8 @@ func TestIdentitiesChangeHandsBetweenPasses(t *testing.T) {
 // with demux parked on the driver's own lock (it needs it to look a
 // connection up, which the first flow event makes it do), one transaction
 // queues more junk writes than the watch buffers, and then lost runs while
-// the buffer is still full.
+// the buffer is still full. The junk file is called version, a name the
+// watch takes, outside flows/, so ClassifyFlowEvent ignores it.
 func (r *rig) overflowWatch(t *testing.T, lost func()) {
 	t.Helper()
 	before := r.d.mux.watch.Info().Overflows
@@ -321,12 +323,16 @@ func (r *rig) overflowWatch(t *testing.T, lost func()) {
 	if _, err := yancfs.WriteFlow(p, "/switches/sw1/flows/parks-demux", testSpec(999)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.WriteString("/switches/sw1/junk", "x"); err != nil {
+	const junk = "/switches/sw1/junk/" + yancfs.FileVersion
+	if err := p.MkdirAll(vfs.Dir(junk), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteString(junk, "x"); err != nil {
 		t.Fatal(err)
 	}
 	err := r.y.VFS().WithTx(func(tx *vfs.Tx) error {
 		for i := 0; i < muxWatchBuffer+1024; i++ {
-			if err := tx.WriteFile("/switches/sw1/junk", []byte("x"), 0o644, 0, 0); err != nil {
+			if err := tx.WriteFile(junk, []byte("x"), 0o644, 0, 0); err != nil {
 				return err
 			}
 		}
@@ -642,21 +648,22 @@ func TestReconcileAllocs(t *testing.T) {
 	}
 }
 
-// TestClassify: what each event under switches/ means to the driver,
-// to its flow table (yancfs.ClassifyFlowEvent) or to the rest of the
-// connection (classify).
-func TestClassify(t *testing.T) {
-	const root = "/switches/"
+// classifyCase is an event under switches/ and what it means to the
+// driver: marks on its flow table, or a switch and port to mark.
+type classifyCase struct {
+	ev    vfs.Event
+	flows [2]yancfs.FlowMark
+	sw    string
+	port  uint32
+}
+
+// classifyCases is TestClassify's table.
+func classifyCases() []classifyCase {
 	type mark = yancfs.FlowMark
 	fm := func(sw string, kind yancfs.FlowEvent, path string) mark {
 		return mark{Switch: sw, Kind: kind, Path: path}
 	}
-	for _, c := range []struct {
-		ev    vfs.Event
-		flows [2]mark
-		sw    string
-		port  uint32
-	}{
+	return []classifyCase{
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/flows/f/version"}, flows: [2]mark{fm("sw1", yancfs.FlowCommit, "/switches/sw1/flows/f")}},
 		{ev: vfs.Event{Op: vfs.OpRemove, Path: "/switches/sw1/flows/f", IsDir: true}, flows: [2]mark{fm("sw1", yancfs.FlowGone, "/switches/sw1/flows/f")}},
 		{ev: vfs.Event{Op: vfs.OpRename, Path: "/switches/sw1/flows/f", NewPath: "/switches/sw1/flows/g", IsDir: true}, flows: [2]mark{fm("sw1", yancfs.FlowMove, "/switches/sw1/flows/g")}},
@@ -681,7 +688,15 @@ func TestClassify(t *testing.T) {
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/sw1/ports/1/config.port_status"}},
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/hosts/h1/flows/f/version"}},
 		{ev: vfs.Event{Op: vfs.OpWrite, Path: "/switches/status"}},
-	} {
+	}
+}
+
+// TestClassify: what each event under switches/ means to the driver,
+// to its flow table (yancfs.ClassifyFlowEvent) or to the rest of the
+// connection (classify).
+func TestClassify(t *testing.T) {
+	const root = "/switches/"
+	for _, c := range classifyCases() {
 		if flows := yancfs.ClassifyFlowEvent(root, &c.ev); flows != c.flows {
 			t.Errorf("ClassifyFlowEvent(%v %s → %s) = %v, want %v", c.ev.Op, c.ev.Path, c.ev.NewPath, flows, c.flows)
 			continue
@@ -693,4 +708,66 @@ func TestClassify(t *testing.T) {
 			t.Errorf("classify(%v %s) = %q %d %v, want %q %d", c.ev.Op, c.ev.Path, sw, port, ok, c.sw, c.port)
 		}
 	}
+}
+
+// TestClassifyFilter: the driver's watch filter and its classifiers
+// cannot drift apart. Each event of TestClassify's table that the driver
+// acts on is raised for real under a watch subscribed as newMux
+// subscribes, and must arrive.
+func TestClassifyFilter(t *testing.T) {
+	for _, c := range classifyCases() {
+		if c.flows[0].Kind == yancfs.NoFlowEvent && c.sw == "" {
+			continue
+		}
+		fs := vfs.New()
+		p := fs.RootProc()
+		w, err := p.AddWatch(yancfs.DirSwitches, muxWatchMask, vfs.Recursive(), vfs.Files(muxWatchFiles()...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := raise(p, c.ev); err != nil {
+			t.Fatalf("raising %v %s: %v", c.ev.Op, c.ev.Path, err)
+		}
+		fs.SyncWatches()
+		var got []vfs.Event
+		for len(w.C) > 0 {
+			got = append(got, <-w.C)
+		}
+		w.Close()
+		if !slices.Contains(got, c.ev) {
+			t.Errorf("the driver's watch missed %v %s → %s (got %v)", c.ev.Op, c.ev.Path, c.ev.NewPath, got)
+		}
+	}
+}
+
+// raise makes ev happen on p: a write, a removal or a rename of a file or
+// directory, its parents made first.
+func raise(p *vfs.Proc, ev vfs.Event) error {
+	create := func(path string, dir bool) error {
+		if dir {
+			return p.MkdirAll(path, 0o755)
+		}
+		if err := p.MkdirAll(vfs.Dir(path), 0o755); err != nil {
+			return err
+		}
+		return p.WriteString(path, "1")
+	}
+	switch ev.Op {
+	case vfs.OpWrite:
+		return create(ev.Path, false)
+	case vfs.OpRemove:
+		if err := create(ev.Path, ev.IsDir); err != nil {
+			return err
+		}
+		return p.Remove(ev.Path)
+	case vfs.OpRename:
+		if err := create(ev.Path, ev.IsDir); err != nil {
+			return err
+		}
+		if err := p.MkdirAll(vfs.Dir(ev.NewPath), 0o755); err != nil {
+			return err
+		}
+		return p.Rename(ev.Path, ev.NewPath)
+	}
+	return fmt.Errorf("cannot raise %v", ev.Op)
 }

@@ -362,15 +362,19 @@ func renderCounter(n uint64) []byte {
 func (t *Tree) renderWatchQueues() ([]byte, error) {
 	infos := t.fs.WatchInfos()
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-4s %-6s %-9s %8s %8s %8s %s\n",
-		"id", "depth", "capacity", "drops", "overflow", "mask", "path")
+	fmt.Fprintf(&b, "%-4s %-6s %-9s %8s %8s %8s %-16s %s\n",
+		"id", "depth", "capacity", "drops", "overflow", "mask", "files", "path")
 	for _, w := range infos {
 		path := w.Path
 		if w.Recursive {
 			path += " (recursive)"
 		}
-		fmt.Fprintf(&b, "%-4d %-6d %-9d %8d %8d %8x %s\n",
-			w.ID, w.Depth, w.Capacity, w.Drops, w.Overflows, uint32(w.Mask), path)
+		files := "-"
+		if w.Files != nil {
+			files = strings.Join(w.Files, ",")
+		}
+		fmt.Fprintf(&b, "%-4d %-6d %-9d %8d %8d %8x %-16s %s\n",
+			w.ID, w.Depth, w.Capacity, w.Drops, w.Overflows, uint32(w.Mask), files, path)
 	}
 	return []byte(b.String()), nil
 }

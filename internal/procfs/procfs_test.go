@@ -1,6 +1,7 @@
 package procfs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,13 +134,31 @@ func TestWatchQueuesListWatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	fw, err := p.AddWatch("/topo", vfs.OpWrite, vfs.Files("version", "config.port_down"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fw.Close()
 
 	s, err := p.ReadString(Dir + "/watch/queues")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(s, "/topo (recursive)") {
-		t.Fatalf("watch table missing /topo:\n%s", s)
+	// The files column reads "-" for a watch that takes every name and
+	// lists the filter of one that does not.
+	var rows []string
+	for _, line := range strings.Split(strings.TrimSpace(s), "\n") {
+		f := strings.Fields(line)
+		if len(f) >= 8 && f[7] == "/topo" {
+			rows = append(rows, f[6]+" "+strings.Join(f[7:], " "))
+		}
+	}
+	want := []string{"- /topo (recursive)", "version,config.port_down /topo"}
+	if !slices.Equal(rows, want) {
+		t.Fatalf("watch rows for /topo = %q, want %q; table:\n%s", rows, want, s)
+	}
+	if !strings.Contains(strings.SplitN(s, "\n", 2)[0], " files ") {
+		t.Fatalf("watch table header lacks the files column:\n%s", s)
 	}
 }
 

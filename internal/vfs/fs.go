@@ -751,8 +751,9 @@ func (tx *Tx) queue(ev Event) { *tx.events = append(*tx.events, ev) }
 
 // ReserveEvents pre-sizes the transaction's event queue. Batch writers
 // that know roughly how many events they will generate (the packet-in
-// fan-out queues ~20 per message) call this once to avoid repeated
-// slice growth inside the tree-lock critical section.
+// fan-out queues one Create per subscriber buffer, and its files'
+// events only when some watch takes them) call this once to avoid
+// repeated slice growth inside the tree-lock critical section.
 func (tx *Tx) ReserveEvents(n int) {
 	if evs := *tx.events; n > cap(evs)-len(evs) {
 		grown := make([]Event, len(evs), len(evs)+n)
@@ -938,8 +939,7 @@ func (tx *Tx) DirRef(path string) (DirRef, error) {
 // removed mark, so detachment is one load instead of a path walk.
 // linked(i) is called (under the tree lock — it must not call back into
 // the fs) for each parents[i] that got the directory. Each new directory
-// raises its Create and, when some watch can see inside it, so does each
-// of its files.
+// raises its Create, and each of its files the events some watch takes.
 //
 //yancvet:hotalloc
 func (tx *Tx) AttachFileSet(set *FileSet, parents []DirRef, name string, mode FileMode, uid, gid int, linked func(i int)) error {
@@ -965,9 +965,7 @@ func (tx *Tx) AttachFileSet(set *FileSet, parents []DirRef, name string, mode Fi
 		parent.touchM(now)
 		full := pathTo(parent, name)
 		tx.queue(Event{Op: OpCreate, Path: full, IsDir: true})
-		if tx.fs.watches.interestedInChildren(full) {
-			tx.announceSet(full, set)
-		}
+		tx.announceSet(full, set)
 		links++
 		if linked != nil {
 			linked(i)
@@ -1161,48 +1159,73 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 	parent.touchM(now)
 	full := Clean(dir) // identical to pathTo(parent, name), minus the walk
 	tx.queue(Event{Op: OpCreate, Path: full, IsDir: true})
-	if tx.fs.watches.interestedInChildren(full) {
-		tx.announce(full, files)
-	}
+	tx.announce(full, files)
 	return nil
 }
 
-// announce queues the Create (and, for a regular file, Write) events of
-// a subtree WriteTree made under prefix.
-func (tx *Tx) announce(prefix string, files []FileData) {
+// announce queues the events some watch takes of a subtree WriteTree
+// made at dir: a directory's Create, a file's Create and, for a regular
+// file, Write. A child's path is built only when one of them is taken,
+// or, for a directory, when some watch can see inside dir at all.
+//
+//yancvet:hotalloc
+func (tx *Tx) announce(dir string, files []FileData) {
+	in := tx.fs.watches.childInterest(dir)
+	if in.mask == 0 {
+		return // no watch can see inside dir
+	}
 	for i := range files {
 		f := &files[i]
-		p := prefix + "/" + f.Name
-		switch {
-		case f.Set != nil:
+		if f.Set == nil && f.Children == nil {
+			tx.announceFile(&in, dir, f.Name, f.Synth != nil)
+			continue
+		}
+		p := dir + "/" + f.Name //yancvet:alloc one owned event path per directory a watch can see inside
+		if in.mask&OpCreate != 0 {
 			tx.queue(Event{Op: OpCreate, Path: p, IsDir: true})
+		}
+		if f.Set != nil {
 			tx.announceSet(p, f.Set)
-		case f.Children != nil:
-			tx.queue(Event{Op: OpCreate, Path: p, IsDir: true})
+		} else {
 			tx.announce(p, f.Children)
-		default:
-			tx.announceFile(p, f.Synth != nil)
 		}
 	}
 }
 
-// announceSet queues the events of set's files, attached at dir.
+// announceSet queues the events some watch takes of set's files,
+// attached at dir.
+//
+//yancvet:hotalloc
 func (tx *Tx) announceSet(dir string, set *FileSet) {
+	in := tx.fs.watches.childInterest(dir)
+	if in.mask == 0 {
+		return // no watch can see inside dir
+	}
 	for it := set.kids.iter(); ; {
 		e, ok := it.next()
 		if !ok {
 			return
 		}
-		tx.announceFile(dir+"/"+e.name, e.c.loadSynth() != nil) //yancvet:alloc one owned event path per file, only when a watch can see it
+		tx.announceFile(&in, dir, e.name, e.c.loadSynth() != nil)
 	}
 }
 
-// announceFile queues a new file's Create, and its Write unless it is
-// synthetic.
-func (tx *Tx) announceFile(path string, synth bool) {
-	tx.queue(Event{Op: OpCreate, Path: path})
-	if !synth {
-		tx.queue(Event{Op: OpWrite, Path: path})
+// announceFile queues the events some watch takes of a new file called
+// name in dir: its Create, and its Write unless it is synthetic.
+//
+//yancvet:hotalloc
+func (tx *Tx) announceFile(in *interest, dir, name string, synth bool) {
+	create := in.file(OpCreate, name)
+	write := !synth && in.file(OpWrite, name)
+	if !create && !write {
+		return
+	}
+	p := dir + "/" + name //yancvet:alloc one owned event path per file a watch takes
+	if create {
+		tx.queue(Event{Op: OpCreate, Path: p})
+	}
+	if write {
+		tx.queue(Event{Op: OpWrite, Path: p})
 	}
 }
 
@@ -1310,6 +1333,9 @@ func (tx *Tx) Remove(path string) error {
 	if node == nil {
 		return pathErr("remove", path, ErrNotExist)
 	}
+	if parent == nil {
+		return pathErr("remove", path, ErrBusy) // the root itself
+	}
 	tx.fs.unlinkLocked(parent, name, node, tx)
 	return nil
 }
@@ -1392,6 +1418,9 @@ func (tx *Tx) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return lerr(err)
 	}
+	if newParent == nil {
+		return lerr(ErrBusy) // the target is the root
+	}
 	if target == node {
 		return nil
 	}
@@ -1432,7 +1461,7 @@ func (tx *Tx) RemoveChildren(dir string, names []string) (int, error) {
 		if !ok {
 			continue
 		}
-		tx.fs.removeNode(d, name, c, tx, now, true, true, interest)
+		tx.fs.removeNode(d, name, c, tx, now, pathTo(d, name), true, true, interest)
 		removed++
 	}
 	return removed, nil
@@ -1567,18 +1596,9 @@ func statOf(n *inode, name string) Stat {
 // unlinkLocked removes node (recursively for directories) from parent and
 // queues Remove events. The tree write lock must be held.
 func (fs *FS) unlinkLocked(parent *inode, name string, node *inode, tx *Tx) {
-	fs.removeNode(parent, name, node, tx, fs.now(), true, true, interestUnknown)
+	fs.removeNode(parent, name, node, tx, fs.now(), pathTo(parent, name), true, true, interestUnknown)
 }
 
-// removeNode implements unlinkLocked. queueEvents gates watch-event
-// queueing: when a directory is torn down and no watch is rooted inside
-// it (nor recursively covers it), events for its descendants can match
-// nothing, so queueing — and the path construction it requires — is
-// skipped for the whole subtree. The top-level removal always announces
-// itself; semantic OnRemove hooks always fire regardless (they are tree
-// bookkeeping, not watch delivery). detach is false for the children of a
-// directory that is itself being destroyed: unhooking them from its dying
-// map (and touching its mtime) would be wasted work.
 // Descendant-event interest hints for removeNode. interestUnknown makes
 // removeNode consult the watch set itself; interestNone asserts the caller
 // already proved no watch can observe events inside this node.
@@ -1587,20 +1607,24 @@ const (
 	interestNone
 )
 
-func (fs *FS) removeNode(parent *inode, name string, node *inode, tx *Tx, now time.Time, queueEvents, detach bool, interest int8) {
-	var full string
-	if queueEvents {
-		full = pathTo(parent, name)
-	}
+// removeNode implements unlinkLocked. full is node's path, or "" when no
+// watch can see node or anything inside it; queue says whether node's
+// own Remove is queued. The top-level removal always announces itself.
+// Inside a directory, one childInterest query decides per child before
+// its path is built: a file's Remove is built only when some watch takes
+// it by op and name, and a directory's path only when some watch can see
+// inside node at all — so tearing down a subtree nobody watches, or
+// whose files nobody asked for, builds none of its paths. Semantic
+// OnRemove hooks always fire regardless (they are tree bookkeeping, not
+// watch delivery). detach is false for the children of a directory that
+// is itself being destroyed: unhooking them from its dying map (and
+// touching its mtime) would be wasted work.
+func (fs *FS) removeNode(parent *inode, name string, node *inode, tx *Tx, now time.Time, full string, queue, detach bool, hint int8) {
 	if node.isDir() {
 		kids := node.kids()
-		childEvents := queueEvents
-		if childEvents && kids != nil {
-			if interest == interestNone {
-				childEvents = false
-			} else {
-				childEvents = fs.watches.interestedInChildren(full)
-			}
+		var in interest
+		if full != "" && kids != nil && hint != interestNone {
+			in = fs.watches.childInterest(full)
 		}
 		// Dying subtrees keep their published children: an in-flight
 		// lock-free walker below this node still resolves the (stale but
@@ -1610,7 +1634,16 @@ func (fs *FS) removeNode(parent *inode, name string, node *inode, tx *Tx, now ti
 			if !ok {
 				break
 			}
-			fs.removeNode(node, e.name, e.c, tx, now, childEvents, false, interestUnknown)
+			path, q := "", false
+			if e.c.isDir() {
+				q = in.mask&OpRemove != 0
+				if in.mask != 0 {
+					path = full + "/" + e.name //yancvet:alloc one owned event path per directory a watch can see inside
+				}
+			} else if in.file(OpRemove, e.name) {
+				path, q = full+"/"+e.name, true //yancvet:alloc one owned event path per file a watch takes
+			}
+			fs.removeNode(node, e.name, e.c, tx, now, path, q, false, interestUnknown)
 		}
 		parent.nlink.Add(-1)
 	}
@@ -1626,7 +1659,7 @@ func (fs *FS) removeNode(parent *inode, name string, node *inode, tx *Tx, now ti
 		node.dir.parent = nil
 		node.markDead()
 	}
-	if queueEvents {
+	if queue {
 		tx.queue(Event{Op: OpRemove, Path: full, IsDir: node.isDir()})
 	}
 	if parent.dir.sem != nil && parent.dir.sem.OnRemove != nil {

@@ -382,6 +382,9 @@ func (p *Proc) Rename(oldPath, newPath string) error {
 		if err != nil {
 			return lerr(err)
 		}
+		if newParent == nil {
+			return lerr(ErrBusy) // the target is the root
+		}
 		if !allows(oldParent, p.cred, wantWrite) || !allows(newParent, p.cred, wantWrite) {
 			return lerr(ErrAccess)
 		}

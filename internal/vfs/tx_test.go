@@ -52,6 +52,9 @@ func TestTxAPI(t *testing.T) {
 		if err := tx.Remove("/a/b/c"); !errors.Is(err, ErrNotExist) {
 			t.Errorf("tx remove missing = %v", err)
 		}
+		if err := tx.Remove("/"); !errors.Is(err, ErrBusy) {
+			t.Errorf("tx remove of the root = %v", err)
+		}
 		if c := tx.Creator(); c.UID != 0 || c.GID != 0 {
 			t.Errorf("tx creator = %+v", c)
 		}

@@ -290,6 +290,13 @@ func TestRename(t *testing.T) {
 	if err := p.Rename("/sw1", "/sw1/ports/sub"); !errors.Is(err, ErrInvalid) {
 		t.Errorf("rename into own subtree = %v", err)
 	}
+	// Nothing moves onto the root, by either entry point.
+	if err := p.Rename("/sw1", "/"); !errors.Is(err, ErrBusy) {
+		t.Errorf("rename onto the root = %v", err)
+	}
+	if err := p.fs.WithTx(func(tx *Tx) error { return tx.Rename("/f2", "/") }); !errors.Is(err, ErrBusy) {
+		t.Errorf("tx rename onto the root = %v", err)
+	}
 }
 
 func TestSymlinks(t *testing.T) {

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -71,6 +72,7 @@ type Watch struct {
 	prefix    string // path + "/": what every path strictly below it starts with
 	mask      EventOp
 	recursive bool
+	files     []string // file names taken; nil takes every name (Files)
 	ch        chan Event
 	set       *watchSet
 
@@ -96,6 +98,21 @@ type WatchOption func(*Watch)
 // Recursive makes the watch cover the entire subtree under the path.
 func Recursive() WatchOption {
 	return func(w *Watch) { w.recursive = true }
+}
+
+// Files limits the file events the watch receives to files with one of
+// the given names; for a rename, either the old or the new name may
+// match. Directory events are never filtered. Each name must be a single
+// path element, and at least one must be given: AddWatch returns
+// ErrInvalid otherwise.
+//
+// A call that creates or removes a directory's worth of files
+// (WriteTree, AttachFileSet, a subtree removal) builds a file's events
+// only when some watch takes them, so a watch that names the few files
+// it acts on spares every such writer in its region the rest.
+func Files(names ...string) WatchOption {
+	names = append(make([]string, 0, len(names)), names...) // non-nil: Files() is still a filter
+	return func(w *Watch) { w.files = names }
 }
 
 // BufferSize sets the event channel capacity (default 1024).
@@ -193,6 +210,9 @@ func (p *Proc) AddWatch(path string, mask EventOp, opts ...WatchOption) (*Watch,
 	for _, o := range opts {
 		o(w)
 	}
+	if w.files != nil && !validNames(w.files) {
+		return nil, pathErr("watch", path, ErrInvalid)
+	}
 	w.prefix = w.path + "/"
 	if w.path == "/" {
 		w.prefix = "/"
@@ -273,25 +293,99 @@ func eventDir(path string) string {
 	return "/"
 }
 
-// interestedInChildren reports whether any live watch could observe an
-// event strictly inside dir: a recursive watch whose subtree intersects
-// dir, or any watch rooted at or below dir. Subtree teardown uses this to
-// skip queueing per-descendant events nobody can receive.
-func (s *watchSet) interestedInChildren(dir string) bool {
+// interestLists bounds the name filters an interest carries; past it
+// the interest takes every name, which only costs pruning.
+const interestLists = 4
+
+// interest is what the live watches can take of the events strictly
+// inside one directory: the union of their masks, and the file names
+// they take. Writers consult it per child before building an event's
+// path, so an event no watch can take is never built or queued.
+type interest struct {
+	mask  EventOp
+	all   bool // some watch takes every name
+	n     int
+	lists [interestLists][]string
+}
+
+// childInterest reports what the live watches can take inside dir: a
+// recursive watch whose subtree contains dir, or any watch rooted at or
+// below dir. An unfiltered watch among them makes every name taken.
+//
+//yancvet:hotalloc
+func (s *watchSet) childInterest(dir string) (in interest) {
 	if s.live.Load() == 0 {
-		return false
+		return in
 	}
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, w := range s.watches {
-		if w.path == dir || below(w.path, dir) {
-			return true
+	watches := s.snap
+	s.mu.RUnlock()
+	for _, w := range watches {
+		if w.path != dir && !below(w.path, dir) && !(w.recursive && strings.HasPrefix(dir, w.prefix)) {
+			continue
 		}
-		if w.recursive && strings.HasPrefix(dir, w.prefix) {
+		in.mask |= w.mask
+		in.add(w)
+	}
+	return in
+}
+
+// add takes w's file names into the interest.
+//
+//yancvet:hotalloc
+func (in *interest) add(w *Watch) {
+	if in.all {
+		return
+	}
+	if w.files == nil || in.n == interestLists {
+		in.all = true
+		return
+	}
+	in.lists[in.n] = w.files
+	in.n++
+}
+
+// file reports whether some watch can take an op event on a file child
+// called name.
+//
+//yancvet:hotalloc
+func (in *interest) file(op EventOp, name string) bool {
+	if in.mask&op == 0 {
+		return false
+	}
+	if in.all {
+		return true
+	}
+	for _, l := range in.lists[:in.n] {
+		if hasName(l, name) {
 			return true
 		}
 	}
 	return false
+}
+
+// hasName reports whether names holds name: a plain loop, which the
+// fan-out and the writers run per event.
+//
+//yancvet:hotalloc
+func hasName(names []string, name string) bool {
+	for _, n := range names {
+		if n == name {
+			return true
+		}
+	}
+	return false
+}
+
+// validNames reports whether a Files filter names at least one file and
+// each name is a single path element.
+func validNames(names []string) bool {
+	for _, n := range names {
+		if !isCleanName(n) {
+			return false
+		}
+	}
+	return len(names) > 0
 }
 
 // below reports whether the clean path lies strictly inside the clean
@@ -305,7 +399,7 @@ func below(path, dir string) bool {
 
 // interestedInGrandchildren reports whether any watch could observe an
 // event strictly inside *some child* of dir — a conservative superset of
-// interestedInChildren(child) over all children. Batch removal (drop-oldest
+// childInterest(child) being non-empty over all children. Batch removal (drop-oldest
 // evicting many message dirs from one buffer) computes this once per batch
 // instead of scanning the watch list once per evicted directory.
 func (s *watchSet) interestedInGrandchildren(dir string) bool {
@@ -412,9 +506,28 @@ func (s *watchSet) fanout(events []Event) {
 				!(ev.Op == OpRename && w.matchesDir(ev.NewPath, newDir)) {
 				continue
 			}
+			if w.files != nil && !ev.IsDir && !w.takes(&ev) {
+				continue
+			}
 			w.deliver(ev)
 		}
 	}
+}
+
+// takes reports whether a filtered watch takes a file event: the file's
+// name, or for a rename either name, is one it lists.
+//
+//yancvet:hotalloc
+func (w *Watch) takes(ev *Event) bool {
+	return hasName(w.files, eventBase(ev.Path)) ||
+		ev.Op == OpRename && hasName(w.files, eventBase(ev.NewPath))
+}
+
+// eventBase returns the last element of an event path.
+//
+//yancvet:hotalloc
+func eventBase(path string) string {
+	return path[strings.LastIndexByte(path, '/')+1:]
 }
 
 // waitDrained blocks until the dispatch queue is empty and the worker has
@@ -493,7 +606,8 @@ type WatchInfo struct {
 	Path      string
 	Mask      EventOp
 	Recursive bool
-	Depth     int // events currently queued
+	Files     []string // the Files filter; nil when the watch takes every name
+	Depth     int      // events currently queued
 	Capacity  int
 	Drops     uint64
 	Overflows uint64
@@ -506,6 +620,7 @@ func (w *Watch) Info() WatchInfo {
 		Path:      w.path,
 		Mask:      w.mask,
 		Recursive: w.recursive,
+		Files:     slices.Clone(w.files),
 		Depth:     len(w.ch),
 		Capacity:  cap(w.ch),
 		Drops:     w.drops.Load(),

@@ -365,9 +365,18 @@ type FlowMark struct {
 	Path   string
 }
 
+// FlowEventFiles lists the file names whose events ClassifyFlowEvent
+// classifies: a watch that feeds it subscribes with
+// vfs.Files(FlowEventFiles()...), so the file system never builds the
+// field-file events it would drop. Directory events are never filtered.
+func FlowEventFiles() []string { return []string{FileVersion} }
+
 // ClassifyFlowEvent returns the marks an event under root (a switches/
 // directory, with a trailing slash) calls for, in order; a mark of kind
-// NoFlowEvent ends them. Only a rename makes two. A flow directory
+// NoFlowEvent ends them. Only a rename makes two. A file event is
+// classified by the file's name, and the watches that feed it are
+// filtered to FlowEventFiles: a newly classified file name must be added
+// there, or its events never arrive. A flow directory
 // renamed within one switch's flows/ is one FlowMove. One renamed from a
 // switch's flows/ into another's is FlowGone on the first switch's table
 // and FlowCommit on the second's; renamed out of flows/, or into it from
