@@ -4,8 +4,9 @@
 #
 #   gofmt      every non-vendored .go file is formatted
 #   go vet     the standard analyzers
-#   yancvet    the lock/clock/error/alloc invariant suite, then its -json
-#              findings diffed against vet_baseline.json (empty today)
+#   yancvet    the repo's own analyzers (DESIGN.md §11 maps each to its
+#              rule), then their -json findings diffed against
+#              vet_baseline.json (empty today)
 #   cross      the product builds for darwin/arm64: it has no OS-specific
 #              file and must not grow one (./bench is left out: it uses
 #              syscall.Nanosleep and RUSAGE_THREAD by design)
@@ -20,9 +21,10 @@
 #              the configuration the benchmark measures
 #              heap_bytes_per_flow in, so its heap bound is checked there
 #   fuzz       10 s each of FuzzPathResolve, FuzzWatchInterest,
-#              FuzzFlowDirRoundTrip and FuzzPacketOutSpec, from the seed
-#              corpora committed under each package's testdata/fuzz; what
-#              the fuzzer finds interesting stays in the Go build cache
+#              FuzzFlowDirRoundTrip, FuzzPacketOutSpec and FuzzDecode,
+#              from the seed corpora committed under each package's
+#              testdata/fuzz; what the fuzzer finds interesting stays in
+#              the Go build cache
 #   bench      every go-test benchmark for one iteration: the smoke test
 #              of the experiment harness, so a broken series fails CI
 #              even when no one is measuring
@@ -49,7 +51,7 @@ fi
 echo "==> go vet"
 go vet ./...
 
-echo "==> yancvet (lockorder/lockpair/snapshotpub/clockban/atomicfield/errdrop/hotalloc/txescape/waitgraph)"
+echo "==> yancvet (the analyzers DESIGN.md §11 maps)"
 go run ./cmd/yancvet ./...
 
 # The -json artifact leg: machine-readable findings, diffed against the
@@ -88,6 +90,7 @@ go test -run '^$' -fuzz '^FuzzPathResolve$' -fuzztime 10s ./internal/vfs
 go test -run '^$' -fuzz '^FuzzWatchInterest$' -fuzztime 10s ./internal/vfs
 go test -run '^$' -fuzz '^FuzzFlowDirRoundTrip$' -fuzztime 10s ./internal/yancfs
 go test -run '^$' -fuzz '^FuzzPacketOutSpec$' -fuzztime 10s ./internal/openflow
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/openflow
 
 echo "==> go test -bench (smoke, 1 iteration)"
 go test -bench=. -benchtime=1x -run='^$' ./...

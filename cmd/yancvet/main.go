@@ -1,6 +1,6 @@
-// Command yancvet runs the yanc static-analysis suite (lockorder,
-// lockpair, snapshotpub, clockban, atomicfield, errdrop, hotalloc,
-// txescape, waitgraph) over Go packages.
+// Command yancvet runs the yanc static-analysis suite,
+// internal/analysis.All (DESIGN.md §11 maps each analyzer to the rule it
+// checks), over Go packages.
 //
 // Usage:
 //

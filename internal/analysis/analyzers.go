@@ -8,28 +8,22 @@ package analysis
 import (
 	"golang.org/x/tools/go/analysis"
 
-	"yanc/internal/analysis/atomicfield"
 	"yanc/internal/analysis/clockban"
 	"yanc/internal/analysis/errdrop"
 	"yanc/internal/analysis/hotalloc"
 	"yanc/internal/analysis/lockorder"
-	"yanc/internal/analysis/lockpair"
 	"yanc/internal/analysis/snapshotpub"
 	"yanc/internal/analysis/txescape"
-	"yanc/internal/analysis/waitgraph"
 )
 
 // All returns the full yancvet suite in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		lockorder.Analyzer,
-		lockpair.Analyzer,
 		snapshotpub.Analyzer,
 		clockban.Analyzer,
-		atomicfield.Analyzer,
 		errdrop.Analyzer,
 		hotalloc.Analyzer,
 		txescape.Analyzer,
-		waitgraph.Analyzer,
 	}
 }

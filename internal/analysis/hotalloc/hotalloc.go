@@ -2,8 +2,8 @@
 // hot paths at compile time. A function annotated with a
 // //yancvet:hotalloc doc-comment directive — the E18 renderers, the
 // libyanc ring drain loop, the lock-free resolver, the fan-out
-// primitives, the driver's packet-in and mailbox drains — and every
-// same-package function it transitively calls must be free of
+// primitives, the driver's packet-in drain and mux scheduling — and
+// every same-package function it transitively calls must be free of
 // per-call heap allocation. The dynamic AllocsPerRun pins catch the
 // configurations a benchmark happens to run; this analyzer catches the
 // rest, and keeps catching them as the code moves.
@@ -309,7 +309,7 @@ func (c *checker) flow(body ast.Node) {
 						if obj == nil {
 							obj = c.pass.TypesInfo.Uses[id]
 						}
-						if v, ok := obj.(*types.Var); ok && !isGlobal(v) {
+						if v, ok := obj.(*types.Var); ok && !lockset.IsGlobal(v) {
 							bind(v, sites)
 							// `xs := []T{}` / later overwritten tracking for
 							// fresh-nil appends.
@@ -335,7 +335,7 @@ func (c *checker) flow(body ast.Node) {
 			case *ast.ValueSpec:
 				for i, name := range n.Names {
 					v, ok := c.pass.TypesInfo.Defs[name].(*types.Var)
-					if !ok || isGlobal(v) {
+					if !ok || lockset.IsGlobal(v) {
 						continue
 					}
 					if i < len(n.Values) {
@@ -718,10 +718,6 @@ func builtinName(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		return id.Name, true
 	}
 	return "", false
-}
-
-func isGlobal(v *types.Var) bool {
-	return v.Parent() == v.Pkg().Scope()
 }
 
 func isEmptySliceExpr(pass *analysis.Pass, e ast.Expr) bool {

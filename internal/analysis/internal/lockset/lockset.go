@@ -1,12 +1,13 @@
 // Package lockset identifies the VFS locking vocabulary in a package and
-// builds the in-package static call graph the lockorder and lockpair
-// analyzers walk. The "lock package" (internal/vfs in this repo) is
-// recognized by shape, not by import path, so analysistest fixtures can
-// replicate it: it is any package that declares both a lockTree and an
-// rlockTree method on some receiver type. From that anchor the rest of
-// the vocabulary is resolved by name on the same receiver (unlockTree,
-// runlockTree), plus the Synthetic provider struct, the DirSemantics hook
-// struct, and the Tx transaction type.
+// builds the in-package static call graph the analyzers walk; it also
+// holds the small type helpers more than one analyzer needs. The "lock
+// package" (internal/vfs in this repo) is recognized by shape, not by
+// import path, so analysistest fixtures can replicate it: it is any
+// package that declares both a lockTree and an rlockTree method on some
+// receiver type. From that anchor the rest of the vocabulary is resolved
+// by name on the same receiver (unlockTree, runlockTree), plus the
+// Synthetic provider struct, the DirSemantics hook struct, and the Tx
+// transaction type.
 package lockset
 
 import (
@@ -57,7 +58,7 @@ func Find(pass *analysis.Pass) *Info {
 		if !ok {
 			continue
 		}
-		if methodNamed(named, "lockTree") != nil && methodNamed(named, "rlockTree") != nil {
+		if MethodNamed(named, "lockTree") != nil && MethodNamed(named, "rlockTree") != nil {
 			fs = named
 			break
 		}
@@ -72,18 +73,18 @@ func Find(pass *analysis.Pass) *Info {
 		"unlockTree":  OpUnlockTree,
 		"runlockTree": OpRUnlockTree,
 	} {
-		if m := methodNamed(fs, name); m != nil {
+		if m := MethodNamed(fs, name); m != nil {
 			info.Primitives[m] = op
 		}
 	}
 	if tn, ok := scope.Lookup("Synthetic").(*types.TypeName); ok {
-		info.Synthetic = namedOf(tn.Type())
+		info.Synthetic = NamedOf(tn.Type())
 	}
 	if tn, ok := scope.Lookup("DirSemantics").(*types.TypeName); ok {
-		info.DirSemantics = namedOf(tn.Type())
+		info.DirSemantics = NamedOf(tn.Type())
 	}
 	if tn, ok := scope.Lookup("Tx").(*types.TypeName); ok {
-		info.Tx = namedOf(tn.Type())
+		info.Tx = NamedOf(tn.Type())
 	}
 	return info
 }
@@ -242,7 +243,8 @@ func (g *Graph) Reaches(targets map[*types.Func]bool) map[*types.Func]bool {
 	return reach
 }
 
-func methodNamed(n *types.Named, name string) *types.Func {
+// MethodNamed returns n's method called name, or nil.
+func MethodNamed(n *types.Named, name string) *types.Func {
 	for i := 0; i < n.NumMethods(); i++ {
 		if m := n.Method(i); m.Name() == name {
 			return m
@@ -251,7 +253,9 @@ func methodNamed(n *types.Named, name string) *types.Func {
 	return nil
 }
 
-func namedOf(t types.Type) *types.Named {
+// NamedOf strips pointers off t and returns the named type beneath, or
+// nil.
+func NamedOf(t types.Type) *types.Named {
 	for {
 		switch tt := t.(type) {
 		case *types.Pointer:
@@ -262,4 +266,9 @@ func namedOf(t types.Type) *types.Named {
 			return nil
 		}
 	}
+}
+
+// IsGlobal reports whether v is a package-level variable.
+func IsGlobal(v *types.Var) bool {
+	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }

@@ -1,4 +1,4 @@
-// Package lockorder enforces two of the VFS locking rules documented in
+// Package lockorder enforces the VFS tree-lock rules documented in
 // internal/vfs/lock.go (DESIGN.md §8) at compile time — rule 1, the
 // immutability of what is published, is snapshotpub's:
 //
@@ -7,15 +7,22 @@
 //     Tx.ReadFile/Synthetic.Read bug this analyzer exists to prevent);
 //  3. code running under the tree lock (Tx methods, DirSemantics hooks,
 //     WithTx/ReadTx callbacks) must not call a Proc-level entry point
-//     that re-acquires the tree lock — sync.RWMutex is not reentrant.
+//     that re-acquires the tree lock — sync.RWMutex is not reentrant;
+//
+// and every acquisition is released on all paths out of the function
+// that took it: an early return that leaks the lock wedges every later
+// writer.
 //
 // The lock package (internal/vfs) is recognized by shape — any package
 // declaring lockTree and rlockTree methods on one receiver — and is
-// checked intra-procedurally with a CFG dataflow plus an in-package
-// static call graph. The analyzer then exports facts (which exported
-// functions acquire the tree lock, which run callbacks under it) so that
-// every downstream package's DirSemantics hooks and WithTx/ReadTx
-// callbacks are checked against rule 3 as well.
+// checked intra-procedurally with one CFG dataflow plus an in-package
+// static call graph. The dataflow carries two counters: held, for
+// re-entry, keeps a deferred release held until return; owed, for
+// leaks, discharges it at once (defers run on every exit, panics
+// included). The analyzer then exports facts (which exported functions
+// acquire the tree lock, which run callbacks under it) so that every
+// downstream package's DirSemantics hooks and WithTx/ReadTx callbacks
+// are checked against rule 3 as well.
 package lockorder
 
 import (
@@ -23,6 +30,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/ctrlflow"
@@ -59,7 +67,8 @@ func (f *CallsParamUnderTreeLock) String() string {
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc: "check the VFS locking rules: no tree-lock acquisition under itself, " +
-		"and no Proc-level re-entry or Synthetic provider call under the tree lock",
+		"no Proc-level re-entry or Synthetic provider call under the tree lock, " +
+		"and every acquisition released on all paths",
 	Requires:  []*analysis.Analyzer{ctrlflow.Analyzer},
 	FactTypes: []analysis.Fact{(*AcquiresTreeLock)(nil), (*IsLockPackage)(nil), (*CallsParamUnderTreeLock)(nil)},
 	Run:       run,
@@ -75,18 +84,23 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// lockState counts the tree-lock holds (any mode) at a program point.
-// Values merge by max, so a lock held on any path into a join counts as
-// held.
-type lockState struct{ tree int }
-
-func (s lockState) merge(o lockState) lockState {
-	return lockState{tree: max(s.tree, o.tree)}
+// lockState is the tree-lock state at a program point. held counts the
+// acquisitions (any mode) still in force, a deferred release keeping
+// its lock held to the end of the function; owed counts those with no
+// release yet, explicit or deferred, and acq is the site of the latest
+// one still owed. Values merge by max, so a lock held on any path into
+// a join counts as held. Releases beyond zero are attributed to a
+// caller's lock and ignored.
+type lockState struct {
+	held, owed int
+	acq        token.Pos
 }
 
-// checker walks one function's CFG tracking lockState. Deferred releases
-// do NOT clear state here: a defer runs at return, so for re-entry
-// purposes the lock stays held for the rest of the function.
+func (s lockState) merge(o lockState) lockState {
+	return lockState{held: max(s.held, o.held), owed: max(s.owed, o.owed), acq: max(s.acq, o.acq)}
+}
+
+// checker walks one function's CFG tracking lockState.
 type checker struct {
 	pass     *analysis.Pass
 	info     *lockset.Info
@@ -137,7 +151,7 @@ func runLockPackage(pass *analysis.Pass, info *lockset.Info) {
 			init := lockState{}
 			if recvIsTx(obj, info) {
 				// Tx methods run with the tree lock held by contract.
-				init.tree = 1
+				init.held = 1
 			}
 			c.params = map[*types.Var]int{}
 			c.lockedPs = map[int]bool{}
@@ -150,14 +164,14 @@ func runLockPackage(pass *analysis.Pass, info *lockset.Info) {
 				}
 			}
 			if g := c.cfgs.FuncDecl(fd); g != nil {
-				c.analyzeCFG(g, init)
+				c.checkFunc(g, init, fd.Name.Name)
 			}
 			if len(c.lockedPs) > 0 {
 				fact := &CallsParamUnderTreeLock{}
 				for i := range c.lockedPs {
 					fact.Params = append(fact.Params, i)
 				}
-				sortInts(fact.Params)
+				slices.Sort(fact.Params)
 				pass.ExportObjectFact(obj, fact)
 			}
 		}
@@ -171,7 +185,7 @@ func runLockPackage(pass *analysis.Pass, info *lockset.Info) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok && !c.inlined[lit] {
 				if g := c.cfgs.FuncLit(lit); g != nil {
-					c.analyzeCFG(g, lockState{})
+					c.checkFunc(g, lockState{}, "func literal")
 				}
 			}
 			return true
@@ -179,17 +193,27 @@ func runLockPackage(pass *analysis.Pass, info *lockset.Info) {
 	}
 }
 
+// checkFunc runs the dataflow over a whole function body and reports a
+// leak, once, when a live exit still owes a release.
+func (c *checker) checkFunc(g *cfg.CFG, init lockState, name string) {
+	if exit, leak := c.analyzeCFG(g, init); leak != nil {
+		reportAt(c.pass, exit.acq, fmt.Sprintf("tree lock acquired here is not released on all paths out of %s (%s): add a defer or release before the exit", name, describeExit(leak)))
+	}
+}
+
 // analyzeCFG runs the lock-state dataflow over one function's CFG and
-// returns the merged state at its exits.
-func (c *checker) analyzeCFG(g *cfg.CFG, init lockState) lockState {
+// returns the merged state at its live exits and the first live exit
+// that still owes a release (nil if none).
+func (c *checker) analyzeCFG(g *cfg.CFG, init lockState) (lockState, *cfg.Block) {
 	in := make([]lockState, len(g.Blocks))
 	seen := make([]bool, len(g.Blocks))
 	if len(g.Blocks) == 0 {
-		return init
+		return init, nil
 	}
 	in[0], seen[0] = init, true
 	exit := lockState{}
 	sawExit := false
+	var leak *cfg.Block
 	// Iterate to fixpoint; lock states are tiny and CFGs are small.
 	for changed := true; changed; {
 		changed = false
@@ -205,6 +229,9 @@ func (c *checker) analyzeCFG(g *cfg.CFG, init lockState) lockState {
 				if b.Live {
 					exit = exit.merge(st)
 					sawExit = true
+					if st.owed > 0 && leak == nil {
+						leak = b
+					}
 				}
 				continue
 			}
@@ -221,9 +248,22 @@ func (c *checker) analyzeCFG(g *cfg.CFG, init lockState) lockState {
 		}
 	}
 	if !sawExit {
-		return init
+		return init, nil
 	}
-	return exit
+	return exit, leak
+}
+
+// describeExit says how a leaking exit block leaves the function.
+func describeExit(b *cfg.Block) string {
+	for _, n := range b.Nodes {
+		if _, ok := n.(*ast.ReturnStmt); ok {
+			return "leaks at a return"
+		}
+	}
+	if b.Kind == cfg.KindBody {
+		return "leaks at function end"
+	}
+	return "leaks at an early exit"
 }
 
 // walk visits node in approximate evaluation order, updating st and
@@ -246,8 +286,8 @@ func (c *checker) walk(node ast.Node, st *lockState) {
 }
 
 // visitCall processes one call: arguments first, then the call's own
-// effect. deferred releases are ignored (the lock stays held until the
-// function returns).
+// effect. A deferred release pays what is owed but leaves the lock held
+// until the function returns.
 func (c *checker) visitCall(call *ast.CallExpr, st *lockState, deferred bool) {
 	c.walk(call.Fun, st) // selector base may contain calls
 	for _, arg := range call.Args {
@@ -260,41 +300,49 @@ func (c *checker) visitCall(call *ast.CallExpr, st *lockState, deferred bool) {
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
 		c.inlined[lit] = true
 		if g := c.cfgs.FuncLit(lit); g != nil {
-			*st = c.analyzeCFG(g, *st)
+			*st, _ = c.analyzeCFG(g, *st)
 		}
 		return
 	}
 
 	switch c.info.Classify(c.pass, call) {
 	case lockset.OpLockTree, lockset.OpRLockTree:
-		if st.tree > 0 {
+		if st.held > 0 {
 			c.report(call, "tree lock acquired while the tree lock is already held (sync.RWMutex is not reentrant; lock.go rule 3)")
 		}
-		st.tree++
+		st.held++
+		st.owed++
+		st.acq = call.Pos()
 		return
 	case lockset.OpUnlockTree, lockset.OpRUnlockTree:
-		if !deferred && st.tree > 0 {
-			st.tree--
+		if !deferred && st.held > 0 {
+			st.held--
+		}
+		if st.owed > 0 {
+			st.owed--
+			if st.owed == 0 {
+				st.acq = token.NoPos
+			}
 		}
 		return
 	}
 
 	if name, ok := c.info.IsSyntheticProviderCall(c.pass, call); ok {
-		if st.tree > 0 {
+		if st.held > 0 {
 			c.report(call, fmt.Sprintf("%s provider invoked under the tree lock: providers may perform Proc I/O and must run outside all tree locks (lock.go rule 2; the PR 3 Tx.ReadFile self-deadlock)", name))
 		}
 		return
 	}
 
 	if callee := typeutil.StaticCallee(c.pass.TypesInfo, call); callee != nil && callee.Pkg() == c.pass.Pkg {
-		if st.tree > 0 && c.treeAcq[callee] {
+		if st.held > 0 && c.treeAcq[callee] {
 			c.report(call, fmt.Sprintf("call to %s may acquire the tree lock, but the tree lock is already held (lock.go rule 3: use the Tx)", callee.Name()))
 		}
 	}
 
 	// A function-typed parameter invoked under the tree lock: record it so
 	// callers' arguments are checked as under-lock callbacks (WithTx).
-	if st.tree > 0 && c.params != nil {
+	if st.held > 0 && c.params != nil {
 		if id, ok := call.Fun.(*ast.Ident); ok {
 			if v, ok := c.pass.TypesInfo.Uses[id].(*types.Var); ok {
 				if idx, ok := c.params[v]; ok {
@@ -310,10 +358,7 @@ func (c *checker) report(call *ast.CallExpr, msg string) {
 		return
 	}
 	c.reported[call.Lparen] = true
-	if f := directive.FileFor(c.pass, call.Pos()); f != nil && directive.Allows(c.pass, f, call.Pos(), "lockorder") {
-		return
-	}
-	c.pass.Reportf(call.Pos(), "%s", msg)
+	reportAt(c.pass, call.Pos(), msg)
 }
 
 // ---- consumer packages: hooks and under-lock callbacks ----
@@ -370,7 +415,7 @@ func runConsumer(pass *analysis.Pass) {
 			return
 		}
 		if pass.ImportObjectFact(fn, &AcquiresTreeLock{}) {
-			reportConsumer(pass, expr.Pos(), fmt.Sprintf("%s acquires the tree lock but is bound as %s, which runs under the tree lock (lock.go rule 3)", fn.FullName(), desc))
+			reportAt(pass, expr.Pos(), fmt.Sprintf("%s acquires the tree lock but is bound as %s, which runs under the tree lock (lock.go rule 3)", fn.FullName(), desc))
 		}
 	}
 
@@ -468,14 +513,16 @@ func runConsumer(pass *analysis.Pass) {
 				return true
 			}
 			if pass.ImportObjectFact(callee, &AcquiresTreeLock{}) {
-				reportConsumer(pass, call.Pos(), fmt.Sprintf("%s acquires the tree lock, but this code is reached from %s and already runs under it (lock.go rule 3: only the Tx may touch the tree here)", callee.FullName(), r.desc))
+				reportAt(pass, call.Pos(), fmt.Sprintf("%s acquires the tree lock, but this code is reached from %s and already runs under it (lock.go rule 3: only the Tx may touch the tree here)", callee.FullName(), r.desc))
 			}
 			return true
 		})
 	}
 }
 
-func reportConsumer(pass *analysis.Pass, pos token.Pos, msg string) {
+// reportAt reports msg at pos unless a //yancvet:allow lockorder
+// directive covers it.
+func reportAt(pass *analysis.Pass, pos token.Pos, msg string) {
 	if f := directive.FileFor(pass, pos); f != nil && directive.Allows(pass, f, pos, "lockorder") {
 		return
 	}
@@ -512,12 +559,4 @@ func deref(t types.Type) types.Type {
 		return p.Elem()
 	}
 	return t
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -37,7 +37,7 @@
 //
 // The context check is an approximation in the safe direction: a
 // function "holds the write lock" if its body contains a lockTree call
-// anywhere (no release tracking — lockpair owns pairing), and a helper
+// anywhere (no release tracking — lockorder owns pairing), and a helper
 // is accepted when no unlocked entry point reaches it through the
 // in-package static call graph — recursion included, so a recursive
 // teardown called only from Tx methods is clean. Dynamic calls (hooks,
@@ -140,15 +140,15 @@ func findVocab(pass *analysis.Pass) *vocab {
 		if !ok {
 			continue
 		}
-		kids := methodNamed(named, "kids")
-		set := methodNamed(named, "setKids")
+		kids := lockset.MethodNamed(named, "kids")
+		set := lockset.MethodNamed(named, "setKids")
 		if kids == nil || set == nil {
 			continue
 		}
 		v := &vocab{snap: named, publishers: map[*types.Func]bool{}, kids: kids, setKids: set,
 			children: childrenField(named)}
 		for _, pn := range publisherNames {
-			if m := methodNamed(named, pn); m != nil {
+			if m := lockset.MethodNamed(named, pn); m != nil {
 				v.publishers[m] = true
 			}
 		}
@@ -206,7 +206,7 @@ func (c *checker) isTxMethod(fn *types.Func) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	return namedOf(sig.Recv().Type()) == c.info.Tx
+	return lockset.NamedOf(sig.Recv().Type()) == c.info.Tx
 }
 
 // takesWriteLock reports whether body contains a lockTree call anywhere
@@ -320,7 +320,7 @@ func (c *checker) checkMutations(fd *ast.FuncDecl) {
 	tainted := make(map[types.Object]bool)
 	if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 && c.v.node != nil {
 		recv := fd.Recv.List[0].Names[0]
-		if obj := info.ObjectOf(recv); obj != nil && namedOf(obj.Type()) == c.v.node {
+		if obj := info.ObjectOf(recv); obj != nil && lockset.NamedOf(obj.Type()) == c.v.node {
 			tainted[obj] = true
 		}
 	}
@@ -357,7 +357,7 @@ func (c *checker) checkMutations(fd *ast.FuncDecl) {
 		}
 		switch t := info.TypeOf(inner).Underlying().(type) {
 		case *types.Pointer:
-			if namedOf(t) != c.v.node {
+			if lockset.NamedOf(t) != c.v.node {
 				return false // leaves the trie: what an entry points at is not the node's memory
 			}
 			shared = true
@@ -418,26 +418,4 @@ func (c *checker) report(pos token.Pos, format string, args ...interface{}) {
 		return
 	}
 	c.pass.Reportf(pos, format, args...)
-}
-
-func methodNamed(n *types.Named, name string) *types.Func {
-	for i := 0; i < n.NumMethods(); i++ {
-		if m := n.Method(i); m.Name() == name {
-			return m
-		}
-	}
-	return nil
-}
-
-func namedOf(t types.Type) *types.Named {
-	for {
-		switch tt := t.(type) {
-		case *types.Pointer:
-			t = tt.Elem()
-		case *types.Named:
-			return tt
-		default:
-			return nil
-		}
-	}
 }

@@ -1,6 +1,6 @@
 // Deliberate-bug fixture for the hotalloc analyzer: every `want` line is
 // a heap allocation inside a //yancvet:hotalloc hot path. The shapes
-// mirror the real tree — renderers, drain loops, mailbox scheduling —
+// mirror the real tree — renderers, drain loops, mux scheduling —
 // with the allocation bug planted.
 package hotfix
 

@@ -1,4 +1,4 @@
-// Package lockpair exercises the lockpair analyzer: every acquisition
+// Package lockpair exercises lockorder's leak check: every acquisition
 // must be released on all paths out of the function.
 package lockpair
 
@@ -25,7 +25,7 @@ func (fs *FS) badEarlyReturn(fail bool) error {
 
 // Suppressed: a function that deliberately returns holding the lock.
 func (fs *FS) lockTreeAndReturn() {
-	fs.lockTree() //yancvet:allow lockpair returns holding the lock by contract
+	fs.lockTree() //yancvet:allow lockorder returns holding the lock by contract
 }
 
 // The canonical correct pairings must stay silent.

@@ -36,6 +36,7 @@ import (
 	"golang.org/x/tools/go/types/typeutil"
 
 	"yanc/internal/analysis/internal/directive"
+	"yanc/internal/analysis/internal/lockset"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -181,7 +182,7 @@ func (c *checker) checkEscapes(aliases map[*types.Var]bool) {
 						obj = c.pass.TypesInfo.Uses[id]
 					}
 					if v, ok := obj.(*types.Var); ok {
-						if isGlobal(v) {
+						if lockset.IsGlobal(v) {
 							c.reportf(n.Pos(), "Tx handle stored to package variable %s: it outlives the WithTx callback and the tree lock", v.Name())
 						} else if !c.declaredInside(v) {
 							c.reportf(n.Pos(), "Tx handle assigned to %s declared outside the callback: any use after WithTx returns races the tree lock", v.Name())
@@ -270,10 +271,10 @@ func (c *checker) checkBlocking(body ast.Node, inGo bool) {
 func (c *checker) checkBlockingCall(call *ast.CallExpr) {
 	callee := typeutil.StaticCallee(c.pass.TypesInfo, call)
 	if callee == nil {
-		// Dynamic call: the only name-level signal we act on is the mux/
-		// ring Submit vocabulary.
+		// Dynamic call: the only name-level signal we act on is the ring's
+		// Submit vocabulary.
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Submit" {
-			c.reportf(call.Pos(), "Submit inside the tree-lock critical section: the mailbox/ring may be full and block under the tree lock")
+			c.reportf(call.Pos(), "Submit inside the tree-lock critical section: the ring may be full and block under the tree lock")
 		}
 		return
 	}
@@ -281,7 +282,7 @@ func (c *checker) checkBlockingCall(call *ast.CallExpr) {
 	name := callee.Name()
 	switch {
 	case name == "Submit":
-		c.reportf(call.Pos(), "Submit inside the tree-lock critical section: the mailbox/ring may be full and block under the tree lock")
+		c.reportf(call.Pos(), "Submit inside the tree-lock critical section: the ring may be full and block under the tree lock")
 	case pkg != nil && pkg.Path() == "time" && name == "Sleep":
 		c.reportf(call.Pos(), "time.Sleep inside the tree-lock critical section")
 	case pkg != nil && pkg.Path() == "sync" && name == "Wait":
@@ -359,8 +360,4 @@ func (c *checker) reportf(pos token.Pos, format string, args ...interface{}) {
 		return
 	}
 	c.pass.Reportf(pos, format, args...)
-}
-
-func isGlobal(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }

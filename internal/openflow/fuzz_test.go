@@ -89,6 +89,33 @@ func TestDecodeMutatedMessagesNeverPanics(t *testing.T) {
 	}
 }
 
+// FuzzDecode checks that each codec's decoder keeps only what its
+// encoder can carry: a message Decode accepts and Encode can write back
+// decodes from those bytes to an equal message. The seed corpus under
+// testdata/fuzz/FuzzDecode is the messages
+// TestDecodeMutatedMessagesNeverPanics mutates, encoded by both codecs.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, c := range []Codec{Codec10{}, Codec13{}} {
+			m, err := c.Decode(b)
+			if err != nil {
+				continue
+			}
+			enc, err := c.Encode(m)
+			if err != nil {
+				continue
+			}
+			again, err := c.Decode(enc)
+			if err != nil {
+				t.Fatalf("v%d: %T encodes to bytes that do not decode: %v", c.Version(), m, err)
+			}
+			if !reflect.DeepEqual(again, m) {
+				t.Fatalf("v%d: %T decodes to %+v after a round trip, want %+v", c.Version(), m, again, m)
+			}
+		}
+	})
+}
+
 // TestEthernetDecodersNeverPanic drives the packet library with garbage.
 func TestEthernetDecodersNeverPanic(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
