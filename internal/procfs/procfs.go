@@ -7,31 +7,9 @@
 // mounts, watches, and namespaced views all read it the same way they
 // read switch state.
 //
-// Layout:
-//
-//	/.proc/vfs/ops        VFS entry-point counters (vfs.OpStats)
-//	/.proc/vfs/latency    per-op latency histograms (count/avg/p50/p99/max)
-//	/.proc/vfs/contention   tree lock acquisition + contention counters
-//	                        and watch-dispatcher gauges
-//	/.proc/vfs/resolve_lockfree  read-path resolutions served entirely by
-//	                             the lock-free snapshot walk
-//	/.proc/vfs/resolve_fallback  read-path resolutions that fell back to
-//	                             the read-locked walk (symlink, "..",
-//	                             chroot, or generation-conflict retries)
-//	/.proc/watch/queues   per-watch queue depth, capacity, drops, overflows
-//	/.proc/driver/<name>  per-switch rtt/echo/tx_rx/pktin/flows (installed by the driver)
-//	/.proc/dfs/rpc        dfs server request counters
-//	/.proc/dfs/queue      per-mount eventual-write queue state
-//	/.proc/dfs/reconnects per-mount reconnect counts and connection state
-//	/.proc/dfs/replication  per-replica role/term/commit/applied/lag and
-//	                        per-mount failover + replayed-write counters
-//	/.proc/apps/<name>    per-application namespace/cgroup accounting
-//	/.proc/events/stats   packet-in delivery counters (linked vs copied
-//	                      bytes, live payload blocks, drops)
-//	/.proc/events/batch   delivery batch-size histogram (power-of-2 buckets)
-//	/.proc/events/apps    per-subscriber-buffer delivered/drops/depth
-//	/.proc/libyanc/ring   flow-ring depth/stall/completion counters
-//	/.proc/libyanc/batch  flow-ring drain/batch/latency counters
+// DESIGN.md §7 is the list of the files under /.proc and what each one
+// holds; the root package's TestProcMetricsLocalAndRemote checks that list
+// against a running tree in both directions.
 package procfs
 
 import (
@@ -91,7 +69,6 @@ func Install(fs *vfs.FS) (*Tree, error) {
 		}
 		files := map[string]func() ([]byte, error){
 			Dir + "/vfs/ops":              t.renderOps,
-			Dir + "/vfs/latency":          t.renderLatency,
 			Dir + "/vfs/contention":       t.renderContention,
 			Dir + "/vfs/resolve_lockfree": t.renderResolveLockfree,
 			Dir + "/vfs/resolve_fallback": t.renderResolveFallback,
@@ -311,10 +288,6 @@ func (t *Tree) renderOps() ([]byte, error) {
 	}
 	fmt.Fprintf(&b, "%-8s %d\n", "total", s.Total())
 	return []byte(b.String()), nil
-}
-
-func (t *Tree) renderLatency() ([]byte, error) {
-	return []byte(t.fs.Latency().Render()), nil
 }
 
 func (t *Tree) renderContention() ([]byte, error) {

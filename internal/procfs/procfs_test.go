@@ -21,7 +21,6 @@ func TestInstallCreatesReadOnlyTree(t *testing.T) {
 	p := fs.RootProc()
 	for _, path := range []string{
 		Dir + "/vfs/ops",
-		Dir + "/vfs/latency",
 		Dir + "/vfs/contention",
 		Dir + "/vfs/resolve_lockfree",
 		Dir + "/vfs/resolve_fallback",
@@ -86,16 +85,6 @@ func TestOpsAndLatencyReflectActivity(t *testing.T) {
 	}
 	if strings.Contains(ops, "writes   0\n") {
 		t.Fatalf("writes counter stuck at zero:\n%s", ops)
-	}
-
-	lat, err := p.ReadString(Dir + "/vfs/latency")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, col := range []string{"op", "count", "p50", "p99", "max", "write"} {
-		if !strings.Contains(lat, col) {
-			t.Fatalf("latency missing %q:\n%s", col, lat)
-		}
 	}
 
 	// Lock telemetry: the activity above took the tree lock, the only

@@ -25,12 +25,12 @@ package vfs
 // file and RemoveAt take the tree write lock, as their path-based calls
 // do, with the lookup made in the referenced directory.
 //
-// Accounting: each call charges the limiter and counts in OpStats and the
-// latency histograms as the path-based call it replaces — DirRef and
-// ExistsAt as one stat, ReadFileAt as one open and one read, WriteFileAt
-// as one open and one write (and one create), ReadDirAt as one readdir,
-// RemoveAt as one remove — so a cost model that counts calls reads the
-// same; what a call saves is the walk.
+// Accounting: each call charges the limiter and counts in OpStats as the
+// path-based call it replaces — DirRef and ExistsAt as one stat,
+// ReadFileAt as one open and one read, WriteFileAt as one open and one
+// write (and one create), ReadDirAt as one readdir, RemoveAt as one
+// remove — so a cost model that counts calls reads the same; what a call
+// saves is the walk.
 //
 // A Proc confined by Chroot takes references inside its root and uses
 // them like any other: the reference remembers the root it was resolved
@@ -75,9 +75,7 @@ func (p *Proc) DirRef(path string) (DirRef, error) {
 		return DirRef{}, err
 	}
 	p.fs.stats.stats.Add(1)
-	start := latStart()
 	n, err := p.fs.lookupRO(p.cred, path, p.opts(true))
-	p.fs.observe(LatStat, start)
 	switch {
 	case err != nil:
 	case n == nil:
@@ -155,13 +153,11 @@ func (p *Proc) spell(dir *inode, path string) string {
 //yancvet:hotalloc
 func (p *Proc) ExistsAt(ref DirRef, name string) bool {
 	if p.atFast(ref, name) {
-		start := latStart()
 		if n, st, err := p.fs.lookupAt(p.cred, ref.ino, name); st == rcuOK || st == rcuFail {
 			if p.charge("stat", 0) != nil {
 				return false
 			}
 			p.fs.stats.stats.Add(1)
-			p.fs.observe(LatStat, start)
 			return err == nil && n != nil
 		}
 	}
@@ -229,13 +225,11 @@ func (p *Proc) WriteFileAt(ref DirRef, name string, data []byte, mode FileMode) 
 //yancvet:hotalloc
 func (p *Proc) ReadDirAt(ref DirRef, name string) ([]DirEntry, error) {
 	if p.atFast(ref, name) || (name == "." && p.atFast(ref, "self")) {
-		start := latStart()
 		if n, st, err := p.fs.lookupAt(p.cred, ref.ino, name); st == rcuOK || st == rcuFail {
 			if err := p.charge("readdir", 0); err != nil {
 				return nil, err
 			}
 			p.fs.stats.readdirs.Add(1)
-			defer p.fs.observe(LatReadDir, start)
 			switch {
 			case err != nil:
 			case n == nil:
@@ -275,7 +269,6 @@ func (p *Proc) RemoveAt(ref DirRef, name string) error {
 	}
 	fs := p.fs
 	fs.stats.removes.Add(1)
-	defer fs.observe(LatRemove, latStart())
 	tx := fs.newTx()
 	fs.lockTree()
 	err := func() error {

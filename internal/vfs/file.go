@@ -62,7 +62,6 @@ func (p *Proc) OpenFile(path string, flags int, mode FileMode) (*File, error) {
 		return nil, err
 	}
 	p.fs.stats.opens.Add(1)
-	defer p.fs.observe(LatOpen, latStart())
 
 	f, truncated, err := p.openFast(path, flags)
 	if errors.Is(err, errNeedCreate) {
@@ -297,7 +296,6 @@ func (f *File) Read(b []byte) (int, error) {
 	}
 	fs := f.proc.fs
 	fs.stats.reads.Add(1)
-	defer fs.observe(LatRead, latStart())
 	if f.synthMode {
 		src := f.synthBuf[min(f.pos, int64(len(f.synthBuf))):]
 		if err := f.proc.charge("read", min(len(b), len(src))); err != nil {
@@ -352,7 +350,6 @@ func (f *File) Write(b []byte) (int, error) {
 		return 0, pathErr("write", f.path, ErrBadHandle)
 	}
 	f.proc.fs.stats.writes.Add(1)
-	defer f.proc.fs.observe(LatWrite, latStart())
 	if err := f.proc.charge("write", len(b)); err != nil {
 		return 0, err
 	}
@@ -530,8 +527,8 @@ func (f *File) Close() error {
 // readWhole is the handle-free whole-file read. The file is named either
 // by path from the root (dir nil) or by the single name path below the
 // referenced directory dir (the …At calls, at.go); it is resolved
-// lock-free, then comes an open's accounting (limiter charge, op counter,
-// latency) and, when the name lands on a regular file the caller may
+// lock-free, then comes an open's accounting (limiter charge and op
+// counter) and, when the name lands on a regular file the caller may
 // read, one read of the whole content (readNode). There is no File, no
 // staging buffer and no EOF round: to the limiter and to /.proc/vfs a
 // whole-file read is one open plus one read of the file's size, and a
@@ -549,7 +546,6 @@ func (p *Proc) readWhole(dir *inode, path string, share bool) (data []byte, ok b
 	if p.root != fs.root {
 		return nil, false, nil
 	}
-	start := latStart()
 	var n *inode
 	if dir == nil {
 		if !isClean(path) {
@@ -569,7 +565,6 @@ func (p *Proc) readWhole(dir *inode, path string, share bool) (data []byte, ok b
 		return nil, true, err
 	}
 	fs.stats.opens.Add(1)
-	fs.observe(LatOpen, start)
 	if err == nil {
 		if n == nil {
 			err = ErrNotExist
@@ -593,7 +588,6 @@ func (p *Proc) readWhole(dir *inode, path string, share bool) (data []byte, ok b
 func (p *Proc) readNode(n *inode, share bool) ([]byte, error) {
 	fs := p.fs
 	fs.stats.reads.Add(1)
-	start := latStart()
 	if _, err := p.admitRead(n, 0, math.MaxInt); err != nil {
 		return nil, err
 	}
@@ -601,7 +595,6 @@ func (p *Proc) readNode(n *inode, share bool) ([]byte, error) {
 	if !share {
 		data = append([]byte(nil), data...) //yancvet:alloc the caller's copy of the content
 	}
-	fs.observe(LatRead, start)
 	return data, nil
 }
 
@@ -707,7 +700,6 @@ const wholeWrite = O_WRONLY | O_CREATE | O_TRUNC
 //yancvet:hotalloc
 func (p *Proc) writeWhole(dir *inode, path string, data []byte, mode FileMode) (ok bool, err error) {
 	fs := p.fs
-	start := latStart()
 	var (
 		node   *inode
 		parent = dir // the directory a missing file would be created in
@@ -740,7 +732,6 @@ func (p *Proc) writeWhole(dir *inode, path string, data []byte, mode FileMode) (
 	case st == rcuOK && !allows(parent, p.cred, wantWrite):
 		err = ErrAccess // the create would be refused: the open fails, nothing is written
 	}
-	start = fs.lap(LatOpen, start)
 	if err != nil {
 		return true, pathErr("open", p.spell(dir, path), err)
 	}
@@ -790,7 +781,6 @@ func (p *Proc) writeWhole(dir *inode, path string, data []byte, mode FileMode) (
 			}
 		}
 	}
-	fs.observe(LatWrite, start)
 	// A failed call still dispatches: a file created and then refused to
 	// its creator has announced itself, as it does through a handle.
 	fs.watches.dispatch(events)

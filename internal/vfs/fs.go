@@ -317,7 +317,6 @@ type FS struct {
 	clock   atomic.Pointer[func() time.Time]
 	watches watchSet
 	stats   statCounters
-	lat     latencySet
 	// roTx is the handle every ReadTx hands out. A read-only Tx carries no
 	// state of its own, so one serves all readers at once and opening a
 	// read transaction allocates nothing.

@@ -109,7 +109,6 @@ func (p *Proc) MkdirRef(path string, mode FileMode) (DirRef, error) {
 		return DirRef{}, err
 	}
 	p.fs.stats.creates.Add(1)
-	defer p.fs.observe(LatMkdir, latStart())
 	fs := p.fs
 	tx := fs.newTx()
 	fs.lockTree()
@@ -277,7 +276,6 @@ func (p *Proc) Remove(path string) error {
 		return err
 	}
 	p.fs.stats.removes.Add(1)
-	defer p.fs.observe(LatRemove, latStart())
 	fs := p.fs
 	fs.lockTree()
 	tx := fs.newTx()
@@ -326,7 +324,6 @@ func (p *Proc) RemoveAll(path string) error {
 		return err
 	}
 	p.fs.stats.removes.Add(1)
-	defer p.fs.observe(LatRemove, latStart())
 	fs := p.fs
 	fs.lockTree()
 	tx := fs.newTx()
@@ -360,7 +357,6 @@ func (p *Proc) Rename(oldPath, newPath string) error {
 		return err
 	}
 	p.fs.stats.renames.Add(1)
-	defer p.fs.observe(LatRename, latStart())
 	fs := p.fs
 	fs.lockTree()
 	tx := fs.newTx()
@@ -412,7 +408,6 @@ func (p *Proc) Stat(path string) (Stat, error) {
 		return Stat{}, err
 	}
 	p.fs.stats.stats.Add(1)
-	defer p.fs.observe(LatStat, latStart())
 	n, err := p.fs.lookupRO(p.cred, path, p.opts(true))
 	if err != nil {
 		return Stat{}, pathErr("stat", path, err)
@@ -429,7 +424,6 @@ func (p *Proc) Lstat(path string) (Stat, error) {
 		return Stat{}, err
 	}
 	p.fs.stats.stats.Add(1)
-	defer p.fs.observe(LatStat, latStart())
 	n, err := p.fs.lookupRO(p.cred, path, p.opts(false))
 	if err != nil {
 		return Stat{}, pathErr("lstat", path, err)
@@ -460,7 +454,6 @@ func (p *Proc) ReadDir(path string) ([]DirEntry, error) {
 		return nil, err
 	}
 	p.fs.stats.readdirs.Add(1)
-	defer p.fs.observe(LatReadDir, latStart())
 	n, err := p.fs.lookupRO(p.cred, path, p.opts(true))
 	if err != nil {
 		return nil, pathErr("readdir", path, err)

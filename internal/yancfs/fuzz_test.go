@@ -1,6 +1,7 @@
 package yancfs
 
 import (
+	"bytes"
 	"testing"
 
 	"yanc/internal/ethernet"
@@ -131,6 +132,61 @@ func FuzzFlowDirRoundTrip(f *testing.F) {
 		}
 		if err != nil || v != version || !same(r.Spec) {
 			t.Fatalf("ReadFlowTx = v%d %+v, %v; wrote v%d %+v", v, r.Spec, err, version, spec)
+		}
+	})
+}
+
+// FuzzPacketInRoundTrip: any packet-in, delivered to one subscriber,
+// reads back from its message directory with the same fields and bytes,
+// and consuming it leaves the buffer empty and frees its payload block.
+// The switch name comes from a fixed set: it is a one-line file, written
+// by the driver from the switch's own name.
+func FuzzPacketInRoundTrip(f *testing.F) {
+	f.Add(uint32(0), uint32(0), uint8(0), uint16(0), []byte{}, uint8(0))
+	f.Add(uint32(0xffffffff), uint32(openflow.PortController), uint8(openflow.ReasonAction), uint16(0xffff),
+		[]byte("\x00\n \t\xff"), uint8(1))
+	f.Add(uint32(5), uint32(3), uint8(openflow.ReasonNoMatch), uint16(64), bytes.Repeat([]byte{0xab}, 2048), uint8(2))
+	switches := []string{"sw1", "s", "switch-0123456789abcdef"}
+	y, err := New()
+	if err != nil {
+		f.Fatal(err)
+	}
+	p := y.Root()
+	buf, w, err := Subscribe(p, "/", "fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	w.Close()
+	f.Fuzz(func(t *testing.T, bufferID, inPort uint32, reason uint8, totalLen uint16, data []byte, sw uint8) {
+		if len(data) > 2048 {
+			data = data[:2048]
+		}
+		pi := &openflow.PacketIn{BufferID: bufferID, InPort: inPort, Reason: reason, TotalLen: totalLen, Data: data}
+		name := switches[int(sw)%len(switches)]
+		live := y.EventStats().BlocksLive
+		if err := y.DeliverPacketIn("/", name, pi); err != nil {
+			t.Fatal(err)
+		}
+		msgs, err := PendingEvents(p, buf)
+		if err != nil || len(msgs) != 1 {
+			t.Fatalf("pending = %v, %v; want one message", msgs, err)
+		}
+		ev, err := ReadPacketIn(p, msgs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Switch != name || ev.BufferID != bufferID || ev.InPort != inPort || ev.Reason != reason ||
+			ev.TotalLen != totalLen || !bytes.Equal(ev.Data, data) {
+			t.Fatalf("read %+v; delivered %+v from %s", ev, pi, name)
+		}
+		if _, err := ConsumePacketIn(p, msgs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if left, err := PendingEvents(p, buf); err != nil || len(left) != 0 {
+			t.Fatalf("after consume: pending = %v, %v", left, err)
+		}
+		if got := y.EventStats().BlocksLive; got != live {
+			t.Fatalf("BlocksLive = %d after consume, %d before delivery", got, live)
 		}
 	})
 }

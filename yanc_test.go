@@ -3,6 +3,9 @@ package yanc
 import (
 	"bytes"
 	"net"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -266,12 +269,17 @@ func TestProcMetricsLocalAndRemote(t *testing.T) {
 	defer remote.Close()
 	ctrl.BindMount("peer", remote)
 
-	lat, err := remote.ReadFile("/.proc/vfs/latency")
+	// DESIGN.md §7's block is the one list of /.proc files: every file
+	// the running tree has is in it, every path it names is there, and so
+	// is every /.proc path the docs name.
+	checkProcLayout(t, ctrl.Root())
+
+	ops, err := remote.ReadFile("/.proc/vfs/ops")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(lat), "p99") {
-		t.Fatalf("remote latency read:\n%s", lat)
+	if !strings.Contains(string(ops), "total") {
+		t.Fatalf("remote ops read:\n%s", ops)
 	}
 	rec, err := remote.ReadFile("/.proc/dfs/reconnects")
 	if err != nil {
@@ -301,4 +309,117 @@ func TestProcMetricsLocalAndRemote(t *testing.T) {
 	}
 
 	ctrl.UnbindMount("peer")
+}
+
+// checkProcLayout holds DESIGN.md §7's /.proc block and the running tree
+// to each other. In the block, a line starting with /.proc names a file,
+// or a directory when it ends in "/", whose files are the lines below
+// indented by two spaces; a <…> segment stands for any one entry. The
+// load-harness directories (/.proc/load, /.proc/libyanc) are not in a
+// controller's tree, so the paths below them go unchecked.
+func checkProcLayout(t *testing.T, p *Proc) {
+	t.Helper()
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, _ := strings.Cut(string(design), "\n## 7. ")
+	sec, _, _ = strings.Cut(sec, "\n## 8. ")
+	_, block, _ := strings.Cut(sec, "\n```\n")
+	block, _, _ = strings.Cut(block, "\n```")
+	var listed []string
+	dir := ""
+	for _, line := range strings.Split(block, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			continue
+		}
+		switch {
+		case strings.HasPrefix(line, "/.proc/") && strings.HasSuffix(f[0], "/"):
+			dir = f[0]
+		case strings.HasPrefix(line, "/.proc/"):
+			dir = ""
+			listed = append(listed, f[0])
+		case dir != "" && strings.HasPrefix(line, "  ") && line[2] != ' ':
+			listed = append(listed, dir+f[0])
+		}
+	}
+	if len(listed) == 0 {
+		t.Fatal("DESIGN.md §7 has no /.proc block")
+	}
+	harness := func(path string) bool {
+		return slices.ContainsFunc([]string{"/.proc/load", "/.proc/libyanc"}, func(d string) bool {
+			return path == d || strings.HasPrefix(path, d+"/")
+		})
+	}
+
+	wild := func(seg string) bool { return strings.HasPrefix(seg, "<") }
+
+	// Tree → block.
+	matches := func(pattern, path string) bool {
+		ps, xs := strings.Split(pattern, "/"), strings.Split(path, "/")
+		if len(ps) != len(xs) {
+			return false
+		}
+		for i := range ps {
+			if ps[i] != xs[i] && !wild(ps[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	var walk func(dir string)
+	walk = func(dir string) {
+		entries, err := p.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			path := dir + "/" + e.Name
+			if e.IsDir() {
+				walk(path)
+			} else if !slices.ContainsFunc(listed, func(l string) bool { return matches(l, path) }) {
+				t.Errorf("%s is not in DESIGN.md §7's /.proc block", path)
+			}
+		}
+	}
+	walk("/.proc")
+
+	// Block and docs → tree.
+	var exists func(dir string, segs []string) bool
+	exists = func(dir string, segs []string) bool {
+		if len(segs) == 0 || segs[0] == "" {
+			return p.Exists(dir)
+		}
+		if !wild(segs[0]) {
+			return exists(dir+"/"+segs[0], segs[1:])
+		}
+		entries, err := p.ReadDir(dir)
+		if err != nil {
+			return false
+		}
+		if len(entries) == 0 {
+			return true // nothing to match: the check stops here
+		}
+		return slices.ContainsFunc(entries, func(e DirEntry) bool { return exists(dir+"/"+e.Name, segs[1:]) })
+	}
+	check := func(where, path string) {
+		rel := strings.TrimPrefix(strings.TrimPrefix(path, "/.proc"), "/")
+		if !harness(path) && !exists("/.proc", strings.Split(rel, "/")) {
+			t.Errorf("%s names %s, which the running tree does not have", where, path)
+		}
+	}
+	for _, path := range listed {
+		check("DESIGN.md §7's block", path)
+	}
+	named := regexp.MustCompile(`(?:/net)?/\.proc(?:/[\w<>-]+)*`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range named.FindAllString(string(text), -1) {
+			check(doc, strings.TrimPrefix(path, "/net"))
+		}
+	}
 }
