@@ -21,8 +21,8 @@
 #              the configuration the benchmark measures
 #              heap_bytes_per_flow in, so its heap bound is checked there
 #   fuzz       10 s each of FuzzPathResolve, FuzzWatchInterest,
-#              FuzzFlowDirRoundTrip, FuzzPacketInRoundTrip,
-#              FuzzPacketOutSpec and FuzzDecode,
+#              FuzzFileContent, FuzzFlowDirRoundTrip,
+#              FuzzPacketInRoundTrip, FuzzPacketOutSpec and FuzzDecode,
 #              from the seed corpora committed under each package's
 #              testdata/fuzz; what the fuzzer finds interesting stays in
 #              the Go build cache
@@ -89,6 +89,7 @@ go test -run 'Footprint' -count=3 ./internal/yancfs
 echo "==> go test -fuzz (10 s per target)"
 go test -run '^$' -fuzz '^FuzzPathResolve$' -fuzztime 10s ./internal/vfs
 go test -run '^$' -fuzz '^FuzzWatchInterest$' -fuzztime 10s ./internal/vfs
+go test -run '^$' -fuzz '^FuzzFileContent$' -fuzztime 10s ./internal/vfs
 go test -run '^$' -fuzz '^FuzzFlowDirRoundTrip$' -fuzztime 10s ./internal/yancfs
 go test -run '^$' -fuzz '^FuzzPacketInRoundTrip$' -fuzztime 10s ./internal/yancfs
 go test -run '^$' -fuzz '^FuzzPacketOutSpec$' -fuzztime 10s ./internal/openflow

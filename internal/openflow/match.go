@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,19 +30,10 @@ const (
 	FieldTPDst
 )
 
-var fieldNames = map[Field]string{
-	FieldInPort:    "in_port",
-	FieldDLSrc:     "dl_src",
-	FieldDLDst:     "dl_dst",
-	FieldDLType:    "dl_type",
-	FieldDLVLAN:    "dl_vlan",
-	FieldDLVLANPCP: "dl_vlan_pcp",
-	FieldNWTos:     "nw_tos",
-	FieldNWProto:   "nw_proto",
-	FieldNWSrc:     "nw_src",
-	FieldNWDst:     "nw_dst",
-	FieldTPSrc:     "tp_src",
-	FieldTPDst:     "tp_dst",
+// fieldNames spells each field, indexed by its bit's position.
+var fieldNames = [...]string{
+	"in_port", "dl_src", "dl_dst", "dl_type", "dl_vlan", "dl_vlan_pcp",
+	"nw_tos", "nw_proto", "nw_src", "nw_dst", "tp_src", "tp_dst",
 }
 
 // AllFields lists every field in canonical order.
@@ -51,17 +43,44 @@ var AllFields = []Field{
 	FieldTPSrc, FieldTPDst,
 }
 
-// Name returns the yanc file-name spelling of the field ("nw_src").
-func (f Field) Name() string { return fieldNames[f] }
+// Name returns the yanc file-name spelling of the field ("nw_src"), or ""
+// for a value that is not one field.
+func (f Field) Name() string {
+	if i := bits.TrailingZeros16(uint16(f)); f == 1<<i && i < len(fieldNames) {
+		return fieldNames[i]
+	}
+	return ""
+}
 
 // FieldByName resolves a yanc match file name to its Field.
 //
 //yancvet:hotalloc
 func FieldByName(name string) (Field, bool) {
-	for f, n := range fieldNames {
-		if n == name {
-			return f, true
-		}
+	switch name {
+	case "in_port":
+		return FieldInPort, true
+	case "dl_src":
+		return FieldDLSrc, true
+	case "dl_dst":
+		return FieldDLDst, true
+	case "dl_type":
+		return FieldDLType, true
+	case "dl_vlan":
+		return FieldDLVLAN, true
+	case "dl_vlan_pcp":
+		return FieldDLVLANPCP, true
+	case "nw_tos":
+		return FieldNWTos, true
+	case "nw_proto":
+		return FieldNWProto, true
+	case "nw_src":
+		return FieldNWSrc, true
+	case "nw_dst":
+		return FieldNWDst, true
+	case "tp_src":
+		return FieldTPSrc, true
+	case "tp_dst":
+		return FieldTPDst, true
 	}
 	return 0, false
 }

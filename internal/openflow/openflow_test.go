@@ -376,6 +376,20 @@ func TestMatchParseFormatRoundTrip(t *testing.T) {
 	if err != nil || !empty.IsWildcardAll() {
 		t.Errorf("wildcard parse = %+v %v", empty, err)
 	}
+	// Every field's name resolves back to the field; nothing else does.
+	for _, f := range AllFields {
+		if got, ok := FieldByName(f.Name()); !ok || got != f || f.Name() == "" {
+			t.Errorf("FieldByName(%q) = %v, %v; want %v", f.Name(), got, ok, f)
+		}
+	}
+	for _, name := range []string{"", "bogus", "NW_SRC", "nw_src\n", "match.nw_src"} {
+		if f, ok := FieldByName(name); ok {
+			t.Errorf("FieldByName(%q) = %v, want no field", name, f)
+		}
+	}
+	if name := (FieldNWSrc | FieldNWDst).Name(); name != "" {
+		t.Errorf("two fields' Name = %q, want empty", name)
+	}
 }
 
 func TestMatchCovers(t *testing.T) {

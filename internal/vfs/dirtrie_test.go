@@ -248,14 +248,13 @@ func TestDirTrieStructuralSharing(t *testing.T) {
 
 // TestInodeSize pins the kind split and the content pointer: an inode
 // carries only what every node uses, and a file's content is one pointer,
-// so the 16-inode slab of one flow fits the 1,408-byte size class instead
-// of the 1,792-byte one 16 × 104 bytes needed (or the 3,072-byte one of
-// 16 × 176). The slab holds pointers and is over 512 bytes, so the
-// runtime prepends an 8-byte type header: the budget is 1,400 bytes, 87
-// per inode.
+// so the 14-inode slab of one flow (yancfs.TestFlowFootprint) fits the
+// 1,152-byte size class. The slab holds pointers and is over 512 bytes,
+// so the runtime prepends an 8-byte type header: 14*size+8 <= 1152, 81
+// bytes per inode.
 func TestInodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(inode{}); got > 87 || 16*got+8 > 1408 {
-		t.Fatalf("unsafe.Sizeof(inode{}) = %d: a 16-inode slab needs %d bytes, want <= 1408", got, 16*got+8)
+	if got := unsafe.Sizeof(inode{}); 14*got+8 > 1152 {
+		t.Fatalf("unsafe.Sizeof(inode{}) = %d: a 14-inode slab needs %d bytes, want <= 1152", got, 14*got+8)
 	}
 }
 

@@ -366,15 +366,15 @@ func (f *File) Write(b []byte) (int, error) {
 	n := f.node
 	for {
 		old := n.data.Load()
-		cur := bytesOf(old)
+		cur := bodyOf(old)
 		if f.flags&O_APPEND != 0 {
 			f.pos = int64(len(cur))
 		}
-		var next *[]byte
+		var next *byte
 		if f.pos == 0 && len(b) >= len(cur) {
 			next = publish(b) // a whole-content replace: the common shape
 		} else {
-			next = own(spliced(cur, b, f.pos))
+			next = splicedBlob(cur, b, f.pos)
 		}
 		if n.data.CompareAndSwap(old, next) {
 			break
@@ -386,32 +386,38 @@ func (f *File) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// publish returns content holding a copy of data in the form a file
-// publishes it (inode.data): the pool's own for a payload it holds,
-// which costs no allocation, else new bytes. Nil is empty.
+// publish returns a blob holding a copy of data, the form a file
+// publishes it in (inode.data): the pool's own for a payload it holds,
+// which costs no allocation, else a new one. Nil is empty.
 //
 //yancvet:hotalloc
-func publish(data []byte) *[]byte {
+func publish(data []byte) *byte {
 	if len(data) == 0 {
 		return nil
 	}
 	if p, ok := internBytes(data); ok {
 		return p
 	}
-	return own(append([]byte(nil), data...)) //yancvet:alloc published bytes are never written again: new content is new bytes
+	return blobOf(data)
 }
 
-// own returns the published form of data, which the caller hands over.
-//
-//yancvet:hotalloc
-func own(data []byte) *[]byte {
-	return &data //yancvet:alloc the header readers load the content through
+// splicedBlob returns a new blob holding cur with b written at pos, zeros
+// filling any gap between cur's end and pos: the one allocation of a
+// partial write, an append or a growing truncate. It writes into neither.
+// The result is never empty: each caller has pos > 0, b past cur's end, or
+// a non-empty cur.
+func splicedBlob(cur, b []byte, pos int64) *byte {
+	p, body := newBlob(int(max(int64(len(cur)), pos+int64(len(b)))))
+	copy(body, cur)
+	copy(body[pos:], b)
+	return p
 }
 
 // spliced returns new bytes holding cur with b written at pos, zeros
-// filling any gap between cur's end and pos. It writes into neither.
+// filling any gap between cur's end and pos: a synthetic file's buffered
+// write. It writes into neither.
 func spliced(cur, b []byte, pos int64) []byte {
-	out := make([]byte, max(int64(len(cur)), pos+int64(len(b)))) //yancvet:alloc published bytes are never written again: a partial write is new bytes
+	out := make([]byte, max(int64(len(cur)), pos+int64(len(b)))) //yancvet:alloc a buffered synthetic write: the provider takes the buffer at close
 	copy(out, cur)
 	copy(out[pos:], b)
 	return out
@@ -473,12 +479,12 @@ func (f *File) Truncate(size int64) error {
 	n := f.node
 	for {
 		old := n.data.Load()
-		cur := bytesOf(old)
-		var next *[]byte
+		cur := bodyOf(old)
+		var next *byte
 		if size <= int64(len(cur)) {
 			next = publish(cur[:size])
 		} else {
-			next = own(spliced(cur, nil, size))
+			next = splicedBlob(cur, nil, size)
 		}
 		if n.data.CompareAndSwap(old, next) {
 			break
@@ -626,10 +632,12 @@ func (p *Proc) ReadFile(path string) ([]byte, error) {
 // copying: the returned slice is the file's published content, which
 // nothing ever writes into — a later write publishes new bytes — so it
 // stays what the file held at the read. The caller must not write into
-// it either. It exists for packet-in delivery, where a message's files
-// are built once, attached to every subscriber's buffer, and read by
-// reference — copying them again per subscriber would defeat the
-// zero-copy path.
+// it either. Its capacity is its length, so an append to it makes new
+// bytes rather than writing over the value of a file packed beside it
+// (yancfs.TestReadFileSharedCapIsLen). It exists for packet-in delivery,
+// where a message's files are built once, attached to every subscriber's
+// buffer, and read by reference — copying them again per subscriber
+// would defeat the zero-copy path.
 // Synthetic files return the provider's snapshot, which is already
 // caller-owned.
 func (p *Proc) ReadFileShared(path string) ([]byte, error) {

@@ -98,9 +98,10 @@ type DirSemantics struct {
 //   - mtime, ctime, version: atomics, stored by whoever changes the node
 //     — content writers hold no lock — after the change itself, so a
 //     reader that sees the new version finds the new content.
-//   - data: the content of a regular file, published by atomic swap. The
-//     bytes it points at are immutable — interned ones are shared across
-//     inodes (intern.go) — so a reader may keep what it loaded and a
+//   - data: the content of a regular file, published by atomic swap as
+//     one pointer to a length-prefixed blob (content.go). The bytes it
+//     points at are immutable — interned ones are shared across inodes
+//     (intern.go) — so a reader may keep what it loaded and a
 //     writer builds new bytes and swaps them in; a write that starts from
 //     the current content (a partial write, an append, a truncate) swaps
 //     by compare-and-swap and retries when another writer got there
@@ -128,23 +129,16 @@ type inode struct {
 	mtime   atomic.Int64
 	ctime   atomic.Int64
 	version atomic.Uint64
-	data    atomic.Pointer[[]byte]
+	data    atomic.Pointer[byte]
 
 	dir *dirState
 	ext atomic.Pointer[inodeExt]
 }
 
 // content returns the file's published bytes, which nothing writes into:
-// the caller may keep them, and must not write into them either.
-func (n *inode) content() []byte { return bytesOf(n.data.Load()) }
-
-// bytesOf returns the bytes published content p holds.
-func bytesOf(p *[]byte) []byte {
-	if p == nil {
-		return nil
-	}
-	return *p
-}
+// the caller may keep them, and must not write into them either. Their
+// capacity is their length (bodyOf).
+func (n *inode) content() []byte { return bodyOf(n.data.Load()) }
 
 // dirState is what only a directory needs.
 //
@@ -887,7 +881,8 @@ type FileSet struct {
 // adds one, and each directory holding the set that is torn down takes
 // its one away.
 func (tx *Tx) NewFileSet(files []FileData, mode FileMode, uid, gid int) (*FileSet, error) {
-	b := tx.fs.newBuilder(len(files), 0, uid, gid, tx.fs.now())
+	nodes, dirs, blobs := countTree(files)
+	b := tx.fs.newBuilder(nodes, dirs, blobs, uid, gid, tx.fs.now())
 	ents := make([]dirEnt, 0, len(files))
 	for i := range files {
 		f := &files[i]
@@ -980,9 +975,8 @@ func (tx *Tx) AttachFileSet(set *FileSet, parents []DirRef, name string, mode Fi
 // recursively (Data and Synth are ignored; an empty non-nil slice is an
 // empty directory), and a non-nil Set a subdirectory holding that set
 // (Data, Synth and Children are ignored). Mode, when non-zero, overrides
-// the tree-wide default file or directory mode for this entry. Owned
-// marks Data as transferred to the file system: WriteTree may alias the
-// slice instead of copying, so the caller must not touch it afterwards.
+// the tree-wide default file or directory mode for this entry. Data is
+// copied: the caller's buffers stay its own.
 type FileData struct {
 	Name     string
 	Data     []byte
@@ -990,24 +984,27 @@ type FileData struct {
 	Children []FileData
 	Set      *FileSet
 	Mode     FileMode
-	Owned    bool
 }
 
-// countTree returns the number of inodes a FileData forest needs, and
-// how many of them are directories.
-func countTree(files []FileData) (nodes, dirs int) {
+// countTree returns the number of inodes a FileData forest needs, how
+// many of them are directories, and the bytes its regular files' blobs
+// take.
+func countTree(files []FileData) (nodes, dirs, blobs int) {
 	nodes = len(files)
 	for i := range files {
-		switch {
-		case files[i].Set != nil:
+		switch f := &files[i]; {
+		case f.Set != nil:
 			dirs++
-		case files[i].Children != nil:
-			n, d := countTree(files[i].Children)
+		case f.Children != nil:
+			n, d, b := countTree(f.Children)
 			nodes += n
 			dirs += d + 1
+			blobs += b
+		case f.Synth == nil:
+			blobs += blobSize(len(f.Data))
 		}
 	}
-	return nodes, dirs
+	return nodes, dirs, blobs
 }
 
 // linkSets accounts the one link WriteTree made to each set among files.
@@ -1024,25 +1021,28 @@ func linkSets(files []FileData, now time.Time) {
 
 // treeBuilder makes the inodes of one WriteTree or NewFileSet call. They
 // come from one slab (and the directory states from a second), and the
-// headers that publish the files' contents from a third: a 1k-flow ring
-// drain would otherwise malloc ~15 inodes per flow, and the GC cost of
-// those little objects dominates the commit.
+// files' contents are blobs packed into one arena: a 1k-flow ring drain
+// would otherwise malloc ~15 inodes and a dozen values per flow, and the
+// GC cost of those little objects dominates the commit. The builder does
+// not probe the intern pool: the arena stays pinned by the tree's unique
+// values whatever the pool could share, so the probe would buy nothing.
 type treeBuilder struct {
 	fs       *FS
 	nodes    []inode
 	dirs     []dirState
-	heads    [][]byte
+	arena    []byte
 	uid, gid int
 	ns       int64
 }
 
-// newBuilder sizes a builder for nodes inodes, dirs of them directories.
-func (fs *FS) newBuilder(nodes, dirs, uid, gid int, now time.Time) treeBuilder {
+// newBuilder sizes a builder for nodes inodes, dirs of them directories,
+// and an arena of blobs bytes.
+func (fs *FS) newBuilder(nodes, dirs, blobs, uid, gid int, now time.Time) treeBuilder {
 	return treeBuilder{
 		fs:    fs,
 		nodes: make([]inode, 0, nodes),
 		dirs:  make([]dirState, 0, dirs),
-		heads: make([][]byte, 0, nodes-dirs),
+		arena: make([]byte, 0, blobs),
 		uid:   uid,
 		gid:   gid,
 		ns:    now.UnixNano(),
@@ -1070,29 +1070,12 @@ func (b *treeBuilder) file(f *FileData, mode FileMode) *inode {
 	switch {
 	case f.Synth != nil:
 		fi.extend().synth.Store(f.Synth)
-	case f.Owned:
-		// Owned slices are adopted without the intern probe: callers pack
-		// a whole subtree's values into one arena, so the arena stays
-		// pinned by its unique entries no matter how many common values
-		// the pool could share — the two map lookups per file would buy
-		// nothing.
-		b.adopt(fi, f.Data)
-	default:
-		if shared, ok := internBytes(f.Data); ok {
-			fi.data.Store(shared)
-		} else {
-			b.adopt(fi, append([]byte(nil), f.Data...))
-		}
+	case len(f.Data) > 0:
+		var blob *byte
+		b.arena, blob = appendBlob(b.arena, f.Data)
+		fi.data.Store(blob)
 	}
 	return fi
-}
-
-// adopt publishes data as fi's content through a header from the slab.
-func (b *treeBuilder) adopt(fi *inode, data []byte) {
-	if len(data) > 0 {
-		b.heads = append(b.heads, data)
-		fi.data.Store(&b.heads[len(b.heads)-1])
-	}
 }
 
 // WriteTree creates dir as a new directory populated with the given
@@ -1113,8 +1096,8 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 	}
 	now := tx.fs.now()
 	name = internName(name)
-	nodes, dirs := countTree(files)
-	b := tx.fs.newBuilder(1+nodes, 1+dirs, uid, gid, now)
+	nodes, dirs, blobs := countTree(files)
+	b := tx.fs.newBuilder(1+nodes, 1+dirs, blobs, uid, gid, now)
 	var build func(d *inode, files []FileData) error
 	build = func(d *inode, files []FileData) error {
 		ents := make([]dirEnt, 0, len(files))

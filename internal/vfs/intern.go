@@ -22,8 +22,9 @@ import (
 //
 // Interned values are shared across inodes and are therefore immutable —
 // as every file's published content is (see inode.data): the data pool
-// holds payloads in that published form, so an inode adopts one with a
-// pointer store. Name strings are immutable in Go already.
+// holds payloads in that published form, a blob keyed by its own body,
+// so an inode adopts one with a pointer store. Name strings are immutable
+// in Go already.
 
 const (
 	// internNameCap bounds the name pool. Component-name vocabularies
@@ -73,15 +74,15 @@ func internName(name string) string {
 
 var payloads = struct {
 	mu   sync.RWMutex
-	m    map[string]*[]byte
+	m    map[string]*byte
 	full atomic.Bool // len(m) reached internDataCap
-}{m: make(map[string]*[]byte, 256)}
+}{m: make(map[string]*byte, 256)}
 
 // internBytes returns the canonical published content equal to b when b
 // is small enough to pool and the pool admits it. ok=false means the
 // caller must publish its own copy. The returned content is shared
 // across inodes and, like all published content, never written into.
-func internBytes(b []byte) (data *[]byte, ok bool) {
+func internBytes(b []byte) (data *byte, ok bool) {
 	if len(b) == 0 || len(b) > internDataMax {
 		return nil, false
 	}
@@ -100,7 +101,7 @@ func internBytes(b []byte) (data *[]byte, ok bool) {
 		payloads.full.Store(true)
 		return nil, false
 	}
-	c = own(append([]byte(nil), b...)) //yancvet:alloc first sight of a payload: it is pooled from here on
-	payloads.m[string(*c)] = c         //yancvet:alloc the pool's key, once per distinct payload
+	c = blobOf(b)
+	payloads.m[bodyKey(c)] = c
 	return c, true
 }

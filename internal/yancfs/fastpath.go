@@ -39,43 +39,45 @@ func actionFileName(a openflow.Action) string {
 	return ActionPrefix + "unknown"
 }
 
-// flowFiles renders the per-field files of a flow directory — match
-// fields, action files, metadata, and the committed version — in the
-// exact content format the file-I/O path produces.
-//
-// One arena backs every file's content: a single growing buffer holds
-// each rendered value, and the FileData slices are cut from it at the
-// end (spans are kept as offsets because append may move the backing
-// array). The slices are marked Owned, so the file system adopts them
-// without copying: published content is never written into, so files
-// may share one backing array.
-// flowScratch recycles the per-flow rendering scratch. The FileData
-// slice and span offsets die as soon as WriteTree returns (only the
-// arena stays live, aliased by the new inodes), and a 1k-flow drain
-// would otherwise retire ~1.5KB of garbage per flow.
+// flowScratch recycles the per-flow rendering scratch: the FileData
+// slice, the span offsets and the arena the values are rendered into.
+// All of it dies as soon as WriteTree returns, since the file system
+// copies every value into its own arena, and a 1k-flow drain would
+// otherwise retire ~1.5KB of garbage per flow.
 var flowScratch = sync.Pool{New: func() any {
 	return &flowScratchBuf{
 		files: make([]vfs.FileData, 0, 16),
 		spans: make([][2]int, 0, 16),
+		arena: make([]byte, 0, 160),
 	}
 }}
 
 type flowScratchBuf struct {
 	files []vfs.FileData
 	spans [][2]int
+	arena []byte
 }
 
+// flowFiles renders the per-field files of a flow directory — match
+// fields, action files, metadata, and the committed version — in the
+// exact content format the file-I/O path produces.
+//
+// Every value is rendered into the scratch's one arena, and the FileData
+// slices are cut from it at the end (spans are kept as offsets because
+// append may move the backing array). The slices belong to the scratch:
+// they are valid until release, and the file system copies what it keeps.
+//
 //yancvet:hotalloc
 func flowFiles(spec FlowSpec, version uint64) ([]vfs.FileData, *flowScratchBuf) {
 	sc := flowScratch.Get().(*flowScratchBuf)
 	files := sc.files[:0]
 	spans := sc.spans[:0]
-	arena := make([]byte, 0, 160) //yancvet:alloc the arena is adopted by the written inodes and must outlive the call
+	arena := sc.arena[:0]
 	mark := 0
 	seal := func(name string) { // close out the value appended since mark
 		arena = append(arena, '\n')
 		spans = append(spans, [2]int{mark, len(arena)})
-		files = append(files, vfs.FileData{Name: name, Owned: true})
+		files = append(files, vfs.FileData{Name: name})
 		mark = len(arena)
 	}
 	for i, f := range openflow.AllFields {
@@ -105,15 +107,15 @@ func flowFiles(spec FlowSpec, version uint64) ([]vfs.FileData, *flowScratchBuf) 
 		s := spans[i]
 		files[i].Data = arena[s[0]:s[1]]
 	}
-	sc.files, sc.spans = files, spans
+	sc.files, sc.spans, sc.arena = files, spans, arena
 	return files, sc
 }
 
 // release returns the scratch to the pool once the FileData slice has
-// been consumed (the arena itself stays live inside the new inodes).
+// been consumed.
 func (sc *flowScratchBuf) release() {
 	for i := range sc.files {
-		sc.files[i] = vfs.FileData{} // drop arena references
+		sc.files[i] = vfs.FileData{} // drop the counters set a flow names
 	}
 	flowScratch.Put(sc)
 }
@@ -132,8 +134,9 @@ func (y *FS) PutFlowTx(tx *vfs.Tx, flowPath string, spec FlowSpec) (uint64, erro
 	flowPath = vfs.Clean(flowPath)
 	// Fresh flow first: the whole flow — field files, the counters
 	// subdir holding the shared counters set, and the committed version —
-	// lands in ONE WriteTree: one path resolution and one inode slab. An
-	// existing flow surfaces as ErrExist and takes the rewrite branch.
+	// lands in ONE WriteTree: one path resolution, one inode slab and one
+	// arena for every value. An existing flow surfaces as ErrExist and
+	// takes the rewrite branch.
 	{
 		counters, err := y.flowCounters(tx, 0, 0)
 		if err != nil {

@@ -641,14 +641,16 @@ func footprintSpec(i int) FlowSpec {
 // counters/ directory. The two counter files are one file set per
 // creator, attached to every flow that creator makes, so nothing per
 // flow hangs off them, and counters/ publishes the set's children trie
-// instead of a leaf of its own. PutFlowTx's flow is the 14-inode slab in
-// the 1,152-byte size class, its two directory states, the slab of
-// content headers, one ~400-byte trie leaf for the flow directory, the
-// value arena and the side structs: 2,131 B. WriteFlow's is an 80-byte
-// object per inode, a header only for a value the intern pool does not
-// hold, and the same leaf: 1,730 B. The bound is the larger plus 3 %.
+// instead of a leaf of its own. A file's content is one pointer to a
+// length-prefixed blob, with no header of its own. PutFlowTx's flow is
+// the 14-inode slab in the 1,152-byte size class, its two directory
+// states, one ~400-byte trie leaf for the flow directory, one arena
+// packing all twelve values and the side structs: 1,763 B. WriteFlow's
+// is an 80-byte object per inode, a blob only for a value the intern
+// pool does not hold, and the same leaf: 1,683 B. The bound is the
+// larger plus 3 %.
 func TestFlowFootprint(t *testing.T) {
-	const flows, limit = 4096, 2195
+	const flows, limit = 4096, 1816
 	liveHeap := func() uint64 {
 		var ms runtime.MemStats
 		runtime.GC()
@@ -746,6 +748,83 @@ func TestFlowFootprint(t *testing.T) {
 			t.Errorf("%s: nlink after a flow went = %d, want %d", name, st.Nlink, flows-1)
 		}
 		runtime.KeepAlive(y)
+	}
+}
+
+// TestReadFileSharedCapIsLen pins that a shared read hands out a file's
+// bytes and no room past them. PutFlowTx packs a flow's values side by
+// side in one arena, so a shared read with spare capacity would let a
+// reader's append write over the next file's value: published bytes
+// would change under every other reader. It checks that an append to one
+// ring-written file leaves the flow's other files as they were, and that
+// shared reads of files written by the ring, by WriteFlow and by
+// packet-in delivery all have cap == len.
+func TestReadFileSharedCapIsLen(t *testing.T) {
+	y := newFS(t)
+	p := y.Root()
+	if _, err := CreateSwitch(p, "/", "sw1"); err != nil {
+		t.Fatal(err)
+	}
+	ring := FlowPath("sw1", "ring")
+	if err := y.VFS().WithTx(func(tx *vfs.Tx) error {
+		_, err := y.PutFlowTx(tx, ring, footprintSpec(7))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := p.ReadDir(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[string]string{}
+	for _, e := range entries {
+		if !e.IsDir() {
+			b, err := p.ReadFile(vfs.Join(ring, e.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before[e.Name] = string(b)
+		}
+	}
+	shared, err := p.ReadFileShared(vfs.Join(ring, FilePriority))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(shared, "XX"...)
+	for name, want := range before {
+		if got, err := p.ReadFile(vfs.Join(ring, name)); err != nil || string(got) != want {
+			t.Errorf("after an append to a shared read of %s, %s = %q (%v), want %q", FilePriority, name, got, err, want)
+		}
+	}
+
+	file := FlowPath("sw1", "file")
+	if _, err := WriteFlow(p, file, footprintSpec(8)); err != nil {
+		t.Fatal(err)
+	}
+	buf, w, err := Subscribe(p, "/", "app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := y.DeliverPacketIn("/", "sw1", testPacketIn(32)); err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := PendingEvents(p, buf)
+	if err != nil || len(msgs) != 1 {
+		t.Fatalf("pending = %v %v", msgs, err)
+	}
+	for _, path := range []string{
+		vfs.Join(ring, FilePriority), vfs.Join(ring, FileVersion), vfs.Join(ring, "match.nw_src"),
+		vfs.Join(file, FilePriority), vfs.Join(file, FileVersion), vfs.Join(file, "match.nw_src"),
+		vfs.Join(msgs[0], "in_port"), vfs.Join(msgs[0], "data"),
+	} {
+		b, err := p.ReadFileShared(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) == 0 || cap(b) != len(b) {
+			t.Errorf("ReadFileShared(%s): len %d, cap %d; want cap == len > 0", path, len(b), cap(b))
+		}
 	}
 }
 
