@@ -17,9 +17,11 @@
 #              Stress tests -race at -cpu 1,4: file content is published
 #              lock-free, and four Ps give the scheduler interleavings to
 #              try that a machine with fewer cores would not
-#   footprint  TestFlowFootprint three times without the race detector,
-#              the configuration the benchmark measures
-#              heap_bytes_per_flow in, so its heap bound is checked there
+#   footprint  TestFlowFootprint, TestInodeSize and TestSlabChunk three
+#              times without the race detector, the configuration the
+#              benchmark measures heap_bytes_per_flow in, so the heap
+#              bound, the 64-byte inode and the <= 512-byte slab chunk
+#              are checked there
 #   fuzz       10 s each of FuzzPathResolve, FuzzWatchInterest,
 #              FuzzFileContent, FuzzFlowDirRoundTrip,
 #              FuzzPacketInRoundTrip, FuzzPacketOutSpec and FuzzDecode,
@@ -84,7 +86,7 @@ go test -race -run 'Stress|Chaos|Alloc' -count=2 ./...
 go test -race -run 'Stress' -cpu 1,4 ./internal/vfs ./internal/yancfs
 
 echo "==> go test footprint (no race detector, -count=3)"
-go test -run 'Footprint' -count=3 ./internal/yancfs
+go test -run 'Footprint|InodeSize|Slab' -count=3 ./internal/vfs ./internal/yancfs
 
 echo "==> go test -fuzz (10 s per target)"
 go test -run '^$' -fuzz '^FuzzPathResolve$' -fuzztime 10s ./internal/vfs

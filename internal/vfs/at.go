@@ -60,11 +60,14 @@ func (r DirRef) Valid() bool { return r.ino != nil }
 const genDead = 1 << 63
 
 // dead reports whether n, a directory, has been removed from the tree.
-func (n *inode) dead() bool { return n.dir.gen.Load()&genDead != 0 }
+func (n *inode) dead() bool { return n.dir().gen.Load()&genDead != 0 }
 
 // markDead records n's removal. Tree write lock required, which makes the
 // load and the store one step: every generation write happens under it.
-func (n *inode) markDead() { n.dir.gen.Store(n.dir.gen.Load() | genDead) }
+func (n *inode) markDead() {
+	d := n.dir()
+	d.gen.Store(d.gen.Load() | genDead)
+}
 
 // DirRef resolves path to a directory reference. It is the stat that
 // finds the directory, charged and counted as one.

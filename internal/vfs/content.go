@@ -6,12 +6,45 @@ import (
 	"unsafe"
 )
 
-// A regular file's content is published as one pointer (inode.data) to a
-// blob: the body's length as a uvarint, then the body, immutable from the
-// moment it is published. A blob is its own allocation or lies inside a
-// larger one (a WriteTree arena, which its blobs keep alive together).
-// Nil is the empty file; no blob has an empty body. This file is the only
-// one that knows the layout.
+// An inode's data word (inode.data) has two views, chosen by its kind,
+// which never changes: a directory has no content and a regular file no
+// dirState, so one word serves both. This file is the only one that
+// knows either layout.
+//
+// A directory's word points at its dirState, stored once at creation
+// (setDir) and never replaced. A regular file's content is published in
+// it as one pointer to a blob: the body's length as a uvarint, then the
+// body, immutable from the moment it is published. A blob is its own
+// allocation or lies inside a larger one (a WriteTree arena, which its
+// blobs keep alive together). Nil is the empty file; no blob has an
+// empty body. A symlink's word stays nil.
+
+// content returns a file's published bytes, which nothing writes into:
+// the caller may keep them, and must not write into them either. Their
+// capacity is their length (bodyOf). A directory has none: its word is
+// never decoded as a blob.
+func (n *inode) content() []byte {
+	if n.isDir() {
+		return nil
+	}
+	return bodyOf(n.data.Load())
+}
+
+// setDir makes d the state of n, a directory being created.
+func (n *inode) setDir(d *dirState) { n.data.Store((*byte)(unsafe.Pointer(d))) }
+
+// dir returns a directory's state; nil for any other kind.
+func (n *inode) dir() *dirState {
+	if !n.isDir() {
+		return nil
+	}
+	return n.dirKnown()
+}
+
+// dirKnown is dir for a caller that has already checked that n is a
+// directory: the walk's hot path, which would otherwise test the kind
+// twice per hop.
+func (n *inode) dirKnown() *dirState { return (*dirState)(unsafe.Pointer(n.data.Load())) }
 
 // blobSize returns the bytes the blob of an n-byte body takes.
 func blobSize(n int) int {

@@ -3,6 +3,7 @@ package vfs
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -64,14 +65,39 @@ func checkContent(t *testing.T, fs *FS, step string, model []byte) {
 	}
 }
 
-// FuzzFileContent drives one file through a sequence of content writes
-// and checks, after each, that every read agrees with a []byte model. An
-// op is five bytes: a kind, then two little-endian uint16 arguments. The
-// kinds are a whole WriteFile, a handle write past the end (which leaves
-// a zero gap), an O_APPEND write, a Truncate that grows or shrinks,
-// Tx.WriteFile, and a WriteTree that rebuilds the directory with f and g.
-// The committed seeds sit at the length-prefix boundaries (0, 1, 127,
-// 128, 16,383, 16,384 bytes) and around the intern limit (64, 65).
+// attrModel is what FuzzFileContent expects Stat to report of the file
+// besides its content: the kind shares the mode word with the
+// permission bits, so a chmod must move the one and keep the other.
+type attrModel struct {
+	mode     FileMode
+	uid, gid int
+}
+
+// checkAttrs compares the file's and its directory's Stat with the model.
+func checkAttrs(t *testing.T, fs *FS, step string, m attrModel) {
+	t.Helper()
+	p := fs.RootProc()
+	st, err := p.Stat(contentFile)
+	if err != nil || st.Kind != KindFile || st.Mode != m.mode || st.UID != m.uid || st.GID != m.gid {
+		t.Fatalf("%s: Stat = kind %v mode %o uid %d gid %d (%v), want file %o %d %d", step, st.Kind, st.Mode, st.UID, st.GID, err, m.mode, m.uid, m.gid)
+	}
+	if st, err := p.Stat(contentDir); err != nil || st.Kind != KindDir || st.Mode != 0o755 || st.Size != 2 {
+		t.Fatalf("%s: Stat(dir) = kind %v mode %o size %d (%v), want dir 755 of 2 entries", step, st.Kind, st.Mode, st.Size, err)
+	}
+}
+
+// FuzzFileContent drives one file through a sequence of content and
+// attribute changes and checks, after each, that every read agrees with
+// a []byte model and Stat with an attribute model. An op is five bytes:
+// a kind, then two little-endian uint16 arguments. The kinds are a whole
+// WriteFile, a handle write past the end (which leaves a zero gap), an
+// O_APPEND write, a Truncate that grows or shrinks, Tx.WriteFile, a
+// WriteTree that rebuilds the directory with f and g (a new file: mode
+// 0644, owner 0:0), a Chmod to the first argument modulo 0o10000 (the
+// setuid, setgid and sticky bits included) and a Chown to the two. The
+// committed seeds sit at the length-prefix boundaries (0, 1, 127, 128,
+// 16,383, 16,384 bytes), around the intern limit (64, 65) and at modes
+// 0o7777 and 0.
 func FuzzFileContent(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		fs := New()
@@ -93,7 +119,10 @@ func FuzzFileContent(f *testing.F) {
 			t.Fatal(err)
 		}
 		var model []byte
+		created := attrModel{mode: 0o644}
+		attrs := created
 		checkContent(t, fs, "start", model)
+		checkAttrs(t, fs, "start", attrs)
 		for op := 0; op < 16 && len(prog) > 0; op++ {
 			var arg [5]byte
 			prog = prog[copy(arg[:], prog):]
@@ -102,7 +131,7 @@ func FuzzFileContent(f *testing.F) {
 			data := contentValue(op, n)
 			var err error
 			var step string
-			switch arg[0] % 6 {
+			switch arg[0] % 8 {
 			case 0:
 				step = fmt.Sprintf("op %d: WriteFile %d", op, n)
 				err = p.WriteFile(contentFile, data, 0o644)
@@ -151,6 +180,17 @@ func FuzzFileContent(f *testing.F) {
 				step = fmt.Sprintf("op %d: WriteTree %d", op, n)
 				err = writeTree(data)
 				model = data
+				attrs = created
+			case 6:
+				mode := FileMode(binary.LittleEndian.Uint16(arg[1:]) % 0o10000)
+				step = fmt.Sprintf("op %d: Chmod %o", op, mode)
+				err = p.Chmod(contentFile, mode)
+				attrs.mode = mode
+			case 7:
+				uid, gid := int(binary.LittleEndian.Uint16(arg[1:])), int(binary.LittleEndian.Uint16(arg[3:]))
+				step = fmt.Sprintf("op %d: Chown %d:%d", op, uid, gid)
+				err = p.Chown(contentFile, uid, gid)
+				attrs.uid, attrs.gid = uid, gid
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", step, err)
@@ -162,8 +202,107 @@ func FuzzFileContent(f *testing.F) {
 				data[i] = 'X'
 			}
 			checkContent(t, fs, step, model)
+			checkAttrs(t, fs, step, attrs)
 		}
 	})
+}
+
+// TestDataWordByKind checks what the data word and the mode word hold
+// for each kind of node: a directory, a symlink (to the directory), a
+// regular file and a synthetic file. A chmod to 0o7777 and back keeps
+// the kind; Size is the directory's entry count, the symlink's target
+// length and the file's content length; and reading a directory, or
+// opening it to write, fails with ErrIsDir rather than decoding its
+// state as a blob.
+func TestDataWordByKind(t *testing.T) {
+	fs := New()
+	p := fs.RootProc()
+	if err := p.MkdirAll("/d/sub", 0o750); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"/d/a", "/d/b"} {
+		if err := p.WriteString(name, "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Symlink("/d", "/l"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteString("/f", "hello"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WithTx(func(tx *Tx) error {
+		return tx.SetSynthetic("/s", &Synthetic{Read: func() ([]byte, error) { return []byte("42\n"), nil }}, 0o440, 0, 0)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path string
+		kind NodeKind // Lstat's kind
+		size int64    // Lstat's size
+		mode FileMode // the mode chmod goes back to: the followed node's
+		dir  bool     // the path leads to a directory
+	}{
+		{"/d", KindDir, 3, 0o750, true},
+		{"/l", KindSymlink, 2, 0o750, true},
+		{"/f", KindFile, 5, 0o644, false},
+		{"/s", KindFile, 0, 0o440, false},
+	} {
+		lstat := func(step string) Stat {
+			st, err := p.Lstat(tc.path)
+			if err != nil || st.Kind != tc.kind || st.Size != tc.size {
+				t.Fatalf("%s: %s: Lstat = kind %v size %d (%v), want %v of size %d", tc.path, step, st.Kind, st.Size, err, tc.kind, tc.size)
+			}
+			return st
+		}
+		before := lstat("before")
+		for _, mode := range []FileMode{0o7777, tc.mode} {
+			if err := p.Chmod(tc.path, mode); err != nil {
+				t.Fatal(err)
+			}
+			step := fmt.Sprintf("after chmod %o", mode)
+			if st := lstat(step); tc.kind == KindSymlink && st.Mode != before.Mode {
+				t.Fatalf("%s: %s: the link's own mode went %o -> %o", tc.path, step, before.Mode, st.Mode)
+			}
+			st, err := p.Stat(tc.path)
+			if err != nil || st.Mode != mode || st.IsDir() != tc.dir {
+				t.Fatalf("%s: %s: Stat = mode %o dir %v (%v), want %o dir %v", tc.path, step, st.Mode, st.IsDir(), err, mode, tc.dir)
+			}
+		}
+		if !tc.dir {
+			continue
+		}
+		if b, err := p.ReadFile(tc.path); !errors.Is(err, ErrIsDir) {
+			t.Fatalf("%s: ReadFile = %d bytes (%v), want ErrIsDir", tc.path, len(b), err)
+		}
+		if b, err := p.ReadFileShared(tc.path); !errors.Is(err, ErrIsDir) {
+			t.Fatalf("%s: ReadFileShared = %d bytes (%v), want ErrIsDir", tc.path, len(b), err)
+		}
+		if err := fs.ReadTx(func(tx *Tx) error {
+			b, err := tx.ReadFile(tc.path)
+			if !errors.Is(err, ErrIsDir) {
+				t.Fatalf("%s: Tx.ReadFile = %d bytes (%v), want ErrIsDir", tc.path, len(b), err)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, flags := range []int{O_WRONLY, O_RDWR, O_WRONLY | O_APPEND, O_WRONLY | O_TRUNC} {
+			if fh, err := p.OpenFile(tc.path, flags, 0); !errors.Is(err, ErrIsDir) {
+				if fh != nil {
+					fh.Close()
+				}
+				t.Fatalf("%s: OpenFile(%#x) = %v, want ErrIsDir", tc.path, flags, err)
+			}
+		}
+		if err := p.WriteString(tc.path, "x"); !errors.Is(err, ErrIsDir) {
+			t.Fatalf("%s: WriteString = %v, want ErrIsDir", tc.path, err)
+		}
+	}
+	// The directory is intact after all of it.
+	if ents, err := p.ReadDir("/d"); err != nil || len(ents) != 3 {
+		t.Fatalf("ReadDir(/d) = %v (%v), want its 3 entries", ents, err)
+	}
 }
 
 // TestStressContentPrefixWidths races writers across the widths of a

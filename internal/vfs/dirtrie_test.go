@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -246,15 +247,44 @@ func TestDirTrieStructuralSharing(t *testing.T) {
 	}
 }
 
-// TestInodeSize pins the kind split and the content pointer: an inode
-// carries only what every node uses, and a file's content is one pointer,
-// so the 14-inode slab of one flow (yancfs.TestFlowFootprint) fits the
-// 1,152-byte size class. The slab holds pointers and is over 512 bytes,
-// so the runtime prepends an 8-byte type header: 14*size+8 <= 1152, 81
-// bytes per inode.
+// TestInodeSize pins an inode at one 64-byte cache line: it carries
+// only what every node uses, the kind rides in the mode word, the version
+// is 32 bits beside the transaction mark, and one data word holds a
+// file's content pointer or a directory's state. A flow's 14 inodes
+// (yancfs.TestFlowFootprint) then take 896 B in the chunks TestSlabChunk
+// pins.
 func TestInodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(inode{}); 14*got+8 > 1152 {
-		t.Fatalf("unsafe.Sizeof(inode{}) = %d: a 14-inode slab needs %d bytes, want <= 1152", got, 14*got+8)
+	if got := unsafe.Sizeof(inode{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(inode{}) = %d, want 64", got)
+	}
+}
+
+// TestSlabChunk pins the tree builder's inode chunks at no more than 512
+// bytes: the runtime prefixes every object with pointers that is larger
+// than that with an 8-byte malloc header, which would push 512 bytes of
+// inodes into the next size class. It also checks the chunks a flow's 14
+// inodes come from, 8 and 6, and that every inode a builder hands out is
+// one it was sized for.
+func TestSlabChunk(t *testing.T) {
+	if got := slabChunk * unsafe.Sizeof(inode{}); got > 512 {
+		t.Fatalf("slabChunk × Sizeof(inode{}) = %d B, want <= 512", got)
+	}
+	b := New().newBuilder(14, 2, 0, 0, 0, time.Unix(0, 0))
+	var chunks []int
+	for i := 0; i < 14; i++ {
+		kind := KindFile
+		if i < 2 {
+			kind = KindDir
+		}
+		if n := b.alloc(kind, 0o644); n.kind() != kind || n.isDir() != (n.dir() != nil) {
+			t.Fatalf("inode %d: kind %v, dir %p", i, n.kind(), n.dir())
+		}
+		if len(b.nodes) == 1 { // the inode began a chunk
+			chunks = append(chunks, cap(b.nodes))
+		}
+	}
+	if fmt.Sprint(chunks) != "[8 6]" || b.left != 0 {
+		t.Fatalf("a 14-inode tree took chunks %v with %d left, want [8 6] and 0", chunks, b.left)
 	}
 }
 

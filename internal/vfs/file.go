@@ -270,9 +270,9 @@ func (p *Proc) createLocked(tx *Tx, parent *inode, name string, node *inode, fla
 	if created && flags&(O_WRONLY|O_RDWR) != 0 && !allows(node, p.cred, wantWrite) {
 		return nil, "", false, ErrAccess
 	}
-	if created && parent.dir.sem != nil && parent.dir.sem.OnCreate != nil {
+	if sem := parent.dir().sem; created && sem != nil && sem.OnCreate != nil {
 		//yancvet:alloc the hook's directory path; only a directory that has the hook pays for it
-		if herr := parent.dir.sem.OnCreate(tx, pathOf(parent), name); herr != nil {
+		if herr := sem.OnCreate(tx, pathOf(parent), name); herr != nil {
 			parent.cowDelete(name)
 			tx.discard()
 			return nil, "", false, herr

@@ -85,27 +85,33 @@ type DirSemantics struct {
 	Protected map[string]bool
 }
 
-// inode field locking. An inode carries only what every node uses; what
-// only directories use lives in dirState, and the rare per-node extras
-// (synthetic provider, symlink target, xattrs) in inodeExt, so the 14
-// leaf files of a flow directory do not each pay for them.
+// inode field locking. An inode carries only what every node uses, in
+// 64 bytes — one cache line; what only directories use lives in
+// dirState, and the rare per-node extras (synthetic provider, symlink
+// target, xattrs) in inodeExt, so the 14 leaf files of a flow directory
+// do not each pay for them.
 //
-//   - ino, kind, dir: immutable after creation. dir is non-nil exactly
-//     for directories.
+//   - ino: immutable after creation.
+//   - mode: the FileMode bits below kindShift and the NodeKind above
+//     them. The kind never changes after creation; chmod stores new
+//     permission bits beside it (storeMode).
 //   - mode, uid, gid, nlink: atomics, read lock-free (resolution and
 //     stat touch them with no locks held); stored under the tree write
 //     lock (chmod/chown: the tree read lock).
 //   - mtime, ctime, version: atomics, stored by whoever changes the node
 //     — content writers hold no lock — after the change itself, so a
-//     reader that sees the new version finds the new content.
-//   - data: the content of a regular file, published by atomic swap as
-//     one pointer to a length-prefixed blob (content.go). The bytes it
-//     points at are immutable — interned ones are shared across inodes
-//     (intern.go) — so a reader may keep what it loaded and a
-//     writer builds new bytes and swaps them in; a write that starts from
-//     the current content (a partial write, an append, a truncate) swaps
-//     by compare-and-swap and retries when another writer got there
-//     first. Nil is the empty file.
+//     reader that sees the new version finds the new content. version
+//     is 32 bits: it wraps after 2³² changes to one inode.
+//   - data: one word, read by kind (content.go). A directory's holds its
+//     *dirState, set at creation and never replaced. A regular file's
+//     is its content, published by atomic swap as one pointer to a
+//     length-prefixed blob. The bytes it points at are immutable —
+//     interned ones are shared across inodes (intern.go) — so a reader
+//     may keep what it loaded and a writer builds new bytes and swaps
+//     them in; a write that starts from the current content (a partial
+//     write, an append, a truncate) swaps by compare-and-swap and
+//     retries when another writer got there first. Nil is the empty
+//     file.
 //   - txMark: the transaction that created the node or last wrote its
 //     content (0: none did). A transaction stores it before the content;
 //     readers outside the tree lock compare it with FS.txLive and wait
@@ -115,30 +121,22 @@ type DirSemantics struct {
 //     loaded pointer stays valid without any lock. Its fields keep their
 //     own rules — see inodeExt.
 type inode struct {
-	ino    uint64
-	mode   atomic.Uint32 // FileMode bits
-	uid    atomic.Int32
-	gid    atomic.Int32
-	nlink  atomic.Int32
-	txMark atomic.Uint32
-	kind   NodeKind
+	ino     uint64
+	mode    atomic.Uint32 // FileMode bits, the NodeKind above kindShift
+	uid     atomic.Int32
+	gid     atomic.Int32
+	nlink   atomic.Int32
+	txMark  atomic.Uint32
+	version atomic.Uint32
 
 	// Timestamps are kept as Unix nanoseconds, not time.Time: a
 	// time.Time is 24 bytes and carries a monotonic-clock word and a
 	// location pointer no inode needs (statOf converts back on demand).
-	mtime   atomic.Int64
-	ctime   atomic.Int64
-	version atomic.Uint64
-	data    atomic.Pointer[byte]
-
-	dir *dirState
-	ext atomic.Pointer[inodeExt]
+	mtime atomic.Int64
+	ctime atomic.Int64
+	data  atomic.Pointer[byte] // a file's content or a directory's dirState
+	ext   atomic.Pointer[inodeExt]
 }
-
-// content returns the file's published bytes, which nothing writes into:
-// the caller may keep them, and must not write into them either. Their
-// capacity is their length (bodyOf).
-func (n *inode) content() []byte { return bodyOf(n.data.Load()) }
 
 // dirState is what only a directory needs.
 //
@@ -157,6 +155,13 @@ type dirState struct {
 	parent   *inode
 	name     string
 	sem      *DirSemantics
+}
+
+// setPlace records where directory n now lives: its parent and its name
+// there. Tree write lock required.
+func (n *inode) setPlace(parent *inode, name string) {
+	d := n.dir()
+	d.parent, d.name = parent, name
 }
 
 // inodeExt holds the fields few nodes ever use.
@@ -203,12 +208,23 @@ func (n *inode) xattrs() map[string][]byte {
 	return nil
 }
 
-func (n *inode) isDir() bool { return n.kind == KindDir }
+// kindShift places the kind above the 16 FileMode bits of inode.mode.
+const kindShift = 16
 
-func (n *inode) loadMode() FileMode   { return FileMode(n.mode.Load()) }
-func (n *inode) storeMode(m FileMode) { n.mode.Store(uint32(m)) }
-func (n *inode) loadUID() int         { return int(n.uid.Load()) }
-func (n *inode) loadGID() int         { return int(n.gid.Load()) }
+func (n *inode) kind() NodeKind { return NodeKind(n.mode.Load() >> kindShift) }
+func (n *inode) isDir() bool    { return n.kind() == KindDir }
+
+// loadMode returns the permission bits: the conversion to the 16-bit
+// FileMode drops the kind.
+func (n *inode) loadMode() FileMode { return FileMode(n.mode.Load()) }
+
+// storeMode replaces the permission bits and keeps the kind.
+func (n *inode) storeMode(m FileMode) {
+	n.mode.Store(uint32(m) | uint32(n.kind())<<kindShift)
+}
+
+func (n *inode) loadUID() int { return int(n.uid.Load()) }
+func (n *inode) loadGID() int { return int(n.gid.Load()) }
 func (n *inode) storeOwner(uid, gid int) {
 	n.uid.Store(int32(uid))
 	n.gid.Store(int32(gid))
@@ -325,7 +341,7 @@ func New() *FS {
 	clk := time.Now
 	fs.clock.Store(&clk)
 	fs.root = fs.newInode(KindDir, 0o755, 0, 0)
-	fs.root.dir.name = "/"
+	fs.root.dir().name = "/"
 	return fs
 }
 
@@ -368,17 +384,16 @@ func (fs *FS) bareInode(kind NodeKind, mode FileMode, uid, gid int, now time.Tim
 // non-nil exactly when kind is KindDir.
 func (fs *FS) initInode(n *inode, dir *dirState, kind NodeKind, mode FileMode, uid, gid int, ns int64) *inode {
 	n.ino = fs.nextIno.Add(1)
-	n.kind = kind
+	n.mode.Store(uint32(mode) | uint32(kind)<<kindShift)
 	n.txMark.Store(fs.txLive.Load())
 	n.mtime.Store(ns)
 	n.ctime.Store(ns)
-	n.dir = dir
 	links := int32(1)
 	if dir != nil {
+		n.setDir(dir)
 		links = 2
 	}
 	n.nlink.Store(links)
-	n.storeMode(mode)
 	n.storeOwner(uid, gid)
 	return n
 }
@@ -505,12 +520,12 @@ func Join(elem ...string) string {
 // pathOf reconstructs the absolute path of a directory (directories have
 // unique parents). Must be called with the tree lock held in either mode.
 func pathOf(n *inode) string {
-	if n.dir.parent == nil {
+	if n.dir().parent == nil {
 		return "/"
 	}
 	var parts []string
-	for cur := n; cur.dir.parent != nil; cur = cur.dir.parent {
-		parts = append(parts, cur.dir.name) //yancvet:alloc a semantic hook's directory path; hot callers build event paths with pathTo
+	for d := n.dir(); d.parent != nil; d = d.parent.dir() {
+		parts = append(parts, d.name) //yancvet:alloc a semantic hook's directory path; hot callers build event paths with pathTo
 	}
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
 		parts[i], parts[j] = parts[j], parts[i]
@@ -535,16 +550,21 @@ func pathBelow(root, dir *inode, name string) (path string, ok bool) {
 	stack := anc[:0]
 	size := 1 + len(name)
 	cur := dir
-	for ; cur != root && cur.dir.parent != nil; cur = cur.dir.parent {
-		size += len(cur.dir.name) + 1
+	for cur != root {
+		d := cur.dirKnown() // every node on the chain is a directory
+		if d.parent == nil {
+			break
+		}
+		size += len(d.name) + 1
 		stack = append(stack, cur)
+		cur = d.parent
 	}
-	ok = cur == root || (root == nil && cur.dir.parent == nil)
+	ok = cur == root || (root == nil && cur.dirKnown().parent == nil)
 	var b strings.Builder
 	b.Grow(size) //yancvet:alloc one owned event-path string per mutation, by the Event contract
 	for i := len(stack) - 1; i >= 0; i-- {
 		b.WriteByte('/')
-		b.WriteString(stack[i].dir.name)
+		b.WriteString(stack[i].dirKnown().name)
 	}
 	b.WriteByte('/')
 	b.WriteString(name)
@@ -599,7 +619,7 @@ func (fs *FS) walkFrom(cur *inode, path string, cred Cred, opt resolveOpts, root
 	p, off, ok := nextComp(path, 0)
 	if !ok {
 		// Empty path: the node is the starting directory itself.
-		return cur.dir.parent, cur.dir.name, cur, nil
+		return cur.dir().parent, cur.dir().name, cur, nil
 	}
 	for {
 		if !cur.isDir() {
@@ -611,11 +631,11 @@ func (fs *FS) walkFrom(cur *inode, path string, cred Cred, opt resolveOpts, root
 		np, noff, more := nextComp(path, off)
 		last := !more
 		if p == ".." {
-			if cur != root && cur.dir.parent != nil {
-				cur = cur.dir.parent
+			if cur != root && cur.dir().parent != nil {
+				cur = cur.dir().parent
 			}
 			if last {
-				return cur.dir.parent, cur.dir.name, cur, nil
+				return cur.dir().parent, cur.dir().name, cur, nil
 			}
 			p, off = np, noff
 			continue
@@ -628,7 +648,7 @@ func (fs *FS) walkFrom(cur *inode, path string, cred Cred, opt resolveOpts, root
 			}
 			return nil, "", nil, ErrNotExist
 		}
-		if child.kind == KindSymlink && (!last || opt.followLast) {
+		if child.kind() == KindSymlink && (!last || opt.followLast) {
 			*hops++
 			if *hops > maxSymlinkHops {
 				return nil, "", nil, ErrTooManyLinks
@@ -791,8 +811,7 @@ func (tx *Tx) Mkdir(path string, mode FileMode, uid, gid int) error {
 	}
 	name = internName(name)
 	d := tx.fs.newInode(KindDir, mode, uid, gid)
-	d.dir.parent = parent
-	d.dir.name = name
+	d.setPlace(parent, name)
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
 	parent.touchM(tx.fs.now())
@@ -951,8 +970,7 @@ func (tx *Tx) AttachFileSet(set *FileSet, parents []DirRef, name string, mode Fi
 			continue
 		}
 		d := tx.fs.bareInode(KindDir, mode, uid, gid, now)
-		d.dir.parent = parent
-		d.dir.name = name
+		d.setPlace(parent, name)
 		d.setKids(set.kids)
 		parent.cowInsert(name, d)
 		parent.nlink.Add(1)
@@ -1020,27 +1038,36 @@ func linkSets(files []FileData, now time.Time) {
 }
 
 // treeBuilder makes the inodes of one WriteTree or NewFileSet call. They
-// come from one slab (and the directory states from a second), and the
-// files' contents are blobs packed into one arena: a 1k-flow ring drain
-// would otherwise malloc ~15 inodes and a dozen values per flow, and the
-// GC cost of those little objects dominates the commit. The builder does
-// not probe the intern pool: the arena stays pinned by the tree's unique
-// values whatever the pool could share, so the probe would buy nothing.
+// come from slab chunks of up to slabChunk inodes (and the directory
+// states from one slab), and the files' contents are blobs packed into
+// one arena: a 1k-flow ring drain would otherwise malloc ~15 inodes and
+// a dozen values per flow, and the GC cost of those little objects
+// dominates the commit. The builder does not probe the intern pool: the
+// arena stays pinned by the tree's unique values whatever the pool could
+// share, so the probe would buy nothing.
 type treeBuilder struct {
 	fs       *FS
-	nodes    []inode
+	nodes    []inode // the current chunk
+	left     int     // inodes still to take, this chunk's included
 	dirs     []dirState
 	arena    []byte
 	uid, gid int
 	ns       int64
 }
 
+// slabChunk is the most inodes one chunk holds: 8 × 64 B = 512 B, the
+// largest object with pointers that the runtime allocates without an
+// 8-byte malloc header (Go 1.22 on). One 14-inode slab, 896 B, would
+// take the 1,024-byte size class with its header; a flow's chunks of 8
+// and 6 take 512 + 384 B. TestSlabChunk pins the product at <= 512.
+const slabChunk = 8
+
 // newBuilder sizes a builder for nodes inodes, dirs of them directories,
 // and an arena of blobs bytes.
 func (fs *FS) newBuilder(nodes, dirs, blobs, uid, gid int, now time.Time) treeBuilder {
 	return treeBuilder{
 		fs:    fs,
-		nodes: make([]inode, 0, nodes),
+		left:  nodes,
 		dirs:  make([]dirState, 0, dirs),
 		arena: make([]byte, 0, blobs),
 		uid:   uid,
@@ -1049,8 +1076,13 @@ func (fs *FS) newBuilder(nodes, dirs, blobs, uid, gid int, now time.Time) treeBu
 	}
 }
 
-// alloc takes the next inode from the slab.
+// alloc takes the next inode from the current chunk, cutting a new one
+// once it is full.
 func (b *treeBuilder) alloc(kind NodeKind, mode FileMode) *inode {
+	if len(b.nodes) == cap(b.nodes) {
+		b.nodes = make([]inode, 0, min(b.left, slabChunk))
+	}
+	b.left--
 	b.nodes = b.nodes[:len(b.nodes)+1]
 	var dir *dirState
 	if kind == KindDir {
@@ -1080,8 +1112,8 @@ func (b *treeBuilder) file(f *FileData, mode FileMode) *inode {
 
 // WriteTree creates dir as a new directory populated with the given
 // subtree — regular files, synthetic files, nested directories, attached
-// file sets — in one pass: one path resolution, one slab allocation for
-// every inode, and one bulk-built children trie per directory, where the
+// file sets — in one pass: one path resolution, one slab chunk for every
+// eight inodes, and one bulk-built children trie per directory, where the
 // call-per-file path pays a full root walk, a heap allocation and a path
 // copy each. Per-entry Create/Write events are queued only when some
 // watch could actually observe them: building their paths would
@@ -1116,8 +1148,7 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 				mode = f.Mode
 			}
 			sub := b.alloc(KindDir, mode)
-			sub.dir.parent = d
-			sub.dir.name = entryName
+			sub.setPlace(d, entryName)
 			if f.Set != nil {
 				sub.setKids(f.Set.kids)
 			} else if err := build(sub, f.Children); err != nil {
@@ -1130,8 +1161,7 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 		return nil
 	}
 	d := b.alloc(KindDir, dirMode)
-	d.dir.parent = parent
-	d.dir.name = name
+	d.setPlace(parent, name)
 	if err := build(d, files); err != nil {
 		return err
 	}
@@ -1262,14 +1292,14 @@ func (tx *Tx) ReadTree(dir, first string, unless []byte, buf *TreeBuf) (name str
 	}
 	root := d.kids()
 	gate, ok := root.get(first)
-	if !ok || gate.kind != KindFile || gate.loadSynth() != nil {
-		return d.dir.name, nil
+	if !ok || gate.kind() != KindFile || gate.loadSynth() != nil {
+		return d.dir().name, nil
 	}
 	var sb strings.Builder
 	tx.fs.stats.reads.Add(1)
 	g := gate.content()
 	if len(g) == 0 || bytes.Equal(g, unless) {
-		return d.dir.name, nil
+		return d.dir().name, nil
 	}
 	//yancvet:alloc the one string of a tree that passed its gate, which the Data fields are cut from
 	sb.Grow(max(buf.hint, len(g)))
@@ -1284,7 +1314,7 @@ func (tx *Tx) ReadTree(dir, first string, unless []byte, buf *TreeBuf) (name str
 		ents = buf.ents
 	}
 	for _, e := range ents {
-		if e.name == first || e.c.kind != KindFile || e.c.loadSynth() != nil {
+		if e.name == first || e.c.kind() != KindFile || e.c.loadSynth() != nil {
 			continue
 		}
 		sb.Write(e.c.content())
@@ -1303,7 +1333,7 @@ func (tx *Tx) ReadTree(dir, first string, unless []byte, buf *TreeBuf) (name str
 		buf.Files[i].Data = all[start:end]
 		start = end
 	}
-	return d.dir.name, nil
+	return d.dir().name, nil
 }
 
 // Remove unlinks a file/symlink or removes a directory subtree.
@@ -1343,7 +1373,7 @@ func (fs *FS) renameLocked(tx *Tx, oldParent *inode, oldName string, node *inode
 	}
 	// A directory may not be moved into its own subtree.
 	if node.isDir() {
-		for d := newParent; d != nil; d = d.dir.parent {
+		for d := newParent; d != nil; d = d.dir().parent {
 			if d == node {
 				return ErrInvalid
 			}
@@ -1359,8 +1389,7 @@ func (fs *FS) renameLocked(tx *Tx, oldParent *inode, oldName string, node *inode
 	if node.isDir() {
 		oldParent.nlink.Add(-1)
 		newParent.nlink.Add(1)
-		node.dir.parent = newParent
-		node.dir.name = newName
+		node.setPlace(newParent, newName)
 	}
 	// Invalidate in-flight lock-free walkers that resolved node through
 	// the old parent's snapshot: their next validated hop below it must
@@ -1481,7 +1510,7 @@ func (tx *Tx) SetSemantics(path string, sem *DirSemantics) error {
 	if !n.isDir() {
 		return pathErr("semantics", path, ErrNotDir)
 	}
-	n.dir.sem = sem
+	n.dir().sem = sem
 	return nil
 }
 
@@ -1540,7 +1569,7 @@ func listDir(n *inode) []DirEntry {
 		if !ok {
 			break
 		}
-		out = append(out, DirEntry{Name: e.name, Kind: e.c.kind, Ino: e.c.ino})
+		out = append(out, DirEntry{Name: e.name, Kind: e.c.kind(), Ino: e.c.ino})
 	}
 	if root.bitmap == 0 {
 		return out
@@ -1554,24 +1583,32 @@ func listDir(n *inode) []DirEntry {
 // statOf describes an inode. Everything it touches is atomic, immutable,
 // or a published snapshot, so it needs no lock; each field is one load,
 // and a change landing meanwhile may show in some fields and not others.
+// Size is by kind: a directory's entry count, a symlink's target length
+// (as lstat(2) gives it) and a file's content length.
 func statOf(n *inode, name string) Stat {
-	size := int64(len(n.content()))
-	if n.isDir() {
-		size = int64(n.childCount())
+	kind := n.kind()
+	var size int
+	switch kind {
+	case KindDir:
+		size = n.childCount()
+	case KindSymlink:
+		size = len(n.target())
+	default:
+		size = len(n.content())
 	}
 	return Stat{
 		Ino:     n.ino,
-		Kind:    n.kind,
+		Kind:    kind,
 		Mode:    n.loadMode(),
 		UID:     n.loadUID(),
 		GID:     n.loadGID(),
 		Nlink:   int(n.nlink.Load()),
-		Size:    size,
+		Size:    int64(size),
 		Mtime:   time.Unix(0, n.mtime.Load()),
 		Ctime:   time.Unix(0, n.ctime.Load()),
 		Name:    name,
 		Target:  n.target(),
-		Version: n.version.Load(),
+		Version: uint64(n.version.Load()),
 	}
 }
 
@@ -1637,14 +1674,14 @@ func (fs *FS) removeNode(parent *inode, name string, node *inode, tx *Tx, now ti
 		node.bumpGen()
 	}
 	node.nlink.Add(-1)
-	if node.dir != nil {
-		node.dir.parent = nil
+	if d := node.dir(); d != nil {
+		d.parent = nil
 		node.markDead()
 	}
 	if queue {
 		tx.queue(Event{Op: OpRemove, Path: full, IsDir: node.isDir()})
 	}
-	if parent.dir.sem != nil && parent.dir.sem.OnRemove != nil {
+	if sem := parent.dir().sem; sem != nil && sem.OnRemove != nil {
 		dirPath := ""
 		if full != "" {
 			dirPath = full[:len(full)-len(name)-1]
@@ -1654,7 +1691,7 @@ func (fs *FS) removeNode(parent *inode, name string, node *inode, tx *Tx, now ti
 		} else {
 			dirPath = pathOf(parent)
 		}
-		parent.dir.sem.OnRemove(tx, dirPath, name, node.kind)
+		sem.OnRemove(tx, dirPath, name, node.kind())
 	}
 }
 

@@ -132,21 +132,20 @@ func (p *Proc) mkdirLocked(tx *Tx, path string, mode FileMode) (*inode, error) {
 	name = internName(name)
 	now := p.fs.now()
 	d := p.fs.bareInode(KindDir, mode.Perm(), p.cred.UID, p.cred.GID, now)
-	d.dir.parent = parent
-	d.dir.name = name
+	d.setPlace(parent, name)
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
 	parent.touchM(now)
 	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name), IsDir: true})
-	if parent.dir.sem != nil && parent.dir.sem.OnMkdir != nil {
+	if sem := parent.dir().sem; sem != nil && sem.OnMkdir != nil {
 		tx.creator = p.cred
 		tx.hasCred = true
 		//yancvet:alloc the hook's directory path; only a directory that has the hook pays for it
-		if err := parent.dir.sem.OnMkdir(tx, pathOf(parent), name); err != nil {
+		if err := sem.OnMkdir(tx, pathOf(parent), name); err != nil {
 			// Semantic veto: roll the directory back out.
 			parent.cowDelete(name)
 			parent.nlink.Add(-1)
-			d.dir.parent = nil
+			d.dir().parent = nil
 			d.markDead()
 			tx.discard()
 			return nil, pathErr("mkdir", path, err)
@@ -191,8 +190,8 @@ func (p *Proc) Symlink(target, linkPath string) error {
 		if !allows(parent, p.cred, wantWrite) {
 			return pathErr("symlink", linkPath, ErrAccess)
 		}
-		if parent.dir.sem != nil && parent.dir.sem.ValidateSymlink != nil {
-			if verr := parent.dir.sem.ValidateSymlink(tx, pathOf(parent), name, target); verr != nil {
+		if sem := parent.dir().sem; sem != nil && sem.ValidateSymlink != nil {
+			if verr := sem.ValidateSymlink(tx, pathOf(parent), name, target); verr != nil {
 				return pathErr("symlink", linkPath, verr)
 			}
 		}
@@ -219,7 +218,7 @@ func (p *Proc) Readlink(path string) (string, error) {
 	if n == nil {
 		return "", pathErr("readlink", path, ErrNotExist)
 	}
-	if n.kind != KindSymlink {
+	if n.kind() != KindSymlink {
 		return "", pathErr("readlink", path, ErrInvalid)
 	}
 	return n.target(), nil
@@ -308,9 +307,9 @@ func (p *Proc) removeLocked(tx *Tx, parent *inode, name string, node *inode) err
 		return ErrBusy // the root itself
 	case !allows(parent, p.cred, wantWrite):
 		return ErrAccess
-	case parent.dir.sem != nil && parent.dir.sem.Protected[name] && p.cred.UID != 0:
+	case parent.dir().sem != nil && parent.dir().sem.Protected[name] && p.cred.UID != 0:
 		return ErrPerm
-	case node.isDir() && node.childCount() > 0 && !(parent.dir.sem != nil && parent.dir.sem.RecursiveRmdir):
+	case node.isDir() && node.childCount() > 0 && !(parent.dir().sem != nil && parent.dir().sem.RecursiveRmdir):
 		return ErrNotEmpty
 	}
 	p.fs.unlinkLocked(parent, name, node, tx)
@@ -384,7 +383,7 @@ func (p *Proc) Rename(oldPath, newPath string) error {
 		if !allows(oldParent, p.cred, wantWrite) || !allows(newParent, p.cred, wantWrite) {
 			return lerr(ErrAccess)
 		}
-		if oldParent.dir.sem != nil && oldParent.dir.sem.Protected[oldName] && p.cred.UID != 0 {
+		if sem := oldParent.dir().sem; sem != nil && sem.Protected[oldName] && p.cred.UID != 0 {
 			return lerr(ErrPerm)
 		}
 		if target == node {

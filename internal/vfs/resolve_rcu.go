@@ -44,8 +44,10 @@ var rcuLookupHook func(dir *inode, name string)
 
 // kids returns the root of the directory's published children trie (nil
 // while the directory has no child). The trie is immutable: callers may
-// look up and iterate, never write through it.
-func (n *inode) kids() *dirNode { return n.dir.children.Load() }
+// look up and iterate, never write through it. n must be a directory:
+// every caller has checked its kind already, so this reads the data word
+// without checking it again (dirKnown).
+func (n *inode) kids() *dirNode { return n.dirKnown().children.Load() }
 
 // lookupChild finds one name in n's children.
 func (n *inode) lookupChild(name string) (*inode, bool) { return n.kids().get(name) }
@@ -57,10 +59,10 @@ func (n *inode) childCount() int { return n.kids().count() }
 // children against. Only directories have children to validate, so a
 // leaf reads as generation 0.
 func (n *inode) loadGen() uint64 {
-	if n.dir == nil {
+	if !n.isDir() {
 		return 0
 	}
-	return n.dir.gen.Load()
+	return n.dirKnown().gen.Load()
 }
 
 // setKids publishes root as n's children. The caller must hold the tree
@@ -73,8 +75,9 @@ func (n *inode) loadGen() uint64 {
 // contents against the stale generation and assemble a path that never
 // existed.)
 func (n *inode) setKids(root *dirNode) {
-	n.dir.gen.Add(1)
-	n.dir.children.Store(root)
+	d := n.dir()
+	d.gen.Add(1)
+	d.children.Store(root)
 }
 
 // bumpGen invalidates in-flight lock-free walkers holding n without
@@ -83,8 +86,8 @@ func (n *inode) setKids(root *dirNode) {
 // continuing below a moved/removed directory. A leaf has nothing below
 // it to walk, so there it is a no-op. Tree write lock required.
 func (n *inode) bumpGen() {
-	if n.dir != nil {
-		n.dir.gen.Add(1)
+	if d := n.dir(); d != nil {
+		d.gen.Add(1)
 	}
 }
 
@@ -162,8 +165,10 @@ func (fs *FS) walkRCU(cred Cred, path string, opt resolveOpts) (node, parent *in
 		child, okc := s.get(p)
 		if !okc {
 			// A miss is only believable if cur's snapshot is still current:
-			// the entry may live in a newer snapshot.
-			if cur.loadGen() != curGen {
+			// the entry may live in a newer snapshot. cur is a directory
+			// (checked above), so its state is read unchecked here and
+			// below.
+			if cur.dirKnown().gen.Load() != curGen {
 				return nil, nil, rcuRetry, nil
 			}
 			if last {
@@ -175,10 +180,10 @@ func (fs *FS) walkRCU(cred Cred, path string, opt resolveOpts) (node, parent *in
 		// hand-over-hand order proves the parent entry and the child state
 		// we proceed with coexisted.
 		childGen := child.loadGen()
-		if cur.loadGen() != curGen {
+		if cur.dirKnown().gen.Load() != curGen {
 			return nil, nil, rcuRetry, nil
 		}
-		if child.kind == KindSymlink && (!last || opt.followLast) {
+		if child.kind() == KindSymlink && (!last || opt.followLast) {
 			return nil, nil, rcuBail, nil
 		}
 		if last {

@@ -132,7 +132,7 @@ func allows(st *inode, c Cred, want accessWant) bool {
 	mode := st.loadMode()
 	if c.UID == 0 {
 		// Root: exec still requires some x bit on files, like Linux.
-		if want == wantExec && st.kind == KindFile && mode&0o111 == 0 {
+		if want == wantExec && st.kind() == KindFile && mode&0o111 == 0 {
 			return false
 		}
 		return true

@@ -315,13 +315,14 @@ func TestSymlinks(t *testing.T) {
 	if err != nil || tgt != "/switches/sw2/ports/2" {
 		t.Fatalf("readlink = %q %v", tgt, err)
 	}
-	// Stat follows; Lstat doesn't.
+	// Stat follows; Lstat doesn't, and reports the target's length as
+	// the link's size, as lstat(2) does.
 	st, err := p.Stat("/switches/sw1/ports/1/peer")
 	if err != nil || !st.IsDir() {
 		t.Fatalf("stat through link = %+v %v", st, err)
 	}
 	lst, err := p.Lstat("/switches/sw1/ports/1/peer")
-	if err != nil || lst.Kind != KindSymlink {
+	if err != nil || lst.Kind != KindSymlink || lst.Size != int64(len("/switches/sw2/ports/2")) {
 		t.Fatalf("lstat = %+v %v", lst, err)
 	}
 	// Relative target.
@@ -341,8 +342,8 @@ func TestSymlinks(t *testing.T) {
 	if _, err := p.Stat("/dangle"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("stat dangling = %v", err)
 	}
-	if _, err := p.Lstat("/dangle"); err != nil {
-		t.Errorf("lstat dangling = %v", err)
+	if lst, err := p.Lstat("/dangle"); err != nil || lst.Size != int64(len("/missing")) {
+		t.Errorf("lstat dangling = %+v %v", lst, err)
 	}
 	// Loop detection.
 	if err := p.Symlink("/loop2", "/loop1"); err != nil {

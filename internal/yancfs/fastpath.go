@@ -134,9 +134,9 @@ func (y *FS) PutFlowTx(tx *vfs.Tx, flowPath string, spec FlowSpec) (uint64, erro
 	flowPath = vfs.Clean(flowPath)
 	// Fresh flow first: the whole flow — field files, the counters
 	// subdir holding the shared counters set, and the committed version —
-	// lands in ONE WriteTree: one path resolution, one inode slab and one
-	// arena for every value. An existing flow surfaces as ErrExist and
-	// takes the rewrite branch.
+	// lands in ONE WriteTree: one path resolution, two inode slab chunks
+	// and one arena for every value. An existing flow surfaces as
+	// ErrExist and takes the rewrite branch.
 	{
 		counters, err := y.flowCounters(tx, 0, 0)
 		if err != nil {

@@ -642,15 +642,16 @@ func footprintSpec(i int) FlowSpec {
 // creator, attached to every flow that creator makes, so nothing per
 // flow hangs off them, and counters/ publishes the set's children trie
 // instead of a leaf of its own. A file's content is one pointer to a
-// length-prefixed blob, with no header of its own. PutFlowTx's flow is
-// the 14-inode slab in the 1,152-byte size class, its two directory
-// states, one ~400-byte trie leaf for the flow directory, one arena
-// packing all twelve values and the side structs: 1,763 B. WriteFlow's
-// is an 80-byte object per inode, a blob only for a value the intern
-// pool does not hold, and the same leaf: 1,683 B. The bound is the
-// larger plus 3 %.
+// length-prefixed blob, with no header of its own, and an inode is 64
+// bytes. PutFlowTx's flow is its 14 inodes in two header-free slab
+// chunks (512 + 384 B), its two directory states, one ~400-byte trie
+// leaf for the flow directory, one arena packing all twelve values and
+// the side structs: 1,507 B. WriteFlow's is a 64-byte object per file
+// inode (a directory's shares one with its state), a blob only for a
+// value the intern pool does not hold, and the same leaf: 1,459 B. The
+// bound is the larger plus 3 %.
 func TestFlowFootprint(t *testing.T) {
-	const flows, limit = 4096, 1816
+	const flows, limit = 4096, 1552
 	liveHeap := func() uint64 {
 		var ms runtime.MemStats
 		runtime.GC()
