@@ -14,9 +14,12 @@
 #   battery    the Stress|Chaos|Alloc tests again, -race -count=2 (the
 #              E14, E15 and E16 properties and the views' overflow
 #              convergence are among them); then the vfs and yancfs
-#              Stress tests -race at -cpu 1,4: file content is published
-#              lock-free, and four Ps give the scheduler interleavings to
-#              try that a machine with fewer cores would not
+#              Stress tests -race at -cpu 1,4: file content and directory
+#              tries are published and walked lock-free (a directory
+#              cursor walks beside a writer moving the directory across
+#              its leaf/branch boundary), and four Ps give the scheduler
+#              interleavings to try that a machine with fewer cores would
+#              not
 #   footprint  TestFlowFootprint, TestInodeSize and TestSlabChunk three
 #              times without the race detector, the configuration the
 #              benchmark measures heap_bytes_per_flow in, so the heap

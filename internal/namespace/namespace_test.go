@@ -340,7 +340,7 @@ func TestGroupBilledSameByReference(t *testing.T) {
 						return nil
 					},
 					func() error { return p.RemoveAt(ref, "match.tp_src") },
-					func() error { _, err := p.ReadDirAt(ref, "."); return err },
+					func() error { _, err := p.OpenDirAt(ref, "."); return err },
 					func() error { _, err := p.ReadFileAt(ref, "version"); return err },
 					func() error { _, err := p.ReadFileAt(ref, "priority"); return err })
 			}

@@ -17,7 +17,7 @@ package vfs
 // ancestor was renamed, it keeps working and the events it raises carry
 // the directory's real path at the time of the call, read off the tree.
 //
-// Locks: the read calls (ExistsAt, ReadFileAt, ReadDirAt) take none —
+// Locks: the read calls (ExistsAt, ReadFileAt, OpenDirAt) take none —
 // one lock-free lookup in the directory's published children, validated
 // against its generation, then the removed mark. WriteFileAt on an
 // existing regular file takes the tree read lock just long enough to read
@@ -28,7 +28,7 @@ package vfs
 // Accounting: each call charges the limiter and counts in OpStats as the
 // path-based call it replaces — DirRef and ExistsAt as one stat,
 // ReadFileAt as one open and one read, WriteFileAt as one open and one
-// write (and one create), ReadDirAt as one readdir, RemoveAt as one
+// write (and one create), OpenDirAt as one readdir, RemoveAt as one
 // remove — so a cost model that counts calls reads the same; what a call
 // saves is the walk.
 //
@@ -222,37 +222,28 @@ func (p *Proc) WriteFileAt(ref DirRef, name string, data []byte, mode FileMode) 
 	return p.WriteFile(path, data, mode)
 }
 
-// ReadDirAt lists the directory name in the referenced directory, in name
-// order; "." lists the referenced directory itself.
+// OpenDirAt opens a cursor over the directory name in the referenced
+// directory; "." opens the referenced directory itself.
 //
 //yancvet:hotalloc
-func (p *Proc) ReadDirAt(ref DirRef, name string) ([]DirEntry, error) {
+func (p *Proc) OpenDirAt(ref DirRef, name string) (DirIter, error) {
 	if p.atFast(ref, name) || (name == "." && p.atFast(ref, "self")) {
 		if n, st, err := p.fs.lookupAt(p.cred, ref.ino, name); st == rcuOK || st == rcuFail {
 			if err := p.charge("readdir", 0); err != nil {
-				return nil, err
+				return DirIter{}, err
 			}
 			p.fs.stats.readdirs.Add(1)
-			switch {
-			case err != nil:
-			case n == nil:
-				err = ErrNotExist
-			case !n.isDir():
-				err = ErrNotDir
-			case !allows(n, p.cred, wantRead):
-				err = ErrAccess
+			if err = p.listable(n, err); err != nil {
+				return DirIter{}, pathErr("readdir", p.spell(ref.ino, name), err)
 			}
-			if err != nil {
-				return nil, pathErr("readdir", p.spell(ref.ino, name), err)
-			}
-			return listDir(n), nil //yancvet:alloc the caller's listing
+			return n.kids().iter(), nil
 		}
 	}
 	path, err := p.refPath(ref.ino, name) //yancvet:alloc the path-based route
 	if err != nil {
-		return nil, err
+		return DirIter{}, err
 	}
-	return p.ReadDir(path)
+	return p.openDir(path)
 }
 
 // RemoveAt removes the entry name of the referenced directory, under

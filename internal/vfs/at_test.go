@@ -150,7 +150,7 @@ func TestAtCallsMatchPathCalls(t *testing.T) {
 	}
 	readdir := func(path, name string) (call, call) {
 		return func(p *Proc, _ DirRef) (any, error) { return p.ReadDir(path) },
-			func(p *Proc, ref DirRef) (any, error) { return p.ReadDirAt(ref, name) }
+			func(p *Proc, ref DirRef) (any, error) { return drain(p.OpenDirAt(ref, name)) }
 	}
 	remove := func(path, name string) (call, call) {
 		return func(p *Proc, _ DirRef) (any, error) { return nil, p.Remove(path) },
@@ -295,8 +295,8 @@ func TestRefAfterRemove(t *testing.T) {
 			if _, err := p.ReadFileAt(ref, "f"); !errors.Is(err, ErrNotExist) {
 				t.Errorf("ReadFileAt = %v, want ErrNotExist", err)
 			}
-			if _, err := p.ReadDirAt(ref, "."); !errors.Is(err, ErrNotExist) {
-				t.Errorf("ReadDirAt = %v, want ErrNotExist", err)
+			if _, err := p.OpenDirAt(ref, "."); !errors.Is(err, ErrNotExist) {
+				t.Errorf("OpenDirAt = %v, want ErrNotExist", err)
 			}
 			if err := p.WriteFileAt(ref, "f", []byte("x"), 0o644); !errors.Is(err, ErrNotExist) {
 				t.Errorf("WriteFileAt of an existing name = %v, want ErrNotExist", err)
@@ -420,8 +420,8 @@ func TestRefChecksSearchBitEveryCall(t *testing.T) {
 	if err := p.RemoveAt(ref, "f"); !errors.Is(err, ErrAccess) {
 		t.Errorf("RemoveAt = %v, want ErrAccess", err)
 	}
-	if _, err := p.ReadDirAt(ref, "sub"); !errors.Is(err, ErrAccess) {
-		t.Errorf("ReadDirAt of a child = %v, want ErrAccess", err)
+	if _, err := p.OpenDirAt(ref, "sub"); !errors.Is(err, ErrAccess) {
+		t.Errorf("OpenDirAt of a child = %v, want ErrAccess", err)
 	}
 }
 
@@ -462,8 +462,8 @@ func TestRefInsideChroot(t *testing.T) {
 	if b, err := jailed.ReadFileAt(ref, "f"); err != nil || string(b) != "v\n" {
 		t.Errorf("ReadFileAt = %q, %v", b, err)
 	}
-	if ents, err := jailed.ReadDirAt(ref, "."); err != nil || len(ents) != 1 || ents[0].Name != "f" {
-		t.Errorf("ReadDirAt = %v, %v", ents, err)
+	if ents, err := drain(jailed.OpenDirAt(ref, ".")); err != nil || len(ents) != 1 || ents[0].Name != "f" {
+		t.Errorf("OpenDirAt = %v, %v", ents, err)
 	}
 	if err := jailed.RemoveAt(ref, "f"); err != nil {
 		t.Error(err)
@@ -703,8 +703,8 @@ func TestStressConcurrentCreateOneName(t *testing.T) {
 	if total != 6*rounds {
 		t.Errorf("%d events for %d doubly written files, want %d", total, rounds, 6*rounds)
 	}
-	if ents, err := p.ReadDirAt(ref, "."); err != nil || len(ents) != rounds {
-		t.Errorf("the directory lists %d entries, %v; want %d", len(ents), err, rounds)
+	if dir, err := p.OpenDirAt(ref, "."); err != nil || dir.Len() != rounds {
+		t.Errorf("the directory lists %d entries, %v; want %d", dir.Len(), err, rounds)
 	}
 }
 

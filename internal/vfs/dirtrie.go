@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync/atomic"
 )
 
 // A directory's children are one persistent hash trie: every node is
@@ -50,11 +49,6 @@ type dirNode struct {
 	n      int32      // entries in this subtree
 	ents   []dirEnt   // leaf: entries sorted by name
 	kids   []*dirNode // branch: one child per set bitmap bit, in slot order
-	// listing memoizes the sorted listing of the directory this node is
-	// the root of, and only when it is a branch (see listDir). It is the
-	// one word of a published node that is ever written, and only from
-	// nil to a value any reader would have computed.
-	listing atomic.Pointer[[]DirEntry]
 }
 
 // dirHash is the name hash the trie branches on. It is deterministic —
@@ -300,10 +294,16 @@ func buildDir(ents []dirEnt, shift uint) *dirNode {
 	return nd
 }
 
-// dirIter walks a trie's entries depth-first with an explicit stack, so
-// iteration allocates nothing and needs no callback. Entries of one leaf
-// come in name order; across leaves the order is the hash's.
-type dirIter struct {
+// DirIter walks the entries of one published directory snapshot, the
+// children trie root a directory had when the iterator was opened
+// (Proc.OpenDirAt, Tx.OpenDir): depth-first with an explicit stack, so a
+// walk takes no lock, copies nothing and allocates nothing. The nodes it
+// holds are immutable, so entries added or removed after it was opened —
+// by its own caller too — are not seen, and each entry of the snapshot
+// comes exactly once. Entries of one leaf come in name order; across
+// leaves the order is the hash's, so a caller that wants name order
+// sorts, the way ls sorts what getdents(2) hands it.
+type DirIter struct {
 	stack [dirMaxDepth]struct {
 		d *dirNode
 		i int
@@ -314,8 +314,8 @@ type dirIter struct {
 // iter starts an iteration over d (nil-safe).
 //
 //yancvet:hotalloc
-func (d *dirNode) iter() dirIter {
-	var it dirIter
+func (d *dirNode) iter() DirIter {
+	var it DirIter
 	if d != nil {
 		it.stack[0].d = d
 		it.top = 1
@@ -323,10 +323,25 @@ func (d *dirNode) iter() dirIter {
 	return it
 }
 
-// next returns the next entry, or false when the walk is done.
+// Len returns the number of entries in the snapshot, whatever has been
+// walked of it.
+func (it *DirIter) Len() int { return it.stack[0].d.count() }
+
+// Next returns the next entry, or false when the walk is done.
 //
 //yancvet:hotalloc
-func (it *dirIter) next() (dirEnt, bool) {
+func (it *DirIter) Next() (DirEntry, bool) {
+	e, ok := it.next()
+	if !ok {
+		return DirEntry{}, false
+	}
+	return DirEntry{Name: e.name, Kind: e.c.kind(), Ino: e.c.ino}, true
+}
+
+// next is Next without loading the entry's inode.
+//
+//yancvet:hotalloc
+func (it *DirIter) next() (dirEnt, bool) {
 	for it.top > 0 {
 		f := &it.stack[it.top-1]
 		switch {

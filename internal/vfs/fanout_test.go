@@ -43,10 +43,10 @@ func TestWriteTree(t *testing.T) {
 	}
 }
 
-// TestRemoveChildrenAndDirNames checks the batched eviction path used by
+// TestRemoveChildrenAndOpenDir checks the batched eviction path used by
 // drop-oldest: RemoveChildren skips missing names and reports the count,
-// and DirNames reflects the surviving membership.
-func TestRemoveChildrenAndDirNames(t *testing.T) {
+// and a cursor opened afterwards walks the surviving membership.
+func TestRemoveChildrenAndOpenDir(t *testing.T) {
 	fs := New()
 	p := fs.RootProc()
 	if err := p.Mkdir("/buf", 0o755); err != nil {
@@ -72,23 +72,22 @@ func TestRemoveChildrenAndDirNames(t *testing.T) {
 	if removed != 2 {
 		t.Fatalf("removed = %d, want 2", removed)
 	}
-	var names []string
+	var ents []DirEntry
 	if err := fs.ReadTx(func(tx *Tx) error {
 		var err error
-		names, err = tx.DirNames("/buf", nil)
+		ents, err = drain(tx.OpenDir("/buf"))
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	slices.Sort(names)
-	if !slices.Equal(names, []string{"m2", "m4"}) {
-		t.Fatalf("surviving children = %v", names)
+	if len(ents) != 2 || ents[0].Name != "m2" || ents[1].Name != "m4" {
+		t.Fatalf("surviving children = %v", ents)
 	}
 	if err := fs.ReadTx(func(tx *Tx) error {
-		_, err := tx.DirNames("/buf/m2/data", nil)
+		_, err := tx.OpenDir("/buf/m2/data")
 		return err
 	}); !errors.Is(err, ErrNotDir) {
-		t.Fatalf("DirNames on a file: got %v, want ErrNotDir", err)
+		t.Fatalf("OpenDir on a file: got %v, want ErrNotDir", err)
 	}
 }
 

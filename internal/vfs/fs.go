@@ -11,7 +11,7 @@
 // performance argument is about the number of such calls. The openat(2)
 // family is there too (at.go): DirRef or MkdirRef resolves a directory
 // once, and ExistsAt, ReadFileAt, ReadFileSharedAt, WriteFileAt, RemoveAt
-// and ReadDirAt name an entry relative to it — counted and charged as
+// and OpenDirAt name an entry relative to it — counted and charged as
 // the path-based calls they replace, minus the walk from the root.
 //
 // Concurrency: the tree scales on multicore through two levels — atomic
@@ -25,7 +25,6 @@ package vfs
 import (
 	"bytes"
 	"errors"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -225,9 +224,15 @@ func (n *inode) storeMode(m FileMode) {
 
 func (n *inode) loadUID() int { return int(n.uid.Load()) }
 func (n *inode) loadGID() int { return int(n.gid.Load()) }
+
+// storeOwner stores each id that is not -1, chown(2)'s "leave it".
 func (n *inode) storeOwner(uid, gid int) {
-	n.uid.Store(int32(uid))
-	n.gid.Store(int32(gid))
+	if uid != -1 {
+		n.uid.Store(int32(uid))
+	}
+	if gid != -1 {
+		n.gid.Store(int32(gid))
+	}
 }
 
 // touchC stamps a metadata change, once it is made: ctime and version.
@@ -1478,29 +1483,6 @@ func (tx *Tx) RemoveChildren(dir string, names []string) (int, error) {
 	return removed, nil
 }
 
-// DirNames appends dir's child names to buf in unspecified order: ReadDir
-// without the sort and entry materialization, for callers that only need
-// membership.
-func (tx *Tx) DirNames(path string, buf []string) ([]string, error) {
-	_, _, n, err := tx.fs.resolve(Root, path, resolveOpts{followLast: true})
-	if err != nil {
-		return buf, pathErr("readdir", path, err)
-	}
-	if n == nil {
-		return buf, pathErr("readdir", path, ErrNotExist)
-	}
-	if !n.isDir() {
-		return buf, pathErr("readdir", path, ErrNotDir)
-	}
-	for it := n.kids().iter(); ; {
-		e, ok := it.next()
-		if !ok {
-			return buf, nil
-		}
-		buf = append(buf, e.name)
-	}
-}
-
 // SetSemantics attaches (or clears) directory semantics.
 func (tx *Tx) SetSemantics(path string, sem *DirSemantics) error {
 	n, err := tx.node(path)
@@ -1535,49 +1517,18 @@ func (tx *Tx) SetSynthetic(path string, synth *Synthetic, mode FileMode, uid, gi
 	return nil
 }
 
-// ReadDir lists a directory in name order.
-func (tx *Tx) ReadDir(path string) ([]DirEntry, error) {
+// OpenDir opens a cursor over the directory at path, as it stands now.
+//
+//yancvet:hotalloc
+func (tx *Tx) OpenDir(path string) (DirIter, error) {
 	n, err := tx.node(path)
+	if err == nil && !n.isDir() {
+		err = ErrNotDir
+	}
 	if err != nil {
-		return nil, pathErr("readdir", path, err)
+		return DirIter{}, pathErr("readdir", path, err)
 	}
-	if !n.isDir() {
-		return nil, pathErr("readdir", path, ErrNotDir)
-	}
-	return listDir(n), nil
-}
-
-// listDir materializes a directory listing, sorted by name, from the
-// published children trie. Lock-free: the trie is immutable. The slice
-// belongs to the caller. A single-leaf directory (anything up to
-// dirLeafMax entries) is already in name order and is listed afresh each
-// time. A larger one needs a walk and an O(n log n) sort — tens of
-// milliseconds at 10⁵ entries — so its root keeps the sorted listing and
-// every call copies it out: polling an unchanged big directory costs a
-// memcpy, and the memo dies with the root at the next insert or delete.
-func listDir(n *inode) []DirEntry {
-	root := n.kids()
-	if root == nil {
-		return nil
-	}
-	if l := root.listing.Load(); l != nil {
-		return slices.Clone(*l) //yancvet:alloc the caller's listing
-	}
-	out := make([]DirEntry, 0, root.count()) //yancvet:alloc the caller's listing
-	for it := root.iter(); ; {
-		e, ok := it.next()
-		if !ok {
-			break
-		}
-		out = append(out, DirEntry{Name: e.name, Kind: e.c.kind(), Ino: e.c.ino})
-	}
-	if root.bitmap == 0 {
-		return out
-	}
-	//yancvet:alloc a directory past one leaf: sorted once per change, memoized on the root
-	slices.SortFunc(out, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
-	root.listing.Store(&out)
-	return slices.Clone(out) //yancvet:alloc the caller's listing
+	return n.kids().iter(), nil
 }
 
 // statOf describes an inode. Everything it touches is atomic, immutable,

@@ -49,10 +49,10 @@ import "sync/atomic"
 // the stress battery enforce them):
 //
 //  1. What is published is immutable: children snapshots, every node of
-//     them (bar the root's atomic listing memo, see listDir), file
-//     contents (interned ones are shared across inodes, intern.go) and
-//     xattr maps. Replace them by a swap — snapshots via setKids (or the
-//     cow helpers) under the tree write lock — never write into them.
+//     them, file contents (interned ones are shared across inodes,
+//     intern.go) and xattr maps. Replace them by a swap — snapshots via
+//     setKids (or the cow helpers) under the tree write lock — never
+//     write into them.
 //  2. Synthetic.Read/Write providers run *outside* all tree locks (from
 //     the open/close path) and may perform arbitrary Proc I/O.
 //  3. DirSemantics hooks and Synthetic providers invoked under the tree

@@ -1,6 +1,8 @@
 package vfs
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -445,28 +447,53 @@ func (p *Proc) IsDir(path string) bool {
 	return err == nil && st.IsDir()
 }
 
-// ReadDir lists a directory in name order. Requires read permission.
-// Fully lock-free: the listing materializes from the directory's
-// immutable published snapshot.
+// ReadDir lists a directory in name order, in a slice the caller owns.
+// Requires read permission. Fully lock-free: the listing is copied out
+// of the directory's immutable published snapshot, and sorted when the
+// snapshot is more than one trie leaf, on every call, the way ls sorts.
 func (p *Proc) ReadDir(path string) ([]DirEntry, error) {
-	if err := p.charge("readdir", 0); err != nil {
+	it, err := p.openDir(path)
+	if err != nil || it.Len() == 0 {
 		return nil, err
+	}
+	out := make([]DirEntry, 0, it.Len())
+	for e, ok := it.Next(); ok; e, ok = it.Next() {
+		out = append(out, e)
+	}
+	if it.stack[0].d.bitmap != 0 {
+		slices.SortFunc(out, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
+	}
+	return out, nil
+}
+
+// openDir opens a cursor over the directory at path, charged and
+// counted as one readdir.
+func (p *Proc) openDir(path string) (DirIter, error) {
+	if err := p.charge("readdir", 0); err != nil {
+		return DirIter{}, err
 	}
 	p.fs.stats.readdirs.Add(1)
 	n, err := p.fs.lookupRO(p.cred, path, p.opts(true))
-	if err != nil {
-		return nil, pathErr("readdir", path, err)
+	if err = p.listable(n, err); err != nil {
+		return DirIter{}, pathErr("readdir", path, err)
 	}
-	if n == nil {
-		return nil, pathErr("readdir", path, ErrNotExist)
+	return n.kids().iter(), nil
+}
+
+// listable is the check a directory's lookup passes before it is listed.
+//
+//yancvet:hotalloc
+func (p *Proc) listable(n *inode, err error) error {
+	switch {
+	case err != nil:
+	case n == nil:
+		err = ErrNotExist
+	case !n.isDir():
+		err = ErrNotDir
+	case !allows(n, p.cred, wantRead):
+		err = ErrAccess
 	}
-	if !n.isDir() {
-		return nil, pathErr("readdir", path, ErrNotDir)
-	}
-	if !allows(n, p.cred, wantRead) {
-		return nil, pathErr("readdir", path, ErrAccess)
-	}
-	return listDir(n), nil
+	return err
 }
 
 // Chmod changes permission bits; only the owner or root may do so.
@@ -492,7 +519,7 @@ func (p *Proc) Chmod(path string, mode FileMode) error {
 		if p.cred.UID != 0 && p.cred.UID != n.loadUID() {
 			return pathErr("chmod", path, ErrPerm)
 		}
-		n.storeMode(mode)
+		n.storeMode(mode & 0o7777) // chmod(2) keeps the permission, set-id and sticky bits
 		n.touchC(fs.now())
 		ev = Event{Op: OpChmod, Path: realPath(parent, name), IsDir: n.isDir()}
 		return nil
@@ -503,12 +530,17 @@ func (p *Proc) Chmod(path string, mode FileMode) error {
 	return err
 }
 
-// Chown changes ownership; only root may change the owner.
+// Chown changes ownership; only root may change the owner. An id given
+// as -1 is left as it is, as chown(2) leaves it; any other id outside
+// [0, MaxInt32] is ErrInvalid.
 func (p *Proc) Chown(path string, uid, gid int) error {
 	if err := p.charge("chown", 0); err != nil {
 		return err
 	}
 	p.fs.stats.attrs.Add(1)
+	if uid < -1 || uid > math.MaxInt32 || gid < -1 || gid > math.MaxInt32 {
+		return pathErr("chown", path, ErrInvalid)
+	}
 	fs := p.fs
 	var ev Event
 	err := func() error {

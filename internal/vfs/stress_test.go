@@ -661,3 +661,124 @@ func TestStressChaosAttrsAndXattrs(t *testing.T) {
 		t.Fatal("metadata churn never bumped the version")
 	}
 }
+
+// TestStressDirCursorAcrossSplit walks one directory with lock-free
+// cursors while a writer moves it back and forth across the trie's
+// shape boundary: up to 34 entries, past the split at 33, and down to
+// 15, past the collapse at 16, creating fresh names and removing the
+// oldest. The writer numbers its publishes; before publishing the k-th,
+// it records k as the birth of the name it creates or the death of the
+// name it removes, so the root published k-th holds exactly the names
+// born at or before k and dying after it. A walk that starts while
+// publish s0 is the latest and ends while s1 is can only have opened, or
+// been overtaken by, roots s0 through s1+1. Each walk must yield no name
+// twice, as many names as its Len, and none outside the union of those
+// roots: born after s1+1, or dead by s0.
+func TestStressDirCursorAcrossSplit(t *testing.T) {
+	const ids = 3000
+	fs := New()
+	p := fs.RootProc()
+	if err := p.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := p.DirRef("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		born, died [ids]atomic.Int64
+		pub        atomic.Int64 // publishes made
+		walks      atomic.Int64
+	)
+	for i := range died {
+		died[i].Store(1 << 62)
+	}
+	name := func(id int) string { return fmt.Sprintf("n%05d", id) }
+	runWithDeadline(t, stressDeadline, func() {
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		wg.Add(1)
+		go func() { // the writer
+			defer wg.Done()
+			defer close(stop)
+			oldest, next := 0, 0
+			for next < ids {
+				for next < ids && next-oldest < 34 {
+					born[next].Store(pub.Load() + 1)
+					if err := p.WriteFile("/d/"+name(next), nil, 0o644); err != nil {
+						t.Error(err)
+						return
+					}
+					pub.Add(1)
+					next++
+				}
+				for next-oldest > 15 {
+					died[oldest].Store(pub.Load() + 1)
+					if err := p.Remove("/d/" + name(oldest)); err != nil {
+						t.Error(err)
+						return
+					}
+					pub.Add(1)
+					oldest++
+				}
+			}
+		}()
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				seen := make([]bool, ids)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					s0 := pub.Load()
+					it, err := p.OpenDirAt(ref, ".")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					clear(seen)
+					n := 0
+					for e, ok := it.Next(); ok; e, ok = it.Next() {
+						var id int
+						if _, err := fmt.Sscanf(e.Name, "n%05d", &id); err != nil || id >= ids {
+							t.Errorf("walk yielded %q", e.Name)
+							return
+						}
+						if seen[id] {
+							t.Errorf("walk yielded %s twice", e.Name)
+							return
+						}
+						seen[id] = true
+						n++
+						if n%8 == 0 {
+							runtime.Gosched() // let the writer publish mid-walk
+						}
+					}
+					s1 := pub.Load()
+					if n != it.Len() {
+						t.Errorf("walk yielded %d names of a %d-entry snapshot", n, it.Len())
+						return
+					}
+					for id, ok := range seen {
+						if !ok {
+							continue
+						}
+						if b, d := born[id].Load(), died[id].Load(); b > s1+1 || d <= s0 {
+							t.Errorf("walk over publishes %d..%d yielded %s, which lived from %d to %d", s0, s1+1, name(id), b, d)
+							return
+						}
+					}
+					walks.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+	})
+	if walks.Load() == 0 {
+		t.Fatal("no walk finished while the writer ran")
+	}
+}

@@ -36,11 +36,11 @@ func TestTxAPI(t *testing.T) {
 		if _, err := tx.ReadFile("/a/b"); !errors.Is(err, ErrIsDir) {
 			t.Errorf("tx read dir = %v", err)
 		}
-		entries, err := tx.ReadDir("/a/b/c")
+		entries, err := drain(tx.OpenDir("/a/b/c"))
 		if err != nil || len(entries) != 1 {
 			t.Errorf("tx readdir = %v %v", entries, err)
 		}
-		if _, err := tx.ReadDir("/a/b/c/f"); !errors.Is(err, ErrNotDir) {
+		if _, err := tx.OpenDir("/a/b/c/f"); !errors.Is(err, ErrNotDir) {
 			t.Errorf("tx readdir file = %v", err)
 		}
 		if err := tx.Remove("/a/b/c"); err != nil { // recursive in Tx

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -472,6 +473,58 @@ func TestPermissions(t *testing.T) {
 	}
 }
 
+// TestChmodChownKeepWhatTheSyscallsKeep: chmod(2) keeps only the 07777
+// bits of the mode it is given; chown(2) leaves an id given as -1 as it
+// is, and an id it cannot hold is EINVAL, refused before the inode
+// changes or an event is raised.
+func TestChmodChownKeepWhatTheSyscallsKeep(t *testing.T) {
+	fs := New()
+	p := fs.RootProc()
+	if err := p.WriteString("/f", "x"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ give, want FileMode }{{0o170644, 0o644}, {0o14755, 0o4755}} {
+		if err := p.Chmod("/f", c.give); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := p.Stat("/f"); err != nil || st.Mode != c.want || st.Kind != KindFile {
+			t.Errorf("chmod %o: mode %o, kind %v, %v; want %o of a file", c.give, st.Mode, st.Kind, err, c.want)
+		}
+	}
+	owner := func() (int, int) {
+		st, err := p.Stat("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.UID, st.GID
+	}
+	for _, c := range []struct{ uid, gid, wantUID, wantGID int }{
+		{7, 8, 7, 8}, {-1, 9, 7, 9}, {10, -1, 10, 9}, {-1, -1, 10, 9}, {math.MaxInt32, 0, math.MaxInt32, 0},
+	} {
+		if err := p.Chown("/f", c.uid, c.gid); err != nil {
+			t.Fatal(err)
+		}
+		if uid, gid := owner(); uid != c.wantUID || gid != c.wantGID {
+			t.Errorf("chown %d:%d: owner %d:%d, want %d:%d", c.uid, c.gid, uid, gid, c.wantUID, c.wantGID)
+		}
+	}
+	w, err := p.AddWatch("/", OpAll, Recursive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	before, _ := p.Stat("/f")
+	for _, ids := range [][2]int{{1<<32 + 5, -1}, {-1, 1<<32 + 5}, {-2, 0}, {0, math.MinInt32}, {math.MaxInt32 + 1, 0}} {
+		if err := p.Chown("/f", ids[0], ids[1]); !errors.Is(err, ErrInvalid) {
+			t.Errorf("chown %d:%d = %v, want ErrInvalid", ids[0], ids[1], err)
+		}
+	}
+	fs.SyncWatches()
+	if after, _ := p.Stat("/f"); after != before || len(w.C) != 0 {
+		t.Errorf("a refused chown changed the file (%+v, then %+v) or raised %d events", before, after, len(w.C))
+	}
+}
+
 func TestReadDirOrderAndPerm(t *testing.T) {
 	fs := New()
 	p := fs.RootProc()
@@ -517,29 +570,167 @@ func TestReadDirResultIsCallerOwned(t *testing.T) {
 		if err := fs.WithTx(func(tx *Tx) error { return tx.WriteTree("/d", files, 0o755, 0o644, 0, 0) }); err != nil {
 			t.Fatal(err)
 		}
-		listers := map[string]func() ([]DirEntry, error){
-			"Proc.ReadDir": func() ([]DirEntry, error) { return p.ReadDir("/d") },
-			"Tx.ReadDir": func() (out []DirEntry, err error) {
-				err = fs.ReadTx(func(tx *Tx) error { out, err = tx.ReadDir("/d"); return err })
-				return out, err
-			},
+		first, err := p.ReadDir("/d")
+		if err != nil || len(first) != n {
+			t.Fatalf("%d entries, %v", len(first), err)
 		}
-		for name, list := range listers {
-			first, err := list()
-			if err != nil || len(first) != n {
-				t.Fatalf("%s: %d entries, %v", name, len(first), err)
-			}
-			want := append([]DirEntry(nil), first...)
-			for i := range first { // what an in-place filter or sort would do
-				first[i] = DirEntry{Name: "scribbled"}
-			}
-			again, err := list()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(again, want) {
-				t.Fatalf("%s of a %d-entry dir: a caller's edit to its own result leaked into the next listing: %v", name, n, again[:3])
-			}
+		want := append([]DirEntry(nil), first...)
+		for i := range first { // what an in-place filter or sort would do
+			first[i] = DirEntry{Name: "scribbled"}
+		}
+		again, err := p.ReadDir("/d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(again, want) {
+			t.Fatalf("a %d-entry dir: a caller's edit to its own result leaked into the next listing: %v", n, again[:3])
+		}
+	}
+}
+
+// drain walks a cursor to its end and returns what it yielded in name
+// order, ReadDir's form: nil for an empty directory.
+func drain(it DirIter, err error) ([]DirEntry, error) {
+	if err != nil {
+		return nil, err
+	}
+	var out []DirEntry
+	for e, ok := it.Next(); ok; e, ok = it.Next() {
+		out = append(out, e)
+	}
+	slices.SortFunc(out, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
+	return out, nil
+}
+
+// TestDirCursor pins the cursor's contract at the sizes where a
+// directory's trie changes shape — empty, one entry, the 16/17 and 32/33
+// edges of the split and of the collapse hysteresis, and a deep branch —
+// each built by growing and by shrinking. Len and the entries equal
+// ReadDir's. A walk that removes every entry it sees and creates a new
+// one, in a Tx (PutFlowTx's rewrite) and through a DirRef (WriteFlow's
+// stale-file pass), sees each entry of its opening snapshot exactly once
+// and nothing it added. Once the directory is removed, its stale
+// reference opens nothing.
+func TestDirCursor(t *testing.T) {
+	for _, n := range []int{0, 1, 16, 17, 32, 33, 1000} {
+		for _, shrunk := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%d entries, shrunk %v", n, shrunk), func(t *testing.T) {
+				fs := New()
+				p := fs.RootProc()
+				built := n
+				if shrunk {
+					built += dirLeafMax + 1
+				}
+				if err := fs.WithTx(func(tx *Tx) error {
+					if err := tx.Mkdir("/d", 0o755, 0, 0); err != nil {
+						return err
+					}
+					for i := range built {
+						if err := tx.WriteFile(fmt.Sprintf("/d/e%04d", i), nil, 0o644, 0, 0); err != nil {
+							return err
+						}
+					}
+					for i := n; i < built; i++ {
+						if err := tx.Remove(fmt.Sprintf("/d/e%04d", i)); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				d, _ := fs.root.lookupChild("d")
+				branch := n > dirLeafMax || shrunk && n > dirLeafMax/2
+				if k := d.kids(); (k != nil && k.bitmap != 0) != branch {
+					t.Fatalf("the directory's trie is not the shape the case is for (branch %v)", branch)
+				}
+				ref, err := p.DirRef("/d")
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := p.ReadDir("/d")
+				if err != nil || len(want) != n {
+					t.Fatalf("ReadDir: %d entries, %v", len(want), err)
+				}
+				it, err := p.OpenDirAt(ref, ".")
+				if err != nil || it.Len() != n {
+					t.Fatalf("OpenDirAt: Len %d, %v", it.Len(), err)
+				}
+				if got, _ := drain(it, nil); !slices.Equal(got, want) {
+					t.Fatalf("OpenDirAt yields %d entries, not ReadDir's %d", len(got), n)
+				}
+				if err := fs.ReadTx(func(tx *Tx) error {
+					it, err := tx.OpenDir("/d")
+					if err != nil || it.Len() != n {
+						t.Fatalf("Tx.OpenDir: Len %d, %v", it.Len(), err)
+					}
+					if got, _ := drain(it, nil); !slices.Equal(got, want) {
+						t.Fatalf("Tx.OpenDir yields %d entries, not ReadDir's %d", len(got), n)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+
+				// Each walk renames every entry by removing it and creating
+				// prefix+name, so it must see exactly the previous walk's names.
+				seen := map[string]int{}
+				check := func(walk, prefix string) {
+					t.Helper()
+					if len(seen) != n {
+						t.Fatalf("%s saw %d distinct entries, want %d", walk, len(seen), n)
+					}
+					for _, e := range want {
+						if seen[e.Name] != 1 {
+							t.Fatalf("%s saw %s %d times, want once", walk, e.Name, seen[e.Name])
+						}
+					}
+					clear(seen)
+					if want, err = p.ReadDir("/d"); err != nil || len(want) != n || n > 0 && !strings.HasPrefix(want[0].Name, prefix) {
+						t.Fatalf("after %s: %d entries, %v", walk, len(want), err)
+					}
+				}
+				if err := fs.WithTx(func(tx *Tx) error {
+					it, err := tx.OpenDir("/d")
+					if err != nil {
+						return err
+					}
+					for e, ok := it.Next(); ok; e, ok = it.Next() {
+						seen[e.Name]++
+						if err := tx.Remove("/d/" + e.Name); err != nil {
+							return err
+						}
+						if err := tx.WriteFile("/d/x"+e.Name, nil, 0o644, 0, 0); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				check("the Tx walk", "x")
+				it, err = p.OpenDirAt(ref, ".")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for e, ok := it.Next(); ok; e, ok = it.Next() {
+					seen[e.Name]++
+					if err := p.RemoveAt(ref, e.Name); err != nil {
+						t.Fatal(err)
+					}
+					if err := p.WriteFileAt(ref, "y"+e.Name, nil, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check("the DirRef walk", "y")
+
+				if err := fs.WithTx(func(tx *Tx) error { return tx.Remove("/d") }); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.OpenDirAt(ref, "."); !errors.Is(err, ErrNotExist) {
+					t.Fatalf("OpenDirAt on a removed directory's reference = %v, want ErrNotExist", err)
+				}
+			})
 		}
 	}
 }

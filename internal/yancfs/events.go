@@ -441,13 +441,13 @@ func (y *FS) DeliverPacketInBatch(region, switchName string, pis []*openflow.Pac
 // the listing over many deliveries) and refresh the overflow marker with
 // the cumulative drop count.
 func (y *FS) dropOldest(tx *vfs.Tx, sub subRef, maxDepth, incoming int) {
-	names, err := tx.DirNames(sub.path, nil)
+	dir, err := tx.OpenDir(sub.path)
 	if err != nil {
 		return
 	}
-	seqs := make([]uint64, 0, len(names))
-	for _, n := range names {
-		if s, ok := parseMsgSeq(n); ok {
+	seqs := make([]uint64, 0, dir.Len())
+	for e, ok := dir.Next(); ok; e, ok = dir.Next() {
+		if s, ok := parseMsgSeq(e.Name); ok {
 			seqs = append(seqs, s)
 		}
 	}

@@ -158,11 +158,11 @@ func (y *FS) PutFlowTx(tx *vfs.Tx, flowPath string, spec FlowSpec) (uint64, erro
 	}
 	// Rewrite of an existing flow: clear stale match/action files and a
 	// cookie from a previous incarnation, then write fields individually.
-	entries, err := tx.ReadDir(flowPath)
+	dir, err := tx.OpenDir(flowPath)
 	if err != nil {
 		return 0, err
 	}
-	for _, e := range entries {
+	for e, ok := dir.Next(); ok; e, ok = dir.Next() {
 		if strings.HasPrefix(e.Name, MatchPrefix) || strings.HasPrefix(e.Name, ActionPrefix) || e.Name == FileCookie {
 			if err := tx.Remove(vfs.Join(flowPath, e.Name)); err != nil {
 				return 0, err

@@ -59,11 +59,11 @@ func WriteFlow(p *vfs.Proc, flowPath string, spec FlowSpec) (uint64, error) {
 	}
 	// Remove stale action files, and a cookie the spec no longer has (no
 	// cookie is no file, as in a fresh flow), then write the current ones.
-	entries, err := p.ReadDirAt(ref, ".")
+	dir, err := p.OpenDirAt(ref, ".")
 	if err != nil {
 		return 0, err
 	}
-	for _, e := range entries {
+	for e, ok := dir.Next(); ok; e, ok = dir.Next() {
 		if strings.HasPrefix(e.Name, ActionPrefix) && !hasActionFile(spec.Actions, e.Name) ||
 			e.Name == FileCookie && spec.Cookie == 0 {
 			if err := p.RemoveAt(ref, e.Name); err != nil {
@@ -155,16 +155,16 @@ type FlowSnap struct {
 	Spec    FlowSpec
 }
 
-// SnapshotFlows reads every committed flow under switchPath in a single
-// read transaction: one lock acquisition for the whole table, and a
-// mutually consistent view — no per-flow seqlock retries, because nothing
-// can commit mid-snapshot. It is the oracle convergence checks fold a
-// switch's table against.
+// SnapshotFlows reads every committed flow under switchPath, in no
+// particular order, in a single read transaction: one lock acquisition
+// for the whole table, and a mutually consistent view — no per-flow
+// seqlock retries, because nothing can commit mid-snapshot. It is the
+// oracle convergence checks fold a switch's table against.
 func (y *FS) SnapshotFlows(switchPath string) ([]FlowSnap, error) {
 	dir := vfs.Join(switchPath, "flows")
 	var out []FlowSnap
 	err := y.vfs.ReadTx(func(tx *vfs.Tx) error {
-		entries, err := tx.ReadDir(dir)
+		flows, err := tx.OpenDir(dir)
 		if err != nil {
 			if errIsNotExist(err) {
 				return nil
@@ -172,7 +172,7 @@ func (y *FS) SnapshotFlows(switchPath string) ([]FlowSnap, error) {
 			return err
 		}
 		var r FlowReader
-		for _, e := range entries {
+		for e, ok := flows.Next(); ok; e, ok = flows.Next() {
 			if !e.IsDir() || strings.HasPrefix(e.Name, ".") {
 				continue
 			}
@@ -310,11 +310,11 @@ func errIsNotExist(err error) bool {
 
 func readFlowOnce(p *vfs.Proc, ref vfs.DirRef) (FlowSpec, error) {
 	var spec FlowSpec
-	entries, err := p.ReadDirAt(ref, ".")
+	dir, err := p.OpenDirAt(ref, ".")
 	if err != nil {
 		return spec, err
 	}
-	for _, e := range entries {
+	for e, ok := dir.Next(); ok; e, ok = dir.Next() {
 		field := strings.HasPrefix(e.Name, MatchPrefix) || strings.HasPrefix(e.Name, ActionPrefix)
 		if !field && !isFlowMeta(e.Name) {
 			continue
@@ -397,14 +397,19 @@ func orderActions(actions []openflow.Action) {
 	}
 }
 
-// ListFlows returns the flow directory names under a switch path.
+// ListFlows returns the flow directory names under a switch path, in no
+// particular order.
 func ListFlows(p *vfs.Proc, switchPath string) ([]string, error) {
-	entries, err := p.ReadDir(vfs.Join(switchPath, "flows"))
+	ref, err := p.DirRef(vfs.Join(switchPath, "flows"))
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
+	dir, err := p.OpenDirAt(ref, ".")
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, 0, dir.Len())
+	for e, ok := dir.Next(); ok; e, ok = dir.Next() {
 		if e.IsDir() {
 			names = append(names, e.Name)
 		}

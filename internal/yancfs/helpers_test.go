@@ -2,6 +2,7 @@ package yancfs
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"yanc/internal/openflow"
@@ -34,6 +35,7 @@ func TestListAndDeleteFlows(t *testing.T) {
 		t.Fatal(err)
 	}
 	names, err := ListFlows(p, swPath)
+	slices.Sort(names) // ListFlows promises no order
 	if err != nil || len(names) != 3 || names[0] != "a-flow" {
 		t.Fatalf("ListFlows = %v %v", names, err)
 	}

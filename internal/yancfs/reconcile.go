@@ -250,9 +250,9 @@ func (r *Reconciler[S]) takeLocked(tx *vfs.Tx) {
 //yancvet:hotalloc
 func (r *Reconciler[S]) sweepLocked(tx *vfs.Tx) {
 	//yancvet:allow errdrop a flows directory that is missing lists as empty
-	names, _ := tx.DirNames(r.dir, nil) //yancvet:alloc attach and overflow only
-	for _, name := range names {
-		r.markLocked(r.dir+"/"+name, true) //yancvet:alloc attach and overflow only: one path per flow directory
+	dir, _ := tx.OpenDir(r.dir)
+	for e, ok := dir.Next(); ok; e, ok = dir.Next() {
+		r.markLocked(r.dir+"/"+e.Name, true) //yancvet:alloc attach and overflow only: one path per flow directory
 	}
 	for name := range r.installed {
 		r.markLocked(r.dir+"/"+name, true) //yancvet:alloc attach and overflow only: one path per installed flow

@@ -752,6 +752,62 @@ func TestFlowFootprint(t *testing.T) {
 	}
 }
 
+// TestAllocListAndReadFlow pins that the scanner's two calls walk the
+// flow table and the flow directory with the vfs cursor and copy neither
+// into a listing. ListFlows over 10⁴ flows allocates its names slice and
+// the joined flows/ path, nothing per flow. ReadFlow of one footprint
+// flow (12 files and counters/) allocates no []DirEntry: its 13 entries
+// alone would be 416 B.
+func TestAllocListAndReadFlow(t *testing.T) {
+	const flows = 10_000
+	y := newFS(t)
+	p := y.Root()
+	if _, err := CreateSwitch(p, "/", "sw1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := y.VFS().WithTx(func(tx *vfs.Tx) error {
+		for i := range flows {
+			if _, err := y.PutFlowTx(tx, FlowPath("sw1", fmt.Sprintf("f%05d", i)), footprintSpec(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	perCall := func(fn func()) (float64, uint64) {
+		allocs := testing.AllocsPerRun(10, fn)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 10 {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 10
+	}
+	sw := SwitchPath("sw1")
+	allocs, bytes := perCall(func() {
+		if names, err := ListFlows(p, sw); err != nil || len(names) != flows {
+			t.Fatalf("ListFlows: %d names, %v", len(names), err)
+		}
+	})
+	t.Logf("ListFlows of %d flows: %.0f allocs, %d B", flows, allocs, bytes)
+	if names := uint64(flows * 16); allocs > 2 || bytes > names+names/8 { // 16 B per string header
+		t.Errorf("ListFlows of %d flows: %.0f allocs, %d B; want <= 2 and <= the %d B names slice plus its size class", flows, allocs, bytes, names)
+	}
+	flow := FlowPath("sw1", "f00042")
+	allocs, bytes = perCall(func() {
+		if spec, err := ReadFlow(p, flow); err != nil || spec.Priority != footprintSpec(42).Priority {
+			t.Fatalf("ReadFlow: %+v, %v", spec, err)
+		}
+	})
+	t.Logf("ReadFlow: %.0f allocs, %d B", allocs, bytes)
+	// 400 B measured: the value copies and the parsed actions.
+	if !raceEnabled && bytes > 440 {
+		t.Errorf("ReadFlow of a 12-file flow: %.0f allocs, %d B; want <= 440 B", allocs, bytes)
+	}
+}
+
 // TestReadFileSharedCapIsLen pins that a shared read hands out a file's
 // bytes and no room past them. PutFlowTx packs a flow's values side by
 // side in one arena, so a shared read with spare capacity would let a
