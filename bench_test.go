@@ -261,7 +261,7 @@ func TestE8EventCounts(t *testing.T) {
 	before, _, _ := fs.DispatchStats()
 	const flow = "/switches/sw1/flows/f"
 	ok(t, fs.WithTx(func(tx *vfs.Tx) error {
-		_, err := y.PutFlowTx(tx, flow, benchutil.SampleFlowSpec(1))
+		_, err := yancfs.PutFlowTx(tx, flow, benchutil.SampleFlowSpec(1))
 		return err
 	}))
 	ok(t, fs.WithTx(func(tx *vfs.Tx) error { return tx.Remove(flow) }))

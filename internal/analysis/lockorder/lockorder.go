@@ -51,7 +51,9 @@ type IsLockPackage struct{}
 
 // CallsParamUnderTreeLock marks a function that invokes one or more of
 // its function-typed parameters while holding the tree lock (WithTx,
-// ReadTx): arguments passed at Params run under the lock.
+// ReadTx), or hands one to an in-package function that does (Proc.WithTx
+// and FS.WithTx share one body): arguments passed at Params run under
+// the lock.
 type CallsParamUnderTreeLock struct{ Params []int }
 
 func (*AcquiresTreeLock) AFact()        {}
@@ -100,6 +102,14 @@ func (s lockState) merge(o lockState) lockState {
 	return lockState{held: max(s.held, o.held), owed: max(s.owed, o.owed), acq: max(s.acq, o.acq)}
 }
 
+// forward is one function handing its func-typed parameter from on to
+// parameter to of an in-package callee: if the callee runs that one under
+// the tree lock, so does the caller.
+type forward struct {
+	from, to       *types.Func
+	fromIdx, toIdx int
+}
+
 // checker walks one function's CFG tracking lockState.
 type checker struct {
 	pass     *analysis.Pass
@@ -108,6 +118,8 @@ type checker struct {
 	treeAcq  map[*types.Func]bool // functions that transitively acquire the tree lock
 	params   map[*types.Var]int   // func-typed params of the current decl
 	lockedPs map[int]bool         // params called while the tree lock was held
+	cur      *types.Func          // the current decl
+	forwards []forward            // func-typed params handed on to in-package callees
 	reported map[token.Pos]bool
 	inlined  map[*ast.FuncLit]bool // literals analyzed at their (immediate) call site
 }
@@ -135,6 +147,7 @@ func runLockPackage(pass *analysis.Pass, info *lockset.Info) {
 		pass.ExportObjectFact(fn, &AcquiresTreeLock{})
 	}
 
+	locked := map[*types.Func]map[int]bool{}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -155,6 +168,7 @@ func runLockPackage(pass *analysis.Pass, info *lockset.Info) {
 			}
 			c.params = map[*types.Var]int{}
 			c.lockedPs = map[int]bool{}
+			c.cur = obj
 			if sig, ok := obj.Type().(*types.Signature); ok {
 				for i := 0; i < sig.Params().Len(); i++ {
 					p := sig.Params().At(i)
@@ -167,14 +181,30 @@ func runLockPackage(pass *analysis.Pass, info *lockset.Info) {
 				c.checkFunc(g, init, fd.Name.Name)
 			}
 			if len(c.lockedPs) > 0 {
-				fact := &CallsParamUnderTreeLock{}
-				for i := range c.lockedPs {
-					fact.Params = append(fact.Params, i)
-				}
-				slices.Sort(fact.Params)
-				pass.ExportObjectFact(obj, fact)
+				locked[obj] = c.lockedPs
 			}
 		}
+	}
+	// A parameter handed to one that runs under the lock runs under it.
+	for changed := true; changed; {
+		changed = false
+		for _, f := range c.forwards {
+			if locked[f.to][f.toIdx] && !locked[f.from][f.fromIdx] {
+				if locked[f.from] == nil {
+					locked[f.from] = map[int]bool{}
+				}
+				locked[f.from][f.fromIdx] = true
+				changed = true
+			}
+		}
+	}
+	for fn, ps := range locked {
+		fact := &CallsParamUnderTreeLock{}
+		for i := range ps {
+			fact.Params = append(fact.Params, i)
+		}
+		slices.Sort(fact.Params)
+		pass.ExportObjectFact(fn, fact)
 	}
 
 	// Function literals that were not analyzed inline at a call site run
@@ -337,6 +367,20 @@ func (c *checker) visitCall(call *ast.CallExpr, st *lockState, deferred bool) {
 	if callee := typeutil.StaticCallee(c.pass.TypesInfo, call); callee != nil && callee.Pkg() == c.pass.Pkg {
 		if st.held > 0 && c.treeAcq[callee] {
 			c.report(call, fmt.Sprintf("call to %s may acquire the tree lock, but the tree lock is already held (lock.go rule 3: use the Tx)", callee.Name()))
+		}
+	}
+
+	// A function-typed parameter handed on to an in-package callee: record
+	// the edge, which decides once every body is walked.
+	if callee := typeutil.StaticCallee(c.pass.TypesInfo, call); callee != nil && callee.Pkg() == c.pass.Pkg && c.params != nil {
+		for i, arg := range call.Args {
+			if id, ok := arg.(*ast.Ident); ok {
+				if v, ok := c.pass.TypesInfo.Uses[id].(*types.Var); ok {
+					if idx, ok := c.params[v]; ok {
+						c.forwards = append(c.forwards, forward{from: c.cur, to: callee, fromIdx: idx, toIdx: i})
+					}
+				}
+			}
 		}
 	}
 

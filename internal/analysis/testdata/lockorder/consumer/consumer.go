@@ -36,6 +36,15 @@ func badCallback(fs *lockpkg.FS) {
 	})
 }
 
+// A Proc's transaction callback re-entering the tree lock through the
+// Proc: Proc.WithTx runs its callback under the lock by handing it to
+// the body FS.WithTx shares.
+func badProcCallback(p *lockpkg.Proc) {
+	p.WithTx(func(tx *lockpkg.Tx) {
+		p.Stat() // want "runs under it"
+	})
+}
+
 // Clean consumers: hooks that stay inside the Tx, and work done after
 // the transaction ends.
 func bindGoodHook(fs *lockpkg.FS) *lockpkg.DirSemantics {
@@ -50,4 +59,12 @@ func goodCallback(fs *lockpkg.FS) int {
 		n++
 	})
 	return fs.Stat()
+}
+
+func goodProcCallback(p *lockpkg.Proc) int {
+	n := 0
+	p.WithTx(func(tx *lockpkg.Tx) {
+		n++
+	})
+	return p.Stat()
 }

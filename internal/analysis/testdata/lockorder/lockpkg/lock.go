@@ -42,6 +42,22 @@ func (fs *FS) WithTx(fn func(tx *Tx)) {
 	fs.unlockTree()
 }
 
+// Proc is a process's view, like vfs.Proc.
+type Proc struct{ fs *FS }
+
+// WithTx is a process's transaction, like vfs.Proc.WithTx: it hands fn
+// on to the body it shares, which runs it under the tree lock.
+func (p *Proc) WithTx(fn func(tx *Tx)) { p.fs.withTx(p, fn) }
+
+func (fs *FS) withTx(p *Proc, fn func(tx *Tx)) {
+	fs.lockTree()
+	fn(&Tx{FS: fs})
+	fs.unlockTree()
+}
+
+// Stat is a Proc-level entry point, through the process.
+func (p *Proc) Stat() int { return p.fs.Stat() }
+
 // Stat is a Proc-level entry point: it takes the tree lock itself.
 func (fs *FS) Stat() int {
 	fs.rlockTree()

@@ -79,3 +79,13 @@ func allowedHandoff(fs *FS, ch chan *Tx) error {
 		return nil
 	})
 }
+
+// A Proc's transaction is no longer-lived than the kernel's.
+func badProcOuterVar(p *Proc) (*Tx, error) {
+	var keep *Tx
+	err := p.WithTx(func(tx *Tx) error {
+		keep = tx // want "declared outside the callback"
+		return nil
+	})
+	return keep, err
+}

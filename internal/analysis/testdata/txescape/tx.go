@@ -13,3 +13,9 @@ type FS struct{}
 
 func (fs *FS) WithTx(fn func(tx *Tx) error) error { return fn(&Tx{}) }
 func (fs *FS) ReadTx(fn func(tx *Tx) error) error { return fn(&Tx{}) }
+
+// Proc mirrors vfs.Proc: its WithTx hands out a transaction acting as
+// the process, with the same lifetime as FS.WithTx's.
+type Proc struct{ fs *FS }
+
+func (p *Proc) WithTx(fn func(tx *Tx) error) error { return fn(&Tx{}) }

@@ -12,6 +12,7 @@ import (
 	"yanc/internal/ethernet"
 	"yanc/internal/openflow"
 	"yanc/internal/switchsim"
+	"yanc/internal/vfs"
 	"yanc/internal/yancfs"
 )
 
@@ -170,6 +171,107 @@ func TestRouterReactivePathSetup(t *testing.T) {
 	installs2, _ := rt.Stats()
 	if installs2 != installsBefore {
 		t.Errorf("second packet caused %d new installs", installs2-installsBefore)
+	}
+}
+
+// TestRouterPathIsOneCommit: the router commits a path in one
+// transaction. Every miss here is a new TCP flow from h1 to h3, so every
+// path ends on sw3. A watch on the version files is delivered a hop's
+// commit only once every hop of its path is committed, and a ReadTx
+// polling beside the misses never finds a path's flow on one switch
+// committed while its sw3 flow is not.
+func TestRouterPathIsOneCommit(t *testing.T) {
+	r := newLinearRig(t, 3)
+	if err := NewTopod(r.y.Root(), "/").DiscoverOnce(); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(r.y.Root(), "/")
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	fs := r.y.VFS()
+	w, err := r.y.Root().AddWatch(yancfs.DirSwitches, vfs.OpWrite, vfs.Recursive(),
+		vfs.Files(yancfs.FileVersion), vfs.BufferSize(4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	// torn returns the first path flow it finds committed on some switch
+	// while its sw3 flow is not, or "".
+	torn := func(tx *vfs.Tx) string {
+		committed := func(sw, name string) bool {
+			v, err := tx.ReadFile(yancfs.FlowPath(sw, name) + "/" + yancfs.FileVersion)
+			return err == nil && string(v) != "0\n"
+		}
+		for _, sw := range []string{"sw1", "sw2"} {
+			it, err := tx.OpenDir(yancfs.FlowPath(sw, ""))
+			if err != nil {
+				return err.Error()
+			}
+			for e, ok := it.Next(); ok; e, ok = it.Next() {
+				seq, isPath := strings.CutSuffix(e.Name, "-"+sw)
+				if isPath && strings.HasPrefix(seq, "router-") && committed(sw, e.Name) && !committed("sw3", seq+"-sw3") {
+					return e.Name
+				}
+			}
+		}
+		return ""
+	}
+	stop := make(chan struct{})
+	polled := make(chan string, 1)
+	go func() {
+		var found string
+		for polls := 0; found == ""; polls++ {
+			select {
+			case <-stop:
+				polled <- ""
+				return
+			default:
+			}
+			_ = fs.ReadTx(func(tx *vfs.Tx) error {
+				found = torn(tx)
+				return nil
+			})
+		}
+		polled <- found
+	}()
+	watched := make(chan []string, 1)
+	go func() {
+		var bad []string
+		for ev := range w.C {
+			if !strings.Contains(ev.Path, "/router-") {
+				continue
+			}
+			_ = fs.ReadTx(func(tx *vfs.Tx) error {
+				if name := torn(tx); name != "" {
+					bad = append(bad, ev.Path+" delivered with "+name+" torn")
+				}
+				return nil
+			})
+		}
+		watched <- bad
+	}()
+
+	const misses = 40
+	h1, h3 := r.hosts[0], r.hosts[2]
+	h3.ClearReceived()
+	for i := 0; i < misses; i++ {
+		h1.SendTCP(h3, uint16(10000+i), 80, []byte("x"))
+	}
+	eventually(t, "every flow's first packet delivered", func() bool { return len(h3.Received()) >= misses })
+	close(stop)
+	if name := <-polled; name != "" {
+		t.Errorf("a ReadTx found %s committed without its sw3 hop", name)
+	}
+	fs.SyncWatches()
+	w.Close()
+	if bad := <-watched; len(bad) > 0 {
+		t.Errorf("%d version events delivered before their path was whole, first %s", len(bad), bad[0])
+	}
+	if installs, _ := rt.Stats(); installs < misses {
+		t.Errorf("installs = %d, want >= %d", installs, misses)
 	}
 }
 

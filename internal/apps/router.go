@@ -15,8 +15,8 @@ import (
 // and sets up paths based on exact match through the network". It learns
 // host locations from packet sources, computes shortest paths over the
 // peer-symlink topology, installs one exact-match flow per switch on the
-// path (via ordinary flow-directory writes), and releases the triggering
-// packet with a packet-out.
+// path, every hop in one transaction of its own Proc (§8.1's atomic flow
+// creation), and releases the triggering packet with a packet-out.
 //
 // The topology and the hosts/ table are held in a watch-invalidated cache
 // (topoCache): a miss on an unchanged network reads neither.
@@ -122,19 +122,36 @@ func (r *Router) installPath(src, dst PortRef, ev yancfs.PacketInEvent) error {
 	r.flowSeq++
 	r.installs++
 	seq := r.flowSeq
-	// Each switch on the path forwards out its hop's port; the last one
-	// exits at dst.Port.
-	inPort := src.Port
-	for i, h := range rt.hops {
-		if err := r.writeFlow(seq, h.sw, pf, inPort, h.outPort); err != nil {
+	// The whole path is one commit: one tree-lock hold and one event
+	// batch, so the driver never finds one hop's flow without the rest.
+	// Nothing rolls a transaction back, so every hop's flows/ is checked
+	// before the first flow is put; a step can still fail part-way (a
+	// quota), leaving the hops before it, as separate writes would.
+	err = r.P.WithTx(func(tx *vfs.Tx) error {
+		for _, h := range rt.hops {
+			if err := tx.CanCreate(r.cache.switchPaths(h.sw).flows); err != nil {
+				return err
+			}
+		}
+		if err := tx.CanCreate(r.cache.switchPaths(dst.Switch).flows); err != nil {
 			return err
 		}
-		inPort = rt.ins[i]
-	}
-	if err := r.writeFlow(seq, dst.Switch, pf, inPort, dst.Port); err != nil {
+		// Each switch on the path forwards out its hop's port; the last
+		// one exits at dst.Port.
+		inPort := src.Port
+		for i, h := range rt.hops {
+			if err := r.putFlow(tx, seq, h.sw, pf, inPort, h.outPort); err != nil {
+				return err
+			}
+			inPort = rt.ins[i]
+		}
+		return r.putFlow(tx, seq, dst.Switch, pf, inPort, dst.Port)
+	})
+	if err != nil {
 		return err
 	}
-	// Release the triggering packet along the fresh path.
+	// Release the triggering packet along the fresh path, outside the
+	// transaction: the packet_out file's provider runs on the open path.
 	first := dst.Port
 	if len(rt.hops) > 0 {
 		first = rt.hops[0].outPort
@@ -143,8 +160,8 @@ func (r *Router) installPath(src, dst PortRef, ev yancfs.PacketInEvent) error {
 	return nil
 }
 
-// writeFlow installs the path flow router-<seq>-<sw> on one switch.
-func (r *Router) writeFlow(seq uint64, sw string, pf openflow.PacketFields, inPort, outPort uint32) error {
+// putFlow puts the path flow router-<seq>-<sw> on one switch.
+func (r *Router) putFlow(tx *vfs.Tx, seq uint64, sw string, pf openflow.PacketFields, inPort, outPort uint32) error {
 	match := openflow.ExactMatch(pf)
 	match.Set |= openflow.FieldInPort
 	match.InPort = inPort
@@ -152,7 +169,7 @@ func (r *Router) writeFlow(seq uint64, sw string, pf openflow.PacketFields, inPo
 	b = strconv.AppendUint(b, seq, 10)
 	b = append(append(b, '-'), sw...)
 	r.name = b
-	_, err := yancfs.WriteFlow(r.P, string(b), yancfs.FlowSpec{
+	_, err := yancfs.PutFlowTx(tx, string(b), yancfs.FlowSpec{
 		Match:       match,
 		Priority:    r.Priority,
 		IdleTimeout: r.IdleTimeout,

@@ -64,7 +64,8 @@ type route struct {
 // swPaths are the per-switch paths the router writes: the prefix of every
 // flow directory it names and the packet_out control file.
 type swPaths struct {
-	flowPrefix string // <region>/switches/<sw>/flows/router-
+	flows      string // <region>/switches/<sw>/flows
+	flowPrefix string // flows + "/router-"
 	packetOut  string
 }
 
@@ -195,8 +196,10 @@ func (c *topoCache) switchPaths(sw string) *swPaths {
 	sp := c.paths[sw]
 	if sp == nil {
 		dir := vfs.Join(c.region, yancfs.DirSwitches, sw)
+		flows := vfs.Join(dir, "flows")
 		sp = &swPaths{
-			flowPrefix: vfs.Join(dir, "flows", "router-"),
+			flows:      flows,
+			flowPrefix: vfs.Join(flows, "router-"),
 			packetOut:  vfs.Join(dir, "packet_out"),
 		}
 		c.paths[sw] = sp

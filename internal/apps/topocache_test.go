@@ -7,6 +7,7 @@ import (
 
 	"yanc/internal/ethernet"
 	"yanc/internal/openflow"
+	"yanc/internal/vfs"
 	"yanc/internal/yancfs"
 )
 
@@ -47,7 +48,7 @@ func lastOutput(t *testing.T, r *rig, rt *Router, sw string) uint32 {
 	return spec.Actions[0].Port
 }
 
-// A miss on an unchanged tree costs the two flow writes and the
+// A miss on an unchanged tree costs the path's transaction and the
 // packet-out, call for call: the topology and hosts/ are not read.
 func TestRouterMissReadsNoTopology(t *testing.T) {
 	r, rt := cacheRig(t, 2)
@@ -68,28 +69,39 @@ func TestRouterMissReadsNoTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	write := func(sw string, in, out uint32) {
+	put := func(tx *vfs.Tx, sw string, in, out uint32) error {
 		m := openflow.ExactMatch(pf)
 		m.Set |= openflow.FieldInPort
 		m.InPort = in
-		if _, err := yancfs.WriteFlow(p, "/switches/"+sw+"/flows/hand-"+sw, yancfs.FlowSpec{
+		_, err := yancfs.PutFlowTx(tx, "/switches/"+sw+"/flows/hand-"+sw, yancfs.FlowSpec{
 			Match: m, Priority: 100, IdleTimeout: 60, Actions: []openflow.Action{openflow.Output(out)},
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
+		return err
 	}
 	before = fs.Stats()
-	write("sw1", 1, 3)
-	write("sw2", 2, 1)
+	err = p.WithTx(func(tx *vfs.Tx) error {
+		for _, dir := range []string{"/switches/sw1/flows", "/switches/sw2/flows"} {
+			if err := tx.CanCreate(dir); err != nil {
+				return err
+			}
+		}
+		if err := put(tx, "sw1", 1, 3); err != nil {
+			return err
+		}
+		return put(tx, "sw2", 2, 1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	_ = p.WriteFile("/switches/sw1/packet_out", append([]byte("out=3 in_port=1\n"), ev.Data...), 0o644)
 	want := fs.Stats().Sub(before)
 	if got != want {
-		t.Errorf("second miss = %+v\nflow writes and packet-out = %+v", got, want)
+		t.Errorf("second miss = %+v\npath transaction and packet-out = %+v", got, want)
 	}
-	// One listing per WriteFlow (its stale-action sweep), none for
-	// switches/, ports/ or hosts/.
-	if got.ReadDirs != 2 {
-		t.Errorf("second miss made %d ReadDirs, want 2", got.ReadDirs)
+	// The transaction's steps are one call and count nothing, so a miss
+	// lists nothing: not switches/, ports/ or hosts/.
+	if got.ReadDirs != 0 {
+		t.Errorf("second miss made %d ReadDirs, want 0", got.ReadDirs)
 	}
 	if rt.cache.rebuilds != 1 {
 		t.Errorf("rebuilds = %d, want 1", rt.cache.rebuilds)

@@ -31,14 +31,35 @@ func waitFor(t *testing.T, what string, cond func() (bool, string)) {
 // hold parks every pass of the view's tables until release. It first
 // waits for the view to go idle: the pass over every name that Start
 // asks for would otherwise find, after the hold, whatever the events
-// said.
+// said. It returns once the view's loop is parked in a held pass: a
+// loop still waiting for its next event would, once woken, drain the
+// watch for as long as events kept arriving — a burst meant to pile up
+// behind the hold among them — before its next pass parked it. So it
+// wakes the loop with an event the loop routes to no table.
 func (v *view) hold(t *testing.T) (release func()) {
 	t.Helper()
 	waitFor(t, "view idle", func() (bool, string) { return v.idle(), "" })
 	var releases []func()
-	for _, t := range v.tables {
+	var sw string
+	for name, t := range v.tables {
 		releases = append(releases, t.Hold())
+		sw = name
 	}
+	poke := vfs.Join(v.path, yancfs.DirSwitches, sw, "junk")
+	if err := v.p.MkdirAll(poke, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.p.WriteString(vfs.Join(poke, yancfs.FileVersion), "x"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "view parked", func() (bool, string) {
+		for _, t := range v.tables {
+			if t.Stats().Parked {
+				return true, ""
+			}
+		}
+		return false, "no pass parked"
+	})
 	return func() {
 		for _, rel := range releases {
 			rel()

@@ -1,6 +1,8 @@
 package libyanc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,7 +36,7 @@ func TestPutFlowMatchesFileIOLayout(t *testing.T) {
 
 	var v uint64
 	err := yFast.VFS().WithTx(func(tx *vfs.Tx) (err error) {
-		v, err = yFast.PutFlowTx(tx, "/switches/sw1/flows/ssh", spec)
+		v, err = yancfs.PutFlowTx(tx, "/switches/sw1/flows/ssh", spec)
 		return err
 	})
 	if err != nil || v != 1 {
@@ -83,6 +85,49 @@ func TestPutFlowMatchesFileIOLayout(t *testing.T) {
 	}
 	if !sf.Match.Equal(spec.Match) || sf.Priority != 77 || sf.Cookie != 9 {
 		t.Errorf("fast read back = %+v", sf)
+	}
+
+	// Non-root: a flow uid 1000 puts through its own Proc's transaction
+	// has the layout, modes and ownership of the one its WriteFlow makes.
+	alice := vfs.Cred{UID: 1000, GID: 1000}
+	yUser, ySlowUser := newY(t), newY(t)
+	for _, y := range []*yancfs.FS{yUser, ySlowUser} {
+		if _, err := yancfs.CreateSwitch(y.Root(), "/", "sw1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := y.Root().Chown("/switches/sw1/flows", alice.UID, alice.GID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = yUser.Proc(alice).WithTx(func(tx *vfs.Tx) (err error) {
+		v, err = yancfs.PutFlowTx(tx, "/switches/sw1/flows/ssh", spec)
+		return err
+	})
+	if err != nil || v != 1 {
+		t.Fatalf("uid 1000 PutFlowTx = %d %v", v, err)
+	}
+	if _, err := yancfs.WriteFlow(ySlowUser.Proc(alice), "/switches/sw1/flows/ssh", spec); err != nil {
+		t.Fatal(err)
+	}
+	var user, slowUser []string
+	owned := func(y *yancfs.FS, out *[]string) {
+		_ = y.Root().Walk("/switches/sw1/flows/ssh", func(path string, st vfs.Stat) error {
+			line := fmt.Sprintf("%s %v %o %d:%d", path, st.Kind, st.Mode, st.UID, st.GID)
+			if st.Kind == vfs.KindFile {
+				b, _ := y.Root().ReadFile(path)
+				line += "=" + string(b)
+			}
+			*out = append(*out, line)
+			return nil
+		})
+	}
+	owned(yUser, &user)
+	owned(ySlowUser, &slowUser)
+	if fmt.Sprint(user) != fmt.Sprint(slowUser) {
+		t.Errorf("uid 1000 layouts differ:\nPutFlowTx %q\nWriteFlow %q", user, slowUser)
+	}
+	if len(user) != len(slow) || !strings.Contains(user[0], " 1000:1000") {
+		t.Errorf("uid 1000 flow = %q", user)
 	}
 }
 

@@ -331,7 +331,7 @@ func (r *FlowRing) commit(batch []SQE) []CQE {
 				cqes[i].Err = tx.Remove(e.Path) //yancvet:alloc tree mutation allocates by design; the render path is what is pinned
 			default:
 				//yancvet:alloc flow write allocates inodes by design; its render path is pinned zero-alloc
-				v, perr := y.PutFlowTx(tx, e.Path, e.Spec)
+				v, perr := yancfs.PutFlowTx(tx, e.Path, e.Spec)
 				cqes[i].Version = v
 				cqes[i].Err = perr
 			}

@@ -158,12 +158,12 @@ func (d *Driver) isSelfWrite(path string) bool {
 	return false
 }
 
-// mirrorConn reflects one engine state change into the file system.
+// mirrorConn reflects one engine state change into the file system, in
+// one transaction of the driver's own Proc: its checks and its ids.
 func (d *Driver) mirrorConn(c Conn, removed bool) {
-	// Run outside the engine lock's caller context via the fs transaction.
 	base := vfs.Join(d.base, "state", c.Key.String())
 	if removed {
-		_ = d.Y.VFS().WithTx(func(tx *vfs.Tx) error {
+		_ = d.p.WithTx(func(tx *vfs.Tx) error {
 			if tx.Exists(base) {
 				return tx.Remove(base)
 			}
@@ -171,9 +171,10 @@ func (d *Driver) mirrorConn(c Conn, removed bool) {
 		})
 		return
 	}
-	_ = d.Y.VFS().WithTx(func(tx *vfs.Tx) error {
+	_ = d.p.WithTx(func(tx *vfs.Tx) error {
+		cred := tx.Creator()
 		if !tx.Exists(base) {
-			if err := tx.Mkdir(base, 0o755, 0, 0); err != nil {
+			if err := tx.Mkdir(base, 0o755, cred.UID, cred.GID); err != nil {
 				return err
 			}
 		}
@@ -187,7 +188,7 @@ func (d *Driver) mirrorConn(c Conn, removed bool) {
 			"packets":  strconv.FormatUint(c.Packets, 10),
 			"bytes":    strconv.FormatUint(c.Bytes, 10),
 		} {
-			if err := tx.WriteFile(vfs.Join(base, file), []byte(content+"\n"), 0o644, 0, 0); err != nil {
+			if err := tx.WriteFile(vfs.Join(base, file), []byte(content+"\n"), 0o644, cred.UID, cred.GID); err != nil {
 				return err
 			}
 		}

@@ -169,6 +169,53 @@ func TestNamespaceWithGroupMetersVFSOps(t *testing.T) {
 	}
 }
 
+// TestNamespaceTxChargesPerStep: a transaction of a metered Proc is
+// charged once per step, under the op name of the Proc call the step
+// stands for, and the step the limit refuses fails with ErrQuota and
+// changes nothing.
+func TestNamespaceTxChargesPerStep(t *testing.T) {
+	y, err := yancfs.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(y.VFS())
+	g := m.CreateGroup("tenant", Limits{MaxOps: 3})
+	p, err := m.Launch(Namespace{Name: "app", Cred: vfs.Root, Group: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var quota error
+	err = p.WithTx(func(tx *vfs.Tx) error {
+		if err := tx.Mkdir("/hosts/h1", 0o755, 0, 0); err != nil { // mkdir
+			return err
+		}
+		if err := tx.WriteFile("/hosts/h1/ip", []byte("10.0.0.1\n"), 0o644, 0, 0); err != nil { // write
+			return err
+		}
+		if !tx.Exists("/hosts/h1/ip") { // stat
+			t.Error("the written file is missing")
+		}
+		quota = tx.WriteFile("/hosts/h1/mac", []byte("x\n"), 0o644, 0, 0)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(quota, vfs.ErrQuota) {
+		t.Errorf("fourth step = %v, want ErrQuota", quota)
+	}
+	if y.Root().Exists("/hosts/h1/mac") {
+		t.Error("the refused step wrote its file")
+	}
+	u := g.Usage()
+	if u.Ops != 3 || u.Denied != 1 || u.PerOp["mkdir"] != 1 || u.PerOp["write"] != 1 || u.PerOp["stat"] != 1 {
+		t.Errorf("usage = %+v, want one mkdir, one write and one stat charged, one denied", u)
+	}
+	if u.Bytes != uint64(len("10.0.0.1\n")) {
+		t.Errorf("bytes = %d, want the one write's %d", u.Bytes, len("10.0.0.1\n"))
+	}
+}
+
 func TestEnterMissingRootFails(t *testing.T) {
 	fs := vfs.New()
 	_, err := Namespace{Name: "x", Root: "/nope"}.Enter(fs)

@@ -243,6 +243,7 @@ func (p *Proc) openSlow(path string, flags int, mode FileMode) (*File, error) {
 //yancvet:hotalloc
 func (p *Proc) createLocked(tx *Tx, parent *inode, name string, node *inode, flags int, mode FileMode, data []byte) (n *inode, full string, created bool, err error) {
 	fs := p.fs
+	mark := len(*tx.events)
 	if node == nil {
 		if !allows(parent, p.cred, wantWrite) {
 			return nil, "", false, ErrAccess
@@ -274,7 +275,7 @@ func (p *Proc) createLocked(tx *Tx, parent *inode, name string, node *inode, fla
 		//yancvet:alloc the hook's directory path; only a directory that has the hook pays for it
 		if herr := sem.OnCreate(tx, pathOf(parent), name); herr != nil {
 			parent.cowDelete(name)
-			tx.discard()
+			tx.discardFrom(mark)
 			return nil, "", false, herr
 		}
 	}

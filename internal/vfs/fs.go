@@ -336,6 +336,9 @@ type FS struct {
 	// state of its own, so one serves all readers at once and opening a
 	// read transaction allocates nothing.
 	roTx Tx
+	// owner is what SetOwner recorded: the object built over this file
+	// system (yancfs's FS), which Tx.Owner hands to transaction code.
+	owner any
 }
 
 // New creates an empty file system whose root is owned by root:root with
@@ -349,6 +352,11 @@ func New() *FS {
 	fs.root.dir().name = "/"
 	return fs
 }
+
+// SetOwner records o as the object built over this file system, for code
+// that holds only a transaction (Tx.Owner). Call it once, before the file
+// system is shared.
+func (fs *FS) SetOwner(o any) { fs.owner = o }
 
 // now returns the current time from the installed clock. The clock
 // pointer is atomic so lock-free writers (File.Write) and readers never
@@ -690,28 +698,70 @@ func (fs *FS) walkFrom(cur *inode, path string, cred Cred, opt resolveOpts, root
 	}
 }
 
-// Tx is a transactional view of the tree handed to semantic hooks and to
-// the yanc layer for multi-step structural operations that must be atomic
-// with respect to other file-system users. All Tx methods run with the
-// tree lock held and bypass permission checks (they are "kernel code").
+// Tx is a transactional view of the tree: every method runs with the tree
+// lock held in write mode (in read mode for a ReadTx), and all of one
+// transaction's events are delivered together once it ends.
+//
+// Who a method checks for depends on who opened the transaction.
+//
+//   - FS.WithTx and ReadTx hand out kernel transactions, and so do
+//     semantic hooks while they run, whoever's call triggered them. A
+//     kernel transaction resolves from the file-system root as root and
+//     checks and charges nothing: it is for the driver, libyanc and the
+//     hooks themselves.
+//   - Proc.WithTx hands out a transaction that acts as that Proc. Every
+//     method resolves with the Proc's credential inside its root, so
+//     neither ".." nor an absolute symlink leads out of a chroot, and
+//     charges the Proc's limiter once, under the op name of the Proc
+//     call it stands for (stat for Exists, IsDir, CanCreate and DirRef;
+//     readdir for OpenDir; read for ReadFile; write for WriteFile; mkdir
+//     for Mkdir and WriteTree; remove for Remove; rename for Rename).
+//     The methods then check what that call checks: write permission on
+//     the parent of what they create or remove, the file's own
+//     permission for ReadFile and an existing file's WriteFile, read
+//     permission for OpenDir, and a directory's Protected entries.
+//     Remove takes a whole subtree, as Proc.RemoveAll does. Mkdir runs
+//     the parent's OnMkdir hook and a WriteFile that creates runs
+//     OnCreate, as the Proc calls do, with Creator set to the Proc's
+//     credential; WriteTree runs no hook, since the tree it writes is
+//     the whole new directory. A non-root Proc may only make nodes
+//     owned by its own uid and gid. The kernel-only methods —
+//     SetSemantics, SetSynthetic, AttachFileSet, RemoveChildren and
+//     ReadTree, which serve the hooks, the packet-in fan-out, the event
+//     buffers and the driver — refuse a non-root Proc with ErrPerm.
+//     Nothing is counted in OpStats, as for a kernel transaction: the
+//     transaction is one call.
+//
+// A method that fails checks before it changes anything. A transaction
+// is not rolled back: a step that fails after others succeeded leaves
+// what they did.
 type Tx struct {
-	fs      *FS
-	events  *[]Event // pooled buffer (watchSet.getBuf); nil on a read-only Tx
-	creator Cred
-	hasCred bool
+	fs     *FS
+	events *[]Event // pooled buffer (watchSet.getBuf); nil on a read-only Tx
+	// p is the Proc a Proc.WithTx transaction acts as; nil for kernel
+	// code, and while a semantic hook runs. creator is the Proc Creator
+	// names (nil: root). Both are pointers, not credentials: a Tx is
+	// allocated per mutating call, and a Cred would double its size.
+	p       *Proc
+	creator *Proc
 	ro      bool // opened by ReadTx: tree lock held in read mode
 }
 
 // Creator returns the credential of the process whose operation triggered
-// the current hook (Root when the transaction was opened directly).
-// Semantic-mkdir hooks use it so skeleton entries belong to the user who
-// made the object, the way mkdir(2) ownership works.
+// the current hook, or that opened the transaction with Proc.WithTx (Root
+// when the transaction was opened directly). Semantic-mkdir hooks use it
+// so skeleton entries belong to the user who made the object, the way
+// mkdir(2) ownership works.
 func (tx *Tx) Creator() Cred {
-	if tx.hasCred {
-		return tx.creator
+	if tx.creator != nil {
+		return tx.creator.cred
 	}
 	return Root
 }
+
+// Owner returns what FS.SetOwner recorded on the transaction's file
+// system: the object built over it, for code that holds only a Tx.
+func (tx *Tx) Owner() any { return tx.fs.owner }
 
 // WithTx runs fn while holding the tree lock in write mode, then delivers
 // the events fn queued. This is the primitive libyanc's batch fastpath
@@ -720,8 +770,15 @@ func (tx *Tx) Creator() Cred {
 // syscall-shaped entry points are the scalable path. Lock-free walks can
 // watch its structural steps land one by one, but the content of a file
 // it creates or rewrites is kept from Proc readers until fn returns (see
-// readContent).
-func (fs *FS) WithTx(fn func(tx *Tx) error) error {
+// readContent). The transaction is kernel code: see Tx.
+func (fs *FS) WithTx(fn func(tx *Tx) error) error { return fs.withTx(nil, fn) }
+
+// WithTx is FS.WithTx for this process: the transaction fn is handed
+// resolves, checks and charges as p (see Tx).
+func (p *Proc) WithTx(fn func(tx *Tx) error) error { return p.fs.withTx(p, fn) }
+
+// withTx runs fn in a transaction acting as p (nil: kernel code).
+func (fs *FS) withTx(p *Proc, fn func(tx *Tx) error) error {
 	fs.lockTree()
 	// Marks are never 0, so they repeat every 2³²-1 transactions: a
 	// reader can mistake a long-committed write for the live
@@ -729,6 +786,9 @@ func (fs *FS) WithTx(fn func(tx *Tx) error) error {
 	fs.txN = max(fs.txN+1, 1)
 	fs.txLive.Store(fs.txN)
 	tx := fs.newTx()
+	if p != nil {
+		tx.p, tx.creator = p, p
+	}
 	err := fn(tx)
 	fs.txLive.Store(0)
 	fs.unlockTree()
@@ -750,9 +810,20 @@ func (tx *Tx) flush() {
 	tx.events = nil
 }
 
-// discard drops the events queued so far: the operation that raised them
-// was vetoed and rolled back.
-func (tx *Tx) discard() { *tx.events = (*tx.events)[:0] }
+// discardFrom drops the events queued since the queue held mark: the
+// step that raised them was vetoed and rolled back.
+func (tx *Tx) discardFrom(mark int) { *tx.events = (*tx.events)[:mark] }
+
+// hook hands the transaction to a semantic hook as kernel code, the
+// Proc's checks off, and returns the Proc for unhook.
+func (tx *Tx) hook() *Proc {
+	p := tx.p
+	tx.p = nil
+	return p
+}
+
+// unhook gives the transaction back to p once a hook returns.
+func (tx *Tx) unhook(p *Proc) { tx.p = p }
 
 // ReadTx runs fn while holding the tree lock in read mode. fn must not
 // mutate the tree: only the read-only Tx methods are safe.
@@ -780,9 +851,51 @@ func (tx *Tx) ReserveEvents(n int) {
 	}
 }
 
-// node resolves path (following symlinks) with root credentials.
+// resolve walks path as the transaction's process: with its credential
+// inside its root, or as root from the file-system root.
+func (tx *Tx) resolve(path string, followLast bool) (parent *inode, name string, node *inode, err error) {
+	if p := tx.p; p != nil {
+		return tx.fs.resolve(p.cred, path, p.opts(followLast))
+	}
+	return tx.fs.resolve(Root, path, resolveOpts{followLast: followLast})
+}
+
+// step charges a Proc transaction's limiter for one step, named as the
+// Proc call it stands for.
+func (tx *Tx) step(op string, n int) error {
+	if tx.p == nil {
+		return nil
+	}
+	return tx.p.charge(op, n)
+}
+
+// mayCreate checks that the transaction may add an entry owned by
+// uid:gid to dir: write permission on dir, and, for a non-root Proc, its
+// own ids.
+func (tx *Tx) mayCreate(dir *inode, uid, gid int) error {
+	p := tx.p
+	switch {
+	case p == nil:
+	case !allows(dir, p.cred, wantWrite):
+		return ErrAccess
+	case !p.owns(uid, gid):
+		return ErrPerm
+	}
+	return nil
+}
+
+// kernelOnly refuses a kernel-only method to a non-root Proc. A root
+// Proc runs one as the kernel would, uncharged.
+func (tx *Tx) kernelOnly() error {
+	if p := tx.p; p != nil && p.cred.UID != 0 {
+		return ErrPerm
+	}
+	return nil
+}
+
+// node resolves path (following symlinks) as the transaction's process.
 func (tx *Tx) node(path string) (*inode, error) {
-	_, _, n, err := tx.fs.resolve(Root, path, resolveOpts{followLast: true})
+	_, _, n, err := tx.resolve(path, true)
 	if err != nil {
 		return nil, err
 	}
@@ -794,20 +907,57 @@ func (tx *Tx) node(path string) (*inode, error) {
 
 // Exists reports whether path resolves to a node.
 func (tx *Tx) Exists(path string) bool {
+	if tx.step("stat", 0) != nil {
+		return false
+	}
 	n, err := tx.node(path)
 	return err == nil && n != nil
 }
 
 // IsDir reports whether path resolves to a directory.
 func (tx *Tx) IsDir(path string) bool {
+	if tx.step("stat", 0) != nil {
+		return false
+	}
 	n, err := tx.node(path)
 	return err == nil && n != nil && n.isDir()
 }
 
-// Mkdir creates a directory. Parent hooks are NOT invoked (hooks create
-// structure themselves and must not recurse).
+// CanCreate reports whether the transaction may create entries in the
+// directory dir: nil, or the error a create there would meet first —
+// ErrNotExist, ErrNotDir or ErrAccess. It is access(2)'s W_OK on a
+// directory, charged as one stat. Nothing rolls a transaction back, so a
+// caller about to create in several directories checks them all first.
+func (tx *Tx) CanCreate(dir string) error {
+	if err := tx.step("stat", 0); err != nil {
+		return err
+	}
+	n, err := tx.node(dir)
+	switch {
+	case err != nil:
+	case !n.isDir():
+		err = ErrNotDir
+	case tx.p != nil && !allows(n, tx.p.cred, wantWrite):
+		err = ErrAccess
+	}
+	if err != nil {
+		return pathErr("access", dir, err)
+	}
+	return nil
+}
+
+// Mkdir creates a directory. In a kernel transaction, parent hooks are
+// NOT invoked (hooks create structure themselves and must not recurse);
+// in a Proc's, they are, as Proc.Mkdir invokes them.
 func (tx *Tx) Mkdir(path string, mode FileMode, uid, gid int) error {
-	parent, name, node, err := tx.fs.resolve(Root, path, resolveOpts{})
+	if p := tx.p; p != nil {
+		if err := tx.step("mkdir", 0); err != nil {
+			return err
+		}
+		_, err := p.mkdirLocked(tx, path, mode, uid, gid)
+		return err
+	}
+	parent, name, node, err := tx.resolve(path, false)
 	if err != nil {
 		return pathErr("mkdir", path, err)
 	}
@@ -842,12 +992,19 @@ func (tx *Tx) MkdirAll(path string, mode FileMode, uid, gid int) error {
 
 // WriteFile creates or replaces a regular file's content.
 func (tx *Tx) WriteFile(path string, data []byte, mode FileMode, uid, gid int) error {
-	parent, name, node, err := tx.fs.resolve(Root, path, resolveOpts{followLast: true})
+	if err := tx.step("write", len(data)); err != nil {
+		return err
+	}
+	parent, name, node, err := tx.resolve(path, true)
 	if err != nil {
 		return pathErr("write", path, err)
 	}
 	now := tx.fs.now()
 	if node == nil {
+		if err := tx.mayCreate(parent, uid, gid); err != nil {
+			return pathErr("write", path, err)
+		}
+		mark := len(*tx.events)
 		f := tx.fs.newInode(KindFile, mode, uid, gid)
 		f.data.Store(publish(data))
 		name = internName(name)
@@ -856,10 +1013,28 @@ func (tx *Tx) WriteFile(path string, data []byte, mode FileMode, uid, gid int) e
 		full := pathTo(parent, name)
 		tx.queue(Event{Op: OpCreate, Path: full})
 		tx.queue(Event{Op: OpWrite, Path: full})
+		if sem := parent.dir().sem; tx.p != nil && sem != nil && sem.OnCreate != nil {
+			p := tx.hook()
+			herr := sem.OnCreate(tx, pathOf(parent), name)
+			tx.unhook(p)
+			if herr != nil {
+				parent.cowDelete(name)
+				tx.discardFrom(mark)
+				return pathErr("write", path, herr)
+			}
+		}
 		return nil
 	}
 	if node.isDir() {
 		return pathErr("write", path, ErrIsDir)
+	}
+	if p := tx.p; p != nil {
+		if err := p.accessErr(node, O_WRONLY); err != nil {
+			return pathErr("write", path, err)
+		}
+		if node.loadSynth() != nil {
+			return pathErr("write", path, ErrPerm) // its provider runs on the open path, outside the tree lock
+		}
 	}
 	node.txMark.Store(tx.fs.txLive.Load()) // before the content: see readContent
 	node.data.Store(publish(data))
@@ -882,6 +1057,14 @@ func (tx *Tx) ReadFile(path string) ([]byte, error) {
 	if n.isDir() {
 		return nil, pathErr("read", path, ErrIsDir)
 	}
+	if p := tx.p; p != nil {
+		if err := p.charge("read", len(n.content())); err != nil {
+			return nil, err
+		}
+		if err := p.accessErr(n, O_RDONLY); err != nil {
+			return nil, pathErr("read", path, err)
+		}
+	}
 	return append([]byte(nil), n.content()...), nil
 }
 
@@ -903,8 +1086,13 @@ type FileSet struct {
 // ErrInvalid, since a directory has one parent. mode is the file mode an
 // entry's own Mode overrides. The files' nlink starts at 0: each attach
 // adds one, and each directory holding the set that is torn down takes
-// its one away.
+// its one away. Building a set touches no directory, so a Proc's
+// transaction is charged nothing for it; a non-root Proc may only build
+// files of its own ids.
 func (tx *Tx) NewFileSet(files []FileData, mode FileMode, uid, gid int) (*FileSet, error) {
+	if p := tx.p; p != nil && !p.owns(uid, gid) {
+		return nil, pathErr("fileset", "", ErrPerm)
+	}
 	nodes, dirs, blobs := countTree(files)
 	b := tx.fs.newBuilder(nodes, dirs, blobs, uid, gid, tx.fs.now())
 	ents := make([]dirEnt, 0, len(files))
@@ -936,9 +1124,12 @@ func (s *FileSet) link(n int, now time.Time) {
 	}
 }
 
-// DirRef resolves path, with root credentials, to a reference to the
-// directory there: what a hook hands AttachFileSet.
+// DirRef resolves path to a reference to the directory there: what a
+// hook hands AttachFileSet.
 func (tx *Tx) DirRef(path string) (DirRef, error) {
+	if err := tx.step("stat", 0); err != nil {
+		return DirRef{}, err
+	}
 	n, err := tx.node(path)
 	if err == nil && !n.isDir() {
 		err = ErrNotDir
@@ -946,7 +1137,11 @@ func (tx *Tx) DirRef(path string) (DirRef, error) {
 	if err != nil {
 		return DirRef{}, pathErr("dirref", path, err)
 	}
-	return DirRef{ino: n, root: tx.fs.root}, nil
+	root := tx.fs.root
+	if tx.p != nil {
+		root = tx.p.root
+	}
+	return DirRef{ino: n, root: root}, nil
 }
 
 // AttachFileSet gives each of parents a new directory named name that
@@ -958,9 +1153,14 @@ func (tx *Tx) DirRef(path string) (DirRef, error) {
 // linked(i) is called (under the tree lock — it must not call back into
 // the fs) for each parents[i] that got the directory. Each new directory
 // raises its Create, and each of its files the events some watch takes.
+// It is kernel code, for the hooks and the packet-in fan-out: a non-root
+// Proc's transaction gets ErrPerm.
 //
 //yancvet:hotalloc
 func (tx *Tx) AttachFileSet(set *FileSet, parents []DirRef, name string, mode FileMode, uid, gid int, linked func(i int)) error {
+	if err := tx.kernelOnly(); err != nil {
+		return pathErr("attach", name, err) //yancvet:alloc error path
+	}
 	if !isCleanName(name) {
 		return pathErr("attach", name, ErrInvalid) //yancvet:alloc error path
 	}
@@ -1122,18 +1322,27 @@ func (b *treeBuilder) file(f *FileData, mode FileMode) *inode {
 // call-per-file path pays a full root walk, a heap allocation and a path
 // copy each. Per-entry Create/Write events are queued only when some
 // watch could actually observe them: building their paths would
-// otherwise dominate the cost of a tree no watch looks inside.
+// otherwise dominate the cost of a tree no watch looks inside. A Proc's
+// transaction is charged one mkdir moving the bytes of the files' blobs,
+// and runs no OnMkdir hook: the tree is the new directory's whole
+// content, skeleton included.
 func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode, uid, gid int) error {
-	parent, name, node, err := tx.fs.resolve(Root, dir, resolveOpts{})
+	nodes, dirs, blobs := countTree(files)
+	if err := tx.step("mkdir", blobs); err != nil {
+		return err
+	}
+	parent, name, node, err := tx.resolve(dir, false)
 	if err != nil {
 		return pathErr("writetree", dir, err)
 	}
 	if node != nil {
 		return pathErr("writetree", dir, ErrExist)
 	}
+	if err := tx.mayCreate(parent, uid, gid); err != nil {
+		return pathErr("writetree", dir, err)
+	}
 	now := tx.fs.now()
 	name = internName(name)
-	nodes, dirs, blobs := countTree(files)
 	b := tx.fs.newBuilder(1+nodes, 1+dirs, blobs, uid, gid, now)
 	var build func(d *inode, files []FileData) error
 	build = func(d *inode, files []FileData) error {
@@ -1175,6 +1384,9 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 	parent.nlink.Add(1)
 	parent.touchM(now)
 	full := Clean(dir) // identical to pathTo(parent, name), minus the walk
+	if tx.p != nil && tx.p.root != tx.fs.root {
+		full = pathTo(parent, name) // events carry real paths, not the chroot's
+	}
 	tx.queue(Event{Op: OpCreate, Path: full, IsDir: true})
 	tx.announce(full, files)
 	return nil
@@ -1283,11 +1495,16 @@ type TreeBuf struct {
 // read-back touches, which bench's traced smoke holds a floor on
 // (vfs.ops_per_op); to count the real call instead is a change to make
 // together with that floor. What ReadTree saves over those calls is their
-// path resolutions, permission checks and allocations.
+// path resolutions, permission checks and allocations. It is kernel
+// code, the driver's read-back: a non-root Proc's transaction gets
+// ErrPerm.
 //
 //yancvet:hotalloc
 func (tx *Tx) ReadTree(dir, first string, unless []byte, buf *TreeBuf) (name string, err error) {
 	buf.Files = buf.Files[:0]
+	if err := tx.kernelOnly(); err != nil {
+		return "", pathErr("readtree", dir, err) //yancvet:alloc error path
+	}
 	d, err := tx.node(dir)
 	if err != nil {
 		return "", pathErr("readtree", dir, err) //yancvet:alloc error path
@@ -1341,11 +1558,21 @@ func (tx *Tx) ReadTree(dir, first string, unless []byte, buf *TreeBuf) (name str
 	return d.dir().name, nil
 }
 
-// Remove unlinks a file/symlink or removes a directory subtree.
+// Remove unlinks a file/symlink or removes a directory subtree, as
+// Proc.RemoveAll does. In a Proc's transaction it needs write permission
+// on the parent, and leaves a Protected entry to root.
 func (tx *Tx) Remove(path string) error {
-	parent, name, node, err := tx.fs.resolve(Root, path, resolveOpts{})
+	if err := tx.step("remove", 0); err != nil {
+		return err
+	}
+	parent, name, node, err := tx.resolve(path, false)
 	if err != nil {
 		return pathErr("remove", path, err)
+	}
+	if p := tx.p; p != nil {
+		if err := p.mayRemove(parent, name, node, true); err != nil {
+			return pathErr("remove", path, err)
+		}
 	}
 	if node == nil {
 		return pathErr("remove", path, ErrNotExist)
@@ -1412,15 +1639,25 @@ func (fs *FS) renameLocked(tx *Tx, oldParent *inode, oldName string, node *inode
 	return nil
 }
 
-// Rename moves oldPath to newPath with root credentials, atomically with
-// the rest of the transaction — the primitive that lets a hook or batch
-// caller restructure the tree and adjust its contents in one critical
-// section. Replace rules match rename(2) (and Proc.Rename).
+// Rename moves oldPath to newPath, atomically with the rest of the
+// transaction — the primitive that lets a hook or batch caller
+// restructure the tree and adjust its contents in one critical section.
+// Replace rules match rename(2) (and Proc.Rename).
 func (tx *Tx) Rename(oldPath, newPath string) error {
+	if err := tx.step("rename", 0); err != nil {
+		return err
+	}
+	return tx.rename(oldPath, newPath)
+}
+
+// rename is Rename uncharged, and Proc.Rename's body: a Proc's
+// transaction needs write permission on both parents and may not move a
+// Protected entry unless it is root.
+func (tx *Tx) rename(oldPath, newPath string) error {
 	lerr := func(err error) error {
 		return &LinkError{Op: "rename", Old: oldPath, New: newPath, Err: err}
 	}
-	oldParent, oldName, node, err := tx.fs.resolve(Root, oldPath, resolveOpts{})
+	oldParent, oldName, node, err := tx.resolve(oldPath, false)
 	if err != nil {
 		return lerr(err)
 	}
@@ -1430,12 +1667,20 @@ func (tx *Tx) Rename(oldPath, newPath string) error {
 	if oldParent == nil {
 		return lerr(ErrBusy)
 	}
-	newParent, newName, target, err := tx.fs.resolve(Root, newPath, resolveOpts{})
+	newParent, newName, target, err := tx.resolve(newPath, false)
 	if err != nil {
 		return lerr(err)
 	}
 	if newParent == nil {
 		return lerr(ErrBusy) // the target is the root
+	}
+	if p := tx.p; p != nil {
+		if !allows(oldParent, p.cred, wantWrite) || !allows(newParent, p.cred, wantWrite) {
+			return lerr(ErrAccess)
+		}
+		if sem := oldParent.dir().sem; sem != nil && sem.Protected[oldName] && p.cred.UID != 0 {
+			return lerr(ErrPerm)
+		}
 	}
 	if target == node {
 		return nil
@@ -1449,9 +1694,13 @@ func (tx *Tx) Rename(oldPath, newPath string) error {
 // RemoveChildren removes the named children of dir, resolving dir once —
 // the batched form of Remove for evicting many entries from one
 // directory (the event buffers' drop-oldest path). Missing names are
-// skipped; the number actually removed is returned.
+// skipped; the number actually removed is returned. It is kernel code,
+// for the event buffers: a non-root Proc's transaction gets ErrPerm.
 func (tx *Tx) RemoveChildren(dir string, names []string) (int, error) {
-	_, _, d, err := tx.fs.resolve(Root, dir, resolveOpts{followLast: true})
+	if err := tx.kernelOnly(); err != nil {
+		return 0, pathErr("remove", dir, err)
+	}
+	_, _, d, err := tx.resolve(dir, true)
 	if err != nil {
 		return 0, pathErr("remove", dir, err)
 	}
@@ -1483,8 +1732,12 @@ func (tx *Tx) RemoveChildren(dir string, names []string) (int, error) {
 	return removed, nil
 }
 
-// SetSemantics attaches (or clears) directory semantics.
+// SetSemantics attaches (or clears) directory semantics. It is kernel
+// code: a non-root Proc's transaction gets ErrPerm.
 func (tx *Tx) SetSemantics(path string, sem *DirSemantics) error {
+	if err := tx.kernelOnly(); err != nil {
+		return pathErr("semantics", path, err)
+	}
 	n, err := tx.node(path)
 	if err != nil {
 		return pathErr("semantics", path, err)
@@ -1496,9 +1749,13 @@ func (tx *Tx) SetSemantics(path string, sem *DirSemantics) error {
 	return nil
 }
 
-// SetSynthetic makes (or creates) a synthetic file at path.
+// SetSynthetic makes (or creates) a synthetic file at path. It is kernel
+// code: a non-root Proc's transaction gets ErrPerm.
 func (tx *Tx) SetSynthetic(path string, synth *Synthetic, mode FileMode, uid, gid int) error {
-	parent, name, node, err := tx.fs.resolve(Root, path, resolveOpts{followLast: true})
+	if err := tx.kernelOnly(); err != nil {
+		return pathErr("synthetic", path, err)
+	}
+	parent, name, node, err := tx.resolve(path, true)
 	if err != nil {
 		return pathErr("synthetic", path, err)
 	}
@@ -1521,9 +1778,15 @@ func (tx *Tx) SetSynthetic(path string, synth *Synthetic, mode FileMode, uid, gi
 //
 //yancvet:hotalloc
 func (tx *Tx) OpenDir(path string) (DirIter, error) {
+	if err := tx.step("readdir", 0); err != nil {
+		return DirIter{}, err
+	}
 	n, err := tx.node(path)
 	if err == nil && !n.isDir() {
 		err = ErrNotDir
+	}
+	if p := tx.p; err == nil && p != nil {
+		err = p.listable(n, nil)
 	}
 	if err != nil {
 		return DirIter{}, pathErr("readdir", path, err)
@@ -1642,7 +1905,9 @@ func (fs *FS) removeNode(parent *inode, name string, node *inode, tx *Tx, now ti
 		} else {
 			dirPath = pathOf(parent)
 		}
+		p := tx.hook()
 		sem.OnRemove(tx, dirPath, name, node.kind())
+		tx.unhook(p)
 	}
 }
 

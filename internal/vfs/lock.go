@@ -58,7 +58,15 @@ import "sync/atomic"
 //  3. DirSemantics hooks and Synthetic providers invoked under the tree
 //     write lock must only touch the tree through the Tx they are handed.
 //     Calling a Proc-level entry point re-acquires the tree lock and
-//     self-deadlocks (sync.RWMutex is not reentrant).
+//     self-deadlocks (sync.RWMutex is not reentrant). That holds for a
+//     Proc.WithTx callback too: it runs under the tree write lock like
+//     any other transaction.
+//  4. A Proc's transaction charges its Limiter under the tree write lock,
+//     once per step: the lock order is tree lock, then whatever the
+//     limiter takes. A Limiter must therefore never call into the file
+//     system, and must not block for long. namespace.Group.Charge, the
+//     one in the tree, takes only the mutexes of its group chain, one at
+//     a time, and never waits on anything else.
 
 // lockCounters accumulates acquisition and contention telemetry for the
 // .proc/vfs/contention file. A "contended" acquisition is one whose

@@ -114,13 +114,17 @@ func (p *Proc) MkdirRef(path string, mode FileMode) (DirRef, error) {
 	fs := p.fs
 	tx := fs.newTx()
 	fs.lockTree()
-	d, err := p.mkdirLocked(tx, path, mode)
+	d, err := p.mkdirLocked(tx, path, mode, p.cred.UID, p.cred.GID)
 	fs.unlockTree()
 	tx.flush()
 	return DirRef{ino: d, root: p.root}, err
 }
 
-func (p *Proc) mkdirLocked(tx *Tx, path string, mode FileMode) (*inode, error) {
+// mkdirLocked is Mkdir's body under the tree write lock, for MkdirRef and
+// a Proc's transaction: it makes the directory owned by uid:gid, which a
+// non-root p may only name as its own, and runs the parent's OnMkdir hook
+// as kernel code with p as the creator.
+func (p *Proc) mkdirLocked(tx *Tx, path string, mode FileMode, uid, gid int) (*inode, error) {
 	parent, name, node, err := p.fs.resolve(p.cred, path, p.opts(false))
 	if err != nil {
 		return nil, pathErr("mkdir", path, err)
@@ -128,32 +132,47 @@ func (p *Proc) mkdirLocked(tx *Tx, path string, mode FileMode) (*inode, error) {
 	if node != nil {
 		return nil, pathErr("mkdir", path, ErrExist)
 	}
-	if !allows(parent, p.cred, wantWrite) {
-		return nil, pathErr("mkdir", path, ErrAccess)
+	switch {
+	case !allows(parent, p.cred, wantWrite):
+		err = ErrAccess
+	case !p.owns(uid, gid):
+		err = ErrPerm
+	}
+	if err != nil {
+		return nil, pathErr("mkdir", path, err)
 	}
 	name = internName(name)
 	now := p.fs.now()
-	d := p.fs.bareInode(KindDir, mode.Perm(), p.cred.UID, p.cred.GID, now)
+	mark := len(*tx.events)
+	d := p.fs.bareInode(KindDir, mode.Perm(), uid, gid, now)
 	d.setPlace(parent, name)
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
 	parent.touchM(now)
 	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name), IsDir: true})
 	if sem := parent.dir().sem; sem != nil && sem.OnMkdir != nil {
-		tx.creator = p.cred
-		tx.hasCred = true
+		caller := tx.hook()
+		tx.creator = p
 		//yancvet:alloc the hook's directory path; only a directory that has the hook pays for it
-		if err := sem.OnMkdir(tx, pathOf(parent), name); err != nil {
+		err := sem.OnMkdir(tx, pathOf(parent), name)
+		tx.unhook(caller)
+		if err != nil {
 			// Semantic veto: roll the directory back out.
 			parent.cowDelete(name)
 			parent.nlink.Add(-1)
 			d.dir().parent = nil
 			d.markDead()
-			tx.discard()
+			tx.discardFrom(mark)
 			return nil, pathErr("mkdir", path, err)
 		}
 	}
 	return d, nil
+}
+
+// owns reports whether p may make a node owned by uid:gid: root may name
+// any ids, anyone else only its own, as chown(2) would allow.
+func (p *Proc) owns(uid, gid int) bool {
+	return p.cred.UID == 0 || uid == p.cred.UID && gid == p.cred.GID
 }
 
 // MkdirAll creates path and any missing parents (like mkdir -p).
@@ -302,6 +321,17 @@ func (p *Proc) Remove(path string) error {
 // semantics make rmdir recursive. Tree write lock required; errors are
 // bare errnos.
 func (p *Proc) removeLocked(tx *Tx, parent *inode, name string, node *inode) error {
+	if err := p.mayRemove(parent, name, node, false); err != nil {
+		return err
+	}
+	p.fs.unlinkLocked(parent, name, node, tx)
+	return nil
+}
+
+// mayRemove is removeLocked's check, alone; with subtree set, a
+// non-empty directory may go whatever its parent's semantics, as it may
+// for RemoveAll.
+func (p *Proc) mayRemove(parent *inode, name string, node *inode, subtree bool) error {
 	switch {
 	case node == nil:
 		return ErrNotExist
@@ -311,15 +341,15 @@ func (p *Proc) removeLocked(tx *Tx, parent *inode, name string, node *inode) err
 		return ErrAccess
 	case parent.dir().sem != nil && parent.dir().sem.Protected[name] && p.cred.UID != 0:
 		return ErrPerm
-	case node.isDir() && node.childCount() > 0 && !(parent.dir().sem != nil && parent.dir().sem.RecursiveRmdir):
+	case !subtree && node.isDir() && node.childCount() > 0 && !(parent.dir().sem != nil && parent.dir().sem.RecursiveRmdir):
 		return ErrNotEmpty
 	}
-	p.fs.unlinkLocked(parent, name, node, tx)
 	return nil
 }
 
 // RemoveAll removes path and any children it contains, succeeding
-// trivially if the path does not exist (like os.RemoveAll).
+// trivially if the path does not exist (like os.RemoveAll). A Protected
+// entry stays, unless the caller is root.
 func (p *Proc) RemoveAll(path string) error {
 	if err := p.charge("remove", 0); err != nil {
 		return err
@@ -336,11 +366,8 @@ func (p *Proc) RemoveAll(path string) error {
 		if node == nil {
 			return nil
 		}
-		if parent == nil {
-			return pathErr("removeall", path, ErrBusy)
-		}
-		if !allows(parent, p.cred, wantWrite) {
-			return pathErr("removeall", path, ErrAccess)
+		if err := p.mayRemove(parent, name, node, true); err != nil {
+			return pathErr("removeall", path, err)
 		}
 		fs.unlinkLocked(parent, name, node, tx)
 		return nil
@@ -361,41 +388,8 @@ func (p *Proc) Rename(oldPath, newPath string) error {
 	fs := p.fs
 	fs.lockTree()
 	tx := fs.newTx()
-	err := func() error {
-		lerr := func(err error) error {
-			return &LinkError{Op: "rename", Old: oldPath, New: newPath, Err: err}
-		}
-		oldParent, oldName, node, err := fs.resolve(p.cred, oldPath, p.opts(false))
-		if err != nil {
-			return lerr(err)
-		}
-		if node == nil {
-			return lerr(ErrNotExist)
-		}
-		if oldParent == nil {
-			return lerr(ErrBusy)
-		}
-		newParent, newName, target, err := fs.resolve(p.cred, newPath, p.opts(false))
-		if err != nil {
-			return lerr(err)
-		}
-		if newParent == nil {
-			return lerr(ErrBusy) // the target is the root
-		}
-		if !allows(oldParent, p.cred, wantWrite) || !allows(newParent, p.cred, wantWrite) {
-			return lerr(ErrAccess)
-		}
-		if sem := oldParent.dir().sem; sem != nil && sem.Protected[oldName] && p.cred.UID != 0 {
-			return lerr(ErrPerm)
-		}
-		if target == node {
-			return nil
-		}
-		if err := fs.renameLocked(tx, oldParent, oldName, node, newParent, newName, target); err != nil {
-			return lerr(err)
-		}
-		return nil
-	}()
+	tx.p = p
+	err := tx.rename(oldPath, newPath)
 	fs.unlockTree()
 	tx.flush()
 	return err

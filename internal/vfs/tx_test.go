@@ -465,3 +465,180 @@ func TestReadTreeAllocs(t *testing.T) {
 		t.Errorf("changed tree: %v allocs, want 1", n)
 	}
 }
+
+// TestPermissionsProcTxChroot: a chrooted Proc's transaction resolves
+// inside its root. ".." clamps there and an absolute symlink starts
+// there, so neither reaches a file outside; what it makes lands inside,
+// and its events carry the real paths.
+func TestPermissionsProcTxChroot(t *testing.T) {
+	fs := New()
+	root := fs.RootProc()
+	for _, d := range []string{"/etc", "/jail", "/jail/etc"} {
+		if err := root.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := root.WriteString("/etc/secret", "s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Symlink("/etc", "/jail/link"); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{"/jail", "/jail/etc"} {
+		if err := root.Chown(d, 1000, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := root.AddWatch("/", OpCreate, Recursive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	jail, err := root.WithCred(Cred{UID: 1000, GID: 1000}).Chroot("/jail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = jail.WithTx(func(tx *Tx) error {
+		for _, path := range []string{"/../etc/secret", "/../../etc/secret", "/link/secret", "/link/../../etc/secret"} {
+			if tx.Exists(path) {
+				t.Errorf("%s reaches out of the chroot", path)
+			}
+			if _, err := tx.ReadFile(path); !errors.Is(err, ErrNotExist) {
+				t.Errorf("ReadFile(%s) = %v, want ErrNotExist", path, err)
+			}
+		}
+		if err := tx.WriteFile("/../etc/a", []byte("a"), 0o644, 1000, 1000); err != nil {
+			return err
+		}
+		if err := tx.WriteFile("/link/b", []byte("b"), 0o644, 1000, 1000); err != nil {
+			return err
+		}
+		return tx.WriteTree("/../tree", []FileData{{Name: "f", Data: []byte("f")}}, 0o755, 0o644, 1000, 1000)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/jail/etc/a", "/jail/etc/b", "/jail/tree/f"} {
+		if !root.Exists(path) {
+			t.Errorf("%s missing", path)
+		}
+	}
+	for _, path := range []string{"/etc/a", "/etc/b", "/tree"} {
+		if root.Exists(path) {
+			t.Errorf("%s was written outside the chroot", path)
+		}
+	}
+	fs.SyncWatches()
+	var got []string
+	for len(w.C) > 0 {
+		got = append(got, (<-w.C).Path)
+	}
+	want := []string{"/jail/etc/a", "/jail/etc/b", "/jail/tree", "/jail/tree/f"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("events = %q, want %q", got, want)
+	}
+}
+
+// TestProcTxRootCost: a root Proc's transaction costs what the kernel's
+// does — its checks allocate nothing — and a charged step reaches the
+// limiter once.
+func TestProcTxRootCost(t *testing.T) {
+	fs := New()
+	root := fs.RootProc()
+	if err := root.MkdirAll("/a/b", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.WriteString("/a/b/f", "x"); err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("y")
+	steps := func(tx *Tx) error {
+		if err := tx.CanCreate("/a/b"); err != nil {
+			return err
+		}
+		if !tx.Exists("/a/b/f") {
+			return ErrNotExist
+		}
+		return tx.WriteFile("/a/b/f", data, 0o644, 0, 0)
+	}
+	kernel := testing.AllocsPerRun(200, func() { _ = fs.WithTx(steps) })
+	proc := testing.AllocsPerRun(200, func() { _ = root.WithTx(steps) })
+	if proc != kernel {
+		t.Errorf("root Proc.WithTx allocates %v per run, FS.WithTx %v", proc, kernel)
+	}
+	var lim countLimiter
+	if err := root.WithLimiter(&lim).WithTx(steps); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(lim.ops) != "[stat stat write]" {
+		t.Errorf("charged %v, want [stat stat write]", lim.ops)
+	}
+}
+
+// countLimiter records what it is charged.
+type countLimiter struct{ ops []string }
+
+func (l *countLimiter) Charge(op string, n int) error {
+	l.ops = append(l.ops, op)
+	return nil
+}
+
+// TestProcTxVetoKeepsEarlierSteps: a hook's veto rolls back its own step
+// and drops that step's events only; what the transaction did before
+// it stands, and is announced.
+func TestProcTxVetoKeepsEarlierSteps(t *testing.T) {
+	fs := New()
+	root := fs.RootProc()
+	if err := root.Mkdir("/v", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	veto := errors.New("vetoed")
+	var creator Cred
+	err := fs.WithTx(func(tx *Tx) error {
+		return tx.SetSemantics("/v", &DirSemantics{OnMkdir: func(tx *Tx, dir, name string) error {
+			creator = tx.Creator()
+			if err := tx.WriteFile(Join(dir, name, "skel"), nil, 0o644, 0, 0); err != nil {
+				return err // a hook is kernel code: root-owned skeletons are its to make
+			}
+			return veto
+		}})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Chmod("/v", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	w, err := root.AddWatch("/", OpCreate, Recursive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	alice := fs.Proc(Cred{UID: 1000, GID: 1000})
+	err = alice.WithTx(func(tx *Tx) error {
+		if err := tx.WriteFile("/v/a", []byte("a"), 0o644, 1000, 1000); err != nil {
+			return err
+		}
+		if err := tx.Mkdir("/v/x", 0o755, 1000, 1000); !errors.Is(err, veto) {
+			t.Errorf("vetoed mkdir = %v", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if creator.UID != 1000 {
+		t.Errorf("the hook saw creator %+v, want uid 1000", creator)
+	}
+	if root.Exists("/v/x") || !root.Exists("/v/a") {
+		t.Error("the veto did not roll back its step alone")
+	}
+	fs.SyncWatches()
+	var got []string
+	for len(w.C) > 0 {
+		got = append(got, (<-w.C).Path)
+	}
+	if fmt.Sprint(got) != "[/v/a]" {
+		t.Errorf("events = %q, want the first step's create alone", got)
+	}
+}

@@ -120,17 +120,32 @@ func (sc *flowScratchBuf) release() {
 	flowScratch.Put(sc)
 }
 
+// errNotYanc is PutFlowTx's answer for a transaction on a file system
+// New did not build.
+var errNotYanc = errors.New("yancfs: the transaction's file system is not a yanc file system")
+
 // PutFlowTx writes a complete flow — skeleton, match files, action files,
 // metadata, and the committed version — inside an already-open
-// transaction. This is the primitive behind libyanc's fastpath (§8.1):
-// one lock acquisition and one event flush replace the dozens of
-// open/write/close calls the file-I/O path performs, while producing an
-// identical on-disk layout, so drivers cannot tell the difference.
+// transaction on a file system New built. This is the primitive behind
+// libyanc's fastpath and the router's path setup (§8.1's atomic flow
+// creation): one lock acquisition and one event flush replace the dozens
+// of open/write/close calls the file-I/O path performs, while producing
+// an identical on-disk layout, so drivers cannot tell the difference.
+//
+// The flow belongs to tx.Creator(), as a flow its creator made by
+// WriteFlow would: root for FS.WithTx, the Proc's credential for
+// Proc.WithTx, whose transaction also checks and charges every step as
+// that Proc (vfs.Tx).
 //
 // A fresh flow takes the WriteTree branch: every field file lands in one
 // path resolution and one inode-map fill, which is what lets the libyanc
 // ring clear its 10x-over-file-I/O throughput target at 1k switches.
-func (y *FS) PutFlowTx(tx *vfs.Tx, flowPath string, spec FlowSpec) (uint64, error) {
+func PutFlowTx(tx *vfs.Tx, flowPath string, spec FlowSpec) (uint64, error) {
+	y, ok := tx.Owner().(*FS)
+	if !ok {
+		return 0, errNotYanc
+	}
+	cred := tx.Creator()
 	flowPath = vfs.Clean(flowPath)
 	// Fresh flow first: the whole flow — field files, the counters
 	// subdir holding the shared counters set, and the committed version —
@@ -138,7 +153,7 @@ func (y *FS) PutFlowTx(tx *vfs.Tx, flowPath string, spec FlowSpec) (uint64, erro
 	// and one arena for every value. An existing flow surfaces as
 	// ErrExist and takes the rewrite branch.
 	{
-		counters, err := y.flowCounters(tx, 0, 0)
+		counters, err := y.flowCounters(tx, cred.UID, cred.GID)
 		if err != nil {
 			return 0, err
 		}
@@ -147,7 +162,7 @@ func (y *FS) PutFlowTx(tx *vfs.Tx, flowPath string, spec FlowSpec) (uint64, erro
 		version := files[len(files)-1]
 		files[len(files)-1] = vfs.FileData{Name: "counters", Set: counters}
 		files = append(files, version)
-		err = tx.WriteTree(flowPath, files, 0o755, 0o644, 0, 0)
+		err = tx.WriteTree(flowPath, files, 0o755, 0o644, cred.UID, cred.GID)
 		sc.release()
 		if err == nil {
 			return 1, nil
@@ -176,7 +191,7 @@ func (y *FS) PutFlowTx(tx *vfs.Tx, flowPath string, spec FlowSpec) (uint64, erro
 	}
 	fields, sc := flowFiles(spec, version)
 	for _, f := range fields {
-		if err := tx.WriteFile(vfs.Join(flowPath, f.Name), f.Data, 0o644, 0, 0); err != nil {
+		if err := tx.WriteFile(vfs.Join(flowPath, f.Name), f.Data, 0o644, cred.UID, cred.GID); err != nil {
 			sc.release()
 			return 0, err
 		}

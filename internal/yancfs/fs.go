@@ -89,6 +89,7 @@ func New() (*FS, error) {
 		counterSets: make(map[[2]int]*vfs.FileSet),
 	}
 	y.root = y.vfs.RootProc()
+	y.vfs.SetOwner(y) // PutFlowTx reaches the counters set through its transaction
 	y.counterFiles = []vfs.FileData{
 		{Name: "packets", Synth: &vfs.Synthetic{
 			ReadPath: func(path string) ([]byte, error) { return y.readFlowCounter(path, false) },

@@ -118,7 +118,7 @@ func TestQuickFlowRoundTrip(t *testing.T) {
 		// Fastpath equivalence on the same spec.
 		fastPath := fmt.Sprintf("/switches/sw1/flows/fast%d", i%10)
 		if err := y.VFS().WithTx(func(tx *vfs.Tx) error {
-			_, err := y.PutFlowTx(tx, fastPath, spec)
+			_, err := PutFlowTx(tx, fastPath, spec)
 			return err
 		}); err != nil {
 			t.Fatalf("iter %d fastpath: %v", i, err)

@@ -118,7 +118,7 @@ func TestStressReadFlowTxSeesWholeCommits(t *testing.T) {
 	flow := FlowPath("sw1", "f1")
 	put := func(g uint64) (v uint64, err error) {
 		err = y.VFS().WithTx(func(tx *vfs.Tx) error {
-			v, err = y.PutFlowTx(tx, flow, rewriteSpec(g))
+			v, err = PutFlowTx(tx, flow, rewriteSpec(g))
 			return err
 		})
 		return v, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"yanc/internal/vfs"
 )
@@ -29,6 +30,7 @@ type Reconciler[S any] struct {
 	sink   Sink[S]
 	passFn func(*vfs.Tx) error // r.pass, bound once
 	hold   sync.Mutex          // locked while a Hold is in force
+	parked atomic.Bool         // a pass is waiting out a Hold
 
 	// What was installed and what may have drifted from it, all under mu.
 	// installed is keyed by the flow directory's own name string, never
@@ -176,7 +178,11 @@ func (r *Reconciler[S]) Hold() (release func()) {
 //
 //yancvet:hotalloc
 func (r *Reconciler[S]) Pass() (more bool) {
-	r.hold.Lock() // parks here while a Hold is in force
+	if !r.hold.TryLock() {
+		r.parked.Store(true)
+		r.hold.Lock() // parks here while a Hold is in force
+		r.parked.Store(false)
+	}
 	r.hold.Unlock()
 	//yancvet:allow errdrop pass returns nil: it reports per flow
 	_ = r.vfs.ReadTx(r.passFn)
@@ -327,11 +333,12 @@ func (r *Reconciler[S]) Forget(owns func(S) bool) (name string, ok bool) {
 }
 
 // ReconcileStats is a reconciler's accounting: dirty paths, owed
-// retirements, whether a pass over every name is owed, passes run, flows
-// they looked at, and looks that found the version already installed.
+// retirements, whether a pass over every name is owed, whether a pass is
+// parked on a Hold, passes run, flows they looked at, and looks that
+// found the version already installed.
 type ReconcileStats struct {
 	Dirty, Owed                   int
-	All                           bool
+	All, Parked                   bool
 	Passes, Reconciled, Coalesced uint64
 }
 
@@ -340,7 +347,7 @@ func (r *Reconciler[S]) Stats() ReconcileStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return ReconcileStats{
-		Dirty: len(r.dirty), Owed: len(r.gone), All: r.dirtyAll,
+		Dirty: len(r.dirty), Owed: len(r.gone), All: r.dirtyAll, Parked: r.parked.Load(),
 		Passes: r.passes, Reconciled: r.reconciled, Coalesced: r.coalesced,
 	}
 }

@@ -34,7 +34,7 @@ func putFlows(t *testing.T, y *FS, n int) {
 	t.Helper()
 	err := y.VFS().WithTx(func(tx *vfs.Tx) error {
 		for i := 0; i < n; i++ {
-			if _, err := y.PutFlowTx(tx, FlowPath("sw1", "f"+strconv.Itoa(i)), rewriteSpec(uint64(i))); err != nil {
+			if _, err := PutFlowTx(tx, FlowPath("sw1", "f"+strconv.Itoa(i)), rewriteSpec(uint64(i))); err != nil {
 				return err
 			}
 		}

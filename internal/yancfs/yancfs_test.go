@@ -502,6 +502,100 @@ func TestPermissionsProtectFlows(t *testing.T) {
 	}
 }
 
+// TestPermissionsProcTx: a Proc's transaction writes a flow only where
+// the Proc could. A non-owner's PutFlowTx on a switch whose flows/ it
+// cannot write fails with ErrAccess before it changes anything: no
+// directory, no event. Given the directory, the flow is its own, down to
+// the counters set.
+func TestPermissionsProcTx(t *testing.T) {
+	y := newFS(t)
+	root := y.Root()
+	swPath, _ := CreateSwitch(root, "/", "sw1")
+	flows := vfs.Join(swPath, "flows")
+	flowPath := vfs.Join(flows, "mine")
+	w, err := root.AddWatch(DirSwitches, vfs.OpCreate|vfs.OpWrite, vfs.Recursive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	alice := y.Proc(vfs.Cred{UID: 1000, GID: 1000})
+	put := func() error {
+		return alice.WithTx(func(tx *vfs.Tx) error {
+			_, err := PutFlowTx(tx, flowPath, FlowSpec{Priority: 5, Actions: []openflow.Action{openflow.Output(1)}})
+			return err
+		})
+	}
+	if err := put(); !errors.Is(err, vfs.ErrAccess) {
+		t.Fatalf("non-owner PutFlowTx = %v, want ErrAccess", err)
+	}
+	if root.Exists(flowPath) {
+		t.Error("the refused transaction left its flow directory")
+	}
+	y.VFS().SyncWatches()
+	select {
+	case ev := <-w.C:
+		t.Errorf("the refused transaction queued %v", ev)
+	default:
+	}
+	// Nor may it make a node in another's name, or attach semantics.
+	err = alice.WithTx(func(tx *vfs.Tx) error {
+		if err := tx.SetSemantics(flows, &vfs.DirSemantics{}); !errors.Is(err, vfs.ErrPerm) {
+			t.Errorf("non-root SetSemantics = %v, want ErrPerm", err)
+		}
+		if err := tx.SetSynthetic("/x", &vfs.Synthetic{}, 0o444, 1000, 1000); !errors.Is(err, vfs.ErrPerm) {
+			t.Errorf("non-root SetSynthetic = %v, want ErrPerm", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := root.Chown(flows, 1000, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.WithTx(func(tx *vfs.Tx) error {
+		return tx.WriteFile(vfs.Join(flows, "rootish"), []byte("x"), 0o644, 0, 0)
+	}); !errors.Is(err, vfs.ErrPerm) {
+		t.Errorf("non-root create as 0:0 = %v, want ErrPerm", err)
+	}
+	if err := put(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{flowPath, vfs.Join(flowPath, FileVersion), vfs.Join(flowPath, "counters"), vfs.Join(flowPath, "counters", "packets")} {
+		st, err := root.Stat(p)
+		if err != nil || st.UID != 1000 || st.GID != 1000 {
+			t.Errorf("%s: %+v %v, want owned by 1000:1000", p, st, err)
+		}
+	}
+	// The rewrite branch checks too: bob may traverse but not write.
+	bob := y.Proc(vfs.Cred{UID: 1001, GID: 1001})
+	err = bob.WithTx(func(tx *vfs.Tx) error {
+		_, err := PutFlowTx(tx, flowPath, FlowSpec{Priority: 6})
+		return err
+	})
+	if !errors.Is(err, vfs.ErrAccess) {
+		t.Errorf("non-owner rewrite = %v, want ErrAccess", err)
+	}
+	if spec, err := ReadFlow(root, flowPath); err != nil || spec.Priority != 5 {
+		t.Errorf("after the refused rewrite: %+v %v", spec, err)
+	}
+	// A protected top-level directory stays, even where the non-root
+	// caller may write, whether it asks by RemoveAll or by transaction.
+	if err := root.Chmod("/", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.RemoveAll(DirHosts); !errors.Is(err, vfs.ErrPerm) {
+		t.Errorf("non-root RemoveAll(%s) = %v, want ErrPerm", DirHosts, err)
+	}
+	if err := alice.WithTx(func(tx *vfs.Tx) error { return tx.Remove(DirHosts) }); !errors.Is(err, vfs.ErrPerm) {
+		t.Errorf("non-root Tx.Remove(%s) = %v, want ErrPerm", DirHosts, err)
+	}
+	if !root.Exists(DirHosts) {
+		t.Errorf("%s was removed", DirHosts)
+	}
+}
+
 func TestConsistencyXattr(t *testing.T) {
 	y := newFS(t)
 	p := y.Root()
@@ -672,7 +766,7 @@ func TestFlowFootprint(t *testing.T) {
 		{"PutFlowTx", func(y *FS) error {
 			return y.VFS().WithTx(func(tx *vfs.Tx) error {
 				for i, path := range paths {
-					if _, err := y.PutFlowTx(tx, path, specs[i]); err != nil {
+					if _, err := PutFlowTx(tx, path, specs[i]); err != nil {
 						return err
 					}
 				}
@@ -767,7 +861,7 @@ func TestAllocListAndReadFlow(t *testing.T) {
 	}
 	if err := y.VFS().WithTx(func(tx *vfs.Tx) error {
 		for i := range flows {
-			if _, err := y.PutFlowTx(tx, FlowPath("sw1", fmt.Sprintf("f%05d", i)), footprintSpec(i)); err != nil {
+			if _, err := PutFlowTx(tx, FlowPath("sw1", fmt.Sprintf("f%05d", i)), footprintSpec(i)); err != nil {
 				return err
 			}
 		}
@@ -824,7 +918,7 @@ func TestReadFileSharedCapIsLen(t *testing.T) {
 	}
 	ring := FlowPath("sw1", "ring")
 	if err := y.VFS().WithTx(func(tx *vfs.Tx) error {
-		_, err := y.PutFlowTx(tx, ring, footprintSpec(7))
+		_, err := PutFlowTx(tx, ring, footprintSpec(7))
 		return err
 	}); err != nil {
 		t.Fatal(err)
