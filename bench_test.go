@@ -381,10 +381,12 @@ func remoteRoute(c *dfs.Client, job int) error {
 // BenchmarkE11ReactiveSetup is §8's router on a discovered 3-switch
 // line: miss is one fresh flow's table miss → router → file writes →
 // flow-mods → delivery; burst is cbench's shape, 200 distinct flows sent
-// back to back.
+// back to back. The router keeps every flow (IdleTimeout 0), so every
+// 1,000 flows, with the timer stopped, the flows are removed and the
+// switches' tables are let drain: a miss costs the same whatever b.N.
 func BenchmarkE11ReactiveSetup(b *testing.B) {
-	rig := func(b *testing.B) (h1, h3 *switchsim.Host) {
-		r := must(benchutil.NewLinearRig(3, openflow.Version10))
+	rig := func(b *testing.B) (r *benchutil.Rig, h1, h3 *switchsim.Host) {
+		r = must(benchutil.NewLinearRig(3, openflow.Version10))
 		b.Cleanup(r.Close)
 		td := apps.NewTopod(r.Y.Root(), "/")
 		ok(b, td.DiscoverOnce())
@@ -393,7 +395,7 @@ func BenchmarkE11ReactiveSetup(b *testing.B) {
 		rt.IdleTimeout = 0 // flows persist; every packet below is a new flow
 		ok(b, rt.Start())
 		b.Cleanup(rt.Stop)
-		return r.Hosts[0], r.Hosts[2]
+		return r, r.Hosts[0], r.Hosts[2]
 	}
 	for _, burst := range []int{1, 200} {
 		name := "miss"
@@ -401,9 +403,17 @@ func BenchmarkE11ReactiveSetup(b *testing.B) {
 			name = "burst"
 		}
 		b.Run(name, func(b *testing.B) {
-			h1, h3 := rig(b)
+			r, h1, h3 := rig(b)
+			base := flowState(b, r)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if done := i * burst; done > 0 && done%1000 == 0 {
+					b.StopTimer()
+					clearFlows(b, r, base)
+					h1.ClearReceived()
+					h3.ClearReceived()
+					b.StartTimer()
+				}
 				want := h3.RxCount() + burst
 				for k := 0; k < burst; k++ {
 					h1.SendTCP(h3, uint16(1024+(i*burst+k)%60000), 80, nil)
@@ -414,6 +424,49 @@ func BenchmarkE11ReactiveSetup(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N*burst)/b.Elapsed().Seconds(), "flows/s")
 		})
+	}
+}
+
+// flowTables is what the switches hold: the flows under /switches by
+// path, and each switch's table size.
+type flowTables struct {
+	paths map[string]bool
+	sizes []int
+}
+
+// flowState reads the flows the rig holds now.
+func flowState(b *testing.B, r *benchutil.Rig) flowTables {
+	p := r.Y.Root()
+	st := flowTables{paths: map[string]bool{}}
+	for _, sw := range must(p.ReadDir("/switches")) {
+		dir := "/switches/" + sw.Name
+		for _, f := range must(yancfs.ListFlows(p, dir)) {
+			st.paths[dir+"/flows/"+f] = true
+		}
+	}
+	for _, sw := range r.Net.Switches() {
+		st.sizes = append(st.sizes, sw.FlowCount())
+	}
+	return st
+}
+
+// clearFlows removes every flow not in base and waits until each
+// switch's table is back to its size there.
+func clearFlows(b *testing.B, r *benchutil.Rig, base flowTables) {
+	p := r.Y.Root()
+	for path := range flowState(b, r).paths {
+		if !base.paths[path] {
+			ok(b, yancfs.DeleteFlow(p, path))
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for i, sw := range r.Net.Switches() {
+		for sw.FlowCount() != base.sizes[i] {
+			if time.Now().After(deadline) {
+				b.Fatalf("switch %d holds %d flows, want %d", sw.DPID, sw.FlowCount(), base.sizes[i])
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

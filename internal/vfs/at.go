@@ -258,33 +258,5 @@ func (p *Proc) RemoveAt(ref DirRef, name string) error {
 		}
 		return p.Remove(path)
 	}
-	if err := p.charge("remove", 0); err != nil {
-		return err
-	}
-	fs := p.fs
-	fs.stats.removes.Add(1)
-	tx := fs.newTx()
-	fs.lockTree()
-	err := func() error {
-		dir := ref.ino
-		if dir.dead() {
-			return ErrNotExist
-		}
-		hops := 0
-		parent, name, node, err := fs.walkFrom(dir, name, p.cred, p.opts(false), p.root, &hops)
-		if err != nil {
-			return err
-		}
-		return p.removeLocked(tx, parent, name, node)
-	}()
-	if err != nil {
-		full := name
-		if !ref.ino.dead() {
-			full = pathTo(ref.ino, name)
-		}
-		err = pathErr("remove", full, err)
-	}
-	fs.unlockTree()
-	tx.flush()
-	return err
+	return p.remove(ref.ino, name, false)
 }

@@ -201,19 +201,19 @@ func (fs *FS) truncate(node *inode) {
 	node.touchM(fs.now())
 }
 
-// openSlow creates the file under the tree write lock, running the parent
-// directory's OnCreate hook. It re-resolves from scratch: another open may
-// have created the file between the fast path's read lock and here.
+// openSlow creates the file in a one-step transaction. It re-resolves
+// from scratch: another open may have created the file between the fast
+// path's read lock and here.
 func (p *Proc) openSlow(path string, flags int, mode FileMode) (*File, error) {
 	fs := p.fs
-	tx := fs.newTx()
+	tx := fs.newTx(p)
 	fs.lockTree()
 	f, err := func() (*File, error) {
-		parent, name, node, err := fs.resolve(p.cred, path, p.opts(true))
+		parent, name, node, err := tx.resolve(path, true)
 		if err != nil {
 			return nil, pathErr("open", path, err)
 		}
-		node, full, created, err := p.createLocked(tx, parent, name, node, flags, mode, nil)
+		node, full, created, err := tx.openLocked(parent, name, node, flags, mode, nil)
 		if err != nil {
 			return nil, pathErr("open", path, err)
 		}
@@ -229,36 +229,19 @@ func (p *Proc) openSlow(path string, flags int, mode FileMode) (*File, error) {
 	return f, err
 }
 
-// createLocked is the half of an open that needs the tree write lock,
-// shared by OpenFile's create branch and the handle-free write. Given
-// what resolve found at (parent, name), it creates the regular file when
-// node is nil — holding data, installed before the file is published —
-// and applies the existing-file rules when the create race was lost;
-// either way the caller's access is checked against flags, and a created
-// file's OnCreate hook runs last (a veto unlinks the file and drops the
-// queued events). It returns the node, its real path, and whether it was
-// created here; errors are bare errnos for the caller to wrap in its own
-// spelling of the path.
+// openLocked is the half of an open that needs the tree write lock, for
+// OpenFile's create branch and the handle-free write, in a Proc's
+// transaction. Given what resolve found at (parent, name), it creates the
+// regular file, holding data, when node is nil, and applies the
+// existing-file rules when the create race was lost; either way the
+// caller's access is checked against flags. It returns the node, its real
+// path, and whether it was created here; errors are bare errnos for the
+// caller to wrap in its own spelling of the path.
 //
 //yancvet:hotalloc
-func (p *Proc) createLocked(tx *Tx, parent *inode, name string, node *inode, flags int, mode FileMode, data []byte) (n *inode, full string, created bool, err error) {
-	fs := p.fs
-	mark := len(*tx.events)
-	if node == nil {
-		if !allows(parent, p.cred, wantWrite) {
-			return nil, "", false, ErrAccess
-		}
-		now := fs.now()
-		node = fs.bareInode(KindFile, mode.Perm(), p.cred.UID, p.cred.GID, now)
-		node.data.Store(publish(data))
-		name = internName(name)
-		parent.cowInsert(name, node)
-		parent.touchM(now)
-		created = true
-		fs.stats.creates.Add(1)
-		full = pathTo(parent, name)
-		tx.queue(Event{Op: OpCreate, Path: full})
-	} else {
+func (tx *Tx) openLocked(parent *inode, name string, node *inode, flags int, mode FileMode, data []byte) (n *inode, full string, created bool, err error) {
+	p := tx.p
+	if node != nil {
 		// Lost the create race: apply the existing-file rules.
 		if flags&O_CREATE != 0 && flags&O_EXCL != 0 {
 			return nil, "", false, ErrExist
@@ -266,20 +249,16 @@ func (p *Proc) createLocked(tx *Tx, parent *inode, name string, node *inode, fla
 		if err := p.accessErr(node, flags); err != nil {
 			return nil, "", false, err
 		}
-		full = pathTo(parent, name) // after the directory check: the root has no parent entry to name
+		return node, pathTo(parent, name), false, nil // after the directory check: the root has no parent entry to name
 	}
-	if created && flags&(O_WRONLY|O_RDWR) != 0 && !allows(node, p.cred, wantWrite) {
+	if node, full, err = tx.create(parent, name, data, mode, p.cred.UID, p.cred.GID); err != nil {
+		return nil, "", false, err
+	}
+	tx.fs.stats.creates.Add(1)
+	if flags&(O_WRONLY|O_RDWR) != 0 && !allows(node, p.cred, wantWrite) {
 		return nil, "", false, ErrAccess
 	}
-	if sem := parent.dir().sem; created && sem != nil && sem.OnCreate != nil {
-		//yancvet:alloc the hook's directory path; only a directory that has the hook pays for it
-		if herr := sem.OnCreate(tx, pathOf(parent), name); herr != nil {
-			parent.cowDelete(name)
-			tx.discardFrom(mark)
-			return nil, "", false, herr
-		}
-	}
-	return node, full, created, nil
+	return node, full, true, nil
 }
 
 // Name returns the path the file was opened with.
@@ -771,14 +750,14 @@ func (p *Proc) writeWhole(dir *inode, path string, data []byte, mode FileMode) (
 	} else {
 		// Missing, or the walk kept being invalidated: settle it under the
 		// tree write lock.
-		tx := fs.newTx()
+		tx := fs.newTx(p)
 		events = tx.events
 		var (
 			syn  *Synthetic
 			full string
 		)
 		fs.lockTree()
-		syn, full, err = p.createWhole(tx, dir, path, data, mode)
+		syn, full, err = tx.createWhole(dir, path, data, mode)
 		fs.unlockTree()
 		if syn != nil {
 			// The create race was lost to a hook planting a synthetic file:
@@ -807,27 +786,20 @@ func (fs *FS) replaceContent(n *inode, data []byte) {
 	n.touchM(fs.now())
 }
 
-// createWhole is writeWhole's turn under the tree write lock: it resolves
-// the name once, creates the file holding data or — the create race lost —
-// replaces the content of the regular file it finds, and queues the
-// events. A synthetic file found there is handed back with its real path
-// for the caller to feed once the lock is released.
+// createWhole is writeWhole's turn under the tree write lock, in a
+// Proc's one-step transaction: it resolves the name once, creates the
+// file holding data or — the create race lost — replaces the content of
+// the regular file it finds, and queues the events. A synthetic file
+// found there is handed back with its real path for the caller to feed
+// once the lock is released.
 //
 //yancvet:hotalloc
-func (p *Proc) createWhole(tx *Tx, dir *inode, path string, data []byte, mode FileMode) (syn *Synthetic, full string, err error) {
-	fs := p.fs
-	from := dir
-	if dir == nil {
-		from = p.root
-	} else if dir.dead() {
-		return nil, "", ErrNotExist
-	}
-	hops := 0
-	parent, name, node, err := fs.walkFrom(from, path, p.cred, p.opts(true), p.root, &hops)
+func (tx *Tx) createWhole(dir *inode, path string, data []byte, mode FileMode) (syn *Synthetic, full string, err error) {
+	parent, name, node, err := tx.resolveAt(dir, path, true)
 	if err != nil {
 		return nil, "", err
 	}
-	node, full, created, err := p.createLocked(tx, parent, name, node, wholeWrite, mode, data)
+	node, full, created, err := tx.openLocked(parent, name, node, wholeWrite, mode, data)
 	if err != nil {
 		return nil, "", err
 	}
@@ -835,7 +807,7 @@ func (p *Proc) createWhole(tx *Tx, dir *inode, path string, data []byte, mode Fi
 		return syn, full, nil
 	}
 	if !created {
-		fs.replaceContent(node, data)
+		tx.fs.replaceContent(node, data)
 		tx.queue(Event{Op: OpWrite, Path: full})
 	}
 	tx.queue(Event{Op: OpWrite, Path: full})

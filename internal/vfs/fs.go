@@ -12,7 +12,9 @@
 // family is there too (at.go): DirRef or MkdirRef resolves a directory
 // once, and ExistsAt, ReadFileAt, ReadFileSharedAt, WriteFileAt, RemoveAt
 // and OpenDirAt name an entry relative to it — counted and charged as
-// the path-based calls they replace, minus the walk from the root.
+// the path-based calls they replace, minus the walk from the root. Each
+// mutating operation has one body, a Tx method; a Proc call runs it as
+// the one step of a transaction acting as the Proc (see Tx).
 //
 // Concurrency: the tree scales on multicore through two levels — atomic
 // publication, of immutable children snapshots (see resolve_rcu.go) and of
@@ -69,8 +71,6 @@ type DirSemantics struct {
 	// yanc uses it to populate typed children ("mkdir views/new_view"
 	// also creates hosts/, switches/, views/).
 	OnMkdir func(tx *Tx, dir, name string) error
-	// OnCreate runs after a child regular file was created.
-	OnCreate func(tx *Tx, dir, name string) error
 	// OnRemove runs after a child was removed (for either rmdir or unlink).
 	OnRemove func(tx *Tx, dir, name string, kind NodeKind)
 	// ValidateSymlink vets a symlink created in this directory; yanc uses
@@ -394,10 +394,11 @@ func (fs *FS) bareInode(kind NodeKind, mode FileMode, uid, gid int, now time.Tim
 }
 
 // initInode fills a zeroed inode in place; dir is its directory state,
-// non-nil exactly when kind is KindDir.
+// non-nil exactly when kind is KindDir. Every create keeps mode's
+// permission bits alone: set-id and sticky bits come only from a chmod.
 func (fs *FS) initInode(n *inode, dir *dirState, kind NodeKind, mode FileMode, uid, gid int, ns int64) *inode {
 	n.ino = fs.nextIno.Add(1)
-	n.mode.Store(uint32(mode) | uint32(kind)<<kindShift)
+	n.mode.Store(uint32(mode.Perm()) | uint32(kind)<<kindShift)
 	n.txMark.Store(fs.txLive.Load())
 	n.mtime.Store(ns)
 	n.ctime.Store(ns)
@@ -721,11 +722,10 @@ func (fs *FS) walkFrom(cur *inode, path string, cred Cred, opt resolveOpts, root
 //     permission for ReadFile and an existing file's WriteFile, read
 //     permission for OpenDir, and a directory's Protected entries.
 //     Remove takes a whole subtree, as Proc.RemoveAll does. Mkdir runs
-//     the parent's OnMkdir hook and a WriteFile that creates runs
-//     OnCreate, as the Proc calls do, with Creator set to the Proc's
-//     credential; WriteTree runs no hook, since the tree it writes is
-//     the whole new directory. A non-root Proc may only make nodes
-//     owned by its own uid and gid. The kernel-only methods —
+//     the parent's OnMkdir hook, as the Proc calls do, with Creator set
+//     to the Proc's credential; WriteTree runs no hook, since the tree it
+//     writes is the whole new directory. A non-root Proc may only make
+//     nodes owned by its own uid and gid. The kernel-only methods —
 //     SetSemantics, SetSynthetic, AttachFileSet, RemoveChildren and
 //     ReadTree, which serve the hooks, the packet-in fan-out, the event
 //     buffers and the driver — refuse a non-root Proc with ErrPerm.
@@ -735,11 +735,20 @@ func (fs *FS) walkFrom(cur *inode, path string, cred Cred, opt resolveOpts, root
 // A method that fails checks before it changes anything. A transaction
 // is not rolled back: a step that fails after others succeeded leaves
 // what they did.
+//
+// A mutating Proc call is one step of a transaction acting as that Proc
+// (newTx), and shares its body with the Tx method: Mkdir and MkdirRef
+// run mkdir, as Tx.Mkdir does; OpenFile's create and the handle-free
+// write run create, as a creating Tx.WriteFile does; Remove, RemoveAll
+// and RemoveAt run remove, as Tx.Remove does; Rename runs rename, as
+// Tx.Rename does. So each check, hook call and event of an operation is
+// written once. Every create keeps the mode's permission bits alone.
 type Tx struct {
 	fs     *FS
 	events *[]Event // pooled buffer (watchSet.getBuf); nil on a read-only Tx
-	// p is the Proc a Proc.WithTx transaction acts as; nil for kernel
-	// code, and while a semantic hook runs. creator is the Proc Creator
+	// p is the Proc the transaction acts as — a Proc.WithTx callback's,
+	// or a Proc call's one step; nil for kernel code, and while a
+	// semantic hook runs. creator is the Proc Creator
 	// names (nil: root). Both are pointers, not credentials: a Tx is
 	// allocated per mutating call, and a Cred would double its size.
 	p       *Proc
@@ -785,10 +794,7 @@ func (fs *FS) withTx(p *Proc, fn func(tx *Tx) error) error {
 	// transaction's, which costs it a wait, never a wrong answer.
 	fs.txN = max(fs.txN+1, 1)
 	fs.txLive.Store(fs.txN)
-	tx := fs.newTx()
-	if p != nil {
-		tx.p, tx.creator = p, p
-	}
+	tx := fs.newTx(p)
 	err := fn(tx)
 	fs.txLive.Store(0)
 	fs.unlockTree()
@@ -796,10 +802,12 @@ func (fs *FS) withTx(p *Proc, fn func(tx *Tx) error) error {
 	return err
 }
 
-// newTx opens the transaction behind one mutating call. The caller holds
-// (or is about to take) the tree write lock and ends with flush.
-func (fs *FS) newTx() *Tx {
-	return &Tx{fs: fs, events: fs.watches.getBuf()} //yancvet:alloc the Tx is handed to semantic hooks, which may keep it for the call
+// newTx opens a transaction acting as p (nil: kernel code). Every
+// mutating Proc call is one step of such a transaction, with no txLive
+// mark — one step publishes atomically — opened before the call takes the
+// tree write lock, which it releases before flush.
+func (fs *FS) newTx(p *Proc) *Tx {
+	return &Tx{fs: fs, events: fs.watches.getBuf(), p: p, creator: p} //yancvet:alloc the Tx is handed to semantic hooks, which may keep it for the call
 }
 
 // flush hands the queued events to the dispatcher. It runs after the tree
@@ -854,10 +862,23 @@ func (tx *Tx) ReserveEvents(n int) {
 // resolve walks path as the transaction's process: with its credential
 // inside its root, or as root from the file-system root.
 func (tx *Tx) resolve(path string, followLast bool) (parent *inode, name string, node *inode, err error) {
+	return tx.resolveAt(nil, path, followLast)
+}
+
+// resolveAt is resolve starting at dir, a directory reference's inode
+// (nil: the root). A directory removed since is ErrNotExist.
+func (tx *Tx) resolveAt(dir *inode, path string, followLast bool) (parent *inode, name string, node *inode, err error) {
+	cred, opt := Root, resolveOpts{followLast: followLast, root: tx.fs.root}
 	if p := tx.p; p != nil {
-		return tx.fs.resolve(p.cred, path, p.opts(followLast))
+		cred, opt = p.cred, p.opts(followLast)
 	}
-	return tx.fs.resolve(Root, path, resolveOpts{followLast: followLast})
+	if dir == nil {
+		dir = opt.root
+	} else if dir.dead() {
+		return nil, "", nil, ErrNotExist
+	}
+	hops := 0
+	return tx.fs.walkFrom(dir, path, cred, opt, opt.root, &hops)
 }
 
 // step charges a Proc transaction's limiter for one step, named as the
@@ -869,19 +890,35 @@ func (tx *Tx) step(op string, n int) error {
 	return tx.p.charge(op, n)
 }
 
-// mayCreate checks that the transaction may add an entry owned by
-// uid:gid to dir: write permission on dir, and, for a non-root Proc, its
-// own ids.
-func (tx *Tx) mayCreate(dir *inode, uid, gid int) error {
-	p := tx.p
-	switch {
-	case p == nil:
-	case !allows(dir, p.cred, wantWrite):
+// mayWrite checks that the transaction may change dir's entries: a
+// Proc's needs write permission on dir.
+func (tx *Tx) mayWrite(dir *inode) error {
+	if p := tx.p; p != nil && !allows(dir, p.cred, wantWrite) {
 		return ErrAccess
-	case !p.owns(uid, gid):
-		return ErrPerm
 	}
 	return nil
+}
+
+// mayCreate checks that the transaction may add an entry owned by
+// uid:gid to dir: mayWrite, and, for a non-root Proc, its own ids.
+func (tx *Tx) mayCreate(dir *inode, uid, gid int) error {
+	err := tx.mayWrite(dir)
+	if p := tx.p; err == nil && p != nil && !p.owns(uid, gid) {
+		err = ErrPerm
+	}
+	return err
+}
+
+// mayUnlink checks that the transaction may take name out of dir:
+// mayWrite, and, for a non-root Proc, name is not Protected.
+func (tx *Tx) mayUnlink(dir *inode, name string) error {
+	err := tx.mayWrite(dir)
+	if p := tx.p; err == nil && p != nil && p.cred.UID != 0 {
+		if sem := dir.dir().sem; sem != nil && sem.Protected[name] {
+			err = ErrPerm
+		}
+	}
+	return err
 }
 
 // kernelOnly refuses a kernel-only method to a non-root Proc. A root
@@ -937,8 +974,8 @@ func (tx *Tx) CanCreate(dir string) error {
 	case err != nil:
 	case !n.isDir():
 		err = ErrNotDir
-	case tx.p != nil && !allows(n, tx.p.cred, wantWrite):
-		err = ErrAccess
+	default:
+		err = tx.mayWrite(n)
 	}
 	if err != nil {
 		return pathErr("access", dir, err)
@@ -950,28 +987,53 @@ func (tx *Tx) CanCreate(dir string) error {
 // NOT invoked (hooks create structure themselves and must not recurse);
 // in a Proc's, they are, as Proc.Mkdir invokes them.
 func (tx *Tx) Mkdir(path string, mode FileMode, uid, gid int) error {
-	if p := tx.p; p != nil {
-		if err := tx.step("mkdir", 0); err != nil {
-			return err
-		}
-		_, err := p.mkdirLocked(tx, path, mode, uid, gid)
+	if err := tx.step("mkdir", 0); err != nil {
 		return err
 	}
+	_, err := tx.mkdir(path, mode, uid, gid)
+	return err
+}
+
+// mkdir is the body of every mkdir — Tx.Mkdir, and Proc.Mkdir and MkdirRef
+// as one-step transactions. It makes the directory owned by uid:gid and,
+// in a Proc's transaction, runs the parent's OnMkdir hook as kernel code;
+// a veto rolls the directory back out.
+func (tx *Tx) mkdir(path string, mode FileMode, uid, gid int) (*inode, error) {
 	parent, name, node, err := tx.resolve(path, false)
-	if err != nil {
-		return pathErr("mkdir", path, err)
+	switch {
+	case err != nil:
+	case node != nil:
+		err = ErrExist
+	default:
+		err = tx.mayCreate(parent, uid, gid)
 	}
-	if node != nil {
-		return pathErr("mkdir", path, ErrExist)
+	if err != nil {
+		return nil, pathErr("mkdir", path, err)
 	}
 	name = internName(name)
-	d := tx.fs.newInode(KindDir, mode, uid, gid)
+	now := tx.fs.now()
+	mark := len(*tx.events)
+	d := tx.fs.bareInode(KindDir, mode, uid, gid, now)
 	d.setPlace(parent, name)
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
-	parent.touchM(tx.fs.now())
+	parent.touchM(now)
 	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name), IsDir: true})
-	return nil
+	if sem := parent.dir().sem; tx.p != nil && sem != nil && sem.OnMkdir != nil {
+		p := tx.hook()
+		//yancvet:alloc the hook's directory path; only a directory that has the hook pays for it
+		err := sem.OnMkdir(tx, pathOf(parent), name)
+		tx.unhook(p)
+		if err != nil {
+			parent.cowDelete(name)
+			parent.nlink.Add(-1)
+			d.dir().parent = nil
+			d.markDead()
+			tx.discardFrom(mark)
+			return nil, pathErr("mkdir", path, err)
+		}
+	}
+	return d, nil
 }
 
 // MkdirAll creates path and any missing parents.
@@ -999,30 +1061,12 @@ func (tx *Tx) WriteFile(path string, data []byte, mode FileMode, uid, gid int) e
 	if err != nil {
 		return pathErr("write", path, err)
 	}
-	now := tx.fs.now()
 	if node == nil {
-		if err := tx.mayCreate(parent, uid, gid); err != nil {
+		_, full, err := tx.create(parent, name, data, mode, uid, gid)
+		if err != nil {
 			return pathErr("write", path, err)
 		}
-		mark := len(*tx.events)
-		f := tx.fs.newInode(KindFile, mode, uid, gid)
-		f.data.Store(publish(data))
-		name = internName(name)
-		parent.cowInsert(name, f)
-		parent.touchM(now)
-		full := pathTo(parent, name)
-		tx.queue(Event{Op: OpCreate, Path: full})
 		tx.queue(Event{Op: OpWrite, Path: full})
-		if sem := parent.dir().sem; tx.p != nil && sem != nil && sem.OnCreate != nil {
-			p := tx.hook()
-			herr := sem.OnCreate(tx, pathOf(parent), name)
-			tx.unhook(p)
-			if herr != nil {
-				parent.cowDelete(name)
-				tx.discardFrom(mark)
-				return pathErr("write", path, herr)
-			}
-		}
 		return nil
 	}
 	if node.isDir() {
@@ -1037,10 +1081,30 @@ func (tx *Tx) WriteFile(path string, data []byte, mode FileMode, uid, gid int) e
 		}
 	}
 	node.txMark.Store(tx.fs.txLive.Load()) // before the content: see readContent
-	node.data.Store(publish(data))
-	node.touchM(now)
+	tx.fs.replaceContent(node, data)
 	tx.queue(Event{Op: OpWrite, Path: pathTo(parent, name)})
 	return nil
+}
+
+// create is the body of every regular-file create — Tx.WriteFile, and
+// OpenFile and the handle-free write as one-step transactions: it makes
+// the file name in parent holding data, owned by uid:gid, and queues its
+// Create. It returns the file and its real path; errors are bare errnos.
+//
+//yancvet:hotalloc
+func (tx *Tx) create(parent *inode, name string, data []byte, mode FileMode, uid, gid int) (*inode, string, error) {
+	if err := tx.mayCreate(parent, uid, gid); err != nil {
+		return nil, "", err
+	}
+	now := tx.fs.now()
+	f := tx.fs.bareInode(KindFile, mode, uid, gid, now)
+	f.data.Store(publish(data))
+	name = internName(name)
+	parent.cowInsert(name, f)
+	parent.touchM(now)
+	full := pathTo(parent, name)
+	tx.queue(Event{Op: OpCreate, Path: full})
+	return f, full, nil
 }
 
 // ReadFile returns a copy of a file's content. Synthetic files are
@@ -1383,13 +1447,33 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 	parent.cowInsert(name, d)
 	parent.nlink.Add(1)
 	parent.touchM(now)
-	full := Clean(dir) // identical to pathTo(parent, name), minus the walk
-	if tx.p != nil && tx.p.root != tx.fs.root {
-		full = pathTo(parent, name) // events carry real paths, not the chroot's
+	full := dir
+	if !spells(dir, parent, name) {
+		full = pathTo(parent, name) // events carry real paths: dir crossed a symlink or "..", or is a chroot's
 	}
 	tx.queue(Event{Op: OpCreate, Path: full, IsDir: true})
 	tx.announce(full, files)
 	return nil
+}
+
+// spells reports whether path is already pathTo(dir, name), which an
+// event may then carry without building it: canonical, and naming
+// each directory up to the root. Tree lock held.
+func spells(path string, dir *inode, name string) bool {
+	if !isClean(path) {
+		return false
+	}
+	for d := dir.dirKnown(); ; d = d.parent.dirKnown() {
+		i := len(path) - len(name) - 1
+		if i < 0 || path[i] != '/' || path[i+1:] != name {
+			return false
+		}
+		path = path[:i]
+		if d.parent == nil {
+			return path == ""
+		}
+		name = d.name
+	}
 }
 
 // announce queues the events some watch takes of a subtree WriteTree
@@ -1559,26 +1643,39 @@ func (tx *Tx) ReadTree(dir, first string, unless []byte, buf *TreeBuf) (name str
 }
 
 // Remove unlinks a file/symlink or removes a directory subtree, as
-// Proc.RemoveAll does. In a Proc's transaction it needs write permission
-// on the parent, and leaves a Protected entry to root.
+// Proc.RemoveAll does, but a missing path is ErrNotExist.
 func (tx *Tx) Remove(path string) error {
 	if err := tx.step("remove", 0); err != nil {
 		return err
 	}
 	parent, name, node, err := tx.resolve(path, false)
+	if err == nil {
+		err = tx.remove(parent, name, node, true)
+	}
 	if err != nil {
 		return pathErr("remove", path, err)
 	}
-	if p := tx.p; p != nil {
-		if err := p.mayRemove(parent, name, node, true); err != nil {
-			return pathErr("remove", path, err)
-		}
+	return nil
+}
+
+// remove is the body of every remove — Tx.Remove, and Proc.Remove,
+// RemoveAll and RemoveAt as one-step transactions. It unlinks node, which
+// resolution found at (parent, name): the entry must exist and not be the
+// root, a Proc's transaction must pass mayUnlink, and a directory goes
+// only when empty, when the parent's semantics make rmdir recursive, or
+// when subtree is set. Errors are bare errnos.
+func (tx *Tx) remove(parent *inode, name string, node *inode, subtree bool) error {
+	switch {
+	case node == nil:
+		return ErrNotExist
+	case parent == nil:
+		return ErrBusy // the root itself
 	}
-	if node == nil {
-		return pathErr("remove", path, ErrNotExist)
+	if err := tx.mayUnlink(parent, name); err != nil {
+		return err
 	}
-	if parent == nil {
-		return pathErr("remove", path, ErrBusy) // the root itself
+	if sem := parent.dir().sem; !subtree && node.isDir() && node.childCount() > 0 && (sem == nil || !sem.RecursiveRmdir) {
+		return ErrNotEmpty
 	}
 	tx.fs.unlinkLocked(parent, name, node, tx)
 	return nil
@@ -1674,13 +1771,11 @@ func (tx *Tx) rename(oldPath, newPath string) error {
 	if newParent == nil {
 		return lerr(ErrBusy) // the target is the root
 	}
-	if p := tx.p; p != nil {
-		if !allows(oldParent, p.cred, wantWrite) || !allows(newParent, p.cred, wantWrite) {
-			return lerr(ErrAccess)
-		}
-		if sem := oldParent.dir().sem; sem != nil && sem.Protected[oldName] && p.cred.UID != 0 {
-			return lerr(ErrPerm)
-		}
+	if err := tx.mayWrite(newParent); err != nil {
+		return lerr(err)
+	}
+	if err := tx.mayUnlink(oldParent, oldName); err != nil {
+		return lerr(err)
 	}
 	if target == node {
 		return nil

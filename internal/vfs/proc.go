@@ -110,63 +110,14 @@ func (p *Proc) MkdirRef(path string, mode FileMode) (DirRef, error) {
 	if err := p.charge("mkdir", 0); err != nil {
 		return DirRef{}, err
 	}
-	p.fs.stats.creates.Add(1)
 	fs := p.fs
-	tx := fs.newTx()
+	fs.stats.creates.Add(1)
+	tx := fs.newTx(p)
 	fs.lockTree()
-	d, err := p.mkdirLocked(tx, path, mode, p.cred.UID, p.cred.GID)
+	d, err := tx.mkdir(path, mode, p.cred.UID, p.cred.GID)
 	fs.unlockTree()
 	tx.flush()
 	return DirRef{ino: d, root: p.root}, err
-}
-
-// mkdirLocked is Mkdir's body under the tree write lock, for MkdirRef and
-// a Proc's transaction: it makes the directory owned by uid:gid, which a
-// non-root p may only name as its own, and runs the parent's OnMkdir hook
-// as kernel code with p as the creator.
-func (p *Proc) mkdirLocked(tx *Tx, path string, mode FileMode, uid, gid int) (*inode, error) {
-	parent, name, node, err := p.fs.resolve(p.cred, path, p.opts(false))
-	if err != nil {
-		return nil, pathErr("mkdir", path, err)
-	}
-	if node != nil {
-		return nil, pathErr("mkdir", path, ErrExist)
-	}
-	switch {
-	case !allows(parent, p.cred, wantWrite):
-		err = ErrAccess
-	case !p.owns(uid, gid):
-		err = ErrPerm
-	}
-	if err != nil {
-		return nil, pathErr("mkdir", path, err)
-	}
-	name = internName(name)
-	now := p.fs.now()
-	mark := len(*tx.events)
-	d := p.fs.bareInode(KindDir, mode.Perm(), uid, gid, now)
-	d.setPlace(parent, name)
-	parent.cowInsert(name, d)
-	parent.nlink.Add(1)
-	parent.touchM(now)
-	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name), IsDir: true})
-	if sem := parent.dir().sem; sem != nil && sem.OnMkdir != nil {
-		caller := tx.hook()
-		tx.creator = p
-		//yancvet:alloc the hook's directory path; only a directory that has the hook pays for it
-		err := sem.OnMkdir(tx, pathOf(parent), name)
-		tx.unhook(caller)
-		if err != nil {
-			// Semantic veto: roll the directory back out.
-			parent.cowDelete(name)
-			parent.nlink.Add(-1)
-			d.dir().parent = nil
-			d.markDead()
-			tx.discardFrom(mark)
-			return nil, pathErr("mkdir", path, err)
-		}
-	}
-	return d, nil
 }
 
 // owns reports whether p may make a node owned by uid:gid: root may name
@@ -196,23 +147,26 @@ func (p *Proc) Symlink(target, linkPath string) error {
 	if err := p.charge("symlink", 0); err != nil {
 		return err
 	}
-	p.fs.stats.links.Add(1)
 	fs := p.fs
+	fs.stats.links.Add(1)
+	tx := fs.newTx(p)
 	fs.lockTree()
-	tx := fs.newTx()
 	err := func() error {
-		parent, name, node, err := fs.resolve(p.cred, linkPath, p.opts(false))
+		parent, name, node, err := tx.resolve(linkPath, false)
 		if err != nil {
 			return pathErr("symlink", linkPath, err)
 		}
 		if node != nil {
 			return pathErr("symlink", linkPath, ErrExist)
 		}
-		if !allows(parent, p.cred, wantWrite) {
-			return pathErr("symlink", linkPath, ErrAccess)
+		if err := tx.mayWrite(parent); err != nil {
+			return pathErr("symlink", linkPath, err)
 		}
 		if sem := parent.dir().sem; sem != nil && sem.ValidateSymlink != nil {
-			if verr := sem.ValidateSymlink(tx, pathOf(parent), name, target); verr != nil {
+			caller := tx.hook()
+			verr := sem.ValidateSymlink(tx, pathOf(parent), name, target)
+			tx.unhook(caller)
+			if verr != nil {
 				return pathErr("symlink", linkPath, verr)
 			}
 		}
@@ -250,12 +204,12 @@ func (p *Proc) Link(oldPath, newPath string) error {
 	if err := p.charge("link", 0); err != nil {
 		return err
 	}
-	p.fs.stats.links.Add(1)
 	fs := p.fs
+	fs.stats.links.Add(1)
+	tx := fs.newTx(p)
 	fs.lockTree()
-	tx := fs.newTx()
 	err := func() error {
-		_, _, src, err := fs.resolve(p.cred, oldPath, p.opts(true))
+		_, _, src, err := tx.resolve(oldPath, true)
 		if err != nil {
 			return &LinkError{Op: "link", Old: oldPath, New: newPath, Err: err}
 		}
@@ -265,15 +219,15 @@ func (p *Proc) Link(oldPath, newPath string) error {
 		if src.isDir() {
 			return &LinkError{Op: "link", Old: oldPath, New: newPath, Err: ErrPerm}
 		}
-		parent, name, node, err := fs.resolve(p.cred, newPath, p.opts(false))
+		parent, name, node, err := tx.resolve(newPath, false)
 		if err != nil {
 			return &LinkError{Op: "link", Old: oldPath, New: newPath, Err: err}
 		}
 		if node != nil {
 			return &LinkError{Op: "link", Old: oldPath, New: newPath, Err: ErrExist}
 		}
-		if !allows(parent, p.cred, wantWrite) {
-			return &LinkError{Op: "link", Old: oldPath, New: newPath, Err: ErrAccess}
+		if err := tx.mayWrite(parent); err != nil {
+			return &LinkError{Op: "link", Old: oldPath, New: newPath, Err: err}
 		}
 		parent.cowInsert(name, src)
 		src.nlink.Add(1)
@@ -291,87 +245,41 @@ func (p *Proc) Link(oldPath, newPath string) error {
 // Remove unlinks a file or symlink, or removes a directory. Directories
 // must be empty unless the parent's semantics set RecursiveRmdir (§3.2:
 // "the rmdir() call for switches is automatically recursive").
-func (p *Proc) Remove(path string) error {
-	if err := p.charge("remove", 0); err != nil {
-		return err
-	}
-	p.fs.stats.removes.Add(1)
-	fs := p.fs
-	fs.lockTree()
-	tx := fs.newTx()
-	err := func() error {
-		parent, name, node, err := fs.resolve(p.cred, path, p.opts(false))
-		if err != nil {
-			return pathErr("remove", path, err)
-		}
-		if err := p.removeLocked(tx, parent, name, node); err != nil {
-			return pathErr("remove", path, err)
-		}
-		return nil
-	}()
-	fs.unlockTree()
-	tx.flush()
-	return err
-}
-
-// removeLocked unlinks node, which resolution found at (parent, name),
-// under Remove's rules: the entry must exist and not be the root, the
-// caller needs write permission on the directory, a protected entry
-// stays, and a directory goes only when empty or when the parent's
-// semantics make rmdir recursive. Tree write lock required; errors are
-// bare errnos.
-func (p *Proc) removeLocked(tx *Tx, parent *inode, name string, node *inode) error {
-	if err := p.mayRemove(parent, name, node, false); err != nil {
-		return err
-	}
-	p.fs.unlinkLocked(parent, name, node, tx)
-	return nil
-}
-
-// mayRemove is removeLocked's check, alone; with subtree set, a
-// non-empty directory may go whatever its parent's semantics, as it may
-// for RemoveAll.
-func (p *Proc) mayRemove(parent *inode, name string, node *inode, subtree bool) error {
-	switch {
-	case node == nil:
-		return ErrNotExist
-	case parent == nil:
-		return ErrBusy // the root itself
-	case !allows(parent, p.cred, wantWrite):
-		return ErrAccess
-	case parent.dir().sem != nil && parent.dir().sem.Protected[name] && p.cred.UID != 0:
-		return ErrPerm
-	case !subtree && node.isDir() && node.childCount() > 0 && !(parent.dir().sem != nil && parent.dir().sem.RecursiveRmdir):
-		return ErrNotEmpty
-	}
-	return nil
-}
+func (p *Proc) Remove(path string) error { return p.remove(nil, path, false) }
 
 // RemoveAll removes path and any children it contains, succeeding
 // trivially if the path does not exist (like os.RemoveAll). A Protected
 // entry stays, unless the caller is root.
-func (p *Proc) RemoveAll(path string) error {
+func (p *Proc) RemoveAll(path string) error { return p.remove(nil, path, true) }
+
+// remove runs the remove body as a one-step transaction, charged and
+// counted as one remove: Remove, RemoveAt (dir, the referenced
+// directory, set) and, with subtree set, RemoveAll, for which a missing
+// path is success.
+//
+//yancvet:hotalloc
+func (p *Proc) remove(dir *inode, path string, subtree bool) error {
 	if err := p.charge("remove", 0); err != nil {
 		return err
 	}
-	p.fs.stats.removes.Add(1)
 	fs := p.fs
+	fs.stats.removes.Add(1)
+	tx := fs.newTx(p)
 	fs.lockTree()
-	tx := fs.newTx()
-	err := func() error {
-		parent, name, node, err := fs.resolve(p.cred, path, p.opts(false))
-		if err != nil {
-			return pathErr("removeall", path, err)
+	parent, name, node, err := tx.resolveAt(dir, path, false)
+	if err == nil && (node != nil || !subtree) {
+		err = tx.remove(parent, name, node, subtree)
+	}
+	if err != nil {
+		op := "remove"
+		if subtree {
+			op = "removeall"
 		}
-		if node == nil {
-			return nil
+		if dir != nil && !dir.dead() {
+			path = pathTo(dir, path) // the entry's real path, read off the tree
 		}
-		if err := p.mayRemove(parent, name, node, true); err != nil {
-			return pathErr("removeall", path, err)
-		}
-		fs.unlinkLocked(parent, name, node, tx)
-		return nil
-	}()
+		err = pathErr(op, path, err)
+	}
 	fs.unlockTree()
 	tx.flush()
 	return err
@@ -384,11 +292,10 @@ func (p *Proc) Rename(oldPath, newPath string) error {
 	if err := p.charge("rename", 0); err != nil {
 		return err
 	}
-	p.fs.stats.renames.Add(1)
 	fs := p.fs
+	fs.stats.renames.Add(1)
+	tx := fs.newTx(p)
 	fs.lockTree()
-	tx := fs.newTx()
-	tx.p = p
 	err := tx.rename(oldPath, newPath)
 	fs.unlockTree()
 	tx.flush()
