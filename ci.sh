@@ -25,7 +25,7 @@
 #              benchmark measures heap_bytes_per_flow in, so the heap
 #              bound, the 64-byte inode and the <= 512-byte slab chunk
 #              are checked there
-#   fuzz       10 s each of FuzzPathResolve, FuzzWatchInterest,
+#   fuzz       10 s each of FuzzPathResolve, FuzzDirTrie, FuzzWatchInterest,
 #              FuzzFileContent, FuzzFlowDirRoundTrip,
 #              FuzzPacketInRoundTrip, FuzzPacketOutSpec and FuzzDecode,
 #              from the seed corpora committed under each package's
@@ -89,10 +89,11 @@ go test -race -run 'Stress|Chaos|Alloc' -count=2 ./...
 go test -race -run 'Stress' -cpu 1,4 ./internal/vfs ./internal/yancfs
 
 echo "==> go test footprint (no race detector, -count=3)"
-go test -run 'Footprint|InodeSize|Slab' -count=3 ./internal/vfs ./internal/yancfs
+go test -run 'Footprint|InodeSize|DirNodeSize|Slab' -count=3 ./internal/vfs ./internal/yancfs
 
 echo "==> go test -fuzz (10 s per target)"
 go test -run '^$' -fuzz '^FuzzPathResolve$' -fuzztime 10s ./internal/vfs
+go test -run '^$' -fuzz '^FuzzDirTrie$' -fuzztime 10s ./internal/vfs
 go test -run '^$' -fuzz '^FuzzWatchInterest$' -fuzztime 10s ./internal/vfs
 go test -run '^$' -fuzz '^FuzzFileContent$' -fuzztime 10s ./internal/vfs
 go test -run '^$' -fuzz '^FuzzFlowDirRoundTrip$' -fuzztime 10s ./internal/yancfs

@@ -23,9 +23,12 @@
 //     never existed.
 //  3. A published node must never be written through. Published means
 //     obtained from `kids()`, or the receiver of a method declared on
-//     the node type, or anything reached from either by field, index,
-//     slice or dereference without leaving the trie through a pointer
-//     to some other type (the inodes that entries point at are mutable
+//     the node type, or the result of a node-type method called on a
+//     published node (the accessors that view a node's entries or
+//     children, `leaf()` and `branch()`, and a method that may hand back
+//     its receiver), or anything reached from any of these by field,
+//     index, slice or dereference without leaving the trie through a
+//     pointer to some other type (the inodes that entries point at are mutable
 //     under their own rules). Writing means assignment, ++/--, and the
 //     builtins that write into their first argument's memory: append
 //     (the classic persistent-structure bug — an in-place append onto a
@@ -338,7 +341,7 @@ func (c *checker) checkMutations(fd *ast.FuncDecl) {
 		case *ast.Ident:
 			return shared && tainted[info.ObjectOf(e)]
 		case *ast.CallExpr:
-			return shared && typeutil.StaticCallee(info, e) == c.v.kids
+			return shared && (typeutil.StaticCallee(info, e) == c.v.kids || c.nodeView(e, published))
 		case *ast.ParenExpr:
 			return published(e.X, shared)
 		case *ast.SelectorExpr:
@@ -411,6 +414,22 @@ func (c *checker) checkMutations(fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// nodeView reports whether call is a method of the node type called on
+// a published node: its result — an accessor's view of the entries or
+// children, or a node the method returns — is published memory too.
+func (c *checker) nodeView(call *ast.CallExpr, published func(ast.Expr, bool) bool) bool {
+	callee := typeutil.StaticCallee(c.pass.TypesInfo, call)
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if callee == nil || !ok || c.v.node == nil {
+		return false
+	}
+	sig, ok := callee.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || lockset.NamedOf(sig.Recv().Type()) != c.v.node {
+		return false
+	}
+	return published(sel.X, true)
 }
 
 func (c *checker) report(pos token.Pos, format string, args ...interface{}) {

@@ -34,7 +34,13 @@ type inode struct {
 type dirNode struct {
 	n    int
 	ents []dirEnt
+	kids []*dirNode
 }
+
+// leaf and branch view a node's entries and children, capacity equal to
+// length, the way the real trie's accessors do.
+func (d *dirNode) leaf() []dirEnt     { return d.ents[:len(d.ents):len(d.ents)] }
+func (d *dirNode) branch() []*dirNode { return d.kids[:len(d.kids):len(d.kids)] }
 
 type dirEnt struct {
 	name string

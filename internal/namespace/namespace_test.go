@@ -216,6 +216,49 @@ func TestNamespaceTxChargesPerStep(t *testing.T) {
 	}
 }
 
+// TestNamespaceRefusedWriteTreeBillsNothing: a WriteTree the directory
+// refuses — the name taken, or no write permission — draws nothing from
+// the group's MaxBytes, so the headroom is still there for the tree that
+// goes ahead, which is billed its bytes.
+func TestNamespaceRefusedWriteTreeBillsNothing(t *testing.T) {
+	fs := vfs.New()
+	root := fs.RootProc()
+	for _, d := range []string{"/apps/taken", "/locked"} {
+		if err := root.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := root.Chown("/apps", 1000, 1000); err != nil {
+		t.Fatal(err)
+	}
+	files := []vfs.FileData{{Name: "a", Data: []byte("0123456789")}, {Name: "b", Data: []byte("0123456789")}}
+	const treeBytes = 2 * (1 + 10) // two blobs: a one-byte length, then ten bytes
+	m := NewManager(fs)
+	g := m.CreateGroup("tenant", Limits{MaxBytes: treeBytes})
+	p, err := m.Launch(Namespace{Name: "app", Cred: vfs.Cred{UID: 1000, GID: 1000}, Group: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(dir string) error {
+		return p.WithTx(func(tx *vfs.Tx) error { return tx.WriteTree(dir, files, 0o755, 0o644, 1000, 1000) })
+	}
+	if err := write("/apps/taken"); !errors.Is(err, vfs.ErrExist) {
+		t.Fatalf("WriteTree onto a directory = %v, want EEXIST", err)
+	}
+	if err := write("/locked/t"); !errors.Is(err, vfs.ErrAccess) {
+		t.Fatalf("WriteTree without write permission = %v, want EACCES", err)
+	}
+	if u := g.Usage(); u.Bytes != 0 || u.Ops != 2 || u.Denied != 0 {
+		t.Fatalf("after two refused trees usage = %+v, want two ops of no bytes", u)
+	}
+	if err := write("/apps/t"); err != nil {
+		t.Fatalf("WriteTree within the headroom = %v", err)
+	}
+	if u := g.Usage(); u.Bytes != treeBytes {
+		t.Fatalf("bytes = %d, want the tree's %d", u.Bytes, treeBytes)
+	}
+}
+
 func TestEnterMissingRootFails(t *testing.T) {
 	fs := vfs.New()
 	_, err := Namespace{Name: "x", Root: "/nope"}.Enter(fs)

@@ -18,6 +18,12 @@ import (
 // allocation or lies inside a larger one (a WriteTree arena, which its
 // blobs keep alive together). Nil is the empty file; no blob has an
 // empty body. A symlink's word stays nil.
+//
+// Names are blobs too: a directory entry's name and a directory's own
+// (dirState.name) are blobs of this encoding, never empty, which nameOf
+// reads back as strings. A trie node's pointer word has two views as
+// the data word does, chosen by the node's bitmap instead of a kind
+// (dirtrie.go).
 
 // content returns a file's published bytes, which nothing writes into:
 // the caller may keep them, and must not write into them either. Their
@@ -74,9 +80,17 @@ func bodyOf(p *byte) []byte {
 	return unsafe.Slice((*byte)(unsafe.Add(unsafe.Pointer(p), k)), n)
 }
 
-// bodyKey returns the body of blob p as a string that shares its bytes:
-// the intern pool's key, which costs nothing because a blob never changes.
-func bodyKey(p *byte) string {
+// nameOf returns the body of blob p (not nil) as a string that shares
+// its bytes, which costs nothing because a blob never changes: a
+// directory entry's name, and the key the intern pools file a blob
+// under. A name shorter than 128 bytes, a one-byte prefix, is decoded
+// inline: a lookup reads one name per step of its binary search.
+//
+//yancvet:hotalloc
+func nameOf(p *byte) string {
+	if n := *p; n < 0x80 {
+		return unsafe.String((*byte)(unsafe.Add(unsafe.Pointer(p), 1)), n)
+	}
 	b := bodyOf(p)
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }

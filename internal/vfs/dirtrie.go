@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"unsafe"
 )
 
 // A directory's children are one persistent hash trie: every node is
@@ -13,9 +14,10 @@ import (
 // directory. The root pointer is what a directory publishes (setKids)
 // and what lock-free readers walk.
 //
-// Two node shapes share the dirNode type:
+// Two node shapes share the dirNode type, 16 bytes: a bitmap, a count
+// and one pointer, whose two views the bitmap chooses (leaf, branch):
 //
-//   - a leaf (bitmap == 0) holds up to dirLeafMax entries inline, sorted
+//   - a leaf (bitmap == 0) points at up to dirLeafMax entries, sorted
 //     by name. Every small directory — a 14-file flow directory, a
 //     6-file packet-in message — is a single leaf: one node, a binary
 //     search per lookup, and a listing that needs no sort.
@@ -28,6 +30,12 @@ import (
 // Once the 32 hash bits are used up a leaf can no longer split and
 // simply grows: names with fully colliding hashes stay correct (the
 // leaf is still sorted and binary-searched), only slower.
+//
+// An entry is two words, a name and an inode. The name is a blob, the
+// encoding file contents use (content.go), almost always the intern
+// pool's (intern.go): a flow's 13 entries take 208 bytes, where a string
+// header per name took 312. nameOf reads one back as a string without
+// copying it, which is how lookups, listings and event paths see names.
 const (
 	dirFanoutBits = 5
 	dirFanout     = 1 << dirFanoutBits
@@ -36,19 +44,48 @@ const (
 	dirMaxDepth   = (dirHashBits+dirFanoutBits-1)/dirFanoutBits + 1 // branches, then a leaf
 )
 
-// dirEnt is one directory entry.
+// dirEnt is one directory entry, two words: the entry's name, as a blob
+// (content.go) that is never empty and never changes once stored —
+// usually the intern pool's, shared by every directory that has the
+// name — and the inode it names.
 type dirEnt struct {
-	name string
+	name *byte
 	c    *inode
 }
 
-// dirNode is one trie node. Immutable once reachable from a published
-// root: the snapshotpub vet rule rejects any write through one.
+// dirNode is one trie node, one word and one pointer. Immutable once
+// reachable from a published root: the snapshotpub vet rule rejects any
+// write through one or through what its accessors return. The pointer
+// has two views, chosen by bitmap the way an inode's data word has two
+// chosen by kind: a leaf's first dirEnt, n of them, or a branch's first
+// child, one per set bitmap bit. Only leaf and branch, and the two
+// constructors, know either.
 type dirNode struct {
-	bitmap uint32     // branch: occupied slots; 0 marks a leaf
-	n      int32      // entries in this subtree
-	ents   []dirEnt   // leaf: entries sorted by name
-	kids   []*dirNode // branch: one child per set bitmap bit, in slot order
+	bitmap uint32         // branch: occupied slots; 0 marks a leaf
+	n      int32          // entries in this subtree
+	p      unsafe.Pointer // leaf: entries sorted by name; branch: children in slot order
+}
+
+// newLeaf returns the leaf holding ents (at least one), which it takes
+// ownership of.
+func newLeaf(ents []dirEnt) *dirNode {
+	return &dirNode{n: int32(len(ents)), p: unsafe.Pointer(unsafe.SliceData(ents))} //yancvet:alloc the node a path copy or a build makes
+}
+
+// newBranch returns the branch over kids, one per set bit of bitmap,
+// holding n entries in all; it takes ownership of kids.
+func newBranch(bitmap uint32, n int32, kids []*dirNode) *dirNode {
+	return &dirNode{bitmap: bitmap, n: n, p: unsafe.Pointer(unsafe.SliceData(kids))} //yancvet:alloc as above
+}
+
+// leaf returns a leaf's entries. Their capacity is their length, as
+// bodyOf's is, so an append to them makes a new array instead of
+// writing past them.
+func (d *dirNode) leaf() []dirEnt { return unsafe.Slice((*dirEnt)(d.p), d.n) }
+
+// branch returns a branch's children, capacity equal to length too.
+func (d *dirNode) branch() []*dirNode {
+	return unsafe.Slice((**dirNode)(d.p), bits.OnesCount32(d.bitmap))
 }
 
 // dirHash is the name hash the trie branches on. It is deterministic —
@@ -78,7 +115,7 @@ func hashName(name string) uint32 {
 func slotOf(h uint32, shift uint) uint32 { return h >> shift & (dirFanout - 1) }
 func slot(h uint32, shift uint) uint32   { return 1 << slotOf(h, shift) }
 
-// child returns the position in kids of the child under bit.
+// child returns the position in branch() of the child under bit.
 func (d *dirNode) child(bit uint32) int {
 	return bits.OnesCount32(d.bitmap & (bit - 1))
 }
@@ -107,13 +144,13 @@ func findEnt(ents []dirEnt, name string) (int, bool) {
 	lo, hi := 0, len(ents)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if ents[m].name < name {
+		if nameOf(ents[m].name) < name {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(ents) && ents[lo].name == name
+	return lo, lo < len(ents) && nameOf(ents[lo].name) == name
 }
 
 // count returns the number of entries (nil-safe: nil is the empty trie).
@@ -137,47 +174,48 @@ func (d *dirNode) get(name string) (*inode, bool) {
 		if d.bitmap&bit == 0 {
 			return nil, false
 		}
-		d = d.kids[d.child(bit)]
+		d = d.branch()[d.child(bit)]
 	}
-	if i, ok := findEnt(d.ents, name); ok {
-		return d.ents[i].c, true
+	ents := d.leaf()
+	if i, ok := findEnt(ents, name); ok {
+		return ents[i].c, true
 	}
 	return nil, false
 }
 
-// put returns a trie that maps name to c and otherwise equals d, which
-// is left untouched. The copied path is the product of the operation:
-// its allocations are deliberate, also under a hotalloc root (fan-out
-// links one new name per subscriber).
-func (d *dirNode) put(name string, c *inode) *dirNode {
-	return d.with(dirHash(name), 0, name, c)
+// put returns a trie that maps name, a name blob, to c and otherwise
+// equals d, which is left untouched. The copied path is the product of
+// the operation: its allocations are deliberate, also under a hotalloc
+// root (fan-out links one new name per subscriber).
+func (d *dirNode) put(name *byte, c *inode) *dirNode {
+	key := nameOf(name)
+	return d.with(dirHash(key), 0, key, dirEnt{name, c})
 }
 
-func (d *dirNode) with(h uint32, shift uint, name string, c *inode) *dirNode {
+// with is put at depth shift, for e, whose name is key and hashes to h.
+func (d *dirNode) with(h uint32, shift uint, key string, e dirEnt) *dirNode {
 	if d == nil {
-		return &dirNode{n: 1, ents: []dirEnt{{name, c}}} //yancvet:alloc path copy
+		return newLeaf([]dirEnt{e}) //yancvet:alloc path copy
 	}
 	if d.bitmap == 0 {
-		i, found := findEnt(d.ents, name)
+		ents := d.leaf()
+		i, found := findEnt(ents, key)
 		if !found {
-			return buildDir(entsWith(d.ents, i, dirEnt{name, c}), shift)
+			return buildDir(entsWith(ents, i, e), shift)
 		}
-		nd := &dirNode{n: d.n, ents: slices.Clone(d.ents)} //yancvet:alloc path copy
-		nd.ents[i].c = c
-		return nd
+		out := slices.Clone(ents) //yancvet:alloc path copy
+		out[i].c = e.c
+		return newLeaf(out)
 	}
 	bit := slot(h, shift)
 	pos := d.child(bit)
-	nd := &dirNode{bitmap: d.bitmap | bit, n: d.n} //yancvet:alloc path copy
+	kids := d.branch()
 	if d.bitmap&bit == 0 {
-		nd.kids = kidsWith(d.kids, pos, (*dirNode)(nil).with(h, shift+dirFanoutBits, name, c))
-		nd.n++
-		return nd
+		return newBranch(d.bitmap|bit, d.n+1, kidsWith(kids, pos, (*dirNode)(nil).with(h, shift+dirFanoutBits, key, e)))
 	}
-	nd.kids = slices.Clone(d.kids) //yancvet:alloc path copy
-	nd.kids[pos] = d.kids[pos].with(h, shift+dirFanoutBits, name, c)
-	nd.n += nd.kids[pos].n - d.kids[pos].n
-	return nd
+	out := slices.Clone(kids) //yancvet:alloc path copy
+	out[pos] = kids[pos].with(h, shift+dirFanoutBits, key, e)
+	return newBranch(d.bitmap, d.n+out[pos].n-kids[pos].n, out)
 }
 
 // del returns d without name: d itself when name is absent, nil when
@@ -191,41 +229,50 @@ func (d *dirNode) without(h uint32, shift uint, name string) *dirNode {
 		return nil
 	}
 	if d.bitmap == 0 {
-		i, found := findEnt(d.ents, name)
+		ents := d.leaf()
+		i, found := findEnt(ents, name)
 		if !found {
 			return d
 		}
-		if len(d.ents) == 1 {
+		if len(ents) == 1 {
 			return nil
 		}
 		//yancvet:alloc the path copy that publishes the directory without the entry
-		return &dirNode{n: d.n - 1, ents: slices.Concat(d.ents[:i], d.ents[i+1:])}
+		return newLeaf(slices.Concat(ents[:i], ents[i+1:]))
 	}
 	bit := slot(h, shift)
 	if d.bitmap&bit == 0 {
 		return d
 	}
 	pos := d.child(bit)
-	kid := d.kids[pos].without(h, shift+dirFanoutBits, name)
-	if kid == d.kids[pos] {
+	kids := d.branch()
+	kid := kids[pos].without(h, shift+dirFanoutBits, name)
+	if kid == kids[pos] {
 		return d
 	}
-	nd := &dirNode{bitmap: d.bitmap, n: d.n - 1} //yancvet:alloc path copy, as above
+	if n := d.n - 1; n <= dirLeafMax/2 {
+		// Few enough entries to be one leaf again. A branch always holds
+		// more than dirLeafMax/2 entries, so this is never the empty trie.
+		ents := make([]dirEnt, 0, n) //yancvet:alloc the collapsed leaf, once per shrink past the threshold
+		for it := d.iter(); ; {
+			e, ok := it.next()
+			if !ok {
+				break
+			}
+			if nameOf(e.name) != name {
+				ents = append(ents, e)
+			}
+		}
+		sortEnts(ents)
+		return newLeaf(ents)
+	}
 	if kid == nil {
-		nd.bitmap &^= bit
-		nd.kids = slices.Concat(d.kids[:pos], d.kids[pos+1:]) //yancvet:alloc path copy
-	} else {
-		nd.kids = slices.Clone(d.kids) //yancvet:alloc path copy
-		nd.kids[pos] = kid
+		//yancvet:alloc path copy, as above
+		return newBranch(d.bitmap&^bit, d.n-1, slices.Concat(kids[:pos], kids[pos+1:]))
 	}
-	if nd.n > dirLeafMax/2 {
-		return nd
-	}
-	// Few enough entries to be one leaf again. A branch always holds
-	// more than dirLeafMax/2 entries, so this is never the empty trie.
-	ents := nd.appendEnts(make([]dirEnt, 0, nd.n)) //yancvet:alloc the collapsed leaf, once per shrink past the threshold
-	sortEnts(ents)
-	return &dirNode{n: nd.n, ents: ents} //yancvet:alloc as above
+	out := slices.Clone(kids) //yancvet:alloc path copy
+	out[pos] = kid
+	return newBranch(d.bitmap, d.n-1, out)
 }
 
 // appendEnts appends every entry of d to dst, in iteration order.
@@ -241,7 +288,7 @@ func (d *dirNode) appendEnts(dst []dirEnt) []dirEnt {
 
 func sortEnts(ents []dirEnt) {
 	//yancvet:alloc generic instantiation, not a heap allocation: the comparator captures nothing
-	slices.SortStableFunc(ents, func(a, b dirEnt) int { return strings.Compare(a.name, b.name) })
+	slices.SortStableFunc(ents, func(a, b dirEnt) int { return strings.Compare(nameOf(a.name), nameOf(b.name)) })
 }
 
 // newDir builds a trie from entries in any order, taking ownership of
@@ -250,7 +297,7 @@ func newDir(ents []dirEnt) *dirNode {
 	sortEnts(ents)
 	out := ents[:0]
 	for i, e := range ents {
-		if i+1 < len(ents) && ents[i+1].name == e.name {
+		if i+1 < len(ents) && nameOf(ents[i+1].name) == nameOf(e.name) {
 			continue
 		}
 		out = append(out, e)
@@ -268,11 +315,14 @@ func buildDir(ents []dirEnt, shift uint) *dirNode {
 		return nil
 	}
 	if len(ents) <= dirLeafMax || shift >= dirHashBits {
-		return &dirNode{n: int32(len(ents)), ents: ents} //yancvet:alloc the built node
+		return newLeaf(ents)
 	}
 	var count [dirFanout]int
+	var bitmap uint32
 	for i := range ents {
-		count[slotOf(dirHash(ents[i].name), shift)]++
+		s := slotOf(dirHash(nameOf(ents[i].name)), shift)
+		count[s]++
+		bitmap |= 1 << s
 	}
 	var parts [dirFanout][]dirEnt
 	for i, c := range count {
@@ -281,17 +331,16 @@ func buildDir(ents []dirEnt, shift uint) *dirNode {
 		}
 	}
 	for _, e := range ents {
-		i := slotOf(dirHash(e.name), shift)
+		i := slotOf(dirHash(nameOf(e.name)), shift)
 		parts[i] = append(parts[i], e)
 	}
-	nd := &dirNode{n: int32(len(ents))} //yancvet:alloc the built node
-	for i, part := range parts {
+	kids := make([]*dirNode, 0, bits.OnesCount32(bitmap)) //yancvet:alloc the built node's children
+	for _, part := range parts {
 		if len(part) > 0 {
-			nd.bitmap |= 1 << i
-			nd.kids = append(nd.kids, buildDir(part, shift+dirFanoutBits))
+			kids = append(kids, buildDir(part, shift+dirFanoutBits))
 		}
 	}
-	return nd
+	return newBranch(bitmap, int32(len(ents)), kids)
 }
 
 // DirIter walks the entries of one published directory snapshot, the
@@ -335,7 +384,7 @@ func (it *DirIter) Next() (DirEntry, bool) {
 	if !ok {
 		return DirEntry{}, false
 	}
-	return DirEntry{Name: e.name, Kind: e.c.kind(), Ino: e.c.ino}, true
+	return DirEntry{Name: nameOf(e.name), Kind: e.c.kind(), Ino: e.c.ino}, true
 }
 
 // next is Next without loading the entry's inode.
@@ -344,17 +393,18 @@ func (it *DirIter) Next() (DirEntry, bool) {
 func (it *DirIter) next() (dirEnt, bool) {
 	for it.top > 0 {
 		f := &it.stack[it.top-1]
-		switch {
-		case f.d.bitmap == 0 && f.i < len(f.d.ents):
+		if d := f.d; d.bitmap == 0 {
+			if f.i < int(d.n) {
+				f.i++
+				return d.leaf()[f.i-1], true
+			}
+		} else if kids := d.branch(); f.i < len(kids) {
 			f.i++
-			return f.d.ents[f.i-1], true
-		case f.i < len(f.d.kids):
-			f.i++
-			it.stack[it.top].d, it.stack[it.top].i = f.d.kids[f.i-1], 0
+			it.stack[it.top].d, it.stack[it.top].i = kids[f.i-1], 0
 			it.top++
-		default:
-			it.top--
+			continue
 		}
+		it.top--
 	}
 	return dirEnt{}, false
 }

@@ -2,55 +2,62 @@ package vfs
 
 import (
 	"fmt"
-	"math/bits"
+	"maps"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
 )
+
+// testName returns a private name blob for name, as the intern pool
+// makes once it is full: the trie tests build names by the hundred
+// thousand and leave the process-wide pool alone.
+func testName(name string) *byte { return blobOf([]byte(name)) }
+
+// testEnt is the entry naming c name.
+func testEnt(name string, c *inode) dirEnt { return dirEnt{testName(name), c} }
 
 // checkDirNode verifies the structural invariants of the subtree at d,
 // which sits at depth shift below slots whose hash bits are prefix (the
 // low shift bits), and returns its entry count.
 func checkDirNode(t *testing.T, d *dirNode, shift uint, prefix uint32) int {
 	t.Helper()
+	if d.p == nil {
+		t.Fatal("node without entries or children kept in the trie")
+	}
 	if d.bitmap == 0 {
-		if len(d.kids) != 0 {
-			t.Fatalf("leaf with %d kids", len(d.kids))
-		}
-		if len(d.ents) == 0 {
+		ents := d.leaf()
+		if len(ents) == 0 {
 			t.Fatal("empty leaf kept in the trie")
 		}
-		if len(d.ents) > dirLeafMax && shift < dirHashBits {
-			t.Fatalf("leaf of %d entries at shift %d should have split", len(d.ents), shift)
+		if len(ents) > dirLeafMax && shift < dirHashBits {
+			t.Fatalf("leaf of %d entries at shift %d should have split", len(ents), shift)
 		}
-		for i, e := range d.ents {
-			if i > 0 && d.ents[i-1].name >= e.name {
-				t.Fatalf("leaf unsorted or duplicated: %q then %q", d.ents[i-1].name, e.name)
+		for i, e := range ents {
+			name := nameOf(e.name)
+			if name == "" || len(bodyOf(e.name)) != len(name) {
+				t.Fatalf("entry %d: name blob %q, body %q", i, name, bodyOf(e.name))
 			}
-			if mask := uint32(1)<<min(shift, dirHashBits) - 1; dirHash(e.name)&mask != prefix {
-				t.Fatalf("entry %q (hash %#x) filed under prefix %#x at shift %d", e.name, dirHash(e.name), prefix, shift)
+			if i > 0 && nameOf(ents[i-1].name) >= name {
+				t.Fatalf("leaf unsorted or duplicated: %q then %q", nameOf(ents[i-1].name), name)
+			}
+			if mask := uint32(1)<<min(shift, dirHashBits) - 1; dirHash(name)&mask != prefix {
+				t.Fatalf("entry %q (hash %#x) filed under prefix %#x at shift %d", name, dirHash(name), prefix, shift)
 			}
 		}
-		if int(d.n) != len(d.ents) {
-			t.Fatalf("leaf n = %d with %d entries", d.n, len(d.ents))
-		}
-		return len(d.ents)
+		return len(ents)
 	}
-	if len(d.ents) != 0 {
-		t.Fatalf("branch with %d inline entries", len(d.ents))
-	}
-	if bits.OnesCount32(d.bitmap) != len(d.kids) {
-		t.Fatalf("bitmap %#x with %d kids", d.bitmap, len(d.kids))
-	}
+	kids := d.branch()
 	total, pos := 0, 0
 	for slot := uint32(0); slot < dirFanout; slot++ {
 		if d.bitmap&(1<<slot) == 0 {
 			continue
 		}
-		total += checkDirNode(t, d.kids[pos], shift+dirFanoutBits, prefix|slot<<shift)
+		total += checkDirNode(t, kids[pos], shift+dirFanoutBits, prefix|slot<<shift)
 		pos++
 	}
 	if int(d.n) != total {
@@ -81,8 +88,8 @@ func checkDirModel(t *testing.T, d *dirNode, model map[string]*inode) {
 		if !ok {
 			break
 		}
-		if model[e.name] != e.c {
-			t.Fatalf("iteration yields %q → %p, model has %p", e.name, e.c, model[e.name])
+		if name := nameOf(e.name); model[name] != e.c {
+			t.Fatalf("iteration yields %q → %p, model has %p", name, e.c, model[name])
 		}
 		seen++
 	}
@@ -95,6 +102,13 @@ func checkDirModel(t *testing.T, d *dirNode, model map[string]*inode) {
 		}
 	}
 }
+
+// The degenerate hashes TestDirTrieModel and FuzzDirTrie run the trie
+// under: every name in one slot per level, four hash values in all, and
+// the low ten bits always zero (two levels of single-child branches).
+func hashAllCollide(string) uint32       { return 0 }
+func hashFourValues(s string) uint32     { return (hashName(s) & 3) * 0x42108421 }
+func hashLowBitsCollide(s string) uint32 { return hashName(s) &^ 0x3ff }
 
 // TestDirTrieModel drives seeded random insert / replace / delete /
 // lookup / iterate through the children trie beside a map[string]*inode
@@ -117,9 +131,9 @@ func TestDirTrieModel(t *testing.T) {
 	}{
 		{"hashName", hashName, 200_000, 500_000, 100_000},
 		{"hashName-small", hashName, 40, 20_000, dirLeafMax + 1},
-		{"all-collide", func(string) uint32 { return 0 }, 300, 6_000, 4 * dirLeafMax},
-		{"four-values", func(s string) uint32 { return (hashName(s) & 3) * 0x42108421 }, 1_000, 20_000, 16 * dirLeafMax},
-		{"low-bits-collide", func(s string) uint32 { return hashName(s) &^ 0x3ff }, 5_000, 40_000, 3_000},
+		{"all-collide", hashAllCollide, 300, 6_000, 4 * dirLeafMax},
+		{"four-values", hashFourValues, 1_000, 20_000, 16 * dirLeafMax},
+		{"low-bits-collide", hashLowBitsCollide, 5_000, 40_000, 3_000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,7 +157,7 @@ func TestDirTrieModel(t *testing.T) {
 				k := name()
 				if put {
 					c := &inode{ino: uint64(op)}
-					root = root.put(k, c)
+					root = root.put(testName(k), c)
 					model[k] = c
 				} else {
 					before := root
@@ -193,10 +207,10 @@ func TestDirTrieBulkBuildMatchesInserts(t *testing.T) {
 		var byPut *dirNode
 		model := map[string]*inode{}
 		for i := 0; i < n+n/10; i++ {
-			e := dirEnt{fmt.Sprintf("f%d", rng.Intn(n+1)), &inode{ino: uint64(i)}}
+			e := testEnt(fmt.Sprintf("f%d", rng.Intn(n+1)), &inode{ino: uint64(i)})
 			ents = append(ents, e)
 			byPut = byPut.put(e.name, e.c)
-			model[e.name] = e.c
+			model[nameOf(e.name)] = e.c
 		}
 		bulk := newDir(ents)
 		checkDirModel(t, bulk, model)
@@ -211,15 +225,15 @@ func TestDirTrieBulkBuildMatchesInserts(t *testing.T) {
 func TestDirTrieStructuralSharing(t *testing.T) {
 	ents := make([]dirEnt, 100_000)
 	for i := range ents {
-		ents[i] = dirEnt{fmt.Sprintf("c%06d", i), &inode{}}
+		ents[i] = testEnt(fmt.Sprintf("c%06d", i), &inode{})
 	}
 	root := newDir(ents)
 	c := &inode{}
 	const rounds = 64
-	var names [rounds]string
+	var names [rounds]*byte
 	var grown [rounds]*dirNode
 	for i := range names {
-		names[i] = fmt.Sprintf("new%d", i)
+		names[i] = testName(fmt.Sprintf("new%d", i))
 	}
 	allocated := func(fn func(i int)) uint64 {
 		var before, after runtime.MemStats
@@ -231,7 +245,7 @@ func TestDirTrieStructuralSharing(t *testing.T) {
 		return (after.TotalAlloc - before.TotalAlloc) / rounds
 	}
 	perInsert := allocated(func(i int) { grown[i] = root.put(names[i], c) })
-	perDelete := allocated(func(i int) { grown[i] = grown[i].del(names[i]) })
+	perDelete := allocated(func(i int) { grown[i] = grown[i].del(nameOf(names[i])) })
 	t.Logf("one insert allocated %d B, one delete %d B", perInsert, perDelete)
 	if perInsert > 4<<10 || perDelete > 4<<10 {
 		t.Fatalf("in a %d-entry directory one insert allocated %d bytes and one delete %d, want <= 4 KB each",
@@ -242,7 +256,7 @@ func TestDirTrieStructuralSharing(t *testing.T) {
 			t.Fatalf("round %d: %d entries after insert+delete, want %d", i, g.count(), len(ents))
 		}
 	}
-	if _, ok := root.get(names[0]); ok || root.count() != len(ents) {
+	if _, ok := root.get(nameOf(names[0])); ok || root.count() != len(ents) {
 		t.Fatal("an insert changed the root it started from")
 	}
 }
@@ -256,6 +270,26 @@ func TestDirTrieStructuralSharing(t *testing.T) {
 func TestInodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(inode{}); got != 64 {
 		t.Fatalf("unsafe.Sizeof(inode{}) = %d, want 64", got)
+	}
+}
+
+// TestDirNodeSize pins a directory's stored form: a trie node is a
+// bitmap, a count and one pointer; an entry a name blob and an inode
+// pointer; a directory's state holds its own name as a blob. A flow's
+// 13-entry leaf is then 208 B of entries and a 16-byte node, and its two
+// states 80 B of WriteTree's slab.
+func TestDirNodeSize(t *testing.T) {
+	for _, c := range []struct {
+		what      string
+		got, want uintptr
+	}{
+		{"dirNode", unsafe.Sizeof(dirNode{}), 16},
+		{"dirEnt", unsafe.Sizeof(dirEnt{}), 16},
+		{"dirState", unsafe.Sizeof(dirState{}), 40},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", c.what, c.got, c.want)
+		}
 	}
 }
 
@@ -295,14 +329,14 @@ func TestAllocDirLookup(t *testing.T) {
 	for _, n := range []int{14, 2_000, 100_000} {
 		ents := make([]dirEnt, n)
 		for i := range ents {
-			ents[i] = dirEnt{fmt.Sprintf("c%06d", i), &inode{}}
+			ents[i] = testEnt(fmt.Sprintf("c%06d", i), &inode{})
 		}
 		root := newDir(ents)
-		sort.Slice(ents, func(i, j int) bool { return ents[i].name < ents[j].name })
+		sort.Slice(ents, func(i, j int) bool { return nameOf(ents[i].name) < nameOf(ents[j].name) })
 		allocs := testing.AllocsPerRun(20, func() {
 			for i := 0; i < n; i += 1 + n/97 {
-				if _, ok := root.get(ents[i].name); !ok {
-					t.Fatalf("%s missing", ents[i].name)
+				if _, ok := root.get(nameOf(ents[i].name)); !ok {
+					t.Fatalf("%s missing", nameOf(ents[i].name))
 				}
 			}
 			if _, ok := root.get("absent"); ok {
@@ -323,4 +357,61 @@ func TestAllocDirLookup(t *testing.T) {
 			t.Fatalf("lookup+iterate over %d entries allocates %.0f objects, want 0", n, allocs)
 		}
 	}
+}
+
+// FuzzDirTrie decodes its input into a run of trie operations checked
+// against a map[string]*inode. The first byte picks the hash: hashName
+// or one of the degenerate three. Each later triple is one operation —
+// put, del, get or a full iteration, by the first byte — on the name the
+// other two pick: one of 96 keys at one of twelve lengths from 1 to 300
+// bytes, so the names' blobs carry one- and two-byte length prefixes
+// alike; the first 256 triples count. Every operation checks the lookup
+// of its name, an iteration checks every entry and the structure, and a
+// root captured halfway must still equal its model at the end: nodes
+// are immutable after publish.
+func FuzzDirTrie(f *testing.F) {
+	hashes := []func(string) uint32{hashName, hashAllCollide, hashFourValues, hashLowBitsCollide}
+	lengths := []int{1, 2, 7, 8, 31, 126, 127, 128, 129, 200, 299, 300}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		defer func(old func(string) uint32) { dirHash = old }(dirHash)
+		dirHash = hashes[int(prog[0])%len(hashes)]
+		prog = prog[1:]
+		name := func(key, length byte) string {
+			k := strconv.Itoa(int(key) % 96)
+			return (k + "." + strings.Repeat(k, 300))[:lengths[int(length)%len(lengths)]]
+		}
+		var root, oldRoot *dirNode
+		model := map[string]*inode{}
+		var oldModel map[string]*inode
+		ops := min(len(prog)/3, 256) // past a few hundred names, more ops only re-check the same sizes
+		for op := 0; op < ops; op++ {
+			code, key := prog[3*op]%4, name(prog[3*op+1], prog[3*op+2])
+			switch code {
+			case 0:
+				c := &inode{ino: uint64(op)}
+				root = root.put(testName(key), c)
+				model[key] = c
+			case 1:
+				before := root
+				root = root.del(key)
+				if _, had := model[key]; !had && root != before {
+					t.Fatalf("op %d: deleting absent %q built a new root", op, key)
+				}
+				delete(model, key)
+			case 3:
+				checkDirModel(t, root, model)
+			}
+			if got, ok := root.get(key); got != model[key] || ok != (model[key] != nil) {
+				t.Fatalf("op %d: get(%q) = %p, %v; model has %p", op, key, got, ok, model[key])
+			}
+			if op == ops/2 {
+				oldRoot, oldModel = root, maps.Clone(model)
+			}
+		}
+		checkDirModel(t, root, model)
+		checkDirModel(t, oldRoot, oldModel)
+	})
 }

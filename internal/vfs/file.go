@@ -759,6 +759,7 @@ func (p *Proc) writeWhole(dir *inode, path string, data []byte, mode FileMode) (
 		fs.lockTree()
 		syn, full, err = tx.createWhole(dir, path, data, mode)
 		fs.unlockTree()
+		fs.endTx(tx)
 		if syn != nil {
 			// The create race was lost to a hook planting a synthetic file:
 			// its provider consumes the content, outside every lock.

@@ -152,13 +152,13 @@ type dirState struct {
 	children atomic.Pointer[dirNode]
 	gen      atomic.Uint64
 	parent   *inode
-	name     string
+	name     *byte // a name blob (content.go)
 	sem      *DirSemantics
 }
 
 // setPlace records where directory n now lives: its parent and its name
-// there. Tree write lock required.
-func (n *inode) setPlace(parent *inode, name string) {
+// there, a name blob. Tree write lock required.
+func (n *inode) setPlace(parent *inode, name *byte) {
 	d := n.dir()
 	d.parent, d.name = parent, name
 }
@@ -336,6 +336,11 @@ type FS struct {
 	// state of its own, so one serves all readers at once and opening a
 	// read transaction allocates nothing.
 	roTx Tx
+	// txPool recycles the write transactions newTx opens. A transaction is
+	// the caller's for the call alone — hooks and WithTx callbacks borrow
+	// it, and txescape rejects a callback that keeps it — so flush, which
+	// ends it, hands it back.
+	txPool sync.Pool
 	// owner is what SetOwner recorded: the object built over this file
 	// system (yancfs's FS), which Tx.Owner hands to transaction code.
 	owner any
@@ -349,7 +354,7 @@ func New() *FS {
 	clk := time.Now
 	fs.clock.Store(&clk)
 	fs.root = fs.newInode(KindDir, 0o755, 0, 0)
-	fs.root.dir().name = "/"
+	fs.root.dir().name = internName("/")
 	return fs
 }
 
@@ -539,7 +544,7 @@ func pathOf(n *inode) string {
 	}
 	var parts []string
 	for d := n.dir(); d.parent != nil; d = d.parent.dir() {
-		parts = append(parts, d.name) //yancvet:alloc a semantic hook's directory path; hot callers build event paths with pathTo
+		parts = append(parts, nameOf(d.name)) //yancvet:alloc a semantic hook's directory path; hot callers build event paths with pathTo
 	}
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
 		parts[i], parts[j] = parts[j], parts[i]
@@ -569,7 +574,7 @@ func pathBelow(root, dir *inode, name string) (path string, ok bool) {
 		if d.parent == nil {
 			break
 		}
-		size += len(d.name) + 1
+		size += len(nameOf(d.name)) + 1
 		stack = append(stack, cur)
 		cur = d.parent
 	}
@@ -578,7 +583,7 @@ func pathBelow(root, dir *inode, name string) (path string, ok bool) {
 	b.Grow(size) //yancvet:alloc one owned event-path string per mutation, by the Event contract
 	for i := len(stack) - 1; i >= 0; i-- {
 		b.WriteByte('/')
-		b.WriteString(stack[i].dirKnown().name)
+		b.WriteString(nameOf(stack[i].dirKnown().name))
 	}
 	b.WriteByte('/')
 	b.WriteString(name)
@@ -633,7 +638,7 @@ func (fs *FS) walkFrom(cur *inode, path string, cred Cred, opt resolveOpts, root
 	p, off, ok := nextComp(path, 0)
 	if !ok {
 		// Empty path: the node is the starting directory itself.
-		return cur.dir().parent, cur.dir().name, cur, nil
+		return cur.dir().parent, nameOf(cur.dir().name), cur, nil
 	}
 	for {
 		if !cur.isDir() {
@@ -649,7 +654,7 @@ func (fs *FS) walkFrom(cur *inode, path string, cred Cred, opt resolveOpts, root
 				cur = cur.dir().parent
 			}
 			if last {
-				return cur.dir().parent, cur.dir().name, cur, nil
+				return cur.dir().parent, nameOf(cur.dir().name), cur, nil
 			}
 			p, off = np, noff
 			continue
@@ -802,20 +807,34 @@ func (fs *FS) withTx(p *Proc, fn func(tx *Tx) error) error {
 	return err
 }
 
-// newTx opens a transaction acting as p (nil: kernel code). Every
-// mutating Proc call is one step of such a transaction, with no txLive
-// mark — one step publishes atomically — opened before the call takes the
-// tree write lock, which it releases before flush.
+// newTx opens a transaction acting as p (nil: kernel code), recycled
+// when the pool has one. Every mutating Proc call is one step of such a
+// transaction, with no txLive mark — one step publishes atomically —
+// opened before the call takes the tree write lock, which it releases
+// before flush.
 func (fs *FS) newTx(p *Proc) *Tx {
-	return &Tx{fs: fs, events: fs.watches.getBuf(), p: p, creator: p} //yancvet:alloc the Tx is handed to semantic hooks, which may keep it for the call
+	tx, _ := fs.txPool.Get().(*Tx)
+	if tx == nil {
+		tx = new(Tx) //yancvet:alloc pool miss: the Tx is handed to semantic hooks, which may keep it for the call, and is recycled from here on
+	}
+	*tx = Tx{fs: fs, events: fs.watches.getBuf(), p: p, creator: p}
+	return tx
 }
 
-// flush hands the queued events to the dispatcher. It runs after the tree
-// lock is released: subscribers must find the tree as the events describe
-// it (see watchSet.dispatch).
+// flush hands the queued events to the dispatcher and ends tx, which
+// nothing may use afterwards. It runs after the tree lock is released:
+// subscribers must find the tree as the events describe it (see
+// watchSet.dispatch).
 func (tx *Tx) flush() {
-	tx.fs.watches.dispatch(tx.events)
-	tx.events = nil
+	fs := tx.fs
+	fs.watches.dispatch(tx.events)
+	fs.endTx(tx)
+}
+
+// endTx recycles tx, whose events its caller has taken.
+func (fs *FS) endTx(tx *Tx) {
+	*tx = Tx{}
+	fs.txPool.Put(tx)
 }
 
 // discardFrom drops the events queued since the queue held mark: the
@@ -888,6 +907,20 @@ func (tx *Tx) step(op string, n int) error {
 		return nil
 	}
 	return tx.p.charge(op, n)
+}
+
+// bill is step for a step that moves n bytes, charged once its checks
+// are settled: err is what they found. A refused step is billed no
+// bytes and returns err; one that goes ahead is billed n, and returns
+// nil unless the limiter refuses it.
+func (tx *Tx) bill(op string, n int, err error) error {
+	if err != nil {
+		n = 0
+	}
+	if serr := tx.step(op, n); serr != nil {
+		return serr
+	}
+	return err
 }
 
 // mayWrite checks that the transaction may change dir's entries: a
@@ -1010,12 +1043,13 @@ func (tx *Tx) mkdir(path string, mode FileMode, uid, gid int) (*inode, error) {
 	if err != nil {
 		return nil, pathErr("mkdir", path, err)
 	}
-	name = internName(name)
+	blob := internName(name)
+	name = nameOf(blob)
 	now := tx.fs.now()
 	mark := len(*tx.events)
 	d := tx.fs.bareInode(KindDir, mode, uid, gid, now)
-	d.setPlace(parent, name)
-	parent.cowInsert(name, d)
+	d.setPlace(parent, blob)
+	parent.cowInsert(blob, d)
 	parent.nlink.Add(1)
 	parent.touchM(now)
 	tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name), IsDir: true})
@@ -1052,14 +1086,27 @@ func (tx *Tx) MkdirAll(path string, mode FileMode, uid, gid int) error {
 	return nil
 }
 
-// WriteFile creates or replaces a regular file's content.
+// WriteFile creates or replaces a regular file's content. A Proc's
+// transaction is charged one write: of the content's bytes, or of none
+// when a check refuses it.
 func (tx *Tx) WriteFile(path string, data []byte, mode FileMode, uid, gid int) error {
-	if err := tx.step("write", len(data)); err != nil {
-		return err
-	}
 	parent, name, node, err := tx.resolve(path, true)
+	switch p := tx.p; {
+	case err != nil:
+	case node == nil:
+		err = tx.mayCreate(parent, uid, gid)
+	case node.isDir():
+		err = ErrIsDir
+	case p != nil:
+		if err = p.accessErr(node, O_WRONLY); err == nil && node.loadSynth() != nil {
+			err = ErrPerm // its provider runs on the open path, outside the tree lock
+		}
+	}
 	if err != nil {
-		return pathErr("write", path, err)
+		err = pathErr("write", path, err)
+	}
+	if err := tx.bill("write", len(data), err); err != nil {
+		return err
 	}
 	if node == nil {
 		_, full, err := tx.create(parent, name, data, mode, uid, gid)
@@ -1068,17 +1115,6 @@ func (tx *Tx) WriteFile(path string, data []byte, mode FileMode, uid, gid int) e
 		}
 		tx.queue(Event{Op: OpWrite, Path: full})
 		return nil
-	}
-	if node.isDir() {
-		return pathErr("write", path, ErrIsDir)
-	}
-	if p := tx.p; p != nil {
-		if err := p.accessErr(node, O_WRONLY); err != nil {
-			return pathErr("write", path, err)
-		}
-		if node.loadSynth() != nil {
-			return pathErr("write", path, ErrPerm) // its provider runs on the open path, outside the tree lock
-		}
 	}
 	node.txMark.Store(tx.fs.txLive.Load()) // before the content: see readContent
 	tx.fs.replaceContent(node, data)
@@ -1099,8 +1135,9 @@ func (tx *Tx) create(parent *inode, name string, data []byte, mode FileMode, uid
 	now := tx.fs.now()
 	f := tx.fs.bareInode(KindFile, mode, uid, gid, now)
 	f.data.Store(publish(data))
-	name = internName(name)
-	parent.cowInsert(name, f)
+	blob := internName(name)
+	name = nameOf(blob)
+	parent.cowInsert(blob, f)
 	parent.touchM(now)
 	full := pathTo(parent, name)
 	tx.queue(Event{Op: OpCreate, Path: full})
@@ -1229,6 +1266,7 @@ func (tx *Tx) AttachFileSet(set *FileSet, parents []DirRef, name string, mode Fi
 		return pathErr("attach", name, ErrInvalid) //yancvet:alloc error path
 	}
 	now := tx.fs.now()
+	blob := internName(name)
 	links := 0
 	for i, r := range parents {
 		parent := r.ino
@@ -1239,9 +1277,9 @@ func (tx *Tx) AttachFileSet(set *FileSet, parents []DirRef, name string, mode Fi
 			continue
 		}
 		d := tx.fs.bareInode(KindDir, mode, uid, gid, now)
-		d.setPlace(parent, name)
+		d.setPlace(parent, blob)
 		d.setKids(set.kids)
-		parent.cowInsert(name, d)
+		parent.cowInsert(blob, d)
 		parent.nlink.Add(1)
 		parent.touchM(now)
 		full := pathTo(parent, name)
@@ -1388,25 +1426,24 @@ func (b *treeBuilder) file(f *FileData, mode FileMode) *inode {
 // watch could actually observe them: building their paths would
 // otherwise dominate the cost of a tree no watch looks inside. A Proc's
 // transaction is charged one mkdir moving the bytes of the files' blobs,
-// and runs no OnMkdir hook: the tree is the new directory's whole
-// content, skeleton included.
+// or none when a check refuses the tree, and runs no OnMkdir hook: the
+// tree is the new directory's whole content, skeleton included.
 func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode, uid, gid int) error {
 	nodes, dirs, blobs := countTree(files)
-	if err := tx.step("mkdir", blobs); err != nil {
-		return err
-	}
 	parent, name, node, err := tx.resolve(dir, false)
+	switch {
+	case err != nil:
+	case node != nil:
+		err = ErrExist
+	default:
+		err = tx.mayCreate(parent, uid, gid)
+	}
 	if err != nil {
-		return pathErr("writetree", dir, err)
-	}
-	if node != nil {
-		return pathErr("writetree", dir, ErrExist)
-	}
-	if err := tx.mayCreate(parent, uid, gid); err != nil {
-		return pathErr("writetree", dir, err)
+		return tx.bill("mkdir", blobs, pathErr("writetree", dir, err))
 	}
 	now := tx.fs.now()
-	name = internName(name)
+	blob := internName(name)
+	name = nameOf(blob)
 	b := tx.fs.newBuilder(1+nodes, 1+dirs, blobs, uid, gid, now)
 	var build func(d *inode, files []FileData) error
 	build = func(d *inode, files []FileData) error {
@@ -1439,12 +1476,14 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 		return nil
 	}
 	d := b.alloc(KindDir, dirMode)
-	d.setPlace(parent, name)
-	if err := build(d, files); err != nil {
+	d.setPlace(parent, blob)
+	// Building touches nothing published: a tree refused here, or by the
+	// limiter, leaves only garbage.
+	if err := tx.bill("mkdir", blobs, build(d, files)); err != nil {
 		return err
 	}
 	linkSets(files, now)
-	parent.cowInsert(name, d)
+	parent.cowInsert(blob, d)
 	parent.nlink.Add(1)
 	parent.touchM(now)
 	full := dir
@@ -1472,7 +1511,7 @@ func spells(path string, dir *inode, name string) bool {
 		if d.parent == nil {
 			return path == ""
 		}
-		name = d.name
+		name = nameOf(d.name)
 	}
 }
 
@@ -1519,7 +1558,7 @@ func (tx *Tx) announceSet(dir string, set *FileSet) {
 		if !ok {
 			return
 		}
-		tx.announceFile(&in, dir, e.name, e.c.loadSynth() != nil)
+		tx.announceFile(&in, dir, nameOf(e.name), e.c.loadSynth() != nil)
 	}
 }
 
@@ -1599,13 +1638,13 @@ func (tx *Tx) ReadTree(dir, first string, unless []byte, buf *TreeBuf) (name str
 	root := d.kids()
 	gate, ok := root.get(first)
 	if !ok || gate.kind() != KindFile || gate.loadSynth() != nil {
-		return d.dir().name, nil
+		return nameOf(d.dir().name), nil
 	}
 	var sb strings.Builder
 	tx.fs.stats.reads.Add(1)
 	g := gate.content()
 	if len(g) == 0 || bytes.Equal(g, unless) {
-		return d.dir().name, nil
+		return nameOf(d.dir().name), nil
 	}
 	//yancvet:alloc the one string of a tree that passed its gate, which the Data fields are cut from
 	sb.Grow(max(buf.hint, len(g)))
@@ -1613,18 +1652,21 @@ func (tx *Tx) ReadTree(dir, first string, unless []byte, buf *TreeBuf) (name str
 	buf.Files = append(buf.Files, TreeFile{Name: first})
 	buf.ends = append(buf.ends[:0], sb.Len())
 
-	ents := root.ents
-	if root.bitmap != 0 {
+	var ents []dirEnt
+	if root.bitmap == 0 {
+		ents = root.leaf()
+	} else {
 		buf.ents = root.appendEnts(buf.ents[:0])
 		sortEnts(buf.ents)
 		ents = buf.ents
 	}
 	for _, e := range ents {
-		if e.name == first || e.c.kind() != KindFile || e.c.loadSynth() != nil {
+		name := nameOf(e.name)
+		if name == first || e.c.kind() != KindFile || e.c.loadSynth() != nil {
 			continue
 		}
 		sb.Write(e.c.content())
-		buf.Files = append(buf.Files, TreeFile{Name: e.name})
+		buf.Files = append(buf.Files, TreeFile{Name: name})
 		buf.ends = append(buf.ends, sb.Len())
 	}
 	clear(buf.ents) // the entries point at inodes; do not keep them alive
@@ -1639,7 +1681,7 @@ func (tx *Tx) ReadTree(dir, first string, unless []byte, buf *TreeBuf) (name str
 		buf.Files[i].Data = all[start:end]
 		start = end
 	}
-	return d.dir().name, nil
+	return nameOf(d.dir().name), nil
 }
 
 // Remove unlinks a file/symlink or removes a directory subtree, as
@@ -1712,13 +1754,14 @@ func (fs *FS) renameLocked(tx *Tx, oldParent *inode, oldName string, node *inode
 	if target != nil {
 		fs.unlinkLocked(newParent, newName, target, tx)
 	}
-	newName = internName(newName)
+	blob := internName(newName)
+	newName = nameOf(blob)
 	oldParent.cowDelete(oldName)
-	newParent.cowInsert(newName, node)
+	newParent.cowInsert(blob, node)
 	if node.isDir() {
 		oldParent.nlink.Add(-1)
 		newParent.nlink.Add(1)
-		node.setPlace(newParent, newName)
+		node.setPlace(newParent, blob)
 	}
 	// Invalidate in-flight lock-free walkers that resolved node through
 	// the old parent's snapshot: their next validated hop below it must
@@ -1857,7 +1900,7 @@ func (tx *Tx) SetSynthetic(path string, synth *Synthetic, mode FileMode, uid, gi
 	if node == nil {
 		f := tx.fs.newInode(KindFile, mode, uid, gid)
 		f.extend().synth.Store(synth)
-		parent.cowInsert(name, f)
+		parent.cowInsert(internName(name), f)
 		parent.touchM(tx.fs.now())
 		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
 		return nil
@@ -1962,16 +2005,16 @@ func (fs *FS) removeNode(parent *inode, name string, node *inode, tx *Tx, now ti
 			if !ok {
 				break
 			}
-			path, q := "", false
+			child, path, q := nameOf(e.name), "", false
 			if e.c.isDir() {
 				q = in.mask&OpRemove != 0
 				if in.mask != 0 {
-					path = full + "/" + e.name //yancvet:alloc one owned event path per directory a watch can see inside
+					path = full + "/" + child //yancvet:alloc one owned event path per directory a watch can see inside
 				}
-			} else if in.file(OpRemove, e.name) {
-				path, q = full+"/"+e.name, true //yancvet:alloc one owned event path per file a watch takes
+			} else if in.file(OpRemove, child) {
+				path, q = full+"/"+child, true //yancvet:alloc one owned event path per file a watch takes
 			}
-			fs.removeNode(node, e.name, e.c, tx, now, path, q, false, interestUnknown)
+			fs.removeNode(node, child, e.c, tx, now, path, q, false, interestUnknown)
 		}
 		parent.nlink.Add(-1)
 	}

@@ -1,12 +1,11 @@
 package vfs
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Interning pools for the strings and small payloads that repeat across
+// Interning pools for the names and small payloads that repeat across
 // giant control trees. A network with 10⁶ flow directories stores the
 // same child names (match.in_port, action.output, version, ...) and the
 // same small attribute values ("5\n", "in_port=1", ...) over and over;
@@ -21,10 +20,11 @@ import (
 // — would serialize all writers on one global lock.
 //
 // Interned values are shared across inodes and are therefore immutable —
-// as every file's published content is (see inode.data): the data pool
-// holds payloads in that published form, a blob keyed by its own body,
-// so an inode adopts one with a pointer store. Name strings are immutable
-// in Go already.
+// as every file's published content is (see inode.data). Both pools hold
+// blobs (content.go), each keyed by its own body: the data pool holds
+// payloads in their published form, so an inode adopts one with a
+// pointer store, and the name pool holds names in the form a directory
+// entry stores them, so an entry is a pointer to the pool's blob.
 
 const (
 	// internNameCap bounds the name pool. Component-name vocabularies
@@ -40,31 +40,33 @@ const (
 
 var names = struct {
 	mu   sync.RWMutex
-	m    map[string]string
+	m    map[string]*byte
 	full atomic.Bool // len(m) reached internNameCap
-}{m: make(map[string]string, 256)}
+}{m: make(map[string]*byte, 256)}
 
-// internName returns a canonical string equal to name. Repeated
-// component names collapse to one backing array, and — as important —
+// internName returns a name blob holding name, which must not be empty:
+// the pool's, so that repeated component names share one blob, or a
+// private copy once the pool is full. Either way — and as important —
 // the result never aliases a larger path string: resolution hands out
 // names as substrings of the caller's full path, and storing one in an
-// inode would pin the whole path in memory for the inode's lifetime.
-func internName(name string) string {
+// entry would pin the whole path in memory for the entry's lifetime.
+func internName(name string) *byte {
 	names.mu.RLock()
 	c, ok := names.m[name]
 	names.mu.RUnlock()
 	if ok {
 		return c
 	}
-	c = strings.Clone(name) //yancvet:alloc first sight of a name: it is pooled from here on
+	c, body := newBlob(len(name)) // first sight of a name: it is pooled from here on
+	copy(body, name)
 	if names.full.Load() {
 		return c
 	}
 	names.mu.Lock()
-	if have, ok := names.m[c]; ok {
+	if have, ok := names.m[name]; ok {
 		c = have
 	} else if len(names.m) < internNameCap {
-		names.m[c] = c
+		names.m[nameOf(c)] = c
 	} else {
 		names.full.Store(true)
 	}
@@ -102,6 +104,6 @@ func internBytes(b []byte) (data *byte, ok bool) {
 		return nil, false
 	}
 	c = blobOf(b)
-	payloads.m[bodyKey(c)] = c
+	payloads.m[nameOf(c)] = c
 	return c, true
 }

@@ -45,7 +45,7 @@ func TestInternMissWhenFullTakesNoLock(t *testing.T) {
 		if _, ok := internBytes([]byte("a value the full pool never saw")); ok {
 			t.Error("a full payload pool admitted a value")
 		}
-		if got := internName("a name the full pool never saw"); got != "a name the full pool never saw" {
+		if got := nameOf(internName("a name the full pool never saw")); got != "a name the full pool never saw" {
 			t.Errorf("internName = %q", got)
 		}
 	}()

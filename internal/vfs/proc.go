@@ -172,7 +172,7 @@ func (p *Proc) Symlink(target, linkPath string) error {
 		}
 		l := fs.newInode(KindSymlink, 0o777, p.cred.UID, p.cred.GID)
 		l.extend().target = target
-		parent.cowInsert(name, l)
+		parent.cowInsert(internName(name), l)
 		parent.touchM(fs.now())
 		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
 		return nil
@@ -229,7 +229,7 @@ func (p *Proc) Link(oldPath, newPath string) error {
 		if err := tx.mayWrite(parent); err != nil {
 			return &LinkError{Op: "link", Old: oldPath, New: newPath, Err: err}
 		}
-		parent.cowInsert(name, src)
+		parent.cowInsert(internName(name), src)
 		src.nlink.Add(1)
 		now := fs.now()
 		src.touchC(now)
@@ -248,14 +248,15 @@ func (p *Proc) Link(oldPath, newPath string) error {
 func (p *Proc) Remove(path string) error { return p.remove(nil, path, false) }
 
 // RemoveAll removes path and any children it contains, succeeding
-// trivially if the path does not exist (like os.RemoveAll). A Protected
-// entry stays, unless the caller is root.
+// trivially if the path does not exist, its parent included (like
+// os.RemoveAll); an ancestor that is not a directory is still an error.
+// A Protected entry stays, unless the caller is root.
 func (p *Proc) RemoveAll(path string) error { return p.remove(nil, path, true) }
 
 // remove runs the remove body as a one-step transaction, charged and
 // counted as one remove: Remove, RemoveAt (dir, the referenced
 // directory, set) and, with subtree set, RemoveAll, for which a missing
-// path is success.
+// path — or a missing ancestor — is success.
 //
 //yancvet:hotalloc
 func (p *Proc) remove(dir *inode, path string, subtree bool) error {
@@ -267,7 +268,10 @@ func (p *Proc) remove(dir *inode, path string, subtree bool) error {
 	tx := fs.newTx(p)
 	fs.lockTree()
 	parent, name, node, err := tx.resolveAt(dir, path, false)
-	if err == nil && (node != nil || !subtree) {
+	switch {
+	case subtree && (err == nil && node == nil || err == ErrNotExist):
+		err = nil
+	case err == nil:
 		err = tx.remove(parent, name, node, subtree)
 	}
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -127,10 +129,10 @@ type stepOutcome struct {
 // Chroot, each on a fresh copy of one tree, and requires the same errno,
 // the same resulting node, the same limiter charges and the same Create,
 // Remove and Rename events. Where the step is WriteFile the Proc call is
-// a whole-file write, an open and a write: its open charge and its Write
-// and CloseWrite events are its own, and when the open fails the call
-// bills nothing more, where the step, like every step, was billed before
-// its checks.
+// a whole-file write, an open and a write, and the step one write: they
+// must bill the same bytes — none when a check refuses the write, the
+// content's when it goes ahead. The Write and CloseWrite events are the
+// call's own.
 func TestProcCallMatchesProcTx(t *testing.T) {
 	data := []byte("new")
 	type op struct {
@@ -221,10 +223,13 @@ func TestProcCallMatchesProcTx(t *testing.T) {
 					return p.WithTx(func(tx *Tx) error { return o.step(tx, c.cred) })
 				})
 				if o.write {
-					want.charges = want.charges[1:] // the open
-					if got.err != nil {
-						got.charges = got.charges[1:] // the write, billed up front
+					if g, w := billed(t, got.charges), billed(t, want.charges); g != w {
+						t.Errorf("step billed %d bytes (%v), Proc call %d (%v)", g, got.charges, w, want.charges)
 					}
+					if len(got.charges) != 1 {
+						t.Errorf("step charged %v, want one write", got.charges)
+					}
+					got.charges, want.charges = nil, nil
 				}
 				if got.err != want.err {
 					t.Errorf("step error %v, Proc call %v", got.err, want.err)
@@ -241,6 +246,21 @@ func TestProcCallMatchesProcTx(t *testing.T) {
 			})
 		}
 	}
+}
+
+// billed sums the bytes of charges, each "op:n" as chargeLog records it.
+func billed(t *testing.T, charges []string) int {
+	t.Helper()
+	total := 0
+	for _, c := range charges {
+		_, n, ok := strings.Cut(c, ":")
+		v, err := strconv.Atoi(n)
+		if !ok || err != nil {
+			t.Fatalf("charge %q is not op:n", c)
+		}
+		total += v
+	}
+	return total
 }
 
 // TestWriteTreeAnnouncesRealPath: a tree written through a symlink, or

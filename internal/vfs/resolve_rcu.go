@@ -92,8 +92,8 @@ func (n *inode) bumpGen() {
 }
 
 // cowInsert adds (or replaces) name→c in n's children by path-copying
-// the trie. Tree write lock required.
-func (n *inode) cowInsert(name string, c *inode) {
+// the trie; name is a name blob (internName). Tree write lock required.
+func (n *inode) cowInsert(name *byte, c *inode) {
 	n.setKids(n.kids().put(name, c))
 }
 

@@ -253,6 +253,28 @@ func TestRemove(t *testing.T) {
 	}
 }
 
+// TestRemoveAllMissingAncestor: RemoveAll of a path whose parent is
+// missing succeeds, as os.RemoveAll does and as RemoveAll of the parent
+// itself does; an ancestor that is a regular file is still ENOTDIR, and
+// Remove keeps ENOENT.
+func TestRemoveAllMissingAncestor(t *testing.T) {
+	p := New().RootProc()
+	if err := p.WriteString("/f", "x"); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/nope", "/nope/a", "/nope/a/b"} {
+		if err := p.RemoveAll(path); err != nil {
+			t.Errorf("RemoveAll(%q) = %v, want nil", path, err)
+		}
+	}
+	if err := p.RemoveAll("/f/a"); !errors.Is(err, ErrNotDir) {
+		t.Errorf("RemoveAll under a file = %v, want ENOTDIR", err)
+	}
+	if err := p.Remove("/nope/a"); !errors.Is(err, ErrNotExist) {
+		t.Errorf("Remove under a missing directory = %v, want ENOENT", err)
+	}
+}
+
 func TestRename(t *testing.T) {
 	p := New().RootProc()
 	if err := p.MkdirAll("/sw/ports", 0o755); err != nil {

@@ -738,14 +738,14 @@ func footprintSpec(i int) FlowSpec {
 // instead of a leaf of its own. A file's content is one pointer to a
 // length-prefixed blob, with no header of its own, and an inode is 64
 // bytes. PutFlowTx's flow is its 14 inodes in two header-free slab
-// chunks (512 + 384 B), its two directory states, one ~400-byte trie
-// leaf for the flow directory, one arena packing all twelve values and
-// the side structs: 1,507 B. WriteFlow's is a 64-byte object per file
-// inode (a directory's shares one with its state), a blob only for a
-// value the intern pool does not hold, and the same leaf: 1,459 B. The
-// bound is the larger plus 3 %.
+// chunks (512 + 384 B), its two 40-byte directory states, the flow
+// directory's trie leaf (a 16-byte node and 13 two-word entries, 208 B),
+// one arena packing all twelve values and the side structs: 1,310 B.
+// WriteFlow's is a 64-byte object per file inode (a directory's shares
+// one with its state), a blob only for a value the intern pool does not
+// hold, and the same leaf: 1,278 B. The bound is the larger plus 3 %.
 func TestFlowFootprint(t *testing.T) {
-	const flows, limit = 4096, 1552
+	const flows, limit = 4096, 1350
 	liveHeap := func() uint64 {
 		var ms runtime.MemStats
 		runtime.GC()
