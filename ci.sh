@@ -23,7 +23,7 @@
 #   footprint  TestFlowFootprint, TestInodeSize and TestSlabChunk three
 #              times without the race detector, the configuration the
 #              benchmark measures heap_bytes_per_flow in, so the heap
-#              bound, the 64-byte inode and the <= 512-byte slab chunk
+#              bound, the 48-byte inode and the <= 512-byte slab chunk
 #              are checked there
 #   fuzz       10 s each of FuzzPathResolve, FuzzDirTrie, FuzzWatchInterest,
 #              FuzzFileContent, FuzzFlowDirRoundTrip,

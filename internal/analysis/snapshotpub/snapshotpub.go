@@ -1,7 +1,9 @@
 // Package snapshotpub enforces rule 1 of the VFS locking discipline
 // (internal/vfs/lock.go) for directories: children snapshots are
 // immutable after publish and may only be replaced — never edited — via
-// an atomic swap performed under the tree write lock.
+// an atomic swap performed under the tree write lock. It holds files'
+// records to the same rule: a record loaded from a data word is
+// published, and is replaced by compare-and-swap, never written.
 //
 // The snapshot vocabulary is detected by shape, like lockset does for
 // the lock primitives: the "snapshot type" is any named type declaring
@@ -37,6 +39,11 @@
 //     the original instead changes history under a reader mid-walk.
 //     Freshly built nodes (composite literals, make, call results) are
 //     private until setKids swaps them in and may be filled freely.
+//     The record that a package-level `recordOf` function returns a
+//     pointer to is published the same way: a file's data word holds it
+//     while lock-free readers and compare-and-swap writers load it, so a
+//     write through a result of recordOf — or through its map — is
+//     reported, and a record built fresh is not.
 //
 // The context check is an approximation in the safe direction: a
 // function "holds the write lock" if its body contains a lockTree call
@@ -130,6 +137,14 @@ type vocab struct {
 	setKids    *types.Func          // the one legal Store site
 	node       *types.Named         // the trie node type kids() points at, if any
 	children   *types.Var           // the atomic snapshot field, if named "children"
+	recordOf   *types.Func          // the record accessor, if the package has one
+	record     *types.Named         // the record type recordOf points at
+}
+
+// inside reports whether a pointer to named leads into published memory:
+// a trie node, or a record.
+func (v *vocab) inside(named *types.Named) bool {
+	return named != nil && (named == v.node || named == v.record)
 }
 
 func findVocab(pass *analysis.Pass) *vocab {
@@ -155,14 +170,29 @@ func findVocab(pass *analysis.Pass) *vocab {
 				v.publishers[m] = true
 			}
 		}
-		if res := kids.Type().(*types.Signature).Results(); res.Len() == 1 {
-			if ptr, ok := res.At(0).Type().(*types.Pointer); ok {
-				v.node, _ = ptr.Elem().(*types.Named)
+		v.node = pointee(kids)
+		if fn, ok := scope.Lookup("recordOf").(*types.Func); ok {
+			if rec := pointee(fn); rec != nil {
+				v.recordOf, v.record = fn, rec
 			}
 		}
 		return v
 	}
 	return nil
+}
+
+// pointee returns the named type fn's one result points at, or nil.
+func pointee(fn *types.Func) *types.Named {
+	res := fn.Type().(*types.Signature).Results()
+	if res.Len() != 1 {
+		return nil
+	}
+	ptr, ok := res.At(0).Type().(*types.Pointer)
+	if !ok {
+		return nil
+	}
+	named, _ := ptr.Elem().(*types.Named)
+	return named
 }
 
 // childrenField finds the field named "children" in the snapshot type's
@@ -341,7 +371,8 @@ func (c *checker) checkMutations(fd *ast.FuncDecl) {
 		case *ast.Ident:
 			return shared && tainted[info.ObjectOf(e)]
 		case *ast.CallExpr:
-			return shared && (typeutil.StaticCallee(info, e) == c.v.kids || c.nodeView(e, published))
+			callee := typeutil.StaticCallee(info, e)
+			return shared && ((callee != nil && (callee == c.v.kids || callee == c.v.recordOf)) || c.nodeView(e, published))
 		case *ast.ParenExpr:
 			return published(e.X, shared)
 		case *ast.SelectorExpr:
@@ -360,7 +391,7 @@ func (c *checker) checkMutations(fd *ast.FuncDecl) {
 		}
 		switch t := info.TypeOf(inner).Underlying().(type) {
 		case *types.Pointer:
-			if lockset.NamedOf(t) != c.v.node {
+			if !c.v.inside(lockset.NamedOf(t)) {
 				return false // leaves the trie: what an entry points at is not the node's memory
 			}
 			shared = true
@@ -370,7 +401,7 @@ func (c *checker) checkMutations(fd *ast.FuncDecl) {
 		return published(inner, shared)
 	}
 	mutated := func(pos token.Pos) {
-		c.report(pos, "children snapshot mutated after publish: build a copy and publish it with setKids")
+		c.report(pos, "published snapshot mutated after publish: build a copy and swap it in (a trie node with setKids, a record by compare-and-swap)")
 	}
 	written := func(lhs ast.Expr) {
 		if published(lhs, false) {

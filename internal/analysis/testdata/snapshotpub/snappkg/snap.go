@@ -2,7 +2,8 @@
 // publication shape used to exercise the snapshotpub analyzer: a tree
 // RWMutex with the lockTree vocabulary, an inode whose children node is
 // an atomic snapshot with a generation counter, a one-node stand-in for
-// the persistent children trie, and the copy-on-write publisher helpers.
+// the persistent children trie, the copy-on-write publisher helpers, and
+// a data word that may hold a record (record.go).
 package snappkg
 
 import (
@@ -27,6 +28,7 @@ type inode struct {
 	children atomic.Pointer[dirNode]
 	gen      atomic.Uint64
 	hidden   bool
+	data     atomic.Pointer[byte] // a blob, or a record (record.go)
 }
 
 // dirNode is the published children node: entries sorted by name,

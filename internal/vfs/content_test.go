@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -65,18 +67,36 @@ func checkContent(t *testing.T, fs *FS, step string, model []byte) {
 	}
 }
 
-// attrModel is what FuzzFileContent expects Stat to report of the file
-// besides its content: the kind shares the mode word with the
-// permission bits, so a chmod must move the one and keep the other.
+// attrModel is what FuzzFileContent expects Stat and the xattr calls to
+// report of the file besides its content: the kind shares the mode word
+// with the permission bits, so a chmod must move the one and keep the
+// other, and xattrs put the file's content in a record, so every content
+// write must keep them and every xattr edit the content.
 type attrModel struct {
 	mode     FileMode
 	uid, gid int
+	xattrs   map[string]string
 }
 
-// checkAttrs compares the file's and its directory's Stat with the model.
+// checkAttrs compares the file's and its directory's Stat, and the
+// file's xattrs, with the model.
 func checkAttrs(t *testing.T, fs *FS, step string, m attrModel) {
 	t.Helper()
 	p := fs.RootProc()
+	names, err := p.ListXattr(contentFile)
+	want := make([]string, 0, len(m.xattrs))
+	for name := range m.xattrs {
+		want = append(want, name)
+	}
+	slices.Sort(want)
+	if err != nil || !slices.Equal(names, want) {
+		t.Fatalf("%s: ListXattr = %q (%v), want %q", step, names, err, want)
+	}
+	for name, value := range m.xattrs {
+		if got, err := p.GetXattrString(contentFile, name); err != nil || got != value {
+			t.Fatalf("%s: GetXattr(%s) = %d bytes (%v), want %d", step, name, len(got), err, len(value))
+		}
+	}
 	st, err := p.Stat(contentFile)
 	if err != nil || st.Kind != KindFile || st.Mode != m.mode || st.UID != m.uid || st.GID != m.gid {
 		t.Fatalf("%s: Stat = kind %v mode %o uid %d gid %d (%v), want file %o %d %d", step, st.Kind, st.Mode, st.UID, st.GID, err, m.mode, m.uid, m.gid)
@@ -93,11 +113,15 @@ func checkAttrs(t *testing.T, fs *FS, step string, m attrModel) {
 // WriteFile, a handle write past the end (which leaves a zero gap), an
 // O_APPEND write, a Truncate that grows or shrinks, Tx.WriteFile, a
 // WriteTree that rebuilds the directory with f and g (a new file: mode
-// 0644, owner 0:0), a Chmod to the first argument modulo 0o10000 (the
-// setuid, setgid and sticky bits included) and a Chown to the two. The
-// committed seeds sit at the length-prefix boundaries (0, 1, 127, 128,
-// 16,383, 16,384 bytes), around the intern limit (64, 65) and at modes
-// 0o7777 and 0.
+// 0644, owner 0:0, no xattrs), a Chmod to the first argument modulo
+// 0o10000 (the setuid, setgid and sticky bits included), a Chown to the
+// two, a SetXattr of one of three names (the first argument picks it, the
+// second the value's length, below 100) and a RemoveXattr of one of
+// them, which fails with ErrNoAttr when the model has none. The committed
+// seeds sit at the length-prefix boundaries (0, 1, 127, 128, 16,383,
+// 16,384 bytes), around the intern limit (64, 65) and at modes 0o7777
+// and 0; they use kinds 0 to 7 only, which read the same under % 10 as
+// they did under % 8.
 func FuzzFileContent(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		fs := New()
@@ -131,7 +155,8 @@ func FuzzFileContent(f *testing.F) {
 			data := contentValue(op, n)
 			var err error
 			var step string
-			switch arg[0] % 8 {
+			xattr := fmt.Sprintf("user.x%d", binary.LittleEndian.Uint16(arg[1:])%3)
+			switch arg[0] % 10 {
 			case 0:
 				step = fmt.Sprintf("op %d: WriteFile %d", op, n)
 				err = p.WriteFile(contentFile, data, 0o644)
@@ -191,6 +216,26 @@ func FuzzFileContent(f *testing.F) {
 				step = fmt.Sprintf("op %d: Chown %d:%d", op, uid, gid)
 				err = p.Chown(contentFile, uid, gid)
 				attrs.uid, attrs.gid = uid, gid
+			case 8:
+				value := contentValue(op, gap%100)
+				step = fmt.Sprintf("op %d: SetXattr %s of %d bytes", op, xattr, len(value))
+				err = p.SetXattr(contentFile, xattr, value)
+				attrs.xattrs = maps.Clone(attrs.xattrs)
+				if attrs.xattrs == nil {
+					attrs.xattrs = map[string]string{}
+				}
+				attrs.xattrs[xattr] = string(value)
+			case 9:
+				step = fmt.Sprintf("op %d: RemoveXattr %s", op, xattr)
+				err = p.RemoveXattr(contentFile, xattr)
+				if _, ok := attrs.xattrs[xattr]; !ok {
+					if !errors.Is(err, ErrNoAttr) {
+						t.Fatalf("%s: %v, want ErrNoAttr", step, err)
+					}
+					err = nil
+				}
+				attrs.xattrs = maps.Clone(attrs.xattrs)
+				delete(attrs.xattrs, xattr)
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", step, err)
@@ -209,11 +254,13 @@ func FuzzFileContent(f *testing.F) {
 
 // TestDataWordByKind checks what the data word and the mode word hold
 // for each kind of node: a directory, a symlink (to the directory), a
-// regular file and a synthetic file. A chmod to 0o7777 and back keeps
-// the kind; Size is the directory's entry count, the symlink's target
-// length and the file's content length; and reading a directory, or
-// opening it to write, fails with ErrIsDir rather than decoding its
-// state as a blob.
+// regular file and a synthetic file, and a symlink and a regular file
+// with an xattr, whose words hold a record. A chmod to 0o7777 and back
+// keeps the kind; Size is the directory's entry count, the symlink's
+// target length and the file's content length, with or without a
+// record; the record keeps the target and the content; and reading a
+// directory, or opening it to write, fails with ErrIsDir rather than
+// decoding its state as a blob.
 func TestDataWordByKind(t *testing.T) {
 	fs := New()
 	p := fs.RootProc()
@@ -225,11 +272,37 @@ func TestDataWordByKind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Symlink("/d", "/l"); err != nil {
+	for _, link := range []string{"/l", "/lx"} {
+		if err := p.Symlink("/d", link); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, file := range []string{"/f", "/fx"} {
+		if err := p.WriteString(file, "hello"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.SetXattr("/fx", "user.k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.WriteString("/f", "hello"); err != nil {
-		t.Fatal(err)
+	// SetXattr follows a symlink, so the link's own attribute is set on
+	// its inode directly.
+	lx, err := fs.lookupRO(p.cred, "/lx", resolveOpts{})
+	if err != nil || lx == nil || lx.kind() != KindSymlink {
+		t.Fatalf("lookup /lx = %v (%v)", lx, err)
+	}
+	lx.editXattrs("user.k", []byte("v"), false)
+	fx, _ := fs.root.kids().get("fx")
+	for _, n := range []*inode{lx, fx} {
+		if recordOf(n.data.Load()) == nil || string(n.xattrs()["user.k"]) != "v" {
+			t.Fatalf("%v: no record holding user.k", n.kind())
+		}
+	}
+	if target, err := p.Readlink("/lx"); err != nil || target != "/d" {
+		t.Fatalf("Readlink(/lx) = %q (%v), want /d", target, err)
+	}
+	if b, err := p.ReadFile("/fx"); err != nil || string(b) != "hello" {
+		t.Fatalf("ReadFile(/fx) = %q (%v), want hello", b, err)
 	}
 	if err := fs.WithTx(func(tx *Tx) error {
 		return tx.SetSynthetic("/s", &Synthetic{Read: func() ([]byte, error) { return []byte("42\n"), nil }}, 0o440, 0, 0)
@@ -245,7 +318,9 @@ func TestDataWordByKind(t *testing.T) {
 	}{
 		{"/d", KindDir, 3, 0o750, true},
 		{"/l", KindSymlink, 2, 0o750, true},
+		{"/lx", KindSymlink, 2, 0o750, true},
 		{"/f", KindFile, 5, 0o644, false},
+		{"/fx", KindFile, 5, 0o644, false},
 		{"/s", KindFile, 0, 0o440, false},
 	} {
 		lstat := func(step string) Stat {
@@ -426,5 +501,153 @@ func TestStressContentPrefixWidths(t *testing.T) {
 	}
 	if next, err := checkLog(b); err != nil || next != [2]int{recs, recs} {
 		t.Fatalf("log after the appends: %v, records %v; want %d from each writer", err, next, recs)
+	}
+}
+
+// TestStressXattrBesideContentWrites races xattr edits against every
+// content write path on one file. An xattr puts the file's content in a
+// record, and both kinds of write build a new record from the one they
+// loaded, so a writer that kept a stale field would lose the other
+// kind's change. Two attribute writers run throughout: one sets
+// user.s000 to user.s099 over and over, each to the count of its set, and
+// one sets and removes user.tmp, whose remove fails if a content write
+// brought back a map without it, or lost the map it was set in. Beside
+// them the file goes through rounds: two O_APPEND writers of 8-byte
+// records, after which the file must hold the base and every record in
+// each writer's order; then a WriteFile writer beside a Truncate writer.
+// At the end each user.s name holds its last value and user.tmp is gone.
+func TestStressXattrBesideContentWrites(t *testing.T) {
+	fs := New()
+	p := fs.RootProc()
+	const (
+		file    = "/x/f"
+		rounds  = 4
+		recs    = 300
+		recLen  = 8
+		setSize = 100
+	)
+	base := []byte("base\n")
+	if err := p.MkdirAll("/x", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteFile(file, base, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sets int // how many SetXattr calls the set writer made
+	runWithDeadline(t, stressDeadline, func() {
+		var attrs sync.WaitGroup
+		done := make(chan struct{})
+		attrs.Add(2)
+		go func() {
+			defer attrs.Done()
+			for ; ; sets++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				name := fmt.Sprintf("user.s%03d", sets%setSize)
+				if err := p.SetXattr(file, name, []byte(strconv.Itoa(sets))); err != nil {
+					t.Errorf("SetXattr(%s): %v", name, err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer attrs.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := p.SetXattr(file, "user.tmp", []byte(strconv.Itoa(i))); err != nil {
+					t.Errorf("SetXattr(user.tmp): %v", err)
+					return
+				}
+				if err := p.RemoveXattr(file, "user.tmp"); err != nil {
+					t.Errorf("RemoveXattr(user.tmp) after setting it: %v", err)
+					return
+				}
+			}
+		}()
+		for round := 0; round < rounds && !t.Failed(); round++ {
+			var writers sync.WaitGroup
+			writers.Add(2)
+			for g := 0; g < 2; g++ {
+				go func(g int) {
+					defer writers.Done()
+					for i := 0; i < recs; i++ {
+						rec := fmt.Appendf(nil, "%c%06d\n", 'A'+g, i)
+						if err := p.AppendFile(file, rec, 0o644); err != nil {
+							t.Errorf("append: %v", err)
+							return
+						}
+					}
+				}(g)
+			}
+			writers.Wait()
+			b, err := p.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b) != len(base)+2*recs*recLen || !bytes.Equal(b[:len(base)], base) {
+				t.Fatalf("round %d: %d bytes after the appends, want the base and %d records", round, len(b), 2*recs)
+			}
+			var next [2]int
+			for r := b[len(base):]; len(r) > 0; r = r[recLen:] {
+				g := int(r[0] - 'A')
+				if seq, err := strconv.Atoi(string(r[1:7])); err != nil || g < 0 || g > 1 || seq != next[g] {
+					t.Fatalf("round %d: record %q out of place: an appended byte was lost", round, r[:recLen])
+				}
+				next[g]++
+			}
+
+			writers.Add(2)
+			go func() {
+				defer writers.Done()
+				for i := 0; i < recs; i++ {
+					if err := p.WriteFile(file, contentValue(i, 1+i%40), 0o644); err != nil {
+						t.Errorf("WriteFile: %v", err)
+						return
+					}
+				}
+			}()
+			go func() {
+				defer writers.Done()
+				fh, err := p.OpenFile(file, O_WRONLY, 0)
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				defer fh.Close()
+				for i := 0; i < recs; i++ {
+					if err := fh.Truncate(int64(i % 50)); err != nil {
+						t.Errorf("Truncate: %v", err)
+						return
+					}
+				}
+			}()
+			writers.Wait()
+			if err := p.WriteFile(file, base, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(done)
+		attrs.Wait()
+	})
+	names, err := p.ListXattr(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := min(sets, setSize); len(names) != want {
+		t.Fatalf("%d xattrs after %d sets and the user.tmp cycles, want %d: %q", len(names), sets, want, names)
+	}
+	for k := 0; k < min(sets, setSize); k++ {
+		last := sets - 1 - (sets-1-k)%setSize // the last set of user.s<k>
+		name := fmt.Sprintf("user.s%03d", k)
+		if v, err := p.GetXattrString(file, name); err != nil || v != strconv.Itoa(last) {
+			t.Errorf("%s = %q (%v), want %d: an attribute was lost", name, v, err, last)
+		}
 	}
 }

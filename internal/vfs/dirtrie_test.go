@@ -261,23 +261,24 @@ func TestDirTrieStructuralSharing(t *testing.T) {
 	}
 }
 
-// TestInodeSize pins an inode at one 64-byte cache line: it carries
-// only what every node uses, the kind rides in the mode word, the version
-// is 32 bits beside the transaction mark, and one data word holds a
-// file's content pointer or a directory's state. A flow's 14 inodes
-// (yancfs.TestFlowFootprint) then take 896 B in the chunks TestSlabChunk
-// pins.
+// TestInodeSize pins an inode at 48 bytes: it carries only what every
+// node uses, the kind rides in the mode word, the version is 32 bits
+// beside the transaction mark, there is one timestamp, and one data word
+// holds a file's content, a symlink's target, a directory's state or —
+// for the rare node with a provider or xattrs — a record. A flow's 14
+// inodes (yancfs.TestFlowFootprint) then take 672 B in the chunks
+// TestSlabChunk pins.
 func TestInodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(inode{}); got != 64 {
-		t.Fatalf("unsafe.Sizeof(inode{}) = %d, want 64", got)
+	if got := unsafe.Sizeof(inode{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(inode{}) = %d, want 48", got)
 	}
 }
 
 // TestDirNodeSize pins a directory's stored form: a trie node is a
 // bitmap, a count and one pointer; an entry a name blob and an inode
-// pointer; a directory's state holds its own name as a blob. A flow's
-// 13-entry leaf is then 208 B of entries and a 16-byte node, and its two
-// states 80 B of WriteTree's slab.
+// pointer; a directory's state holds its own name as a blob and its
+// xattr map. A flow's 13-entry leaf is then 208 B of entries and a
+// 16-byte node, and its two states 96 B of WriteTree's slab.
 func TestDirNodeSize(t *testing.T) {
 	for _, c := range []struct {
 		what      string
@@ -285,7 +286,7 @@ func TestDirNodeSize(t *testing.T) {
 	}{
 		{"dirNode", unsafe.Sizeof(dirNode{}), 16},
 		{"dirEnt", unsafe.Sizeof(dirEnt{}), 16},
-		{"dirState", unsafe.Sizeof(dirState{}), 40},
+		{"dirState", unsafe.Sizeof(dirState{}), 48},
 	} {
 		if c.got != c.want {
 			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", c.what, c.got, c.want)
@@ -297,8 +298,8 @@ func TestDirNodeSize(t *testing.T) {
 // bytes: the runtime prefixes every object with pointers that is larger
 // than that with an 8-byte malloc header, which would push 512 bytes of
 // inodes into the next size class. It also checks the chunks a flow's 14
-// inodes come from, 8 and 6, and that every inode a builder hands out is
-// one it was sized for.
+// inodes come from, 10 and 4 (480 + 192 B), and that every inode a
+// builder hands out is one it was sized for.
 func TestSlabChunk(t *testing.T) {
 	if got := slabChunk * unsafe.Sizeof(inode{}); got > 512 {
 		t.Fatalf("slabChunk × Sizeof(inode{}) = %d B, want <= 512", got)
@@ -317,8 +318,8 @@ func TestSlabChunk(t *testing.T) {
 			chunks = append(chunks, cap(b.nodes))
 		}
 	}
-	if fmt.Sprint(chunks) != "[8 6]" || b.left != 0 {
-		t.Fatalf("a 14-inode tree took chunks %v with %d left, want [8 6] and 0", chunks, b.left)
+	if fmt.Sprint(chunks) != "[10 4]" || b.left != 0 {
+		t.Fatalf("a 14-inode tree took chunks %v with %d left, want [10 4] and 0", chunks, b.left)
 	}
 }
 

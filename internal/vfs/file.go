@@ -197,7 +197,7 @@ func (p *Proc) newFile(node *inode, realPath string, flags int) *File {
 
 // truncate empties a regular file, as O_TRUNC does.
 func (fs *FS) truncate(node *inode) {
-	node.data.Store(nil)
+	node.storeContent(nil)
 	node.touchM(fs.now())
 }
 
@@ -346,7 +346,7 @@ func (f *File) Write(b []byte) (int, error) {
 	n := f.node
 	for {
 		old := n.data.Load()
-		cur := bodyOf(old)
+		cur := bodyOf(blobIn(old))
 		if f.flags&O_APPEND != 0 {
 			f.pos = int64(len(cur))
 		}
@@ -356,7 +356,7 @@ func (f *File) Write(b []byte) (int, error) {
 		} else {
 			next = splicedBlob(cur, b, f.pos)
 		}
-		if n.data.CompareAndSwap(old, next) {
+		if n.swapContent(old, next) {
 			break
 		}
 	}
@@ -459,14 +459,14 @@ func (f *File) Truncate(size int64) error {
 	n := f.node
 	for {
 		old := n.data.Load()
-		cur := bodyOf(old)
+		cur := bodyOf(blobIn(old))
 		var next *byte
 		if size <= int64(len(cur)) {
 			next = publish(cur[:size])
 		} else {
 			next = splicedBlob(cur, nil, size)
 		}
-		if n.data.CompareAndSwap(old, next) {
+		if n.swapContent(old, next) {
 			break
 		}
 	}
@@ -783,7 +783,7 @@ func (p *Proc) writeWhole(dir *inode, path string, data []byte, mode FileMode) (
 //
 //yancvet:hotalloc
 func (fs *FS) replaceContent(n *inode, data []byte) {
-	n.data.Store(publish(data))
+	n.storeContent(publish(data))
 	n.touchM(fs.now())
 }
 

@@ -85,10 +85,10 @@ type DirSemantics struct {
 }
 
 // inode field locking. An inode carries only what every node uses, in
-// 64 bytes — one cache line; what only directories use lives in
-// dirState, and the rare per-node extras (synthetic provider, symlink
-// target, xattrs) in inodeExt, so the 14 leaf files of a flow directory
-// do not each pay for them.
+// 48 bytes: what only directories use lives in dirState, and the rare
+// per-node extras (a synthetic provider, a symlink target, xattrs) ride
+// the data word, so the 14 leaf files of a flow directory do not each
+// pay for them.
 //
 //   - ino: immutable after creation.
 //   - mode: the FileMode bits below kindShift and the NodeKind above
@@ -97,28 +97,29 @@ type DirSemantics struct {
 //   - mode, uid, gid, nlink: atomics, read lock-free (resolution and
 //     stat touch them with no locks held); stored under the tree write
 //     lock (chmod/chown: the tree read lock).
-//   - mtime, ctime, version: atomics, stored by whoever changes the node
-//     — content writers hold no lock — after the change itself, so a
+//   - mtime, version: atomics, stored by whoever changes the node —
+//     content writers hold no lock — after the change itself, so a
 //     reader that sees the new version finds the new content. version
-//     is 32 bits: it wraps after 2³² changes to one inode.
+//     is 32 bits: it wraps after 2³² changes to one inode. There is no
+//     ctime and no atime: nothing read them.
 //   - data: one word, read by kind (content.go). A directory's holds its
-//     *dirState, set at creation and never replaced. A regular file's
-//     is its content, published by atomic swap as one pointer to a
-//     length-prefixed blob. The bytes it points at are immutable —
-//     interned ones are shared across inodes (intern.go) — so a reader
-//     may keep what it loaded and a writer builds new bytes and swaps
-//     them in; a write that starts from the current content (a partial
-//     write, an append, a truncate) swaps by compare-and-swap and
-//     retries when another writer got there first. Nil is the empty
-//     file.
+//     *dirState, set at creation and never replaced. A symlink's holds
+//     its target, immutable after creation. A regular file's is its
+//     content, published by atomic swap as one pointer to a
+//     length-prefixed blob, or — on a file with a synthetic provider or
+//     xattrs, and a symlink with xattrs — to a record holding the
+//     content (or target) beside them. Blobs and records are immutable
+//     once published — interned blobs are shared across inodes
+//     (intern.go) — so a reader may keep what it loaded and a writer
+//     builds a new one and swaps it in. A write that starts from the
+//     current word (a partial write, an append, a truncate, a whole
+//     write that must keep a record's fields, an xattr edit) swaps by
+//     compare-and-swap and retries when another writer got there first.
+//     Nil is the empty file.
 //   - txMark: the transaction that created the node or last wrote its
 //     content (0: none did). A transaction stores it before the content;
 //     readers outside the tree lock compare it with FS.txLive and wait
 //     that transaction out (readContent).
-//   - ext: set-once. Nil until the node first needs an extra, then
-//     published by compare-and-swap (extend) and never replaced, so a
-//     loaded pointer stays valid without any lock. Its fields keep their
-//     own rules — see inodeExt.
 type inode struct {
 	ino     uint64
 	mode    atomic.Uint32 // FileMode bits, the NodeKind above kindShift
@@ -128,13 +129,11 @@ type inode struct {
 	txMark  atomic.Uint32
 	version atomic.Uint32
 
-	// Timestamps are kept as Unix nanoseconds, not time.Time: a
+	// The timestamp is kept as Unix nanoseconds, not time.Time: a
 	// time.Time is 24 bytes and carries a monotonic-clock word and a
 	// location pointer no inode needs (statOf converts back on demand).
 	mtime atomic.Int64
-	ctime atomic.Int64
-	data  atomic.Pointer[byte] // a file's content or a directory's dirState
-	ext   atomic.Pointer[inodeExt]
+	data  atomic.Pointer[byte] // by kind: a dirState, a blob or a record
 }
 
 // dirState is what only a directory needs.
@@ -148,12 +147,17 @@ type inode struct {
 //     directory its unique path (regular files may have many names via
 //     hard links and record none). The lock-free walker never touches
 //     them (it bails on "..").
+//   - xattrs: the directory's attribute map, published like content: the
+//     map and its values are never written once stored, and an edit
+//     swaps in a copy (editXattrs). A file's and a symlink's ride their
+//     record instead.
 type dirState struct {
 	children atomic.Pointer[dirNode]
 	gen      atomic.Uint64
 	parent   *inode
 	name     *byte // a name blob (content.go)
 	sem      *DirSemantics
+	xattrs   atomic.Pointer[map[string][]byte]
 }
 
 // setPlace records where directory n now lives: its parent and its name
@@ -161,50 +165,6 @@ type dirState struct {
 func (n *inode) setPlace(parent *inode, name *byte) {
 	d := n.dir()
 	d.parent, d.name = parent, name
-}
-
-// inodeExt holds the fields few nodes ever use.
-//
-//   - synth: atomic, read lock-free by the open path; stored under the
-//     tree write lock.
-//   - target: a symlink's target, immutable after creation.
-//   - xattrs: the attribute map, published like data: the map and its
-//     values are never written once stored, and an edit swaps in a copy
-//     (editXattrs).
-type inodeExt struct {
-	synth  atomic.Pointer[Synthetic]
-	target string
-	xattrs atomic.Pointer[map[string][]byte]
-}
-
-// extend returns n's extension, publishing an empty one first if n has
-// none. Racing callers converge on one struct: the compare-and-swap
-// admits a single winner and everyone loads it.
-func (n *inode) extend() *inodeExt {
-	if e := n.ext.Load(); e != nil {
-		return e
-	}
-	n.ext.CompareAndSwap(nil, &inodeExt{})
-	return n.ext.Load()
-}
-
-// target returns a symlink's target ("" for anything else).
-func (n *inode) target() string {
-	if e := n.ext.Load(); e != nil {
-		return e.target
-	}
-	return ""
-}
-
-// xattrs returns the node's attribute map (nil when it has none), which
-// nothing writes into.
-func (n *inode) xattrs() map[string][]byte {
-	if e := n.ext.Load(); e != nil {
-		if m := e.xattrs.Load(); m != nil {
-			return *m
-		}
-	}
-	return nil
 }
 
 // kindShift places the kind above the 16 FileMode bits of inode.mode.
@@ -235,18 +195,12 @@ func (n *inode) storeOwner(uid, gid int) {
 	}
 }
 
-// touchC stamps a metadata change, once it is made: ctime and version.
-func (n *inode) touchC(now time.Time) {
-	n.ctime.Store(now.UnixNano())
-	n.version.Add(1)
-}
+// touchC stamps a metadata change, once it is made: its version.
+func (n *inode) touchC() { n.version.Add(1) }
 
-// touchM stamps a content change, once it is made: mtime, ctime and
-// version.
+// touchM stamps a content change, once it is made: mtime and version.
 func (n *inode) touchM(now time.Time) {
-	ns := now.UnixNano()
-	n.mtime.Store(ns)
-	n.ctime.Store(ns)
+	n.mtime.Store(now.UnixNano())
 	n.version.Add(1)
 }
 
@@ -406,7 +360,6 @@ func (fs *FS) initInode(n *inode, dir *dirState, kind NodeKind, mode FileMode, u
 	n.mode.Store(uint32(mode.Perm()) | uint32(kind)<<kindShift)
 	n.txMark.Store(fs.txLive.Load())
 	n.mtime.Store(ns)
-	n.ctime.Store(ns)
 	links := int32(1)
 	if dir != nil {
 		n.setDir(dir)
@@ -672,11 +625,11 @@ func (fs *FS) walkFrom(cur *inode, path string, cred Cred, opt resolveOpts, root
 			if *hops > maxSymlinkHops {
 				return nil, "", nil, ErrTooManyLinks
 			}
-			start := cur
-			if strings.HasPrefix(child.target(), "/") {
+			start, target := cur, child.target()
+			if strings.HasPrefix(target, "/") {
 				start = root
 			}
-			par, nm, nd, werr := fs.walkFrom(start, child.target(), cred, opt, root, hops)
+			par, nm, nd, werr := fs.walkFrom(start, target, cred, opt, root, hops)
 			if werr != nil {
 				return nil, "", nil, werr
 			}
@@ -1209,9 +1162,9 @@ func (tx *Tx) NewFileSet(files []FileData, mode FileMode, uid, gid int) (*FileSe
 	return &FileSet{kids: newDir(ents)}, nil
 }
 
-// link accounts n new directories holding s: one nlink bump and one ctime
-// stamp per file, however many directories there were.
-func (s *FileSet) link(n int, now time.Time) {
+// link accounts n new directories holding s: one nlink bump and one
+// version stamp per file, however many directories there were.
+func (s *FileSet) link(n int) {
 	if n == 0 {
 		return
 	}
@@ -1221,7 +1174,7 @@ func (s *FileSet) link(n int, now time.Time) {
 			return
 		}
 		e.c.nlink.Add(int32(n))
-		e.c.touchC(now)
+		e.c.touchC()
 	}
 }
 
@@ -1290,7 +1243,7 @@ func (tx *Tx) AttachFileSet(set *FileSet, parents []DirRef, name string, mode Fi
 			linked(i)
 		}
 	}
-	set.link(links, now)
+	set.link(links)
 	return nil
 }
 
@@ -1333,13 +1286,13 @@ func countTree(files []FileData) (nodes, dirs, blobs int) {
 }
 
 // linkSets accounts the one link WriteTree made to each set among files.
-func linkSets(files []FileData, now time.Time) {
+func linkSets(files []FileData) {
 	for i := range files {
 		switch f := &files[i]; {
 		case f.Set != nil:
-			f.Set.link(1, now)
+			f.Set.link(1)
 		case f.Children != nil:
-			linkSets(f.Children, now)
+			linkSets(f.Children)
 		}
 	}
 }
@@ -1362,12 +1315,13 @@ type treeBuilder struct {
 	ns       int64
 }
 
-// slabChunk is the most inodes one chunk holds: 8 × 64 B = 512 B, the
-// largest object with pointers that the runtime allocates without an
-// 8-byte malloc header (Go 1.22 on). One 14-inode slab, 896 B, would
-// take the 1,024-byte size class with its header; a flow's chunks of 8
-// and 6 take 512 + 384 B. TestSlabChunk pins the product at <= 512.
-const slabChunk = 8
+// slabChunk is the most inodes one chunk holds: 10 × 48 B = 480 B, an
+// exact size class below 512 B, the largest object with pointers that
+// the runtime allocates without an 8-byte malloc header (Go 1.22 on).
+// One 14-inode slab, 672 B, would take the 704-byte size class with its
+// header; a flow's chunks of 10 and 4 take 480 + 192 B. TestSlabChunk
+// pins the product at <= 512.
+const slabChunk = 10
 
 // newBuilder sizes a builder for nodes inodes, dirs of them directories,
 // and an arena of blobs bytes.
@@ -1408,7 +1362,7 @@ func (b *treeBuilder) file(f *FileData, mode FileMode) *inode {
 	fi := b.alloc(KindFile, mode)
 	switch {
 	case f.Synth != nil:
-		fi.extend().synth.Store(f.Synth)
+		fi.data.Store(wordOf(nil, f.Synth, nil))
 	case len(f.Data) > 0:
 		var blob *byte
 		b.arena, blob = appendBlob(b.arena, f.Data)
@@ -1420,7 +1374,7 @@ func (b *treeBuilder) file(f *FileData, mode FileMode) *inode {
 // WriteTree creates dir as a new directory populated with the given
 // subtree — regular files, synthetic files, nested directories, attached
 // file sets — in one pass: one path resolution, one slab chunk for every
-// eight inodes, and one bulk-built children trie per directory, where the
+// ten inodes, and one bulk-built children trie per directory, where the
 // call-per-file path pays a full root walk, a heap allocation and a path
 // copy each. Per-entry Create/Write events are queued only when some
 // watch could actually observe them: building their paths would
@@ -1482,7 +1436,7 @@ func (tx *Tx) WriteTree(dir string, files []FileData, dirMode, fileMode FileMode
 	if err := tx.bill("mkdir", blobs, build(d, files)); err != nil {
 		return err
 	}
-	linkSets(files, now)
+	linkSets(files)
 	parent.cowInsert(blob, d)
 	parent.nlink.Add(1)
 	parent.touchM(now)
@@ -1772,7 +1726,7 @@ func (fs *FS) renameLocked(tx *Tx, oldParent *inode, oldName string, node *inode
 	now := fs.now()
 	oldParent.touchM(now)
 	newParent.touchM(now)
-	node.touchC(now)
+	node.touchC()
 	newFull := pathTo(newParent, newName)
 	tx.queue(Event{Op: OpRename, Path: oldFull, NewPath: newFull, IsDir: node.isDir()})
 	tx.queue(Event{Op: OpCreate, Path: newFull, IsDir: node.isDir()})
@@ -1899,7 +1853,7 @@ func (tx *Tx) SetSynthetic(path string, synth *Synthetic, mode FileMode, uid, gi
 	}
 	if node == nil {
 		f := tx.fs.newInode(KindFile, mode, uid, gid)
-		f.extend().synth.Store(synth)
+		f.data.Store(wordOf(nil, synth, nil))
 		parent.cowInsert(internName(name), f)
 		parent.touchM(tx.fs.now())
 		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
@@ -1908,7 +1862,7 @@ func (tx *Tx) SetSynthetic(path string, synth *Synthetic, mode FileMode, uid, gi
 	if node.isDir() {
 		return pathErr("synthetic", path, ErrIsDir)
 	}
-	node.extend().synth.Store(synth)
+	node.storeSynth(synth)
 	return nil
 }
 
@@ -1957,7 +1911,6 @@ func statOf(n *inode, name string) Stat {
 		Nlink:   int(n.nlink.Load()),
 		Size:    int64(size),
 		Mtime:   time.Unix(0, n.mtime.Load()),
-		Ctime:   time.Unix(0, n.ctime.Load()),
 		Name:    name,
 		Target:  n.target(),
 		Version: uint64(n.version.Load()),

@@ -12,7 +12,11 @@ import (
 // without deduplication those copies dominate resident memory long
 // before the inodes themselves do. Both pools are bounded: once full
 // they stop admitting new entries and callers fall back to private
-// copies, so adversarial unique-key workloads cannot grow them.
+// copies, so adversarial unique-key workloads cannot grow them. The name
+// pool also admits a name only on its second sighting (namesSeen): the
+// names a control tree repeats are its schema, while a flow's own name
+// is seen once, and a first-come pool would fill with those one-off
+// names and never take a schema name seen after them.
 //
 // A pool never gives an entry back, so once full it stays full, and its
 // full flag lets a miss skip the write lock: without it every write of a
@@ -44,12 +48,44 @@ var names = struct {
 	full atomic.Bool // len(m) reached internNameCap
 }{m: make(map[string]*byte, 256)}
 
+// namesSeen records first sightings of the names the pool does not hold:
+// one slot per name hash modulo its size, holding the hash (0 is an empty
+// slot: no hash is stored as 0). A name whose hash is already in its slot
+// is seen a second time and admitted. A later name may overwrite a slot,
+// so a name seen twice far apart may not be admitted; the table is fixed,
+// 32 KB, and never grows or evicts. The hash is fixed too, as the
+// trie's is (dirHash): the same names pool the same way in every run.
+var namesSeen [internNameCap]atomic.Uint64
+
+// secondSighting reports whether name was seen before, and records it
+// as seen when it was not.
+func secondSighting(name string) bool {
+	// FNV-1a, 64 bits, with murmur3's 64-bit finalizer.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	h |= 1
+	slot := &namesSeen[h%internNameCap]
+	if slot.Load() == h {
+		return true
+	}
+	slot.Store(h)
+	return false
+}
+
 // internName returns a name blob holding name, which must not be empty:
 // the pool's, so that repeated component names share one blob, or a
-// private copy once the pool is full. Either way — and as important —
-// the result never aliases a larger path string: resolution hands out
-// names as substrings of the caller's full path, and storing one in an
-// entry would pin the whole path in memory for the entry's lifetime.
+// private copy on a name's first sighting and once the pool is full.
+// Either way — and as important — the result never aliases a larger
+// path string: resolution hands out names as substrings of the caller's
+// full path, and storing one in an entry would pin the whole path in
+// memory for the entry's lifetime.
 func internName(name string) *byte {
 	names.mu.RLock()
 	c, ok := names.m[name]
@@ -57,9 +93,9 @@ func internName(name string) *byte {
 	if ok {
 		return c
 	}
-	c, body := newBlob(len(name)) // first sight of a name: it is pooled from here on
+	c, body := newBlob(len(name))
 	copy(body, name)
-	if names.full.Load() {
+	if names.full.Load() || !secondSighting(name) {
 		return c
 	}
 	names.mu.Lock()

@@ -171,7 +171,7 @@ func (p *Proc) Symlink(target, linkPath string) error {
 			}
 		}
 		l := fs.newInode(KindSymlink, 0o777, p.cred.UID, p.cred.GID)
-		l.extend().target = target
+		l.setTarget(target)
 		parent.cowInsert(internName(name), l)
 		parent.touchM(fs.now())
 		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
@@ -231,9 +231,8 @@ func (p *Proc) Link(oldPath, newPath string) error {
 		}
 		parent.cowInsert(internName(name), src)
 		src.nlink.Add(1)
-		now := fs.now()
-		src.touchC(now)
-		parent.touchM(now)
+		src.touchC()
+		parent.touchM(fs.now())
 		tx.queue(Event{Op: OpCreate, Path: pathTo(parent, name)})
 		return nil
 	}()
@@ -407,8 +406,8 @@ func (p *Proc) Chmod(path string, mode FileMode) error {
 		return err
 	}
 	p.fs.stats.attrs.Add(1)
-	// Metadata-only change: the tree read lock suffices (mode, ctime and
-	// version are atomics).
+	// Metadata-only change: the tree read lock suffices (mode and version
+	// are atomics).
 	fs := p.fs
 	var ev Event
 	err := func() error {
@@ -425,7 +424,7 @@ func (p *Proc) Chmod(path string, mode FileMode) error {
 			return pathErr("chmod", path, ErrPerm)
 		}
 		n.storeMode(mode & 0o7777) // chmod(2) keeps the permission, set-id and sticky bits
-		n.touchC(fs.now())
+		n.touchC()
 		ev = Event{Op: OpChmod, Path: realPath(parent, name), IsDir: n.isDir()}
 		return nil
 	}()
@@ -462,7 +461,7 @@ func (p *Proc) Chown(path string, uid, gid int) error {
 			return pathErr("chown", path, ErrPerm)
 		}
 		n.storeOwner(uid, gid)
-		n.touchC(fs.now())
+		n.touchC()
 		ev = Event{Op: OpChmod, Path: realPath(parent, name), IsDir: n.isDir()}
 		return nil
 	}()

@@ -105,14 +105,6 @@ func (n *inode) cowDelete(name string) {
 	}
 }
 
-// loadSynth returns the node's synthetic provider, lock-free.
-func (n *inode) loadSynth() *Synthetic {
-	if e := n.ext.Load(); e != nil {
-		return e.synth.Load()
-	}
-	return nil
-}
-
 // rcuStatus classifies the outcome of one lock-free walk attempt.
 type rcuStatus uint8
 

@@ -51,7 +51,6 @@ type Stat struct {
 	Nlink   int
 	Size    int64
 	Mtime   time.Time
-	Ctime   time.Time
 	Name    string // base name at the path used for the lookup
 	Target  string // symlink target, if Kind == KindSymlink
 	Version uint64 // bumped on every data or metadata change

@@ -27,7 +27,7 @@ func (p *Proc) SetXattr(path, attr string, value []byte) error {
 	if !allows(n, p.cred, wantWrite) {
 		return pathErr("setxattr", path, ErrAccess)
 	}
-	fs.editXattrs(n, attr, value, false)
+	n.editXattrs(attr, value, false)
 	return nil
 }
 
@@ -95,7 +95,7 @@ func (p *Proc) RemoveXattr(path, attr string) error {
 	if !allows(n, p.cred, wantWrite) {
 		return pathErr("removexattr", path, ErrAccess)
 	}
-	if !fs.editXattrs(n, attr, nil, true) {
+	if !n.editXattrs(attr, nil, true) {
 		return pathErr("removexattr", path, ErrNoAttr)
 	}
 	return nil
@@ -116,17 +116,12 @@ func (p *Proc) GetXattrString(path, attr string) (string, error) {
 // its own on the winner's map, so concurrent edits of different
 // attributes all land. It reports false, changing nothing, when there is
 // no attr to remove.
-func (fs *FS) editXattrs(n *inode, attr string, value []byte, remove bool) bool {
-	e := n.extend()
+func (n *inode) editXattrs(attr string, value []byte, remove bool) bool {
 	if !remove {
 		value = append([]byte(nil), value...)
 	}
 	for {
-		old := e.xattrs.Load()
-		var cur map[string][]byte
-		if old != nil {
-			cur = *old
-		}
+		cur, old := n.loadXattrs()
 		if _, ok := cur[attr]; remove && !ok {
 			return false
 		}
@@ -139,8 +134,8 @@ func (fs *FS) editXattrs(n *inode, attr string, value []byte, remove bool) bool 
 		} else {
 			m[attr] = value
 		}
-		if e.xattrs.CompareAndSwap(old, &m) {
-			n.touchC(fs.now())
+		if n.swapXattrs(old, m) {
+			n.touchC()
 			return true
 		}
 	}

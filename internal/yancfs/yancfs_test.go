@@ -736,16 +736,21 @@ func footprintSpec(i int) FlowSpec {
 // creator, attached to every flow that creator makes, so nothing per
 // flow hangs off them, and counters/ publishes the set's children trie
 // instead of a leaf of its own. A file's content is one pointer to a
-// length-prefixed blob, with no header of its own, and an inode is 64
+// length-prefixed blob, with no header of its own, and an inode is 48
 // bytes. PutFlowTx's flow is its 14 inodes in two header-free slab
-// chunks (512 + 384 B), its two 40-byte directory states, the flow
+// chunks (480 + 192 B), its two 48-byte directory states, the flow
 // directory's trie leaf (a 16-byte node and 13 two-word entries, 208 B),
-// one arena packing all twelve values and the side structs: 1,310 B.
-// WriteFlow's is a 64-byte object per file inode (a directory's shares
-// one with its state), a blob only for a value the intern pool does not
-// hold, and the same leaf: 1,278 B. The bound is the larger plus 3 %.
+// one arena packing all twelve values and the side structs: 1,102 B.
+// WriteFlow's is a 48-byte object per file inode (a directory's shares
+// one with its state, 96 B), a blob only for a value the intern pool
+// does not hold, and the same leaf: 1,054 B. The bound is the larger
+// plus 3 %. No node of a flow holds a record (the data word's view for a
+// file with a provider or xattrs, 32 B more): none has an xattr, and
+// every file of the flow directory is a plain one, since Tx.ReadTree,
+// which leaves synthetic files out, reads them all. The two synthetic
+// counter files are the creator's one set, whose records no flow pays.
 func TestFlowFootprint(t *testing.T) {
-	const flows, limit = 4096, 1350
+	const flows, limit = 4096, 1135
 	liveHeap := func() uint64 {
 		var ms runtime.MemStats
 		runtime.GC()
@@ -793,16 +798,22 @@ func TestFlowFootprint(t *testing.T) {
 	}
 	// The vfs intern pools are process-wide and bounded: while they have
 	// room, a flow's name and values are billed to whichever fill came
-	// first. Fill them to their caps with other flows' names and values
-	// on a file system that is then dropped, so both measurements see
-	// the steady state: a flow pays for its own strings.
-	warm := newFS(t)
-	if _, err := CreateSwitch(warm.Root(), "/", "sw1"); err != nil {
-		t.Fatal(err)
+	// first, and the name pool admits a name the second time it is
+	// created, which the second fill's would be. Fill both pools to their
+	// caps with other flows' names and values, each flow written on two
+	// file systems in turn, which are then dropped, so both measurements
+	// see the steady state: a flow pays for its own strings.
+	warm := [2]*FS{newFS(t), newFS(t)}
+	for _, w := range warm {
+		if _, err := CreateSwitch(w.Root(), "/", "sw1"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 4200; i++ {
-		if _, err := WriteFlow(warm.Root(), FlowPath("sw1", fmt.Sprintf("warm%06d", i)), footprintSpec(1<<20+i)); err != nil {
-			t.Fatal(err)
+		for _, w := range warm {
+			if _, err := WriteFlow(w.Root(), FlowPath("sw1", fmt.Sprintf("warm%06d", i)), footprintSpec(1<<20+i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for _, f := range fills {
@@ -820,9 +831,25 @@ func TestFlowFootprint(t *testing.T) {
 		if perFlow > limit {
 			t.Errorf("%s: a resident flow costs %d B of live heap, want <= %d", name, perFlow, limit)
 		}
-		nodes := 0
-		if err := y.Root().Walk(paths[0], func(string, vfs.Stat) error { nodes++; return nil }); err != nil || nodes != 16 {
+		nodes, files := 0, 0
+		if err := y.Root().Walk(paths[0], func(path string, st vfs.Stat) error {
+			nodes++
+			if st.Kind == vfs.KindFile && vfs.Dir(path) == paths[0] {
+				files++
+			}
+			if attrs, err := y.Root().ListXattr(path); err != nil || len(attrs) != 0 {
+				t.Errorf("%s: %s has xattrs %v (%v), want none", name, path, attrs, err)
+			}
+			return nil
+		}); err != nil || nodes != 16 {
 			t.Errorf("%s: a flow is %d nodes (%v), want 16", name, nodes, err)
+		}
+		var buf vfs.TreeBuf
+		if err := y.VFS().ReadTx(func(tx *vfs.Tx) error {
+			_, err := tx.ReadTree(paths[0], FileVersion, nil, &buf)
+			return err
+		}); err != nil || len(buf.Files) != files || files != 12 {
+			t.Errorf("%s: ReadTree read %d of the flow's %d files (%v), want all 12: none is synthetic", name, len(buf.Files), files, err)
 		}
 		// Every flow holds the one counters set of its creator: one
 		// inode, whose nlink counts the flows, down as well as up.
